@@ -1,12 +1,19 @@
 """Discrete p-modulus of crossing families, with independent oracles.
 
-The solver minimizes sum rho^p over edge densities admissible for the family
-of source-to-target paths.  Constraints are generated lazily: a shortest-path
-separation oracle finds violated paths, and cyclic dual coordinate ascent
-re-solves the restricted problem between separations (an LP via HiGHS at
-p=1, where the ascent map is undefined).  Certificates come out on both
-sides: rescaling the density by the exact shortest crossing length gives
-value_upper, and the dual multipliers give value_lower by weak duality.
+The solver brackets Mod_p of the source-to-target paths by the modulus /
+minimum-energy-flow duality (Albin, Brunner, Perez, Poggi-Corradini and
+Wiens, "Modulus on graphs as a generalization of standard graph theoretic
+quantities", Conform. Geom. Dyn. 19 (2015)).  Upper bound: a density rho
+divided by its exact shortest crossing length L is admissible, so
+Mod_p <= sum(rho^p) / L^p.  Lower bound: a unit source-to-target flow g gives
+Mod_p >= (sum |g|^q)^-(p-1) with q = p/(p-1), and Mod_1 >= 1 / max |g|.
+
+For p > 1 both come from one p-harmonic potential phi (0 on the source side,
+1 on the target side): rho = |dphi|, and the flow |dphi|^(p-2) dphi with its
+small interior divergence removed by one Laplacian solve.  At p = 1
+a maximum flow gives the lower bound and its minimum cut the 0/1 density.
+Each bound is checked on its own, not taken from a solver; when the
+potential is exact they may cross by a few ulps, and are not clamped.
 
 Oracles for cross-checking: augmenting-path max-flow (p=1 is the min cut)
 and the Laplacian Dirichlet problem (p=2 is the effective conductance).
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
+EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 
 
 @dataclass
@@ -35,6 +43,7 @@ class Network:
         for u, v in self.edge_list:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
+        self._ev = np.asarray(self.edge_list, dtype=np.int64).reshape(-1, 2)
         self._incidence = [[] for _ in range(self.n_vertices)]
         for eid, (u, v) in enumerate(self.edge_list):
             self._incidence[u].append((v, eid))
@@ -60,8 +69,6 @@ def parallel_network(m, k):
     """m disjoint paths of k edges each sharing only the two ends."""
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 paths of k >= 1 edges")
-    if k == 1:
-        return Network(2, [(0, 1)] * m), {0}, {1}
     edges = []
     n = 2
     for _ in range(m):
@@ -75,17 +82,16 @@ def grid_network(rows, cols):
     """rows x cols grid; endpoints are the left and right columns."""
     if rows < 1 or cols < 2:
         raise ValueError("grid needs at least 1 row and 2 columns")
-    def vid(r, c):
-        return r * cols + c
     edges = []
     for r in range(rows):
         for c in range(cols):
+            v = r * cols + c
             if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
+                edges.append((v, v + 1))
             if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    left = {vid(r, 0) for r in range(rows)}
-    right = {vid(r, cols - 1) for r in range(rows)}
+                edges.append((v, v + cols))
+    left = {r * cols for r in range(rows)}
+    right = {r * cols + cols - 1 for r in range(rows)}
     return Network(rows * cols, edges), left, right
 
 
@@ -96,7 +102,7 @@ class ModulusProblem:
     target: frozenset[int]
     p: float
     tolerance: float = 1e-6
-    max_iterations: int = 20000
+    max_iterations: int = 300  # IRLS passes of the potential solve
 
     def __post_init__(self):
         self.source = frozenset(self.source)
@@ -116,12 +122,18 @@ class ModulusProblem:
 
 @dataclass
 class ModulusResult:
+    """Two-sided certificate: density is admissible (every crossing has
+    length >= 1) with sum(density^p) = value_upper; flow is a unit
+    source-to-target flow, signed along edge_list, whose q-energy gives
+    value_lower; active_paths holds a shortest crossing under density."""
+
     value_lower: float
     value_upper: float
     density: np.ndarray
     active_paths: list[tuple[int, ...]] = field(repr=False, default_factory=list)
     iterations: int = 0
     converged: bool = False
+    flow: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def value(self):
@@ -140,6 +152,7 @@ def _shortest_path(net, weights, source, target):
         # Dijkstra's finalization invariant fails on negative weights; the
         # pred chain can then cycle and reconstruction never terminates.
         raise ValueError("edge weights must be nonnegative")
+    weights = np.asarray(weights, dtype=float).tolist()  # fast scalar reads
     dist = [math.inf] * net.n_vertices
     pred = [(-1, -1)] * net.n_vertices  # (vertex, edge id)
     heap = []
@@ -159,9 +172,7 @@ def _shortest_path(net, weights, source, target):
                     heapq.heappush(heap, (nd, v))
                 dist[v] = nd
                 pred[v] = (u, eid)
-    best = min(
-        ((dist[t], t) for t in sorted(target)), key=lambda x: (x[0], x[1]), default=None
-    )
+    best = min(((dist[t], t) for t in target), default=None)
     if best is None or math.isinf(best[0]):
         return math.inf, None, None
     _, t = best
@@ -174,264 +185,99 @@ def _shortest_path(net, weights, source, target):
     return best[0], tuple(reversed(path_v)), tuple(reversed(path_e))
 
 
-def _solve_lambda(sbar, p, lam0):
-    """Root of sum(((sbar + lam)/p)^(1/(p-1))) = 1 over lam >= 0.
-
-    Safeguarded Newton: the length is strictly increasing in lam and equals 1
-    somewhere in [0, p*k^(1-p)] whenever it starts below 1, so the bracket
-    never needs to grow.  Steps falling outside the bracket bisect instead.
-    """
-    q = 1.0 / (p - 1.0)
-    if float(np.power(sbar / p, q).sum()) >= 1.0:
-        return 0.0  # constraint already slack: clip the multiplier at zero
-    lo, hi = 0.0, p * float(len(sbar)) ** (1.0 - p)
-    lam = min(max(lam0, 1e-16), hi)
-    for _ in range(60):
-        base = (sbar + lam) / p
-        f = float(np.power(base, q).sum()) - 1.0
-        if abs(f) <= 1e-14:
-            break
-        if f < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        fprime = (q / p) * float(np.power(base, q - 1.0).sum())
-        step = lam - f / fprime
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-18 * max(1.0, hi):
-            break
-    return lam
-
-
-class _PathSet:
-    """Active crossing paths in CSR layout for vectorized length checks."""
-
-    def __init__(self, n_edges):
-        self.n_edges = n_edges
-        self.edge_arrays = []  # per path, np.int64 edge ids
-        self.vertex_paths = []
-        self.lambdas = []
-        self._by_key = {}
-        self.active = []  # indices swept by coordinate ascent
-        self._csr_stale = True
-        self._cat = np.empty(0, dtype=np.int64)
-        self._offsets = np.empty(0, dtype=np.int64)
-
-    def add_or_activate(self, vpath, epath, lam=0.0):
-        idx = self._by_key.get(epath)
-        if idx is None:
-            idx = len(self.edge_arrays)
-            self._by_key[epath] = idx
-            self.edge_arrays.append(np.asarray(epath, dtype=np.int64))
-            self.vertex_paths.append(vpath)
-            self.lambdas.append(lam)
-            self.active.append(idx)
-            self._csr_stale = True
-        else:
-            self.lambdas[idx] += lam
-            if idx not in self.active:
-                self.active.append(idx)
-                self.active.sort()
-                self._csr_stale = True
-
-    def prune(self, rho):
-        # Inactive constraints (multiplier clipped at zero, length above 1)
-        # drop out of the sweep; the separation oracle revives them if needed.
-        keep = [
-            i
-            for i in self.active
-            if self.lambdas[i] > 0.0 or float(rho[self.edge_arrays[i]].sum()) < 1.0
-        ]
-        if len(keep) != len(self.active):
-            self.active = keep
-            self._csr_stale = True
-
-    def active_lengths(self, rho):
-        if self._csr_stale:
-            arrs = [self.edge_arrays[i] for i in self.active]
-            self._cat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-            sizes = np.array([len(a) for a in arrs], dtype=np.int64)
-            self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            self._csr_stale = False
-        if not self.active:
-            return np.empty(0)
-        return np.add.reduceat(rho[self._cat], self._offsets)
-
-    def dual_value(self, sigma, p):
-        # Weak duality: sum(lambda) - (p-1) sum((sigma/p)^(p/(p-1))) never
-        # exceeds the modulus, for any nonnegative multipliers.
-        conj = float(np.power(sigma / p, p / (p - 1.0)).sum())
-        return math.fsum(self.lambdas) - (p - 1.0) * conj
-
-
-def solve_modulus(problem, seed_paths=None):
-    """Certified p-modulus of the source-target crossing family.
-
-    seed_paths warm-starts the active set with previously useful crossings
-    (vertex sequences); their multipliers start at zero so certificates stay
-    valid regardless of where the seeds came from.
-    """
-    p = problem.p
+def solve_modulus(problem):
+    """Certified p-modulus of the source-target crossing family."""
+    net, p = problem.network, problem.p
+    boundary, connected = _boundary(net, problem.source, problem.target)
+    if not connected:  # empty family, modulus 0
+        zero = np.zeros(net.n_edges)
+        return ModulusResult(0.0, 0.0, zero, [], 0, True, zero.copy())
+    eu, ew = net._ev[:, 0], net._ev[:, 1]
     if p == 1.0:
-        return _solve_modulus_lp(problem, seed_paths)
+        flow, reach = _max_flow(net, problem.source, problem.target)
+        rho = (reach[eu] != reach[ew]).astype(float)  # the minimum cut
+        iterations = 1
+    else:
+        phi, iterations = _p_harmonic_potential(net, boundary, p, problem.max_iterations)
+        dphi = phi[ew] - phi[eu]
+        rho = np.abs(dphi)
+        # The flow |dphi|^(p-2) dphi, smoothed as in the last IRLS pass: the
+        # IRLS fixed point conserves this flow, not the raw one.
+        flow = np.power(dphi * dphi + EPS_FLOOR**2, 0.5 * (p - 2.0)) * dphi
 
-    net = problem.network
-    tol = problem.tolerance
-    sigma = np.zeros(net.n_edges)
-    rho = np.zeros(net.n_edges)
-    q = 1.0 / (p - 1.0)
-    ps = _PathSet(net.n_edges)
-    iterations = 0
+    # Upper bound: rescale rho by its exact shortest crossing length.
+    length, vpath, _ = _shortest_path(net, rho, problem.source, problem.target)
+    density = rho / length
+    upper = float(np.power(density, p).sum())
 
-    # Disconnected endpoints: empty family, modulus 0.
-    length0, _, _ = _shortest_path(net, sigma, problem.source, problem.target)
-    if math.isinf(length0):
-        return ModulusResult(0.0, 0.0, rho, [], 0, True)
-
-    for vpath in seed_paths or []:
-        epath = _edge_ids_of(net, vpath)
-        if epath is not None:
-            ps.add_or_activate(tuple(vpath), epath)
-
-    # Nearly optimal warm start: decompose the p-harmonic flow into crossing
-    # paths and load the multipliers so that sigma = p * flow, which makes
-    # rho the potential drop, admissible by telescoping.  The loop below then
-    # only has to verify and polish.  Certificates never lean on this: any
-    # nonnegative multipliers on genuine crossing paths give a valid bound.
-    if seed_paths is None and p <= 8.0:
-        phi, _ = _p_harmonic_potential(net, problem.source, problem.target, p)
-        for vpath, epath, width in _flow_decomposition(
-            net, phi, problem.source, problem.target, p
-        ):
-            ps.add_or_activate(vpath, epath, p * width)
-        for i in ps.active:
-            arr = ps.edge_arrays[i]
-            np.add.at(sigma, arr, ps.lambdas[i])
-        rho[:] = np.power(sigma / p, q)
-
-    # The gap certificate needs every active length within about tol/p of 1;
-    # stationarity below that threshold stops the inner phase.
-    stat_tol = 0.25 * tol / max(1.0, p)
-    while iterations < problem.max_iterations:
-        length, vpath, epath = _shortest_path(net, rho, problem.source, problem.target)
-        if length >= 1.0 - tol and ps.active:
-            lower = max(ps.dual_value(sigma, p), 0.0)
-            upper = float(np.power(rho, p).sum()) / length**p
-            if upper <= (1.0 + 5.0 * tol) * lower:
-                active_v = [ps.vertex_paths[i] for i in ps.active]
-                return ModulusResult(lower, upper, rho, active_v, iterations, True)
-        if length < 1.0 - tol:
-            ps.add_or_activate(vpath, epath)
-
-        # Inner phase: cyclic sweeps lift fresh multipliers off zero and
-        # globalize; the Newton polish on the active stationarity system
-        # (all active lengths = 1) clears the slow redistribution tail that
-        # plain sweeps zigzag over.
-        for _sweep in range(3):
-            iterations += 1
-            lengths = ps.active_lengths(rho)
-            off = np.abs(lengths - 1.0) > stat_tol
-            if not off.any():
-                break
-            for idx in (ps.active[k] for k in np.nonzero(off)[0]):
-                arr = ps.edge_arrays[idx]
-                sbar = np.maximum(sigma[arr] - ps.lambdas[idx], 0.0)
-                lam = _solve_lambda(sbar, p, ps.lambdas[idx])
-                sigma[arr] = sbar + lam
-                rho[arr] = np.power(sigma[arr] / p, q)
-                ps.lambdas[idx] = lam
-            ps.prune(rho)
-            if iterations >= problem.max_iterations:
-                break
-        iterations += _newton_polish(ps, sigma, rho, p, stat_tol)
-        ps.prune(rho)
-
-    length, _, _ = _shortest_path(net, rho, problem.source, problem.target)
-    lower = max(ps.dual_value(sigma, p), 0.0)
-    upper = float(np.power(rho, p).sum()) / min(length, 1.0) ** p
-    active_v = [ps.vertex_paths[i] for i in ps.active]
-    return ModulusResult(lower, upper, rho, active_v, iterations, False)
-
-
-def _newton_polish(ps, sigma, rho, p, stat_tol, max_steps=30):
-    """Damped Newton on the stationarity system of the positive multipliers.
-
-    Ascent on the same dual the sweeps climb: a step is kept only if it does
-    not lower the dual value, negative multipliers clip to zero, and sigma is
-    rebuilt exactly from the multipliers so drift cannot accumulate.  Mutates
-    sigma, rho and the multipliers in place; returns the steps taken.
-    """
-    q = 1.0 / (p - 1.0)
-    conj = p / (p - 1.0)
-    steps = 0
-    for _ in range(max_steps):
-        act = [i for i in ps.active if ps.lambdas[i] > 0.0]
-        if not act or len(act) * len(sigma) > 4e7:
-            break  # dense path-edge matrix too big; leave it to the sweeps
-        arrs = [ps.edge_arrays[i] for i in act]
-        resid = np.array([float(rho[a].sum()) for a in arrs]) - 1.0
-        if np.abs(resid).max() <= stat_tol:
-            break
-        steps += 1
-        # Jacobian of the lengths in the multipliers: (q/p) A D A^T with
-        # D = diag((sigma/p)^(q-1)) on the sigma-positive edges.  Every edge
-        # of a positive-multiplier path has sigma > 0, so D stays finite.
-        deriv = np.zeros_like(sigma)
-        pos = sigma > 0.0
-        deriv[pos] = (q / p) * np.power(sigma[pos] / p, q - 1.0)
-        a_rows = np.zeros((len(act), len(sigma)))
-        for r, a in enumerate(arrs):
-            a_rows[r, a] += 1.0
-        jac = (a_rows * deriv) @ a_rows.T
-        jac[np.diag_indices_from(jac)] += 1e-14 * max(1.0, jac.trace() / len(act))
-        try:
-            dlam = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            dlam = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-
-        lam0 = np.array([ps.lambdas[i] for i in act])
-        other = math.fsum(ps.lambdas[i] for i in range(len(ps.lambdas)) if i not in set(act))
-        g0 = ps.dual_value(sigma, p)
-        scale = 1.0
-        for _bt in range(40):
-            lam_try = np.maximum(lam0 + scale * dlam, 0.0)
-            sigma_try = np.zeros_like(sigma)
-            for a, l in zip(arrs, lam_try):
-                if l > 0.0:
-                    sigma_try[a] += l
-            g_try = other + float(lam_try.sum()) - (p - 1.0) * float(
-                np.power(sigma_try / p, conj).sum()
-            )
-            if g_try >= g0 - 1e-15 * max(1.0, abs(g0)):
-                for r, i in enumerate(act):
-                    ps.lambdas[i] = float(lam_try[r])
-                sigma[:] = sigma_try
-                rho[:] = np.power(sigma / p, q)
-                break
-            scale *= 0.5
+    # Lower bound: cancel the interior divergence, then normalise by the net
+    # flux out of the source side.
+    n = net.n_vertices
+    div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
+    interior = ~np.isin(np.arange(n), list(boundary))
+    if div[interior].any():  # a maximum flow is already conserved exactly
+        psi = _dirichlet_solve(net, dict.fromkeys(boundary, 0.0), load=div)
+        flow = flow - (psi[eu] - psi[ew])
+        div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
+    flux = math.fsum(div[sorted(problem.source)])
+    lower = 0.0
+    if flux > 0.0:
+        flow /= flux
+        if p == 1.0:
+            lower = 1.0 / float(np.abs(flow).max())
         else:
-            return steps  # no acceptable step; let the sweeps make progress
-    return steps
+            lower = float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p)
+    converged = bool(upper <= (1.0 + 5.0 * problem.tolerance) * lower)
+    return ModulusResult(lower, upper, density, [vpath], iterations, converged, flow)
 
 
-def _edge_ids_of(net, vpath):
-    """Edge ids tracing the vertex sequence, or None if any hop is missing."""
-    ids = []
-    for u, v in zip(vpath, vpath[1:]):
-        eid = next((e for w, e in net._incidence[u] if w == v), None)
-        if eid is None:
-            return None
-        ids.append(eid)
-    return tuple(ids)
+def _boundary(net, source, target):
+    """Dirichlet data (0 on the source side, 1 on the target side) and
+    whether the sides connect.  Components touching neither side carry no
+    crossing; they are pinned at 0 too, as free they make L singular."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = net.n_vertices
+    adj = coo_matrix((np.ones(net.n_edges), (net._ev[:, 0], net._ev[:, 1])), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    src_labels, tgt_labels = labels[sorted(source)], labels[sorted(target)]
+    floating = ~np.isin(labels, np.concatenate([src_labels, tgt_labels]))
+    boundary = dict.fromkeys(np.nonzero(floating)[0].tolist(), 0.0)
+    boundary.update(dict.fromkeys(source, 0.0))
+    boundary.update(dict.fromkeys(target, 1.0))
+    return boundary, bool(np.isin(src_labels, tgt_labels).any())
 
 
-def _dirichlet_solve(net, fixed_value, weights=None):
-    """Weighted-Laplacian potential with the given vertices held fixed.
+def _max_flow(net, source, target):
+    """Integer maximum flow, unit capacity each way per edge: the flow per edge
+    (signed along edge_list, parallel edges sharing evenly) and the mask of
+    vertices the super source reaches in the residual graph (a minimum cut)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-    Sparse assembly and solve; returns the full potential vector.  Rows for
-    free vertices carrying zero total weight come back non-finite, which
-    callers treat as a failed pass.
-    """
+    n = net.n_vertices
+    s, t = n, n + 1
+    eu, ew = net._ev[:, 0], net._ev[:, 1]
+    src, tgt = sorted(source), sorted(target)
+    rows = np.concatenate([eu, ew, np.full(len(src), s), tgt])
+    cols = np.concatenate([ew, eu, src, np.full(len(tgt), t)])
+    caps = np.ones(len(rows), dtype=np.int32)
+    caps[2 * net.n_edges:] = net.n_edges + 1
+    cap = coo_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)).tocsr()  # sums parallels
+    flow = maximum_flow(cap, s, t).flow  # antisymmetric
+    residual = (cap - flow).tocsr()  # nonnegative: the flow respects capacities
+    residual.eliminate_zeros()
+    reach = np.isin(np.arange(n + 2), breadth_first_order(residual, s, return_predecessors=False))
+    per_pair = np.asarray(flow[eu, ew], dtype=float).ravel()
+    return per_pair / np.asarray(cap[eu, ew], dtype=float).ravel(), reach
+
+
+def _dirichlet_solve(net, fixed_value, weights=None, load=None):
+    """Weighted-Laplacian potential with the given vertices held fixed:
+    solves (L phi)_v = load_v (zero by default) at every free vertex.  Rows
+    for free vertices carrying zero total weight come back non-finite, which
+    callers treat as a failed pass."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import spsolve
 
@@ -445,7 +291,7 @@ def _dirichlet_solve(net, fixed_value, weights=None):
     if not len(free) or not net.edge_list:
         return phi
     col[free] = np.arange(len(free))
-    ev = np.asarray(net.edge_list, dtype=np.int64)
+    ev = net._ev
     w = np.ones(len(ev)) if weights is None else np.asarray(weights, dtype=float)
     cu, cw = col[ev[:, 0]], col[ev[:, 1]]
     fu, fw = cu >= 0, cw >= 0
@@ -454,7 +300,7 @@ def _dirichlet_solve(net, fixed_value, weights=None):
     cols = np.concatenate([cu[fu], cw[fw], cw[both], cu[both]])
     data = np.concatenate([w[fu], w[fw], -w[both], -w[both]])
     lap = coo_matrix((data, (rows, cols)), shape=(len(free), len(free))).tocsr()
-    rhs = np.zeros(len(free))
+    rhs = np.zeros(len(free)) if load is None else np.asarray(load, dtype=float)[free]
     bu = fu & ~fw
     np.add.at(rhs, cu[bu], w[bu] * phi[ev[bu, 1]])
     bw = fw & ~fu
@@ -465,36 +311,28 @@ def _dirichlet_solve(net, fixed_value, weights=None):
     return phi
 
 
-def _p_harmonic_potential(net, source, target, p, max_iters=300):
-    """Potential minimizing sum |phi_u - phi_v|^p with phi = 0 on the source
-    side and 1 on the target side.
+def _p_harmonic_potential(net, boundary, p, max_iters=300):
+    """Potential minimizing sum |phi_u - phi_v|^p with phi fixed on boundary
+    (vertex -> value); returns (phi, passes).
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
-    problem for the Laplacian weighted by |dphi|^(p-2) (epsilon-smoothed,
-    with the smoothing driven to zero), with a halving line search on the
-    raw energy.  Any boundary-respecting potential yields valid seeds, so
-    partial convergence here costs speed downstream, never correctness.
+    problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed with
+    the smoothing driven to zero, and moves to the best of a few halvings of
+    that step.  Any potential respecting the boundary keeps both certificates
+    valid, so partial convergence costs tightness, never correctness.
     """
-    boundary = {x: 0.0 for x in source}
-    boundary.update({x: 1.0 for x in target})
     phi = np.zeros(net.n_vertices)
-    for x, val in boundary.items():
-        phi[x] = val
+    phi[list(boundary)] = list(boundary.values())
     if len(boundary) == net.n_vertices or not net.edge_list:
         return phi, 0
-    ev = np.asarray(net.edge_list, dtype=np.int64)
-    eu, ew = ev[:, 0], ev[:, 1]
+    eu, ew = net._ev[:, 0], net._ev[:, 1]
 
     # Electrical start (p = 2 solves exactly in the first pass).
-    eps, eps_floor = 1.0, 1e-9
+    eps = 1.0
     iters = 0
-    for it in range(max_iters):
-        iters = it + 1
+    for iters in range(1, max_iters + 1):
         dphi = phi[eu] - phi[ew]
-        if p == 2.0:
-            w = None
-        else:
-            w = np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
+        w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
         phi_new = _dirichlet_solve(net, boundary, w)
         if not np.all(np.isfinite(phi_new)):
             break
@@ -506,152 +344,20 @@ def _p_harmonic_potential(net, source, target, p, max_iters=300):
             d2 = np.square(ph[eu] - ph[ew])
             return float(np.power(d2 + eps * eps, 0.5 * p).sum())
 
-        # The solve points downhill for the smoothed energy (the weighted
-        # Laplacian is positive definite), so halving from the full step must
-        # land; the raw energy lacks that guarantee and stalls the iteration.
-        e_prev = smoothed(phi)
-        e_new = e_prev
+        # The solve points downhill for the smoothed energy, so some halving
+        # lowers it.  Taking the first that does not raise it let phi swing
+        # between two states above the optimum; the best of them does not.
         step = phi_new - phi
-        scale = 1.0
-        for _ in range(45):
-            cand = phi + scale * step
-            e_cand = smoothed(cand)
-            if e_cand <= e_prev:
-                phi, e_new = cand, e_cand
-                break
-            scale *= 0.5
-        else:
-            scale = 0.0
+        trials = [(smoothed(phi + s * step), s) for s in (1.0, 0.5, 0.25, 0.125, 0.0)]
+        e_new, scale = min(trials, key=lambda t: t[0])
+        e_prev = trials[-1][0]
+        phi = phi + scale * step
         moved = float(np.abs(step).max()) * scale
-        if eps <= eps_floor and (
-            moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
-        ):
+        stalled = moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
+        if eps <= EPS_FLOOR and stalled:
             break
-        eps = max(eps * 0.25, eps_floor)
+        eps = max(eps * 0.25, EPS_FLOOR)
     return phi, iters
-
-
-def _flow_decomposition(net, phi, source, target, p):
-    """Split the p-harmonic flow |dphi|^(p-1) into weighted crossing paths.
-
-    Flow is oriented downhill (phi strictly decreases along every flow edge,
-    so walks cannot cycle) and stripped greedily: from each target vertex,
-    repeatedly follow the heaviest remaining edge until a source vertex and
-    subtract the bottleneck.  A walk that dries up early sheds its bottleneck
-    without being recorded; interior flow balance makes such crumbs tiny.
-    Returns (vertex path, edge-id path, weight) triples oriented source to
-    target, valid as crossing constraints no matter how rough phi is.
-    """
-    flow = np.zeros(net.n_edges)
-    out = [[] for _ in range(net.n_vertices)]
-    for eid, (u, v) in enumerate(net.edge_list):
-        d = phi[u] - phi[v]
-        if d == 0.0:
-            continue
-        hi, lo = (u, v) if d > 0 else (v, u)
-        flow[eid] = abs(d) ** (p - 1.0)
-        out[hi].append((lo, eid))
-    total = float(flow.sum())
-    if total == 0.0:
-        return []
-    cutoff = 1e-12 * total
-    paths = []
-    for start in sorted(target):
-        while True:
-            walk_v, walk_e = [start], []
-            u = start
-            while u not in source:
-                nxt = max(
-                    ((x, e) for x, e in out[u] if flow[e] > cutoff),
-                    key=lambda xe: (flow[xe[1]], -xe[0], -xe[1]),
-                    default=None,
-                )
-                if nxt is None:
-                    break
-                walk_v.append(nxt[0])
-                walk_e.append(nxt[1])
-                u = nxt[0]
-            if not walk_e:
-                break
-            width = float(flow[list(walk_e)].min())
-            flow[list(walk_e)] -= width
-            if u in source:
-                paths.append((tuple(walk_v[::-1]), tuple(walk_e[::-1]), width))
-    return paths
-
-
-def _solve_modulus_lp(problem, seed_paths=None):
-    """p = 1 via the exact potential form of the crossing LP.
-
-    min sum(rho) over rho_e >= |phi_u - phi_v| with phi pinned to 0 on the
-    source side and 1 on the target side has the same optimum as the path
-    LP: truncated shortest-path potentials turn any admissible density into
-    a feasible potential, and telescoping gives admissibility back.  This
-    avoids generating columns one dodge at a time (the crossing family is
-    far too rich for that beyond toy graphs).
-
-    Certificates stay two-sided and independent of the LP solver: the
-    augmenting-path flow value is a valid dual-multiplier sum (a maximum
-    flow decomposes into unit-weight paths loading each edge at most once),
-    and one shortest-path check rescales rho into the upper bound.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
-    net = problem.network
-    tol = problem.tolerance
-    n_edges = net.n_edges
-
-    length0, _, _ = _shortest_path(net, np.zeros(n_edges), problem.source, problem.target)
-    if math.isinf(length0):
-        return ModulusResult(0.0, 0.0, np.zeros(n_edges), [], 0, True)
-
-    fixed = {}
-    for s in problem.source:
-        fixed[s] = 0.0
-    for t in problem.target:
-        fixed[t] = 1.0
-    free_col = {}
-    for v in range(net.n_vertices):
-        if v not in fixed:
-            free_col[v] = n_edges + len(free_col)
-    n_vars = n_edges + len(free_col)
-
-    rows, cols, vals = [], [], []
-    b_ub = []
-
-    def term(row, v, sign):
-        if v in fixed:
-            b_ub[row] -= sign * fixed[v]
-        else:
-            rows.append(row)
-            cols.append(free_col[v])
-            vals.append(sign)
-
-    for eid, (u, v) in enumerate(net.edge_list):
-        for hi, lo in ((u, v), (v, u)):  # phi_hi - phi_lo <= rho_e
-            row = len(b_ub)
-            b_ub.append(0.0)
-            rows.append(row)
-            cols.append(eid)
-            vals.append(-1.0)
-            term(row, hi, 1.0)
-            term(row, lo, -1.0)
-
-    a_ub = coo_matrix((vals, (rows, cols)), shape=(len(b_ub), n_vars))
-    c = np.zeros(n_vars)
-    c[:n_edges] = 1.0
-    bounds = [(0.0, None)] * n_edges + [(0.0, 1.0)] * len(free_col)
-    res = linprog(c=c, A_ub=a_ub.tocsc(), b_ub=np.asarray(b_ub), bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"potential LP failed: {res.message}")
-    rho = np.maximum(res.x[:n_edges], 0.0)
-
-    lower = float(mincut_oracle(net, problem.source, problem.target))
-    length, vpath, _ = _shortest_path(net, rho, problem.source, problem.target)
-    upper = float(rho.sum()) / min(length, 1.0)
-    converged = length >= 1.0 - tol and upper <= (1.0 + 5.0 * tol) * lower
-    return ModulusResult(lower, upper, rho, [vpath], 1, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +470,7 @@ def conformal_scan(levels, p_grid, policy="on", tolerance=1e-6, graphs=None):
     if any(p < 1.0 for p in p_grid):
         raise ValueError("exponents must be >= 1")
 
-    rows = []
-    values = {}
-    monotone_ok = True
+    rows, values, monotone_ok = [], {}, True
     for n in levels:
         g = graphs[n] if graphs and n in graphs else build_graph(n, policy)
         net = Network.from_graph(g)
@@ -775,14 +479,10 @@ def conformal_scan(levels, p_grid, policy="on", tolerance=1e-6, graphs=None):
         prev_value = None
         for p in p_grid:
             res = solve_modulus(ModulusProblem(net, src, tgt, p, tolerance))
-            value = res.value
-            ratio = None
-            if (n - 1, p) in values:
-                ratio = value / values[(n - 1, p)]
-            values[(n, p)] = value
-            rows.append(
-                ScanRow(n, p, res.value_lower, res.value_upper, res.iterations, res.converged, ratio)
-            )
+            value = values[(n, p)] = res.value
+            ratio = value / values[(n - 1, p)] if (n - 1, p) in values else None
+            rows.append(ScanRow(n, p, res.value_lower, res.value_upper, res.iterations,
+                                res.converged, ratio))
             if prev_value is not None and value > prev_value * (1.0 + 20.0 * tolerance):
                 monotone_ok = False
             prev_value = value
