@@ -235,7 +235,7 @@ def _cmd_modulus(args):
     p_grid = _parse_p_grid(args.p_grid)
     try:
         g = read_graph(args.graph)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot read graph file {args.graph}: {exc}")
     hashes = {"graph": _sha256(args.graph)}
     net = Network.from_graph(g)

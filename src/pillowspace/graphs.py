@@ -1,16 +1,24 @@
 """Replacement graphs of the doubled-center subdivision complex.
 
-Vertices of the level-n graph are the 10^n words; two tiles are joined when
-they meet along a face of positive length.  Adjacency is decided by exact
-integer segment arithmetic on the projected squares plus the seam loci of the
-doubled center; an independent chain oracle re-derives the same answer from
-pointwise membership under the fold dynamics and arbitrates any disagreement.
+Vertices of the level-n graph G_n are the 10^n words; two tiles are joined
+when they meet along a face of positive length.  Adjacency is decided by
+exact integer segment arithmetic on the projected squares plus the seam loci
+of the doubled center; an independent chain oracle re-derives the same
+answer from pointwise membership under the fold dynamics and arbitrates any
+disagreement.
+
+The builder follows the self-similarity of the complex: G_n is ten copies of
+G_{n-1}, one per first letter, shifted by a * 10^(n-1).  Edges between two
+first-level cells meet on the boundary of both, so the adjacency predicate
+is run only on the tiles over the boundary ring of each cell (the per-tile
+enumeration over all tiles, reference_edges, is the slow cross-check).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,17 +30,17 @@ from .words import (
     CENTER_LETTERS,
     LETTERS,
     _prefix_states,
+    _square_state,
     all_words,
-    flip,
     grid_word_of_square,
     parse_word,
-    project_word,
 )
 
 HORIZONTAL = "H"
 VERTICAL = "V"
 SEAM = "S"
 EDGE_TYPES = (HORIZONTAL, VERTICAL, SEAM)
+_SWAP = {"5": "0", "0": "5"}
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
@@ -291,8 +299,6 @@ class ReplacementGraph:
                 lst.sort()
             self.neighbors = nb
         if self.square_x is None:
-            from .words import _square_state
-
             xs = np.empty(len(self.words), dtype=np.int64)
             ys = np.empty(len(self.words), dtype=np.int64)
             for i, w in enumerate(self.words):
@@ -339,49 +345,97 @@ def build_graph(n, central_edge_policy="on"):
     if central_edge_policy not in ("on", "off"):
         raise ValueError(f"unknown policy {central_edge_policy!r}")
 
-    words = all_words(n)
-    top = 3**n
-    swap = {"5": "0", "0": "5"}
-    edges = []
+    edges = []  # G_0: one tile, no edges
+    for m in range(1, n + 1):
+        # G_m is ten copies of G_{m-1}, one per first letter: each letter's
+        # chart maps the unit square isometrically onto its cell, and the
+        # suppressed last-letter seam sits at the same position in a block.
+        size = 10 ** (m - 1)
+        ids = list(range(10 * size))  # one shared int per vertex, not two per edge
+        edges = [
+            (ids[i + off], ids[j + off], t)
+            for off in range(0, 10 * size, size)
+            for i, j, t in edges
+        ]
+        # An edge between two cells meets on the boundary of both (a shared
+        # cell edge, or the centre cell's boundary for a 5/0 seam), so both
+        # tiles lie over the boundary ring of their cell.  Ring squares carry
+        # no centre letter: one tile each.
+        side = 3 ** (m - 1)
+        ring = {
+            sq
+            for k in range(side)
+            for sq in ((k, 0), (k, side - 1), (0, k), (side - 1, k))
+        }
+        for x, y in ring:
+            tail = grid_word_of_square(m - 1, x, y)
+            for a in ALPHABET:
+                edges += _tile_edges(a + tail, central_edge_policy, size)
+        edges.sort()
 
-    for i, w in enumerate(words):
-        # Seam partners share the footprint and differ at exactly one center
-        # level (boundaries of nested center squares are disjoint, so
-        # multi-level sheet flips never meet).
-        for k in range(n):
-            c = w[k]
-            if c not in CENTER_LETTERS:
-                continue
-            if central_edge_policy == "off" and k == n - 1:
-                continue
-            v = w[:k] + swap[c] + w[k + 1 :]
-            j = int(v)
-            if j > i and adjacency(w, v) == SEAM:
-                edges.append((i, j, SEAM))
-
-        # Grid partners live over one of the four neighboring squares.
-        st = _prefix_states(w)[n]
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = st[0] + dx, st[1] + dy
-            if not (0 <= nx < top and 0 <= ny < top):
-                continue
-            base = grid_word_of_square(n, nx, ny)
-            centers = [p for p in range(n) if base[p] == "5"]
-            for picks in itertools.product("50", repeat=len(centers)):
-                v = base
-                for p, c in zip(centers, picks):
-                    if c == "0":
-                        v = v[:p] + "0" + v[p + 1 :]
-                j = int(v)
-                if j > i:
-                    t = adjacency(w, v)
-                    if t is not None:
-                        edges.append((i, j, t))
-
-    edges.sort()
-    g = ReplacementGraph(level=n, policy=central_edge_policy, words=words, edges=edges)
+    g = ReplacementGraph(
+        level=n, policy=central_edge_policy, words=all_words(n), edges=edges
+    )
     _check_connected_simple(g)
     return g
+
+
+def reference_edges(n, central_edge_policy="on"):
+    """Sorted edge list from the per-tile enumeration over all 10^n tiles.
+
+    The slow per-vertex path that build_graph's self-similar recursion is
+    checked against; no level cap, so keep n small.
+    """
+    return sorted(
+        e for w in all_words(n) for e in _tile_edges(w, central_edge_policy, 1)
+    )
+
+
+def _tile_edges(w, policy, block):
+    """Edges (i, j, type) from tile w to partners j > i in another block.
+
+    Indices fall into blocks of `block` consecutive words; partners in w's
+    own block are skipped before adjacency is decided, and block=1 keeps
+    every partner.
+    """
+    n = len(w)
+    i = int(w)
+    own = i // block
+    out = []
+    # Seam partners share the footprint and differ at exactly one center
+    # level (boundaries of nested center squares are disjoint, so multi-level
+    # sheet flips never meet).
+    for k in range(n):
+        c = w[k]
+        if c not in CENTER_LETTERS:
+            continue
+        if policy == "off" and k == n - 1:
+            continue
+        v = w[:k] + _SWAP[c] + w[k + 1 :]
+        j = int(v)
+        if j > i and j // block != own and adjacency(w, v) == SEAM:
+            out.append((i, j, SEAM))
+
+    # Grid partners live over one of the four neighboring squares.
+    top = 3**n
+    x, y = _square_state(w)[:2]
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        nx, ny = x + dx, y + dy
+        if not (0 <= nx < top and 0 <= ny < top):
+            continue
+        base = grid_word_of_square(n, nx, ny)
+        centers = [p for p in range(n) if base[p] == "5"]
+        for picks in itertools.product("50", repeat=len(centers)):
+            v = base
+            for p, c in zip(centers, picks):
+                if c == "0":
+                    v = v[:p] + "0" + v[p + 1 :]
+            j = int(v)
+            if j > i and j // block != own:
+                t = adjacency(w, v)
+                if t is not None:
+                    out.append((i, j, t))
+    return out
 
 
 def _check_connected_simple(g):
@@ -572,22 +626,35 @@ def write_graph_json(g, path):
         fh.write("\n")
 
 
+def _check_level(level):
+    # before anything is sized by the level: all_words(9) is 10^9 strings
+    if type(level) is not int or not 1 <= level <= MAX_LEVEL:
+        raise ValueError(f"graph level {level!r} outside 1..{MAX_LEVEL}")
+
+
 def read_graph_json(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != GRAPH_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"not a {GRAPH_SCHEMA} file: {path}")
-    level = payload["level"]
-    words = payload["vertices"]
+    level = payload.get("level")
+    _check_level(level)
+    policy = payload.get("policy")
+    if policy not in ("on", "off"):
+        raise ValueError(f"unknown policy {policy!r}")
+    words = payload.get("vertices")
     if words != all_words(level):
         raise ValueError("vertex list is not the lexicographic word list")
-    edges = [(int(i), int(j), str(t)) for i, j, t in payload["edges"]]
+    try:
+        edges = [(int(i), int(j), str(t)) for i, j, t in payload.get("edges")]
+    except (TypeError, ValueError):
+        raise ValueError("edge list is not a list of [i, j, type] records") from None
     for i, j, t in edges:
         if not (0 <= i < j < len(words)) or t not in EDGE_TYPES:
             raise ValueError(f"malformed edge ({i}, {j}, {t})")
-    if edges != sorted(edges):
-        raise ValueError("edge list is not sorted")
-    return ReplacementGraph(level=level, policy=payload["policy"], words=words, edges=edges)
+    if any(a[:2] >= b[:2] for a, b in zip(edges, edges[1:])):
+        raise ValueError("edge list is not sorted or repeats a pair")
+    return ReplacementGraph(level=level, policy=policy, words=words, edges=edges)
 
 
 def write_graph_binary(g, path):
@@ -611,21 +678,29 @@ def read_graph_binary(path):
         magic = fh.read(4)
         if magic != GRAPH_MAGIC:
             raise ValueError(f"bad magic {magic!r} in {path}")
-        level, policy_flag, n_vertices, n_edges = struct.unpack("<IIII", fh.read(16))
-        words = all_words(level)
-        if n_vertices != len(words):
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError("truncated header")
+        level, policy_flag, n_vertices, n_edges = struct.unpack("<IIII", header)
+        _check_level(level)
+        if n_vertices != 10**level:
             raise ValueError("vertex count does not match the level")
-        raw = fh.read(12 * n_edges)
-        if len(raw) != 12 * n_edges:
-            raise ValueError("truncated edge block")
-        edges = []
-        for off in range(0, len(raw), 12):
-            i, j, t = struct.unpack_from("<III", raw, off)
-            edges.append((i, j, EDGE_TYPES[t]))
+        # checked against the file size, so a bad count allocates nothing
+        if os.fstat(fh.fileno()).st_size != 20 + 12 * n_edges:
+            raise ValueError("edge block does not match the edge count")
+        raw = fh.read()
+    rec = np.frombuffer(raw, dtype="<u4").reshape(-1, 3).astype(np.int64)
+    i, j, t = rec[:, 0], rec[:, 1], rec[:, 2]
+    bad = np.flatnonzero((t >= len(EDGE_TYPES)) | (i >= j) | (j >= n_vertices))
+    if bad.size:
+        raise ValueError("malformed edge ({}, {}, {})".format(*rec[bad[0]]))
+    if (np.diff(i * n_vertices + j) <= 0).any():
+        raise ValueError("edge list is not sorted or repeats a pair")
+    edges = [(a, b, EDGE_TYPES[c]) for a, b, c in struct.iter_unpack("<III", raw)]
     return ReplacementGraph(
         level=level,
         policy="on" if policy_flag else "off",
-        words=words,
+        words=all_words(level),
         edges=edges,
     )
 

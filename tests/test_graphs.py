@@ -1,7 +1,12 @@
 """Tests for adjacency, the chain oracle, graph construction, and IO."""
 
+import hashlib
 import itertools
+import json
 import random
+import struct
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -296,3 +301,149 @@ def test_read_graph_json_rejects_corruption(tmp_path, g1):
     path.write_text(text)
     with pytest.raises(ValueError, match="pillow-graph-v1"):
         ps.read_graph_json(path)
+
+
+# ---------------------------------------------------------------------------
+# self-similar build against the per-tile reference
+
+# `write_graph_json` / `write_graph_binary` of build_graph(3), fixed since the
+# first per-tile builds
+GOLDEN_SHA256_L3 = {
+    "json": "57df9dc6f94f9cfae6dc7d1265e70ad29064ac847997db41784ad6c6f5b015a7",
+    "binary": "e46ea79c1f5d5e36e80c738d36acddc68b218c1efe227c36181d7439cb8f2dda",
+}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_matches_per_tile_reference(n, policy):
+    assert ps.build_graph(n, policy).edges == G.reference_edges(n, policy)
+
+
+def test_build_matches_per_tile_reference_level_5():
+    assert ps.build_graph(5).edges == G.reference_edges(5)
+
+
+def test_adjacency_runs_only_on_ring_tiles(monkeypatch):
+    callers = set()
+    real = G.adjacency
+    monkeypatch.setattr(G, "adjacency", lambda w, v: callers.add(w) or real(w, v))
+    ps.build_graph(3)
+    top = 3**2 - 1
+    level3 = [ps.word_square(w[1:]) for w in callers if len(w) == 3]
+    assert level3 and all(sq.x in (0, top) or sq.y in (0, top) for sq in level3)
+
+
+def test_graph_files_match_golden_hashes(tmp_path, g3):
+    for fmt, write in (("json", ps.write_graph_json), ("binary", ps.write_graph_binary)):
+        path = tmp_path / f"g3.{fmt}"
+        write(g3, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256_L3[fmt]
+
+
+# ---------------------------------------------------------------------------
+# malformed graph files
+
+
+@pytest.fixture
+def no_large_word_lists(monkeypatch):
+    # a reader that sizes anything by an unchecked level fails fast here
+    real = G.all_words
+
+    def guarded(level):
+        if level > G.MAX_LEVEL:
+            raise AssertionError(f"all_words({level}) called before the level check")
+        return real(level)
+
+    monkeypatch.setattr(G, "all_words", guarded)
+
+
+@pytest.mark.parametrize("level", [0, 7, 9, 40, "3"])
+def test_read_graph_json_checks_level_first(tmp_path, no_large_word_lists, level):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"schema":"pillow-graph-v1","level":%s,"policy":"on","vertices":[],"edges":[]}'
+        % json.dumps(level)
+    )
+    with pytest.raises(ValueError, match="level"):
+        ps.read_graph_json(path)
+
+
+@pytest.mark.parametrize("level", [0, 7, 9, 40])
+def test_read_graph_binary_checks_level_first(tmp_path, no_large_word_lists, level):
+    path = tmp_path / "g.bin"
+    n_vertices = 10**level if 10**level < 2**32 else 0  # consistent where it fits
+    path.write_bytes(b"PLG1" + struct.pack("<IIII", level, 1, n_vertices, 0))
+    with pytest.raises(ValueError, match="level"):
+        ps.read_graph_binary(path)
+
+
+def _patched_binary(tmp_path, g, record, field, value):
+    path = tmp_path / "g.bin"
+    ps.write_graph_binary(g, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 20 + 12 * record + 4 * field, value)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(2, 3), (2, 7), (1, 99), (1, 10), (0, 5), (1, 0)],  # type, j >= 10, i >= j
+)
+def test_read_graph_binary_rejects_bad_records(tmp_path, g1, field, value):
+    path = _patched_binary(tmp_path, g1, 0, field, value)
+    with pytest.raises(ValueError, match="malformed edge"):
+        ps.read_graph_binary(path)
+
+
+def test_read_graph_binary_rejects_bad_counts(tmp_path, g1):
+    path = tmp_path / "g.bin"
+    ps.write_graph_binary(g1, path)
+    data = path.read_bytes()
+    huge_count = data[:16] + struct.pack("<I", 2**32 - 1) + data[20:]
+    for bad in (data[:12], data[:-1], data + b"\0", huge_count):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            ps.read_graph_binary(path)
+
+
+def test_read_graph_binary_rejects_unsorted_or_repeated_edges(tmp_path, g1):
+    path = tmp_path / "g.bin"
+    ps.write_graph_binary(g1, path)
+    data = path.read_bytes()
+    count = struct.pack("<I", len(g1.edges) + 1)
+    swapped = data[:20] + data[32:44] + data[20:32] + data[44:]
+    repeated = data[:16] + count + data[20:32] + data[20:]
+    retyped = data[:16] + count + data[20:32] + data[20:28] + b"\2\0\0\0" + data[32:]
+    for bad in (swapped, repeated, retyped):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="sorted or repeats"):
+            ps.read_graph_binary(path)
+
+
+def test_read_graph_json_rejects_repeated_edges(tmp_path, g1):
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    payload = json.loads(path.read_text())
+    i, j, _t = payload["edges"][0]
+    payload["edges"].insert(1, [i, j, "S"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="sorted or repeats"):
+        ps.read_graph_json(path)
+
+
+@pytest.mark.parametrize("field, value", [(2, 7), (1, 99)])
+def test_cli_reports_bad_binary_graph_in_one_line(tmp_path, g1, field, value):
+    path = _patched_binary(tmp_path, g1, 0, field, value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pillowspace.cli", "modulus", "--graph", str(path),
+         "--sides", "left-right"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert "malformed edge" in lines[0]
