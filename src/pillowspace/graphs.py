@@ -20,8 +20,8 @@ import itertools
 import json
 import os
 import struct
-from collections import deque
 from dataclasses import dataclass, field
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .words import (
     CENTER_LETTERS,
     LETTERS,
     _prefix_states,
-    _square_state,
     all_words,
     grid_word_of_square,
     parse_word,
@@ -40,7 +39,9 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 SEAM = "S"
 EDGE_TYPES = (HORIZONTAL, VERTICAL, SEAM)
+_TYPE_CODE = {t: c for c, t in enumerate(EDGE_TYPES)}  # anything else: len(EDGE_TYPES)
 _SWAP = {"5": "0", "0": "5"}
+_LETTER_SET = frozenset(ALPHABET)
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
@@ -279,36 +280,47 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
 
 @dataclass
 class ReplacementGraph:
-    """Level-n tile graph: lexicographic words, sorted typed edge list."""
+    """Level-n tile graph: lexicographic words, sorted typed edge list.
+
+    Construction validates the edge list and derives, once, the edge arrays,
+    a CSR adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
+    ascending) and the projected squares (square_x, square_y) of all words.
+    """
 
     level: int
     policy: str
     words: list[str]
     edges: list[tuple[int, int, str]]
-    neighbors: list[list[int]] = field(repr=False, default=None)
-    square_x: np.ndarray = field(repr=False, default=None)
-    square_y: np.ndarray = field(repr=False, default=None)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    square_x: np.ndarray = field(init=False, repr=False, compare=False)
+    square_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.neighbors is None:
-            nb = [[] for _ in self.words]
-            for i, j, _t in self.edges:
-                nb[i].append(j)
-                nb[j].append(i)
-            for lst in nb:
-                lst.sort()
-            self.neighbors = nb
-        if self.square_x is None:
-            xs = np.empty(len(self.words), dtype=np.int64)
-            ys = np.empty(len(self.words), dtype=np.int64)
-            for i, w in enumerate(self.words):
-                st = _square_state(w)
-                xs[i], ys[i] = st[0], st[1]
-            self.square_x, self.square_y = xs, ys
+        n, m = len(self.words), len(self.edges)
+        try:
+            u = np.fromiter(map(itemgetter(0), self.edges), np.int64, m)
+            v = np.fromiter(map(itemgetter(1), self.edges), np.int64, m)
+        except OverflowError:
+            raise ValueError("malformed edge: vertex index out of range") from None
+        t = np.fromiter(
+            (_TYPE_CODE.get(e[2], len(EDGE_TYPES)) for e in self.edges), np.int64, m
+        )
+        _check_edges(u, v, t, n)
+        self._edge_arrays = (u, v, t)
+        # Sorted edges list the smaller neighbours (as v) and then the larger
+        # ones (as u) of each vertex in ascending order, so a stable sort by
+        # vertex leaves every neighbour slice ascending.
+        ends = np.concatenate([v, u])
+        order = np.argsort(ends, kind="stable")
+        self.indices = np.concatenate([u, v])[order].astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=self.indptr[1:])
+        self.square_x, self.square_y = _square_arrays(self.level)
 
     def index(self, word):
-        if len(word) != self.level:
-            raise ValueError(f"word {word!r} is not level {self.level}")
+        if len(word) != self.level or not set(word) <= _LETTER_SET:
+            raise ValueError(f"word {word!r} is not a level-{self.level} word")
         return int(word)
 
     def word(self, i):
@@ -320,16 +332,43 @@ class ReplacementGraph:
 
     def edge_arrays(self):
         """Edges as three aligned numpy arrays (u, v, type code H=0,V=1,S=2)."""
-        if not hasattr(self, "_edge_arrays"):
-            u = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-            v = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-            t = np.fromiter(
-                (EDGE_TYPES.index(e[2]) for e in self.edges),
-                dtype=np.int64,
-                count=len(self.edges),
-            )
-            self._edge_arrays = (u, v, t)
         return self._edge_arrays
+
+
+
+def _check_edges(u, v, t, n):
+    """Reject edge arrays that are not a sorted simple edge list on n vertices.
+
+    Type codes must name an edge type, every edge must satisfy 0 <= i < j < n,
+    and the (i, j) pairs must increase strictly.
+    """
+    bad = np.flatnonzero((t >= len(EDGE_TYPES)) | (u < 0) | (u >= v) | (v >= n))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"malformed edge ({u[k]}, {v[k]}, {t[k]})")
+    du, dv = np.diff(u), np.diff(v)
+    if ((du < 0) | ((du == 0) & (dv <= 0))).any():
+        raise ValueError("edge list is not sorted or repeats a pair")
+
+
+def _square_arrays(n):
+    """square_x, square_y of all level-n words, in word order.
+
+    The squares over first letter a are a's chart applied to the level-(n-1)
+    squares: shifted into a's cell, mirrored where the chart reverses a
+    coordinate.  The same self-similarity drives build_graph.
+    """
+    xs = ys = np.zeros(1, dtype=np.int64)
+    charts = [_prefix_states(a)[1] for a in ALPHABET]
+    for m in range(1, n + 1):
+        side = 3 ** (m - 1)
+        xs, ys = (
+            np.concatenate([ix * side + (xs if sx > 0 else side - 1 - xs)
+                            for ix, _iy, sx, _sy in charts]),
+            np.concatenate([iy * side + (ys if sy > 0 else side - 1 - ys)
+                            for _ix, iy, _sx, sy in charts]),
+        )
+    return xs, ys
 
 
 def build_graph(n, central_edge_policy="on"):
@@ -376,7 +415,8 @@ def build_graph(n, central_edge_policy="on"):
     g = ReplacementGraph(
         level=n, policy=central_edge_policy, words=all_words(n), edges=edges
     )
-    _check_connected_simple(g)
+    if not (bfs_row(g, 0) >= 0).all():
+        raise RuntimeError(f"level-{n} graph is not connected")
     return g
 
 
@@ -418,7 +458,7 @@ def _tile_edges(w, policy, block):
 
     # Grid partners live over one of the four neighboring squares.
     top = 3**n
-    x, y = _square_state(w)[:2]
+    x, y = _prefix_states(w)[-1][:2]
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         nx, ny = x + dx, y + dy
         if not (0 <= nx < top and 0 <= ny < top):
@@ -438,73 +478,40 @@ def _tile_edges(w, policy, block):
     return out
 
 
-def _check_connected_simple(g):
-    seen = set()
-    for i, j, _t in g.edges:
-        if i == j:
-            raise RuntimeError(f"loop edge at vertex {i}")
-        if (i, j) in seen:
-            raise RuntimeError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-    if g.n_vertices and len(_bfs_distances(g, 0)) != g.n_vertices:
-        raise RuntimeError(f"level-{g.level} graph is not connected")
-
-
 # ---------------------------------------------------------------------------
 # metric primitives
 
 
-def _bfs_distances(g, start, cutoff=None):
-    dist = {start: 0}
-    queue = deque([start])
-    nb = g.neighbors
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cutoff is not None and du >= cutoff:
-            continue
-        for x in nb[u]:
-            if x not in dist:
-                dist[x] = du + 1
-                queue.append(x)
-    return dist
+def bfs_row(g, start, cutoff=None):
+    """Hop distances from one vertex as an int array.
 
-
-def bfs_row(g, start):
-    """Distances from one vertex to all others as an int array (-1 unreachable)."""
-    row = np.full(g.n_vertices, -1, dtype=np.int64)
+    Entries are -1 for vertices that are unreachable or, when a cutoff is
+    given, farther than cutoff.
+    """
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    row = [-1] * g.n_vertices
     row[start] = 0
-    queue = deque([start])
-    nb = g.neighbors
-    while queue:
-        u = queue.popleft()
-        du = row[u]
-        for x in nb[u]:
-            if row[x] < 0:
-                row[x] = du + 1
-                queue.append(x)
-    return row
+    frontier, d = [start], 0
+    while frontier and (cutoff is None or d < cutoff):
+        d += 1
+        reached = []
+        for a in frontier:
+            for x in indices[indptr[a] : indptr[a + 1]]:
+                if row[x] < 0:
+                    row[x] = d
+                    reached.append(x)
+        frontier = reached
+    return np.array(row, dtype=np.int64)
 
 
 def distance(g, u, v):
     """Hop distance between two vertices given as words or indices."""
     su = g.index(u) if isinstance(u, str) else u
     sv = g.index(v) if isinstance(v, str) else v
-    if su == sv:
-        return 0
-    dist = {su: 0}
-    queue = deque([su])
-    nb = g.neighbors
-    while queue:
-        a = queue.popleft()
-        da = dist[a]
-        for x in nb[a]:
-            if x == sv:
-                return da + 1
-            if x not in dist:
-                dist[x] = da + 1
-                queue.append(x)
-    raise RuntimeError(f"vertices {u!r} and {v!r} are disconnected")
+    d = int(bfs_row(g, su)[sv])
+    if d < 0:
+        raise RuntimeError(f"vertices {u!r} and {v!r} are disconnected")
+    return d
 
 
 def ball(g, center, radius):
@@ -512,7 +519,7 @@ def ball(g, center, radius):
     c = g.index(center) if isinstance(center, str) else center
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return set(_bfs_distances(g, c, cutoff=radius))
+    return set(np.flatnonzero(bfs_row(g, c, cutoff=radius) >= 0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +653,10 @@ def read_graph_json(path):
     if words != all_words(level):
         raise ValueError("vertex list is not the lexicographic word list")
     try:
-        edges = [(int(i), int(j), str(t)) for i, j, t in payload.get("edges")]
+        # operator.index, not int: int() would truncate 0.9 to vertex 0
+        edges = [(index(i), index(j), str(t)) for i, j, t in payload.get("edges")]
     except (TypeError, ValueError):
         raise ValueError("edge list is not a list of [i, j, type] records") from None
-    for i, j, t in edges:
-        if not (0 <= i < j < len(words)) or t not in EDGE_TYPES:
-            raise ValueError(f"malformed edge ({i}, {j}, {t})")
-    if any(a[:2] >= b[:2] for a, b in zip(edges, edges[1:])):
-        raise ValueError("edge list is not sorted or repeats a pair")
     return ReplacementGraph(level=level, policy=policy, words=words, edges=edges)
 
 
@@ -689,14 +692,9 @@ def read_graph_binary(path):
         if os.fstat(fh.fileno()).st_size != 20 + 12 * n_edges:
             raise ValueError("edge block does not match the edge count")
         raw = fh.read()
-    rec = np.frombuffer(raw, dtype="<u4").reshape(-1, 3).astype(np.int64)
-    i, j, t = rec[:, 0], rec[:, 1], rec[:, 2]
-    bad = np.flatnonzero((t >= len(EDGE_TYPES)) | (i >= j) | (j >= n_vertices))
-    if bad.size:
-        raise ValueError("malformed edge ({}, {}, {})".format(*rec[bad[0]]))
-    if (np.diff(i * n_vertices + j) <= 0).any():
-        raise ValueError("edge list is not sorted or repeats a pair")
-    edges = [(a, b, EDGE_TYPES[c]) for a, b, c in struct.iter_unpack("<III", raw)]
+    # an unknown type code stays a number, which construction rejects
+    name = dict(enumerate(EDGE_TYPES)).get
+    edges = [(a, b, name(c, c)) for a, b, c in struct.iter_unpack("<III", raw)]
     return ReplacementGraph(
         level=level,
         policy="on" if policy_flag else "off",

@@ -210,7 +210,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     exist); a clipped ball undercounts and drags the slope down.  The default
     radius grid likewise drops 3^1, whose discreteness bias dominates.
     """
-    from .graphs import _bfs_distances
+    from .graphs import bfs_row
 
     n = graph.level
     if radii_exponents is None:
@@ -231,8 +231,8 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     log_counts = np.zeros(len(radii_exponents))
     rows = []
     for c in centers:
-        dist = _bfs_distances(graph, int(c), cutoff=max_r)
-        values = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))
+        dist = bfs_row(graph, int(c), cutoff=max_r)
+        values = dist[dist >= 0]
         for col, m in enumerate(radii_exponents):
             count = int((values <= 3**m).sum())
             log_counts[col] += math.log(count)

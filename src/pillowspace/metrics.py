@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CapacityError, bfs_row, prefix_subgraph
+from .graphs import CapacityError, bfs_row, flip_permutation, prefix_subgraph
 from .words import all_words, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; beyond that use rows
@@ -116,38 +117,27 @@ def graph_metric(g, mode="dense"):
         raise CapacityError(
             f"dense metric capped at level {DENSE_LEVEL_LIMIT}; use mode='rows'"
         )
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     u, v, _t = g.edge_arrays()
-    n = g.n_vertices
-    ones = np.ones(len(u))
-    adj = csr_matrix(
-        (np.concatenate([ones, ones]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(n, n),
-    )
-    dist = shortest_path(adj, unweighted=True, directed=False)
+    dist = _hop_distances(u, v, g.n_vertices)
     if np.isinf(dist).any():
         raise ValueError("graph is disconnected; hop distance is not a metric")
     return MetricMatrix(list(g.words), dist)
 
 
+def _hop_distances(u, v, n):
+    """All-pairs hop distances of the undirected edges (u, v) on n vertices."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    ones = np.ones(2 * len(u))
+    adj = csr_matrix(
+        (ones, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
+    )
+    return shortest_path(adj, unweighted=True, directed=False)
+
+
 # ---------------------------------------------------------------------------
 # the flip group acting on metrics
-
-
-def _flip_index_permutation(level, bits):
-    """Index permutation of the level's words under a sheet flip."""
-    if len(bits) < level:
-        raise ValueError("bit string shorter than the level")
-    out = np.arange(10**level, dtype=np.int64)
-    for k in range(level):
-        if bits[k] != "1":
-            continue
-        p = 10 ** (level - k - 1)
-        digit = (out // p) % 10
-        out = np.where(digit == 5, out - 5 * p, np.where(digit == 0, out + 5 * p, out))
-    return out
 
 
 def symmetrize(d, mode="exact", samples=None, seed=None):
@@ -175,7 +165,7 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
 
     acc = np.zeros_like(d.entries)
     for bits in draws:
-        perm = _flip_index_permutation(level, bits)
+        perm = flip_permutation(d, bits)
         acc += d.entries[np.ix_(perm, perm)]
     acc /= len(draws)
     return MetricMatrix(list(d.words), acc, slack=max(d.slack, 1e-9))
@@ -228,23 +218,9 @@ def internal_block_metric(g, prefix, normalization="none"):
     extraction, which is why the result reproduces the smaller graph's metric
     exactly under normalization "none".
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     block = prefix_subgraph(g, prefix)
-    size = 10**block.level
-    if block.edges:
-        u = np.fromiter((e[0] for e in block.edges), dtype=np.int64)
-        v = np.fromiter((e[1] for e in block.edges), dtype=np.int64)
-        ones = np.ones(len(u))
-        adj = csr_matrix(
-            (np.concatenate([ones, ones]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(size, size),
-        )
-        dist = shortest_path(adj, unweighted=True, directed=False)
-    else:
-        dist = np.full((size, size), np.inf)
-        np.fill_diagonal(dist, 0.0)
+    u, v = np.array([e[:2] for e in block.edges], dtype=np.int64).T
+    dist = _hop_distances(u, v, 10**block.level)
     if np.isinf(dist).any():
         raise ValueError("block is disconnected; hop distance is not a metric")
     lam = _normalizer(dist, block.level, normalization)
@@ -555,6 +531,7 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
         blocks = np.arange(n) // 10 ** (g.level - 1)
         return np.array([values[b] for b in blocks])
 
+    eu, ev, _t = g.edge_arrays()
     rows = []
     worst, worst_case = 0.0, None
     for t in range(trials):
@@ -573,10 +550,9 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
         ub = float((u[in_b] * wb).sum() / wb.sum())
         lhs = float((np.abs(u[in_b] - ub) * wb).sum() / wb.sum())
         grad = np.zeros(n)
-        for v in np.nonzero(in_cb)[0]:
-            nb = g.neighbors[v]
-            if nb:
-                grad[v] = max(abs(u[v] - u[x]) for x in nb)
+        step = np.abs(u[eu] - u[ev])
+        np.maximum.at(grad, eu, step)
+        np.maximum.at(grad, ev, step)
         wcb = weight[in_cb]
         denom_mass = wcb.sum()
         gterm = (
@@ -621,13 +597,18 @@ def read_metric_matrix(path):
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a metric matrix file: bad magic {magic!r}")
-        level, n = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("truncated header")
+        level, n = struct.unpack("<II", header)
+        # before anything is sized by the level
+        if not 1 <= level <= DENSE_LEVEL_LIMIT:
+            raise ValueError(f"metric level {level} outside 1..{DENSE_LEVEL_LIMIT}")
         if n != 10**level:
             raise ValueError("vertex count does not match the level")
-        want = n * (n - 1) // 2
-        payload = np.frombuffer(fh.read(), dtype="<u4")
-        if payload.size != want:
+        if os.fstat(fh.fileno()).st_size != 12 + 4 * (n * (n - 1) // 2):
             raise ValueError("truncated or oversized payload")
+        payload = np.frombuffer(fh.read(), dtype="<u4")
     entries = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
     entries[iu] = payload / _FIXED_ONE

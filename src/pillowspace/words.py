@@ -225,16 +225,6 @@ def _advance(index, sign, col):
     return 3 * index + 2, sign
 
 
-def _square_state(word):
-    ix = iy = 0
-    sx = sy = 1
-    for c in word:
-        let = LETTERS[c]
-        ix, sx = _advance(ix, sx, let.grid_col)
-        iy, sy = _advance(iy, sy, let.grid_row)
-    return ix, iy, sx, sy
-
-
 def _prefix_states(word):
     """States after each prefix, index k = state of word[:k]; k = 0 is root."""
     states = [(0, 0, 1, 1)]
@@ -250,7 +240,7 @@ def _prefix_states(word):
 
 def word_square(word):
     """Exact projected footprint of a word's tile."""
-    ix, iy, sx, sy = _square_state(word)
+    ix, iy, sx, sy = _prefix_states(word)[-1]
     return TriadicSquare(len(word), ix, iy, sx, sy)
 
 

@@ -248,6 +248,18 @@ def test_distortion_needs_seed(tmp_path):
     assert proc.returncode == 64
 
 
+def test_distortion_reports_short_metric_file_in_one_line(tmp_path):
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"PLM1\0\0")
+    proc = run(
+        "metric", "distortion", "--in1", short, "--in2", short,
+        "--samples", 10, "--seed", 1, "--out", tmp_path / "p.csv",
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+
+
 def test_quotient_check_cli(tmp_path):
     out = tmp_path / "q.json"
     proc = run("metric", "quotient-check", "--level", 1, "--out", out)

@@ -108,11 +108,11 @@ def test_oracle_refuses_large_levels():
 def test_g1_statistics(g1):
     assert g1.n_vertices == 10
     assert len(g1.edges) == PINNED_EDGES[(1, "on")]
-    degrees = Counter(len(nb) for nb in g1.neighbors)
-    assert degrees == {2: 4, 4: 4, 5: 2}
+    degree = np.diff(g1.indptr)
+    assert Counter(degree.tolist()) == {2: 4, 4: 4, 5: 2}
     # the two center vertices have degree 5
     for word in ("5", "0"):
-        assert len(g1.neighbors[g1.index(word)]) == 5
+        assert degree[g1.index(word)] == 5
 
 
 def test_g1_policy_off_drops_last_level_seam():
@@ -218,6 +218,15 @@ def test_in_sheet_distance_is_grid_distance(g3):
         if a == b:
             continue
         assert ps.distance(g3, a, b) == abs(ax - bx) + abs(ay - by)
+
+
+def test_index_rejects_non_words(g3):
+    # int() would read these as 10 and 12
+    for text in ("1_0", " 12", "+12"):
+        with pytest.raises(ValueError, match="level-3 word"):
+            g3.index(text)
+        with pytest.raises(ValueError):
+            ps.distance(g3, text, "111")
 
 
 def test_boundary_faces(g2):
@@ -342,6 +351,33 @@ def test_graph_files_match_golden_hashes(tmp_path, g3):
 
 
 # ---------------------------------------------------------------------------
+# array paths against scalar references
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_square_arrays_match_word_square(n):
+    g = ps.build_graph(n)
+    squares = [ps.word_square(w) for w in g.words]
+    assert g.square_x.tolist() == [sq.x for sq in squares]
+    assert g.square_y.tolist() == [sq.y for sq in squares]
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_bfs_row_matches_shortest_path(policy):
+    g = ps.build_graph(3, policy)
+    dense = ps.graph_metric(g).entries  # scipy shortest_path on edge_arrays()
+    for s in range(g.n_vertices):
+        assert np.array_equal(G.bfs_row(g, s), dense[s])
+
+
+def test_bfs_row_cutoff(g3):
+    for s in (0, 555, 999):
+        full = G.bfs_row(g3, s)
+        for r in (0, 1, 5, 12):
+            assert np.array_equal(G.bfs_row(g3, s, cutoff=r), np.where(full > r, -1, full))
+
+
+# ---------------------------------------------------------------------------
 # malformed graph files
 
 
@@ -433,6 +469,17 @@ def test_read_graph_json_rejects_repeated_edges(tmp_path, g1):
         ps.read_graph_json(path)
 
 
+@pytest.mark.parametrize("value", [2**70, 0.9, "1"])
+def test_read_graph_json_rejects_non_vertex_index(tmp_path, g1, value):
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    payload = json.loads(path.read_text())
+    payload["edges"][0][0] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        ps.read_graph_json(path)
+
+
 @pytest.mark.parametrize("field, value", [(2, 7), (1, 99)])
 def test_cli_reports_bad_binary_graph_in_one_line(tmp_path, g1, field, value):
     path = _patched_binary(tmp_path, g1, 0, field, value)
@@ -447,3 +494,31 @@ def test_cli_reports_bad_binary_graph_in_one_line(tmp_path, g1, field, value):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
     assert "malformed edge" in lines[0]
+
+
+# scipy costs the CLI about 0.3 s of import time; no graph path may load it
+_SCIPY_FREE = """
+import os, sys, tempfile
+import pillowspace.cli
+import pillowspace as ps
+from pillowspace.graphs import bfs_row
+g = ps.build_graph(2)
+with tempfile.TemporaryDirectory() as tmp:
+    for write in (ps.write_graph_json, ps.write_graph_binary):
+        path = os.path.join(tmp, "g")
+        write(g, path)
+        assert ps.read_graph(path).edges == g.edges
+bfs_row(g, 0)
+ps.ball(g, "55", 3)
+ps.distance(g, "11", "99")
+assert ps.lipschitz_quotient_check(g).ok
+ps.cover_preimage(g, (4, 4), 1)
+ps.pi_diagnostic(g, ps.TileMeasure.uniform(2), 2.0, 5, 1)
+ps.ball_dimension_estimate(g, 3, 1, radii_exponents=[0, 1])
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+"""
+
+
+def test_graph_paths_do_not_import_scipy():
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from pillowspace import (
     write_metric_matrix,
 )
 from pillowspace.graphs import bfs_row
-from pillowspace.metrics import _flip_index_permutation
 
 
 @pytest.fixture(scope="module")
@@ -126,11 +127,11 @@ def test_graph_metric_already_invariant(metrics):
 
 def test_symmetrize_makes_invariant(metrics):
     pert = _perturbed(metrics[2])
-    p10 = _flip_index_permutation(2, "10")
+    p10 = flip_permutation(pert, "10")
     assert not np.array_equal(pert.entries[np.ix_(p10, p10)], pert.entries)
     s = symmetrize(pert)
     for bits in ["10", "01", "11"]:
-        p = _flip_index_permutation(2, bits)
+        p = flip_permutation(s, bits)
         assert np.array_equal(s.entries[np.ix_(p, p)], s.entries)
 
 
@@ -157,13 +158,14 @@ def test_sampled_symmetrize_validation(metrics):
         symmetrize(metrics[1], mode="shaken")
 
 
-def test_flip_index_permutation_matches_graph(graphs):
+def test_flip_index_permutation_matches_graph(graphs, metrics):
+    # symmetrize permutes a metric's indices with the graph's flip permutation
     for bits in ["10", "01", "11"]:
         assert np.array_equal(
-            _flip_index_permutation(2, bits), flip_permutation(graphs[2], bits)
+            flip_permutation(metrics[2], bits), flip_permutation(graphs[2], bits)
         )
     with pytest.raises(ValueError):
-        _flip_index_permutation(3, "01")
+        flip_permutation(metrics[3], "01")
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +411,25 @@ def test_read_rejects_truncation(metrics, tmp_path):
 
 
 def test_read_rejects_count_mismatch(tmp_path):
-    import struct
-
     path = tmp_path / "m.bin"
     path.write_bytes(b"PLM1" + struct.pack("<II", 1, 11))
+    with pytest.raises(ValueError):
+        read_metric_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"PLM1\0\0",  # short header
+        b"PLM1" + struct.pack("<II", 0, 1),  # level 0: a metric on [""]
+        b"PLM1" + struct.pack("<II", 9, 10**9),  # level above the dense limit
+        b"PLM1" + struct.pack("<II", 1, 10) + bytes(4 * 46),  # payload too long
+    ],
+    ids=["short-header", "level-0", "level-9", "long-payload"],
+)
+def test_read_rejects_malformed_header_or_payload(tmp_path, raw):
+    path = tmp_path / "m.bin"
+    path.write_bytes(raw)
     with pytest.raises(ValueError):
         read_metric_matrix(path)
 
