@@ -48,7 +48,7 @@ from .metrics import (
     symmetrize,
     write_metric_matrix,
 )
-from .modulus import ModulusProblem, Network, solve_modulus
+from .modulus import MAX_P, MAX_TOL, ModulusProblem, Network, solve_modulus
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -141,8 +141,8 @@ def _parse_p_grid(text):
         grid = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse p grid {text!r}")
-    if not grid or any(p < 1 for p in grid):
-        raise UsageError("p grid must list exponents >= 1")
+    if not grid or not all(1 <= p <= MAX_P for p in grid):  # also rejects nan
+        raise UsageError(f"p grid must list exponents in [1, {MAX_P}]")
     return grid
 
 
@@ -233,6 +233,8 @@ def _cmd_verify(args):
 def _cmd_modulus(args):
     sides = _parse_sides(args.sides)
     p_grid = _parse_p_grid(args.p_grid)
+    if not 0 < args.tol <= MAX_TOL:
+        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {args.tol}")
     try:
         g = read_graph(args.graph)
     except (OSError, ValueError) as exc:
@@ -496,10 +498,12 @@ def _cmd_metric_cover_check(args):
 
 def _cmd_metric_pi_diagnostic(args):
     seed = _require_seed(args)
-    if args.p < 1:
-        raise UsageError("exponent must be >= 1")
     g = build_graph(args.level, args.policy)
-    rep = pi_diagnostic(g, TileMeasure.uniform(args.level), args.p, args.trials, seed)
+    measure = TileMeasure.uniform(args.level)
+    try:
+        rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
+    except ValueError as exc:  # the exponent or the trial count
+        raise UsageError(str(exc))
     config = {
         "level": args.level,
         "p": args.p,

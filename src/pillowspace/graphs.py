@@ -488,7 +488,7 @@ def bfs_row(g, start, cutoff=None):
     Entries are -1 for vertices that are unreachable or, when a cutoff is
     given, farther than cutoff.
     """
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # zero-copy
     row = [-1] * g.n_vertices
     row[start] = 0
     frontier, d = [start], 0
@@ -568,16 +568,13 @@ def prefix_subgraph(g, prefix, reference=None):
     size = 10**m
     start = int(prefix) * size
     u, v, t = g.edge_arrays()
-    mask = (u >= start) & (u < start + size) & (v >= start) & (v < start + size)
-    local = sorted(
-        (int(a) - start, int(b) - start, EDGE_TYPES[int(c)])
-        for a, b, c in zip(u[mask], v[mask], t[mask])
-    )
+    mask = (u >= start) & (v < start + size)  # both ends inside, as u < v
+    local = (u[mask] - start, v[mask] - start, t[mask])
     if reference is None:
         reference = build_graph(m, g.policy)
     if reference.level != m or reference.policy != g.policy:
         raise ValueError("reference graph has wrong level or policy")
-    if local != reference.edges:
+    if not all(map(np.array_equal, local, reference.edge_arrays())):
         raise RuntimeError(
             f"block over prefix {prefix!r} is not isomorphic to level {m}"
         )
@@ -585,8 +582,8 @@ def prefix_subgraph(g, prefix, reference=None):
         prefix=prefix,
         level=m,
         start=start,
-        words=all_words(m),
-        edges=local,
+        words=reference.words,
+        edges=reference.edges,
     )
 
 
@@ -672,8 +669,7 @@ def write_graph_binary(g, path):
                 len(g.edges),
             )
         )
-        for i, j, t in g.edges:
-            fh.write(struct.pack("<III", i, j, EDGE_TYPES.index(t)))
+        fh.write(np.stack(g.edge_arrays(), axis=1).astype("<u4").tobytes())
 
 
 def read_graph_binary(path):

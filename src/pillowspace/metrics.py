@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CapacityError, bfs_row, flip_permutation, prefix_subgraph
+from .graphs import CapacityError, bfs_row, build_graph, flip_permutation, prefix_subgraph
 from .words import all_words, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; beyond that use rows
@@ -218,8 +218,11 @@ def internal_block_metric(g, prefix, normalization="none"):
     extraction, which is why the result reproduces the smaller graph's metric
     exactly under normalization "none".
     """
-    block = prefix_subgraph(g, prefix)
-    u, v = np.array([e[:2] for e in block.edges], dtype=np.int64).T
+    prefix = parse_word(prefix)
+    # prefix_subgraph rejects a bad prefix length before it reads the reference
+    reference = build_graph(max(g.level - len(prefix), 1), g.policy)
+    block = prefix_subgraph(g, prefix, reference)
+    u, v, _t = reference.edge_arrays()
     dist = _hop_distances(u, v, 10**block.level)
     if np.isinf(dist).any():
         raise ValueError("block is disconnected; hop distance is not a metric")
@@ -507,8 +510,8 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
     level; constant functions give 0/0 and are recorded as 0, excluded from
     the max.
     """
-    if p < 1:
-        raise ValueError("exponent must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"exponent must lie in [1, inf), got {p}")
     if m.level != g.level:
         raise ValueError("measure level must match the graph")
     if trials < 1:

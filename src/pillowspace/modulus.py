@@ -21,7 +21,6 @@ and the Laplacian Dirichlet problem (p=2 is the effective conductance).
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,33 +28,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
+MAX_TOL = 1e-2  # the coarsest relative certificate gap a solve may target
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
-    """Undirected multigraph as an explicit edge list (parallel edges allowed)."""
+    """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
+    numbers, and parallel edges are allowed."""
 
     n_vertices: int
-    edge_list: list[tuple[int, int]]
+    ends: np.ndarray
 
     def __post_init__(self):
-        for u, v in self.edge_list:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-        self._ev = np.asarray(self.edge_list, dtype=np.int64).reshape(-1, 2)
-        self._incidence = [[] for _ in range(self.n_vertices)]
-        for eid, (u, v) in enumerate(self.edge_list):
-            self._incidence[u].append((v, eid))
-            self._incidence[v].append((u, eid))
+        n = self.n_vertices
+        self.ends = np.asarray(self.ends, dtype=np.int64).reshape(len(self.ends), 2)
+        u, v = self.ends.T
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+        if bad.size:
+            raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
+        # Both directions of every edge grouped by tail: a CSR of arcs
+        # (_arc_indptr, _arc_heads) and the edge id of each arc.
+        tails = np.concatenate([u, v])
+        order = np.argsort(tails, kind="stable")
+        self._arc_heads = np.concatenate([v, u])[order]
+        self._arc_edge = np.tile(np.arange(len(u)), 2)[order]
+        counts = np.bincount(tails, minlength=n)
+        self._arc_indptr = np.concatenate([[0], np.cumsum(counts)])
 
     @property
     def n_edges(self):
-        return len(self.edge_list)
+        return len(self.ends)
 
     @classmethod
     def from_graph(cls, g):
-        return cls(g.n_vertices, [(i, j) for i, j, _t in g.edges])
+        return cls(g.n_vertices, np.stack(g.edge_arrays()[:2], axis=1))
+
+
+def _arc_matrix(net, weights):
+    """CSR of both arcs of every edge, each carrying its edge's weight.  Parallel
+    arcs stay apart and zeros stay explicit; coo -> csr would sum parallels."""
+    from scipy.sparse import csr_matrix
+
+    n = net.n_vertices
+    data = np.asarray(weights, dtype=float)[net._arc_edge]
+    return csr_matrix((data, net._arc_heads, net._arc_indptr), shape=(n, n))
 
 
 def path_network(k):
@@ -113,8 +130,8 @@ class ModulusProblem:
             raise ValueError("source and target must be disjoint")
         if not 1.0 <= self.p <= MAX_P:
             raise ValueError(f"exponent must lie in [1, {MAX_P}], got {self.p}")
-        if not 0 < self.tolerance <= 1e-2:
-            raise ValueError("tolerance must lie in (0, 1e-2]")
+        if not 0 < self.tolerance <= MAX_TOL:
+            raise ValueError(f"tolerance must lie in (0, {MAX_TOL}]")
         for s in self.source | self.target:
             if not 0 <= s < self.network.n_vertices:
                 raise ValueError(f"endpoint vertex {s} out of range")
@@ -123,8 +140,8 @@ class ModulusProblem:
 @dataclass
 class ModulusResult:
     """Two-sided certificate: density is admissible (every crossing has
-    length >= 1) with sum(density^p) = value_upper; flow is a unit
-    source-to-target flow, signed along edge_list, whose q-energy gives
+    length >= 1) with sum(density^p) = value_upper; flow is a unit source-to-
+    target flow, signed along the rows of ends, whose q-energy gives
     value_lower; active_paths holds a shortest crossing under density."""
 
     value_lower: float
@@ -141,48 +158,32 @@ class ModulusResult:
 
 
 def _shortest_path(net, weights, source, target):
-    """Dijkstra with deterministic lexicographic tie-breaking.
+    """Exact shortest source-target crossing: (length, vertex path), or
+    (inf, None) when the sides are disconnected.
 
-    Returns (length, vertex path, edge ids) for the cheapest source-target
-    crossing, or (inf, None, None) when the sides are disconnected.  Among
-    equal-length predecessors the smallest vertex index wins, so reruns and
-    parallel runs reconstruct identical paths.
+    Dijkstra relaxes every arc, so parallel edges count at their lightest
+    weight and zero-weight edges connect.  Ties go to the path scipy's heap
+    settles first, which is fixed for a given input, and then to the
+    smallest target index, so reruns reconstruct identical paths.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     if np.any(np.asarray(weights) < 0.0):
-        # Dijkstra's finalization invariant fails on negative weights; the
-        # pred chain can then cycle and reconstruction never terminates.
+        # Dijkstra's finalization invariant fails on negative weights.
         raise ValueError("edge weights must be nonnegative")
-    weights = np.asarray(weights, dtype=float).tolist()  # fast scalar reads
-    dist = [math.inf] * net.n_vertices
-    pred = [(-1, -1)] * net.n_vertices  # (vertex, edge id)
-    heap = []
-    for s in sorted(source):
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, s))
-    seen = [False] * net.n_vertices
-    while heap:
-        d, u = heapq.heappop(heap)
-        if seen[u]:
-            continue
-        seen[u] = True
-        for v, eid in net._incidence[u]:
-            nd = d + weights[eid]
-            if nd < dist[v] or (nd == dist[v] and not seen[v] and (u, eid) < pred[v]):
-                if nd < dist[v]:
-                    heapq.heappush(heap, (nd, v))
-                dist[v] = nd
-                pred[v] = (u, eid)
-    best = min(((dist[t], t) for t in target), default=None)
-    if best is None or math.isinf(best[0]):
-        return math.inf, None, None
-    _, t = best
-    path_v, path_e = [t], []
+    dist, pred, _ = dijkstra(
+        _arc_matrix(net, weights), indices=sorted(source), min_only=True,
+        return_predecessors=True,
+    )
+    t = min(target, key=lambda x: (dist[x], x))
+    length = float(dist[t])
+    if math.isinf(length):
+        return math.inf, None
+    path = [t]
     while t not in source:
-        u, eid = pred[t]
-        path_e.append(eid)
-        path_v.append(u)
-        t = u
-    return best[0], tuple(reversed(path_v)), tuple(reversed(path_e))
+        t = int(pred[t])
+        path.append(t)
+    return length, tuple(reversed(path))
 
 
 def solve_modulus(problem):
@@ -192,7 +193,7 @@ def solve_modulus(problem):
     if not connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         return ModulusResult(0.0, 0.0, zero, [], 0, True, zero.copy())
-    eu, ew = net._ev[:, 0], net._ev[:, 1]
+    eu, ew = net.ends.T
     if p == 1.0:
         flow, reach = _max_flow(net, problem.source, problem.target)
         rho = (reach[eu] != reach[ew]).astype(float)  # the minimum cut
@@ -206,7 +207,7 @@ def solve_modulus(problem):
         flow = np.power(dphi * dphi + EPS_FLOOR**2, 0.5 * (p - 2.0)) * dphi
 
     # Upper bound: rescale rho by its exact shortest crossing length.
-    length, vpath, _ = _shortest_path(net, rho, problem.source, problem.target)
+    length, vpath = _shortest_path(net, rho, problem.source, problem.target)
     density = rho / length
     upper = float(np.power(density, p).sum())
 
@@ -235,11 +236,9 @@ def _boundary(net, source, target):
     """Dirichlet data (0 on the source side, 1 on the target side) and
     whether the sides connect.  Components touching neither side carry no
     crossing; they are pinned at 0 too, as free they make L singular."""
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n = net.n_vertices
-    adj = coo_matrix((np.ones(net.n_edges), (net._ev[:, 0], net._ev[:, 1])), shape=(n, n))
+    adj = _arc_matrix(net, np.ones(net.n_edges))
     _, labels = connected_components(adj, directed=False)
     src_labels, tgt_labels = labels[sorted(source)], labels[sorted(target)]
     floating = ~np.isin(labels, np.concatenate([src_labels, tgt_labels]))
@@ -251,14 +250,15 @@ def _boundary(net, source, target):
 
 def _max_flow(net, source, target):
     """Integer maximum flow, unit capacity each way per edge: the flow per edge
-    (signed along edge_list, parallel edges sharing evenly) and the mask of
-    vertices the super source reaches in the residual graph (a minimum cut)."""
+    (signed along the rows of ends, parallel edges sharing evenly) and the
+    mask of vertices the super source reaches in the residual graph (a
+    minimum cut)."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
     n = net.n_vertices
     s, t = n, n + 1
-    eu, ew = net._ev[:, 0], net._ev[:, 1]
+    eu, ew = net.ends.T
     src, tgt = sorted(source), sorted(target)
     rows = np.concatenate([eu, ew, np.full(len(src), s), tgt])
     cols = np.concatenate([ew, eu, src, np.full(len(tgt), t)])
@@ -281,17 +281,14 @@ def _dirichlet_solve(net, fixed_value, weights=None, load=None):
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import spsolve
 
-    n = net.n_vertices
-    phi = np.zeros(n)
-    col = np.full(n, 0, dtype=np.int64)
-    for x, val in fixed_value.items():
-        phi[x] = val
-        col[x] = -1
-    free = np.nonzero(col == 0)[0]
-    if not len(free) or not net.edge_list:
+    phi = np.zeros(net.n_vertices)
+    phi[list(fixed_value)] = list(fixed_value.values())
+    free = np.setdiff1d(np.arange(net.n_vertices), list(fixed_value))
+    if not len(free) or not net.n_edges:
         return phi
+    col = np.full(net.n_vertices, -1, dtype=np.int64)
     col[free] = np.arange(len(free))
-    ev = net._ev
+    ev = net.ends
     w = np.ones(len(ev)) if weights is None else np.asarray(weights, dtype=float)
     cu, cw = col[ev[:, 0]], col[ev[:, 1]]
     fu, fw = cu >= 0, cw >= 0
@@ -323,9 +320,9 @@ def _p_harmonic_potential(net, boundary, p, max_iters=300):
     """
     phi = np.zeros(net.n_vertices)
     phi[list(boundary)] = list(boundary.values())
-    if len(boundary) == net.n_vertices or not net.edge_list:
+    if len(boundary) == net.n_vertices or not net.n_edges:
         return phi, 0
-    eu, ew = net._ev[:, 0], net._ev[:, 1]
+    eu, ew = net.ends.T
 
     # Electrical start (p = 2 solves exactly in the first pass).
     eps = 1.0
@@ -383,10 +380,10 @@ def mincut_oracle(net, source, target):
             adj[v].append(u)
         cap[(u, v)] += c
 
-    for u, v in net.edge_list:
+    for u, v in net.ends.tolist():
         add(u, v, 1)
         add(v, u, 1)
-    big = len(net.edge_list) + 1
+    big = net.n_edges + 1
     for x in source:
         add(s, x, big)
     for x in target:
@@ -423,13 +420,10 @@ def effective_conductance(net, source, target):
     source, target = set(source), set(target)
     if source & target:
         raise ValueError("source and target must be disjoint")
-    if not net.edge_list:
-        return 0.0
     boundary = {x: 0.0 for x in source}
     boundary.update({x: 1.0 for x in target})
     potential = _dirichlet_solve(net, boundary)
-    ev = np.asarray(net.edge_list, dtype=np.int64)
-    drop = potential[ev[:, 0]] - potential[ev[:, 1]]
+    drop = potential[net.ends[:, 0]] - potential[net.ends[:, 1]]
     return float((drop**2).sum())
 
 

@@ -119,6 +119,21 @@ def test_modulus_missing_sides(g1_file):
     assert run("modulus", "--graph", g1_file, "--sides", "left-up").returncode == 64
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--p-grid", "2,1e9"), ("--p-grid", "nan"), ("--p-grid", "inf"), ("--p-grid", "0.5"),
+    ("--tol", "0"), ("--tol", "0.5"), ("--tol", "nan"),
+])
+def test_modulus_rejects_bad_exponent_or_tolerance(g1_file, tmp_path, flag, value):
+    out = tmp_path / "scan.csv"
+    proc = run(
+        "modulus", "--graph", g1_file, "--sides", "left-right", flag, value, "--out", out,
+    )
+    assert proc.returncode == 64
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert not out.exists()
+
+
 def test_modulus_missing_graph_file(tmp_path):
     proc = run("modulus", "--graph", tmp_path / "nope.json", "--sides", "left-right")
     assert proc.returncode == 1
@@ -297,6 +312,19 @@ def test_pi_diagnostic_cli(tmp_path):
     assert run(
         "metric", "pi-diagnostic", "--level", 2, "--trials", 5
     ).returncode == 64
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+def test_pi_diagnostic_rejects_bad_exponent(tmp_path, p):
+    out = tmp_path / "pi.csv"
+    proc = run(
+        "metric", "pi-diagnostic", "--level", 1, "--p", p,
+        "--trials", 3, "--seed", 3, "--out", out,
+    )
+    assert proc.returncode == 64
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert not out.exists()
 
 
 def test_reports_embed_provenance(g1_file, tmp_path):

@@ -278,6 +278,20 @@ def test_prefix_subgraph_validation(g2):
         ps.prefix_subgraph(g2, "")
 
 
+@pytest.mark.parametrize("damage", ["drop an edge", "change a type"])
+def test_prefix_subgraph_rejects_a_damaged_block(g2, g1, damage):
+    edges = list(g2.edges)
+    k = next(k for k, (i, j, _t) in enumerate(edges) if 30 <= i < j < 40)
+    if damage == "drop an edge":
+        del edges[k]
+    else:
+        i, j, t = edges[k]
+        edges[k] = (i, j, "S" if t != "S" else "H")
+    bad = ps.ReplacementGraph(level=2, policy=g2.policy, words=g2.words, edges=edges)
+    with pytest.raises(RuntimeError):
+        ps.prefix_subgraph(bad, "3", reference=g1)
+
+
 def test_graph_json_round_trip(tmp_path, g2):
     path = tmp_path / "g2.json"
     ps.write_graph_json(g2, path)

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -360,8 +361,9 @@ def test_pi_diagnostic_sheet_measure(graphs):
 
 def test_pi_diagnostic_validation(graphs):
     m = TileMeasure.uniform(2)
-    with pytest.raises(ValueError):
-        pi_diagnostic(graphs[2], m, p=0.5, trials=5, seed=0)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pi_diagnostic(graphs[2], m, p=p, trials=5, seed=0)
     with pytest.raises(ValueError):
         pi_diagnostic(graphs[2], m, p=2.0, trials=0, seed=0)
     with pytest.raises(ValueError):

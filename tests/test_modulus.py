@@ -133,7 +133,7 @@ def test_upper_certificate_is_admissible(crossing):
     # the rescaled density really has every crossing path at length >= 1
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, 1.5)
-    length, _, _ = M._shortest_path(net, res.density, src, tgt)
+    length, _ = M._shortest_path(net, res.density, src, tgt)
     assert length >= 1.0 - 2e-6
     for vpath in res.active_paths:
         assert vpath[0] in src and vpath[-1] in tgt
@@ -154,7 +154,7 @@ def test_coarser_tolerance_still_brackets(crossing):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.5])
 def test_duplicated_edges_double_the_value(p):
     net, src, tgt = M.grid_network(3, 4)
-    doubled = M.Network(net.n_vertices, net.edge_list + net.edge_list)
+    doubled = M.Network(net.n_vertices, np.concatenate([net.ends, net.ends]))
     base = solve(net, src, tgt, p)
     twice = solve(doubled, src, tgt, p)
     assert abs(twice.value - 2 * base.value) <= 2e-5 * base.value
@@ -165,9 +165,7 @@ def test_flip_relabeling_preserves_value(crossing):
     g = ps.build_graph(2)
     perm = ps.flip_permutation(g, "10")
     assert ps.is_automorphism(g, perm)
-    relabeled = M.Network(
-        net.n_vertices, [(int(perm[u]), int(perm[v])) for u, v in net.edge_list]
-    )
+    relabeled = M.Network(net.n_vertices, perm[net.ends])
     # center sheets swap, the boundary faces stay put
     a = solve(net, src, tgt, 2.5)
     b = solve(relabeled, src, tgt, 2.5)
@@ -211,7 +209,7 @@ def test_floating_components_do_not_count():
     # isolated vertices and a triangle touching neither side carry no
     # crossing; they must not make the potential or flow solves singular
     net, src, tgt = M.path_network(2)
-    edges = net.edge_list + [(4, 5), (5, 6), (6, 4)]
+    edges = net.ends.tolist() + [(4, 5), (5, 6), (6, 4)]
     padded = M.Network(net.n_vertices + 5, edges)  # vertices 3 and 7 isolated
     for p in (1.0, 1.5, 2.0, 2.5, 3.0):
         res = solve(padded, src, tgt, p)
@@ -301,6 +299,8 @@ def test_network_validation():
         M.Network(2, [(0, 0)])
     with pytest.raises(ValueError):
         M.Network(2, [(0, 2)])
+    with pytest.raises(ValueError):
+        M.Network(3, [(0, 1, 2)])  # rows must be endpoint pairs
     net = M.Network(2, [(0, 1), (0, 1)])  # parallel edges are fine
     assert net.n_edges == 2
 
@@ -311,6 +311,51 @@ def test_negative_weights_rejected_by_search():
         M._shortest_path(net, np.array([0.5, -1e-9]), src, tgt)
 
 
+def bellman_ford(net, weights, source):
+    """Slow reference: distances from the source side by edge relaxation."""
+    dist = [math.inf] * net.n_vertices
+    for s in source:
+        dist[s] = 0.0
+    arcs = [(a, b, w) for (u, v), w in zip(net.ends.tolist(), weights.tolist())
+            for a, b in ((u, v), (v, u))]
+    changed = True
+    while changed:
+        changed = False
+        for a, b, w in arcs:
+            if dist[a] + w < dist[b]:
+                dist[b], changed = dist[a] + w, True
+    return dist
+
+
+def weighted_crossing(crossing, case):
+    rng = np.random.default_rng(11)
+    if case == "L2 with zero weights":
+        net, src, tgt = crossing[2]
+        weights = rng.random(net.n_edges)
+        weights[rng.random(net.n_edges) < 0.3] = 0.0
+    else:  # the two copies of each grid edge carry different weights
+        grid, src, tgt = M.grid_network(4, 5)
+        net = M.Network(grid.n_vertices, np.concatenate([grid.ends, grid.ends]))
+        weights = rng.random(net.n_edges)
+    return net, weights, src, tgt
+
+
+@pytest.mark.parametrize("case", ["L2 with zero weights", "doubled grid"])
+def test_shortest_path_matches_bellman_ford(crossing, case):
+    net, weights, src, tgt = weighted_crossing(crossing, case)
+    length, path = M._shortest_path(net, weights, src, tgt)
+    dist = bellman_ford(net, weights, src)
+    want = min(dist[t] for t in tgt)
+    assert abs(length - want) <= 1e-12 * want
+    lightest = {}
+    for (u, v), w in zip(net.ends.tolist(), weights.tolist()):
+        lightest[frozenset((u, v))] = min(w, lightest.get(frozenset((u, v)), math.inf))
+    hops = [frozenset(hop) for hop in zip(path, path[1:])]
+    assert path[0] in src and path[-1] in tgt
+    assert all(hop in lightest for hop in hops)
+    assert abs(math.fsum(lightest[hop] for hop in hops) - length) <= 1e-12 * length
+
+
 # ---------------------------------------------------------------------------
 # duality certificates
 
@@ -319,7 +364,7 @@ def test_negative_weights_rejected_by_search():
 def test_lower_bound_flow_is_a_unit_flow(crossing, p):
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, p)
-    ev = np.asarray(net.edge_list)
+    ev = net.ends
     div = np.bincount(ev[:, 0], res.flow, net.n_vertices) - np.bincount(
         ev[:, 1], res.flow, net.n_vertices
     )
@@ -338,7 +383,7 @@ def test_lower_bound_flow_is_a_unit_flow(crossing, p):
 def test_density_is_admissible_with_upper_energy(crossing, p):
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, p)
-    length, _, _ = M._shortest_path(net, res.density, src, tgt)
+    length, _ = M._shortest_path(net, res.density, src, tgt)
     assert length >= 1.0 - 1e-12
     energy = float(np.power(res.density, p).sum())
     assert abs(energy - res.value_upper) <= 1e-12 * res.value_upper
@@ -349,10 +394,11 @@ def test_active_paths_are_crossings(crossing, p):
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, p)
     assert res.active_paths
-    edges = {frozenset(e) for e in net.edge_list}
+    edges = {frozenset(e) for e in net.ends.tolist()}
     for vpath in res.active_paths:
         assert vpath[0] in src and vpath[-1] in tgt
         assert all(frozenset(hop) in edges for hop in zip(vpath, vpath[1:]))
+    assert solve(net, src, tgt, p).active_paths == res.active_paths
 
 
 def test_potential_line_search_reaches_the_optimum(crossing):
@@ -362,6 +408,6 @@ def test_potential_line_search_reaches_the_optimum(crossing):
     boundary = {x: 0.0 for x in src}
     boundary.update({x: 1.0 for x in tgt})
     phi, _ = M._p_harmonic_potential(net, boundary, 3.0)
-    ev = np.asarray(net.edge_list)
+    ev = net.ends
     energy = float(np.power(np.abs(phi[ev[:, 0]] - phi[ev[:, 1]]), 3.0).sum())
     assert abs(energy - 1.0) <= 1e-9
