@@ -196,11 +196,11 @@ def _cmd_build(args):
         write_graph_binary(g, args.out)
     else:
         write_graph_json(g, args.out)
-    summary = f"{g.n_vertices} vertices, {len(g.edges)} edges"
+    summary = f"{g.n_vertices} vertices, {g.n_edges} edges"
     return EXIT_OK, {
         "summary": summary,
         "vertices": g.n_vertices,
-        "edges": len(g.edges),
+        "edges": g.n_edges,
         "outputs": {args.out: _sha256(args.out)},
     }
 
@@ -211,6 +211,8 @@ def _cmd_verify(args):
             f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
         )
     levels = _parse_levels(args.levels) if args.levels else None
+    if not 0 < args.tol <= MAX_TOL:  # also rejects nan
+        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {args.tol}")
     try:
         rep = run_suite(
             args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol

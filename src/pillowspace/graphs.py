@@ -21,7 +21,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
@@ -278,36 +278,33 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
 # graph construction
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: the generated __eq__ would not work
 class ReplacementGraph:
-    """Level-n tile graph: lexicographic words, sorted typed edge list.
+    """Level-n tile graph over the lexicographic words, stored as edge arrays.
 
-    Construction validates the edge list and derives, once, the edge arrays,
-    a CSR adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
+    Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1, S=2), sorted by
+    (u, v).  Construction validates the arrays and derives, once, a CSR
+    adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
     ascending) and the projected squares (square_x, square_y) of all words.
     """
 
     level: int
     policy: str
-    words: list[str]
-    edges: list[tuple[int, int, str]]
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
-    square_x: np.ndarray = field(init=False, repr=False, compare=False)
-    square_y: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    words: list[str] = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    square_x: np.ndarray = field(init=False, repr=False)
+    square_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, m = len(self.words), len(self.edges)
-        try:
-            u = np.fromiter(map(itemgetter(0), self.edges), np.int64, m)
-            v = np.fromiter(map(itemgetter(1), self.edges), np.int64, m)
-        except OverflowError:
-            raise ValueError("malformed edge: vertex index out of range") from None
-        t = np.fromiter(
-            (_TYPE_CODE.get(e[2], len(EDGE_TYPES)) for e in self.edges), np.int64, m
-        )
+        self.words = all_words(self.level)
+        n = len(self.words)
+        u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)
-        self._edge_arrays = (u, v, t)
+        self.u, self.v, self.t = u, v, t
         # Sorted edges list the smaller neighbours (as v) and then the larger
         # ones (as u) of each vertex in ascending order, so a stable sort by
         # vertex leaves every neighbour slice ascending.
@@ -330,10 +327,23 @@ class ReplacementGraph:
     def n_vertices(self):
         return len(self.words)
 
+    @property
+    def n_edges(self):
+        return len(self.u)
+
+    @property
+    def edges(self):
+        """Sorted (i, j, type) tuples, derived on each access.
+
+        Not cached: a kept copy would hold the Python objects per edge that
+        the arrays save.
+        """
+        names = map(EDGE_TYPES.__getitem__, self.t.tolist())
+        return list(zip(self.u.tolist(), self.v.tolist(), names))
+
     def edge_arrays(self):
         """Edges as three aligned numpy arrays (u, v, type code H=0,V=1,S=2)."""
-        return self._edge_arrays
-
+        return self.u, self.v, self.t
 
 
 def _check_edges(u, v, t, n):
@@ -384,37 +394,33 @@ def build_graph(n, central_edge_policy="on"):
     if central_edge_policy not in ("on", "off"):
         raise ValueError(f"unknown policy {central_edge_policy!r}")
 
-    edges = []  # G_0: one tile, no edges
+    u = v = t = np.zeros(0, dtype=np.int64)  # G_0: one tile, no edges
     for m in range(1, n + 1):
         # G_m is ten copies of G_{m-1}, one per first letter: each letter's
         # chart maps the unit square isometrically onto its cell, and the
         # suppressed last-letter seam sits at the same position in a block.
         size = 10 ** (m - 1)
-        ids = list(range(10 * size))  # one shared int per vertex, not two per edge
-        edges = [
-            (ids[i + off], ids[j + off], t)
-            for off in range(0, 10 * size, size)
-            for i, j, t in edges
-        ]
+        offs = np.arange(0, 10 * size, size)[:, None]
         # An edge between two cells meets on the boundary of both (a shared
         # cell edge, or the centre cell's boundary for a 5/0 seam), so both
         # tiles lie over the boundary ring of their cell.  Ring squares carry
         # no centre letter: one tile each.
         side = 3 ** (m - 1)
         ring = {
-            sq
+            grid_word_of_square(m - 1, *sq)
             for k in range(side)
             for sq in ((k, 0), (k, side - 1), (0, k), (side - 1, k))
         }
-        for x, y in ring:
-            tail = grid_word_of_square(m - 1, x, y)
-            for a in ALPHABET:
-                edges += _tile_edges(a + tail, central_edge_policy, size)
-        edges.sort()
+        cross = [(i, j, _TYPE_CODE[e]) for tail in ring for a in ALPHABET
+                 for i, j, e in _tile_edges(a + tail, central_edge_policy, size)]
+        cu, cv, ct = np.array(cross, dtype=np.int64).reshape(-1, 3).T
+        u = np.concatenate([(u + offs).ravel(), cu])
+        v = np.concatenate([(v + offs).ravel(), cv])
+        t = np.concatenate([np.tile(t, 10), ct])
+        order = np.lexsort((v, u))
+        u, v, t = u[order], v[order], t[order]
 
-    g = ReplacementGraph(
-        level=n, policy=central_edge_policy, words=all_words(n), edges=edges
-    )
+    g = ReplacementGraph(level=n, policy=central_edge_policy, u=u, v=v, t=t)
     if not (bfs_row(g, 0) >= 0).all():
         raise RuntimeError(f"level-{n} graph is not connected")
     return g
@@ -549,8 +555,11 @@ class PrefixBlock:
     prefix: str
     level: int  # level of the suffix block
     start: int  # first global index of the block
-    words: list[str]  # suffix words, block-local order
-    edges: list[tuple[int, int, str]]  # block-local indices
+    reference: ReplacementGraph = field(repr=False)  # certified equal to the block
+
+    @property
+    def edges(self):  # block-local indices
+        return self.reference.edges
 
 
 def prefix_subgraph(g, prefix, reference=None):
@@ -578,13 +587,7 @@ def prefix_subgraph(g, prefix, reference=None):
         raise RuntimeError(
             f"block over prefix {prefix!r} is not isomorphic to level {m}"
         )
-    return PrefixBlock(
-        prefix=prefix,
-        level=m,
-        start=start,
-        words=reference.words,
-        edges=reference.edges,
-    )
+    return PrefixBlock(prefix=prefix, level=m, start=start, reference=reference)
 
 
 def flip_permutation(g, bits):
@@ -623,7 +626,7 @@ def write_graph_json(g, path):
         "level": g.level,
         "policy": g.policy,
         "vertices": g.words,
-        "edges": [[i, j, t] for i, j, t in g.edges],
+        "edges": g.edges,  # tuples dump as JSON arrays
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, separators=(",", ":"))
@@ -646,29 +649,27 @@ def read_graph_json(path):
     policy = payload.get("policy")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
-    words = payload.get("vertices")
-    if words != all_words(level):
-        raise ValueError("vertex list is not the lexicographic word list")
+    code = _TYPE_CODE.get
     try:
         # operator.index, not int: int() would truncate 0.9 to vertex 0
-        edges = [(index(i), index(j), str(t)) for i, j, t in payload.get("edges")]
+        flat = np.fromiter((x for i, j, t in payload.get("edges") for x in (
+            index(i), index(j), code(str(t), len(EDGE_TYPES)))), np.int64)
+    except OverflowError:
+        raise ValueError("malformed edge: vertex index out of range") from None
     except (TypeError, ValueError):
         raise ValueError("edge list is not a list of [i, j, type] records") from None
-    return ReplacementGraph(level=level, policy=policy, words=words, edges=edges)
+    u, v, t = flat.reshape(-1, 3).T
+    g = ReplacementGraph(level=level, policy=policy, u=u, v=v, t=t)
+    if payload.get("vertices") != g.words:
+        raise ValueError("vertex list is not the lexicographic word list")
+    return g
 
 
 def write_graph_binary(g, path):
+    header = (g.level, 1 if g.policy == "on" else 0, g.n_vertices, g.n_edges)
     with open(path, "wb") as fh:
         fh.write(GRAPH_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII",
-                g.level,
-                1 if g.policy == "on" else 0,
-                g.n_vertices,
-                len(g.edges),
-            )
-        )
+        fh.write(struct.pack("<IIII", *header))
         fh.write(np.stack(g.edge_arrays(), axis=1).astype("<u4").tobytes())
 
 
@@ -689,14 +690,9 @@ def read_graph_binary(path):
             raise ValueError("edge block does not match the edge count")
         raw = fh.read()
     # an unknown type code stays a number, which construction rejects
-    name = dict(enumerate(EDGE_TYPES)).get
-    edges = [(a, b, name(c, c)) for a, b, c in struct.iter_unpack("<III", raw)]
-    return ReplacementGraph(
-        level=level,
-        policy="on" if policy_flag else "off",
-        words=all_words(level),
-        edges=edges,
-    )
+    u, v, t = np.frombuffer(raw, "<u4").reshape(-1, 3).T
+    policy = "on" if policy_flag else "off"
+    return ReplacementGraph(level=level, policy=policy, u=u, v=v, t=t)
 
 
 def read_graph(path):

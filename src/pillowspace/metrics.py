@@ -213,10 +213,10 @@ def blowup_metric(d, prefix, normalization="diameter"):
 def internal_block_metric(g, prefix, normalization="none"):
     """Blowup of the metric measured inside one prefix block.
 
-    BFS runs on the block's own edges, so ambient shortcuts around the block
-    do not contribute.  The block is certified isomorphic to its level during
-    extraction, which is why the result reproduces the smaller graph's metric
-    exactly under normalization "none".
+    BFS runs on the reference graph's edges, which certification during
+    extraction has shown equal to the block's own, so ambient shortcuts around
+    the block do not contribute and the result reproduces the smaller graph's
+    metric exactly under normalization "none".
     """
     prefix = parse_word(prefix)
     # prefix_subgraph rejects a bad prefix length before it reads the reference
@@ -227,7 +227,7 @@ def internal_block_metric(g, prefix, normalization="none"):
     if np.isinf(dist).any():
         raise ValueError("block is disconnected; hop distance is not a metric")
     lam = _normalizer(dist, block.level, normalization)
-    return MetricMatrix(list(block.words), dist / lam)
+    return MetricMatrix(list(reference.words), dist / lam)
 
 
 # ---------------------------------------------------------------------------

@@ -461,8 +461,8 @@ def conformal_scan(levels, p_grid, policy="on", tolerance=1e-6, graphs=None):
     levels = sorted(set(levels))
     if max(levels) > 4:
         raise ValueError("exact scans support levels <= 4")
-    if any(p < 1.0 for p in p_grid):
-        raise ValueError("exponents must be >= 1")
+    if not all(1.0 <= p <= MAX_P for p in p_grid):  # also rejects nan
+        raise ValueError(f"exponents must lie in [1, {MAX_P}]")
 
     rows, values, monotone_ok = [], {}, True
     for n in levels:

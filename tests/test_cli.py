@@ -90,6 +90,16 @@ def test_verify_bad_range():
     assert run("verify", "counts", "x..y").returncode == 64
 
 
+@pytest.mark.parametrize("tol", ["0", "0.5", "nan"])
+def test_verify_rejects_bad_tolerance(tmp_path, tol):
+    out = tmp_path / "rep.json"
+    proc = run("verify", "modulus-oracles", "1", "--tol", tol, "--out", out)
+    assert proc.returncode == 64
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert not out.exists()
+
+
 def test_verify_report_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run("verify", "covering", "1..2", "--out", a).returncode == 0

@@ -280,16 +280,32 @@ def test_prefix_subgraph_validation(g2):
 
 @pytest.mark.parametrize("damage", ["drop an edge", "change a type"])
 def test_prefix_subgraph_rejects_a_damaged_block(g2, g1, damage):
-    edges = list(g2.edges)
-    k = next(k for k, (i, j, _t) in enumerate(edges) if 30 <= i < j < 40)
+    u, v, t = (a.copy() for a in g2.edge_arrays())
+    k = next(k for k, (i, j) in enumerate(zip(u, v)) if 30 <= i < j < 40)
     if damage == "drop an edge":
-        del edges[k]
+        u, v, t = (np.delete(a, k) for a in (u, v, t))
     else:
-        i, j, t = edges[k]
-        edges[k] = (i, j, "S" if t != "S" else "H")
-    bad = ps.ReplacementGraph(level=2, policy=g2.policy, words=g2.words, edges=edges)
+        t[k] = 2 if t[k] != 2 else 0  # "S" <-> "H"
+    bad = ps.ReplacementGraph(level=2, policy=g2.policy, u=u, v=v, t=t)
     with pytest.raises(RuntimeError):
         ps.prefix_subgraph(bad, "3", reference=g1)
+
+
+def test_graph_stores_only_edge_arrays(tmp_path):
+    # built and read back from both formats: the only stored Python sequence
+    # is the word list, and every access derives a fresh tuple list
+    built = ps.build_graph(3)
+    graphs = [built]
+    for write, name in ((ps.write_graph_json, "g3.json"), (ps.write_graph_binary, "g3.bin")):
+        write(built, tmp_path / name)
+        graphs.append(ps.read_graph(tmp_path / name))
+    want = G.reference_edges(3)
+    for g in graphs:
+        stored = [k for k, x in vars(g).items() if isinstance(x, (list, tuple))]
+        assert stored == ["words"]
+        first, second = g.edges, g.edges
+        assert first == want and second == want
+        assert first is not second
 
 
 def test_graph_json_round_trip(tmp_path, g2):

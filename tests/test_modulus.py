@@ -274,6 +274,15 @@ def test_scan_input_validation():
         M.conformal_scan([1], [0.5])
 
 
+@pytest.mark.parametrize("p_grid", [[2.0, math.nan], [2.0, 1e9]])
+def test_scan_rejects_bad_exponents_before_solving(monkeypatch, p_grid):
+    solves, solve = [], M.solve_modulus
+    monkeypatch.setattr(M, "solve_modulus", lambda pr: solves.append(pr) or solve(pr))
+    with pytest.raises(ValueError):
+        M.conformal_scan([1], p_grid)
+    assert solves == []
+
+
 # ---------------------------------------------------------------------------
 # input validation and guards
 
