@@ -488,32 +488,63 @@ def _tile_edges(w, policy, block):
 # metric primitives
 
 
-def bfs_row(g, start, cutoff=None):
-    """Hop distances from one vertex as an int array.
+def _vertex_indices(g, vertices):
+    """Vertex indices as an int64 array; ValueError unless each is in range."""
+    n = g.n_vertices
+    try:
+        out = [index(s) for s in vertices]  # index, not int: 1.0 is no vertex
+    except TypeError:
+        raise ValueError("vertex indices must be integers") from None
+    bad = [s for s in out if not 0 <= s < n]
+    if bad:
+        raise ValueError(f"vertex index {bad[0]} outside 0..{n - 1}")
+    return np.array(out, dtype=np.int64)
+
+
+def bfs_rows(g, starts, cutoff=None):
+    """Hop distances from each start, as a (len(starts), n) int64 array.
 
     Entries are -1 for vertices that are unreachable or, when a cutoff is
-    given, farther than cutoff.
+    given, farther than cutoff.  All sources advance one level per step over
+    the CSR; a (source, vertex) pair is the flat key source * n + vertex into
+    the result.
     """
-    indptr, indices = memoryview(g.indptr), memoryview(g.indices)  # zero-copy
-    row = [-1] * g.n_vertices
-    row[start] = 0
-    frontier, d = [start], 0
-    while frontier and (cutoff is None or d < cutoff):
+    n = g.n_vertices
+    starts = _vertex_indices(g, starts)
+    out = np.full((len(starts), n), -1, dtype=np.int64)
+    flat = out.reshape(-1)  # a view: writes land in out
+    keys = np.arange(len(starts), dtype=np.int64) * n + starts
+    flat[keys] = 0
+    d = 0
+    while keys.size and (cutoff is None or d < cutoff):
         d += 1
-        reached = []
-        for a in frontier:
-            for x in indices[indptr[a] : indptr[a + 1]]:
-                if row[x] < 0:
-                    row[x] = d
-                    reached.append(x)
-        frontier = reached
-    return np.array(row, dtype=np.int64)
+        vert = keys % n
+        lo, deg = g.indptr[vert], g.indptr[vert + 1] - g.indptr[vert]
+        ends = np.cumsum(deg)
+        # position of each neighbour in indices: lo of its frontier pair plus
+        # its rank within that pair's slice
+        pos = np.arange(ends[-1]) + np.repeat(lo - ends + deg, deg)
+        cand = np.repeat(keys - vert, deg) + g.indices[pos]
+        cand = cand[flat[cand] < 0]
+        # Dedupe in linear time: each candidate writes its own negative mark
+        # (below -1), and of a repeated pair exactly one reads its mark back.
+        marks = -2 - np.arange(cand.size)
+        flat[cand] = marks
+        keys = cand[flat[cand] == marks]
+        flat[keys] = d
+    return out
+
+
+def bfs_row(g, start, cutoff=None):
+    """Hop distances from one vertex: the one-row case of bfs_rows."""
+    return bfs_rows(g, [start], cutoff)[0]
 
 
 def distance(g, u, v):
     """Hop distance between two vertices given as words or indices."""
     su = g.index(u) if isinstance(u, str) else u
     sv = g.index(v) if isinstance(v, str) else v
+    (sv,) = _vertex_indices(g, [sv])
     d = int(bfs_row(g, su)[sv])
     if d < 0:
         raise RuntimeError(f"vertices {u!r} and {v!r} are disconnected")
@@ -628,8 +659,9 @@ def write_graph_json(g, path):
         "vertices": g.words,
         "edges": g.edges,  # tuples dump as JSON arrays
     }
+    text = json.dumps(payload, separators=(",", ":"))  # json.dump writes per chunk
     with open(path, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

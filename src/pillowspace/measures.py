@@ -210,7 +210,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     exist); a clipped ball undercounts and drags the slope down.  The default
     radius grid likewise drops 3^1, whose discreteness bias dominates.
     """
-    from .graphs import bfs_row
+    from .graphs import bfs_rows
 
     n = graph.level
     if radii_exponents is None:
@@ -230,8 +230,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     max_r = 3 ** max(radii_exponents)
     log_counts = np.zeros(len(radii_exponents))
     rows = []
-    for c in centers:
-        dist = bfs_row(graph, int(c), cutoff=max_r)
+    for dist in bfs_rows(graph, centers, cutoff=max_r):
         values = dist[dist >= 0]
         for col, m in enumerate(radii_exponents):
             count = int((values <= 3**m).sum())

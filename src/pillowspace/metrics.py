@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CapacityError, bfs_row, build_graph, flip_permutation, prefix_subgraph
+from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
 from .words import all_words, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; beyond that use rows
@@ -210,24 +210,22 @@ def blowup_metric(d, prefix, normalization="diameter"):
     return MetricMatrix(all_words(n), block / lam, slack=max(d.slack, 1e-12))
 
 
-def internal_block_metric(g, prefix, normalization="none"):
+def internal_block_metric(g, prefix, normalization="none", reference=None):
     """Blowup of the metric measured inside one prefix block.
 
     BFS runs on the reference graph's edges, which certification during
     extraction has shown equal to the block's own, so ambient shortcuts around
     the block do not contribute and the result reproduces the smaller graph's
-    metric exactly under normalization "none".
+    metric exactly under normalization "none".  The reference is passed on to
+    prefix_subgraph, which builds it when not supplied.
     """
-    prefix = parse_word(prefix)
-    # prefix_subgraph rejects a bad prefix length before it reads the reference
-    reference = build_graph(max(g.level - len(prefix), 1), g.policy)
     block = prefix_subgraph(g, prefix, reference)
-    u, v, _t = reference.edge_arrays()
+    u, v, _t = block.reference.edge_arrays()
     dist = _hop_distances(u, v, 10**block.level)
     if np.isinf(dist).any():
         raise ValueError("block is disconnected; hop distance is not a metric")
     lam = _normalizer(dist, block.level, normalization)
-    return MetricMatrix(list(reference.words), dist / lam)
+    return MetricMatrix(list(block.reference.words), dist / lam)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +356,34 @@ def lipschitz_quotient_check(g):
     sx, sy = g.square_x, g.square_y
     cell = sx * side + sy
     gx, gy = np.divmod(np.arange(side * side, dtype=np.int64), side)
+    # every grid cell carries at least one tile, so the runs of the vertices
+    # sorted by cell start at the cumulative fiber sizes, one run per cell
+    by_cell = np.argsort(cell, kind="stable")
+    runs = np.concatenate([[0], np.cumsum(np.bincount(cell))[:-1]])
     max_radius = 0
-    for i in range(g.n_vertices):
-        dist = bfs_row(g, i)
+    # one first-letter block of centers per batch bounds the rows held at once
+    block = g.n_vertices // 10
+    for lo in range(0, g.n_vertices, block):
+        dist = bfs_rows(g, range(lo, lo + block))
         if (dist < 0).any():
             raise ValueError("graph is disconnected; ball images are unbounded")
-        max_radius = max(max_radius, int(dist.max()))
-        nearest = np.full(side * side, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(nearest, cell, dist)
-        grid = np.abs(gx - sx[i]) + np.abs(gy - sy[i])
-        if not np.array_equal(nearest, grid):
-            bad = int(np.nonzero(nearest != grid)[0][0])
+        nearest = np.minimum.reduceat(dist[:, by_cell], runs, axis=1)
+        centers = slice(lo, lo + block)
+        grid = np.abs(gx - sx[centers, None]) + np.abs(gy - sy[centers, None])
+        bad_rows = np.flatnonzero((nearest != grid).any(axis=1))
+        if bad_rows.size:
+            r = int(bad_rows[0])
+            i = lo + r
+            max_radius = max(max_radius, int(dist[: r + 1].max()))
+            bad = int(np.flatnonzero(nearest[r] != grid[r])[0])
             return QuotientReport(
                 g.level,
                 i + 1,
                 max_radius,
                 False,
-                (g.words[i], (int(gx[bad]), int(gy[bad])), int(nearest[bad]), int(grid[bad])),
+                (g.words[i], (int(gx[bad]), int(gy[bad])), int(nearest[r, bad]), int(grid[r, bad])),
             )
+        max_radius = max(max_radius, int(dist.max()))
     return QuotientReport(g.level, g.n_vertices, max_radius, True, None)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graphs import (
     adjacency,
-    bfs_row,
+    bfs_rows,
     boundary_face,
     build_graph,
     chain_oracle_adjacency,
@@ -129,18 +129,20 @@ def _suite_sheets(n, g, ctx):
     else:
         sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
     mismatches, pairs = 0, 0
+    starts = max(1, SHEET_PAIRS // 40)
     for bits in sheets:
-        starts = max(1, SHEET_PAIRS // 40)
+        # draw each start, then its targets, before one BFS over the starts
+        sources, targets = [], []
         for _ in range(starts):
             ax, ay = rng.randrange(side), rng.randrange(side)
-            a = int(section(grid_word_of_square(n, ax, ay), bits))
-            dist = bfs_row(g, a)
+            sources.append(int(section(grid_word_of_square(n, ax, ay), bits)))
             for _ in range(SHEET_PAIRS // starts):
                 bx, by = rng.randrange(side), rng.randrange(side)
                 b = int(section(grid_word_of_square(n, bx, by), bits))
-                pairs += 1
-                if dist[b] != abs(ax - bx) + abs(ay - by):
-                    mismatches += 1
+                targets.append((len(sources) - 1, b, abs(ax - bx) + abs(ay - by)))
+        dist = bfs_rows(g, sources)
+        pairs += len(targets)
+        mismatches += sum(1 for k, b, want in targets if dist[k, b] != want)
     return {
         "sheets": len(sheets),
         "pairs_checked": pairs,
@@ -198,7 +200,7 @@ def _suite_self_similar(n, g, ctx):
             continue
         if m in ref_metrics:
             metrics_checked += 1
-            ib = internal_block_metric(g, prefix)
+            ib = internal_block_metric(g, prefix, reference=references[m])
             if not (ib.entries == ref_metrics[m].entries).all():
                 bad_metrics.append(prefix)
     return {

@@ -407,6 +407,39 @@ def test_bfs_row_cutoff(g3):
             assert np.array_equal(G.bfs_row(g3, s, cutoff=r), np.where(full > r, -1, full))
 
 
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_bfs_rows_batch_matches_shortest_path(policy):
+    g = ps.build_graph(3, policy)
+    dense = ps.graph_metric(g).entries  # scipy shortest_path on edge_arrays()
+    starts = list(range(g.n_vertices)) + [0, 555, 555, 999, 0]
+    assert np.array_equal(G.bfs_rows(g, starts), dense[starts])
+    for r in (0, 1, 5, 12):
+        want = np.where(dense[starts] > r, -1, dense[starts])
+        assert np.array_equal(G.bfs_rows(g, starts, cutoff=r), want)
+
+
+def test_bfs_rows_batch_matches_single_rows():
+    g = ps.build_graph(4)
+    starts = random.Random(8).sample(range(g.n_vertices), 25) + [42, 42]
+    rows = G.bfs_rows(g, starts, cutoff=30)
+    for s, row in zip(starts, rows):
+        assert np.array_equal(row, G.bfs_row(g, s, cutoff=30))
+    assert np.array_equal(G.bfs_rows(g, starts[:5]), [G.bfs_row(g, s) for s in starts[:5]])
+
+
+@pytest.mark.parametrize("start", [-1, -3, 100, 1.0])
+def test_bfs_rejects_bad_starts(g2, start):
+    # a negative start used to wrap around as a list index
+    with pytest.raises(ValueError):
+        ps.ball(g2, start, 2)
+    with pytest.raises(ValueError):
+        ps.distance(g2, start, 5)
+    with pytest.raises(ValueError):
+        ps.distance(g2, 5, start)
+    with pytest.raises(ValueError):
+        G.bfs_rows(g2, [0, start])
+
+
 # ---------------------------------------------------------------------------
 # malformed graph files
 
@@ -531,7 +564,8 @@ _SCIPY_FREE = """
 import os, sys, tempfile
 import pillowspace.cli
 import pillowspace as ps
-from pillowspace.graphs import bfs_row
+from pillowspace.graphs import bfs_row, bfs_rows
+from pillowspace.verify import run_suite
 g = ps.build_graph(2)
 with tempfile.TemporaryDirectory() as tmp:
     for write in (ps.write_graph_json, ps.write_graph_binary):
@@ -539,12 +573,15 @@ with tempfile.TemporaryDirectory() as tmp:
         write(g, path)
         assert ps.read_graph(path).edges == g.edges
 bfs_row(g, 0)
+bfs_rows(g, [0, 5, 5], cutoff=3)
 ps.ball(g, "55", 3)
 ps.distance(g, "11", "99")
 assert ps.lipschitz_quotient_check(g).ok
 ps.cover_preimage(g, (4, 4), 1)
 ps.pi_diagnostic(g, ps.TileMeasure.uniform(2), 2.0, 5, 1)
 ps.ball_dimension_estimate(g, 3, 1, radii_exponents=[0, 1])
+assert run_suite("sheets", [2]).ok
+assert run_suite("quotient", [2]).ok
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
 """
 

@@ -7,6 +7,8 @@ import pytest
 from pillowspace import (
     CapacityError,
     MetricMatrix,
+    QuotientReport,
+    ReplacementGraph,
     TileMeasure,
     all_words,
     blowup_metric,
@@ -278,6 +280,39 @@ def test_quotient_check_passes(graphs):
         assert rep.vertices_checked == graphs[n].n_vertices
         assert rep.witness is None
     assert lipschitz_quotient_check(graphs[2]).max_radius == 16
+
+
+def _quotient_check_per_row(g):
+    # one BFS row and one np.minimum.at per vertex, stopping at the first bad row
+    side = 3**g.level
+    sx, sy = g.square_x, g.square_y
+    cell = sx * side + sy
+    gx, gy = np.divmod(np.arange(side * side), side)
+    max_radius = 0
+    for i in range(g.n_vertices):
+        dist = bfs_row(g, i)
+        max_radius = max(max_radius, int(dist.max()))
+        nearest = np.full(side * side, np.iinfo(np.int64).max)
+        np.minimum.at(nearest, cell, dist)
+        grid = np.abs(gx - sx[i]) + np.abs(gy - sy[i])
+        if not np.array_equal(nearest, grid):
+            b = int(np.flatnonzero(nearest != grid)[0])
+            witness = (g.words[i], (int(gx[b]), int(gy[b])), int(nearest[b]), int(grid[b]))
+            return QuotientReport(g.level, i + 1, max_radius, False, witness)
+    return QuotientReport(g.level, g.n_vertices, max_radius, True, None)
+
+
+@pytest.mark.parametrize("edge", [(57, 67), (61, 62), (98, 99)])
+def test_quotient_check_on_a_damaged_graph_matches_per_row_loop(graphs, edge):
+    g2 = graphs[2]
+    u, v, t = g2.edge_arrays()
+    (k,) = np.flatnonzero((u == edge[0]) & (v == edge[1]))
+    assert t[k] == 0  # an H edge
+    bad = ReplacementGraph(level=2, policy=g2.policy, u=np.delete(u, k),
+                           v=np.delete(v, k), t=np.delete(t, k))
+    rep = lipschitz_quotient_check(bad)
+    assert not rep.ok
+    assert rep == _quotient_check_per_row(bad)
 
 
 def test_quotient_check_capacity():
