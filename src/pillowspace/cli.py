@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .graphs import (
+    MAX_LEVEL,
     CapacityError,
     boundary_face,
     build_graph,
@@ -171,6 +172,13 @@ def _require_seed(args):
     return args.seed
 
 
+def _measure_level(args):
+    # before TileMeasure.uniform allocates 10^level Fractions
+    if not 1 <= args.level <= MAX_LEVEL:
+        raise UsageError(f"--level must lie in 1..{MAX_LEVEL}, got {args.level}")
+    return args.level
+
+
 def _metric_from_args(args, level_attr="level"):
     """Metric from --in file when given, else the graph metric at the level."""
     hashes = {}
@@ -290,7 +298,7 @@ def _cmd_modulus(args):
 
 
 def _cmd_measure_pushforward(args):
-    w = pushforward_x(TileMeasure.uniform(args.level))
+    w = pushforward_x(TileMeasure.uniform(_measure_level(args)))
     denom = 3**args.level
     rows = [
         (i, Fraction(i, denom), Fraction(i + 1, denom), weight)
@@ -308,7 +316,8 @@ def _cmd_measure_pushforward(args):
 
 
 def _cmd_measure_ratios(args):
-    rows, skipped = middle_third_ratios(pushforward_x(TileMeasure.uniform(args.level)))
+    uniform = TileMeasure.uniform(_measure_level(args))
+    rows, skipped = middle_third_ratios(pushforward_x(uniform))
     table = [(r.level, r.index, r.weight, r.ratio) for r in rows]
     config = {"level": args.level}
     outputs = {}

@@ -45,6 +45,7 @@ _LETTER_SET = frozenset(ALPHABET)
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
+_WRITE_SLICE = 1 << 20  # characters of JSON text encoded per file write
 MAX_LEVEL = 6
 ORACLE_MAX_LEVEL = 3
 
@@ -305,14 +306,8 @@ class ReplacementGraph:
         u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)
         self.u, self.v, self.t = u, v, t
-        # Sorted edges list the smaller neighbours (as v) and then the larger
-        # ones (as u) of each vertex in ascending order, so a stable sort by
-        # vertex leaves every neighbour slice ascending.
-        ends = np.concatenate([v, u])
-        order = np.argsort(ends, kind="stable")
-        self.indices = np.concatenate([u, v])[order].astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n), out=self.indptr[1:])
+        self.indptr, heads, _edge = arc_csr(u, v, n)
+        self.indices = heads.astype(np.int32)
         self.square_x, self.square_y = _square_arrays(self.level)
 
     def index(self, word):
@@ -359,6 +354,19 @@ def _check_edges(u, v, t, n):
     du, dv = np.diff(u), np.diff(v)
     if ((du < 0) | ((du == 0) & (dv <= 0))).any():
         raise ValueError("edge list is not sorted or repeats a pair")
+
+
+def arc_csr(u, v, n):
+    """Both arcs of every edge (u[k], v[k]) on n vertices, grouped by tail:
+    (indptr, heads, edge id of each arc).  Tails are taken stably over [v, u],
+    so a sorted simple edge list (u < v) gets ascending neighbour slices.
+    """
+    tails = np.concatenate([v, u])
+    order = np.argsort(tails, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    # entry j of [v, u] belongs to edge j mod len(u)
+    return indptr, np.concatenate([u, v])[order], order % max(len(u), 1)
 
 
 def _square_arrays(n):
@@ -661,7 +669,9 @@ def write_graph_json(g, path):
     }
     text = json.dumps(payload, separators=(",", ":"))  # json.dump writes per chunk
     with open(path, "w") as fh:
-        fh.write(text)
+        # in slices, so the file encoder never holds the whole text as bytes
+        for k in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[k : k + _WRITE_SLICE])
         fh.write("\n")
 
 

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import GRID_LETTERS, all_words, section, word_square
+from .words import GRID_LETTERS, all_words, parse_word, section, word_square
+
+
+def _check_level(level):
+    # before anything is sized by the level
+    if type(level) is not int or level < 0:
+        raise ValueError(f"measure level must be an int >= 0, got {level!r}")
 
 
 @dataclass
@@ -27,6 +33,7 @@ class TileMeasure:
     mass: dict[int, Fraction]
 
     def __post_init__(self):
+        _check_level(self.level)
         if not self.mass:
             raise ValueError("a tile measure needs a nonempty universe")
         for idx, m in self.mass.items():
@@ -43,6 +50,7 @@ class TileMeasure:
     @classmethod
     def uniform(cls, level):
         """Equal mass 10^-level on every tile."""
+        _check_level(level)
         m = Fraction(1, 10**level)
         return cls(level, {i: m for i in range(10**level)})
 
@@ -54,6 +62,7 @@ class TileMeasure:
         sheet of the center-free words).  Tiles off the sheet are not part of
         this measure's universe.
         """
+        _check_level(level)
         if bits is None:
             bits = "0" * level
         m = Fraction(1, 9**level)
@@ -64,6 +73,7 @@ class TileMeasure:
 
     @classmethod
     def dirac(cls, word):
+        word = parse_word(word)
         return cls(len(word), {int(word): Fraction(1)})
 
 
@@ -155,7 +165,7 @@ def tile_doubling_check(measure, graph):
     witness = None
     checked = 0
 
-    for i, j, _t in graph.edges:
+    for i, j in zip(graph.u.tolist(), graph.v.tolist()):
         if i in mass and j in mass:
             a, b = mass[i], mass[j]
             checked += 1
@@ -255,6 +265,7 @@ def blowup_measure(measure, prefix):
     The uniform measure is a fixed point: blowing up uniform at level n+k
     along any prefix of length k gives uniform at level n.
     """
+    prefix = parse_word(prefix)
     k = len(prefix)
     n = measure.level - k
     if n < 1:

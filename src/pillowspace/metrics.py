@@ -23,6 +23,7 @@ from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_s
 from .words import all_words, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; beyond that use rows
+_DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
 EXACT_GROUP_LIMIT = 2**15
 
 _FIXED_ONE = 65536  # 16.16 fixed point in the on-disk format
@@ -106,8 +107,9 @@ class RowMetric:
 def graph_metric(g, mode="dense"):
     """All-pairs hop distances of a replacement graph.
 
-    mode="dense" returns a full MetricMatrix (levels up to 4); mode="rows"
-    returns a RowMetric that computes rows lazily, for any level.
+    mode="dense" returns a full MetricMatrix (levels up to 4), filled from
+    bfs_rows _DENSE_ROWS sources at a time; mode="rows" returns a RowMetric
+    that computes rows lazily, for any level.
     """
     if mode == "rows":
         return RowMetric(g)
@@ -117,23 +119,14 @@ def graph_metric(g, mode="dense"):
         raise CapacityError(
             f"dense metric capped at level {DENSE_LEVEL_LIMIT}; use mode='rows'"
         )
-    u, v, _t = g.edge_arrays()
-    dist = _hop_distances(u, v, g.n_vertices)
-    if np.isinf(dist).any():
-        raise ValueError("graph is disconnected; hop distance is not a metric")
+    n = g.n_vertices
+    dist = np.empty((n, n))
+    for lo in range(0, n, _DENSE_ROWS):
+        rows = bfs_rows(g, range(lo, min(lo + _DENSE_ROWS, n)))
+        if (rows < 0).any():
+            raise ValueError("graph is disconnected; hop distance is not a metric")
+        dist[lo : lo + len(rows)] = rows
     return MetricMatrix(list(g.words), dist)
-
-
-def _hop_distances(u, v, n):
-    """All-pairs hop distances of the undirected edges (u, v) on n vertices."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    ones = np.ones(2 * len(u))
-    adj = csr_matrix(
-        (ones, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
-    )
-    return shortest_path(adj, unweighted=True, directed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +206,17 @@ def blowup_metric(d, prefix, normalization="diameter"):
 def internal_block_metric(g, prefix, normalization="none", reference=None):
     """Blowup of the metric measured inside one prefix block.
 
-    BFS runs on the reference graph's edges, which certification during
+    The metric is the reference graph's, whose edges certification during
     extraction has shown equal to the block's own, so ambient shortcuts around
     the block do not contribute and the result reproduces the smaller graph's
     metric exactly under normalization "none".  The reference is passed on to
-    prefix_subgraph, which builds it when not supplied.
+    prefix_subgraph, which builds it when not supplied.  Blocks above
+    DENSE_LEVEL_LIMIT raise CapacityError, as graph_metric does.
     """
     block = prefix_subgraph(g, prefix, reference)
-    u, v, _t = block.reference.edge_arrays()
-    dist = _hop_distances(u, v, 10**block.level)
-    if np.isinf(dist).any():
-        raise ValueError("block is disconnected; hop distance is not a metric")
-    lam = _normalizer(dist, block.level, normalization)
-    return MetricMatrix(list(block.reference.words), dist / lam)
+    d = graph_metric(block.reference)
+    d.entries /= _normalizer(d.entries, block.level, normalization)  # lam > 0 keeps the axioms
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import arc_csr
+
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 MAX_TOL = 1e-2  # the coarsest relative certificate gap a solve may target
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
@@ -47,14 +49,7 @@ class Network:
         bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
         if bad.size:
             raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
-        # Both directions of every edge grouped by tail: a CSR of arcs
-        # (_arc_indptr, _arc_heads) and the edge id of each arc.
-        tails = np.concatenate([u, v])
-        order = np.argsort(tails, kind="stable")
-        self._arc_heads = np.concatenate([v, u])[order]
-        self._arc_edge = np.tile(np.arange(len(u)), 2)[order]
-        counts = np.bincount(tails, minlength=n)
-        self._arc_indptr = np.concatenate([[0], np.cumsum(counts)])
+        self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(u, v, n)
 
     @property
     def n_edges(self):

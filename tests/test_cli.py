@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from pillowspace import cli
+from pillowspace.graphs import MAX_LEVEL
+from pillowspace.measures import TileMeasure
+
 CLI = [sys.executable, "-m", "pillowspace.cli"]
 
 
@@ -182,6 +186,18 @@ def test_measure_pushforward_total(tmp_path):
     rows = data_rows(out)
     assert len(rows) == 9
     assert sum(Fraction(r["weight"]) for r in rows) == 1
+
+
+@pytest.mark.parametrize("command", ["pushforward", "ratios"])
+@pytest.mark.parametrize("level", [-1, 0, MAX_LEVEL + 1])
+def test_measure_level_is_checked_before_allocation(command, level, monkeypatch, capsys):
+    def refuse(level):
+        raise AssertionError(f"uniform({level}) called with an unchecked level")
+
+    monkeypatch.setattr(TileMeasure, "uniform", refuse)
+    assert cli.main(["measure", command, "--level", str(level)]) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
 
 
 def test_measure_dimension_box(tmp_path):

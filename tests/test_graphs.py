@@ -392,10 +392,27 @@ def test_square_arrays_match_word_square(n):
     assert g.square_y.tolist() == [sq.y for sq in squares]
 
 
+def _scipy_hops(g):
+    """All-pairs hop distances from scipy: a reference independent of bfs_rows."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    u, v, _t = g.edge_arrays()
+    adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(g.n_vertices,) * 2)
+    return shortest_path(adj, unweighted=True, directed=False)
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_graph_metric_matches_shortest_path(n, policy):
+    g = ps.build_graph(n, policy)
+    assert np.array_equal(ps.graph_metric(g).entries, _scipy_hops(g))
+
+
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_bfs_row_matches_shortest_path(policy):
     g = ps.build_graph(3, policy)
-    dense = ps.graph_metric(g).entries  # scipy shortest_path on edge_arrays()
+    dense = _scipy_hops(g)
     for s in range(g.n_vertices):
         assert np.array_equal(G.bfs_row(g, s), dense[s])
 
@@ -410,7 +427,7 @@ def test_bfs_row_cutoff(g3):
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_bfs_rows_batch_matches_shortest_path(policy):
     g = ps.build_graph(3, policy)
-    dense = ps.graph_metric(g).entries  # scipy shortest_path on edge_arrays()
+    dense = _scipy_hops(g)
     starts = list(range(g.n_vertices)) + [0, 555, 555, 999, 0]
     assert np.array_equal(G.bfs_rows(g, starts), dense[starts])
     for r in (0, 1, 5, 12):
@@ -559,9 +576,9 @@ def test_cli_reports_bad_binary_graph_in_one_line(tmp_path, g1, field, value):
     assert "malformed edge" in lines[0]
 
 
-# scipy costs the CLI about 0.3 s of import time; no graph path may load it
+# scipy costs the CLI about 0.3 s of import time; only the modulus solver may load it
 _SCIPY_FREE = """
-import os, sys, tempfile
+import contextlib, io, os, sys, tempfile
 import pillowspace.cli
 import pillowspace as ps
 from pillowspace.graphs import bfs_row, bfs_rows
@@ -582,6 +599,14 @@ ps.pi_diagnostic(g, ps.TileMeasure.uniform(2), 2.0, 5, 1)
 ps.ball_dimension_estimate(g, 3, 1, radii_exponents=[0, 1])
 assert run_suite("sheets", [2]).ok
 assert run_suite("quotient", [2]).ok
+d = ps.graph_metric(g)
+ps.symmetrize(d)
+ps.internal_block_metric(g, "5")
+assert run_suite("self-similar", [2]).ok
+assert run_suite("automorphisms", [2]).ok
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    out = os.path.join(tmp, "sym.bin")
+    assert pillowspace.cli.main(["metric", "symmetrize", "--level", "2", "--out", out]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
 """
 

@@ -23,6 +23,25 @@ def g2():
     return ps.build_graph(2)
 
 
+@pytest.mark.parametrize("word", ["+5", "1_0", " +5", "5a", "-1"])
+def test_measure_words_must_parse(word):
+    # int() used to take these: "+5" was the Dirac mass at tile "05"
+    with pytest.raises(ValueError):
+        TileMeasure.dirac(word)
+    with pytest.raises(ValueError):
+        blowup_measure(TileMeasure.uniform(3), word)
+
+
+@pytest.mark.parametrize("level", [-1, 1.0, "2", None, True])
+def test_measure_level_must_be_a_natural_number(level):
+    with pytest.raises(ValueError):
+        TileMeasure(level, {0: Fraction(1)})
+    with pytest.raises(ValueError):
+        TileMeasure.uniform(level)
+    with pytest.raises(ValueError):
+        TileMeasure.one_sheet(level)
+
+
 def test_uniform_total_and_validation():
     m = TileMeasure.uniform(2)
     assert m.total() == 1

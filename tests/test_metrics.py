@@ -183,6 +183,30 @@ def test_internal_block_reproduces_lower_level(graphs, metrics):
     assert np.array_equal(ib.entries, metrics[1].entries)
 
 
+def _without_vertex(g, x):
+    u, v, t = g.edge_arrays()
+    keep = (u != x) & (v != x)
+    return ReplacementGraph(g.level, g.policy, u[keep], v[keep], t[keep])
+
+
+def test_disconnected_graph_has_no_metric(graphs):
+    g1, g2 = _without_vertex(graphs[1], 5), _without_vertex(graphs[2], 5)
+    with pytest.raises(ValueError, match="disconnected"):
+        graph_metric(g1)
+    # vertex 5 of G_2 is "05", so the block over "0" is the damaged G_1
+    with pytest.raises(ValueError, match="disconnected"):
+        internal_block_metric(g2, "0", reference=g1)
+
+
+def test_internal_block_above_dense_limit(graphs, monkeypatch):
+    import pillowspace.metrics
+
+    monkeypatch.setattr(pillowspace.metrics, "DENSE_LEVEL_LIMIT", 1)
+    assert internal_block_metric(graphs[2], "5").level == 1
+    with pytest.raises(CapacityError):
+        internal_block_metric(graphs[3], "5")
+
+
 def test_ambient_blowup_dominated_by_internal(graphs, metrics):
     for level, prefix in [(2, "1"), (2, "5"), (3, "2"), (3, "55")]:
         amb = blowup_metric(metrics[level], prefix, normalization="none")

@@ -314,6 +314,22 @@ def test_network_validation():
     assert net.n_edges == 2
 
 
+def test_network_arcs_are_the_graph_csr():
+    g = ps.build_graph(2)
+    net = M.Network.from_graph(g)
+    assert np.array_equal(net._arc_indptr, g.indptr)
+    assert np.array_equal(net._arc_heads, g.indices)
+    # each arc's edge joins its tail to its head
+    tails = np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
+    ends = net.ends[net._arc_edge]
+    assert np.array_equal(np.sort(ends, axis=1), np.sort(np.stack([tails, g.indices], 1), axis=1))
+    # multigraph arcs keep parallel edges apart
+    multi = M.Network(3, [(1, 0), (0, 1), (2, 1)])
+    assert multi._arc_indptr.tolist() == [0, 2, 5, 6]
+    assert multi._arc_heads.tolist() == [1, 1, 0, 2, 0, 1]
+    assert multi._arc_edge.tolist() == [0, 1, 1, 2, 0, 2]
+
+
 def test_negative_weights_rejected_by_search():
     net, src, tgt = M.path_network(2)
     with pytest.raises(ValueError):
