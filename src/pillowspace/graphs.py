@@ -30,6 +30,7 @@ from .words import (
     CENTER_LETTERS,
     LETTERS,
     _prefix_states,
+    _square_arrays,
     all_words,
     grid_word_of_square,
     parse_word,
@@ -283,10 +284,11 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
 class ReplacementGraph:
     """Level-n tile graph over the lexicographic words, stored as edge arrays.
 
-    Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1, S=2), sorted by
-    (u, v).  Construction validates the arrays and derives, once, a CSR
-    adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
-    ascending) and the projected squares (square_x, square_y) of all words.
+    Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1, S=2), in strictly
+    increasing order of its key (u*n + v)*3 + t (edge_keys).  Construction
+    validates the arrays and derives, once, a CSR adjacency (neighbours of i
+    are indices[indptr[i]:indptr[i + 1]], ascending) and the projected
+    squares (square_x, square_y) of all words.
     """
 
     level: int
@@ -341,18 +343,28 @@ class ReplacementGraph:
         return self.u, self.v, self.t
 
 
+def edge_keys(u, v, t, n):
+    """One int64 key per typed edge on n vertices: (u*n + v)*3 + t.
+
+    Keys order edges by (u, v, t); a graph's edge arrays are strictly
+    increasing in it.  Exact in int64 up to MAX_LEVEL (below 3 * 10^12).
+    """
+    return (u * n + v) * len(EDGE_TYPES) + t
+
+
 def _check_edges(u, v, t, n):
     """Reject edge arrays that are not a sorted simple edge list on n vertices.
 
     Type codes must name an edge type, every edge must satisfy 0 <= i < j < n,
-    and the (i, j) pairs must increase strictly.
+    and the (i, j) pairs must increase strictly, so the edge keys do too.
     """
-    bad = np.flatnonzero((t >= len(EDGE_TYPES)) | (u < 0) | (u >= v) | (v >= n))
+    bad = np.flatnonzero(
+        (t < 0) | (t >= len(EDGE_TYPES)) | (u < 0) | (u >= v) | (v >= n))
     if bad.size:
         k = bad[0]
         raise ValueError(f"malformed edge ({u[k]}, {v[k]}, {t[k]})")
-    du, dv = np.diff(u), np.diff(v)
-    if ((du < 0) | ((du == 0) & (dv <= 0))).any():
+    # the key without its type: a repeated pair of two types must not pass
+    if (np.diff(edge_keys(u, v, 0, n)) <= 0).any():
         raise ValueError("edge list is not sorted or repeats a pair")
 
 
@@ -367,26 +379,6 @@ def arc_csr(u, v, n):
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     # entry j of [v, u] belongs to edge j mod len(u)
     return indptr, np.concatenate([u, v])[order], order % max(len(u), 1)
-
-
-def _square_arrays(n):
-    """square_x, square_y of all level-n words, in word order.
-
-    The squares over first letter a are a's chart applied to the level-(n-1)
-    squares: shifted into a's cell, mirrored where the chart reverses a
-    coordinate.  The same self-similarity drives build_graph.
-    """
-    xs = ys = np.zeros(1, dtype=np.int64)
-    charts = [_prefix_states(a)[1] for a in ALPHABET]
-    for m in range(1, n + 1):
-        side = 3 ** (m - 1)
-        xs, ys = (
-            np.concatenate([ix * side + (xs if sx > 0 else side - 1 - xs)
-                            for ix, _iy, sx, _sy in charts]),
-            np.concatenate([iy * side + (ys if sy > 0 else side - 1 - ys)
-                            for _ix, iy, _sx, sy in charts]),
-        )
-    return xs, ys
 
 
 def build_graph(n, central_edge_policy="on"):
@@ -425,7 +417,8 @@ def build_graph(n, central_edge_policy="on"):
         u = np.concatenate([(u + offs).ravel(), cu])
         v = np.concatenate([(v + offs).ravel(), cv])
         t = np.concatenate([np.tile(t, 10), ct])
-        order = np.lexsort((v, u))
+        keys = edge_keys(u, v, t, 10 * size)
+        order = np.argsort(keys)
         u, v, t = u[order], v[order], t[order]
 
     g = ReplacementGraph(level=n, policy=central_edge_policy, u=u, v=v, t=t)
@@ -645,14 +638,23 @@ def flip_permutation(g, bits):
 
 
 def is_automorphism(g, perm):
-    """Does the vertex permutation preserve the typed edge set?"""
+    """Does the vertex permutation preserve the typed edge set?
+
+    perm must be a length-n integer array holding each vertex once: an entry
+    out of range could give two edges the same key.  The image edges' keys,
+    sorted once, must equal the graph's own, which are strictly increasing.
+    """
+    n = g.n_vertices
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or perm.shape != (n,):
+        raise ValueError(f"permutation must be an integer array of length {n}")
+    perm = perm.astype(np.int64, copy=False)
+    if perm.min() < 0 or not (np.bincount(perm, minlength=n) == 1).all():
+        raise ValueError(f"permutation must hold each of 0..{n - 1} exactly once")
     u, v, t = g.edge_arrays()
     pu, pv = perm[u], perm[v]
-    lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
-    mapped = np.stack([lo, hi, t], axis=1)
-    orig = np.stack([u, v, t], axis=1)
-    order = np.lexsort((mapped[:, 2], mapped[:, 1], mapped[:, 0]))
-    return bool(np.array_equal(mapped[order], orig))
+    mapped = np.sort(edge_keys(np.minimum(pu, pv), np.maximum(pu, pv), t, n))
+    return bool(np.array_equal(mapped, edge_keys(u, v, t, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Exact tile measures and their singularity diagnostics.
 
-Masses are Fractions keyed by word index.  The dict's key set is the
-measure's universe: absent tiles are outside the measure entirely, while an
-explicit zero entry is a genuine zero-mass tile (the distinction matters for
-the doubling check).  The headline computation is the pushforward to the
-x-axis, whose middle-third weight ratio is exactly 4/10 for the uniform
-measure at every triadic interval: the mechanism behind measure singularity.
+Masses are Fractions (or ints) keyed by integer word index.  The dict's key
+set is the measure's universe: absent tiles are outside the measure entirely,
+while an explicit zero entry is a genuine zero-mass tile (the distinction
+matters for the doubling check).  The headline computation is the
+pushforward to the x-axis, whose middle-third weight ratio is exactly 4/10 for
+the uniform measure at every triadic interval: the mechanism behind measure
+singularity.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
-from .words import GRID_LETTERS, all_words, parse_word, section, word_square
+from .words import GRID_LETTERS, _square_arrays, parse_word, section
 
 
 def _check_level(level):
@@ -37,8 +39,14 @@ class TileMeasure:
         if not self.mass:
             raise ValueError("a tile measure needs a nonempty universe")
         for idx, m in self.mass.items():
+            try:
+                idx = index(idx)  # index, not int: 0.5 is no tile
+            except TypeError:
+                raise ValueError(f"tile index {idx!r} is not an integer") from None
             if not (0 <= idx < 10**self.level):
                 raise ValueError(f"tile index {idx} outside level {self.level}")
+            if not isinstance(m, (Fraction, int)):
+                raise ValueError(f"mass at tile {idx} is not a Fraction or int: {m!r}")
             if m < 0:
                 raise ValueError(f"negative mass at tile {idx}")
         if self.total() <= 0:
@@ -99,10 +107,10 @@ def pushforward_x(measure):
     """Project a tile measure to the x-axis subdivision."""
     n = measure.level
     weights = [Fraction(0)] * 3**n
-    words = all_words(n)
+    xs = _square_arrays(n)[0].tolist()  # x of every tile's square, by index
     for idx, m in measure.mass.items():
         if m:
-            weights[word_square(words[idx]).x] += m
+            weights[xs[idx]] += m
     return IntervalWeights(n, weights)
 
 

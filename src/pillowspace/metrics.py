@@ -56,8 +56,8 @@ class MetricMatrix:
             raise ValueError("diagonal must be zero")
         if not np.array_equal(e, e.T):
             raise ValueError("table must be symmetric")
-        off = e[~np.eye(n, dtype=bool)]
-        if off.size and (off <= 0).any():
+        # the n zeros of the diagonal are the only entries allowed to be <= 0
+        if np.count_nonzero(e <= 0) != n:
             raise ValueError("off-diagonal distances must be positive")
         self._check_triangle()
 

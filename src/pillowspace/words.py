@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 ALPHABET = "0123456789"
 GRID_LETTERS = "123456789"
 CENTER_LETTERS = "50"
@@ -242,6 +244,27 @@ def word_square(word):
     """Exact projected footprint of a word's tile."""
     ix, iy, sx, sy = _prefix_states(word)[-1]
     return TriadicSquare(len(word), ix, iy, sx, sy)
+
+
+def _square_arrays(n):
+    """square_x, square_y of all level-n words, in word order.
+
+    The squares over first letter a are a's chart applied to the level-(n-1)
+    squares: shifted into a's cell, mirrored where the chart reverses a
+    coordinate.  The same self-similarity drives graphs.build_graph; this
+    is the one array form of word_square.
+    """
+    xs = ys = np.zeros(1, dtype=np.int64)
+    charts = [_prefix_states(a)[1] for a in ALPHABET]
+    for m in range(1, n + 1):
+        side = 3 ** (m - 1)
+        xs, ys = (
+            np.concatenate([ix * side + (xs if sx > 0 else side - 1 - xs)
+                            for ix, _iy, sx, _sy in charts]),
+            np.concatenate([iy * side + (ys if sy > 0 else side - 1 - ys)
+                            for _ix, iy, _sx, sy in charts]),
+        )
+    return xs, ys
 
 
 def grid_word_of_square(level, x, y):

@@ -1,5 +1,6 @@
 """Tests for adjacency, the chain oracle, graph construction, and IO."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import pillowspace as ps
 from pillowspace import graphs as G
-from pillowspace.words import all_words
+from pillowspace.words import LETTERS, all_words, letter_at
 
 # edge counts pinned after the first oracle-verified builds
 PINNED_EDGES = {(1, "on"): 17, (1, "off"): 16, (2, "on"): 226, (2, "off"): 216,
@@ -251,6 +252,83 @@ def test_non_automorphism_detected(g1):
     perm = np.arange(10)
     perm[1], perm[5] = 5, 1  # swapping a corner with the center breaks edges
     assert not ps.is_automorphism(g1, perm)
+
+
+@functools.cache
+def _graph(n, policy):
+    return ps.build_graph(n, policy)
+
+
+def _slow_is_automorphism(g, perm, typed=True):
+    """Independent check: map the set of (min, max, type) tuples through perm."""
+    p = [int(x) for x in perm]
+    edges = {(i, j, t if typed else None) for i, j, t in g.edges}
+    return {(min(p[i], p[j]), max(p[i], p[j]), t) for i, j, t in edges} == edges
+
+
+def _transpose_permutation(g):
+    """Letter-wise transpose: (col, row) becomes (row, col), '0' stays."""
+    swap = {c: letter_at(let.grid_row, let.grid_col)
+            for c, let in LETTERS.items() if c != "0"}
+    swap["0"] = "0"
+    return np.array([int("".join(map(swap.get, w))) for w in g.words])
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_automorphism_matches_slow_path(n, policy):
+    g = _graph(n, policy)
+    size = g.n_vertices
+    rng = np.random.default_rng(10 * n + (policy == "on"))
+    perms = [ps.flip_permutation(g, "".join(bits))
+             for bits in itertools.product("01", repeat=n)]
+    perms += [rng.permutation(size) for _ in range(5)]
+    for _ in range(10):
+        perm = np.arange(size)
+        i, j = rng.choice(size, 2, replace=False)
+        perm[[i, j]] = perm[[j, i]]
+        perms.append(perm)
+    answers = [ps.is_automorphism(g, perm) for perm in perms]
+    assert answers == [_slow_is_automorphism(g, perm) for perm in perms]
+    assert all(answers[: 2**n])  # every flip
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transpose_swaps_edge_types(n, policy):
+    # an automorphism of the untyped graph that swaps H and V: only the type
+    # code can reject it
+    g = _graph(n, policy)
+    perm = _transpose_permutation(g)
+    assert _slow_is_automorphism(g, perm, typed=False)
+    assert not _slow_is_automorphism(g, perm)
+    assert not ps.is_automorphism(g, perm)
+
+
+@pytest.mark.parametrize("case", ["short", "negative", "repeated", "float"])
+def test_is_automorphism_rejects_non_permutations(g1, case):
+    perm = np.arange(10)
+    if case == "short":
+        perm = perm[:9]
+    elif case == "negative":
+        perm[9] = -1  # used to wrap silently
+    elif case == "repeated":
+        perm[0] = 1
+    else:
+        perm = perm.astype(float)
+    with pytest.raises(ValueError):
+        ps.is_automorphism(g1, perm)
+    assert ps.is_automorphism(g1, list(range(10)))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, -1)],  # a negative type code was accepted
+    [(0, 1, 0), (0, 1, 1)],  # increasing in the typed key, but one pair twice
+])
+def test_construction_rejects_bad_type_or_repeated_pair(edges):
+    u, v, t = np.array(edges).T
+    with pytest.raises(ValueError):
+        ps.ReplacementGraph(level=1, policy="on", u=u, v=v, t=t)
 
 
 def test_prefix_subgraph_all_prefixes_level_3(g3, g2, g1):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pillowspace as ps
@@ -16,6 +17,7 @@ from pillowspace.measures import (
     pushforward_x,
     tile_doubling_check,
 )
+from pillowspace.words import all_words
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,32 @@ def test_uniform_total_and_validation():
         TileMeasure(1, {0: Fraction(0)})
     with pytest.raises(ValueError):
         TileMeasure(1, {10: Fraction(1)})
+
+
+@pytest.mark.parametrize("mass", [
+    {0.5: Fraction(1), 2: Fraction(1)},  # pushforward_x raised TypeError on it
+    {"3": Fraction(1)},
+    {3: 1.5},  # had a float total
+    {3: Fraction(1), 4: 0.25},
+])
+def test_measure_keys_are_indices_and_masses_exact(mass):
+    with pytest.raises(ValueError):
+        TileMeasure(1, mass)
+
+
+def test_measure_accepts_int_masses_and_index_keys():
+    m = TileMeasure(1, {np.int64(3): 1, 4: Fraction(1, 2)})
+    assert m.total() == Fraction(3, 2)
+    assert pushforward_x(m).total() == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("make", [TileMeasure.uniform, TileMeasure.one_sheet])
+def test_pushforward_matches_word_squares(make):
+    m = make(3)
+    weights = [Fraction(0)] * 27
+    for idx, w in enumerate(all_words(3)):
+        weights[ps.word_square(w).x] += m.mass.get(idx, 0)
+    assert pushforward_x(m).weights == weights
 
 
 def test_pushforward_level_one():
