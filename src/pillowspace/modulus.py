@@ -10,8 +10,8 @@ Mod_p >= (sum |g|^q)^-(p-1) with q = p/(p-1), and Mod_1 >= 1 / max |g|.
 
 For p > 1 both come from one p-harmonic potential phi (0 on the source side,
 1 on the target side): rho = |dphi|, and the flow |dphi|^(p-2) dphi with its
-small interior divergence removed by one Laplacian solve.  At p = 1
-a maximum flow gives the lower bound and its minimum cut the 0/1 density.
+small interior divergence routed to the boundary along a BFS forest, no solve.
+At p = 1 a maximum flow gives the lower bound and its minimum cut the 0/1 density.
 Each bound is checked on its own, not taken from a solver; when the
 potential is exact they may cross by a few ulps, and are not clamped.
 
@@ -22,7 +22,6 @@ and the Laplacian Dirichlet problem (p=2 is the effective conductance).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,9 @@ class ModulusResult:
     """Two-sided certificate: density is admissible (every crossing has
     length >= 1) with sum(density^p) = value_upper; flow is a unit source-to-
     target flow, signed along the rows of ends, whose q-energy gives
-    value_lower; active_paths holds a shortest crossing under density."""
+    value_lower; active_paths holds a shortest crossing under density; stop is
+    "exact" (p = 1, p = 2) or why IRLS ended: its normal "stalled", whether or
+    not the bounds meet, "iteration cap" or "non-finite solve"."""
 
     value_lower: float
     value_upper: float
@@ -146,6 +147,7 @@ class ModulusResult:
     iterations: int = 0
     converged: bool = False
     flow: np.ndarray | None = field(repr=False, default=None)
+    stop: str = "exact"
 
     @property
     def value(self):
@@ -192,9 +194,9 @@ def solve_modulus(problem):
     if p == 1.0:
         flow, reach = _max_flow(net, problem.source, problem.target)
         rho = (reach[eu] != reach[ew]).astype(float)  # the minimum cut
-        iterations = 1
+        iterations, stop = 1, "exact"
     else:
-        phi, iterations = _p_harmonic_potential(net, boundary, p, problem.max_iterations)
+        phi, (iterations, stop) = _p_harmonic_potential(net, boundary, p, problem.max_iterations)
         dphi = phi[ew] - phi[eu]
         rho = np.abs(dphi)
         # The flow |dphi|^(p-2) dphi, smoothed as in the last IRLS pass: the
@@ -206,15 +208,11 @@ def solve_modulus(problem):
     density = rho / length
     upper = float(np.power(density, p).sum())
 
-    # Lower bound: cancel the interior divergence, then normalise by the net
-    # flux out of the source side.
+    # Lower bound: route the interior divergence to the boundary, then
+    # normalise by the net flux out of the source side.
     n = net.n_vertices
+    flow = _route_to_boundary(net, boundary, flow)
     div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
-    interior = ~np.isin(np.arange(n), list(boundary))
-    if div[interior].any():  # a maximum flow is already conserved exactly
-        psi = _dirichlet_solve(net, dict.fromkeys(boundary, 0.0), load=div)
-        flow = flow - (psi[eu] - psi[ew])
-        div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
     flux = math.fsum(div[sorted(problem.source)])
     lower = 0.0
     if flux > 0.0:
@@ -224,7 +222,33 @@ def solve_modulus(problem):
         else:
             lower = float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p)
     converged = bool(upper <= (1.0 + 5.0 * problem.tolerance) * lower)
-    return ModulusResult(lower, upper, density, [vpath], iterations, converged, flow)
+    return ModulusResult(lower, upper, density, [vpath], iterations, converged, flow, stop)
+
+
+def _route_to_boundary(net, boundary, flow):
+    """The flow with its divergence at every vertex off the boundary pushed
+    to the boundary: along a BFS forest rooted at the boundary vertices, each
+    vertex hands its excess to its parent, deepest level first.  A flow that
+    is already conserved comes back unchanged."""
+    from scipy.sparse.csgraph import dijkstra
+
+    n, (eu, ew) = net.n_vertices, net.ends.T
+    div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
+    div[list(boundary)] = 0.0
+    if not div.any():
+        return flow
+    depth, parent, _ = dijkstra(_arc_matrix(net, np.ones(net.n_edges)), indices=sorted(boundary),
+                                unweighted=True, min_only=True, return_predecessors=True)
+    reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
+    reached = reached[np.argsort(-depth[reached], kind="stable")]  # deepest first
+    for level in np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1):
+        div += np.bincount(parent[level], div[level], n)
+    # Each vertex's excess crosses its tree edge, the first arc to its parent.
+    tails = np.repeat(np.arange(n), np.diff(net._arc_indptr))
+    arcs = np.flatnonzero(parent[tails] == net._arc_heads)
+    v, first = np.unique(tails[arcs], return_index=True)
+    e = net._arc_edge[arcs[first]]
+    return flow + np.bincount(e, np.where(eu[e] == v, -div[v], div[v]), len(flow))
 
 
 def _boundary(net, source, target):
@@ -268,56 +292,82 @@ def _max_flow(net, source, target):
     return per_pair / np.asarray(cap[eu, ew], dtype=float).ravel(), reach
 
 
-def _dirichlet_solve(net, fixed_value, weights=None, load=None):
-    """Weighted-Laplacian potential with the given vertices held fixed:
-    solves (L phi)_v = load_v (zero by default) at every free vertex.  Rows
-    for free vertices carrying zero total weight come back non-finite, which
-    callers treat as a failed pass."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.linalg import spsolve
+class _Laplacian:
+    """Weighted Laplacian over the free vertices, the fixed ones entering as
+    Dirichlet data; .solve(weights) returns the potential harmonic at every
+    free vertex, or a non-finite one when the matrix is exactly singular.
+    Each solve refills one CSC pattern.  Once every component touches a fixed
+    vertex the matrix is symmetric positive definite, so diagonal pivots are
+    safe; the first factorisation picks a fill-reducing order, the pattern is
+    relabelled by it, and later factorisations keep it as is."""
 
-    phi = np.zeros(net.n_vertices)
-    phi[list(fixed_value)] = list(fixed_value.values())
-    free = np.setdiff1d(np.arange(net.n_vertices), list(fixed_value))
-    if not len(free) or not net.n_edges:
+    def __init__(self, net, fixed_value):
+        self.net, self.phi = net, np.zeros(net.n_vertices)
+        self.phi[list(fixed_value)] = list(fixed_value.values())
+        self.free = np.setdiff1d(np.arange(net.n_vertices), list(fixed_value))
+        self.order, self.relabel = "MMD_AT_PLUS_A", np.arange(len(self.free))
+
+    def _pattern(self):
+        """Entries with free vertex free[i] at row and column relabel[i]."""
+        (k, m), ev = (len(self.free), self.net.n_edges), self.net.ends
+        self.label, self.relabel = self.relabel, None
+        col = np.full(self.net.n_vertices, -1, dtype=np.int64)
+        col[self.free] = self.label
+        cu, cw = col[ev[:, 0]], col[ev[:, 1]]
+        rows, cols = np.concatenate([cu, cw, cu, cw]), np.concatenate([cu, cw, cw, cu])
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self.edge, self.sign = keep % m, np.where(keep < 2 * m, 1.0, -1.0)
+        keys, self.slot = np.unique(cols[keep] * k + rows[keep], return_inverse=True)
+        self.indices = keys % k
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
+        # An edge with one end fixed adds w * phi(fixed end) to the free row.
+        row, far = rows[:2 * m], np.concatenate([ev[:, 1], ev[:, 0]])
+        b = np.flatnonzero((row >= 0) & (col[far] < 0))
+        self.rhs = (row[b], b % m, self.phi[far[b]])
+
+    def solve(self, weights=None):
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        phi, k, m = self.phi.copy(), len(self.free), self.net.n_edges
+        if not k or not m:
+            return phi
+        if self.relabel is not None:
+            self._pattern()
+        w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+        data = np.bincount(self.slot, w[self.edge] * self.sign, len(self.indices))
+        lap = csc_matrix((data, self.indices, self.indptr), shape=(k, k))
+        try:
+            lu = splu(lap, permc_spec=self.order, diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular
+            phi[self.free] = np.nan
+            return phi
+        if self.order != "NATURAL":
+            self.order, self.relabel = "NATURAL", lu.perm_c[self.label]
+        row, e, far = self.rhs
+        phi[self.free] = lu.solve(np.bincount(row, w[e] * far, k))[self.label]
         return phi
-    col = np.full(net.n_vertices, -1, dtype=np.int64)
-    col[free] = np.arange(len(free))
-    ev = net.ends
-    w = np.ones(len(ev)) if weights is None else np.asarray(weights, dtype=float)
-    cu, cw = col[ev[:, 0]], col[ev[:, 1]]
-    fu, fw = cu >= 0, cw >= 0
-    both = fu & fw
-    rows = np.concatenate([cu[fu], cw[fw], cu[both], cw[both]])
-    cols = np.concatenate([cu[fu], cw[fw], cw[both], cu[both]])
-    data = np.concatenate([w[fu], w[fw], -w[both], -w[both]])
-    lap = coo_matrix((data, (rows, cols)), shape=(len(free), len(free))).tocsr()
-    rhs = np.zeros(len(free)) if load is None else np.asarray(load, dtype=float)[free]
-    bu = fu & ~fw
-    np.add.at(rhs, cu[bu], w[bu] * phi[ev[bu, 1]])
-    bw = fw & ~fu
-    np.add.at(rhs, cw[bw], w[bw] * phi[ev[bw, 0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # singular rows surface as non-finite
-        phi[free] = spsolve(lap, rhs)
-    return phi
 
 
 def _p_harmonic_potential(net, boundary, p, max_iters=300):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed on boundary
-    (vertex -> value); returns (phi, passes).
+    (vertex -> value); returns (phi, (passes, stop reason)).
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
     problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed with
-    the smoothing driven to zero, and moves to the best of a few halvings of
+    the smoothing driven to zero, and moves to the best of a few scalings of
     that step.  Any potential respecting the boundary keeps both certificates
     valid, so partial convergence costs tightness, never correctness.
     """
-    phi = np.zeros(net.n_vertices)
-    phi[list(boundary)] = list(boundary.values())
-    if len(boundary) == net.n_vertices or not net.n_edges:
-        return phi, 0
+    lap = _Laplacian(net, boundary)
+    phi = lap.phi.copy()
+    if not len(lap.free) or not net.n_edges:
+        return phi, (0, "exact")
     eu, ew = net.ends.T
+    # As eps -> 0 the IRLS step is p - 1 times the Newton step, so for p > 9
+    # every halving overshoots; the Newton scale 1/(p-1) does not.
+    ladder = (1.0, 0.5, 0.25, 0.125) + ((1 / (p - 1), 0.5 / (p - 1)) if p > 2.0 else ()) + (0.0,)
 
     # Electrical start (p = 2 solves exactly in the first pass).
     eps = 1.0
@@ -325,31 +375,31 @@ def _p_harmonic_potential(net, boundary, p, max_iters=300):
     for iters in range(1, max_iters + 1):
         dphi = phi[eu] - phi[ew]
         w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
-        phi_new = _dirichlet_solve(net, boundary, w)
+        phi_new = lap.solve(w)
         if not np.all(np.isfinite(phi_new)):
-            break
+            return phi, (iters, "non-finite solve")
         np.clip(phi_new, 0.0, 1.0, out=phi_new)
         if p == 2.0:
-            return phi_new, iters
+            return phi_new, (iters, "exact")
 
         def smoothed(ph):
             d2 = np.square(ph[eu] - ph[ew])
             return float(np.power(d2 + eps * eps, 0.5 * p).sum())
 
-        # The solve points downhill for the smoothed energy, so some halving
+        # The solve points downhill for the smoothed energy, so some scaling
         # lowers it.  Taking the first that does not raise it let phi swing
         # between two states above the optimum; the best of them does not.
         step = phi_new - phi
-        trials = [(smoothed(phi + s * step), s) for s in (1.0, 0.5, 0.25, 0.125, 0.0)]
+        trials = [(smoothed(phi + s * step), s) for s in ladder]
         e_new, scale = min(trials, key=lambda t: t[0])
         e_prev = trials[-1][0]
         phi = phi + scale * step
         moved = float(np.abs(step).max()) * scale
         stalled = moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
         if eps <= EPS_FLOOR and stalled:
-            break
+            return phi, (iters, "stalled")
         eps = max(eps * 0.25, EPS_FLOOR)
-    return phi, iters
+    return phi, (iters, "iteration cap")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +467,7 @@ def effective_conductance(net, source, target):
         raise ValueError("source and target must be disjoint")
     boundary = {x: 0.0 for x in source}
     boundary.update({x: 1.0 for x in target})
-    potential = _dirichlet_solve(net, boundary)
+    potential = _Laplacian(net, boundary).solve()
     drop = potential[net.ends[:, 0]] - potential[net.ends[:, 1]]
     return float((drop**2).sum())
 

@@ -436,3 +436,102 @@ def test_potential_line_search_reaches_the_optimum(crossing):
     ev = net.ends
     energy = float(np.power(np.abs(phi[ev[:, 0]] - phi[ev[:, 1]]), 3.0).sum())
     assert abs(energy - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# large exponents, stop reasons and the slow-path cross-checks
+
+
+@pytest.mark.parametrize("n,p", [(1, 20.0), (1, 64.0), (2, 20.0), (2, 64.0),
+                                 (3, 12.0), (3, 20.0), (3, 64.0)])
+def test_large_exponents_certify(crossing, n, p):
+    # the ladder {1, 1/2, 1/4, 1/8} alone froze phi for p > 9: the IRLS step
+    # is p - 1 Newton steps, and each of those scalings raised the energy
+    net, src, tgt = crossing[n]
+    res = solve(net, src, tgt, p)
+    assert res.converged and res.stop == "stalled"
+    assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
+
+
+def test_stop_reason_says_why_the_solve_ended(crossing):
+    net, src, tgt = crossing[2]
+    assert solve(net, src, tgt, 1.0).stop == "exact"
+    assert solve(net, src, tgt, 2.0).stop == "exact"
+    assert solve(net, src, tgt, 3.0).stop == "stalled"
+    capped = solve(net, src, tgt, 3.0, max_iterations=1)
+    assert capped.stop == "iteration cap" and capped.iterations == 1
+    assert not capped.converged
+
+
+def reference_dirichlet(net, fixed_value, weights):
+    """COO assembly and a general sparse solve, one entry per edge end."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    phi = np.zeros(net.n_vertices)
+    for v, x in fixed_value.items():
+        phi[v] = x
+    free = [v for v in range(net.n_vertices) if v not in fixed_value]
+    col = {v: i for i, v in enumerate(free)}
+    entries, rhs = [], np.zeros(len(free))
+    for (u, v), w in zip(net.ends.tolist(), weights):
+        for a, b in ((u, v), (v, u)):
+            if a not in col:
+                continue
+            entries.append((col[a], col[a], w))
+            if b in col:
+                entries.append((col[a], col[b], -w))
+            else:
+                rhs[col[a]] += w * phi[b]
+    rows, cols, data = zip(*entries)
+    lap = coo_matrix((data, (rows, cols)), shape=(len(free), len(free))).tocsr()
+    phi[free] = spsolve(lap, rhs)
+    return phi
+
+
+def small_multigraph():
+    # a doubled edge, a tripled one, a fixed end on either side of an edge row
+    # and a triangle touching neither side
+    edges = [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3), (1, 3), (3, 4), (4, 1), (5, 6),
+             (6, 7), (7, 5)]
+    return M.Network(8, edges), frozenset({0}), frozenset({4})
+
+
+@pytest.mark.parametrize("case", [2, 3, "multigraph"])
+def test_laplacian_matches_a_general_sparse_solve(crossing, case):
+    net, src, tgt = small_multigraph() if case == "multigraph" else crossing[case]
+    rng = np.random.default_rng(11)
+    fixed = {v: rng.uniform() for v in M._boundary(net, src, tgt)[0]}
+    lap = M._Laplacian(net, fixed)
+    # the first solve orders the pattern, the later ones reuse it relabelled
+    for weights in (rng.uniform(0.1, 2.0, net.n_edges), rng.uniform(1e-3, 1.0, net.n_edges),
+                    np.ones(net.n_edges)):
+        phi = lap.solve(weights)
+        want = reference_dirichlet(net, fixed, weights)
+        assert np.abs(phi - want).max() <= 1e-10
+    assert lap.order == "NATURAL"
+
+
+def divergence(net, flow):
+    (u, v), n = net.ends.T, net.n_vertices
+    return np.bincount(u, flow, n) - np.bincount(v, flow, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
+    net, src, tgt = crossing[n]
+    fixed, _ = M._boundary(net, src, tgt)
+    rng = np.random.default_rng(n)
+    phi = M._Laplacian(net, fixed).solve(rng.uniform(0.1, 2.0, net.n_edges))
+    flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
+    routed = M._route_to_boundary(net, fixed, flow)
+    interior = np.setdiff1d(np.arange(net.n_vertices), list(fixed))
+    assert np.abs(divergence(net, flow)[interior]).max() > 1e-3
+    assert np.abs(divergence(net, routed)[interior]).max() <= 1e-12 * np.abs(routed).max()
+
+
+def test_routing_leaves_a_maximum_flow_unchanged(crossing):
+    net, src, tgt = crossing[3]
+    fixed, _ = M._boundary(net, src, tgt)
+    flow, _ = M._max_flow(net, src, tgt)
+    assert M._route_to_boundary(net, fixed, flow) is flow
