@@ -2,10 +2,14 @@
 plot-ready tables.
 
 Exit codes: 0 pass, 1 invariant or I/O failure, 2 numerical non-convergence,
-64 usage error.  Every command prints a JSON report to stdout embedding the
-tool version, the resolved config, content hashes of inputs and outputs, the
-seed, and wall-clock seconds.  Output files are byte-identical across reruns
-with the same flags: they embed config and hashes but never timing.
+64 usage error (a capacity limit counts as one).  Each handler returns its exit
+code, its report fields and a writer for its one output file; main alone
+writes that file to --out and hashes it.  Every command prints a JSON report to
+stdout embedding the tool version, the resolved config, content hashes of
+inputs and outputs, the seed, wall-clock seconds and a profile block that
+splits them into handler and write seconds.  Output files are byte-identical
+across reruns with the same flags: they embed config and hashes but never
+timing.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 from dataclasses import asdict
@@ -116,10 +121,17 @@ def _write_csv(path, config, hashes, seed, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path, body):
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+def _csv(config, hashes, seed, header, rows):
+    return lambda path: _write_csv(path, config, hashes, seed, header, rows)
+
+
+def _json(body):
+    def write(path):
+        with open(path, "w") as fh:
+            json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
+
+    return write
 
 
 def _parse_levels(text):
@@ -192,7 +204,8 @@ def _metric_from_args(args, level_attr="level"):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, report_fields)
+# command handlers: each returns (exit_code, report_fields, write), where
+# write(path) writes the command's one output file; main calls it for --out
 
 
 def _cmd_build(args):
@@ -200,17 +213,12 @@ def _cmd_build(args):
         raise UsageError("level must be >= 1")
     g = build_graph(args.level, args.policy)
     fmt = args.format or ("binary" if args.out.endswith(".bin") else "json")
-    if fmt == "binary":
-        write_graph_binary(g, args.out)
-    else:
-        write_graph_json(g, args.out)
-    summary = f"{g.n_vertices} vertices, {g.n_edges} edges"
+    writer = write_graph_binary if fmt == "binary" else write_graph_json
     return EXIT_OK, {
-        "summary": summary,
+        "summary": f"{g.n_vertices} vertices, {g.n_edges} edges",
         "vertices": g.n_vertices,
         "edges": g.n_edges,
-        "outputs": {args.out: _sha256(args.out)},
-    }
+    }, lambda path: writer(g, path)
 
 
 def _cmd_verify(args):
@@ -221,23 +229,16 @@ def _cmd_verify(args):
     levels = _parse_levels(args.levels) if args.levels else None
     if not 0 < args.tol <= MAX_TOL:  # also rejects nan
         raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {args.tol}")
-    try:
-        rep = run_suite(
-            args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
-        )
-    except CapacityError as exc:
-        raise UsageError(str(exc))
-    outputs = {}
-    if args.out:
-        _write_json(args.out, rep.to_dict())
-        outputs[args.out] = _sha256(args.out)
-    code = EXIT_OK if rep.ok else EXIT_FAIL
+    rep = run_suite(
+        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
+    )
+    body = rep.to_dict()
     word = "pass" if rep.ok else "FAIL"
+    code = EXIT_OK if rep.ok else EXIT_FAIL
     return code, {
         "summary": f"suite {args.suite} levels {rep.levels}: {word}",
-        "report": rep.to_dict(),
-        "outputs": outputs,
-    }
+        "report": body,
+    }, _json(body)
 
 
 def _cmd_modulus(args):
@@ -253,10 +254,11 @@ def _cmd_modulus(args):
     net = Network.from_graph(g)
     src = frozenset(boundary_face(g, sides[0]))
     tgt = frozenset(boundary_face(g, sides[1]))
-    rows, all_converged = [], True
+    rows, stops, all_converged = [], [], True
     for p in p_grid:
         res = solve_modulus(ModulusProblem(net, src, tgt, p, args.tol))
         all_converged &= bool(res.converged)
+        stops.append(res.stop)
         rows.append(
             (
                 g.level,
@@ -276,25 +278,16 @@ def _cmd_modulus(args):
         "tol": args.tol,
         "policy": g.policy,
     }
-    outputs = {}
-    if args.out:
-        _write_csv(
-            args.out,
-            config,
-            hashes,
-            None,
-            ["level", "p", "value_lower", "value_upper", "value", "gap", "iterations", "converged"],
-            rows,
-        )
-        outputs[args.out] = _sha256(args.out)
+    header = ["level", "p", "value_lower", "value_upper", "value", "gap",
+              "iterations", "converged"]
     code = EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
     return code, {
         "summary": f"{len(rows)} exponents on level {g.level}, "
         + ("all converged" if all_converged else "NON-CONVERGED rows present"),
         "rows": [list(r) for r in rows],
+        "stop": stops,
         "input_sha256": hashes,
-        "outputs": outputs,
-    }
+    }, _csv(config, hashes, None, header, rows)
 
 
 def _cmd_measure_pushforward(args):
@@ -304,34 +297,20 @@ def _cmd_measure_pushforward(args):
         (i, Fraction(i, denom), Fraction(i + 1, denom), weight)
         for i, weight in enumerate(w.weights)
     ]
-    config = {"level": args.level}
-    outputs = {}
-    if args.out:
-        _write_csv(args.out, config, {}, None, ["index", "left", "right", "weight"], rows)
-        outputs[args.out] = _sha256(args.out)
     return EXIT_OK, {
         "summary": f"{len(rows)} intervals at level {args.level}, total {w.total()}",
-        "outputs": outputs,
-    }
+    }, _csv({"level": args.level}, {}, None, ["index", "left", "right", "weight"], rows)
 
 
 def _cmd_measure_ratios(args):
     uniform = TileMeasure.uniform(_measure_level(args))
     rows, skipped = middle_third_ratios(pushforward_x(uniform))
     table = [(r.level, r.index, r.weight, r.ratio) for r in rows]
-    config = {"level": args.level}
-    outputs = {}
-    if args.out:
-        _write_csv(
-            args.out, config, {}, None, ["level", "index", "weight", "ratio"], table
-        )
-        outputs[args.out] = _sha256(args.out)
     distinct = sorted({str(r.ratio) for r in rows})
     return EXIT_OK, {
         "summary": f"{len(rows)} intervals, ratios {distinct}, skipped {len(skipped)}",
         "distinct_ratios": distinct,
-        "outputs": outputs,
-    }
+    }, _csv({"level": args.level}, {}, None, ["level", "index", "weight", "ratio"], table)
 
 
 def _cmd_measure_dimension(args):
@@ -353,19 +332,14 @@ def _cmd_measure_dimension(args):
             "samples": args.samples,
             "policy": args.policy,
         }
-    outputs = {}
-    if args.out:
-        rows = [(v, x, c) for v, x, c in fit.rows]
-        rows.append(("estimate", "", repr(fit.estimate)))
-        rows.append(("residual", "", repr(fit.residual)))
-        _write_csv(args.out, config, {}, seed, ["variant", "scale", "count"], rows)
-        outputs[args.out] = _sha256(args.out)
+    rows = [(v, x, c) for v, x, c in fit.rows]
+    rows.append(("estimate", "", repr(fit.estimate)))
+    rows.append(("residual", "", repr(fit.residual)))
     return EXIT_OK, {
         "summary": f"dimension estimate {fit.estimate:.6f} (residual {fit.residual:.2e})",
         "estimate": fit.estimate,
         "residual": fit.residual,
-        "outputs": outputs,
-    }
+    }, _csv(config, {}, seed, ["variant", "scale", "count"], rows)
 
 
 def _cmd_metric_symmetrize(args):
@@ -377,15 +351,13 @@ def _cmd_metric_symmetrize(args):
         seed = None
     d, hashes = _metric_from_args(args)
     s = symmetrize(d, mode=args.mode, samples=args.samples, seed=seed)
-    write_metric_matrix(s, args.out)
     fixed = bool(np.array_equal(s.entries, d.entries))
     return EXIT_OK, {
         "summary": f"symmetrized level-{d.level} metric ({args.mode}); "
         + ("input was already invariant" if fixed else "input changed"),
         "fixed_point": fixed,
         "input_sha256": hashes,
-        "outputs": {args.out: _sha256(args.out)},
-    }
+    }, lambda path: write_metric_matrix(s, path)
 
 
 def _cmd_metric_blowup(args):
@@ -394,23 +366,18 @@ def _cmd_metric_blowup(args):
     if args.mode == "internal":
         if args.level_from is None:
             raise UsageError("internal mode needs --level-from")
-        g = build_graph(args.level_from, args.policy)
-        try:
-            b = internal_block_metric(g, args.prefix, normalization=norm)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        blow, base = internal_block_metric, build_graph(args.level_from, args.policy)
     else:
-        d, hashes = _metric_from_args(args, level_attr="level_from")
-        try:
-            b = blowup_metric(d, args.prefix, normalization=norm)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    write_metric_matrix(b, args.out)
+        blow = blowup_metric
+        base, hashes = _metric_from_args(args, level_attr="level_from")
+    try:
+        b = blow(base, args.prefix, normalization=norm)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return EXIT_OK, {
         "summary": f"blowup over prefix {args.prefix!r} to level {b.level} ({args.mode})",
         "input_sha256": hashes,
-        "outputs": {args.out: _sha256(args.out)},
-    }
+    }, lambda path: write_metric_matrix(b, path)
 
 
 def _cmd_metric_distortion(args):
@@ -422,56 +389,34 @@ def _cmd_metric_distortion(args):
     config = {"in1": args.in1, "in2": args.in2, "samples": args.samples}
     rows = [("forward", *r) for r in prof.rows()]
     rows += [("inverse", *r) for r in prof.inverse.rows()]
-    outputs = {}
-    if args.out:
-        _write_csv(
-            args.out,
-            config,
-            hashes,
-            seed,
-            ["direction", "bin_low", "bin_high", "count", "max_ratio", "envelope"],
-            rows,
-        )
-        outputs[args.out] = _sha256(args.out)
+    header = ["direction", "bin_low", "bin_high", "count", "max_ratio", "envelope"]
     return EXIT_OK, {
         "summary": f"profile over {prof.samples_used} triples "
         f"({prof.samples_skipped} degenerate skipped)",
         "input_sha256": hashes,
-        "outputs": outputs,
-    }
+    }, _csv(config, hashes, seed, header, rows)
 
 
 def _cmd_metric_quotient_check(args):
-    try:
-        rep = lipschitz_quotient_check(build_graph(args.level, args.policy))
-    except CapacityError as exc:
-        raise UsageError(str(exc))
-    outputs = {}
-    if args.out:
-        _write_json(args.out, asdict(rep))
-        outputs[args.out] = _sha256(args.out)
+    rep = lipschitz_quotient_check(build_graph(args.level, args.policy))
+    body = asdict(rep)
     code = EXIT_OK if rep.ok else EXIT_FAIL
     return code, {
         "summary": f"ball images at level {args.level}: {'pass' if rep.ok else 'FAIL'}",
-        "report": asdict(rep),
-        "outputs": outputs,
-    }
+        "report": body,
+    }, _json(body)
 
 
 def _cmd_metric_cover_check(args):
     g = build_graph(args.level, args.policy)
     side = 3**args.level
     if args.samples is not None:
-        seed = _require_seed(args)
-        import random as _random
-
-        rng = _random.Random(seed)
+        rng = random.Random(_require_seed(args))
         cases = [
             ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
             for _ in range(args.samples)
         ]
     else:
-        seed = args.seed
         if args.center is None or args.radius is None:
             raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
         try:
@@ -494,17 +439,12 @@ def _cmd_metric_cover_check(args):
         "worst_overlap": worst,
         "ok": ok,
     }
-    outputs = {}
-    if args.out:
-        _write_json(args.out, body)
-        outputs[args.out] = _sha256(args.out)
     code = EXIT_OK if ok else EXIT_FAIL
     return code, {
         "summary": f"{len(reports)} ball(s) at level {args.level}: "
         + ("pass" if ok else "FAIL") + f", worst overlap {worst}",
         "report": body,
-        "outputs": outputs,
-    }
+    }, _json(body)
 
 
 def _cmd_metric_pi_diagnostic(args):
@@ -521,23 +461,12 @@ def _cmd_metric_pi_diagnostic(args):
         "trials": args.trials,
         "policy": args.policy,
     }
-    outputs = {}
-    if args.out:
-        _write_csv(
-            args.out,
-            config,
-            {},
-            seed,
-            ["function", "center", "radius", "lhs", "rhs", "ratio"],
-            rep.rows,
-        )
-        outputs[args.out] = _sha256(args.out)
+    header = ["function", "center", "radius", "lhs", "rhs", "ratio"]
     return EXIT_OK, {
         "summary": f"worst ratio {rep.worst_ratio:.6f} over {rep.trials} trials",
         "worst_ratio": rep.worst_ratio,
         "worst_case": rep.worst_case,
-        "outputs": outputs,
-    }
+    }, _csv(config, {}, seed, header, rep.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -665,30 +594,34 @@ def main(argv=None):
         for k, v in vars(args).items()
         if k not in ("handler",) and v is not None
     }
+    outputs = {}
     t0 = time.perf_counter()
     try:
-        code, fields = args.handler(args)
-    except UsageError as exc:
+        code, fields, write = args.handler(args)
+        t1 = time.perf_counter()
+        if args.out:
+            write(args.out)
+            outputs[args.out] = _sha256(args.out)
+    except (UsageError, CapacityError) as exc:
         print(f"pillowspace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"pillowspace: capacity: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"pillowspace: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    t2 = time.perf_counter()
     report = {
         "tool": "pillowspace",
         "version": __version__,
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "wall_clock_s": round(time.perf_counter() - t0, 3),
+        "wall_clock_s": round(t2 - t0, 3),
+        "profile": {"handler_s": round(t1 - t0, 3), "write_s": round(t2 - t1, 3)},
         "exit_code": code,
+        "input_sha256": {},
+        "outputs": outputs,
     }
     report.update(fields)
-    report.setdefault("input_sha256", {})
-    report.setdefault("outputs", {})
     if fields.get("summary"):
         print(fields["summary"], file=sys.stderr)
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))

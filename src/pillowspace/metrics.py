@@ -22,7 +22,7 @@ import numpy as np
 from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
 from .words import all_words, parse_word
 
-DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; beyond that use rows
+DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 _DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
 EXACT_GROUP_LIMIT = 2**15
 
@@ -83,42 +83,11 @@ class MetricMatrix:
         return len(self.words)
 
 
-class RowMetric:
-    """On-demand rows of the graph metric, for levels too large to hold dense.
-
-    One BFS per requested row, cached; quacks like a read-only mapping from
-    vertex index to a distance row.
-    """
-
-    def __init__(self, g):
-        self.graph = g
-        self.words = g.words
-        self._rows = {}
-
-    def row(self, i):
-        if i not in self._rows:
-            self._rows[i] = bfs_row(self.graph, i)
-        return self._rows[i]
-
-    def entry(self, i, j):
-        return int(self.row(i)[j])
-
-
-def graph_metric(g, mode="dense"):
-    """All-pairs hop distances of a replacement graph.
-
-    mode="dense" returns a full MetricMatrix (levels up to 4), filled from
-    bfs_rows _DENSE_ROWS sources at a time; mode="rows" returns a RowMetric
-    that computes rows lazily, for any level.
-    """
-    if mode == "rows":
-        return RowMetric(g)
-    if mode != "dense":
-        raise ValueError(f"unknown mode {mode!r}")
+def graph_metric(g):
+    """All-pairs hop distances of a replacement graph as a MetricMatrix
+    (levels up to 4), filled from bfs_rows _DENSE_ROWS sources at a time."""
     if g.level > DENSE_LEVEL_LIMIT:
-        raise CapacityError(
-            f"dense metric capped at level {DENSE_LEVEL_LIMIT}; use mode='rows'"
-        )
+        raise CapacityError(f"dense metric capped at level {DENSE_LEVEL_LIMIT}, got {g.level}")
     n = g.n_vertices
     dist = np.empty((n, n))
     for lo in range(0, n, _DENSE_ROWS):

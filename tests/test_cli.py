@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,6 +70,20 @@ def test_build_binary_roundtrip(tmp_path):
 def test_build_level_zero_is_usage_error(tmp_path):
     proc = run("build", "-n", 0, "--out", tmp_path / "x.json")
     assert proc.returncode == 64
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "-n", "7", "--out", "g7.json"],
+    ["metric", "quotient-check", "--level", "4", "--out", "q4.json"],
+], ids=["build-level-7", "quotient-check-level-4"])
+def test_capacity_limit_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert not os.listdir(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +383,80 @@ def test_reports_embed_provenance(g1_file, tmp_path):
     assert head[0].startswith("# pillowspace")
     assert any("input sha256" in ln for ln in head)
     assert any(ln.startswith("# seed:") for ln in head)
+
+
+# ---------------------------------------------------------------------------
+# the report every command prints
+
+
+REPORT_KEYS = {
+    "tool", "version", "command", "config", "seed", "wall_clock_s", "profile",
+    "exit_code", "input_sha256", "outputs",
+}
+
+# every subcommand and mode, at level <= 2 (ball mode needs level 3 for two
+# radii); --out comes last
+REPORT_CASES = {
+    "build": ["build", "-n", "1", "--out", "g.json"],
+    "verify": ["verify", "counts", "1..2", "--out", "counts.json"],
+    "modulus": ["modulus", "--graph", "g1.json", "--sides", "left-right",
+                "--p-grid", "1,2", "--out", "scan.csv"],
+    "measure-pushforward": ["measure", "pushforward", "--level", "2", "--out", "pf.csv"],
+    "measure-ratios": ["measure", "ratios", "--level", "2", "--out", "r.csv"],
+    "measure-dimension-box": ["measure", "dimension", "--mode", "box", "--levels", "1..2",
+                              "--out", "box.csv"],
+    "measure-dimension-ball": ["measure", "dimension", "--mode", "ball", "--level", "3",
+                               "--samples", "5", "--seed", "1", "--out", "ball.csv"],
+    "metric-symmetrize": ["metric", "symmetrize", "--in", "m2.bin", "--out", "s.bin"],
+    "metric-blowup-internal": ["metric", "blowup", "--level-from", "2", "--prefix", "5",
+                               "--out", "bi.bin"],
+    "metric-blowup-ambient": ["metric", "blowup", "--mode", "ambient", "--in", "m2.bin",
+                              "--prefix", "5", "--out", "ba.bin"],
+    "metric-distortion": ["metric", "distortion", "--in1", "m2.bin", "--in2", "m2.bin",
+                          "--samples", "50", "--seed", "2", "--out", "d.csv"],
+    "metric-quotient-check": ["metric", "quotient-check", "--level", "2", "--out", "q.json"],
+    "metric-cover-check": ["metric", "cover-check", "--level", "2", "--center", "4,4",
+                           "--radius", "1", "--out", "c.json"],
+    "metric-pi-diagnostic": ["metric", "pi-diagnostic", "--level", "2", "--trials", "5",
+                             "--seed", "3", "--out", "pi.csv"],
+}
+OUT_REQUIRED = {"build", "metric-symmetrize", "metric-blowup-internal", "metric-blowup-ambient"}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build", "-n", "1", "--out", "g1.json"]) == 0
+    assert cli.main(["metric", "symmetrize", "--level", "2", "--out", "m2.bin"]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+def in_process_report(argv, capsys):
+    code = cli.main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == rep["exit_code"] == 0
+    return rep
+
+
+@pytest.mark.parametrize("name", list(REPORT_CASES))
+def test_report_contract(name, workdir, capsys):
+    argv = REPORT_CASES[name]
+    rep = in_process_report(argv, capsys)
+    assert REPORT_KEYS <= rep.keys()
+    assert set(rep["profile"]) == {"handler_s", "write_s"}
+    assert all(s >= 0 for s in rep["profile"].values())
+    out = workdir / argv[-1]
+    assert rep["outputs"] == {argv[-1]: hashlib.sha256(out.read_bytes()).hexdigest()}
+    if name not in OUT_REQUIRED:
+        out.unlink()
+        before = sorted(os.listdir(workdir))
+        rep = in_process_report(argv[:-2], capsys)
+        assert rep["outputs"] == {}
+        assert sorted(os.listdir(workdir)) == before
+
+
+def test_modulus_report_gives_stop_reasons(workdir, capsys):
+    rep = in_process_report(REPORT_CASES["modulus"], capsys)
+    assert rep["stop"] == ["exact", "exact"]
+    assert len(rep["rows"]) == 2

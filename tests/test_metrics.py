@@ -61,21 +61,12 @@ def test_metric_axioms_hold(metrics):
         assert (e[~np.eye(len(e), dtype=bool)] > 0).all()
 
 
-def test_rows_mode_matches_dense(graphs, metrics):
-    rm = graph_metric(graphs[2], mode="rows")
-    assert np.array_equal(rm.row(0), metrics[2].entries[0].astype(np.int64))
-    assert rm.entry(1, 99) == metrics[2].entries[1, 99]
-    assert rm.row(0) is rm.row(0)  # cached
-
-
 def test_dense_capacity_guard():
     class Big:
         level = 5
 
     with pytest.raises(CapacityError):
         graph_metric(Big())
-    with pytest.raises(ValueError):
-        graph_metric(Big(), mode="sideways")
 
 
 def test_rejects_asymmetric():
