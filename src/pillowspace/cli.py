@@ -185,7 +185,7 @@ def _require_seed(args):
 
 
 def _measure_level(args):
-    # before TileMeasure.uniform allocates 10^level Fractions
+    # before TileMeasure.uniform allocates a dict of 10^level entries (one shared Fraction)
     if not 1 <= args.level <= MAX_LEVEL:
         raise UsageError(f"--level must lie in 1..{MAX_LEVEL}, got {args.level}")
     return args.level

@@ -6,7 +6,8 @@ while an explicit zero entry is a genuine zero-mass tile (the distinction
 matters for the doubling check).  The headline computation is the
 pushforward to the x-axis, whose middle-third weight ratio is exactly 4/10 for
 the uniform measure at every triadic interval: the mechanism behind measure
-singularity.
+singularity.  Sums and ratios run on integer numerators over one common
+denominator; every result is still an exact Fraction.
 """
 
 from __future__ import annotations
@@ -38,22 +39,24 @@ class TileMeasure:
         _check_level(self.level)
         if not self.mass:
             raise ValueError("a tile measure needs a nonempty universe")
+        top = 10**self.level
         for idx, m in self.mass.items():
             try:
                 idx = index(idx)  # index, not int: 0.5 is no tile
             except TypeError:
                 raise ValueError(f"tile index {idx!r} is not an integer") from None
-            if not (0 <= idx < 10**self.level):
+            if not (0 <= idx < top):
                 raise ValueError(f"tile index {idx} outside level {self.level}")
             if not isinstance(m, (Fraction, int)):
                 raise ValueError(f"mass at tile {idx} is not a Fraction or int: {m!r}")
-            if m < 0:
+            if m.numerator < 0:  # the sign, without a Fraction comparison
                 raise ValueError(f"negative mass at tile {idx}")
         if self.total() <= 0:
             raise ValueError("total mass must be positive")
 
     def total(self):
-        return sum(self.mass.values(), Fraction(0))
+        nums, d = _scaled(self.mass.values())
+        return Fraction(sum(nums), d)
 
     @classmethod
     def uniform(cls, level):
@@ -85,6 +88,13 @@ class TileMeasure:
         return cls(len(word), {int(word): Fraction(1)})
 
 
+def _scaled(masses):
+    """(numerators, d): the masses as ints over their least common denominator d."""
+    masses = list(masses)
+    d = math.lcm(*{m.denominator for m in masses})
+    return [m.numerator * (d // m.denominator) for m in masses], d
+
+
 def _grid_words(level):
     import itertools
 
@@ -106,12 +116,12 @@ class IntervalWeights:
 def pushforward_x(measure):
     """Project a tile measure to the x-axis subdivision."""
     n = measure.level
-    weights = [Fraction(0)] * 3**n
+    nums, d = _scaled(measure.mass.values())
+    acc = [0] * 3**n
     xs = _square_arrays(n)[0].tolist()  # x of every tile's square, by index
-    for idx, m in measure.mass.items():
-        if m:
-            weights[xs[idx]] += m
-    return IntervalWeights(n, weights)
+    for idx, a in zip(measure.mass, nums):
+        acc[xs[idx]] += a
+    return IntervalWeights(n, [Fraction(a, d) for a in acc])
 
 
 @dataclass(frozen=True)
@@ -164,12 +174,15 @@ def tile_doubling_check(measure, graph):
     Same-level pairs run over graph edges inside the universe; cross-level
     pairs compare each tile to its one-letter-coarser parent (prefix sum over
     the universe).  An explicit zero-mass tile adjacent to positive mass is
-    non-doubling (infinite ratio).
+    non-doubling (infinite ratio).  Masses are compared as integer numerators
+    over one denominator, and a ratio hi/lo beats the worst wp/wq so far when
+    hi * wq > wp * lo, so the loop divides nothing.
     """
     if graph.level != measure.level:
         raise ValueError("graph level must match the measure level")
-    mass = measure.mass
-    worst = Fraction(0)
+    nums, _d = _scaled(measure.mass.values())
+    mass = dict(zip(measure.mass, nums))
+    wp, wq = 0, 1  # the worst ratio so far, wp / wq
     witness = None
     checked = 0
 
@@ -180,25 +193,23 @@ def tile_doubling_check(measure, graph):
             if (a == 0) != (b == 0):
                 return DoublingReport(None, True, ("edge", i, j), checked)
             if a and b:
-                r = max(a / b, b / a)
-                if r > worst:
-                    worst, witness = r, ("edge", i, j)
+                hi, lo = (a, b) if a >= b else (b, a)
+                if hi * wq > wp * lo:
+                    wp, wq, witness = hi, lo, ("edge", i, j)
 
     if measure.level >= 1:
         parent_sum = {}
-        for idx, m in mass.items():
-            parent_sum[idx // 10] = parent_sum.get(idx // 10, Fraction(0)) + m
-        for idx, m in mass.items():
+        for idx, a in mass.items():
+            parent_sum[idx // 10] = parent_sum.get(idx // 10, 0) + a
+        for idx, a in mass.items():
             total = parent_sum[idx // 10]
             checked += 1
-            if total > 0 and m == 0:
+            if a == 0 and total > 0:
                 return DoublingReport(None, True, ("parent", idx), checked)
-            if total > 0 and m > 0:
-                r = total / m
-                if r > worst:
-                    worst, witness = r, ("parent", idx)
+            if a and total * wq > wp * a:
+                wp, wq, witness = total, a, ("parent", idx)
 
-    return DoublingReport(worst, False, witness, checked)
+    return DoublingReport(Fraction(wp, wq), False, witness, checked)
 
 
 @dataclass

@@ -137,8 +137,9 @@ class ModulusResult:
     length >= 1) with sum(density^p) = value_upper; flow is a unit source-to-
     target flow, signed along the rows of ends, whose q-energy gives
     value_lower; active_paths holds a shortest crossing under density; stop is
-    "exact" (p = 1, p = 2) or why IRLS ended: its normal "stalled", whether or
-    not the bounds meet, "iteration cap" or "non-finite solve"."""
+    "exact" (p = 1, p = 2) or why IRLS ended: "converged" when it stalled at
+    the smoothing floor with the bounds met, "stalled" when it stalled with
+    the gap open, "iteration cap" or "non-finite solve"."""
 
     value_lower: float
     value_upper: float
@@ -222,6 +223,8 @@ def solve_modulus(problem):
         else:
             lower = float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p)
     converged = bool(upper <= (1.0 + 5.0 * problem.tolerance) * lower)
+    if stop == "stalled" and converged:
+        stop = "converged"
     return ModulusResult(lower, upper, density, [vpath], iterations, converged, flow, stop)
 
 

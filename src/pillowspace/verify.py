@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import (
+    MAX_LEVEL,
+    CapacityError,
     adjacency,
     bfs_rows,
     boundary_face,
@@ -64,6 +66,7 @@ ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustiv
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
 SAMPLED_DRAWS = 100  # flips or prefixes at levels past the exhaustive range
 COVER_OVERLAP_CAP = 4  # observed 2 on the default protocol; fail loudly past this
+_GRAPH_FREE = frozenset({"adjacency-oracle", "singular-measure"})  # never read g
 
 
 @dataclass
@@ -299,11 +302,16 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     levels = sorted(set(levels))
     if not levels or levels[0] < 1:
         raise ValueError("levels must be >= 1")
+    # build_graph's guards, for every suite and before any level runs
+    if levels[-1] > MAX_LEVEL:
+        raise CapacityError(f"level {levels[-1]} exceeds the supported maximum {MAX_LEVEL}")
+    if policy not in ("on", "off"):
+        raise ValueError(f"unknown policy {policy!r}")
     # no timing in results: written reports must be byte-stable across reruns
     ctx = {"seed": seed, "tolerance": tolerance}
     results = []
     for n in levels:
-        g = build_graph(n, policy)
+        g = None if suite in _GRAPH_FREE else build_graph(n, policy)
         row = _RUNNERS[suite](n, g, ctx)
         row["level"] = n
         results.append(row)

@@ -10,6 +10,7 @@ integer / Fraction arithmetic; no floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,8 +228,12 @@ def _advance(index, sign, col):
     return 3 * index + 2, sign
 
 
+@functools.lru_cache(maxsize=1 << 12)  # holds every L3 word the oracle suite draws
 def _prefix_states(word):
-    """States after each prefix, index k = state of word[:k]; k = 0 is root."""
+    """States after each prefix, index k = state of word[:k]; k = 0 is root.
+
+    Memoised, so the result is a tuple that no caller can mutate.
+    """
     states = [(0, 0, 1, 1)]
     ix = iy = 0
     sx = sy = 1
@@ -237,7 +242,7 @@ def _prefix_states(word):
         ix, sx = _advance(ix, sx, let.grid_col)
         iy, sy = _advance(iy, sy, let.grid_row)
         states.append((ix, iy, sx, sy))
-    return states
+    return tuple(states)
 
 
 def word_square(word):

@@ -1,6 +1,7 @@
 """Tests for exact tile measures: pushforward, ratios, doubling, dimension."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 import pillowspace as ps
 from pillowspace.measures import (
     DimensionFit,
+    DoublingReport,
+    IntervalWeights,
     TileMeasure,
     ball_dimension_estimate,
     blowup_measure,
@@ -17,7 +20,7 @@ from pillowspace.measures import (
     pushforward_x,
     tile_doubling_check,
 )
-from pillowspace.words import all_words
+from pillowspace.words import _prefix_states, _square_arrays, all_words
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,14 @@ def test_doubling_flags_explicit_zero(g2):
     assert report.ratio == math.inf
 
 
+def test_doubling_ratio_of_int_masses_is_exact(g2):
+    # int masses used to divide as floats: max_ratio came back as 100.0
+    mass = {i: 100 if i // 10 == 1 else 1 for i in range(100)}
+    report = tile_doubling_check(TileMeasure(2, mass), g2)
+    assert type(report.max_ratio) is Fraction and report.max_ratio == 100
+    assert report.witness == ("edge", 13, 23)
+
+
 def test_doubling_level_mismatch(g2):
     with pytest.raises(ValueError):
         tile_doubling_check(TileMeasure.uniform(3), g2)
@@ -182,3 +193,103 @@ def test_blowup_one_sheet():
         blowup_measure(TileMeasure.one_sheet(3), "0")  # off the sheet
     with pytest.raises(ValueError):
         blowup_measure(TileMeasure.uniform(2), "55")  # nothing left
+
+
+# ---------------------------------------------------------------------------
+# slow path: the integer kernels against Fraction-by-Fraction reference loops
+
+
+def reference_total(measure):
+    return sum(measure.mass.values(), Fraction(0))
+
+
+def reference_pushforward_x(measure):
+    n = measure.level
+    weights = [Fraction(0)] * 3**n
+    xs = _square_arrays(n)[0].tolist()
+    for idx, m in measure.mass.items():
+        if m:
+            weights[xs[idx]] += m
+    return IntervalWeights(n, weights)
+
+
+def reference_doubling(measure, graph):
+    mass = {i: Fraction(m) for i, m in measure.mass.items()}
+    worst, witness, checked = Fraction(0), None, 0
+    for i, j in zip(graph.u.tolist(), graph.v.tolist()):
+        if i in mass and j in mass:
+            a, b = mass[i], mass[j]
+            checked += 1
+            if (a == 0) != (b == 0):
+                return DoublingReport(None, True, ("edge", i, j), checked)
+            if a and b:
+                r = max(a / b, b / a)
+                if r > worst:
+                    worst, witness = r, ("edge", i, j)
+    parent_sum = {}
+    for idx, m in mass.items():
+        parent_sum[idx // 10] = parent_sum.get(idx // 10, Fraction(0)) + m
+    for idx, m in mass.items():
+        total = parent_sum[idx // 10]
+        checked += 1
+        if total > 0 and m == 0:
+            return DoublingReport(None, True, ("parent", idx), checked)
+        if total > 0 and m > 0 and total / m > worst:
+            worst, witness = total / m, ("parent", idx)
+    return DoublingReport(worst, False, witness, checked)
+
+
+def random_mass(rng):
+    """An int, or a Fraction over one of 2, 3, 7 and 10^k."""
+    if rng.random() < 0.3:
+        return rng.randint(1, 40)
+    return Fraction(rng.randint(1, 40), rng.choice([2, 3, 7, 10, 100, 1000, 10**6]))
+
+
+def random_measure(rng, level):
+    """Mixed masses with explicit zeros and, half the time, a partial
+    universe.  Every other measure is constant on each first-letter block,
+    so that an edge between blocks, not a parent, holds the worst ratio,
+    and equal block masses tie."""
+    keep = 1.0 if rng.random() < 0.5 else 0.6
+    zeros = rng.choice([0.0, 0.0, 0.01])
+    blocks = [random_mass(rng) for _ in range(5)] if rng.random() < 0.5 else None
+    mass = {}
+    for i in range(10**level):
+        if rng.random() >= keep:
+            continue
+        if rng.random() < zeros:
+            mass[i] = rng.choice([0, Fraction(0)])
+        elif blocks:
+            mass[i] = blocks[(i // 10 ** (level - 1)) % 5]
+        else:
+            mass[i] = random_mass(rng)
+    mass[rng.randrange(10**level)] = Fraction(1, 7)  # positive total
+    return TileMeasure(level, mass)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integer_kernels_match_fraction_loops(seed, g2):
+    rng = random.Random(seed)
+    level = 2 if seed % 2 else 3
+    graph = g2 if level == 2 else ps.build_graph(3)
+    m = random_measure(rng, level)
+
+    total = m.total()
+    assert type(total) is Fraction and total == reference_total(m)
+
+    w, ref_w = pushforward_x(m), reference_pushforward_x(m)
+    assert all(type(x) is Fraction for x in w.weights)
+    assert w.weights == ref_w.weights
+    assert middle_third_ratios(w) == middle_third_ratios(ref_w)
+
+    got, want = tile_doubling_check(m, graph), reference_doubling(m, graph)
+    assert got == want
+    assert got.non_doubling or type(got.max_ratio) is Fraction
+
+
+def test_prefix_states_memo_is_bounded_and_immutable():
+    states = _prefix_states("150")
+    assert type(states) is tuple and len(states) == 4
+    assert all(type(s) is tuple for s in states)
+    assert _prefix_states.cache_info().maxsize is not None

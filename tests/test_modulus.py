@@ -449,7 +449,7 @@ def test_large_exponents_certify(crossing, n, p):
     # is p - 1 Newton steps, and each of those scalings raised the energy
     net, src, tgt = crossing[n]
     res = solve(net, src, tgt, p)
-    assert res.converged and res.stop == "stalled"
+    assert res.converged and res.stop == "converged"
     assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
 
 
@@ -457,10 +457,18 @@ def test_stop_reason_says_why_the_solve_ended(crossing):
     net, src, tgt = crossing[2]
     assert solve(net, src, tgt, 1.0).stop == "exact"
     assert solve(net, src, tgt, 2.0).stop == "exact"
-    assert solve(net, src, tgt, 3.0).stop == "stalled"
+    assert solve(net, src, tgt, 3.0).stop == "converged"
     capped = solve(net, src, tgt, 3.0, max_iterations=1)
     assert capped.stop == "iteration cap" and capped.iterations == 1
     assert not capped.converged
+
+
+def test_stall_with_the_gap_open_is_not_converged():
+    # L4 p = 64 stalls at the smoothing floor about 1e108 apart
+    g = ps.build_graph(4)
+    net = M.Network.from_graph(g)
+    res = solve(net, ps.boundary_face(g, "left"), ps.boundary_face(g, "right"), 64.0)
+    assert res.stop == "stalled" and not res.converged
 
 
 def reference_dirichlet(net, fixed_value, weights):

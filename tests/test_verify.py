@@ -1,5 +1,7 @@
 """Tests for the invariant suites' own bookkeeping."""
 
+import pytest
+
 from pillowspace import graphs, metrics, verify
 
 
@@ -32,3 +34,25 @@ def test_self_similar_builds_no_graph_per_block(monkeypatch):
         monkeypatch.setattr(module, "build_graph", counted, raising=False)
     assert verify.run_suite("self-similar", [2, 3]).ok
     assert calls == []
+
+
+def test_graph_free_suites_build_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built for a suite that never reads it")
+
+    monkeypatch.setattr(verify, "build_graph", refuse)
+    assert verify.run_suite("singular-measure", [1, 2, 3]).ok
+    assert verify.run_suite("adjacency-oracle", [1, 2]).ok
+
+
+def test_levels_and_policy_are_checked_before_any_level_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level ran before the arguments were checked")
+
+    monkeypatch.setattr(verify, "build_graph", refuse)
+    monkeypatch.setattr(verify, "_RUNNERS", dict.fromkeys(verify._RUNNERS, refuse))
+    for suite in ("counts", "singular-measure"):
+        with pytest.raises(graphs.CapacityError):
+            verify.run_suite(suite, [1, graphs.MAX_LEVEL + 1])
+        with pytest.raises(ValueError):
+            verify.run_suite(suite, [1], policy="sideways")
