@@ -10,52 +10,22 @@ inputs and outputs, the seed, wall-clock seconds and a profile block that
 splits them into handler and write seconds.  Output files are byte-identical
 across reruns with the same flags: they embed config and hashes but never
 timing.
+
+Imports are lazy: this module loads only the standard library, and each
+handler imports the modules it runs.  --version and --help load no numpy.
+Every subcommand loads words and graphs; modulus adds modulus, measure adds
+measures, metric adds metrics (pi-diagnostic also measures), and verify
+loads every module.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import random
 import sys
 import time
-from dataclasses import asdict
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
-from .graphs import (
-    MAX_LEVEL,
-    CapacityError,
-    boundary_face,
-    build_graph,
-    read_graph,
-    write_graph_binary,
-    write_graph_json,
-)
-from .measures import (
-    TileMeasure,
-    ball_dimension_estimate,
-    box_dimension_estimate,
-    middle_third_ratios,
-    pushforward_x,
-)
-from .metrics import (
-    blowup_metric,
-    cover_preimage,
-    graph_metric,
-    internal_block_metric,
-    lipschitz_quotient_check,
-    pi_diagnostic,
-    qs_distortion,
-    read_metric_matrix,
-    symmetrize,
-    write_metric_matrix,
-)
-from .modulus import MAX_P, MAX_TOL, ModulusProblem, Network, solve_modulus
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path):
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -84,6 +56,10 @@ def _sha256(path):
 
 
 def _json_default(obj):
+    from fractions import Fraction
+
+    import numpy as np
+
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -98,6 +74,8 @@ def _json_default(obj):
 
 
 def _cell(value):
+    import numpy as np
+
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return str(bool(value))
     if isinstance(value, float):  # covers numpy floats; shortest round-trip repr
@@ -150,6 +128,8 @@ def _parse_levels(text):
 
 
 def _parse_p_grid(text):
+    from .modulus import MAX_P
+
     try:
         grid = [float(x) for x in text.split(",")]
     except ValueError:
@@ -185,6 +165,8 @@ def _require_seed(args):
 
 
 def _measure_level(args):
+    from .graphs import MAX_LEVEL
+
     # before TileMeasure.uniform allocates a dict of 10^level entries (one shared Fraction)
     if not 1 <= args.level <= MAX_LEVEL:
         raise UsageError(f"--level must lie in 1..{MAX_LEVEL}, got {args.level}")
@@ -193,6 +175,9 @@ def _measure_level(args):
 
 def _metric_from_args(args, level_attr="level"):
     """Metric from --in file when given, else the graph metric at the level."""
+    from .graphs import build_graph
+    from .metrics import graph_metric, read_metric_matrix
+
     hashes = {}
     if getattr(args, "infile", None):
         hashes["in"] = _sha256(args.infile)
@@ -209,6 +194,8 @@ def _metric_from_args(args, level_attr="level"):
 
 
 def _cmd_build(args):
+    from .graphs import build_graph, write_graph_binary, write_graph_json
+
     if args.level < 1:
         raise UsageError("level must be >= 1")
     g = build_graph(args.level, args.policy)
@@ -222,6 +209,9 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
+    from .modulus import MAX_TOL
+    from .verify import SUITES, run_suite
+
     if args.suite not in SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
@@ -242,6 +232,9 @@ def _cmd_verify(args):
 
 
 def _cmd_modulus(args):
+    from .graphs import boundary_face, read_graph
+    from .modulus import MAX_TOL, ModulusProblem, Network, solve_modulus
+
     sides = _parse_sides(args.sides)
     p_grid = _parse_p_grid(args.p_grid)
     if not 0 < args.tol <= MAX_TOL:
@@ -291,6 +284,10 @@ def _cmd_modulus(args):
 
 
 def _cmd_measure_pushforward(args):
+    from fractions import Fraction
+
+    from .measures import TileMeasure, pushforward_x
+
     w = pushforward_x(TileMeasure.uniform(_measure_level(args)))
     denom = 3**args.level
     rows = [
@@ -303,6 +300,8 @@ def _cmd_measure_pushforward(args):
 
 
 def _cmd_measure_ratios(args):
+    from .measures import TileMeasure, middle_third_ratios, pushforward_x
+
     uniform = TileMeasure.uniform(_measure_level(args))
     rows, skipped = middle_third_ratios(pushforward_x(uniform))
     table = [(r.level, r.index, r.weight, r.ratio) for r in rows]
@@ -314,6 +313,9 @@ def _cmd_measure_ratios(args):
 
 
 def _cmd_measure_dimension(args):
+    from .graphs import build_graph
+    from .measures import ball_dimension_estimate, box_dimension_estimate
+
     if args.mode == "box":
         if not args.levels:
             raise UsageError("box mode needs --levels")
@@ -343,6 +345,10 @@ def _cmd_measure_dimension(args):
 
 
 def _cmd_metric_symmetrize(args):
+    import numpy as np
+
+    from .metrics import symmetrize, write_metric_matrix
+
     if args.mode == "sampled":
         if args.samples is None:
             raise UsageError("sampled mode needs --samples")
@@ -361,6 +367,9 @@ def _cmd_metric_symmetrize(args):
 
 
 def _cmd_metric_blowup(args):
+    from .graphs import build_graph
+    from .metrics import blowup_metric, internal_block_metric, write_metric_matrix
+
     norm = _parse_normalization(args.normalization)
     hashes = {}
     if args.mode == "internal":
@@ -381,6 +390,8 @@ def _cmd_metric_blowup(args):
 
 
 def _cmd_metric_distortion(args):
+    from .metrics import qs_distortion, read_metric_matrix
+
     seed = _require_seed(args)
     d1 = read_metric_matrix(args.in1)
     d2 = read_metric_matrix(args.in2)
@@ -398,6 +409,11 @@ def _cmd_metric_distortion(args):
 
 
 def _cmd_metric_quotient_check(args):
+    from dataclasses import asdict
+
+    from .graphs import build_graph
+    from .metrics import lipschitz_quotient_check
+
     rep = lipschitz_quotient_check(build_graph(args.level, args.policy))
     body = asdict(rep)
     code = EXIT_OK if rep.ok else EXIT_FAIL
@@ -408,6 +424,12 @@ def _cmd_metric_quotient_check(args):
 
 
 def _cmd_metric_cover_check(args):
+    import random
+    from dataclasses import asdict
+
+    from .graphs import build_graph
+    from .metrics import cover_preimage
+
     g = build_graph(args.level, args.policy)
     side = 3**args.level
     if args.samples is not None:
@@ -448,6 +470,10 @@ def _cmd_metric_cover_check(args):
 
 
 def _cmd_metric_pi_diagnostic(args):
+    from .graphs import build_graph
+    from .measures import TileMeasure
+    from .metrics import pi_diagnostic
+
     seed = _require_seed(args)
     g = build_graph(args.level, args.policy)
     measure = TileMeasure.uniform(args.level)
@@ -589,6 +615,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .graphs import CapacityError  # after parse_args: --version loads no numpy
+
     config = {
         k: v
         for k, v in vars(args).items()

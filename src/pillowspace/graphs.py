@@ -112,7 +112,10 @@ def adjacency(w, v):
     sw = _prefix_states(w)
     sv = _prefix_states(v)
 
-    seam = sw[n][:2] == sv[n][:2]
+    dx, dy = sv[n][0] - sw[n][0], sv[n][1] - sw[n][1]
+    seam = dx == dy == 0
+    if not seam and abs(dx) + abs(dy) != 1:
+        return None  # the final squares neither coincide nor share an edge
     constraints = []
     for k in range(1, n + 1):
         a, b = w[k - 1], v[k - 1]
@@ -153,9 +156,6 @@ def adjacency(w, v):
                 return None
         return SEAM if segs else None
 
-    dx, dy = sv[n][0] - sw[n][0], sv[n][1] - sw[n][1]
-    if abs(dx) + abs(dy) != 1:
-        return None
     edge = _shared_edge(sw[n], dx, dy, 1)
     segs = [edge]
     for constraint in constraints:
@@ -683,6 +683,14 @@ def _check_level(level):
         raise ValueError(f"graph level {level!r} outside 1..{MAX_LEVEL}")
 
 
+def _vertex_index(x):
+    # operator.index, not int: int() would truncate 0.9 to vertex 0; and
+    # JSON true/false are not vertices, though index(True) == 1
+    if x.__class__ is bool:
+        raise TypeError("boolean vertex index")
+    return index(x)
+
+
 def read_graph_json(path):
     with open(path) as fh:
         payload = json.load(fh)
@@ -695,9 +703,8 @@ def read_graph_json(path):
         raise ValueError(f"unknown policy {policy!r}")
     code = _TYPE_CODE.get
     try:
-        # operator.index, not int: int() would truncate 0.9 to vertex 0
         flat = np.fromiter((x for i, j, t in payload.get("edges") for x in (
-            index(i), index(j), code(str(t), len(EDGE_TYPES)))), np.int64)
+            _vertex_index(i), _vertex_index(j), code(str(t), len(EDGE_TYPES)))), np.int64)
     except OverflowError:
         raise ValueError("malformed edge: vertex index out of range") from None
     except (TypeError, ValueError):

@@ -247,7 +247,8 @@ def _prefix_states(word):
 
 def word_square(word):
     """Exact projected footprint of a word's tile."""
-    ix, iy, sx, sy = _prefix_states(word)[-1]
+    # walked outside the memo: a whole level in order would only evict it
+    ix, iy, sx, sy = _prefix_states.__wrapped__(word)[-1]
     return TriadicSquare(len(word), ix, iy, sx, sy)
 
 

@@ -638,6 +638,18 @@ def test_read_graph_json_rejects_non_vertex_index(tmp_path, g1, value):
         ps.read_graph_json(path)
 
 
+def test_read_graph_json_rejects_boolean_vertex_index(tmp_path, g1):
+    # operator.index(True) == 1, so [false, true, "H"] would read as edge (0, 1, "H")
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    payload = json.loads(path.read_text())
+    k = payload["edges"].index([0, 2, "V"])
+    payload["edges"][k] = [False, True, "H"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"not a list of \[i, j, type\] records"):
+        ps.read_graph_json(path)
+
+
 @pytest.mark.parametrize("field, value", [(2, 7), (1, 99)])
 def test_cli_reports_bad_binary_graph_in_one_line(tmp_path, g1, field, value):
     path = _patched_binary(tmp_path, g1, 0, field, value)

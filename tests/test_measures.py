@@ -20,7 +20,7 @@ from pillowspace.measures import (
     pushforward_x,
     tile_doubling_check,
 )
-from pillowspace.words import _prefix_states, _square_arrays, all_words
+from pillowspace.words import _prefix_states, _square_arrays, all_words, word_square
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +293,12 @@ def test_prefix_states_memo_is_bounded_and_immutable():
     assert type(states) is tuple and len(states) == 4
     assert all(type(s) is tuple for s in states)
     assert _prefix_states.cache_info().maxsize is not None
+
+
+def test_word_square_leaves_the_prefix_memo_alone():
+    # a whole level walked in order would only churn misses and evict L3 words
+    _prefix_states.cache_clear()
+    squares = [word_square(w) for w in all_words(4)]
+    assert len(squares) == 10**4
+    info = _prefix_states.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
