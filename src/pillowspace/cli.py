@@ -13,9 +13,9 @@ timing.
 
 Imports are lazy: this module loads only the standard library, and each
 handler imports the modules it runs.  --version and --help load no numpy.
-Every subcommand loads words and graphs; modulus adds modulus, measure adds
-measures, metric adds metrics (pi-diagnostic also measures), and verify
-loads every module.
+Every subcommand loads words, and those that build or read a graph add
+graphs; modulus adds modulus, measure adds measures, metric adds metrics
+(pi-diagnostic also measures), and verify loads every module.
 """
 
 from __future__ import annotations
@@ -113,18 +113,23 @@ def _json(body):
 
 
 def _parse_levels(text):
-    """'1..5' or '3' or '1,3,5' to a sorted list of ints."""
+    """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL."""
+    from .words import MAX_LEVEL
+
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            levels = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split(".."))
+            levels = range(lo, hi + 1)
         else:
-            levels = [int(x) for x in text.split(",")]
+            levels = sorted({int(x) for x in text.split(",")})
     except ValueError:
         raise UsageError(f"cannot parse level range {text!r}")
-    if not levels or min(levels) < 1:
+    if not levels or levels[0] < 1:
         raise UsageError("levels must be integers >= 1")
-    return sorted(set(levels))
+    # on the ends, before a range becomes a list: 1..10**8 is gigabytes of ints
+    if levels[-1] > MAX_LEVEL:
+        raise UsageError(f"level {levels[-1]} exceeds the supported maximum {MAX_LEVEL}")
+    return list(levels)
 
 
 def _parse_p_grid(text):
@@ -158,6 +163,11 @@ def _parse_normalization(text):
     raise UsageError(f"normalization must be none, diameter, or pair:a:b, not {text!r}")
 
 
+def _check_samples(args):
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+
+
 def _require_seed(args):
     if args.seed is None:
         raise UsageError("this subcommand samples; pass an explicit --seed")
@@ -165,7 +175,7 @@ def _require_seed(args):
 
 
 def _measure_level(args):
-    from .graphs import MAX_LEVEL
+    from .words import MAX_LEVEL
 
     # before TileMeasure.uniform allocates a dict of 10^level entries (one shared Fraction)
     if not 1 <= args.level <= MAX_LEVEL:
@@ -313,7 +323,6 @@ def _cmd_measure_ratios(args):
 
 
 def _cmd_measure_dimension(args):
-    from .graphs import build_graph
     from .measures import ball_dimension_estimate, box_dimension_estimate
 
     if args.mode == "box":
@@ -323,8 +332,11 @@ def _cmd_measure_dimension(args):
         config = {"mode": "box", "levels": args.levels}
         seed = None
     else:
+        from .graphs import build_graph
+
         if args.level is None or args.samples is None:
             raise UsageError("ball mode needs --level and --samples")
+        _check_samples(args)
         seed = _require_seed(args)
         g = build_graph(args.level, args.policy)
         fit = ball_dimension_estimate(g, args.samples, seed)
@@ -433,6 +445,7 @@ def _cmd_metric_cover_check(args):
     g = build_graph(args.level, args.policy)
     side = 3**args.level
     if args.samples is not None:
+        _check_samples(args)
         rng = random.Random(_require_seed(args))
         cases = [
             ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
@@ -615,7 +628,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .graphs import CapacityError  # after parse_args: --version loads no numpy
+    from .words import CapacityError  # after parse_args: --version loads no numpy
 
     config = {
         k: v

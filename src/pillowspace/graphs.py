@@ -1,11 +1,12 @@
 """Replacement graphs of the doubled-center subdivision complex.
 
 Vertices of the level-n graph G_n are the 10^n words; two tiles are joined
-when they meet along a face of positive length.  Adjacency is decided by
-exact integer segment arithmetic on the projected squares plus the seam loci
-of the doubled center; an independent chain oracle re-derives the same
-answer from pointwise membership under the fold dynamics and arbitrates any
-disagreement.
+when they meet along a face of positive length.  Adjacency is one face test:
+a unit side shared by the two projected squares is a common face when, at
+every level where the words differ, it lies on the common boundary of the two
+level-k squares (a shared grid edge, or the seam of the doubled center).  An
+independent chain oracle re-derives the same answer from pointwise membership
+under the fold dynamics and arbitrates any disagreement.
 
 The builder follows the self-similarity of the complex: G_n is ten copies of
 G_{n-1}, one per first letter, shifted by a * 10^(n-1).  Edges between two
@@ -29,6 +30,8 @@ from .words import (
     ALPHABET,
     CENTER_LETTERS,
     LETTERS,
+    MAX_LEVEL,
+    CapacityError,
     _prefix_states,
     _square_arrays,
     all_words,
@@ -47,54 +50,11 @@ _LETTER_SET = frozenset(ALPHABET)
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
 _WRITE_SLICE = 1 << 20  # characters of JSON text encoded per file write
-MAX_LEVEL = 6
 ORACLE_MAX_LEVEL = 3
-
-
-class CapacityError(RuntimeError):
-    """Raised when a build would exceed the supported size."""
 
 
 # ---------------------------------------------------------------------------
 # face adjacency (normative rule)
-
-
-def _square_boundary(state, scale):
-    x0, y0 = state[0] * scale, state[1] * scale
-    x1, y1 = x0 + scale, y0 + scale
-    return [
-        ("v", x0, y0, y1),
-        ("v", x1, y0, y1),
-        ("h", y0, x0, x1),
-        ("h", y1, x0, x1),
-    ]
-
-
-def _shared_edge(state, dx, dy, scale):
-    # Full common edge between a square and its (dx,dy) grid neighbor.
-    x0, y0 = state[0] * scale, state[1] * scale
-    if dx == 1:
-        return ("v", x0 + scale, y0, y0 + scale)
-    if dx == -1:
-        return ("v", x0, y0, y0 + scale)
-    if dy == 1:
-        return ("h", y0 + scale, x0, x0 + scale)
-    return ("h", y0, x0, x0 + scale)
-
-
-def _intersect(segs, constraint):
-    out = []
-    for a in segs:
-        for b in constraint:
-            # Perpendicular or offset segments meet in at most a point, which
-            # never contributes a positive-length face.
-            if a[0] != b[0] or a[1] != b[1]:
-                continue
-            lo = max(a[2], b[2])
-            hi = min(a[3], b[3])
-            if hi > lo:
-                out.append((a[0], a[1], lo, hi))
-    return out
 
 
 def adjacency(w, v):
@@ -111,71 +71,36 @@ def adjacency(w, v):
     n = len(w)
     sw = _prefix_states(w)
     sv = _prefix_states(v)
-
-    dx, dy = sv[n][0] - sw[n][0], sv[n][1] - sw[n][1]
-    seam = dx == dy == 0
-    if not seam and abs(dx) + abs(dy) != 1:
-        return None  # the final squares neither coincide nor share an edge
-    constraints = []
-    for k in range(1, n + 1):
-        a, b = w[k - 1], v[k - 1]
-        if a == b:
-            continue
-        qa, qb = sw[k], sv[k]
-        scale = 3 ** (n - k)
-        if a in CENTER_LETTERS and b in CENTER_LETTERS:
-            # Sheet difference: the meeting point must sit on the level-k
-            # seam, i.e. the boundary of the common level-k center square.
-            if qa[:2] != qb[:2]:
-                return None
-            constraints.append(_square_boundary(qa, scale))
-        else:
-            # Grid difference: the level-k prefix squares must share a full
-            # edge; the meeting locus lies on that edge.
-            dx, dy = qb[0] - qa[0], qb[1] - qa[1]
-            if abs(dx) + abs(dy) != 1:
-                return None
-            constraints.append([_shared_edge(qa, dx, dy, scale)])
-
-    if seam:
-        # Same footprint, different sheets: clip seam boundaries to the tile.
-        x0, y0 = sw[n][0], sw[n][1]
-        segs = None
-        for constraint in constraints:
-            if segs is None:
-                segs = [
-                    s
-                    for s in (
-                        _clip_to_box(c, x0, y0, x0 + 1, y0 + 1) for c in constraint
-                    )
-                    if s is not None
-                ]
-            else:
-                segs = _intersect(segs, constraint)
-            if not segs:
-                return None
-        return SEAM if segs else None
-
-    edge = _shared_edge(sw[n], dx, dy, 1)
-    segs = [edge]
-    for constraint in constraints:
-        segs = _intersect(segs, constraint)
-        if not segs:
-            return None
-    return HORIZONTAL if edge[0] == "v" else VERTICAL
-
-
-def _clip_to_box(seg, x0, y0, x1, y1):
-    ax, pos, lo, hi = seg
-    if ax == "v":
-        if not x0 <= pos <= x1:
-            return None
-        lo, hi = max(lo, y0), min(hi, y1)
+    x, y = sw[n][0], sw[n][1]
+    dx, dy = sv[n][0] - x, sv[n][1] - y
+    # Candidate faces: the unit sides of w's square that v's square also
+    # has, each kept as its midpoint in half level-n units.
+    if dx == dy == 0:
+        faces = [(2 * x, 2 * y + 1), (2 * x + 2, 2 * y + 1),
+                 (2 * x + 1, 2 * y), (2 * x + 1, 2 * y + 2)]
+    elif abs(dx) + abs(dy) == 1:
+        faces = [(2 * x + 1 + dx, 2 * y + 1 + dy)]
     else:
-        if not y0 <= pos <= y1:
+        return None  # the squares neither coincide nor share a side
+    for k in range(1, n + 1):
+        if w[k - 1] == v[k - 1]:
+            continue
+        # Where the letters differ the tiles meet only on the level-k locus:
+        # the seam, i.e. the boundary of the common centre square, for a
+        # sheet difference; the edge the two squares share for a grid one.
+        # A face lies in both level-k squares already, so either way it is
+        # on the locus when it is on the boundary of w's level-k square.
+        # That boundary has integer ends in level-n units, so a unit face
+        # lies on it exactly when its midpoint does.
+        side = 2 * 3 ** (n - k)
+        x0, y0 = sw[k][0] * side, sw[k][1] * side
+        faces = [(px, py) for px, py in faces
+                 if px in (x0, x0 + side) or py in (y0, y0 + side)]
+        if not faces:
             return None
-        lo, hi = max(lo, x0), min(hi, x1)
-    return (ax, pos, lo, hi) if hi > lo else None
+    if dx == dy == 0:
+        return SEAM
+    return HORIZONTAL if dx else VERTICAL
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
         radii_exponents = list(range(2, n)) if n >= 4 else list(range(1, n))
     if len(radii_exponents) < 2:
         raise ValueError("need at least two radii")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     side = 3**n
     hull = np.minimum(

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import (
     MAX_LEVEL,
     CapacityError,
@@ -35,7 +37,7 @@ from .modulus import (
     mincut_oracle,
     solve_modulus,
 )
-from .words import all_words, grid_word_of_square, section
+from .words import all_words
 
 SUITES = (
     "counts",
@@ -131,18 +133,22 @@ def _suite_sheets(n, g, ctx):
         sheets = ["".join(b) for b in itertools.product("01", repeat=n)]
     else:
         sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
+    # index of the center-free word over each square: the largest index over
+    # it, as '5' > '0'; a sheet's lift of it is that index under the flip
+    grid = np.zeros((side, side), dtype=np.int64)
+    np.maximum.at(grid, (g.square_x, g.square_y), np.arange(g.n_vertices))
     mismatches, pairs = 0, 0
     starts = max(1, SHEET_PAIRS // 40)
     for bits in sheets:
+        lift = flip_permutation(g, bits)[grid]
         # draw each start, then its targets, before one BFS over the starts
         sources, targets = [], []
         for _ in range(starts):
             ax, ay = rng.randrange(side), rng.randrange(side)
-            sources.append(int(section(grid_word_of_square(n, ax, ay), bits)))
+            sources.append(lift[ax, ay])
             for _ in range(SHEET_PAIRS // starts):
                 bx, by = rng.randrange(side), rng.randrange(side)
-                b = int(section(grid_word_of_square(n, bx, by), bits))
-                targets.append((len(sources) - 1, b, abs(ax - bx) + abs(ay - by)))
+                targets.append((len(sources) - 1, lift[bx, by], abs(ax - bx) + abs(ay - by)))
         dist = bfs_rows(g, sources)
         pairs += len(targets)
         mismatches += sum(1 for k, b, want in targets if dist[k, b] != want)

@@ -20,10 +20,15 @@ import numpy as np
 ALPHABET = "0123456789"
 GRID_LETTERS = "123456789"
 CENTER_LETTERS = "50"
+MAX_LEVEL = 6  # largest level anything sized by 10^level or 3^level is built at
 
 
 class ParseError(ValueError):
     """Word text that does not parse; the message names the offending position."""
+
+
+class CapacityError(RuntimeError):
+    """Raised when a build would exceed the supported size."""
 
 
 def _grid_col(code):

@@ -222,10 +222,29 @@ def test_measure_dimension_box(tmp_path):
     assert rep["estimate"] == pytest.approx(math.log(10) / math.log(3), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "dimension", "--mode", "box", "--levels", f"1..{MAX_LEVEL + 1}"],
+    ["verify", "counts", f"1..{MAX_LEVEL + 1}"],
+])
+def test_level_range_is_capped_before_it_is_built(argv, capsys):
+    assert cli.main(argv) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert str(MAX_LEVEL + 1) in lines[0]
+
+
 def test_measure_dimension_ball_needs_seed():
     proc = run("measure", "dimension", "--mode", "ball", "--level", 2, "--samples", 5)
     assert proc.returncode == 64
     assert "seed" in proc.stderr
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_measure_dimension_ball_rejects_samples_below_one(samples):
+    proc = run("measure", "dimension", "--mode", "ball", "--level", 2,
+               "--samples", samples, "--seed", 1)
+    assert proc.returncode == 64 and "--samples" in proc.stderr
+    assert not proc.stdout
 
 
 def test_measure_dimension_ball_runs(tmp_path):
@@ -335,6 +354,8 @@ def test_cover_check_cli(tmp_path):
     body = json.loads(out.read_text())
     assert body["ok"] and body["worst_overlap"] >= 1
     assert run("metric", "cover-check", "--level", 2, "--samples", 3).returncode == 64
+    proc = run("metric", "cover-check", "--level", 2, "--samples", 0, "--seed", 1)
+    assert proc.returncode == 64 and "--samples" in proc.stderr
     assert run(
         "metric", "cover-check", "--level", 2, "--center", "4,4",
         "--radius", 1, "--c", 4,

@@ -8,14 +8,14 @@ import random
 import struct
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 import pillowspace as ps
 from pillowspace import graphs as G
-from pillowspace.words import LETTERS, all_words, letter_at
+from pillowspace.words import LETTERS, _square_arrays, all_words, letter_at
 
 # edge counts pinned after the first oracle-verified builds
 PINNED_EDGES = {(1, "on"): 17, (1, "off"): 16, (2, "on"): 226, (2, "off"): 216,
@@ -99,6 +99,28 @@ def test_oracle_agrees_on_mutated_pairs_level_3():
         if v == w:
             continue
         assert ps.adjacency(w, v) == ps.chain_oracle_adjacency(w, v)
+
+
+def test_oracle_agrees_on_every_touching_pair_level_3(g3):
+    # every pair whose squares coincide or share a side, in both orders: all
+    # level-3 edges and every touching pair that is not one
+    over = defaultdict(list)
+    for w, x, y in zip(all_words(3), *(a.tolist() for a in _square_arrays(3))):
+        over[x, y].append(w)
+    found, edges = Counter(), []
+    for (x, y), ws in over.items():
+        pairs = list(itertools.combinations(ws, 2))
+        right, up = over.get((x + 1, y), []), over.get((x, y + 1), [])
+        pairs += [(w, v) for w in ws for v in right + up]
+        for w, v in pairs:
+            t = ps.adjacency(w, v)
+            assert t == ps.adjacency(v, w) == ps.chain_oracle_adjacency(w, v), (w, v)
+            assert t == ps.chain_oracle_adjacency(v, w), (w, v)
+            found[t] += 1
+            if t is not None:
+                edges.append((*sorted((int(w), int(v))), t))
+    assert found == {"H": 1112, "V": 1112, "S": 212, None: 952}
+    assert sorted(edges) == g3.edges
 
 
 def test_oracle_refuses_large_levels():

@@ -81,6 +81,16 @@ def test_build_loads_only_words_and_graphs(tmp_path):
     assert submodules == {"cli", "words", "graphs"} and numpy
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "pushforward", "--level", "2"],
+    ["measure", "ratios", "--level", "2"],
+    ["measure", "dimension", "--mode", "box", "--levels", "1..3"],
+])
+def test_graph_free_measure_commands_load_no_graphs(argv):
+    submodules, _ = _run_cli(argv)
+    assert submodules == {"cli", "words", "measures"}
+
+
 def test_modulus_loads_no_measures_metrics_or_verify(tmp_path):
     path = tmp_path / "g1.bin"
     ps.write_graph_binary(ps.build_graph(1), path)

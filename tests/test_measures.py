@@ -179,6 +179,12 @@ def test_ball_dimension_estimate_reproducible(g2):
     assert isinstance(a, DimensionFit)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_ball_dimension_estimate_needs_a_sample(g2, samples):
+    with pytest.raises(ValueError, match="sample"):
+        ball_dimension_estimate(g2, samples=samples, seed=7, radii_exponents=[0, 1])
+
+
 def test_blowup_uniform_fixed_point():
     m = blowup_measure(TileMeasure.uniform(3), "50")
     assert m.level == 1
