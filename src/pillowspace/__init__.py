@@ -18,22 +18,15 @@ _EXPORTS = {
         "Letter",
         "LETTERS",
         "ParseError",
-        "Segment",
         "TriadicSquare",
         "all_words",
-        "compose_bits",
         "flip",
-        "fold",
         "grid_word_of_square",
         "letter_at",
         "parse_word",
-        "prepend",
         "project_word",
-        "seam_rectangles",
         "section",
-        "shift",
         "word_square",
-        "word_to_triples",
     ),
     "graphs": (
         "CapacityError",
@@ -63,7 +56,6 @@ _EXPORTS = {
         "RatioRow",
         "TileMeasure",
         "ball_dimension_estimate",
-        "blowup_measure",
         "box_dimension_estimate",
         "middle_third_ratios",
         "pushforward_x",

@@ -15,7 +15,9 @@ Imports are lazy: this module loads only the standard library, and each
 handler imports the modules it runs.  --version and --help load no numpy.
 Every subcommand loads words, and those that build or read a graph add
 graphs; modulus adds modulus, measure adds measures, metric adds metrics
-(pi-diagnostic also measures), and verify loads every module.
+(pi-diagnostic also measures), and verify adds verify and, inside the suites
+that run them, measures, metrics or modulus: verify counts loads none of the
+three.
 """
 
 from __future__ import annotations
@@ -163,9 +165,12 @@ def _parse_normalization(text):
     raise UsageError(f"normalization must be none, diameter, or pair:a:b, not {text!r}")
 
 
-def _check_samples(args):
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+def _count(text):
+    """argparse type of --samples and --trials: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _require_seed(args):
@@ -219,8 +224,10 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
-    from .modulus import MAX_TOL
+    from dataclasses import asdict
+
     from .verify import SUITES, run_suite
+    from .words import MAX_TOL
 
     if args.suite not in SUITES:
         raise UsageError(
@@ -232,7 +239,7 @@ def _cmd_verify(args):
     rep = run_suite(
         args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
     )
-    body = rep.to_dict()
+    body = asdict(rep)
     word = "pass" if rep.ok else "FAIL"
     code = EXIT_OK if rep.ok else EXIT_FAIL
     return code, {
@@ -336,10 +343,12 @@ def _cmd_measure_dimension(args):
 
         if args.level is None or args.samples is None:
             raise UsageError("ball mode needs --level and --samples")
-        _check_samples(args)
         seed = _require_seed(args)
         g = build_graph(args.level, args.policy)
-        fit = ball_dimension_estimate(g, args.samples, seed)
+        try:
+            fit = ball_dimension_estimate(g, args.samples, seed)
+        except ValueError as exc:  # levels 1 and 2 give fewer than two radii
+            raise UsageError(str(exc))
         config = {
             "mode": "ball",
             "level": args.level,
@@ -442,22 +451,24 @@ def _cmd_metric_cover_check(args):
     from .graphs import build_graph
     from .metrics import cover_preimage
 
+    # the arguments first: a usage error must not pay for the build
+    if args.samples is not None:
+        rng = random.Random(_require_seed(args))
+    elif args.center is None or args.radius is None:
+        raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
+    else:
+        try:
+            cx, cy = (int(t) for t in args.center.split(","))
+        except ValueError:
+            raise UsageError(f"cannot parse center {args.center!r}; expected X,Y")
     g = build_graph(args.level, args.policy)
     side = 3**args.level
     if args.samples is not None:
-        _check_samples(args)
-        rng = random.Random(_require_seed(args))
         cases = [
             ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
             for _ in range(args.samples)
         ]
     else:
-        if args.center is None or args.radius is None:
-            raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
-        try:
-            cx, cy = (int(t) for t in args.center.split(","))
-        except ValueError:
-            raise UsageError(f"cannot parse center {args.center!r}; expected X,Y")
         cases = [((cx, cy), args.radius)]
     reports = []
     for center, radius in cases:
@@ -492,7 +503,7 @@ def _cmd_metric_pi_diagnostic(args):
     measure = TileMeasure.uniform(args.level)
     try:
         rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
-    except ValueError as exc:  # the exponent or the trial count
+    except ValueError as exc:  # the exponent; the parser checks the trial count
         raise UsageError(str(exc))
     config = {
         "level": args.level,
@@ -559,7 +570,7 @@ def build_parser():
     md.add_argument("--mode", choices=("box", "ball"), required=True)
     md.add_argument("--levels", help="box mode: like 1..5")
     md.add_argument("--level", type=int, help="ball mode: graph level")
-    md.add_argument("--samples", type=int)
+    md.add_argument("--samples", type=_count)
     md.add_argument("--seed", type=int)
     _add_policy(md)
     md.add_argument("--out")
@@ -573,7 +584,7 @@ def build_parser():
     ms.add_argument("--level", type=int, help="compute the graph metric at this level")
     _add_policy(ms)
     ms.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    ms.add_argument("--samples", type=int)
+    ms.add_argument("--samples", type=_count)
     ms.add_argument("--seed", type=int)
     ms.add_argument("--out", required=True)
     ms.set_defaults(handler=_cmd_metric_symmetrize)
@@ -591,7 +602,7 @@ def build_parser():
     mdst = mtsub.add_parser("distortion", help="quasisymmetry distortion profile")
     mdst.add_argument("--in1", required=True)
     mdst.add_argument("--in2", required=True)
-    mdst.add_argument("--samples", type=int, required=True)
+    mdst.add_argument("--samples", type=_count, required=True)
     mdst.add_argument("--seed", type=int)
     mdst.add_argument("--out")
     mdst.set_defaults(handler=_cmd_metric_distortion)
@@ -608,7 +619,7 @@ def build_parser():
     mc.add_argument("--center", help="grid cell X,Y")
     mc.add_argument("--radius", type=int)
     mc.add_argument("--c", type=int, default=5)
-    mc.add_argument("--samples", type=int, help="check this many seeded random balls")
+    mc.add_argument("--samples", type=_count, help="check this many seeded random balls")
     mc.add_argument("--seed", type=int)
     mc.add_argument("--out")
     mc.set_defaults(handler=_cmd_metric_cover_check)
@@ -617,7 +628,7 @@ def build_parser():
     mpi.add_argument("--level", type=int, required=True)
     _add_policy(mpi)
     mpi.add_argument("--p", type=float, default=2.0)
-    mpi.add_argument("--trials", type=int, required=True)
+    mpi.add_argument("--trials", type=_count, required=True)
     mpi.add_argument("--seed", type=int)
     mpi.add_argument("--out")
     mpi.set_defaults(handler=_cmd_metric_pi_diagnostic)

@@ -278,29 +278,3 @@ def _least_squares(xs, ys):
     xbar, ybar = xs.mean(), ys.mean()
     slope = float(((xs - xbar) * (ys - ybar)).sum() / ((xs - xbar) ** 2).sum())
     return slope, float(ybar - slope * xbar)
-
-
-def blowup_measure(measure, prefix):
-    """Renormalized restriction to a prefix block, shifted down to its level.
-
-    The uniform measure is a fixed point: blowing up uniform at level n+k
-    along any prefix of length k gives uniform at level n.
-    """
-    prefix = parse_word(prefix)
-    k = len(prefix)
-    n = measure.level - k
-    if n < 1:
-        raise ValueError("prefix leaves no levels behind")
-    size = 10**n
-    start = int(prefix) * size
-    sub = {
-        idx - start: m
-        for idx, m in measure.mass.items()
-        if start <= idx < start + size
-    }
-    if not sub:
-        raise ValueError(f"measure has no universe over prefix {prefix!r}")
-    total = sum(sub.values(), Fraction(0))
-    if total == 0:
-        raise ValueError(f"measure vanishes over prefix {prefix!r}")
-    return TileMeasure(n, {idx: m / total for idx, m in sub.items()})

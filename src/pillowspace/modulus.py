@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import arc_csr
+from .words import MAX_TOL
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
-MAX_TOL = 1e-2  # the coarsest relative certificate gap a solve may target
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 
 

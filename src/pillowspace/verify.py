@@ -2,14 +2,15 @@
 
 Each suite checks one family of invariants across a range of levels and
 returns plain dicts ready for JSON reporting.  Suites are deterministic for
-a fixed seed; sampling sizes follow the acceptance protocol.
+a fixed seed; sampling sizes follow the acceptance protocol.  A runner imports
+the measures, metrics or modulus module it checks, so a suite loads no other.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,48 +28,12 @@ from .graphs import (
     prefix_subgraph,
     reference_edges,
 )
-from .measures import TileMeasure, middle_third_ratios, pushforward_x
-from .metrics import graph_metric, internal_block_metric, lipschitz_quotient_check
-from .metrics import cover_preimage
-from .modulus import (
-    ModulusProblem,
-    Network,
-    effective_conductance,
-    mincut_oracle,
-    solve_modulus,
-)
 from .words import all_words
-
-SUITES = (
-    "counts",
-    "adjacency-oracle",
-    "sheets",
-    "automorphisms",
-    "self-similar",
-    "singular-measure",
-    "quotient",
-    "covering",
-    "modulus-oracles",
-)
-
-# default level ranges: the cheap exhaustive regimes of each suite
-DEFAULT_LEVELS = {
-    "counts": range(1, 6),
-    "adjacency-oracle": range(1, 4),
-    "sheets": range(1, 5),
-    "automorphisms": range(1, 4),
-    "self-similar": range(2, 4),
-    "singular-measure": range(1, 6),
-    "quotient": range(1, 4),
-    "covering": range(1, 4),
-    "modulus-oracles": range(1, 4),
-}
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
 SAMPLED_DRAWS = 100  # flips or prefixes at levels past the exhaustive range
 COVER_OVERLAP_CAP = 4  # observed 2 on the default protocol; fail loudly past this
-_GRAPH_FREE = frozenset({"adjacency-oracle", "singular-measure"})  # never read g
 
 
 @dataclass
@@ -79,18 +44,7 @@ class SuiteReport:
     seed: int
     tolerance: float
     ok: bool
-    results: list[dict] = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "levels": self.levels,
-            "policy": self.policy,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-            "results": self.results,
-        }
+    results: list[dict]
 
 
 def _suite_counts(n, g, ctx):
@@ -178,6 +132,8 @@ def _suite_automorphisms(n, g, ctx):
 
 
 def _suite_self_similar(n, g, ctx):
+    from .metrics import graph_metric, internal_block_metric
+
     # build_graph makes the blocks as shifted copies, so they certify by
     # construction; the per-tile reference checks the whole graph while cheap
     ref_equal = g.edges == reference_edges(n, g.policy) if n <= 3 else None
@@ -223,6 +179,8 @@ def _suite_self_similar(n, g, ctx):
 
 
 def _suite_singular_measure(n, g, ctx):
+    from .measures import TileMeasure, middle_third_ratios, pushforward_x
+
     rows, skipped = middle_third_ratios(pushforward_x(TileMeasure.uniform(n)))
     want = Fraction(4, 10)
     off = [r for r in rows if r.ratio != want]
@@ -235,6 +193,8 @@ def _suite_singular_measure(n, g, ctx):
 
 
 def _suite_quotient(n, g, ctx):
+    from .metrics import lipschitz_quotient_check
+
     rep = lipschitz_quotient_check(g)
     return {
         "vertices_checked": rep.vertices_checked,
@@ -245,6 +205,8 @@ def _suite_quotient(n, g, ctx):
 
 
 def _suite_covering(n, g, ctx):
+    from .metrics import cover_preimage
+
     rng = random.Random(ctx["seed"] + 100 + n)
     side = 3**n
     cases = [((side // 2, side // 2), 2 if n > 1 else 1)]
@@ -267,6 +229,14 @@ def _suite_covering(n, g, ctx):
 
 
 def _suite_modulus_oracles(n, g, ctx):
+    from .modulus import (
+        ModulusProblem,
+        Network,
+        effective_conductance,
+        mincut_oracle,
+        solve_modulus,
+    )
+
     net = Network.from_graph(g)
     src = frozenset(boundary_face(g, "left"))
     tgt = frozenset(boundary_face(g, "right"))
@@ -286,26 +256,27 @@ def _suite_modulus_oracles(n, g, ctx):
     }
 
 
-_RUNNERS = {
-    "counts": _suite_counts,
-    "adjacency-oracle": _suite_adjacency_oracle,
-    "sheets": _suite_sheets,
-    "automorphisms": _suite_automorphisms,
-    "self-similar": _suite_self_similar,
-    "singular-measure": _suite_singular_measure,
-    "quotient": _suite_quotient,
-    "covering": _suite_covering,
-    "modulus-oracles": _suite_modulus_oracles,
+# name -> (runner, default levels, whether the runner reads the graph); the
+# default levels are the cheap exhaustive regimes of each suite
+SUITES = {
+    "counts": (_suite_counts, range(1, 6), True),
+    "adjacency-oracle": (_suite_adjacency_oracle, range(1, 4), False),
+    "sheets": (_suite_sheets, range(1, 5), True),
+    "automorphisms": (_suite_automorphisms, range(1, 4), True),
+    "self-similar": (_suite_self_similar, range(2, 4), True),
+    "singular-measure": (_suite_singular_measure, range(1, 6), False),
+    "quotient": (_suite_quotient, range(1, 4), True),
+    "covering": (_suite_covering, range(1, 4), True),
+    "modulus-oracles": (_suite_modulus_oracles, range(1, 4), True),
 }
 
 
 def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     """Run one named suite over the given levels and report per-level results."""
-    if suite not in _RUNNERS:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if levels is None:
-        levels = list(DEFAULT_LEVELS[suite])
-    levels = sorted(set(levels))
+    runner, default_levels, reads_graph = SUITES[suite]
+    levels = sorted(set(default_levels if levels is None else levels))
     if not levels or levels[0] < 1:
         raise ValueError("levels must be >= 1")
     # build_graph's guards, for every suite and before any level runs
@@ -317,8 +288,8 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     ctx = {"seed": seed, "tolerance": tolerance}
     results = []
     for n in levels:
-        g = None if suite in _GRAPH_FREE else build_graph(n, policy)
-        row = _RUNNERS[suite](n, g, ctx)
+        g = build_graph(n, policy) if reads_graph else None
+        row = runner(n, g, ctx)
         row["level"] = n
         results.append(row)
     return SuiteReport(

@@ -5,7 +5,7 @@ subdivision: '1'..'9' are the nine grid cells, row-major from the bottom-left,
 and '0' is the second copy of the center cell.  A word of length n names a
 tile of the n-th stage; its projected footprint is a triadic square computed
 by composing the three fold branches per coordinate.  Everything here is exact
-integer / Fraction arithmetic; no floats.
+integer arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +20,7 @@ ALPHABET = "0123456789"
 GRID_LETTERS = "123456789"
 CENTER_LETTERS = "50"
 MAX_LEVEL = 6  # largest level anything sized by 10^level or 3^level is built at
+MAX_TOL = 1e-2  # the coarsest relative certificate gap a modulus solve may target
 
 
 class ParseError(ValueError):
@@ -114,16 +114,6 @@ def _parse_triples(text):
     return "".join(letters)
 
 
-def word_to_triples(word):
-    """Render a word in the triple form accepted by parse_word."""
-    out = []
-    for c in word:
-        let = LETTERS[c]
-        sheet = 2 if c == "0" else 1
-        out.append(f"({let.grid_col},{let.grid_row},{sheet})")
-    return ";".join(out)
-
-
 def all_words(level):
     """All 10^level words in lexicographic order (index of w is int(w))."""
     return ["".join(p) for p in itertools.product(ALPHABET, repeat=level)]
@@ -131,14 +121,6 @@ def all_words(level):
 
 # ---------------------------------------------------------------------------
 # flip group
-
-
-def compose_bits(a, b):
-    """XOR of two bit strings, right-padded with '0' to the longer length."""
-    if len(a) < len(b):
-        a, b = b, a
-    b = b.ljust(len(a), "0")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
 
 
 def flip(word, bits):
@@ -180,20 +162,6 @@ def project_word(word):
     return word.replace("0", "5")
 
 
-def shift(word):
-    """Drop the first letter (pass to the next subdivision stage)."""
-    if not word:
-        raise ValueError("cannot shift the empty word")
-    return word[1:]
-
-
-def prepend(letter, word):
-    """Prefix a single letter (descend into that first-stage cell)."""
-    if len(letter) != 1 or letter not in ALPHABET:
-        raise ValueError(f"not a letter: {letter!r}")
-    return letter + word
-
-
 # ---------------------------------------------------------------------------
 # exact projected geometry
 
@@ -212,14 +180,6 @@ class TriadicSquare:
     y: int
     x_sign: int
     y_sign: int
-
-    def x_interval(self):
-        d = 3**self.level
-        return Fraction(self.x, d), Fraction(self.x + 1, d)
-
-    def y_interval(self):
-        d = 3**self.level
-        return Fraction(self.y, d), Fraction(self.y + 1, d)
 
 
 def _advance(index, sign, col):
@@ -305,52 +265,3 @@ def _col_from_offset(d, s):
     if d == 1:
         return 2
     return 1 if (d == 0) == (s == 1) else 3
-
-
-def fold(t):
-    """The degree-3 fold of [0,1]: 3t, then 2-3t, then 3t-2 on the thirds."""
-    if not 0 <= t <= 1:
-        raise ValueError(f"fold domain is [0,1], got {t}")
-    s = 3 * t
-    if s <= 1:
-        return s
-    if s <= 2:
-        return 2 - s
-    return s - 2
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Closed axis-aligned segment; axis 'v' fixes x = pos, 'h' fixes y = pos."""
-
-    axis: str
-    pos: Fraction
-    lo: Fraction
-    hi: Fraction
-
-    def length(self):
-        return self.hi - self.lo
-
-
-def seam_rectangles(word, k):
-    """The four seam segments of level k along the given word.
-
-    Level k must carry a center letter; the seam is the boundary of the
-    level-k center square containing the word's tile, in absolute [0,1]^2
-    coordinates.
-    """
-    n = len(word)
-    if not 1 <= k <= n:
-        raise ValueError(f"level {k} outside 1..{n}")
-    if word[k - 1] not in CENTER_LETTERS:
-        raise ValueError(f"letter {word[k - 1]!r} at level {k} is not a center letter")
-    sq = word_square(word[:k])
-    d = 3**k
-    x0, x1 = Fraction(sq.x, d), Fraction(sq.x + 1, d)
-    y0, y1 = Fraction(sq.y, d), Fraction(sq.y + 1, d)
-    return (
-        Segment("v", x0, y0, y1),
-        Segment("v", x1, y0, y1),
-        Segment("h", y0, x0, x1),
-        Segment("h", y1, x0, x1),
-    )

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pillowspace import cli
+from pillowspace import cli, graphs
 from pillowspace.graphs import MAX_LEVEL
 from pillowspace.measures import TileMeasure
 
@@ -240,11 +240,31 @@ def test_measure_dimension_ball_needs_seed():
 
 
 @pytest.mark.parametrize("samples", [0, -1])
-def test_measure_dimension_ball_rejects_samples_below_one(samples):
-    proc = run("measure", "dimension", "--mode", "ball", "--level", 2,
-               "--samples", samples, "--seed", 1)
-    assert proc.returncode == 64 and "--samples" in proc.stderr
-    assert not proc.stdout
+def test_measure_dimension_ball_rejects_samples_below_one(samples, capsys):
+    # as does every subcommand that counts: the parser refuses before a handler runs
+    for argv in (
+        ["measure", "dimension", "--mode", "ball", "--level", "2", "--samples"],
+        ["metric", "symmetrize", "--level", "2", "--mode", "sampled", "--out", "s.bin",
+         "--samples"],
+        ["metric", "distortion", "--in1", "a.bin", "--in2", "b.bin", "--samples"],
+        ["metric", "cover-check", "--level", "2", "--samples"],
+        ["metric", "pi-diagnostic", "--level", "2", "--trials"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [str(samples), "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 64 and argv[-1] in err, argv
+        assert not out
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_measure_dimension_ball_below_two_radii_is_usage_error(level, capsys):
+    argv = ["measure", "dimension", "--mode", "ball", "--level", str(level),
+            "--samples", "5", "--seed", "1"]
+    assert cli.main(argv) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert "two radii" in lines[0]
 
 
 def test_measure_dimension_ball_runs(tmp_path):
@@ -360,6 +380,22 @@ def test_cover_check_cli(tmp_path):
         "metric", "cover-check", "--level", 2, "--center", "4,4",
         "--radius", 1, "--c", 4,
     ).returncode == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--samples", "2"],
+    ["--center", "4,4"],
+    ["--radius", "1"],
+    ["--center", "4", "--radius", "1"],
+], ids=["no-seed", "no-radius", "no-center", "center-not-x-y"])
+def test_cover_check_checks_arguments_before_it_builds(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before the arguments were checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    assert cli.main(["metric", "cover-check", "--level", "5", *argv]) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
 
 
 def test_pi_diagnostic_cli(tmp_path):

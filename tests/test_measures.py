@@ -14,7 +14,6 @@ from pillowspace.measures import (
     IntervalWeights,
     TileMeasure,
     ball_dimension_estimate,
-    blowup_measure,
     box_dimension_estimate,
     middle_third_ratios,
     pushforward_x,
@@ -33,8 +32,6 @@ def test_measure_words_must_parse(word):
     # int() used to take these: "+5" was the Dirac mass at tile "05"
     with pytest.raises(ValueError):
         TileMeasure.dirac(word)
-    with pytest.raises(ValueError):
-        blowup_measure(TileMeasure.uniform(3), word)
 
 
 @pytest.mark.parametrize("level", [-1, 1.0, "2", None, True])
@@ -183,22 +180,6 @@ def test_ball_dimension_estimate_reproducible(g2):
 def test_ball_dimension_estimate_needs_a_sample(g2, samples):
     with pytest.raises(ValueError, match="sample"):
         ball_dimension_estimate(g2, samples=samples, seed=7, radii_exponents=[0, 1])
-
-
-def test_blowup_uniform_fixed_point():
-    m = blowup_measure(TileMeasure.uniform(3), "50")
-    assert m.level == 1
-    assert m.mass == TileMeasure.uniform(1).mass
-
-
-def test_blowup_one_sheet():
-    m = blowup_measure(TileMeasure.one_sheet(3), "5")
-    assert m.level == 2
-    assert m.mass == TileMeasure.one_sheet(2).mass
-    with pytest.raises(ValueError):
-        blowup_measure(TileMeasure.one_sheet(3), "0")  # off the sheet
-    with pytest.raises(ValueError):
-        blowup_measure(TileMeasure.uniform(2), "55")  # nothing left
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Tests for the symbolic layer: parsing, the flip group, exact squares."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from pillowspace import words as W
+from pillowspace.graphs import _fold_scaled
 
 
 def test_alphabet_and_letter_table():
@@ -23,13 +23,11 @@ def test_alphabet_and_letter_table():
 def test_parse_word_round_trip():
     for word in ("", "5", "120", "987654321", "0000"):
         assert W.parse_word(word) == word
-        assert W.parse_word(W.word_to_triples(word)) == word
 
 
 def test_parse_word_triple_form():
     assert W.parse_word("(2,1,1);(2,2,2)") == "20"
     assert W.parse_word("(2,2,1)") == "5"
-    assert W.word_to_triples("20") == "(2,1,1);(2,2,2)"
 
 
 def test_parse_word_errors_name_position():
@@ -43,7 +41,7 @@ def test_parse_word_errors_name_position():
 
 def test_flip_composition_is_xor():
     w = "1502"
-    assert W.flip(W.flip(w, "1100"), "0110") == W.flip(w, W.compose_bits("1100", "0110"))
+    assert W.flip(W.flip(w, "1100"), "0110") == W.flip(w, "1010")  # 1100 xor 0110
     assert W.flip(w, "0000") == w
     # involution
     assert W.flip(W.flip(w, "1111"), "1111") == w
@@ -62,20 +60,7 @@ def test_section_and_project():
         W.section("105", "111")  # not a grid word
     # flipping a section is the section of the composed bits
     u, g, h = "5519", "1010", "1100"
-    assert W.flip(W.section(u, g), h) == W.section(u, W.compose_bits(g, h))
-
-
-def test_shift_commutes_with_flip():
-    w, g = "2507", "0110"
-    assert W.shift(W.flip(w, g)) == W.flip(W.shift(w), g[1:])
-    with pytest.raises(ValueError):
-        W.shift("")
-
-
-def test_prepend():
-    assert W.prepend("3", "05") == "305"
-    with pytest.raises(ValueError):
-        W.prepend("x", "05")
+    assert W.flip(W.section(u, g), h) == W.section(u, "0110")  # g xor h
 
 
 def test_word_square_base_cells():
@@ -92,7 +77,6 @@ def test_word_square_55():
     sq = W.word_square("55")
     assert (sq.level, sq.x, sq.y) == (2, 4, 4)
     assert (sq.x_sign, sq.y_sign) == (1, 1)
-    assert sq.x_interval() == (Fraction(4, 9), Fraction(5, 9))
 
 
 def test_word_square_orientation_counts_middle_letters():
@@ -106,15 +90,16 @@ def test_word_square_orientation_counts_middle_letters():
         assert sq.y_sign == (-1) ** mid_rows
 
 
-def _fold_orbit_hits_cells(word, px, py):
+def _fold_orbit_hits_cells(word, px, py, denom):
     # The k-th fold iterate of a point of the word's square lies in the k-th
-    # letter's cell.  This is the independent sampling check of word_square.
+    # letter's cell; the point is (px, py) / denom, walked on its numerators.
+    # This is the independent sampling check of word_square.
     x, y = px, py
     for c in word:
         let = W.LETTERS[c]
-        assert Fraction(let.grid_col - 1, 3) <= x <= Fraction(let.grid_col, 3)
-        assert Fraction(let.grid_row - 1, 3) <= y <= Fraction(let.grid_row, 3)
-        x, y = W.fold(x), W.fold(y)
+        assert (let.grid_col - 1) * denom <= 3 * x <= let.grid_col * denom
+        assert (let.grid_row - 1) * denom <= 3 * y <= let.grid_row * denom
+        x, y = _fold_scaled(x, denom), _fold_scaled(y, denom)
 
 
 def test_word_square_agrees_with_fold_dynamics():
@@ -122,19 +107,18 @@ def test_word_square_agrees_with_fold_dynamics():
     for _ in range(60):
         word = "".join(rng.choice(W.ALPHABET) for _ in range(rng.randint(1, 5)))
         sq = W.word_square(word)
-        d = 3**sq.level
-        for fx, fy in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 7), Fraction(2, 7)), (Fraction(6, 7), Fraction(1, 3))):
-            _fold_orbit_hits_cells(word, (sq.x + fx) / d, (sq.y + fy) / d)
+        denom = 42 * 3**sq.level  # offsets inside the square in 42nds of its side
+        for fx, fy in ((21, 21), (6, 12), (36, 14)):  # (1/2, 1/2), (1/7, 2/7), (6/7, 1/3)
+            _fold_orbit_hits_cells(word, 42 * sq.x + fx, 42 * sq.y + fy, denom)
 
 
 def test_fold_values():
-    assert W.fold(Fraction(1, 6)) == Fraction(1, 2)
-    assert W.fold(Fraction(1, 2)) == Fraction(1, 2)
-    assert W.fold(Fraction(5, 6)) == Fraction(1, 2)
-    assert W.fold(Fraction(1, 3)) == 1
-    assert W.fold(Fraction(2, 3)) == 0
-    with pytest.raises(ValueError):
-        W.fold(Fraction(3, 2))
+    # the fold 3t, 2-3t, 3t-2 on the thirds of [0, 1], on numerators over 6
+    assert _fold_scaled(1, 6) == 3  # 1/6 -> 1/2
+    assert _fold_scaled(3, 6) == 3  # 1/2 -> 1/2
+    assert _fold_scaled(5, 6) == 3  # 5/6 -> 1/2
+    assert _fold_scaled(2, 6) == 6  # 1/3 -> 1
+    assert _fold_scaled(4, 6) == 0  # 2/3 -> 0
 
 
 def test_grid_word_of_square_inverts_word_square():
@@ -155,27 +139,3 @@ def test_projection_preserves_square():
         word = "".join(rng.choice(W.ALPHABET) for _ in range(4))
         a, b = W.word_square(word), W.word_square(W.project_word(word))
         assert (a.x, a.y) == (b.x, b.y)
-
-
-def test_seam_rectangles_level_one():
-    segs = W.seam_rectangles("5", 1)
-    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    assert {(s.axis, s.pos) for s in segs} == {
-        ("v", third),
-        ("v", two_thirds),
-        ("h", third),
-        ("h", two_thirds),
-    }
-    for s in segs:
-        assert (s.lo, s.hi) == (third, two_thirds)
-        assert s.length() == Fraction(1, 3)
-
-
-def test_seam_rectangles_deeper_level():
-    # the level-2 seam around "55" is the boundary of [4/9,5/9]^2
-    segs = W.seam_rectangles("55", 2)
-    for s in segs:
-        assert s.pos in (Fraction(4, 9), Fraction(5, 9))
-        assert (s.lo, s.hi) == (Fraction(4, 9), Fraction(5, 9))
-    with pytest.raises(ValueError):
-        W.seam_rectangles("15", 1)  # letter '1' is not a center letter
