@@ -179,19 +179,27 @@ def _require_seed(args):
     return args.seed
 
 
-def _measure_level(args):
+def _level(level, cap=None):
+    """A level in 1..MAX_LEVEL, and at most a command's own cap, checked
+    before anything is sized by it: a graph, or a measure's 10^level dict."""
     from .words import MAX_LEVEL
 
-    # before TileMeasure.uniform allocates a dict of 10^level entries (one shared Fraction)
-    if not 1 <= args.level <= MAX_LEVEL:
-        raise UsageError(f"--level must lie in 1..{MAX_LEVEL}, got {args.level}")
-    return args.level
+    top = MAX_LEVEL if cap is None else min(cap, MAX_LEVEL)
+    if not 1 <= level <= top:
+        raise UsageError(f"level {level} is outside 1..{top}")
+    return level
+
+
+def _graph(args, level, cap=None):
+    """The graph at a checked level under --policy."""
+    from .graphs import build_graph
+
+    return build_graph(_level(level, cap), args.policy)
 
 
 def _metric_from_args(args, level_attr="level"):
     """Metric from --in file when given, else the graph metric at the level."""
-    from .graphs import build_graph
-    from .metrics import graph_metric, read_metric_matrix
+    from .metrics import DENSE_LEVEL_LIMIT, graph_metric, read_metric_matrix
 
     hashes = {}
     if getattr(args, "infile", None):
@@ -200,7 +208,7 @@ def _metric_from_args(args, level_attr="level"):
     level = getattr(args, level_attr, None)
     if level is None:
         raise UsageError("pass either --in FILE or a --level to compute from")
-    return graph_metric(build_graph(level, args.policy)), hashes
+    return graph_metric(_graph(args, level, DENSE_LEVEL_LIMIT)), hashes
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +217,9 @@ def _metric_from_args(args, level_attr="level"):
 
 
 def _cmd_build(args):
-    from .graphs import build_graph, write_graph_binary, write_graph_json
+    from .graphs import write_graph_binary, write_graph_json
 
-    if args.level < 1:
-        raise UsageError("level must be >= 1")
-    g = build_graph(args.level, args.policy)
+    g = _graph(args, args.level)
     fmt = args.format or ("binary" if args.out.endswith(".bin") else "json")
     writer = write_graph_binary if fmt == "binary" else write_graph_json
     return EXIT_OK, {
@@ -305,7 +311,7 @@ def _cmd_measure_pushforward(args):
 
     from .measures import TileMeasure, pushforward_x
 
-    w = pushforward_x(TileMeasure.uniform(_measure_level(args)))
+    w = pushforward_x(TileMeasure.uniform(_level(args.level)))
     denom = 3**args.level
     rows = [
         (i, Fraction(i, denom), Fraction(i + 1, denom), weight)
@@ -319,7 +325,7 @@ def _cmd_measure_pushforward(args):
 def _cmd_measure_ratios(args):
     from .measures import TileMeasure, middle_third_ratios, pushforward_x
 
-    uniform = TileMeasure.uniform(_measure_level(args))
+    uniform = TileMeasure.uniform(_level(args.level))
     rows, skipped = middle_third_ratios(pushforward_x(uniform))
     table = [(r.level, r.index, r.weight, r.ratio) for r in rows]
     distinct = sorted({str(r.ratio) for r in rows})
@@ -339,12 +345,10 @@ def _cmd_measure_dimension(args):
         config = {"mode": "box", "levels": args.levels}
         seed = None
     else:
-        from .graphs import build_graph
-
         if args.level is None or args.samples is None:
             raise UsageError("ball mode needs --level and --samples")
         seed = _require_seed(args)
-        g = build_graph(args.level, args.policy)
+        g = _graph(args, args.level)
         try:
             fit = ball_dimension_estimate(g, args.samples, seed)
         except ValueError as exc:  # levels 1 and 2 give fewer than two radii
@@ -388,15 +392,21 @@ def _cmd_metric_symmetrize(args):
 
 
 def _cmd_metric_blowup(args):
-    from .graphs import build_graph
-    from .metrics import blowup_metric, internal_block_metric, write_metric_matrix
+    from .metrics import (DENSE_LEVEL_LIMIT, blowup_metric, internal_block_metric,
+                          write_metric_matrix)
+    from .words import parse_word
 
     norm = _parse_normalization(args.normalization)
     hashes = {}
     if args.mode == "internal":
         if args.level_from is None:
             raise UsageError("internal mode needs --level-from")
-        blow, base = internal_block_metric, build_graph(args.level_from, args.policy)
+        try:
+            k = len(parse_word(args.prefix))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        # the block's dense metric is capped, so the ambient level is too
+        blow, base = internal_block_metric, _graph(args, args.level_from, DENSE_LEVEL_LIMIT + k)
     else:
         blow = blowup_metric
         base, hashes = _metric_from_args(args, level_attr="level_from")
@@ -432,10 +442,9 @@ def _cmd_metric_distortion(args):
 def _cmd_metric_quotient_check(args):
     from dataclasses import asdict
 
-    from .graphs import build_graph
-    from .metrics import lipschitz_quotient_check
+    from .metrics import BALL_IMAGE_LIMIT, lipschitz_quotient_check
 
-    rep = lipschitz_quotient_check(build_graph(args.level, args.policy))
+    rep = lipschitz_quotient_check(_graph(args, args.level, BALL_IMAGE_LIMIT))
     body = asdict(rep)
     code = EXIT_OK if rep.ok else EXIT_FAIL
     return code, {
@@ -448,7 +457,6 @@ def _cmd_metric_cover_check(args):
     import random
     from dataclasses import asdict
 
-    from .graphs import build_graph
     from .metrics import cover_preimage
 
     # the arguments first: a usage error must not pay for the build
@@ -461,7 +469,7 @@ def _cmd_metric_cover_check(args):
             cx, cy = (int(t) for t in args.center.split(","))
         except ValueError:
             raise UsageError(f"cannot parse center {args.center!r}; expected X,Y")
-    g = build_graph(args.level, args.policy)
+    g = _graph(args, args.level)
     side = 3**args.level
     if args.samples is not None:
         cases = [
@@ -494,12 +502,11 @@ def _cmd_metric_cover_check(args):
 
 
 def _cmd_metric_pi_diagnostic(args):
-    from .graphs import build_graph
     from .measures import TileMeasure
     from .metrics import pi_diagnostic
 
     seed = _require_seed(args)
-    g = build_graph(args.level, args.policy)
+    g = _graph(args, args.level)
     measure = TileMeasure.uniform(args.level)
     try:
         rep = pi_diagnostic(g, measure, args.p, args.trials, seed)

@@ -10,9 +10,10 @@ under the fold dynamics and arbitrates any disagreement.
 
 The builder follows the self-similarity of the complex: G_n is ten copies of
 G_{n-1}, one per first letter, shifted by a * 10^(n-1).  Edges between two
-first-level cells meet on the boundary of both, so the adjacency predicate
-is run only on the tiles over the boundary ring of each cell (the per-tile
-enumeration over all tiles, reference_edges, is the slow cross-check).
+first-level cells are read off one table of the squares: pairs facing each
+other across a cell-side cut, plus the 5/0 seams around the centre cell.
+The builder runs no adjacency test; the per-tile enumeration over all tiles,
+reference_edges, decides every pair with it and is the slow cross-check.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .words import (
     LETTERS,
     MAX_LEVEL,
     CapacityError,
+    _grid_table,
     _prefix_states,
     _square_arrays,
     all_words,
@@ -46,6 +48,7 @@ EDGE_TYPES = (HORIZONTAL, VERTICAL, SEAM)
 _TYPE_CODE = {t: c for c, t in enumerate(EDGE_TYPES)}  # anything else: len(EDGE_TYPES)
 _SWAP = {"5": "0", "0": "5"}
 _LETTER_SET = frozenset(ALPHABET)
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
@@ -76,8 +79,7 @@ def adjacency(w, v):
     # Candidate faces: the unit sides of w's square that v's square also
     # has, each kept as its midpoint in half level-n units.
     if dx == dy == 0:
-        faces = [(2 * x, 2 * y + 1), (2 * x + 2, 2 * y + 1),
-                 (2 * x + 1, 2 * y), (2 * x + 1, 2 * y + 2)]
+        faces = [(2 * x + 1 + ex, 2 * y + 1 + ey) for ex, ey in _STEPS]
     elif abs(dx) + abs(dy) == 1:
         faces = [(2 * x + 1 + dx, 2 * y + 1 + dy)]
     else:
@@ -161,9 +163,10 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
     top = 3**n
     denom = 2 * top
 
-    sw = _prefix_states(w)[n]
-    sv = _prefix_states(v)[n]
-    same_square = sw[:2] == sv[:2]
+    x0, y0 = _prefix_states(w)[n][:2]
+    x1, y1 = _prefix_states(v)[n][:2]
+    dx, dy = x1 - x0, y1 - y0
+    same_square = dx == dy == 0
 
     if exhaustive:
         candidates = []
@@ -172,26 +175,11 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
                 candidates.append((2 * i, 2 * j + 1))  # on line x = i/3^n
                 candidates.append((2 * j + 1, 2 * i))  # on line y = i/3^n
     elif same_square:
-        x0, y0 = sw[0], sw[1]
-        candidates = [
-            (2 * x0, 2 * y0 + 1),
-            (2 * x0 + 2, 2 * y0 + 1),
-            (2 * x0 + 1, 2 * y0),
-            (2 * x0 + 1, 2 * y0 + 2),
-        ]
+        candidates = [(2 * x0 + 1 + ex, 2 * y0 + 1 + ey) for ex, ey in _STEPS]
+    elif abs(dx) + abs(dy) == 1:
+        candidates = [(2 * x0 + 1 + dx, 2 * y0 + 1 + dy)]
     else:
-        dx, dy = sv[0] - sw[0], sv[1] - sw[1]
-        if abs(dx) + abs(dy) != 1:
-            return None
-        x0, y0 = sw[0], sw[1]
-        if dx == 1:
-            candidates = [(2 * x0 + 2, 2 * y0 + 1)]
-        elif dx == -1:
-            candidates = [(2 * x0, 2 * y0 + 1)]
-        elif dy == 1:
-            candidates = [(2 * x0 + 1, 2 * y0 + 2)]
-        else:
-            candidates = [(2 * x0 + 1, 2 * y0)]
+        return None
 
     for px, py in candidates:
         if _chains_meet(w, v, px, py, denom):
@@ -326,19 +314,7 @@ def build_graph(n, central_edge_policy="on"):
         # suppressed last-letter seam sits at the same position in a block.
         size = 10 ** (m - 1)
         offs = np.arange(0, 10 * size, size)[:, None]
-        # An edge between two cells meets on the boundary of both (a shared
-        # cell edge, or the centre cell's boundary for a 5/0 seam), so both
-        # tiles lie over the boundary ring of their cell.  Ring squares carry
-        # no centre letter: one tile each.
-        side = 3 ** (m - 1)
-        ring = {
-            grid_word_of_square(m - 1, *sq)
-            for k in range(side)
-            for sq in ((k, 0), (k, side - 1), (0, k), (side - 1, k))
-        }
-        cross = [(i, j, _TYPE_CODE[e]) for tail in ring for a in ALPHABET
-                 for i, j, e in _tile_edges(a + tail, central_edge_policy, size)]
-        cu, cv, ct = np.array(cross, dtype=np.int64).reshape(-1, 3).T
+        cu, cv, ct = _cross_edges(m, central_edge_policy)
         u = np.concatenate([(u + offs).ravel(), cu])
         v = np.concatenate([(v + offs).ravel(), cv])
         t = np.concatenate([np.tile(t, 10), ct])
@@ -352,61 +328,71 @@ def build_graph(n, central_edge_policy="on"):
     return g
 
 
+def _cross_edges(m, policy):
+    """Edges (u, v, t) of G_m whose tiles differ in the first letter.
+
+    Read off the level-m square table.  Squares facing each other across a
+    cell-side cut are joined: H across the x cuts, V across the y cuts.  The
+    shared face lies on the boundary of every square in the cell that holds
+    it, so the two tiles meet however their words differ.  Such squares
+    carry no centre letter after the first; an end in the centre cell is the
+    '5' word, and its '0' twin is joined to the other end too.  Each square
+    on the centre cell's boundary ring gives a 5/0 seam, which policy "off"
+    drops at m = 1, where the first letter is the last.
+    """
+    grid = _grid_table(m)
+    side, size = 3 ** (m - 1), 10 ** (m - 1)
+    twin = 5 * size  # index of '5' + tail less that of '0' + tail
+    cut = np.array([side, 2 * side])
+    a = np.concatenate([grid[cut - 1].ravel(), grid[:, cut - 1].ravel()])
+    b = np.concatenate([grid[cut].ravel(), grid[:, cut].ravel()])
+    t = np.repeat([_TYPE_CODE[HORIZONTAL], _TYPE_CODE[VERTICAL]], 6 * side)
+    in_a, in_b = a // size == 5, b // size == 5
+    ring = np.ones((side, side), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    seam = grid[side : 2 * side, side : 2 * side][ring]
+    if policy == "off" and m == 1:
+        seam = seam[:0]
+    a = np.concatenate([a, a[in_a] - twin, a[in_b], seam - twin])
+    b = np.concatenate([b, b[in_a], b[in_b] - twin, seam])
+    t = np.concatenate([t, t[in_a], t[in_b], np.full(seam.size, _TYPE_CODE[SEAM])])
+    return np.minimum(a, b), np.maximum(a, b), t
+
+
 def reference_edges(n, central_edge_policy="on"):
     """Sorted edge list from the per-tile enumeration over all 10^n tiles.
 
-    The slow per-vertex path that build_graph's self-similar recursion is
-    checked against; no level cap, so keep n small.
+    The slow per-vertex path that build_graph is checked against: it decides
+    every candidate pair with adjacency, which the builder never runs; no
+    level cap, so keep n small.
     """
     return sorted(
-        e for w in all_words(n) for e in _tile_edges(w, central_edge_policy, 1)
+        e for w in all_words(n) for e in _tile_edges(w, central_edge_policy)
     )
 
 
-def _tile_edges(w, policy, block):
-    """Edges (i, j, type) from tile w to partners j > i in another block.
-
-    Indices fall into blocks of `block` consecutive words; partners in w's
-    own block are skipped before adjacency is decided, and block=1 keeps
-    every partner.
-    """
-    n = len(w)
-    i = int(w)
-    own = i // block
-    out = []
+def _tile_edges(w, policy):
+    """Edges (i, j, type) from tile w to its partners j > i."""
+    n, i = len(w), int(w)
     # Seam partners share the footprint and differ at exactly one center
     # level (boundaries of nested center squares are disjoint, so multi-level
     # sheet flips never meet).
-    for k in range(n):
-        c = w[k]
-        if c not in CENTER_LETTERS:
-            continue
-        if policy == "off" and k == n - 1:
-            continue
-        v = w[:k] + _SWAP[c] + w[k + 1 :]
-        j = int(v)
-        if j > i and j // block != own and adjacency(w, v) == SEAM:
-            out.append((i, j, SEAM))
-
-    # Grid partners live over one of the four neighboring squares.
-    top = 3**n
+    partners = [w[:k] + _SWAP[c] + w[k + 1 :] for k, c in enumerate(w)
+                if c in CENTER_LETTERS and not (policy == "off" and k == n - 1)]
+    # Grid partners live over one of the four neighboring squares, on any
+    # sheet at each of its center levels.
     x, y = _prefix_states(w)[-1][:2]
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nx, ny = x + dx, y + dy
-        if not (0 <= nx < top and 0 <= ny < top):
-            continue
-        base = grid_word_of_square(n, nx, ny)
-        centers = [p for p in range(n) if base[p] == "5"]
-        for picks in itertools.product("50", repeat=len(centers)):
-            v = base
-            for p, c in zip(centers, picks):
-                if c == "0":
-                    v = v[:p] + "0" + v[p + 1 :]
-            j = int(v)
-            if j > i and j // block != own:
-                t = adjacency(w, v)
-                if t is not None:
-                    out.append((i, j, t))
+    for dx, dy in _STEPS:
+        if 0 <= x + dx < 3**n and 0 <= y + dy < 3**n:
+            base = grid_word_of_square(n, x + dx, y + dy)
+            partners += map("".join, itertools.product(*(
+                CENTER_LETTERS if c == "5" else c for c in base)))
+    out = []
+    for v in partners:
+        if int(v) > i:
+            t = adjacency(w, v)
+            if t is not None:
+                out.append((i, int(v), t))
     return out
 
 

@@ -23,6 +23,7 @@ from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_s
 from .words import all_words, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
+BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
 _DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
 EXACT_GROUP_LIMIT = 2**15
 
@@ -310,8 +311,8 @@ def lipschitz_quotient_check(g):
     ball identity (image of ball(x, r) = grid ball of radius r) at every
     radius simultaneously.
     """
-    if g.level > 3:
-        raise CapacityError("exhaustive ball-image check capped at level 3")
+    if g.level > BALL_IMAGE_LIMIT:
+        raise CapacityError(f"exhaustive ball-image check capped at level {BALL_IMAGE_LIMIT}")
     side = 3**g.level
     sx, sy = g.square_x, g.square_y
     cell = sx * side + sy

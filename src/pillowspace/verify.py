@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import (
     MAX_LEVEL,
     CapacityError,
@@ -28,7 +26,7 @@ from .graphs import (
     prefix_subgraph,
     reference_edges,
 )
-from .words import all_words
+from .words import _grid_table, all_words
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -87,10 +85,9 @@ def _suite_sheets(n, g, ctx):
         sheets = ["".join(b) for b in itertools.product("01", repeat=n)]
     else:
         sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
-    # index of the center-free word over each square: the largest index over
-    # it, as '5' > '0'; a sheet's lift of it is that index under the flip
-    grid = np.zeros((side, side), dtype=np.int64)
-    np.maximum.at(grid, (g.square_x, g.square_y), np.arange(g.n_vertices))
+    # index of the center-free word over each square; a sheet's lift of it
+    # is that index under the flip
+    grid = _grid_table(n)
     mismatches, pairs = 0, 0
     starts = max(1, SHEET_PAIRS // 40)
     for bits in sheets:

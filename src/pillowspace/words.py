@@ -238,30 +238,31 @@ def _square_arrays(n):
     return xs, ys
 
 
+@functools.lru_cache(maxsize=None)  # levels 0..MAX_LEVEL, 4 MB at the top
+def _grid_table(n):
+    """(3^n, 3^n) read-only table of the index of the center-free word over
+    each square: the inverse of _square_arrays on grid words.
+
+    Of the tiles over one square the center-free word has the largest
+    index, as '5' > '0'.
+    """
+    if n > MAX_LEVEL:  # before anything is sized by 9^n
+        raise CapacityError(f"level {n} exceeds the supported maximum {MAX_LEVEL}")
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
+    table = np.zeros((3**n, 3**n), dtype=np.int64)
+    np.maximum.at(table, _square_arrays(n), np.arange(10**n))
+    table.flags.writeable = False
+    return table
+
+
 def grid_word_of_square(level, x, y):
     """The unique center-free word whose square has indices (x, y).
 
     Inverse of word_square restricted to grid words; other preimages are the
     sheet lifts reachable via section().
     """
-    top = 3**level
-    if not (0 <= x < top and 0 <= y < top):
+    table = _grid_table(level)
+    if not (0 <= x < len(table) and 0 <= y < len(table)):
         raise ValueError(f"square indices out of range at level {level}: ({x}, {y})")
-    letters = []
-    sx = sy = 1
-    for k in range(level):
-        p = 3 ** (level - k - 1)
-        col = _col_from_offset((x // p) % 3, sx)
-        row = _col_from_offset((y // p) % 3, sy)
-        if col == 2:
-            sx = -sx
-        if row == 2:
-            sy = -sy
-        letters.append(letter_at(col, row))
-    return "".join(letters)
-
-
-def _col_from_offset(d, s):
-    if d == 1:
-        return 2
-    return 1 if (d == 0) == (s == 1) else 3
+    return str(table[x, y]).zfill(level) if level else ""

@@ -398,6 +398,44 @@ def test_cover_check_checks_arguments_before_it_builds(argv, monkeypatch, capsys
     assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
 
 
+# every command that builds a graph, with {level} where its level goes
+GRAPH_COMMANDS = {
+    "build": ["build", "-n", "{level}", "--out", "unused.json"],
+    "ball-dimension": ["measure", "dimension", "--mode", "ball", "--level", "{level}",
+                       "--samples", "2", "--seed", "1"],
+    "symmetrize": ["metric", "symmetrize", "--level", "{level}", "--out", "unused.bin"],
+    "blowup": ["metric", "blowup", "--level-from", "{level}", "--prefix", "5",
+               "--out", "unused.bin"],
+    "quotient-check": ["metric", "quotient-check", "--level", "{level}"],
+    "cover-check": ["metric", "cover-check", "--level", "{level}", "--samples", "2",
+                    "--seed", "1"],
+    "pi-diagnostic": ["metric", "pi-diagnostic", "--level", "{level}", "--trials", "2",
+                      "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command, level", [
+    *((c, level) for c in GRAPH_COMMANDS for level in (-1, 0)),
+    ("build", MAX_LEVEL + 1),
+    ("ball-dimension", MAX_LEVEL + 1),
+    ("cover-check", MAX_LEVEL + 1),
+    ("pi-diagnostic", MAX_LEVEL + 1),
+    ("quotient-check", 4),  # the exhaustive ball-image check stops at level 3
+    ("symmetrize", 5),  # dense metrics stop at level 4
+    ("blowup", 6),  # its level-5 block is past the dense limit
+])
+def test_graph_level_is_checked_before_it_is_built(command, level, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before its level was checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    argv = [a.format(level=level) for a in GRAPH_COMMANDS[command]]
+    assert cli.main(argv) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert str(level) in lines[0]
+
+
 def test_pi_diagnostic_cli(tmp_path):
     out = tmp_path / "pi.csv"
     proc = run(

@@ -463,14 +463,30 @@ def test_build_matches_per_tile_reference_level_5():
     assert ps.build_graph(5).edges == G.reference_edges(5)
 
 
-def test_adjacency_runs_only_on_ring_tiles(monkeypatch):
-    callers = set()
-    real = G.adjacency
-    monkeypatch.setattr(G, "adjacency", lambda w, v: callers.add(w) or real(w, v))
-    ps.build_graph(3)
-    top = 3**2 - 1
-    level3 = [ps.word_square(w[1:]) for w in callers if len(w) == 3]
-    assert level3 and all(sq.x in (0, top) or sq.y in (0, top) for sq in level3)
+def test_build_runs_no_adjacency_test(monkeypatch):
+    want = {(n, policy): G.reference_edges(n, policy)
+            for n in range(1, 5) for policy in ("on", "off")}
+
+    def refuse(*args):
+        raise AssertionError("the builder ran the per-tile adjacency path")
+
+    monkeypatch.setattr(G, "adjacency", refuse)
+    monkeypatch.setattr(G, "_tile_edges", refuse)
+    for (n, policy), edges in want.items():
+        assert ps.build_graph(n, policy).edges == edges
+
+
+# L6 edge totals, too large to build in a test: G_6 is ten copies of G_5
+# plus the level-6 cross edges
+L6_EDGES = {"on": 2_510_616, "off": 2_410_616}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_cross_edge_counts(policy):
+    counts = [len(G._cross_edges(m, policy)[0]) for m in range(1, 7)]
+    assert counts == [17 if policy == "on" else 16] + [
+        20 * 3 ** (m - 1) - 4 for m in range(2, 7)]
+    assert 10 * ps.build_graph(5, policy).n_edges + counts[-1] == L6_EDGES[policy]
 
 
 def test_graph_files_match_golden_hashes(tmp_path, g3):

@@ -122,15 +122,35 @@ def test_fold_values():
 
 
 def test_grid_word_of_square_inverts_word_square():
-    for level in (1, 2, 3):
+    assert W.grid_word_of_square(0, 0, 0) == ""
+    for level in (1, 2, 3, 4):
         for x in range(3**level):
             for y in range(3**level):
                 word = W.grid_word_of_square(level, x, y)
-                assert "0" not in word
+                assert len(word) == level and "0" not in word
                 sq = W.word_square(word)
                 assert (sq.x, sq.y) == (x, y)
+    for level, x, y in ((0, 1, 0), (1, 3, 0), (1, 0, -1), (W.MAX_LEVEL, 3**W.MAX_LEVEL, 0)):
+        with pytest.raises(ValueError):
+            W.grid_word_of_square(level, x, y)
+    top = 3**W.MAX_LEVEL - 1
+    sq = W.word_square(W.grid_word_of_square(W.MAX_LEVEL, top, 1))
+    assert (sq.level, sq.x, sq.y) == (W.MAX_LEVEL, top, 1)
+
+
+def test_grid_table_is_capped_and_read_only(monkeypatch):
+    table = W._grid_table(2)
     with pytest.raises(ValueError):
-        W.grid_word_of_square(1, 3, 0)
+        table[0, 0] = 1
+
+    def refuse(n):
+        raise AssertionError(f"squares of level {n} computed past the cap")
+
+    monkeypatch.setattr(W, "_square_arrays", refuse)
+    with pytest.raises(W.CapacityError):
+        W.grid_word_of_square(W.MAX_LEVEL + 1, 0, 0)
+    with pytest.raises(ValueError):
+        W._grid_table(-1)
 
 
 def test_projection_preserves_square():
