@@ -116,8 +116,6 @@ def _json(body):
 
 def _parse_levels(text):
     """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL."""
-    from .words import MAX_LEVEL
-
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
@@ -126,12 +124,21 @@ def _parse_levels(text):
             levels = sorted({int(x) for x in text.split(",")})
     except ValueError:
         raise UsageError(f"cannot parse level range {text!r}")
-    if not levels or levels[0] < 1:
-        raise UsageError("levels must be integers >= 1")
+    if not levels:
+        raise UsageError(f"level range {text!r} is empty")
     # on the ends, before a range becomes a list: 1..10**8 is gigabytes of ints
-    if levels[-1] > MAX_LEVEL:
-        raise UsageError(f"level {levels[-1]} exceeds the supported maximum {MAX_LEVEL}")
+    _level(levels[0])
+    _level(levels[-1])
     return list(levels)
+
+
+def _tol(tol):
+    """A modulus certificate tolerance in (0, MAX_TOL]."""
+    from .words import MAX_TOL
+
+    if not 0 < tol <= MAX_TOL:  # also rejects nan
+        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {tol}")
+    return tol
 
 
 def _parse_p_grid(text):
@@ -233,17 +240,14 @@ def _cmd_verify(args):
     from dataclasses import asdict
 
     from .verify import SUITES, run_suite
-    from .words import MAX_TOL
 
     if args.suite not in SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
         )
     levels = _parse_levels(args.levels) if args.levels else None
-    if not 0 < args.tol <= MAX_TOL:  # also rejects nan
-        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {args.tol}")
     rep = run_suite(
-        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
+        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=_tol(args.tol)
     )
     body = asdict(rep)
     word = "pass" if rep.ok else "FAIL"
@@ -255,24 +259,21 @@ def _cmd_verify(args):
 
 
 def _cmd_modulus(args):
-    from .graphs import boundary_face, read_graph
-    from .modulus import MAX_TOL, ModulusProblem, Network, solve_modulus
+    from .graphs import read_graph
+    from .modulus import ModulusProblem, crossing, solve_modulus
 
     sides = _parse_sides(args.sides)
     p_grid = _parse_p_grid(args.p_grid)
-    if not 0 < args.tol <= MAX_TOL:
-        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {args.tol}")
+    tol = _tol(args.tol)
     try:
         g = read_graph(args.graph)
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot read graph file {args.graph}: {exc}")
     hashes = {"graph": _sha256(args.graph)}
-    net = Network.from_graph(g)
-    src = frozenset(boundary_face(g, sides[0]))
-    tgt = frozenset(boundary_face(g, sides[1]))
+    net, src, tgt = crossing(g, sides)
     rows, stops, all_converged = [], [], True
     for p in p_grid:
-        res = solve_modulus(ModulusProblem(net, src, tgt, p, args.tol))
+        res = solve_modulus(ModulusProblem(net, src, tgt, p, tol))
         all_converged &= bool(res.converged)
         stops.append(res.stop)
         rows.append(

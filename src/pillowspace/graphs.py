@@ -32,11 +32,13 @@ from .words import (
     CENTER_LETTERS,
     LETTERS,
     MAX_LEVEL,
-    CapacityError,
+    CapacityError,  # the package exports it from this module
+    _check_capacity,
     _grid_table,
     _prefix_states,
     _square_arrays,
     all_words,
+    flip,
     grid_word_of_square,
     parse_word,
 )
@@ -46,7 +48,6 @@ VERTICAL = "V"
 SEAM = "S"
 EDGE_TYPES = (HORIZONTAL, VERTICAL, SEAM)
 _TYPE_CODE = {t: c for c, t in enumerate(EDGE_TYPES)}  # anything else: len(EDGE_TYPES)
-_SWAP = {"5": "0", "0": "5"}
 _LETTER_SET = frozenset(ALPHABET)
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 
@@ -58,6 +59,28 @@ ORACLE_MAX_LEVEL = 3
 
 # ---------------------------------------------------------------------------
 # face adjacency (normative rule)
+
+
+def _shared_faces(s, t):
+    """The unit sides of the square of level-n state s that t's square also
+    has, as midpoints in half level-n units: all four when the squares
+    coincide, one when they sit side by side, none otherwise."""
+    x, y = s[0], s[1]
+    dx, dy = t[0] - x, t[1] - y
+    if dx == dy == 0:
+        return [(2 * x + 1 + ex, 2 * y + 1 + ey) for ex, ey in _STEPS]
+    if abs(dx) + abs(dy) == 1:
+        return [(2 * x + 1 + dx, 2 * y + 1 + dy)]
+    return []
+
+
+def _face_type(shared, face):
+    """Type of the edge through a common face: "S" when the squares coincide
+    (all four sides shared), else "H" across a vertical face (its midpoint's
+    x is even) and "V" across a horizontal one."""
+    if len(shared) == 4:
+        return SEAM
+    return HORIZONTAL if face[0] % 2 == 0 else VERTICAL
 
 
 def adjacency(w, v):
@@ -73,16 +96,8 @@ def adjacency(w, v):
         raise ValueError("adjacency is defined for distinct words")
     n = len(w)
     sw = _prefix_states(w)
-    sv = _prefix_states(v)
-    x, y = sw[n][0], sw[n][1]
-    dx, dy = sv[n][0] - x, sv[n][1] - y
-    # Candidate faces: the unit sides of w's square that v's square also
-    # has, each kept as its midpoint in half level-n units.
-    if dx == dy == 0:
-        faces = [(2 * x + 1 + ex, 2 * y + 1 + ey) for ex, ey in _STEPS]
-    elif abs(dx) + abs(dy) == 1:
-        faces = [(2 * x + 1 + dx, 2 * y + 1 + dy)]
-    else:
+    faces = shared = _shared_faces(sw[n], _prefix_states(v)[n])
+    if not faces:
         return None  # the squares neither coincide nor share a side
     for k in range(1, n + 1):
         if w[k - 1] == v[k - 1]:
@@ -100,9 +115,7 @@ def adjacency(w, v):
                  if px in (x0, x0 + side) or py in (y0, y0 + side)]
         if not faces:
             return None
-    if dx == dy == 0:
-        return SEAM
-    return HORIZONTAL if dx else VERTICAL
+    return _face_type(shared, faces[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +175,18 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
         raise ValueError(f"chain oracle supports length <= {ORACLE_MAX_LEVEL}, got {n}")
     top = 3**n
     denom = 2 * top
-
-    x0, y0 = _prefix_states(w)[n][:2]
-    x1, y1 = _prefix_states(v)[n][:2]
-    dx, dy = x1 - x0, y1 - y0
-    same_square = dx == dy == 0
-
+    shared = _shared_faces(_prefix_states(w)[n], _prefix_states(v)[n])
     if exhaustive:
-        candidates = []
+        probes = []
         for i in range(top + 1):
             for j in range(top):
-                candidates.append((2 * i, 2 * j + 1))  # on line x = i/3^n
-                candidates.append((2 * j + 1, 2 * i))  # on line y = i/3^n
-    elif same_square:
-        candidates = [(2 * x0 + 1 + ex, 2 * y0 + 1 + ey) for ex, ey in _STEPS]
-    elif abs(dx) + abs(dy) == 1:
-        candidates = [(2 * x0 + 1 + dx, 2 * y0 + 1 + dy)]
+                probes.append((2 * i, 2 * j + 1))  # on line x = i/3^n
+                probes.append((2 * j + 1, 2 * i))  # on line y = i/3^n
     else:
-        return None
-
-    for px, py in candidates:
-        if _chains_meet(w, v, px, py, denom):
-            if same_square:
-                return SEAM
-            return HORIZONTAL if px % 2 == 0 else VERTICAL
+        probes = shared
+    for face in probes:
+        if _chains_meet(w, v, *face, denom):
+            return _face_type(shared, face)
     return None
 
 
@@ -229,9 +230,6 @@ class ReplacementGraph:
         if len(word) != self.level or not set(word) <= _LETTER_SET:
             raise ValueError(f"word {word!r} is not a level-{self.level} word")
         return int(word)
-
-    def word(self, i):
-        return self.words[i]
 
     @property
     def n_vertices(self):
@@ -302,8 +300,7 @@ def build_graph(n, central_edge_policy="on"):
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    if n > MAX_LEVEL:
-        raise CapacityError(f"level {n} exceeds the supported maximum {MAX_LEVEL}")
+    _check_capacity(n)
     if central_edge_policy not in ("on", "off"):
         raise ValueError(f"unknown policy {central_edge_policy!r}")
 
@@ -377,7 +374,7 @@ def _tile_edges(w, policy):
     # Seam partners share the footprint and differ at exactly one center
     # level (boundaries of nested center squares are disjoint, so multi-level
     # sheet flips never meet).
-    partners = [w[:k] + _SWAP[c] + w[k + 1 :] for k, c in enumerate(w)
+    partners = [w[:k] + flip(c, "1") + w[k + 1 :] for k, c in enumerate(w)
                 if c in CENTER_LETTERS and not (policy == "off" and k == n - 1)]
     # Grid partners live over one of the four neighboring squares, on any
     # sheet at each of its center levels.
@@ -645,6 +642,9 @@ def read_graph_binary(path):
             raise ValueError("truncated header")
         level, policy_flag, n_vertices, n_edges = struct.unpack("<IIII", header)
         _check_level(level)
+        if policy_flag not in (0, 1):
+            raise ValueError(f"policy flag {policy_flag} is neither 0 (off) nor 1 (on)")
+        policy = ("off", "on")[policy_flag]
         if n_vertices != 10**level:
             raise ValueError("vertex count does not match the level")
         # checked against the file size, so a bad count allocates nothing
@@ -653,7 +653,6 @@ def read_graph_binary(path):
         raw = fh.read()
     # an unknown type code stays a number, which construction rejects
     u, v, t = np.frombuffer(raw, "<u4").reshape(-1, 3).T
-    policy = "on" if policy_flag else "off"
     return ReplacementGraph(level=level, policy=policy, u=u, v=v, t=t)
 
 

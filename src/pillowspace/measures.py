@@ -19,13 +19,14 @@ from operator import index
 
 import numpy as np
 
-from .words import GRID_LETTERS, _square_arrays, parse_word, section
+from .words import GRID_LETTERS, _check_capacity, _square_arrays, parse_word, section
 
 
 def _check_level(level):
-    # before anything is sized by the level
+    # before anything is sized by it: uniform's and one_sheet's dicts, pushforward_x's squares
     if type(level) is not int or level < 0:
         raise ValueError(f"measure level must be an int >= 0, got {level!r}")
+    _check_capacity(level)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .words import all_words, parse_word
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
 _DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
-EXACT_GROUP_LIMIT = 2**15
+PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
 
 _FIXED_ONE = 65536  # 16.16 fixed point in the on-disk format
 _MAGIC = b"PLM1"
@@ -113,8 +113,6 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
     """
     level = d.level
     if mode == "exact":
-        if 2**level > EXACT_GROUP_LIMIT:
-            raise CapacityError("group too large for exact mode; use mode='sampled'")
         draws = ["".join(b) for b in itertools.product("01", repeat=level)]
     elif mode == "sampled":
         if samples is None or samples < 1:
@@ -226,31 +224,22 @@ class DistortionProfile:
         ]
 
 
-def _profile_from_pairs(pairs, used, skipped):
-    bins = {}
-    for t, r in pairs:
-        b = math.floor(math.log(t) / _BIN_LOG + 1e-12)
-        cnt, mx = bins.get(b, (0, 0.0))
-        bins[b] = (cnt + 1, max(mx, r))
-    lo_b, hi_b = min(bins), max(bins)
-    span = range(lo_b, hi_b + 1)
-    count = np.array([bins.get(b, (0, 0.0))[0] for b in span], dtype=np.int64)
-    max_ratio = np.array(
-        [bins[b][1] if b in bins else math.nan for b in span], dtype=np.float64
-    )
-    envelope = np.empty_like(max_ratio)
-    running = -math.inf
-    for i, m in enumerate(max_ratio):
-        if not math.isnan(m):
-            running = max(running, m)
-        envelope[i] = running if running > -math.inf else math.nan
+def _profile(t, r, skipped):
+    """Profile of the ratio pairs (t[i], r[i]): per bin of t, the count and
+    the largest r; bins with no t in them hold NaN, which fmax skips."""
+    b = np.floor(np.log(t) / _BIN_LOG + 1e-12).astype(np.int64)
+    lo = int(b.min())
+    count = np.bincount(b - lo)
+    max_ratio = np.full(count.size, math.nan)
+    np.fmax.at(max_ratio, b - lo, r)
+    span = range(lo, lo + count.size)
     return DistortionProfile(
-        bin_low=np.array([math.exp(_BIN_LOG * b) for b in span]),
-        bin_high=np.array([math.exp(_BIN_LOG * (b + 1)) for b in span]),
+        bin_low=np.array([math.exp(_BIN_LOG * k) for k in span]),
+        bin_high=np.array([math.exp(_BIN_LOG * (k + 1)) for k in span]),
         count=count,
         max_ratio=max_ratio,
-        envelope=envelope,
-        samples_used=used,
+        envelope=np.fmax.accumulate(max_ratio),
+        samples_used=len(t),
         samples_skipped=skipped,
     )
 
@@ -270,22 +259,15 @@ def qs_distortion(d1, d2, samples, seed):
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     n = d1.n_vertices
-    e1, e2 = d1.entries, d2.entries
-    fwd, bwd = [], []
-    skipped = 0
-    for _ in range(samples):
-        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if x == z or x == y:
-            skipped += 1
-            continue
-        t = e1[x, y] / e1[x, z]
-        r = e2[x, y] / e2[x, z]
-        fwd.append((t, r))
-        bwd.append((1.0 / t, 1.0 / r))
-    if not fwd:
+    x, y, z = np.array([rng.randrange(n) for _ in range(3 * samples)]).reshape(-1, 3).T
+    keep = (x != z) & (x != y)
+    x, y, z = x[keep], y[keep], z[keep]
+    if not x.size:
         raise ValueError("all samples degenerate; increase samples")
-    profile = _profile_from_pairs(fwd, len(fwd), skipped)
-    profile.inverse = _profile_from_pairs(bwd, len(bwd), skipped)
+    t, r = (e[x, y] / e[x, z] for e in (d1.entries, d2.entries))
+    skipped = samples - x.size
+    profile = _profile(t, r, skipped)
+    profile.inverse = _profile(1.0 / t, 1.0 / r, skipped)
     return profile
 
 
@@ -456,14 +438,13 @@ def cover_preimage(g, center, radius, c=5):
 @dataclass
 class PIDiagnostic:
     p: float
-    dilation: int
     trials: int
     worst_ratio: float
     worst_case: tuple | None  # (function label, center word, radius)
     rows: list[tuple]  # (label, center word, radius, lhs, rhs, ratio)
 
 
-def pi_diagnostic(g, m, p, trials, seed, dilation=2):
+def pi_diagnostic(g, m, p, trials, seed):
     """Worst observed ratio of mean oscillation to the gradient term.
 
     For sampled balls and a small family of test functions (the two cell
@@ -473,11 +454,11 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
         mean_B |u - u_B|   over   diam(B) * (mean_CB grad^p)^(1/p)
 
     with the graph gradient (max absolute difference over incident edges),
-    means weighted by the tile measure, CB the dilated ball, and diam(B)
-    proxied by twice the largest center distance observed in B.  The maximum
-    ratio is an empirical lower bound for any Poincare constant at this
-    level; constant functions give 0/0 and are recorded as 0, excluded from
-    the max.
+    means weighted by the tile measure, CB the ball of PI_DILATION times
+    B's radius, and diam(B) proxied by twice the largest center distance
+    observed in B.  The maximum ratio is an empirical lower bound for any
+    Poincare constant at this level; constant functions give 0/0 and are
+    recorded as 0, excluded from the max.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"exponent must lie in [1, inf), got {p}")
@@ -515,7 +496,7 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
         if (dist < 0).any():
             raise ValueError("graph is disconnected; balls are ill-defined")
         in_b = dist <= radius
-        in_cb = dist <= dilation * radius
+        in_cb = dist <= PI_DILATION * radius
         wb = weight[in_b]
         if wb.sum() == 0:
             continue
@@ -543,7 +524,7 @@ def pi_diagnostic(g, m, p, trials, seed, dilation=2):
         rows.append((label, g.words[center], radius, lhs, rhs, ratio))
         if ratio > worst:
             worst, worst_case = ratio, (label, g.words[center], radius)
-    return PIDiagnostic(p, dilation, trials, worst, worst_case, rows)
+    return PIDiagnostic(p, trials, worst, worst_case, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import arc_csr
+from .graphs import arc_csr, boundary_face, build_graph
 from .words import MAX_TOL
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
+MAX_PASSES = 300  # IRLS passes of the potential solve before "iteration cap"
 
 
 @dataclass(eq=False)
@@ -57,6 +58,13 @@ class Network:
     @classmethod
     def from_graph(cls, g):
         return cls(g.n_vertices, np.stack(g.edge_arrays()[:2], axis=1))
+
+
+def crossing(g, sides=("left", "right")):
+    """(network, source, target) of the paths across a replacement graph
+    between two faces of the unit square."""
+    src, tgt = (frozenset(boundary_face(g, side)) for side in sides)
+    return Network.from_graph(g), src, tgt
 
 
 def _arc_matrix(net, weights):
@@ -113,7 +121,6 @@ class ModulusProblem:
     target: frozenset[int]
     p: float
     tolerance: float = 1e-6
-    max_iterations: int = 300  # IRLS passes of the potential solve
 
     def __post_init__(self):
         self.source = frozenset(self.source)
@@ -197,7 +204,7 @@ def solve_modulus(problem):
         rho = (reach[eu] != reach[ew]).astype(float)  # the minimum cut
         iterations, stop = 1, "exact"
     else:
-        phi, (iterations, stop) = _p_harmonic_potential(net, boundary, p, problem.max_iterations)
+        phi, (iterations, stop) = _p_harmonic_potential(net, boundary, p)
         dphi = phi[ew] - phi[eu]
         rho = np.abs(dphi)
         # The flow |dphi|^(p-2) dphi, smoothed as in the last IRLS pass: the
@@ -353,7 +360,7 @@ class _Laplacian:
         return phi
 
 
-def _p_harmonic_potential(net, boundary, p, max_iters=300):
+def _p_harmonic_potential(net, boundary, p):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed on boundary
     (vertex -> value); returns (phi, (passes, stop reason)).
 
@@ -375,7 +382,7 @@ def _p_harmonic_potential(net, boundary, p, max_iters=300):
     # Electrical start (p = 2 solves exactly in the first pass).
     eps = 1.0
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_PASSES + 1):
         dphi = phi[eu] - phi[ew]
         w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
         phi_new = lap.solve(w)
@@ -497,15 +504,14 @@ class ScanTable:
     monotone_ok: bool
 
 
-def conformal_scan(levels, p_grid, policy="on", tolerance=1e-6, graphs=None):
-    """Left-to-right crossing modulus across levels and exponents.
+def conformal_scan(levels, p_grid):
+    """Left-to-right crossing modulus of the policy "on" graphs across levels
+    and exponents, each solve at ModulusProblem's default tolerance.
 
     Asserts per-level monotonicity in p and reports the cross-level value
     ratio per exponent; the critical-p column is the grid point whose ratio
     sits nearest 1 (exploratory, not certified).
     """
-    from .graphs import boundary_face, build_graph
-
     levels = sorted(set(levels))
     if max(levels) > 4:
         raise ValueError("exact scans support levels <= 4")
@@ -514,18 +520,16 @@ def conformal_scan(levels, p_grid, policy="on", tolerance=1e-6, graphs=None):
 
     rows, values, monotone_ok = [], {}, True
     for n in levels:
-        g = graphs[n] if graphs and n in graphs else build_graph(n, policy)
-        net = Network.from_graph(g)
-        src = frozenset(boundary_face(g, "left"))
-        tgt = frozenset(boundary_face(g, "right"))
+        net, src, tgt = crossing(build_graph(n))
         prev_value = None
         for p in p_grid:
-            res = solve_modulus(ModulusProblem(net, src, tgt, p, tolerance))
+            problem = ModulusProblem(net, src, tgt, p)
+            res = solve_modulus(problem)
             value = values[(n, p)] = res.value
             ratio = value / values[(n - 1, p)] if (n - 1, p) in values else None
             rows.append(ScanRow(n, p, res.value_lower, res.value_upper, res.iterations,
                                 res.converged, ratio))
-            if prev_value is not None and value > prev_value * (1.0 + 20.0 * tolerance):
+            if prev_value is not None and value > prev_value * (1.0 + 20.0 * problem.tolerance):
                 monotone_ok = False
             prev_value = value
 

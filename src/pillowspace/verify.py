@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
-    MAX_LEVEL,
-    CapacityError,
     adjacency,
     bfs_rows,
-    boundary_face,
     build_graph,
     chain_oracle_adjacency,
     flip_permutation,
@@ -26,7 +23,7 @@ from .graphs import (
     prefix_subgraph,
     reference_edges,
 )
-from .words import _grid_table, all_words
+from .words import _check_capacity, _grid_table, all_words
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -226,17 +223,10 @@ def _suite_covering(n, g, ctx):
 
 
 def _suite_modulus_oracles(n, g, ctx):
-    from .modulus import (
-        ModulusProblem,
-        Network,
-        effective_conductance,
-        mincut_oracle,
-        solve_modulus,
-    )
+    from .modulus import (ModulusProblem, crossing, effective_conductance, mincut_oracle,
+                          solve_modulus)
 
-    net = Network.from_graph(g)
-    src = frozenset(boundary_face(g, "left"))
-    tgt = frozenset(boundary_face(g, "right"))
+    net, src, tgt = crossing(g)
     tol = ctx["tolerance"]
     res1 = solve_modulus(ModulusProblem(net, src, tgt, 1.0, tol))
     cut = mincut_oracle(net, src, tgt)
@@ -277,8 +267,7 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     if not levels or levels[0] < 1:
         raise ValueError("levels must be >= 1")
     # build_graph's guards, for every suite and before any level runs
-    if levels[-1] > MAX_LEVEL:
-        raise CapacityError(f"level {levels[-1]} exceeds the supported maximum {MAX_LEVEL}")
+    _check_capacity(levels[-1])
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
     # no timing in results: written reports must be byte-stable across reruns

@@ -21,6 +21,7 @@ GRID_LETTERS = "123456789"
 CENTER_LETTERS = "50"
 MAX_LEVEL = 6  # largest level anything sized by 10^level or 3^level is built at
 MAX_TOL = 1e-2  # the coarsest relative certificate gap a modulus solve may target
+_OTHER_SHEET = {"5": "0", "0": "5"}  # the two center letters, each to the other
 
 
 class ParseError(ValueError):
@@ -29,6 +30,12 @@ class ParseError(ValueError):
 
 class CapacityError(RuntimeError):
     """Raised when a build would exceed the supported size."""
+
+
+def _check_capacity(level):
+    """Refuse a level above MAX_LEVEL, before anything is sized by it."""
+    if level > MAX_LEVEL:
+        raise CapacityError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
 
 
 def _grid_col(code):
@@ -133,28 +140,18 @@ def flip(word, bits):
         raise ValueError(
             f"bit string of length {len(bits)} cannot act on a word of length {len(word)}"
         )
-    swapped = {"5": "0", "0": "5"}
-    return "".join(
-        swapped[c] if (b == "1" and c in swapped) else c
-        for c, b in zip(word, bits)
-    )
+    return "".join(_OTHER_SHEET.get(c, c) if b == "1" else c for c, b in zip(word, bits))
 
 
 def section(grid_word, bits):
-    """Lift a center-free grid word to the sheet selected by bits.
+    """Lift a center-free grid word to the sheet selected by bits: its flip.
 
     Replaces '5' with '0' exactly at levels whose bit is 1.  project_word of
     the result gives grid_word back.
     """
     if "0" in grid_word:
         raise ValueError("section expects a grid word with no '0' letters")
-    if len(bits) < len(grid_word):
-        raise ValueError(
-            f"bit string of length {len(bits)} cannot lift a word of length {len(grid_word)}"
-        )
-    return "".join(
-        "0" if (c == "5" and b == "1") else c for c, b in zip(grid_word, bits)
-    )
+    return flip(grid_word, bits)
 
 
 def project_word(word):
@@ -246,8 +243,7 @@ def _grid_table(n):
     Of the tiles over one square the center-free word has the largest
     index, as '5' > '0'.
     """
-    if n > MAX_LEVEL:  # before anything is sized by 9^n
-        raise CapacityError(f"level {n} exceeds the supported maximum {MAX_LEVEL}")
+    _check_capacity(n)  # before anything is sized by 9^n
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     table = np.zeros((3**n, 3**n), dtype=np.int64)

@@ -158,7 +158,7 @@ def test_policy_off_only_removes_final_seams(g2):
     assert off < on
     for i, j, t in on - off:
         assert t == "S"
-        w, v = g2.word(i), g2.word(j)
+        w, v = g2.words[i], g2.words[j]
         assert w[:-1] == v[:-1] and {w[-1], v[-1]} == {"5", "0"}
 
 
@@ -225,7 +225,7 @@ def test_distance_and_ball(g1):
     assert ps.distance(g1, "5", "0") == 1
     assert ps.distance(g1, "1", "1") == 0
     b = ps.ball(g1, "1", 1)
-    assert {g1.word(i) for i in b} == {"1", "2", "4"}
+    assert {g1.words[i] for i in b} == {"1", "2", "4"}
     assert len(ps.ball(g1, "5", 100)) == 10
 
 
@@ -258,7 +258,7 @@ def test_boundary_faces(g2):
         face = ps.boundary_face(g2, name)
         assert len(face) == side  # no center letter ever touches the hull
         for i in face:
-            assert "0" not in g2.word(i) and "5" not in g2.word(i)
+            assert "0" not in g2.words[i] and "5" not in g2.words[i]
     assert ps.boundary_face(g2, "left") & ps.boundary_face(g2, "bottom")  # corner word
     with pytest.raises(ValueError):
         ps.boundary_face(g2, "middle")
@@ -686,6 +686,26 @@ def test_read_graph_json_rejects_boolean_vertex_index(tmp_path, g1):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"not a list of \[i, j, type\] records"):
         ps.read_graph_json(path)
+
+
+@pytest.mark.parametrize("flag", [2, 7, 2**31])
+def test_read_graph_binary_rejects_unknown_policy_flag(tmp_path, g1, flag):
+    # any nonzero flag used to read as policy "on"
+    path = tmp_path / "g.bin"
+    ps.write_graph_binary(g1, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 8, flag)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="policy flag"):
+        ps.read_graph_binary(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pillowspace.cli", "modulus", "--graph", str(path),
+         "--sides", "left-right"],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1 and "policy flag" in lines[0]
 
 
 @pytest.mark.parametrize("field, value", [(2, 7), (1, 99)])

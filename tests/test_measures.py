@@ -19,7 +19,8 @@ from pillowspace.measures import (
     pushforward_x,
     tile_doubling_check,
 )
-from pillowspace.words import _prefix_states, _square_arrays, all_words, word_square
+from pillowspace.words import (MAX_LEVEL, CapacityError, _prefix_states, _square_arrays,
+                               all_words, word_square)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,24 @@ def test_measure_level_must_be_a_natural_number(level):
         TileMeasure.uniform(level)
     with pytest.raises(ValueError):
         TileMeasure.one_sheet(level)
+
+
+@pytest.mark.parametrize("make", [
+    lambda level: TileMeasure(level, {0: Fraction(1)}),
+    TileMeasure.uniform,
+    TileMeasure.one_sheet,
+])
+def test_measure_level_is_capped_before_anything_is_sized(make, monkeypatch):
+    # TileMeasure(12, ...) was accepted; uniform makes its mass, and one_sheet
+    # its grid words, before a dict of 10^level or 9^level entries
+    def refuse(*args):
+        raise AssertionError("a measure was sized before its level was checked")
+
+    monkeypatch.setattr(ps.measures, "Fraction", refuse)
+    monkeypatch.setattr(ps.measures, "_grid_words", refuse)
+    for level in (MAX_LEVEL + 1, 12):
+        with pytest.raises(CapacityError, match=str(level)):
+            make(level)
 
 
 def test_uniform_total_and_validation():

@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 
 import numpy as np
@@ -275,6 +276,64 @@ def test_profile_reproducible(metrics):
     b = qs_distortion(metrics[1], metrics[1], samples=500, seed=11)
     assert np.array_equal(a.count, b.count)
     assert a.samples_skipped == b.samples_skipped
+
+
+def _reference_profile(pairs):
+    """Dict-and-loop binning of (t, r) pairs: per sqrt(2) bin of t, the count
+    and the largest r, with the running maximum carried across empty bins."""
+    bin_log = 0.5 * math.log(2.0)
+    bins = {}
+    for t, r in pairs:
+        b = math.floor(math.log(t) / bin_log + 1e-12)
+        cnt, mx = bins.get(b, (0, 0.0))
+        bins[b] = (cnt + 1, max(mx, r))
+    rows, running = [], -math.inf
+    for b in range(min(bins), max(bins) + 1):
+        cnt, mx = bins.get(b, (0, math.nan))
+        if not math.isnan(mx):
+            running = max(running, mx)
+        rows.append((math.exp(bin_log * b), math.exp(bin_log * (b + 1)), cnt, mx,
+                     running if running > -math.inf else math.nan))
+    return rows
+
+
+def _reference_distortion(d1, d2, samples, seed):
+    """(forward rows, inverse rows, skipped) from one triple per loop step."""
+    rng = random.Random(seed)
+    n = d1.n_vertices
+    fwd, bwd, skipped = [], [], 0
+    for _ in range(samples):
+        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if x == z or x == y:
+            skipped += 1
+            continue
+        t = d1.entries[x, y] / d1.entries[x, z]
+        r = d2.entries[x, y] / d2.entries[x, z]
+        fwd.append((t, r))
+        bwd.append((1.0 / t, 1.0 / r))
+    return _reference_profile(fwd), _reference_profile(bwd), skipped
+
+
+def _same_rows(got, want):
+    # NaN marks an empty bin on both sides
+    return np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float), equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+def test_profile_matches_dict_and_loop_binning(metrics, seed):
+    d2 = metrics[2]
+    snow = MetricMatrix(list(d2.words), np.sqrt(d2.entries))
+    pairs = [(metrics[1], metrics[1]), (d2, _perturbed(d2)), (d2, snow),
+             (metrics[3], symmetrize(_perturbed(metrics[3]), "sampled", 3, seed))]
+    gaps = 0
+    for d, e in pairs:
+        prof = qs_distortion(d, e, samples=3000, seed=seed)
+        fwd, bwd, skipped = _reference_distortion(d, e, 3000, seed)
+        assert _same_rows(prof.rows(), fwd) and _same_rows(prof.inverse.rows(), bwd)
+        assert prof.samples_skipped == prof.inverse.samples_skipped == skipped
+        assert prof.samples_used == prof.inverse.samples_used == 3000 - skipped
+        gaps += sum(1 for row in fwd + bwd if row[2] == 0)
+    assert gaps  # some profile has an empty interior bin
 
 
 def test_profile_validation(metrics):

@@ -453,12 +453,13 @@ def test_large_exponents_certify(crossing, n, p):
     assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
 
 
-def test_stop_reason_says_why_the_solve_ended(crossing):
+def test_stop_reason_says_why_the_solve_ended(crossing, monkeypatch):
     net, src, tgt = crossing[2]
     assert solve(net, src, tgt, 1.0).stop == "exact"
     assert solve(net, src, tgt, 2.0).stop == "exact"
     assert solve(net, src, tgt, 3.0).stop == "converged"
-    capped = solve(net, src, tgt, 3.0, max_iterations=1)
+    monkeypatch.setattr(M, "MAX_PASSES", 1)
+    capped = solve(net, src, tgt, 3.0)
     assert capped.stop == "iteration cap" and capped.iterations == 1
     assert not capped.converged
 

@@ -1,5 +1,6 @@
 """Tests for the symbolic layer: parsing, the flip group, exact squares."""
 
+import itertools
 import random
 
 import pytest
@@ -61,6 +62,14 @@ def test_section_and_project():
     # flipping a section is the section of the composed bits
     u, g, h = "5519", "1010", "1100"
     assert W.flip(W.section(u, g), h) == W.section(u, "0110")  # g xor h
+
+
+def test_section_is_flip_on_grid_words():
+    # the sheet lift, restated letter by letter: '5' becomes '0' where the bit is 1
+    for u in map("".join, itertools.product(W.GRID_LETTERS, repeat=3)):
+        for bits in map("".join, itertools.product("01", repeat=3)):
+            lifted = "".join("0" if (c == "5" and b == "1") else c for c, b in zip(u, bits))
+            assert W.section(u, bits) == W.flip(u, bits) == lifted
 
 
 def test_word_square_base_cells():
