@@ -123,7 +123,7 @@ def _parse_triples(text):
 
 def all_words(level):
     """All 10^level words in lexicographic order (index of w is int(w))."""
-    return ["".join(p) for p in itertools.product(ALPHABET, repeat=level)]
+    return list(map("".join, itertools.product(ALPHABET, repeat=level)))
 
 
 # ---------------------------------------------------------------------------

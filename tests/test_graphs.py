@@ -1,6 +1,7 @@
 """Tests for adjacency, the chain oracle, graph construction, and IO."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -496,6 +497,29 @@ def test_graph_files_match_golden_hashes(tmp_path, g3):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256_L3[fmt]
 
 
+def _dumps_write_graph_json(g, path):
+    """The JSON writer before its records were streamed: one json.dumps of the
+    whole payload with the edge tuples, kept as the byte reference."""
+    payload = {"schema": G.GRAPH_SCHEMA, "level": g.level, "policy": g.policy,
+               "vertices": g.words, "edges": g.edges}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+
+
+# 7 splits every level unevenly; 113 and 108 divide the 226 and 216 L2 edges,
+# so there the last chunk is full
+@pytest.mark.parametrize("chunk", [None, 7, 108, 113])
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_json_writer_matches_whole_payload_dumps(tmp_path, monkeypatch, policy, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(G, "_WRITE_RECORDS", chunk)
+    for n in (1, 2, 3, 4):
+        g = _graph(n, policy)
+        _dumps_write_graph_json(g, tmp_path / "want.json")
+        ps.write_graph_json(g, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # array paths against scalar references
 
@@ -686,6 +710,82 @@ def test_read_graph_json_rejects_boolean_vertex_index(tmp_path, g1):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=r"not a list of \[i, j, type\] records"):
         ps.read_graph_json(path)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("edges", 0), [0, 2]),
+    (("edges", 0), [0, 2, "V", 0]),
+    (("edges", 0), "025"),
+    (("edges", 0), {"i": 0, "j": 2, "type": "V"}),
+    (("edges",), None),
+    (("edges",), {}),  # an empty object used to read as a graph without edges
+    (("edges",), {"0": [0, 2, "V"]}),
+    (("edges", 0, 2), 1),
+    (("edges", 0, 2), ["V"]),
+    (("edges", 0, 2), None),
+    (("edges", 0, 2), "X"),
+    (("edges", 0, 0), -1),
+], ids=["length-2", "length-4", "string-record", "object-record", "edges-null",
+        "edges-empty-object", "edges-object", "type-number", "type-list",
+        "type-null", "type-unknown", "negative-index"])
+def test_read_graph_json_rejects_malformed_edges(tmp_path, g1, where, value):
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    payload = target = json.loads(path.read_text())
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        ps.read_graph_json(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pillowspace.cli", "modulus", "--graph", str(path),
+         "--sides", "left-right"],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1
+    assert lines[0].startswith("pillowspace: error:")
+
+
+@pytest.mark.parametrize("vertices", [
+    None, [], list(range(10)), list("0123456789")[::-1], list("012345678")])
+def test_read_graph_json_rejects_wrong_vertex_list(tmp_path, g1, vertices):
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    payload = json.loads(path.read_text())
+    payload["vertices"] = vertices
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="vertex list"):
+        ps.read_graph_json(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_graph_json_leaves_the_collector_as_it_was(tmp_path, monkeypatch, g1, enabled):
+    path = tmp_path / "g1.json"
+    ps.write_graph_json(g1, path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(path.read_text()[:-5])
+    during = []
+    real_load = json.load
+
+    def load(fh):
+        during.append(gc.isenabled())
+        return real_load(fh)
+
+    monkeypatch.setattr(G.json, "load", load)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert ps.read_graph_json(path).edges == g1.edges
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            ps.read_graph_json(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]  # paused for the decode only
 
 
 @pytest.mark.parametrize("flag", [2, 7, 2**31])

@@ -21,6 +21,11 @@ def test_alphabet_and_letter_table():
     assert W.LETTERS["2"].sheet_bit is None
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_all_words_are_the_zero_padded_indices(level):
+    assert W.all_words(level) == [f"{i:0{level}d}" for i in range(10**level)]
+
+
 def test_parse_word_round_trip():
     for word in ("", "5", "120", "987654321", "0000"):
         assert W.parse_word(word) == word
