@@ -245,10 +245,12 @@ class ReplacementGraph:
         """Sorted (i, j, type) tuples, derived on each access.
 
         Not cached: a kept copy would hold the Python objects per edge that
-        the arrays save.
+        the arrays save.  Ends index one int object per vertex, so the list
+        makes a tuple per edge but no int.
         """
+        ints = np.arange(self.n_vertices).astype(object)
         names = map(EDGE_TYPES.__getitem__, self.t.tolist())
-        return list(zip(self.u.tolist(), self.v.tolist(), names))
+        return list(zip(ints[self.u].tolist(), ints[self.v].tolist(), names))
 
     def edge_arrays(self):
         """Edges as three aligned numpy arrays (u, v, type code H=0,V=1,S=2)."""

@@ -16,6 +16,7 @@ import os
 import random
 import struct
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -34,6 +35,14 @@ _MAGIC = b"PLM1"
 # cheap enough to run on every construction
 _VALIDATE_TRIPLES = 20000
 _VALIDATE_SEED = 20210
+
+
+def _integer(value, name):
+    """value as an int, else ValueError (index, not int: 2.5 is no count)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -115,7 +124,7 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
     if mode == "exact":
         draws = ["".join(b) for b in itertools.product("01", repeat=level)]
     elif mode == "sampled":
-        if samples is None or samples < 1:
+        if samples is None or _integer(samples, "samples") < 1:
             raise ValueError("sampled mode needs samples >= 1")
         if seed is None:
             raise ValueError("sampled mode needs an explicit seed")
@@ -255,7 +264,7 @@ def qs_distortion(d1, d2, samples, seed):
     """
     if d1.words != d2.words:
         raise ValueError("profiles need a common vertex universe")
-    if samples < 1:
+    if _integer(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     n = d1.n_vertices
@@ -363,59 +372,53 @@ def cover_preimage(g, center, radius, c=5):
     balls are pairwise disjoint, the dilated balls cover the whole preimage,
     and their worst overlap multiplicity is counted.
     """
+    c, radius = _integer(c, "constant"), _integer(radius, "radius")
     if c < 5:
         raise ValueError("constant must be at least 5 to cover while staying disjoint")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     side = 3**g.level
-    cx, cy = center
+    cx, cy = (_integer(a, "grid cell coordinates") for a in center)
     if not (0 <= cx < side and 0 <= cy < side):
         raise ValueError(f"grid cell {center} outside the {side} x {side} grid")
     sx, sy = g.square_x, g.square_y
-    target_cells = {
-        (int(a), int(b))
-        for a in range(max(0, cx - radius), min(side, cx + radius + 1))
-        for b in range(max(0, cy - radius), min(side, cy + radius + 1))
-        if abs(a - cx) + abs(b - cy) <= radius
-    }
-    pre = np.nonzero(np.abs(sx - cx) + np.abs(sy - cy) <= radius)[0]
+    cell = sx * side + sy
+    pre = np.flatnonzero(np.abs(sx - cx) + np.abs(sy - cy) <= radius)
+    # every grid cell carries a tile, so the grid ball is the cells under its preimage
+    target = np.unique(cell[pre])
 
-    centers, rows = [], {}
-    for v in pre:
-        v = int(v)
-        if all(rows[u][v] > 2 * radius for u in centers):
-            centers.append(v)
-            row = bfs_row(g, v)
-            if (row < 0).any():
-                raise ValueError("graph is disconnected; balls do not nest")
-            rows[v] = row
-
+    # the next center is the first preimage vertex no earlier center is near
     ball_radius = c * radius
-    target_covered, shrunk_disjoint, preimage_covered = True, True, True
+    centers, balls, shrunk = [], [], []
+    left = pre
+    while left.size:
+        u = int(left[0])
+        row = bfs_row(g, u)
+        if (row < 0).any():
+            raise ValueError("graph is disconnected; balls do not nest")
+        centers.append(u)
+        balls.append(row <= ball_radius)
+        shrunk.append(row <= radius)
+        left = left[row[left] > 2 * radius]
+
     witness = None
-    covered = np.zeros(g.n_vertices, dtype=np.int64)
-    shrunk = []
-    for u in centers:
-        members = rows[u] <= ball_radius
-        covered += members
-        image = {(int(a), int(b)) for a, b in zip(sx[members], sy[members])}
-        if not target_cells <= image:
-            target_covered = False
-            witness = witness or ("image", g.words[u], sorted(target_cells - image)[:3])
-        shrunk.append(np.nonzero(rows[u] <= radius)[0])
-    for i in range(len(shrunk)):
-        for j in range(i + 1, len(shrunk)):
-            if np.intersect1d(shrunk[i], shrunk[j]).size:
-                shrunk_disjoint = False
-                witness = witness or (
-                    "overlap",
-                    g.words[centers[i]],
-                    g.words[centers[j]],
-                )
-    if (covered[pre] == 0).any():
-        preimage_covered = False
-        missing = int(pre[np.nonzero(covered[pre] == 0)[0][0]])
-        witness = witness or ("uncovered", g.words[missing])
+    for u, members in zip(centers, balls):
+        missing = np.setdiff1d(target, cell[members])  # sorted, so in (x, y) order
+        if missing.size:
+            witness = ("image", g.words[u], [divmod(int(k), side) for k in missing[:3]])
+            break
+    target_covered = witness is None
+    depth = np.sum(shrunk, axis=0)
+    shrunk_disjoint = bool(depth.max() <= 1)
+    if not (shrunk_disjoint or witness):
+        # the first pair in center order whose shrunk balls meet
+        shared = np.array(shrunk)[:, depth > 1]
+        i, j = np.argwhere(np.triu(shared @ shared.T, 1))[0]
+        witness = ("overlap", g.words[centers[i]], g.words[centers[j]])
+    covered = np.sum(balls, axis=0)
+    uncovered = pre[covered[pre] == 0]
+    if uncovered.size:
+        witness = witness or ("uncovered", g.words[uncovered[0]])
     return CoverReport(
         center=(cx, cy),
         radius=radius,
@@ -425,8 +428,8 @@ def cover_preimage(g, center, radius, c=5):
         uniform_radius=True,
         target_covered=target_covered,
         shrunk_disjoint=shrunk_disjoint,
-        preimage_covered=preimage_covered,
-        max_overlap=int(covered.max()) if len(centers) else 0,
+        preimage_covered=not uncovered.size,
+        max_overlap=int(covered.max()),
         witness=witness,
     )
 
@@ -464,13 +467,12 @@ def pi_diagnostic(g, m, p, trials, seed):
         raise ValueError(f"exponent must lie in [1, inf), got {p}")
     if m.level != g.level:
         raise ValueError("measure level must match the graph")
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     n = g.n_vertices
     weight = np.zeros(n)
-    for idx, frac in m.mass.items():
-        weight[idx] = float(frac)
+    weight[list(m.mass)] = [float(frac) for frac in m.mass.values()]
     side = 3**g.level
 
     fixed = [
@@ -478,18 +480,17 @@ def pi_diagnostic(g, m, p, trials, seed):
         ("cell-y", g.square_y.astype(np.float64)),
         ("ambient-x", (g.square_x + 0.5) / side),
     ]
-
-    def low_frequency():
-        values = [rng.uniform(0.0, 1.0) for _ in range(10)]
-        blocks = np.arange(n) // 10 ** (g.level - 1)
-        return np.array([values[b] for b in blocks])
-
-    eu, ev, _t = g.edge_arrays()
+    # each vertex's level-1 prefix block, and each CSR arc's tail
+    block = np.arange(n) // 10 ** (g.level - 1)
+    tail = np.repeat(np.arange(n), np.diff(g.indptr))
     rows = []
     worst, worst_case = 0.0, None
     for t in range(trials):
         which = rng.randrange(len(fixed) + 1)
-        label, u = fixed[which] if which < len(fixed) else ("low-frequency", low_frequency())
+        if which < len(fixed):
+            label, u = fixed[which]
+        else:
+            label, u = "low-frequency", np.array([rng.uniform(0.0, 1.0) for _ in range(10)])[block]
         center = rng.randrange(n)
         radius = rng.randint(1, max(1, side // 2))
         dist = bfs_row(g, center)
@@ -502,17 +503,10 @@ def pi_diagnostic(g, m, p, trials, seed):
             continue
         ub = float((u[in_b] * wb).sum() / wb.sum())
         lhs = float((np.abs(u[in_b] - ub) * wb).sum() / wb.sum())
-        grad = np.zeros(n)
-        step = np.abs(u[eu] - u[ev])
-        np.maximum.at(grad, eu, step)
-        np.maximum.at(grad, ev, step)
+        # connected, so no run is empty; CB contains B, so its mass is positive
+        grad = np.maximum.reduceat(np.abs(u[g.indices] - u[tail]), g.indptr[:-1])
         wcb = weight[in_cb]
-        denom_mass = wcb.sum()
-        gterm = (
-            float((grad[in_cb] ** p * wcb).sum() / denom_mass) ** (1.0 / p)
-            if denom_mass > 0
-            else 0.0
-        )
+        gterm = float((grad[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
         diam = 2 * int(dist[in_b].max())
         rhs = diam * gterm
         if lhs == 0.0:

@@ -90,8 +90,11 @@ def test_graph_free_measure_commands_load_no_graphs(argv):
     assert submodules == {"cli", "words", "measures"}
 
 
-def test_verify_counts_loads_only_words_graphs_and_verify():
-    submodules, _ = _run_cli(["verify", "counts", "1"])
+@pytest.mark.parametrize("argv", [["verify", "counts", "1"], ["verify", "self-similar", "2"]],
+                         ids=["counts", "self-similar"])
+def test_verify_suite_loads_only_words_graphs_and_verify(argv):
+    # self-similar certifies each block and runs no metric
+    submodules, _ = _run_cli(argv)
     assert submodules == {"cli", "words", "graphs", "verify"}
 
 

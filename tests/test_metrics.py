@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from pillowspace import (
     symmetrize,
     write_metric_matrix,
 )
+from pillowspace import metrics as metrics_module
 from pillowspace.graphs import bfs_row
+from pillowspace.metrics import PI_DILATION, CoverReport, PIDiagnostic
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +442,134 @@ def test_cover_validation(graphs):
         cover_preimage(graphs[2], (9, 0), 1)
 
 
+def test_cover_rejects_non_integer_counts(graphs):
+    # each used to raise TypeError from range, or (c) pass with a float radius
+    for center, radius, c in [((1.5, 2), 1, 5), ((1, 2), 1.5, 5), ((1, 2), 1, 5.5)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            cover_preimage(graphs[2], center, radius, c=c)
+
+
+def _cover_preimage_reference(g, center, radius, c=5):
+    # the set-and-dict form: every preimage vertex tested against every chosen
+    # center in Python, the grid ball as a set of cells, pairwise intersect1d;
+    # rows come from metrics.bfs_row so a patched kernel reaches both forms
+    if c < 5:
+        raise ValueError("constant must be at least 5 to cover while staying disjoint")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    side = 3**g.level
+    cx, cy = center
+    if not (0 <= cx < side and 0 <= cy < side):
+        raise ValueError(f"grid cell {center} outside the {side} x {side} grid")
+    sx, sy = g.square_x, g.square_y
+    target_cells = {
+        (int(a), int(b))
+        for a in range(max(0, cx - radius), min(side, cx + radius + 1))
+        for b in range(max(0, cy - radius), min(side, cy + radius + 1))
+        if abs(a - cx) + abs(b - cy) <= radius
+    }
+    pre = np.nonzero(np.abs(sx - cx) + np.abs(sy - cy) <= radius)[0]
+    centers, rows = [], {}
+    for v in pre:
+        v = int(v)
+        if all(rows[u][v] > 2 * radius for u in centers):
+            centers.append(v)
+            row = metrics_module.bfs_row(g, v)
+            if (row < 0).any():
+                raise ValueError("graph is disconnected; balls do not nest")
+            rows[v] = row
+    ball_radius = c * radius
+    target_covered, shrunk_disjoint, preimage_covered = True, True, True
+    witness = None
+    covered = np.zeros(g.n_vertices, dtype=np.int64)
+    shrunk = []
+    for u in centers:
+        members = rows[u] <= ball_radius
+        covered += members
+        image = {(int(a), int(b)) for a, b in zip(sx[members], sy[members])}
+        if not target_cells <= image:
+            target_covered = False
+            witness = witness or ("image", g.words[u], sorted(target_cells - image)[:3])
+        shrunk.append(np.nonzero(rows[u] <= radius)[0])
+    for i in range(len(shrunk)):
+        for j in range(i + 1, len(shrunk)):
+            if np.intersect1d(shrunk[i], shrunk[j]).size:
+                shrunk_disjoint = False
+                witness = witness or ("overlap", g.words[centers[i]], g.words[centers[j]])
+    if (covered[pre] == 0).any():
+        preimage_covered = False
+        missing = int(pre[np.nonzero(covered[pre] == 0)[0][0]])
+        witness = witness or ("uncovered", g.words[missing])
+    return CoverReport(
+        center=(cx, cy), radius=radius, c=c, centers=[g.words[u] for u in centers],
+        ball_radius=ball_radius, uniform_radius=True, target_covered=target_covered,
+        shrunk_disjoint=shrunk_disjoint, preimage_covered=preimage_covered,
+        max_overlap=int(covered.max()) if len(centers) else 0, witness=witness,
+    )
+
+
+def _cover_outcome(cover, *args, **kwargs):
+    try:
+        return asdict(cover(*args, **kwargs))
+    except ValueError as e:
+        return ("error", str(e))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_cover_matches_set_and_dict_reference(graphs, level):
+    g = graphs[level] if level in graphs else build_graph(level)
+    rng = random.Random(level)
+    side = 3**level
+    for c in (5, 7):
+        for radius in range(5):
+            for _ in range(8):
+                center = (rng.randrange(side), rng.randrange(side))
+                got = asdict(cover_preimage(g, center, radius, c))
+                assert got == asdict(_cover_preimage_reference(g, center, radius, c))
+    # radius and constant far past int64: the comparisons stay exact
+    middle = (side // 2, side // 2)
+    got = cover_preimage(g, middle, 10**23, c=10**21)
+    assert asdict(got) == asdict(_cover_preimage_reference(g, middle, 10**23, 10**21))
+    assert got.ball_radius == 10**44 and got.ok
+
+
+def test_cover_on_damaged_graphs_matches_reference(graphs):
+    kinds = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = graphs[2 + seed % 2]
+        u, v, t = g.edge_arrays()
+        cut = rng.sample(range(len(u)), rng.choice([1, 10, 40, 80]))
+        bad = ReplacementGraph(g.level, g.policy, np.delete(u, cut), np.delete(v, cut),
+                               np.delete(t, cut))
+        side = 3**g.level
+        for _ in range(4):
+            args = ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3),
+                    rng.choice([5, 7]))
+            got = _cover_outcome(cover_preimage, bad, *args)
+            assert got == _cover_outcome(_cover_preimage_reference, bad, *args)
+            kinds.add(got[0] if isinstance(got, tuple) else (got["witness"] or ("ok",))[0])
+    # the grid reaches the disconnected error and a missed image cell
+    assert kinds == {"ok", "error", "image"}
+
+
+def test_cover_overlap_witness_matches_reference(graphs, monkeypatch):
+    # hop distance never lets balls of centers more than 2r apart meet; rows
+    # shrunk by a third from odd centers do, and reach the overlap witness
+    def skewed(g, start):
+        row = bfs_row(g, start)
+        return row // 3 if start % 2 else row
+
+    monkeypatch.setattr(metrics_module, "bfs_row", skewed)
+    g = graphs[3]
+    seen = []
+    for center in [(13, 13), (9, 12), (15, 9)]:
+        got = cover_preimage(g, center, 2)
+        assert asdict(got) == asdict(_cover_preimage_reference(g, center, 2))
+        seen.append(got.witness and got.witness[0])
+    assert seen == [None, "overlap", "overlap"]
+
+
 # ---------------------------------------------------------------------------
 # Poincare-ratio diagnostic
 
@@ -477,6 +608,84 @@ def test_pi_diagnostic_validation(graphs):
         pi_diagnostic(graphs[2], m, p=2.0, trials=0, seed=0)
     with pytest.raises(ValueError):
         pi_diagnostic(graphs[1], m, p=2.0, trials=5, seed=0)
+
+
+def test_counts_must_be_integers(graphs, metrics):
+    # each used to end in a TypeError from range
+    with pytest.raises(ValueError, match="must be an integer"):
+        pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=5.5, seed=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        qs_distortion(metrics[2], metrics[2], samples=2.5, seed=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        symmetrize(metrics[1], mode="sampled", samples=2.5, seed=1)
+
+
+def _pi_diagnostic_reference(g, m, p, trials, seed):
+    # per-vertex weight loop, per-vertex low-frequency values and the
+    # gradient from two np.maximum.at passes over the edge arrays
+    rng = random.Random(seed)
+    n = g.n_vertices
+    weight = np.zeros(n)
+    for idx, frac in m.mass.items():
+        weight[idx] = float(frac)
+    side = 3**g.level
+    fixed = [
+        ("cell-x", g.square_x.astype(np.float64)),
+        ("cell-y", g.square_y.astype(np.float64)),
+        ("ambient-x", (g.square_x + 0.5) / side),
+    ]
+
+    def low_frequency():
+        values = [rng.uniform(0.0, 1.0) for _ in range(10)]
+        blocks = np.arange(n) // 10 ** (g.level - 1)
+        return np.array([values[b] for b in blocks])
+
+    eu, ev, _t = g.edge_arrays()
+    rows = []
+    worst, worst_case = 0.0, None
+    for _ in range(trials):
+        which = rng.randrange(len(fixed) + 1)
+        label, u = fixed[which] if which < len(fixed) else ("low-frequency", low_frequency())
+        center = rng.randrange(n)
+        radius = rng.randint(1, max(1, side // 2))
+        dist = bfs_row(g, center)
+        in_b = dist <= radius
+        in_cb = dist <= PI_DILATION * radius
+        wb = weight[in_b]
+        if wb.sum() == 0:
+            continue
+        ub = float((u[in_b] * wb).sum() / wb.sum())
+        lhs = float((np.abs(u[in_b] - ub) * wb).sum() / wb.sum())
+        grad = np.zeros(n)
+        step = np.abs(u[eu] - u[ev])
+        np.maximum.at(grad, eu, step)
+        np.maximum.at(grad, ev, step)
+        wcb = weight[in_cb]
+        denom_mass = wcb.sum()
+        gterm = float((grad[in_cb] ** p * wcb).sum() / denom_mass) ** (1.0 / p)
+        rhs = 2 * int(dist[in_b].max()) * gterm
+        if lhs == 0.0:
+            ratio = 0.0
+        elif rhs == 0.0:
+            ratio = math.inf
+        else:
+            ratio = lhs / rhs
+        rows.append((label, g.words[center], radius, lhs, rhs, ratio))
+        if ratio > worst:
+            worst, worst_case = ratio, (label, g.words[center], radius)
+    return PIDiagnostic(p, trials, worst, worst_case, rows)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_pi_diagnostic_matches_edge_array_reference(graphs, level):
+    # repr compares every float bit for bit
+    g = graphs[level] if level in graphs else build_graph(level)
+    trials = 6 if level == 4 else 12
+    for measure in (TileMeasure.uniform(level), TileMeasure.one_sheet(level)):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for seed in range(4):
+                got = pi_diagnostic(g, measure, p, trials, seed)
+                assert repr(got) == repr(_pi_diagnostic_reference(g, measure, p, trials, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,12 @@
 """Tests for the invariant suites' own bookkeeping."""
 
-import sys
-
 import pytest
 
 from pillowspace import graphs, metrics, verify
 
 
-def test_self_similar_computes_each_reference_metric_once(monkeypatch):
-    levels, block_calls = [], []
-    graph_metric = metrics.graph_metric
-
-    def counted(g, *args, **kwargs):
-        # internal_block_metric calls it too, once per block
-        by_block = sys._getframe(1).f_code is metrics.internal_block_metric.__code__
-        (block_calls if by_block else levels).append(g.level)
-        return graph_metric(g, *args, **kwargs)
-
-    monkeypatch.setattr(metrics, "graph_metric", counted)
-    rep = verify.run_suite("self-similar", [2, 3])
-    assert rep.ok
-    assert [r["metrics_checked"] for r in rep.results] == [10, 110]
-    # suite level 2 has block level 1; suite level 3 has block levels 1 and 2
-    assert sorted(levels) == [1, 1, 2]
-    assert len(block_calls) == 10 + 110
-
-
 def test_self_similar_builds_no_graph_per_block(monkeypatch):
-    # the suite's own references serve every internal block metric
+    # the suite's own references serve every block certificate
     calls = []
     build_graph = graphs.build_graph
 
