@@ -276,25 +276,11 @@ def _cmd_modulus(args):
         res = solve_modulus(ModulusProblem(net, src, tgt, p, tol))
         all_converged &= bool(res.converged)
         stops.append(res.stop)
-        rows.append(
-            (
-                g.level,
-                p,
-                float(res.value_lower),
-                float(res.value_upper),
-                float(res.value),
-                float(res.value_upper - res.value_lower),
-                int(res.iterations),
-                bool(res.converged),
-            )
-        )
-    config = {
-        "graph": args.graph,
-        "sides": args.sides,
-        "p_grid": args.p_grid,
-        "tol": args.tol,
-        "policy": g.policy,
-    }
+        lo, up = float(res.value_lower), float(res.value_upper)
+        rows.append((g.level, p, lo, up, float(res.value), up - lo, int(res.iterations),
+                     bool(res.converged)))
+    config = {"graph": args.graph, "sides": args.sides, "p_grid": args.p_grid,
+              "tol": args.tol, "policy": g.policy}
     header = ["level", "p", "value_lower", "value_upper", "value", "gap",
               "iterations", "converged"]
     code = EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
@@ -354,12 +340,8 @@ def _cmd_measure_dimension(args):
             fit = ball_dimension_estimate(g, args.samples, seed)
         except ValueError as exc:  # levels 1 and 2 give fewer than two radii
             raise UsageError(str(exc))
-        config = {
-            "mode": "ball",
-            "level": args.level,
-            "samples": args.samples,
-            "policy": args.policy,
-        }
+        config = {"mode": "ball", "level": args.level, "samples": args.samples,
+                  "policy": args.policy}
     rows = [(v, x, c) for v, x, c in fit.rows]
     rows.append(("estimate", "", repr(fit.estimate)))
     rows.append(("residual", "", repr(fit.residual)))
@@ -513,12 +495,7 @@ def _cmd_metric_pi_diagnostic(args):
         rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
     except ValueError as exc:  # the exponent; the parser checks the trial count
         raise UsageError(str(exc))
-    config = {
-        "level": args.level,
-        "p": args.p,
-        "trials": args.trials,
-        "policy": args.policy,
-    }
+    config = {"level": args.level, "p": args.p, "trials": args.trials, "policy": args.policy}
     header = ["function", "center", "radius", "lhs", "rhs", "ratio"]
     return EXIT_OK, {
         "summary": f"worst ratio {rep.worst_ratio:.6f} over {rep.trials} trials",
@@ -649,11 +626,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     from .words import CapacityError  # after parse_args: --version loads no numpy
 
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("handler",) and v is not None
-    }
+    config = {k: v for k, v in vars(args).items() if k != "handler" and v is not None}
     outputs = {}
     t0 = time.perf_counter()
     try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .words import (
     LETTERS,
     MAX_LEVEL,
     CapacityError,  # the package exports it from this module
+    LevelWords,
     _check_capacity,
     _grid_table,
     _prefix_states,
@@ -160,6 +162,11 @@ def _chains_meet(w, v, px, py, denom):
     return True
 
 
+def _check_oracle_level(n):
+    if n > ORACLE_MAX_LEVEL:
+        raise ValueError(f"chain oracle supports length <= {ORACLE_MAX_LEVEL}, got {n}")
+
+
 def chain_oracle_adjacency(w, v, exhaustive=False):
     """Slow independent adjacency decision, levels <= 3 only.
 
@@ -172,8 +179,7 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
     if w == v:
         raise ValueError("oracle compares distinct words")
     n = len(w)
-    if n > ORACLE_MAX_LEVEL:
-        raise ValueError(f"chain oracle supports length <= {ORACLE_MAX_LEVEL}, got {n}")
+    _check_oracle_level(n)
     top = 3**n
     denom = 2 * top
     shared = _shared_faces(_prefix_states(w)[n], _prefix_states(v)[n])
@@ -197,13 +203,14 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
 
 @dataclass(eq=False)  # array fields: the generated __eq__ would not work
 class ReplacementGraph:
-    """Level-n tile graph over the lexicographic words, stored as edge arrays.
+    """Level-n tile graph on the vertices 0..10^n - 1, stored as edge arrays.
 
-    Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1, S=2), in strictly
-    increasing order of its key (u*n + v)*3 + t (edge_keys).  Construction
-    validates the arrays and derives, once, a CSR adjacency (neighbours of i
-    are indices[indptr[i]:indptr[i + 1]], ascending) and the projected
-    squares (square_x, square_y) of all words.
+    Vertex i is the tile of word i, i in n digits; `words` formats one only
+    when it is read.  Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1,
+    S=2), in strictly increasing order of its key (u*n + v)*3 + t
+    (edge_keys).  Construction validates the arrays and derives, once, a CSR
+    adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
+    ascending) and the projected squares (square_x, square_y) of all tiles.
     """
 
     level: int
@@ -211,15 +218,13 @@ class ReplacementGraph:
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
-    words: list[str] = field(init=False, repr=False)
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     square_x: np.ndarray = field(init=False, repr=False)
     square_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.words = all_words(self.level)
-        n = len(self.words)
+        n = self.n_vertices
         u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)
         self.u, self.v, self.t = u, v, t
@@ -233,8 +238,12 @@ class ReplacementGraph:
         return int(word)
 
     @property
+    def words(self):
+        return LevelWords(self.level)
+
+    @property
     def n_vertices(self):
-        return len(self.words)
+        return 10**self.level
 
     @property
     def n_edges(self):
@@ -367,7 +376,7 @@ def reference_edges(n, central_edge_policy="on"):
     level cap, so keep n small.
     """
     return sorted(
-        e for w in all_words(n) for e in _tile_edges(w, central_edge_policy)
+        e for w in LevelWords(n) for e in _tile_edges(w, central_edge_policy)
     )
 
 
@@ -478,17 +487,12 @@ def ball(g, center, radius):
 def boundary_face(g, side):
     """Vertices whose square touches one side of the unit square."""
     top = 3**g.level - 1
-    if side == "left":
-        mask = g.square_x == 0
-    elif side == "right":
-        mask = g.square_x == top
-    elif side == "bottom":
-        mask = g.square_y == 0
-    elif side == "top":
-        mask = g.square_y == top
-    else:
+    faces = {"left": (g.square_x, 0), "right": (g.square_x, top),
+             "bottom": (g.square_y, 0), "top": (g.square_y, top)}
+    if side not in faces:
         raise ValueError(f"unknown side {side!r}")
-    return set(int(i) for i in np.nonzero(mask)[0])
+    coord, value = faces[side]
+    return set(np.flatnonzero(coord == value).tolist())
 
 
 @dataclass
@@ -584,7 +588,7 @@ def write_graph_json(g, path):
         "schema": GRAPH_SCHEMA,
         "level": g.level,
         "policy": g.policy,
-        "vertices": g.words,
+        "vertices": all_words(g.level),
         "edges": [],
     }, separators=(",", ":"))
     head, tail = header.rsplit("[]", 1)  # the edge list is the last field
@@ -602,7 +606,7 @@ def write_graph_json(g, path):
 
 
 def _check_level(level):
-    # before anything is sized by the level: all_words(9) is 10^9 strings
+    # before anything is sized by the level: arrays of 10^level entries
     if type(level) is not int or not 1 <= level <= MAX_LEVEL:
         raise ValueError(f"graph level {level!r} outside 1..{MAX_LEVEL}")
 
@@ -660,12 +664,16 @@ def read_graph_json(path):
     policy = payload.get("policy")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
-    # Both lists are popped, so they are freed before the graph is built and
-    # its words and arrays reuse their memory rather than pin it (built
-    # first, the level5 benchmark's peak RSS was about 1 MB higher).
+    # Both lists are popped and dropped before the graph is built, so its
+    # arrays reuse their memory rather than pin it (built first, the level5
+    # benchmark's peak RSS was about 1 MB higher).  The vertices are compared
+    # with the words in one pass, with no second list.
     u, v, t = _edge_columns(payload.pop("edges", None))
-    if payload.pop("vertices", None) != all_words(level):
+    vertices, words = payload.pop("vertices", None), LevelWords(level)
+    if not (type(vertices) is list and len(vertices) == len(words)
+            and all(map(operator.eq, vertices, words))):
         raise ValueError("vertex list is not the lexicographic word list")
+    del vertices
     return ReplacementGraph(level=level, policy=policy, u=u, v=v, t=t)
 
 

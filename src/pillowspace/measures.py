@@ -227,10 +227,7 @@ def box_dimension_estimate(levels):
         raise ValueError("need at least two levels for a slope")
     xs = np.array([n * math.log(3) for n in levels])
     ys = np.array([n * math.log(10) for n in levels])
-    slope, intercept = _least_squares(xs, ys)
-    resid = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    rows = [("tiles", n, 10**n) for n in levels]
-    return DimensionFit(slope, resid, rows)
+    return DimensionFit(*_fit(xs, ys), [("tiles", n, 10**n) for n in levels])
 
 
 def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
@@ -270,12 +267,12 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
             rows.append(("balls", 3**m, count))
     log_counts /= len(centers)
     xs = np.array([m * math.log(3) for m in radii_exponents])
-    slope, intercept = _least_squares(xs, log_counts)
-    resid = float(np.max(np.abs(log_counts - (slope * xs + intercept))))
-    return DimensionFit(slope, resid, rows)
+    return DimensionFit(*_fit(xs, log_counts), rows)
 
 
-def _least_squares(xs, ys):
+def _fit(xs, ys):
+    """Least-squares slope of ys over xs, and the fit's largest deviation."""
     xbar, ybar = xs.mean(), ys.mean()
     slope = float(((xs - xbar) * (ys - ybar)).sum() / ((xs - xbar) ** 2).sum())
-    return slope, float(ybar - slope * xbar)
+    intercept = float(ybar - slope * xbar)
+    return slope, float(np.max(np.abs(ys - (slope * xs + intercept))))

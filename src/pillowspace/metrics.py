@@ -1,6 +1,6 @@
 """Experiments on vertex metrics of the tile graphs.
 
-A MetricMatrix is a dense symmetric distance table over all words of one
+A MetricMatrix is a dense symmetric distance table over the vertices of one
 level.  On top of it: averaging over the sheet-flip group, blowups into
 prefix blocks, empirical quasisymmetry-distortion profiles, the ball-image
 check for the collapsing projection, the covering construction over a grid
@@ -21,7 +21,7 @@ from operator import index
 import numpy as np
 
 from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import all_words, parse_word
+from .words import parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
@@ -45,22 +45,29 @@ def _integer(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _metric_level(level):
+    """level as an int in 1..DENSE_LEVEL_LIMIT, before anything is sized by it."""
+    level = _integer(level, "metric level")
+    if not 1 <= level <= DENSE_LEVEL_LIMIT:
+        raise ValueError(f"metric level {level} outside 1..{DENSE_LEVEL_LIMIT}")
+    return level
+
+
 @dataclass
 class MetricMatrix:
-    """Symmetric nonnegative distance table over all words of one level."""
+    """Symmetric nonnegative distance table over the 10^level vertices of
+    one level, indexed as a graph's are: entry (i, j) is d(i, j)."""
 
-    words: list[str]
+    level: int
     entries: np.ndarray
     slack: float = 1e-9  # additive tolerance for the triangle check
 
     def __post_init__(self):
+        self.level = _metric_level(self.level)
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        n = len(self.words)
-        if n == 0 or self.entries.shape != (n, n):
-            raise ValueError("entries must be a square table over the words")
-        level = len(self.words[0])
-        if self.words != all_words(level):
-            raise ValueError("vertex universe must be all words of one level")
+        n = self.n_vertices
+        if self.entries.shape != (n, n):
+            raise ValueError(f"entries must be a ({n}, {n}) table at level {self.level}")
         e = self.entries
         if np.diagonal(e).any():
             raise ValueError("diagonal must be zero")
@@ -72,7 +79,7 @@ class MetricMatrix:
         self._check_triangle()
 
     def _check_triangle(self):
-        e, n = self.entries, len(self.words)
+        e, n = self.entries, self.n_vertices
         if n <= 100:
             for k in range(n):  # exhaustive at level <= 2
                 if (e > e[:, k, None] + e[None, k, :] + self.slack).any():
@@ -85,12 +92,8 @@ class MetricMatrix:
             raise ValueError("triangle inequality violated (sampled)")
 
     @property
-    def level(self):
-        return len(self.words[0])
-
-    @property
     def n_vertices(self):
-        return len(self.words)
+        return 10**self.level
 
 
 def graph_metric(g):
@@ -105,7 +108,7 @@ def graph_metric(g):
         if (rows < 0).any():
             raise ValueError("graph is disconnected; hop distance is not a metric")
         dist[lo : lo + len(rows)] = rows
-    return MetricMatrix(list(g.words), dist)
+    return MetricMatrix(g.level, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +141,7 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
         perm = flip_permutation(d, bits)
         acc += d.entries[np.ix_(perm, perm)]
     acc /= len(draws)
-    return MetricMatrix(list(d.words), acc, slack=max(d.slack, 1e-9))
+    return MetricMatrix(level, acc, slack=max(d.slack, 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +180,7 @@ def blowup_metric(d, prefix, normalization="diameter"):
     start = int(prefix) * size if prefix else 0
     block = d.entries[start : start + size, start : start + size]
     lam = _normalizer(block, n, normalization)
-    return MetricMatrix(all_words(n), block / lam, slack=max(d.slack, 1e-12))
+    return MetricMatrix(n, block / lam, slack=max(d.slack, 1e-12))
 
 
 def internal_block_metric(g, prefix, normalization="none", reference=None):
@@ -262,7 +265,7 @@ def qs_distortion(d1, d2, samples, seed):
     counted.  The inverse profile bins the reciprocal ratios, covering the
     switched-and-reciprocated form of the distortion bound.
     """
-    if d1.words != d2.words:
+    if d1.level != d2.level:
         raise ValueError("profiles need a common vertex universe")
     if _integer(samples, "samples") < 1:
         raise ValueError("need at least one sample")
@@ -328,13 +331,9 @@ def lipschitz_quotient_check(g):
             i = lo + r
             max_radius = max(max_radius, int(dist[: r + 1].max()))
             bad = int(np.flatnonzero(nearest[r] != grid[r])[0])
-            return QuotientReport(
-                g.level,
-                i + 1,
-                max_radius,
-                False,
-                (g.words[i], (int(gx[bad]), int(gy[bad])), int(nearest[r, bad]), int(grid[r, bad])),
-            )
+            witness = (g.words[i], (int(gx[bad]), int(gy[bad])), int(nearest[r, bad]),
+                       int(grid[r, bad]))
+            return QuotientReport(g.level, i + 1, max_radius, False, witness)
         max_radius = max(max_radius, int(dist.max()))
     return QuotientReport(g.level, g.n_vertices, max_radius, True, None)
 
@@ -548,9 +547,7 @@ def read_metric_matrix(path):
         if len(header) != 8:
             raise ValueError("truncated header")
         level, n = struct.unpack("<II", header)
-        # before anything is sized by the level
-        if not 1 <= level <= DENSE_LEVEL_LIMIT:
-            raise ValueError(f"metric level {level} outside 1..{DENSE_LEVEL_LIMIT}")
+        _metric_level(level)
         if n != 10**level:
             raise ValueError("vertex count does not match the level")
         if os.fstat(fh.fileno()).st_size != 12 + 4 * (n * (n - 1) // 2):
@@ -561,4 +558,4 @@ def read_metric_matrix(path):
     entries[iu] = payload / _FIXED_ONE
     entries += entries.T
     # quantization can nick the triangle inequality by a few fixed-point ulps
-    return MetricMatrix(all_words(level), entries, slack=4.0 / _FIXED_ONE)
+    return MetricMatrix(level, entries, slack=4.0 / _FIXED_ONE)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    _check_oracle_level,
     adjacency,
     bfs_rows,
     build_graph,
@@ -52,6 +53,10 @@ def _suite_counts(n, g, ctx):
 
 
 def _suite_adjacency_oracle(n, g, ctx):
+    # A level past the oracle fails before its words are listed.  The list
+    # (1,000 words at most) serves the 200,000 draws at C speed; a LevelWords
+    # view answers each through Python calls and doubled the suite's time.
+    _check_oracle_level(n)
     words = all_words(n)
     if n <= 2:
         pairs = itertools.combinations(words, 2)
@@ -267,12 +272,5 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
         row = runner(n, g, ctx)
         row["level"] = n
         results.append(row)
-    return SuiteReport(
-        suite=suite,
-        levels=levels,
-        policy=policy,
-        seed=seed,
-        tolerance=tolerance,
-        ok=all(r["ok"] for r in results),
-        results=results,
-    )
+    ok = all(r["ok"] for r in results)
+    return SuiteReport(suite, levels, policy, seed, tolerance, ok, results)

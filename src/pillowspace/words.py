@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -121,9 +123,29 @@ def _parse_triples(text):
     return "".join(letters)
 
 
+class LevelWords(Sequence):
+    """The 10^level words in lexicographic order as a read-only view: word i
+    is i written with `level` digits, formatted only when it is read."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def __len__(self):
+        return 10**self.level
+
+    def __getitem__(self, i):
+        i = index(i)  # an int or a numpy int; no slices
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"word index {i} out of range at level {self.level}")
+        return f"{i % len(self):0{self.level}d}" if self.level else ""
+
+    def __iter__(self):
+        return map("".join, itertools.product(ALPHABET, repeat=self.level))
+
+
 def all_words(level):
     """All 10^level words in lexicographic order (index of w is int(w))."""
-    return list(map("".join, itertools.product(ALPHABET, repeat=level)))
+    return list(LevelWords(level))
 
 
 # ---------------------------------------------------------------------------

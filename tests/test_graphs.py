@@ -393,8 +393,8 @@ def test_prefix_subgraph_rejects_a_damaged_block(g2, g1, damage):
 
 
 def test_graph_stores_only_edge_arrays(tmp_path):
-    # built and read back from both formats: the only stored Python sequence
-    # is the word list, and every access derives a fresh tuple list
+    # built and read back from both formats: no Python sequence is stored,
+    # and every access derives a fresh tuple list
     built = ps.build_graph(3)
     graphs = [built]
     for write, name in ((ps.write_graph_json, "g3.json"), (ps.write_graph_binary, "g3.bin")):
@@ -403,7 +403,7 @@ def test_graph_stores_only_edge_arrays(tmp_path):
     want = G.reference_edges(3)
     for g in graphs:
         stored = [k for k, x in vars(g).items() if isinstance(x, (list, tuple))]
-        assert stored == ["words"]
+        assert stored == []
         first, second = g.edges, g.edges
         assert first == want and second == want
         assert first is not second
@@ -414,7 +414,7 @@ def test_graph_json_round_trip(tmp_path, g2):
     ps.write_graph_json(g2, path)
     h = ps.read_graph_json(path)
     assert h.level == g2.level and h.policy == g2.policy
-    assert h.edges == g2.edges and h.words == g2.words
+    assert h.edges == g2.edges and list(h.words) == all_words(g2.level)
     # byte-identical rewrite
     path2 = tmp_path / "again.json"
     ps.write_graph_json(h, path2)
@@ -501,7 +501,7 @@ def _dumps_write_graph_json(g, path):
     """The JSON writer before its records were streamed: one json.dumps of the
     whole payload with the edge tuples, kept as the byte reference."""
     payload = {"schema": G.GRAPH_SCHEMA, "level": g.level, "policy": g.policy,
-               "vertices": g.words, "edges": g.edges}
+               "vertices": all_words(g.level), "edges": g.edges}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -603,15 +603,36 @@ def test_bfs_rejects_bad_starts(g2, start):
 
 @pytest.fixture
 def no_large_word_lists(monkeypatch):
-    # a reader that sizes anything by an unchecked level fails fast here
-    real = G.all_words
+    # a reader that sizes anything by an unchecked level fails fast here: the
+    # word view, the square arrays and the CSR are what a graph sizes by it
+    def guard(name, too_big):
+        real = getattr(G, name)
 
-    def guarded(level):
-        if level > G.MAX_LEVEL:
-            raise AssertionError(f"all_words({level}) called before the level check")
-        return real(level)
+        def guarded(*args):
+            if too_big(*args):
+                raise AssertionError(f"{name} sized by a level before the level check")
+            return real(*args)
 
-    monkeypatch.setattr(G, "all_words", guarded)
+        monkeypatch.setattr(G, name, guarded)
+
+    for name in ("LevelWords", "_square_arrays"):
+        guard(name, lambda level: type(level) is not int or level > G.MAX_LEVEL)
+    guard("arc_csr", lambda u, v, n: n > 10**G.MAX_LEVEL)
+
+
+def test_build_and_read_make_no_word_list(tmp_path, monkeypatch):
+    g3 = ps.build_graph(3)
+    ps.write_graph_json(g3, tmp_path / "g3.json")
+    ps.write_graph_binary(g3, tmp_path / "g3.bin")
+
+    def refuse(level):
+        raise AssertionError(f"all_words({level}) called")
+
+    monkeypatch.setattr(G, "all_words", refuse)
+    for g in (ps.build_graph(3), ps.read_graph_json(tmp_path / "g3.json"),
+              ps.read_graph_binary(tmp_path / "g3.bin")):
+        assert (g.level, g.n_vertices) == (3, 1000)
+        assert all(map(np.array_equal, g.edge_arrays(), g3.edge_arrays()))
 
 
 @pytest.mark.parametrize("level", [0, 7, 9, 40, "3"])

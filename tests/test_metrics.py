@@ -77,34 +77,54 @@ def test_rejects_asymmetric():
     e = np.ones((10, 10)) - np.eye(10)
     e[0, 1] = 2.0
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1), e)
+        MetricMatrix(1, e)
 
 
 def test_rejects_nonzero_diagonal():
     e = np.ones((10, 10))
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1), e)
+        MetricMatrix(1, e)
 
 
 def test_rejects_nonpositive_offdiagonal():
     e = np.ones((10, 10)) - np.eye(10)
     e[0, 1] = e[1, 0] = 0.0
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1), e)
+        MetricMatrix(1, e)
 
 
 def test_rejects_triangle_violation():
     e = np.ones((10, 10)) - np.eye(10)
     e[0, 1] = e[1, 0] = 5.0  # 5 > 1 + 1
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1), e)
+        MetricMatrix(1, e)
 
 
 def test_rejects_wrong_universe(metrics):
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1)[:9], metrics[1].entries[:9, :9])
+        MetricMatrix(1, metrics[1].entries[:9, :9])
     with pytest.raises(ValueError):
-        MetricMatrix(all_words(1), np.ones((3, 3)))
+        MetricMatrix(1, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("level", ["1", 1.0, None, 1.5])
+def test_rejects_level_that_is_not_an_integer(metrics, level):
+    with pytest.raises(ValueError, match="^metric level must be an integer, got") as exc:
+        MetricMatrix(level, metrics[1].entries)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("level", [0, -1, 5])
+def test_rejects_level_outside_the_dense_range(level):
+    with pytest.raises(ValueError, match="^metric level"):
+        MetricMatrix(level, np.zeros((1, 1)))
+
+
+def test_level_sizes_the_table(metrics):
+    d = MetricMatrix(np.int64(2), metrics[2].entries)
+    assert type(d.level) is int and d.n_vertices == 100
+    with pytest.raises(ValueError, match="entries must be a"):
+        MetricMatrix(2, metrics[1].entries)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +133,8 @@ def test_rejects_wrong_universe(metrics):
 
 def _perturbed(d):
     """A valid metric that is not flip-invariant: add an indicator pseudometric."""
-    f = np.array([1.0 if "0" in w else 0.0 for w in d.words])
-    return MetricMatrix(list(d.words), d.entries + np.abs(f[:, None] - f[None, :]))
+    f = np.array([1.0 if "0" in w else 0.0 for w in all_words(d.level)])
+    return MetricMatrix(d.level, d.entries + np.abs(f[:, None] - f[None, :]))
 
 
 def test_graph_metric_already_invariant(metrics):
@@ -257,7 +277,7 @@ def test_envelope_monotone(metrics):
 
 def test_scaling_cancels(metrics):
     d = metrics[1]
-    doubled = MetricMatrix(list(d.words), 2.0 * d.entries)
+    doubled = MetricMatrix(d.level, 2.0 * d.entries)
     a = qs_distortion(d, d, samples=1000, seed=3)
     b = qs_distortion(d, doubled, samples=1000, seed=3)
     assert np.array_equal(a.count, b.count)
@@ -267,7 +287,7 @@ def test_scaling_cancels(metrics):
 def test_snowflake_profile(metrics):
     """Square-rooting the metric bends ratios to their square roots, bin by bin."""
     d = metrics[2]
-    snow = MetricMatrix(list(d.words), np.sqrt(d.entries))
+    snow = MetricMatrix(d.level, np.sqrt(d.entries))
     prof = qs_distortion(d, snow, samples=2000, seed=9)
     for lo, hi, count, mx, _env in prof.rows():
         if count:
@@ -325,7 +345,7 @@ def _same_rows(got, want):
 @pytest.mark.parametrize("seed", [1, 7, 9])
 def test_profile_matches_dict_and_loop_binning(metrics, seed):
     d2 = metrics[2]
-    snow = MetricMatrix(list(d2.words), np.sqrt(d2.entries))
+    snow = MetricMatrix(d2.level, np.sqrt(d2.entries))
     pairs = [(metrics[1], metrics[1]), (d2, _perturbed(d2)), (d2, snow),
              (metrics[3], symmetrize(_perturbed(metrics[3]), "sampled", 3, seed))]
     gaps = 0
@@ -697,13 +717,13 @@ def test_roundtrip_exact(metrics, tmp_path):
         path = tmp_path / f"m{n}.bin"
         write_metric_matrix(metrics[n], path)
         back = read_metric_matrix(path)
-        assert back.words == metrics[n].words
+        assert back.level == metrics[n].level == n
         assert np.array_equal(back.entries, metrics[n].entries)
 
 
 def test_roundtrip_quantizes_fractions(metrics, tmp_path):
     d = metrics[1]
-    scaled = MetricMatrix(list(d.words), d.entries / 3.0)
+    scaled = MetricMatrix(d.level, d.entries / 3.0)
     path = tmp_path / "frac.bin"
     write_metric_matrix(scaled, path)
     back = read_metric_matrix(path)
@@ -756,6 +776,6 @@ def test_read_rejects_malformed_header_or_payload(tmp_path, raw):
 
 def test_write_rejects_overflow(tmp_path):
     e = 65536.0 * (np.ones((10, 10)) - np.eye(10))
-    big = MetricMatrix(all_words(1), e)
+    big = MetricMatrix(1, e)
     with pytest.raises(ValueError):
         write_metric_matrix(big, tmp_path / "m.bin")

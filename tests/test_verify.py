@@ -3,6 +3,7 @@
 import pytest
 
 from pillowspace import graphs, metrics, verify
+from pillowspace.words import LevelWords, all_words
 
 
 def test_self_similar_builds_no_graph_per_block(monkeypatch):
@@ -42,3 +43,26 @@ def test_levels_and_policy_are_checked_before_any_level_runs(monkeypatch):
             verify.run_suite(suite, [1, graphs.MAX_LEVEL + 1])
         with pytest.raises(ValueError):
             verify.run_suite(suite, [1], policy="sideways")
+
+
+def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
+    # random.choice reads only len and [i], so a LevelWords view draws the
+    # pairs that the list does
+    drawn = {}
+    monkeypatch.setattr(verify, "chain_oracle_adjacency", lambda w, v: None)
+    for name, words in (("list", all_words), ("view", LevelWords)):
+        pairs = drawn[name] = []
+        monkeypatch.setattr(verify, "all_words", words)
+        monkeypatch.setattr(verify, "adjacency", lambda w, v, pairs=pairs: pairs.append((w, v)))
+        assert verify._suite_adjacency_oracle(3, None, {"seed": 7})["ok"]
+    assert len(drawn["list"]) == verify.ORACLE_SAMPLE_PAIRS
+    assert drawn["view"] == drawn["list"]
+
+
+def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(monkeypatch):
+    def refuse(level):
+        raise AssertionError(f"all_words({level}) called past the oracle's cap")
+
+    monkeypatch.setattr(verify, "all_words", refuse)
+    with pytest.raises(ValueError, match="chain oracle supports length <= 3, got 6"):
+        verify.run_suite("adjacency-oracle", [6])

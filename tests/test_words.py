@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pillowspace import words as W
@@ -24,6 +25,20 @@ def test_alphabet_and_letter_table():
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_all_words_are_the_zero_padded_indices(level):
     assert W.all_words(level) == [f"{i:0{level}d}" for i in range(10**level)]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_level_words_view_reads_like_the_list(level):
+    words, view = W.all_words(level), W.LevelWords(level)
+    assert len(view) == len(words) and list(view) == words
+    for i in range(-len(words), len(words)):
+        assert view[i] == words[i]
+    assert view[np.int64(len(words) - 1)] == words[-1]
+    for i in (len(words), -len(words) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0.0]
 
 
 def test_parse_word_round_trip():
