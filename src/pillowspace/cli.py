@@ -114,8 +114,9 @@ def _json(body):
     return write
 
 
-def _parse_levels(text):
-    """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL."""
+def _parse_levels(text, cap=None):
+    """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL, and
+    at most a command's own cap."""
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
@@ -127,8 +128,8 @@ def _parse_levels(text):
     if not levels:
         raise UsageError(f"level range {text!r} is empty")
     # on the ends, before a range becomes a list: 1..10**8 is gigabytes of ints
-    _level(levels[0])
-    _level(levels[-1])
+    _level(levels[0], cap)
+    _level(levels[-1], cap)
     return list(levels)
 
 
@@ -245,7 +246,7 @@ def _cmd_verify(args):
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
         )
-    levels = _parse_levels(args.levels) if args.levels else None
+    levels = _parse_levels(args.levels, SUITES[args.suite][3]) if args.levels else None
     rep = run_suite(
         args.suite, levels, policy=args.policy, seed=args.seed, tolerance=_tol(args.tol)
     )

@@ -36,11 +36,11 @@ from .words import (
     MAX_LEVEL,
     CapacityError,  # the package exports it from this module
     LevelWords,
-    _check_capacity,
     _grid_table,
     _prefix_states,
     _square_arrays,
     all_words,
+    check_level,
     flip,
     grid_word_of_square,
     parse_word,
@@ -224,6 +224,7 @@ class ReplacementGraph:
     square_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.level = check_level(self.level, MAX_LEVEL, name="graph level", over=ValueError)
         n = self.n_vertices
         u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)
@@ -310,9 +311,7 @@ def build_graph(n, central_edge_policy="on"):
     central_edge_policy "on" keeps every seam edge; "off" suppresses seam
     edges whose only differing level is the last letter.
     """
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    _check_capacity(n)
+    n = check_level(n)
     if central_edge_policy not in ("on", "off"):
         raise ValueError(f"unknown policy {central_edge_policy!r}")
 
@@ -605,12 +604,6 @@ def write_graph_json(g, path):
         fh.write("]" + tail + "\n")
 
 
-def _check_level(level):
-    # before anything is sized by the level: arrays of 10^level entries
-    if type(level) is not int or not 1 <= level <= MAX_LEVEL:
-        raise ValueError(f"graph level {level!r} outside 1..{MAX_LEVEL}")
-
-
 def _load_json(fh):
     """json.load with the cyclic collector paused, then as the caller had it.
 
@@ -659,8 +652,7 @@ def read_graph_json(path):
         payload = _load_json(fh)
     if not isinstance(payload, dict) or payload.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"not a {GRAPH_SCHEMA} file: {path}")
-    level = payload.get("level")
-    _check_level(level)
+    level = check_level(payload.get("level"), MAX_LEVEL, name="graph level", over=ValueError)
     policy = payload.get("policy")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -694,7 +686,7 @@ def read_graph_binary(path):
         if len(header) != 16:
             raise ValueError("truncated header")
         level, policy_flag, n_vertices, n_edges = struct.unpack("<IIII", header)
-        _check_level(level)
+        check_level(level, MAX_LEVEL, name="graph level", over=ValueError)
         if policy_flag not in (0, 1):
             raise ValueError(f"policy flag {policy_flag} is neither 0 (off) nor 1 (on)")
         policy = ("off", "on")[policy_flag]

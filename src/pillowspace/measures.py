@@ -19,14 +19,7 @@ from operator import index
 
 import numpy as np
 
-from .words import GRID_LETTERS, _check_capacity, _square_arrays, parse_word, section
-
-
-def _check_level(level):
-    # before anything is sized by it: uniform's and one_sheet's dicts, pushforward_x's squares
-    if type(level) is not int or level < 0:
-        raise ValueError(f"measure level must be an int >= 0, got {level!r}")
-    _check_capacity(level)
+from .words import GRID_LETTERS, _square_arrays, check_level, parse_word, section
 
 
 @dataclass
@@ -37,7 +30,7 @@ class TileMeasure:
     mass: dict[int, Fraction]
 
     def __post_init__(self):
-        _check_level(self.level)
+        self.level = check_level(self.level, low=0, name="measure level")
         if not self.mass:
             raise ValueError("a tile measure needs a nonempty universe")
         top = 10**self.level
@@ -62,7 +55,7 @@ class TileMeasure:
     @classmethod
     def uniform(cls, level):
         """Equal mass 10^-level on every tile."""
-        _check_level(level)
+        level = check_level(level, low=0, name="measure level")
         m = Fraction(1, 10**level)
         return cls(level, {i: m for i in range(10**level)})
 
@@ -74,7 +67,7 @@ class TileMeasure:
         sheet of the center-free words).  Tiles off the sheet are not part of
         this measure's universe.
         """
-        _check_level(level)
+        level = check_level(level, low=0, name="measure level")
         if bits is None:
             bits = "0" * level
         m = Fraction(1, 9**level)

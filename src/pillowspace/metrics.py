@@ -16,12 +16,11 @@ import os
 import random
 import struct
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
-from .graphs import CapacityError, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import parse_word
+from .graphs import bfs_row, bfs_rows, flip_permutation, prefix_subgraph
+from .words import _integer, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
@@ -37,22 +36,6 @@ _VALIDATE_TRIPLES = 20000
 _VALIDATE_SEED = 20210
 
 
-def _integer(value, name):
-    """value as an int, else ValueError (index, not int: 2.5 is no count)."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _metric_level(level):
-    """level as an int in 1..DENSE_LEVEL_LIMIT, before anything is sized by it."""
-    level = _integer(level, "metric level")
-    if not 1 <= level <= DENSE_LEVEL_LIMIT:
-        raise ValueError(f"metric level {level} outside 1..{DENSE_LEVEL_LIMIT}")
-    return level
-
-
 @dataclass
 class MetricMatrix:
     """Symmetric nonnegative distance table over the 10^level vertices of
@@ -63,7 +46,8 @@ class MetricMatrix:
     slack: float = 1e-9  # additive tolerance for the triangle check
 
     def __post_init__(self):
-        self.level = _metric_level(self.level)
+        self.level = check_level(self.level, DENSE_LEVEL_LIMIT, name="metric level",
+                                 over=ValueError)
         self.entries = np.asarray(self.entries, dtype=np.float64)
         n = self.n_vertices
         if self.entries.shape != (n, n):
@@ -99,8 +83,7 @@ class MetricMatrix:
 def graph_metric(g):
     """All-pairs hop distances of a replacement graph as a MetricMatrix
     (levels up to 4), filled from bfs_rows _DENSE_ROWS sources at a time."""
-    if g.level > DENSE_LEVEL_LIMIT:
-        raise CapacityError(f"dense metric capped at level {DENSE_LEVEL_LIMIT}, got {g.level}")
+    check_level(g.level, DENSE_LEVEL_LIMIT, name="dense metric level")
     n = g.n_vertices
     dist = np.empty((n, n))
     for lo in range(0, n, _DENSE_ROWS):
@@ -305,8 +288,7 @@ def lipschitz_quotient_check(g):
     ball identity (image of ball(x, r) = grid ball of radius r) at every
     radius simultaneously.
     """
-    if g.level > BALL_IMAGE_LIMIT:
-        raise CapacityError(f"exhaustive ball-image check capped at level {BALL_IMAGE_LIMIT}")
+    check_level(g.level, BALL_IMAGE_LIMIT, name="exhaustive ball-image check level")
     side = 3**g.level
     sx, sy = g.square_x, g.square_y
     cell = sx * side + sy
@@ -547,7 +529,7 @@ def read_metric_matrix(path):
         if len(header) != 8:
             raise ValueError("truncated header")
         level, n = struct.unpack("<II", header)
-        _metric_level(level)
+        check_level(level, DENSE_LEVEL_LIMIT, name="metric level", over=ValueError)
         if n != 10**level:
             raise ValueError("vertex count does not match the level")
         if os.fstat(fh.fileno()).st_size != 12 + 4 * (n * (n - 1) // 2):

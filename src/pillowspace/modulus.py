@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import arc_csr, boundary_face, build_graph
-from .words import MAX_TOL
+from .words import MAX_TOL, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 MAX_PASSES = 300  # IRLS passes of the potential solve before "iteration cap"
+SCAN_MAX_LEVEL = 4  # conformal_scan solves every exponent at every level exactly
 
 
 @dataclass(eq=False)
@@ -512,9 +513,10 @@ def conformal_scan(levels, p_grid):
     ratio per exponent; the critical-p column is the grid point whose ratio
     sits nearest 1 (exploratory, not certified).
     """
-    levels = sorted(set(levels))
-    if max(levels) > 4:
-        raise ValueError("exact scans support levels <= 4")
+    levels = sorted({check_level(n, SCAN_MAX_LEVEL, name="scan level", over=ValueError)
+                     for n in levels})
+    if not levels:
+        raise ValueError("no level to scan")
     if not all(1.0 <= p <= MAX_P for p in p_grid):  # also rejects nan
         raise ValueError(f"exponents must lie in [1, {MAX_P}]")
 

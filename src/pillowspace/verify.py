@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
+    ORACLE_MAX_LEVEL,
     _check_oracle_level,
     adjacency,
     bfs_rows,
@@ -24,7 +25,7 @@ from .graphs import (
     prefix_subgraph,
     reference_edges,
 )
-from .words import _check_capacity, _grid_table, all_words
+from .words import MAX_LEVEL, _grid_table, all_words, check_level
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -44,11 +45,18 @@ class SuiteReport:
 
 
 def _suite_counts(n, g, ctx):
+    # G_m is ten copies of G_{m-1} plus the edges between first letters: 16
+    # cell sides of 3^(m-1) faces, and a seam edge on each of the center's
+    # 4*3^(m-1) - 4 boundary squares; at m = 1 that seam is the one "off" drops
+    expected = 17 if g.policy == "on" else 16
+    for m in range(2, n + 1):
+        expected = 10 * expected + 20 * 3 ** (m - 1) - 4
     return {
         "vertices": g.n_vertices,
         "edges": g.n_edges,
         "expected_vertices": 10**n,
-        "ok": g.n_vertices == 10**n,
+        "expected_edges": expected,
+        "ok": g.n_vertices == 10**n and g.n_edges == expected,
     }
 
 
@@ -237,18 +245,18 @@ def _suite_modulus_oracles(n, g, ctx):
     }
 
 
-# name -> (runner, default levels, whether the runner reads the graph); the
-# default levels are the cheap exhaustive regimes of each suite
+# name -> (runner, default levels, whether the runner reads the graph, top
+# level); the default levels are the cheap exhaustive regimes of each suite
 SUITES = {
-    "counts": (_suite_counts, range(1, 6), True),
-    "adjacency-oracle": (_suite_adjacency_oracle, range(1, 4), False),
-    "sheets": (_suite_sheets, range(1, 5), True),
-    "automorphisms": (_suite_automorphisms, range(1, 4), True),
-    "self-similar": (_suite_self_similar, range(2, 4), True),
-    "singular-measure": (_suite_singular_measure, range(1, 6), False),
-    "quotient": (_suite_quotient, range(1, 4), True),
-    "covering": (_suite_covering, range(1, 4), True),
-    "modulus-oracles": (_suite_modulus_oracles, range(1, 4), True),
+    "counts": (_suite_counts, range(1, 6), True, MAX_LEVEL),
+    "adjacency-oracle": (_suite_adjacency_oracle, range(1, 4), False, ORACLE_MAX_LEVEL),
+    "sheets": (_suite_sheets, range(1, 5), True, MAX_LEVEL),
+    "automorphisms": (_suite_automorphisms, range(1, 4), True, MAX_LEVEL),
+    "self-similar": (_suite_self_similar, range(2, 4), True, MAX_LEVEL),
+    "singular-measure": (_suite_singular_measure, range(1, 6), False, MAX_LEVEL),
+    "quotient": (_suite_quotient, range(1, 4), True, MAX_LEVEL),
+    "covering": (_suite_covering, range(1, 4), True, MAX_LEVEL),
+    "modulus-oracles": (_suite_modulus_oracles, range(1, 4), True, MAX_LEVEL),
 }
 
 
@@ -256,12 +264,11 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     """Run one named suite over the given levels and report per-level results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runner, default_levels, reads_graph = SUITES[suite]
-    levels = sorted(set(default_levels if levels is None else levels))
-    if not levels or levels[0] < 1:
-        raise ValueError("levels must be >= 1")
+    runner, default_levels, reads_graph, _top = SUITES[suite]
     # build_graph's guards, for every suite and before any level runs
-    _check_capacity(levels[-1])
+    levels = sorted({check_level(n) for n in (default_levels if levels is None else levels)})
+    if not levels:
+        raise ValueError("no level to run")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
     # no timing in results: written reports must be byte-stable across reruns

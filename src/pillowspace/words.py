@@ -34,10 +34,30 @@ class CapacityError(RuntimeError):
     """Raised when a build would exceed the supported size."""
 
 
-def _check_capacity(level):
-    """Refuse a level above MAX_LEVEL, before anything is sized by it."""
-    if level > MAX_LEVEL:
-        raise CapacityError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
+def _integer(value, name):
+    """value as an int, else ValueError (index, not int: 2.5 is no count, and a
+    bool is no number)."""
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_level(level, top=MAX_LEVEL, low=1, name="level", over=CapacityError):
+    """level as an int in low..top, checked before anything is sized by it.
+
+    A non-integer or a level below low raises ValueError, a level above top
+    raises `over`: CapacityError where a build is refused (CLI exit 64),
+    ValueError where a file or a table is malformed.
+    """
+    level = _integer(level, name)
+    if level < low:
+        raise ValueError(f"{name} must be >= {low}, got {level}")
+    if level > top:
+        raise over(f"{name} {level} exceeds the supported maximum {top}")
+    return level
 
 
 def _grid_col(code):
@@ -257,7 +277,8 @@ def _square_arrays(n):
     return xs, ys
 
 
-@functools.lru_cache(maxsize=None)  # levels 0..MAX_LEVEL, 4 MB at the top
+# levels 0..MAX_LEVEL, 4 MB at the top; typed, so True or 2.0 is checked, not a hit on 1 or 2
+@functools.lru_cache(maxsize=None, typed=True)
 def _grid_table(n):
     """(3^n, 3^n) read-only table of the index of the center-free word over
     each square: the inverse of _square_arrays on grid words.
@@ -265,9 +286,7 @@ def _grid_table(n):
     Of the tiles over one square the center-free word has the largest
     index, as '5' > '0'.
     """
-    _check_capacity(n)  # before anything is sized by 9^n
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
+    n = check_level(n, low=0)  # before anything is sized by 9^n
     table = np.zeros((3**n, 3**n), dtype=np.int64)
     np.maximum.at(table, _square_arrays(n), np.arange(10**n))
     table.flags.writeable = False

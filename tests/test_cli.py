@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pillowspace import cli, graphs
+from pillowspace import cli, graphs, verify
 from pillowspace.graphs import MAX_LEVEL
 from pillowspace.measures import TileMeasure
 
@@ -231,6 +231,20 @@ def test_level_range_is_capped_before_it_is_built(argv, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
     assert str(MAX_LEVEL + 1) in lines[0]
+
+
+@pytest.mark.parametrize("levels", ["4..5", "4", "2,4"])
+def test_verify_adjacency_oracle_range_is_capped_by_the_chain_oracle(levels, monkeypatch,
+                                                                    capsys):
+    # a level past the chain oracle is a usage error, found before any level runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran before its level range was checked")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    assert cli.main(["verify", "adjacency-oracle", levels, "--seed", "7"]) == 64
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+    assert f"1..{graphs.ORACLE_MAX_LEVEL}" in lines[0]
 
 
 def test_measure_dimension_ball_needs_seed():

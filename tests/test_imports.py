@@ -1,9 +1,11 @@
 """Lazy package exports and per-command imports, each checked in a fresh
 interpreter so that nothing this test process already loaded can hide a load."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +137,21 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ps.no_such_name
     assert not hasattr(ps, "no_such_name")
+
+
+# (module, name) imported without a use in that module: the package serves
+# CapacityError from graphs
+UNUSED_IMPORTS_ALLOWED = {("graphs", "CapacityError")}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(Path(ps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                names = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+                unused += [(path.stem, name) for name in sorted(names - used)]
+    assert set(unused) <= UNUSED_IMPORTS_ALLOWED, unused

@@ -1,5 +1,7 @@
 """Tests for the invariant suites' own bookkeeping."""
 
+import types
+
 import pytest
 
 from pillowspace import graphs, metrics, verify
@@ -66,3 +68,35 @@ def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(m
     monkeypatch.setattr(verify, "all_words", refuse)
     with pytest.raises(ValueError, match="chain oracle supports length <= 3, got 6"):
         verify.run_suite("adjacency-oracle", [6])
+
+
+# E_1 and E_m = 10 E_{m-1} + 20 3^(m-1) - 4, worked out by hand
+PINNED_EDGES = {
+    "on": [17, 226, 2_436, 24_896, 250_576, 2_510_616],
+    "off": [16, 216, 2_336, 23_896, 240_576, 2_410_616],
+}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_counts_suite_expects_the_pinned_edge_counts(policy):
+    rep = verify.run_suite("counts", range(1, 6), policy=policy)
+    assert rep.ok
+    assert [r["expected_edges"] for r in rep.results] == PINNED_EDGES[policy][:5]
+    assert [r["edges"] for r in rep.results] == PINNED_EDGES[policy][:5]
+    # level 6 without its build: the row only reads the graph's counts
+    g6 = types.SimpleNamespace(policy=policy, n_vertices=10**6,
+                               n_edges=PINNED_EDGES[policy][5])
+    assert verify._suite_counts(6, g6, {})["ok"]
+
+
+def test_counts_suite_fails_on_a_graph_missing_an_edge(monkeypatch):
+    build_graph = verify.build_graph
+
+    def one_edge_short(n, policy):
+        u, v, t = (a[1:] for a in build_graph(n, policy).edge_arrays())
+        return graphs.ReplacementGraph(level=n, policy=policy, u=u, v=v, t=t)
+
+    monkeypatch.setattr(verify, "build_graph", one_edge_short)
+    rep = verify.run_suite("counts", [1, 2])
+    assert not rep.ok
+    assert all(not r["ok"] and r["edges"] == r["expected_edges"] - 1 for r in rep.results)

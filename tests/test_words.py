@@ -1,13 +1,18 @@
 """Tests for the symbolic layer: parsing, the flip group, exact squares."""
 
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
+from pillowspace import graphs as G
+from pillowspace import measures, modulus, verify
 from pillowspace import words as W
 from pillowspace.graphs import _fold_scaled
+from pillowspace.measures import TileMeasure
+from pillowspace.metrics import DENSE_LEVEL_LIMIT, MetricMatrix
 
 
 def test_alphabet_and_letter_table():
@@ -188,3 +193,71 @@ def test_projection_preserves_square():
         word = "".join(rng.choice(W.ALPHABET) for _ in range(4))
         a, b = W.word_square(word), W.word_square(W.project_word(word))
         assert (a.x, a.y) == (b.x, b.y)
+
+
+# ---------------------------------------------------------------------------
+# the level rule: every entry point that sizes or reads by a level checks it
+# through check_level first
+
+
+class _Unsized:
+    """A table that fails when it is read: nothing may read one before its level
+    is checked."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a table was read before its level was checked")
+
+
+def _graph_file(tmp_path, level):
+    path = tmp_path / "g.json"
+    path.write_text('{"schema": "pillow-graph-v1", "level": %s, "policy": "on", '
+                    '"vertices": [], "edges": []}' % json.dumps(level))
+    return path
+
+
+# name -> (call(level, tmp_path), lowest level, top level, error above the top):
+# builders raise CapacityError, readers and tables ValueError
+LEVEL_ENTRY_POINTS = {
+    "build_graph": (lambda n, tmp: G.build_graph(n), 1, W.MAX_LEVEL, W.CapacityError),
+    "_grid_table": (lambda n, tmp: W._grid_table(n), 0, W.MAX_LEVEL, W.CapacityError),
+    "TileMeasure.uniform": (lambda n, tmp: TileMeasure.uniform(n), 0, W.MAX_LEVEL,
+                            W.CapacityError),
+    "MetricMatrix": (lambda n, tmp: MetricMatrix(n, _Unsized()), 1, DENSE_LEVEL_LIMIT,
+                     ValueError),
+    "ReplacementGraph": (lambda n, tmp: G.ReplacementGraph(n, "on", [], [], []), 1,
+                         W.MAX_LEVEL, ValueError),
+    "read_graph_json": (lambda n, tmp: G.read_graph_json(_graph_file(tmp, n)), 1,
+                        W.MAX_LEVEL, ValueError),
+    "run_suite": (lambda n, tmp: verify.run_suite("counts", [n]), 1, W.MAX_LEVEL,
+                  W.CapacityError),
+    "conformal_scan": (lambda n, tmp: modulus.conformal_scan([n], [2.0]), 1,
+                       modulus.SCAN_MAX_LEVEL, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", ["bool", "float", "below", "above"])
+@pytest.mark.parametrize("entry", list(LEVEL_ENTRY_POINTS))
+def test_entry_points_check_their_level_before_building(entry, case, tmp_path, monkeypatch):
+    call, low, top, over = LEVEL_ENTRY_POINTS[entry]
+    level, error = {"bool": (True, ValueError), "float": (2.0, ValueError),
+                    "below": (low - 1, ValueError), "above": (top + 1, over)}[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{entry} built something at the unchecked level {level!r}")
+
+    # what each entry point sizes by its level: squares, cross edges, the CSR,
+    # the word view, a measure's masses and the suites' and the scan's graphs
+    for module, name in ((W, "_square_arrays"), (G, "_square_arrays"), (G, "_cross_edges"),
+                         (G, "arc_csr"), (G, "LevelWords"), (measures, "Fraction"),
+                         (verify, "build_graph"), (modulus, "build_graph")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(error) as exc:
+        call(level, tmp_path)
+    assert "\n" not in str(exc.value)
+
+
+def test_entry_points_take_a_numpy_int_level_as_an_int():
+    # a numpy int, as array code hands one over, is stored as an int
+    for level in (G.build_graph(np.int64(2)).level, TileMeasure.uniform(np.int64(2)).level,
+                  TileMeasure.one_sheet(np.int64(2)).level):
+        assert type(level) is int and level == 2
