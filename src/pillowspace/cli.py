@@ -426,7 +426,8 @@ def _cmd_metric_distortion(args):
 def _cmd_metric_quotient_check(args):
     from dataclasses import asdict
 
-    from .metrics import BALL_IMAGE_LIMIT, lipschitz_quotient_check
+    from .metrics import lipschitz_quotient_check
+    from .words import BALL_IMAGE_LIMIT
 
     rep = lipschitz_quotient_check(_graph(args, args.level, BALL_IMAGE_LIMIT))
     body = asdict(rep)

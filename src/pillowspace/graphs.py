@@ -57,6 +57,7 @@ _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
 _WRITE_RECORDS = 1 << 16  # JSON edge records joined per file write
+_WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts
 ORACLE_MAX_LEVEL = 3
 
 
@@ -425,12 +426,19 @@ def bfs_rows(g, starts, cutoff=None):
     """Hop distances from each start, as a (len(starts), n) int64 array.
 
     Entries are -1 for vertices that are unreachable or, when a cutoff is
-    given, farther than cutoff.  All sources advance one level per step over
-    the CSR; a (source, vertex) pair is the flat key source * n + vertex into
-    the result.
+    given, farther than cutoff.  All sources advance one level per step, on
+    one of two paths that return the same array.  From _WORD_SOURCES starts
+    on, one full machine word of sources, the bit-parallel path (_bfs_words)
+    sweeps every vertex per level and advances 64 sources per word
+    operation.  Below that, sweeping every vertex costs more than following
+    the few sources' own frontiers (about four times as long for one L5
+    row), so each (source, vertex) pair of a frontier is the flat key
+    source * n + vertex into the result and is advanced over the CSR.
     """
     n = g.n_vertices
     starts = _vertex_indices(g, starts)
+    if len(starts) >= _WORD_SOURCES:
+        return _bfs_words(g, starts, cutoff)
     out = np.full((len(starts), n), -1, dtype=np.int64)
     flat = out.reshape(-1)  # a view: writes land in out
     keys = np.arange(len(starts), dtype=np.int64) * n + starts
@@ -453,6 +461,75 @@ def bfs_rows(g, starts, cutoff=None):
         keys = cand[flat[cand] == marks]
         flat[keys] = d
     return out
+
+
+def _bfs_words(g, starts, cutoff):
+    """bfs_rows with the sources as bits: source s is bit s % 64 of word
+    s // 64 of a vertex's row (the multi-source BFS of Then et al., PVLDB
+    8(4), 2014).
+
+    A level ORs the frontier rows of each vertex's neighbours, read through
+    a neighbour table padded with the zero row n, and keeps the bits not yet
+    seen.  Distances are never unpacked per level: bit b of d + 1 is kept in
+    bit plane b, so a start holds 1 and a vertex never seen holds 0, and the
+    planes are unpacked once at the end.
+    """
+    n, k = g.n_vertices, len(starts)
+    deg = np.diff(g.indptr)
+    nb = np.full((deg.max(initial=1), n), n, dtype=np.intp)  # [rank, vertex]
+    nb[np.arange(len(g.indices)) - np.repeat(g.indptr[:-1], deg),
+       np.repeat(np.arange(n), deg)] = g.indices
+    front = np.zeros((n + 1, -(-k // 64)), dtype="<u8")
+    bit = np.arange(k, dtype="<u8")
+    np.bitwise_or.at(front, (starts, bit // 64), np.uint64(1) << bit % 64)
+    new, nxt, tmp = front[:n], np.empty_like(front[:n]), np.empty_like(front[:n])
+    unseen = ~new
+    planes = [new.copy()]
+    d = 0
+    while cutoff is None or d < cutoff:
+        d += 1
+        # take with out and mode="clip" writes in place; mode="raise" buffers
+        np.take(front, nb[0], axis=0, out=nxt, mode="clip")
+        for col in nb[1:]:
+            nxt |= np.take(front, col, axis=0, out=tmp, mode="clip")
+        np.bitwise_and(nxt, unseen, out=new)
+        if not new.any():
+            break
+        unseen ^= new
+        value = d + 1
+        if value == 1 << len(planes):
+            planes.append(np.zeros_like(new))
+        for b, plane in enumerate(planes):
+            if value >> b & 1:
+                plane |= new
+    return _plane_values(planes, k)
+
+
+# delta swaps that transpose the 8x8 bit matrix of each uint64, byte b being
+# row b (Hacker's Delight, section 7-3)
+_TRANSPOSE_8X8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _plane_values(planes, k):
+    """The (k, n) int64 array of v - 1, where bit b of v at [s, vertex] is
+    bit s of planes[b][vertex]: eight planes at a time, one byte of each
+    stacked into a uint64 whose 8x8 bit transpose puts a source's eight bits
+    into one byte."""
+    n, words = planes[0].shape
+    acc = np.zeros((k, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for lo in range(0, len(planes), 8):
+        x = np.zeros((words, 8, n, 8), dtype=np.uint8)  # [word, byte, vertex, plane]
+        for b, plane in enumerate(planes[lo : lo + 8]):
+            rows = np.ascontiguousarray(plane.T).view(np.uint8).reshape(words, n, 8)
+            x[..., b] = rows.transpose(0, 2, 1)
+        x = x.view("<u8")[..., 0]
+        for shift, mask in _TRANSPOSE_8X8:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        # byte i of x[j, m, vertex] now holds the planes' bits of source 64j + 8m + i
+        values = x.view(np.uint8).reshape(8 * words, n, 8).transpose(0, 2, 1)
+        acc |= np.left_shift(values.reshape(64 * words, n)[:k], lo, dtype=acc.dtype)
+    return np.subtract(acc, 1, dtype=np.int64)
 
 
 def bfs_row(g, start, cutoff=None):

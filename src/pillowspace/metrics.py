@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import _integer, check_level, parse_word
+from .words import BALL_IMAGE_LIMIT, _integer, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
-BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
 _DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
 PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
 

@@ -25,7 +25,7 @@ from .graphs import (
     prefix_subgraph,
     reference_edges,
 )
-from .words import MAX_LEVEL, _grid_table, all_words, check_level
+from .words import BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, all_words, check_level
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -254,7 +254,7 @@ SUITES = {
     "automorphisms": (_suite_automorphisms, range(1, 4), True, MAX_LEVEL),
     "self-similar": (_suite_self_similar, range(2, 4), True, MAX_LEVEL),
     "singular-measure": (_suite_singular_measure, range(1, 6), False, MAX_LEVEL),
-    "quotient": (_suite_quotient, range(1, 4), True, MAX_LEVEL),
+    "quotient": (_suite_quotient, range(1, 4), True, BALL_IMAGE_LIMIT),
     "covering": (_suite_covering, range(1, 4), True, MAX_LEVEL),
     "modulus-oracles": (_suite_modulus_oracles, range(1, 4), True, MAX_LEVEL),
 }
@@ -264,9 +264,11 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     """Run one named suite over the given levels and report per-level results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    runner, default_levels, reads_graph, _top = SUITES[suite]
-    # build_graph's guards, for every suite and before any level runs
-    levels = sorted({check_level(n) for n in (default_levels if levels is None else levels)})
+    runner, default_levels, reads_graph, top = SUITES[suite]
+    # build_graph's guards, for every suite and before any level runs; a suite
+    # that reads the graph also refuses a level past its top before building it
+    levels = sorted({check_level(n, top if reads_graph else MAX_LEVEL, name=f"{suite} level")
+                     for n in (default_levels if levels is None else levels)})
     if not levels:
         raise ValueError("no level to run")
     if policy not in ("on", "off"):

@@ -532,14 +532,21 @@ def test_square_arrays_match_word_square(n):
     assert g.square_y.tolist() == [sq.y for sq in squares]
 
 
-def _scipy_hops(g):
-    """All-pairs hop distances from scipy: a reference independent of bfs_rows."""
+def _scipy_hops(g, starts=None):
+    """Hop distances from scipy, all pairs or from the starts (inf where
+    unreachable): a reference independent of bfs_rows."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     u, v, _t = g.edge_arrays()
     adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(g.n_vertices,) * 2)
-    return shortest_path(adj, unweighted=True, directed=False)
+    return shortest_path(adj, unweighted=True, directed=False, indices=starts)
+
+
+def _as_bfs_rows(dense, cutoff=None):
+    """scipy's distances in bfs_rows' form: -1 where unreachable or past the cutoff."""
+    far = np.isinf(dense) if cutoff is None else dense > cutoff
+    return np.where(far, -1, dense).astype(np.int64)
 
 
 @pytest.mark.parametrize("policy", ["on", "off"])
@@ -582,6 +589,58 @@ def test_bfs_rows_batch_matches_single_rows():
     for s, row in zip(starts, rows):
         assert np.array_equal(row, G.bfs_row(g, s, cutoff=30))
     assert np.array_equal(G.bfs_rows(g, starts[:5]), [G.bfs_row(g, s) for s in starts[:5]])
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 127, 128, 1000])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bfs_rows_matches_references_across_word_boundaries(n, k):
+    # from 64 starts on bfs_rows packs 64 sources per word; it must agree with
+    # scipy, with its frontier path and with single rows on both sides of a
+    # word boundary, for starts given by word, repeated or as numpy integers
+    g = ps.build_graph(n)
+    rng = random.Random(100 * n + k)
+    words = [g.words[rng.randrange(g.n_vertices)] for _ in range(3)]
+    starts = [g.index(w) for w in words] + [np.int32(7), 7]
+    starts += rng.choices(range(g.n_vertices), k=k - len(starts))
+    dense = _scipy_hops(g, starts)
+    for cutoff in (None, 0, 1, 5):
+        rows = G.bfs_rows(g, starts, cutoff)
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, _as_bfs_rows(dense, cutoff))
+        frontier = [G.bfs_rows(g, starts[i : i + 63], cutoff) for i in range(0, k, 63)]
+        assert np.array_equal(rows, np.vstack(frontier))
+        for i in {0, 3, 62, 63, 64, k - 1} & set(range(k)):
+            assert np.array_equal(rows[i], G.bfs_row(g, starts[i], cutoff))
+
+
+def test_bfs_rows_past_eight_bit_planes():
+    # a path through the 1000 vertices of level 3: hop distances up to 999
+    # take ten bit planes, two groups of eight in the final unpacking
+    i = np.arange(999)
+    path = ps.ReplacementGraph(3, "on", i, i + 1, np.zeros_like(i))
+    starts = list(range(0, 1000, 15)) + [999]
+    want = np.abs(np.subtract.outer(starts, np.arange(1000)))
+    assert np.array_equal(G.bfs_rows(path, starts), want)
+    assert np.array_equal(G.bfs_rows(path, starts, cutoff=300), np.where(want > 300, -1, want))
+
+
+def test_bfs_rows_without_starts(g2):
+    rows = G.bfs_rows(g2, [])
+    assert rows.shape == (0, g2.n_vertices) and rows.dtype == np.int64
+
+
+def test_bfs_rows_on_a_disconnected_graph(g2):
+    # vertex 5 cut off: from 64 starts on, its row and column stay -1
+    u, v, t = g2.edge_arrays()
+    keep = (u != 5) & (v != 5)
+    bad = ps.ReplacementGraph(2, g2.policy, u[keep], v[keep], t[keep])
+    starts = list(range(bad.n_vertices))
+    rows = G.bfs_rows(bad, starts)
+    assert np.array_equal(rows, _as_bfs_rows(_scipy_hops(bad)))
+    assert (rows[5] == -1).sum() == (rows[:, 5] == -1).sum() == bad.n_vertices - 1
+    assert np.array_equal(G.bfs_rows(bad, starts, cutoff=5), _as_bfs_rows(_scipy_hops(bad), 5))
+    with pytest.raises(ValueError, match="disconnected"):
+        ps.graph_metric(bad)
 
 
 @pytest.mark.parametrize("start", [-1, -3, 100, 1.0])

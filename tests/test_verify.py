@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from pillowspace import graphs, metrics, verify
+from pillowspace import cli, graphs, metrics, verify
 from pillowspace.words import LevelWords, all_words
 
 
@@ -68,6 +68,17 @@ def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(m
     monkeypatch.setattr(verify, "all_words", refuse)
     with pytest.raises(ValueError, match="chain oracle supports length <= 3, got 6"):
         verify.run_suite("adjacency-oracle", [6])
+
+
+def test_quotient_refuses_a_level_past_the_ball_image_check_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built past the quotient suite's top level")
+
+    for module in (graphs, verify):
+        monkeypatch.setattr(module, "build_graph", refuse)
+    with pytest.raises(graphs.CapacityError, match="quotient level 4 exceeds .* 3"):
+        verify.run_suite("quotient", [4])
+    assert cli.main(["verify", "quotient", "4..6"]) == 64
 
 
 # E_1 and E_m = 10 E_{m-1} + 20 3^(m-1) - 4, worked out by hand
