@@ -431,8 +431,8 @@ def bfs_rows(g, starts, cutoff=None):
     on, one full machine word of sources, the bit-parallel path (_bfs_words)
     sweeps every vertex per level and advances 64 sources per word
     operation.  Below that, sweeping every vertex costs more than following
-    the few sources' own frontiers (about four times as long for one L5
-    row), so each (source, vertex) pair of a frontier is the flat key
+    the few sources' own frontiers (for one L5 row, some 25 times as long),
+    so each (source, vertex) pair of a frontier is the flat key
     source * n + vertex into the result and is advanced over the CSR.
     """
     n = g.n_vertices
