@@ -57,7 +57,10 @@ _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
 _WRITE_RECORDS = 1 << 16  # JSON edge records joined per file write
-_WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts
+_WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts,
+_WORD_VERTICES = 10**4  # on graphs of at most this many vertices
+_FRONTIER_SOURCES = 16  # starts the frontier path advances together
+BFS_ENTRIES = 10**7  # distance entries per bfs_blocks call: 80 MB of int64 rows
 ORACLE_MAX_LEVEL = 3
 
 
@@ -427,20 +430,43 @@ def bfs_rows(g, starts, cutoff=None):
 
     Entries are -1 for vertices that are unreachable or, when a cutoff is
     given, farther than cutoff.  All sources advance one level per step, on
-    one of two paths that return the same array.  From _WORD_SOURCES starts
-    on, one full machine word of sources, the bit-parallel path (_bfs_words)
-    sweeps every vertex per level and advances 64 sources per word
-    operation.  Below that, sweeping every vertex costs more than following
-    the few sources' own frontiers (for one L5 row, some 25 times as long),
-    so each (source, vertex) pair of a frontier is the flat key
-    source * n + vertex into the result and is advanced over the CSR.
+    one of two paths that return the same array, chosen by the call's size.
+    From _WORD_SOURCES starts on (one full machine word of sources), on a
+    graph of at most _WORD_VERTICES vertices, the bit-parallel path
+    (_bfs_words) sweeps every vertex per level and advances 64 sources per
+    word operation.  Otherwise the frontier path follows the sources' own
+    frontiers over the CSR, _FRONTIER_SOURCES starts at a time.  On a larger
+    graph the sweep costs more than the frontiers (100 L5 rows took 2.0-2.4 s
+    on it against 1.5-2.0 s, and 0.18-0.21 s against 0.05-0.07 s within 27
+    hops), and the fixed chunks keep the key arrays small, so a call with
+    many starts costs what separate calls would (200 L5 rows: 4.6 s in one
+    frontier call, 3.0 s in chunks).  A caller with many starts sizes its
+    calls by the shared budget BFS_ENTRIES through bfs_blocks.
     """
     n = g.n_vertices
     starts = _vertex_indices(g, starts)
-    if len(starts) >= _WORD_SOURCES:
+    if len(starts) >= _WORD_SOURCES and n <= _WORD_VERTICES:
         return _bfs_words(g, starts, cutoff)
     out = np.full((len(starts), n), -1, dtype=np.int64)
-    flat = out.reshape(-1)  # a view: writes land in out
+    for lo in range(0, len(starts), _FRONTIER_SOURCES):
+        hi = lo + _FRONTIER_SOURCES
+        _bfs_frontier(g, starts[lo:hi], cutoff, out[lo:hi].reshape(-1))
+    return out
+
+
+def bfs_blocks(g, starts, cutoff=None):
+    """bfs_rows over many starts in calls of at most BFS_ENTRIES distance
+    entries: yields (index of a call's first start, its rows) in order."""
+    step = max(1, BFS_ENTRIES // g.n_vertices)
+    for lo in range(0, len(starts), step):
+        yield lo, bfs_rows(g, starts[lo : lo + step], cutoff)
+
+
+def _bfs_frontier(g, starts, cutoff, flat):
+    """The frontier path of bfs_rows: each (source, vertex) pair of a
+    frontier is the flat key source * n + vertex into flat, the rows of the
+    starts laid end to end and filled with -1, and is advanced over the CSR."""
+    n = g.n_vertices
     keys = np.arange(len(starts), dtype=np.int64) * n + starts
     flat[keys] = 0
     d = 0
@@ -460,7 +486,6 @@ def bfs_rows(g, starts, cutoff=None):
         flat[cand] = marks
         keys = cand[flat[cand] == marks]
         flat[keys] = d
-    return out
 
 
 def _bfs_words(g, starts, cutoff):

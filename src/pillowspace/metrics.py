@@ -10,7 +10,6 @@ matrices through files.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -19,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import bfs_row, bfs_rows, flip_permutation, prefix_subgraph
+from .graphs import bfs_blocks, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
 from .words import BALL_IMAGE_LIMIT, _integer, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
-_DENSE_ROWS = 1000  # BFS rows per bfs_rows call: 80 MB of int64 rows at level 4
 PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
 
 _FIXED_ONE = 65536  # 16.16 fixed point in the on-disk format
@@ -33,6 +31,7 @@ _MAGIC = b"PLM1"
 # cheap enough to run on every construction
 _VALIDATE_TRIPLES = 20000
 _VALIDATE_SEED = 20210
+_CHECK_TILE = 256  # side of the square tiles of MetricMatrix's symmetry and sign checks
 
 
 @dataclass
@@ -54,10 +53,18 @@ class MetricMatrix:
         e = self.entries
         if np.diagonal(e).any():
             raise ValueError("diagonal must be zero")
-        if not np.array_equal(e, e.T):
-            raise ValueError("table must be symmetric")
-        # the n zeros of the diagonal are the only entries allowed to be <= 0
-        if np.count_nonzero(e <= 0) != n:
+        # Each tile on or above the diagonal against its mirror tile: they
+        # cover every pair, and no temporary outgrows a tile.  Once the table
+        # is symmetric, the diagonal's n zeros must be the tiles' only
+        # entries <= 0.
+        nonpositive, b = 0, _CHECK_TILE
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                tile = e[i : i + b, j : j + b]
+                if not np.array_equal(tile, e[j : j + b, i : i + b].T):
+                    raise ValueError("table must be symmetric")
+                nonpositive += np.count_nonzero(tile <= 0)
+        if nonpositive != n:
             raise ValueError("off-diagonal distances must be positive")
         self._check_triangle()
 
@@ -81,12 +88,11 @@ class MetricMatrix:
 
 def graph_metric(g):
     """All-pairs hop distances of a replacement graph as a MetricMatrix
-    (levels up to 4), filled from bfs_rows _DENSE_ROWS sources at a time."""
+    (levels up to 4), filled from bfs_blocks' rows."""
     check_level(g.level, DENSE_LEVEL_LIMIT, name="dense metric level")
     n = g.n_vertices
     dist = np.empty((n, n))
-    for lo in range(0, n, _DENSE_ROWS):
-        rows = bfs_rows(g, range(lo, min(lo + _DENSE_ROWS, n)))
+    for lo, rows in bfs_blocks(g, range(n)):
         if (rows < 0).any():
             raise ValueError("graph is disconnected; hop distance is not a metric")
         dist[lo : lo + len(rows)] = rows
@@ -100,14 +106,24 @@ def graph_metric(g):
 def symmetrize(d, mode="exact", samples=None, seed=None):
     """Average the metric over the sheet-flip group.
 
-    Exact mode sums all 2^level terms (the result is flip-invariant on the
-    nose and still a metric, averages of metrics being metrics); sampled mode
-    draws `samples` seeded uniform group elements instead and is reproducible
-    for a fixed seed.
+    The result is flip-invariant on the nose and still a metric, averages
+    of metrics being metrics.  Exact mode averages over the whole group of
+    2^level flips as over each of its level generators in turn: the
+    one-level flips commute, so the group average is the product of the
+    averages over {identity, flip}, and each is one gather in place.  Each
+    partial average of a hop metric is a dyadic rational of small integers,
+    so the table equals the 2^level-term sum bit for bit; for other tables
+    the two differ by rounding at most.  Sampled mode averages `samples`
+    seeded uniform group elements instead and is reproducible for a fixed
+    seed.
     """
     level = d.level
     if mode == "exact":
-        draws = ["".join(b) for b in itertools.product("01", repeat=level)]
+        acc = d.entries.copy()
+        for k in range(level):
+            perm = flip_permutation(d, "0" * k + "1" + "0" * (level - k - 1))
+            acc += acc[np.ix_(perm, perm)]
+            acc /= 2
     elif mode == "sampled":
         if samples is None or _integer(samples, "samples") < 1:
             raise ValueError("sampled mode needs samples >= 1")
@@ -115,14 +131,13 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
             raise ValueError("sampled mode needs an explicit seed")
         rng = random.Random(seed)
         draws = ["".join(rng.choice("01") for _ in range(level)) for _ in range(samples)]
+        acc = np.zeros_like(d.entries)
+        for bits in draws:
+            perm = flip_permutation(d, bits)
+            acc += d.entries[np.ix_(perm, perm)]
+        acc /= len(draws)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    acc = np.zeros_like(d.entries)
-    for bits in draws:
-        perm = flip_permutation(d, bits)
-        acc += d.entries[np.ix_(perm, perm)]
-    acc /= len(draws)
     return MetricMatrix(level, acc, slack=max(d.slack, 1e-9))
 
 
@@ -297,7 +312,9 @@ def lipschitz_quotient_check(g):
     by_cell = np.argsort(cell, kind="stable")
     runs = np.concatenate([[0], np.cumsum(np.bincount(cell))[:-1]])
     max_radius = 0
-    # one first-letter block of centers per batch bounds the rows held at once
+    # One first-letter block of centers per BFS call, not bfs_blocks' calls:
+    # the comparison holds about four tables the size of its rows, so one
+    # call for all of level 3 peaks at 30 MB of arrays, ten calls at 4 MB.
     block = g.n_vertices // 10
     for lo in range(0, g.n_vertices, block):
         dist = bfs_rows(g, range(lo, lo + block))
@@ -463,17 +480,22 @@ def pi_diagnostic(g, m, p, trials, seed):
     # each vertex's level-1 prefix block, and each CSR arc's tail
     block = np.arange(n) // 10 ** (g.level - 1)
     tail = np.repeat(np.arange(n), np.diff(g.indptr))
+    # every trial's function, center and radius first, then one BFS over
+    # the centers; a low-frequency function is kept as its ten block values,
+    # not as a row of n per trial
+    draws = []
+    for _ in range(trials):
+        which = rng.randrange(len(fixed) + 1)
+        values = None
+        if which == len(fixed):
+            values = np.array([rng.uniform(0.0, 1.0) for _ in range(10)])
+        draws.append((which, values, rng.randrange(n), rng.randint(1, max(1, side // 2))))
+    centers = [c for _, _, c, _ in draws]
+    dists = (row for _, block_rows in bfs_blocks(g, centers) for row in block_rows)
     rows = []
     worst, worst_case = 0.0, None
-    for t in range(trials):
-        which = rng.randrange(len(fixed) + 1)
-        if which < len(fixed):
-            label, u = fixed[which]
-        else:
-            label, u = "low-frequency", np.array([rng.uniform(0.0, 1.0) for _ in range(10)])[block]
-        center = rng.randrange(n)
-        radius = rng.randint(1, max(1, side // 2))
-        dist = bfs_row(g, center)
+    for (which, values, center, radius), dist in zip(draws, dists):
+        label, u = fixed[which] if values is None else ("low-frequency", values[block])
         if (dist < 0).any():
             raise ValueError("graph is disconnected; balls are ill-defined")
         in_b = dist <= radius

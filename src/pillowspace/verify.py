@@ -13,11 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import (
     ORACLE_MAX_LEVEL,
     _check_oracle_level,
     adjacency,
-    bfs_rows,
+    bfs_blocks,
     build_graph,
     chain_oracle_adjacency,
     flip_permutation,
@@ -98,24 +100,26 @@ def _suite_sheets(n, g, ctx):
     # index of the center-free word over each square; a sheet's lift of it
     # is that index under the flip
     grid = _grid_table(n)
-    mismatches, pairs = 0, 0
     starts = max(1, SHEET_PAIRS // 40)
+    # draw every sheet's starts, each followed by its targets, then run one
+    # BFS over all the level's starts
+    sources, targets = [], []
     for bits in sheets:
         lift = flip_permutation(g, bits)[grid]
-        # draw each start, then its targets, before one BFS over the starts
-        sources, targets = [], []
         for _ in range(starts):
             ax, ay = rng.randrange(side), rng.randrange(side)
             sources.append(lift[ax, ay])
             for _ in range(SHEET_PAIRS // starts):
                 bx, by = rng.randrange(side), rng.randrange(side)
                 targets.append((len(sources) - 1, lift[bx, by], abs(ax - bx) + abs(ay - by)))
-        dist = bfs_rows(g, sources)
-        pairs += len(targets)
-        mismatches += sum(1 for k, b, want in targets if dist[k, b] != want)
+    k, b, want = np.array(targets).T
+    mismatches = 0
+    for lo, dist in bfs_blocks(g, sources):
+        sel = (k >= lo) & (k < lo + len(dist))
+        mismatches += int(np.count_nonzero(dist[k[sel] - lo, b[sel]] != want[sel]))
     return {
         "sheets": len(sheets),
-        "pairs_checked": pairs,
+        "pairs_checked": len(targets),
         "mismatches": mismatches,
         "ok": mismatches == 0,
     }

@@ -583,12 +583,16 @@ def test_bfs_rows_batch_matches_shortest_path(policy):
 
 
 def test_bfs_rows_batch_matches_single_rows():
+    # below one word of starts the frontier path runs _FRONTIER_SOURCES starts
+    # at a time; a call over three chunks, repeats included, is single rows
     g = ps.build_graph(4)
-    starts = random.Random(8).sample(range(g.n_vertices), 25) + [42, 42]
+    k = 2 * G._FRONTIER_SOURCES + 1
+    assert k < G._WORD_SOURCES
+    starts = random.Random(8).sample(range(g.n_vertices), k - 2) + [42, 42]
     rows = G.bfs_rows(g, starts, cutoff=30)
     for s, row in zip(starts, rows):
         assert np.array_equal(row, G.bfs_row(g, s, cutoff=30))
-    assert np.array_equal(G.bfs_rows(g, starts[:5]), [G.bfs_row(g, s) for s in starts[:5]])
+    assert np.array_equal(G.bfs_rows(g, starts), [G.bfs_row(g, s) for s in starts])
 
 
 @pytest.mark.parametrize("k", [63, 64, 65, 127, 128, 1000])
@@ -611,6 +615,33 @@ def test_bfs_rows_matches_references_across_word_boundaries(n, k):
         assert np.array_equal(rows, np.vstack(frontier))
         for i in {0, 3, 62, 63, 64, k - 1} & set(range(k)):
             assert np.array_equal(rows[i], G.bfs_row(g, starts[i], cutoff))
+
+
+def test_bfs_rows_level5_stays_on_the_frontier_path(monkeypatch):
+    # past _WORD_VERTICES a full sweep per level loses to the frontiers, so
+    # 100 starts take the frontier path and agree with single rows
+    g5 = ps.build_graph(5)
+    assert g5.n_vertices > G._WORD_VERTICES
+
+    def refuse(*args):
+        raise AssertionError("bit-parallel path taken on a level-5 graph")
+
+    monkeypatch.setattr(G, "_bfs_words", refuse)
+    starts = random.Random(5).sample(range(g5.n_vertices), 100)
+    rows = G.bfs_rows(g5, starts, cutoff=27)
+    assert np.array_equal(rows, [G.bfs_row(g5, s, cutoff=27) for s in starts])
+
+
+@pytest.mark.parametrize("budget", [1, 10**3, 10**7])
+def test_bfs_blocks_split_by_the_budget(g3, monkeypatch, budget):
+    # calls of max(1, BFS_ENTRIES // n) starts, in order, rows as one call's
+    monkeypatch.setattr(G, "BFS_ENTRIES", budget)
+    starts = list(range(0, 1000, 7)) + [3, 3]
+    blocks = list(G.bfs_blocks(g3, starts, cutoff=9))
+    step = max(1, budget // g3.n_vertices)
+    assert [lo for lo, _rows in blocks] == list(range(0, len(starts), step))
+    assert np.array_equal(np.vstack([rows for _lo, rows in blocks]),
+                          G.bfs_rows(g3, starts, cutoff=9))
 
 
 def test_bfs_rows_past_eight_bit_planes():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -26,6 +27,7 @@ from pillowspace import (
     symmetrize,
     write_metric_matrix,
 )
+from pillowspace import graphs as graphs_module
 from pillowspace import metrics as metrics_module
 from pillowspace.graphs import bfs_row
 from pillowspace.metrics import PI_DILATION, CoverReport, PIDiagnostic
@@ -91,6 +93,24 @@ def test_rejects_nonpositive_offdiagonal():
     e[0, 1] = e[1, 0] = 0.0
     with pytest.raises(ValueError):
         MetricMatrix(1, e)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 700), (999, 256), (255, 256), (511, 511 - 256)])
+def test_tiled_checks_find_a_bad_pair_in_any_tile(metrics, i, j):
+    # level 3 spans four check tiles a side; a pair on either side of the
+    # diagonal, inside a tile or across tiles, is found, and asymmetry is
+    # reported before a nonpositive distance, as by the whole-table checks
+    assert metrics_module._CHECK_TILE < 1000
+    e = metrics[3].entries.copy()
+    e[i, j] += 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricMatrix(3, e)
+    e[i, j] = e[j, i] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        MetricMatrix(3, e)
+    e[j, i] = -1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricMatrix(3, e)
 
 
 def test_rejects_triangle_violation():
@@ -165,6 +185,38 @@ def test_sampled_symmetrize_reproducible(metrics):
     c = symmetrize(pert, mode="sampled", samples=5, seed=43)
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
+
+
+def _symmetrize_over_all_flips(d):
+    # the 2^level-term sum over every flip of the group, divided once
+    acc = np.zeros_like(d.entries)
+    for bits in itertools.product("01", repeat=d.level):
+        perm = flip_permutation(d, "".join(bits))
+        acc += d.entries[np.ix_(perm, perm)]
+    return acc / 2**d.level
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_exact_symmetrize_equals_the_sum_over_all_flips(metrics, level):
+    # averaging over the level generators in turn is bit-identical to the sum
+    for d in (metrics[level], _perturbed(metrics[level])):
+        got = symmetrize(d).entries
+        assert got.tobytes() == _symmetrize_over_all_flips(d).tobytes()
+
+
+def test_sampled_symmetrize_is_the_mean_of_its_draws(metrics):
+    # sampled mode: `samples` seeded flips drawn first, summed, divided once
+    pert = _perturbed(metrics[2])
+    for samples, seed in [(1, 0), (5, 42), (12, 7)]:
+        rng = random.Random(seed)
+        draws = ["".join(rng.choice("01") for _ in range(2)) for _ in range(samples)]
+        acc = np.zeros_like(pert.entries)
+        for bits in draws:
+            perm = flip_permutation(pert, bits)
+            acc += pert.entries[np.ix_(perm, perm)]
+        acc /= samples
+        got = symmetrize(pert, mode="sampled", samples=samples, seed=seed).entries
+        assert got.tobytes() == acc.tobytes()
 
 
 def test_sampled_symmetrize_validation(metrics):
@@ -694,6 +746,22 @@ def _pi_diagnostic_reference(g, m, p, trials, seed):
         if ratio > worst:
             worst, worst_case = ratio, (label, g.words[center], radius)
     return PIDiagnostic(p, trials, worst, worst_case, rows)
+
+
+@pytest.mark.parametrize("budget, calls", [(10**7, [40]), (10**3, [10, 10, 10, 10])])
+def test_pi_diagnostic_runs_its_bfs_in_calls_of_the_budget(graphs, monkeypatch, budget, calls):
+    want = repr(pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=40, seed=11))
+    seen = []
+    bfs_rows = graphs_module.bfs_rows
+
+    def spy(g, starts, cutoff=None):
+        seen.append(len(starts))
+        return bfs_rows(g, starts, cutoff)
+
+    monkeypatch.setattr(graphs_module, "bfs_rows", spy)
+    monkeypatch.setattr(graphs_module, "BFS_ENTRIES", budget)
+    got = pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=40, seed=11)
+    assert seen == calls and repr(got) == want
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])

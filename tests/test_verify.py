@@ -2,6 +2,7 @@
 
 import types
 
+import numpy as np
 import pytest
 
 from pillowspace import cli, graphs, metrics, verify
@@ -111,3 +112,82 @@ def test_counts_suite_fails_on_a_graph_missing_an_edge(monkeypatch):
     rep = verify.run_suite("counts", [1, 2])
     assert not rep.ok
     assert all(not r["ok"] and r["edges"] == r["expected_edges"] - 1 for r in rep.results)
+
+
+def _sheets_per_sheet_reference(n, g, seed):
+    # the suite as it ran one BFS call per sheet: each sheet's starts and
+    # targets drawn, then that sheet's rows looked up pair by pair
+    import itertools
+    import random
+
+    rng = random.Random(seed + 10 * n)
+    side = 3**n
+    if 2**n <= 8:
+        sheets = ["".join(b) for b in itertools.product("01", repeat=n)]
+    else:
+        sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
+    grid = verify._grid_table(n)
+    mismatches, pairs = 0, 0
+    starts = max(1, verify.SHEET_PAIRS // 40)
+    for bits in sheets:
+        lift = graphs.flip_permutation(g, bits)[grid]
+        sources, targets = [], []
+        for _ in range(starts):
+            ax, ay = rng.randrange(side), rng.randrange(side)
+            sources.append(lift[ax, ay])
+            for _ in range(verify.SHEET_PAIRS // starts):
+                bx, by = rng.randrange(side), rng.randrange(side)
+                targets.append((len(sources) - 1, lift[bx, by], abs(ax - bx) + abs(ay - by)))
+        dist = graphs.bfs_rows(g, sources)
+        pairs += len(targets)
+        mismatches += sum(1 for k, b, want in targets if dist[k, b] != want)
+    return {
+        "sheets": len(sheets),
+        "pairs_checked": pairs,
+        "mismatches": mismatches,
+        "ok": mismatches == 0,
+        "level": n,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sheets_report_equals_the_per_sheet_reference(seed):
+    rep = verify.run_suite("sheets", [1, 2, 3, 4], seed=seed)
+    for row in rep.results:
+        n = row["level"]
+        assert row == _sheets_per_sheet_reference(n, graphs.build_graph(n), seed)
+
+
+@pytest.mark.parametrize("budget", [10**7, 7 * 10**3])
+def test_sheets_suite_reads_each_pair_from_its_own_start(monkeypatch, budget):
+    # rows from odd starts are off by one; in calls of 7 rows at level 3 as
+    # in one call, the batched suite must count the reference's mismatches
+    bfs_rows = graphs.bfs_rows
+
+    def skewed(g, starts, cutoff=None):
+        rows = bfs_rows(g, starts, cutoff)
+        return rows + (np.asarray(starts) % 2)[:, None]
+
+    monkeypatch.setattr(graphs, "bfs_rows", skewed)
+    monkeypatch.setattr(graphs, "BFS_ENTRIES", budget)
+    row = verify.run_suite("sheets", [3]).results[0]
+    assert not row["ok"] and 0 < row["mismatches"] < row["pairs_checked"]
+    assert row == _sheets_per_sheet_reference(3, graphs.build_graph(3), 0)
+
+
+def test_sheets_suite_runs_one_bfs_call_per_level(monkeypatch):
+    # graphs built beforehand, so the spy sees the suite's calls alone
+    built = {n: graphs.build_graph(n) for n in (1, 2, 3, 4)}
+    monkeypatch.setattr(verify, "build_graph", lambda n, policy: built[n])
+    calls = []
+    bfs_rows = graphs.bfs_rows
+
+    def spy(g, starts, cutoff=None):
+        calls.append((g.level, len(starts)))
+        return bfs_rows(g, starts, cutoff)
+
+    monkeypatch.setattr(graphs, "bfs_rows", spy)
+    rep = verify.run_suite("sheets", [1, 2, 3, 4], seed=0)
+    assert rep.ok
+    assert [level for level, _k in calls] == [1, 2, 3, 4]
+    assert [k for _level, k in calls] == [25 * r["sheets"] for r in rep.results]
