@@ -457,8 +457,8 @@ def pi_diagnostic(g, m, p, trials, seed):
     means weighted by the tile measure, CB the ball of PI_DILATION times
     B's radius, and diam(B) proxied by twice the largest center distance
     observed in B.  The maximum ratio is an empirical lower bound for any
-    Poincare constant at this level; constant functions give 0/0 and are
-    recorded as 0, excluded from the max.
+    Poincare constant at this level; a function constant on B has mean
+    oscillation exactly 0 there, so its ratio is 0 (also for 0/0).
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"exponent must lie in [1, inf), got {p}")
@@ -503,8 +503,10 @@ def pi_diagnostic(g, m, p, trials, seed):
         wb = weight[in_b]
         if wb.sum() == 0:
             continue
-        ub = float((u[in_b] * wb).sum() / wb.sum())
-        lhs = float((np.abs(u[in_b] - ub) * wb).sum() / wb.sum())
+        ball = u[in_b]
+        ub = float((ball * wb).sum() / wb.sum())
+        # u constant on B has no oscillation, whatever the rounding of ub
+        lhs = float((np.abs(ball - ub) * wb).sum() / wb.sum()) if np.ptp(ball) else 0.0
         # connected, so no run is empty; CB contains B, so its mass is positive
         grad = np.maximum.reduceat(np.abs(u[g.indices] - u[tail]), g.indptr[:-1])
         wcb = weight[in_cb]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,9 +146,9 @@ class ModulusResult:
     length >= 1) with sum(density^p) = value_upper; flow is a unit source-to-
     target flow, signed along the rows of ends, whose q-energy gives
     value_lower; active_paths holds a shortest crossing under density; stop is
-    "exact" (p = 1, p = 2) or why IRLS ended: "converged" when it stalled at
-    the smoothing floor with the bounds met, "stalled" when it stalled with
-    the gap open, "iteration cap" or "non-finite solve"."""
+    "exact" (p = 1, p = 2) or why IRLS ended: "converged" once a pass's bracket
+    met the tolerance (or 5 * tolerance as it stalled at the smoothing floor),
+    "stalled" with the gap open, "iteration cap" or "non-finite solve"."""
 
     value_lower: float
     value_upper: float
@@ -194,72 +195,78 @@ def _shortest_path(net, weights, source, target):
 
 def solve_modulus(problem):
     """Certified p-modulus of the source-target crossing family."""
-    net, p = problem.network, problem.p
+    net = problem.network
     boundary, connected = _boundary(net, problem.source, problem.target)
     if not connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         return ModulusResult(0.0, 0.0, zero, [], 0, True, zero.copy())
-    eu, ew = net.ends.T
-    if p == 1.0:
-        flow, reach = _max_flow(net, problem.source, problem.target)
-        rho = (reach[eu] != reach[ew]).astype(float)  # the minimum cut
-        iterations, stop = 1, "exact"
+    bracket = _Bracket(problem, boundary)
+    if problem.p == 1.0:
+        flow, cut = _max_flow(net, problem.source, problem.target)
+        res, iterations, stop = bracket(cut, flow), 1, "exact"
     else:
-        phi, (iterations, stop) = _p_harmonic_potential(net, boundary, p)
-        dphi = phi[ew] - phi[eu]
-        rho = np.abs(dphi)
-        # The flow |dphi|^(p-2) dphi, smoothed as in the last IRLS pass: the
-        # IRLS fixed point conserves this flow, not the raw one.
-        flow = np.power(dphi * dphi + EPS_FLOOR**2, 0.5 * (p - 2.0)) * dphi
-
-    # Upper bound: rescale rho by its exact shortest crossing length.
-    length, vpath = _shortest_path(net, rho, problem.source, problem.target)
-    density = rho / length
-    upper = float(np.power(density, p).sum())
-
-    # Lower bound: route the interior divergence to the boundary, then
-    # normalise by the net flux out of the source side.
-    n = net.n_vertices
-    flow = _route_to_boundary(net, boundary, flow)
-    div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
-    flux = math.fsum(div[sorted(problem.source)])
-    lower = 0.0
-    if flux > 0.0:
-        flow /= flux
-        if p == 1.0:
-            lower = 1.0 / float(np.abs(flow).max())
-        else:
-            lower = float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p)
-    converged = bool(upper <= (1.0 + 5.0 * problem.tolerance) * lower)
+        res, iterations, stop = _p_harmonic_potential(problem, boundary, bracket)
+    converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
     if stop == "stalled" and converged:
         stop = "converged"
-    return ModulusResult(lower, upper, density, [vpath], iterations, converged, flow, stop)
+    res.iterations, res.converged, res.stop = iterations, converged, stop
+    return res
 
 
-def _route_to_boundary(net, boundary, flow):
-    """The flow with its divergence at every vertex off the boundary pushed
-    to the boundary: along a BFS forest rooted at the boundary vertices, each
-    vertex hands its excess to its parent, deepest level first.  A flow that
-    is already conserved comes back unchanged."""
-    from scipy.sparse.csgraph import dijkstra
+class _Bracket:
+    """Both certificates from a density rho and a source-to-target flow, as a
+    ModulusResult.  Upper: rho rescaled by its exact shortest crossing.
+    Lower: the flow, routed to the boundary along a BFS forest rooted there
+    (built for the first flow that needs it), normalised by the net flux out
+    of the source side."""
 
-    n, (eu, ew) = net.n_vertices, net.ends.T
-    div = np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
-    div[list(boundary)] = 0.0
-    if not div.any():
-        return flow
-    depth, parent, _ = dijkstra(_arc_matrix(net, np.ones(net.n_edges)), indices=sorted(boundary),
-                                unweighted=True, min_only=True, return_predecessors=True)
-    reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
-    reached = reached[np.argsort(-depth[reached], kind="stable")]  # deepest first
-    for level in np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1):
-        div += np.bincount(parent[level], div[level], n)
-    # Each vertex's excess crosses its tree edge, the first arc to its parent.
-    tails = np.repeat(np.arange(n), np.diff(net._arc_indptr))
-    arcs = np.flatnonzero(parent[tails] == net._arc_heads)
-    v, first = np.unique(tails[arcs], return_index=True)
-    e = net._arc_edge[arcs[first]]
-    return flow + np.bincount(e, np.where(eu[e] == v, -div[v], div[v]), len(flow))
+    def __init__(self, problem, boundary):
+        self.problem, self.fixed = problem, sorted(boundary)
+
+    def __call__(self, rho, flow):
+        pr, net, p = self.problem, self.problem.network, self.problem.p
+        length, vpath = _shortest_path(net, rho, pr.source, pr.target)
+        density = rho / length
+        upper = float(np.power(density, p).sum())
+        flow = self.route(flow)
+        flux = math.fsum(self._div(flow)[sorted(pr.source)])
+        lower = 0.0
+        if flux > 0.0:
+            flow /= flux
+            lower = (1.0 / float(np.abs(flow).max()) if p == 1.0
+                     else float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p))
+        return ModulusResult(lower, upper, density, [vpath], flow=flow)
+
+    def _div(self, flow):
+        (eu, ew), n = self.problem.network.ends.T, self.problem.network.n_vertices
+        return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
+
+    def route(self, flow):
+        div = self._div(flow)
+        div[self.fixed] = 0.0
+        if not div.any():
+            return flow
+        levels, v, e, sign = self.forest
+        for level, up in levels:  # deepest first, each vertex to its parent
+            div += np.bincount(up, div[level], len(div))
+        return flow + np.bincount(e, sign * div[v], len(flow))
+
+    @cached_property
+    def forest(self):
+        from scipy.sparse.csgraph import dijkstra
+
+        net = self.problem.network
+        depth, parent, _ = dijkstra(_arc_matrix(net, np.ones(net.n_edges)), unweighted=True,
+                                    indices=self.fixed, min_only=True, return_predecessors=True)
+        reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
+        reached = reached[np.argsort(-depth[reached], kind="stable")]  # deepest first
+        levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
+        # Each vertex's tree edge is its first arc to its parent.
+        tails = np.repeat(np.arange(net.n_vertices), np.diff(net._arc_indptr))
+        arcs = np.flatnonzero(parent[tails] == net._arc_heads)
+        v, first = np.unique(tails[arcs], return_index=True)
+        e = net._arc_edge[arcs[first]]
+        return [(lv, parent[lv]) for lv in levels], v, e, np.where(net.ends[e, 0] == v, -1.0, 1.0)
 
 
 def _boundary(net, source, target):
@@ -280,9 +287,9 @@ def _boundary(net, source, target):
 
 def _max_flow(net, source, target):
     """Integer maximum flow, unit capacity each way per edge: the flow per edge
-    (signed along the rows of ends, parallel edges sharing evenly) and the
-    mask of vertices the super source reaches in the residual graph (a
-    minimum cut)."""
+    (signed along the rows of ends, parallel edges sharing evenly) and a
+    minimum cut as a 0/1 density, the edges leaving the set of vertices the
+    super source reaches in the residual graph."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -300,7 +307,8 @@ def _max_flow(net, source, target):
     residual.eliminate_zeros()
     reach = np.isin(np.arange(n + 2), breadth_first_order(residual, s, return_predecessors=False))
     per_pair = np.asarray(flow[eu, ew], dtype=float).ravel()
-    return per_pair / np.asarray(cap[eu, ew], dtype=float).ravel(), reach
+    cut = (reach[eu] != reach[ew]).astype(float)
+    return per_pair / np.asarray(cap[eu, ew], dtype=float).ravel(), cut
 
 
 class _Laplacian:
@@ -361,37 +369,45 @@ class _Laplacian:
         return phi
 
 
-def _p_harmonic_potential(net, boundary, p):
+def _p_harmonic_potential(problem, boundary, bracket):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed on boundary
-    (vertex -> value); returns (phi, (passes, stop reason)).
+    (vertex -> value); returns (the last pass's bracket, passes, stop reason).
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
     problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed with
     the smoothing driven to zero, and moves to the best of a few scalings of
-    that step.  Any potential respecting the boundary keeps both certificates
-    valid, so partial convergence costs tightness, never correctness.
+    that step.  It stops "converged" at the first pass whose bracket meets
+    problem.tolerance.  Any potential respecting the boundary keeps both
+    certificates valid, so partial convergence costs tightness, never
+    correctness.
     """
+    net, p = problem.network, problem.p
     lap = _Laplacian(net, boundary)
     phi = lap.phi.copy()
-    if not len(lap.free) or not net.n_edges:
-        return phi, (0, "exact")
     eu, ew = net.ends.T
+
+    def certify(ph, eps):
+        d = ph[ew] - ph[eu]
+        # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
+        return bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d)
+
+    if not len(lap.free) or not net.n_edges:
+        return certify(phi, EPS_FLOOR), 0, "exact"
     # As eps -> 0 the IRLS step is p - 1 times the Newton step, so for p > 9
     # every halving overshoots; the Newton scale 1/(p-1) does not.
     ladder = (1.0, 0.5, 0.25, 0.125) + ((1 / (p - 1), 0.5 / (p - 1)) if p > 2.0 else ()) + (0.0,)
 
     # Electrical start (p = 2 solves exactly in the first pass).
     eps = 1.0
-    iters = 0
     for iters in range(1, MAX_PASSES + 1):
         dphi = phi[eu] - phi[ew]
         w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
         phi_new = lap.solve(w)
         if not np.all(np.isfinite(phi_new)):
-            return phi, (iters, "non-finite solve")
+            return certify(phi, eps), iters, "non-finite solve"
         np.clip(phi_new, 0.0, 1.0, out=phi_new)
         if p == 2.0:
-            return phi_new, (iters, "exact")
+            return certify(phi_new, eps), iters, "exact"
 
         def smoothed(ph):
             d2 = np.square(ph[eu] - ph[ew])
@@ -405,12 +421,15 @@ def _p_harmonic_potential(net, boundary, p):
         e_new, scale = min(trials, key=lambda t: t[0])
         e_prev = trials[-1][0]
         phi = phi + scale * step
+        res = certify(phi, eps)
+        if res.value_upper <= (1.0 + problem.tolerance) * res.value_lower:
+            return res, iters, "converged"
         moved = float(np.abs(step).max()) * scale
         stalled = moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
         if eps <= EPS_FLOOR and stalled:
-            return phi, (iters, "stalled")
+            return res, iters, "stalled"
         eps = max(eps * 0.25, EPS_FLOOR)
-    return phi, (iters, "iteration cap")
+    return res, iters, "iteration cap"
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +442,8 @@ def mincut_oracle(net, source, target):
     if source & target:
         raise ValueError("source and target must be disjoint")
     # Unit-capacity arcs both ways per undirected edge, plus a super pair.
-    n = net.n_vertices + 2
     s, t = net.n_vertices, net.n_vertices + 1
-    cap = {}
-    adj = [[] for _ in range(n)]
+    cap, adj = {}, [[] for _ in range(t + 1)]
 
     def add(u, v, c):
         if (u, v) not in cap:
@@ -537,11 +554,8 @@ def conformal_scan(levels, p_grid):
 
     critical = {}
     for n in levels:
-        candidates = [
-            (abs(math.log(values[(n, p)] / values[(n - 1, p)])), p)
-            for p in p_grid
-            if (n - 1, p) in values and values[(n - 1, p)] > 0
-        ]
+        candidates = [(abs(math.log(values[(n, p)] / values[(n - 1, p)])), p) for p in p_grid
+                      if values.get((n - 1, p), 0.0) > 0]
         if candidates:
             critical[n] = min(candidates)[1]
     return ScanTable(rows, critical, monotone_ok)

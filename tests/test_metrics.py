@@ -665,6 +665,17 @@ def test_pi_diagnostic_ratios_finite(graphs):
         assert lhs >= 0 and rhs >= 0
 
 
+def test_pi_diagnostic_constant_on_the_ball_is_zero(graphs):
+    # a low-frequency function constant on the radius-1 ball at 756 (one
+    # prefix block) and on its dilation: the weighted mean rounded to leave
+    # lhs = 1.1e-16 against rhs = 0, and the worst ratio read inf
+    rep = pi_diagnostic(graphs[3], TileMeasure.uniform(3), p=2.0, trials=70, seed=0)
+    assert ("low-frequency", "756", 1, 0.0, 0.0, 0.0) in rep.rows
+    assert math.isfinite(rep.worst_ratio)
+    for _label, _center, _radius, lhs, rhs, ratio in rep.rows:
+        assert lhs > 0 or ratio == 0.0
+
+
 def test_pi_diagnostic_sheet_measure(graphs):
     # mass on one sheet only; balls missing the sheet are skipped, not crashed
     rep = pi_diagnostic(graphs[2], TileMeasure.one_sheet(2, "00"), p=2.0, trials=20, seed=4)
@@ -728,6 +739,8 @@ def _pi_diagnostic_reference(g, m, p, trials, seed):
             continue
         ub = float((u[in_b] * wb).sum() / wb.sum())
         lhs = float((np.abs(u[in_b] - ub) * wb).sum() / wb.sum())
+        if len(set(u[in_b].tolist())) == 1:  # constant on B: no oscillation
+            lhs = 0.0
         grad = np.zeros(n)
         step = np.abs(u[eu] - u[ev])
         np.maximum.at(grad, eu, step)

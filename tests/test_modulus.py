@@ -212,7 +212,9 @@ def test_floating_components_do_not_count():
     edges = net.ends.tolist() + [(4, 5), (5, 6), (6, 4)]
     padded = M.Network(net.n_vertices + 5, edges)  # vertices 3 and 7 isolated
     for p in (1.0, 1.5, 2.0, 2.5, 3.0):
-        res = solve(padded, src, tgt, p)
+        # IRLS stops once its bracket meets the tolerance, so a 1e-9 bound
+        # needs a tolerance well below it
+        res = solve(padded, src, tgt, p, tolerance=1e-11)
         want = 2.0 ** (1.0 - p)
         assert res.converged
         assert math.isfinite(res.value_lower) and math.isfinite(res.value_upper)
@@ -428,14 +430,14 @@ def test_active_paths_are_crossings(crossing, p):
 
 def test_potential_line_search_reaches_the_optimum(crossing):
     # taking the first non-increasing halving left phi swinging between two
-    # states at L1, p = 3, and stopped at energy 1.0541 instead of 1
+    # states at L1, p = 3, and stopped at energy 1.0541 instead of 1; the
+    # upper bound is the energy of the potential's rescaled density
     net, src, tgt = crossing[1]
-    boundary = {x: 0.0 for x in src}
-    boundary.update({x: 1.0 for x in tgt})
-    phi, _ = M._p_harmonic_potential(net, boundary, 3.0)
-    ev = net.ends
-    energy = float(np.power(np.abs(phi[ev[:, 0]] - phi[ev[:, 1]]), 3.0).sum())
-    assert abs(energy - 1.0) <= 1e-9
+    boundary, _ = M._boundary(net, src, tgt)
+    problem = M.ModulusProblem(net, src, tgt, 3.0, tolerance=1e-12)
+    res, passes, stop = M._p_harmonic_potential(problem, boundary, M._Bracket(problem, boundary))
+    assert stop == "converged" and passes < 16
+    assert abs(res.value_upper - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +472,51 @@ def test_stall_with_the_gap_open_is_not_converged():
     net = M.Network.from_graph(g)
     res = solve(net, ps.boundary_face(g, "left"), ps.boundary_face(g, "right"), 64.0)
     assert res.stop == "stalled" and not res.converged
+
+
+# values the solver gave before IRLS stopped on its own bracket, when every
+# solve ran until it stalled at the smoothing floor (20 passes at p = 1.5,
+# 16 otherwise)
+L3_FLOOR_VALUES = {1.5: 7.787370970310753, 2.0959: 1.1119183036795712,
+                   2.5: 0.29724730443807423, 3.0: 0.05834604367686802}
+
+
+@pytest.mark.parametrize("p", sorted(L3_FLOOR_VALUES))
+def test_irls_stops_once_its_bracket_meets_the_tolerance(crossing, p):
+    net, src, tgt = crossing[3]
+    tol = 1e-6
+    res = solve(net, src, tgt, p, tolerance=tol)
+    assert res.stop == "converged" and res.converged
+    assert res.value_upper <= (1 + tol) * res.value_lower
+    assert res.iterations < (20 if p == 1.5 else 16)
+
+
+@pytest.mark.parametrize("p", sorted(L3_FLOOR_VALUES))
+def test_only_the_stopping_point_moved(crossing, p):
+    net, src, tgt = crossing[3]
+    res = solve(net, src, tgt, p, tolerance=1e-12)
+    assert abs(res.value - L3_FLOOR_VALUES[p]) <= 1e-10 * L3_FLOOR_VALUES[p]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, p):
+    import scipy.sparse.csgraph as csgraph
+
+    forests, dijkstra = [], csgraph.dijkstra
+
+    def spy(*args, **kwargs):
+        if kwargs.get("unweighted"):
+            forests.append(kwargs)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    net, src, tgt = crossing[3]
+    res = solve(net, src, tgt, p)
+    assert res.converged
+    if p == 1.0:  # a maximum flow is conserved and needs no routing
+        assert forests == []
+    else:
+        assert len(forests) == 1 and (p == 2.0 or res.iterations > 1)
 
 
 def reference_dirichlet(net, fixed_value, weights):
@@ -533,14 +580,47 @@ def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
     rng = np.random.default_rng(n)
     phi = M._Laplacian(net, fixed).solve(rng.uniform(0.1, 2.0, net.n_edges))
     flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
-    routed = M._route_to_boundary(net, fixed, flow)
+    routed = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0), fixed).route(flow)
     interior = np.setdiff1d(np.arange(net.n_vertices), list(fixed))
     assert np.abs(divergence(net, flow)[interior]).max() > 1e-3
     assert np.abs(divergence(net, routed)[interior]).max() <= 1e-12 * np.abs(routed).max()
+
+
+def reference_route(net, boundary, flow):
+    """Routing as one function that builds its BFS forest on every call."""
+    from scipy.sparse.csgraph import dijkstra
+
+    n, (eu, ew) = net.n_vertices, net.ends.T
+    div = divergence(net, flow)
+    div[list(boundary)] = 0.0
+    if not div.any():
+        return flow
+    depth, parent, _ = dijkstra(M._arc_matrix(net, np.ones(net.n_edges)), indices=sorted(boundary),
+                                unweighted=True, min_only=True, return_predecessors=True)
+    reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
+    reached = reached[np.argsort(-depth[reached], kind="stable")]
+    for level in np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1):
+        div += np.bincount(parent[level], div[level], n)
+    tails = np.repeat(np.arange(n), np.diff(net._arc_indptr))
+    arcs = np.flatnonzero(parent[tails] == net._arc_heads)
+    v, first = np.unique(tails[arcs], return_index=True)
+    e = net._arc_edge[arcs[first]]
+    return flow + np.bincount(e, np.where(eu[e] == v, -div[v], div[v]), len(flow))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_routing_along_one_forest_matches_the_reference(crossing, n):
+    net, src, tgt = crossing[n]
+    fixed, _ = M._boundary(net, src, tgt)
+    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 3.0), fixed)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):  # the later flows reuse the first one's forest
+        flow = rng.normal(size=net.n_edges)
+        assert np.array_equal(bracket.route(flow), reference_route(net, fixed, flow))
 
 
 def test_routing_leaves_a_maximum_flow_unchanged(crossing):
     net, src, tgt = crossing[3]
     fixed, _ = M._boundary(net, src, tgt)
     flow, _ = M._max_flow(net, src, tgt)
-    assert M._route_to_boundary(net, fixed, flow) is flow
+    assert M._Bracket(M.ModulusProblem(net, src, tgt, 1.0), fixed).route(flow) is flow
