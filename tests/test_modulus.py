@@ -492,7 +492,7 @@ def test_irls_stops_once_its_bracket_meets_the_tolerance(crossing, p):
 
 
 @pytest.mark.parametrize("p", sorted(L3_FLOOR_VALUES))
-def test_only_the_stopping_point_moved(crossing, p):
+def test_tight_tolerance_keeps_the_floor_values(crossing, p):
     net, src, tgt = crossing[3]
     res = solve(net, src, tgt, p, tolerance=1e-12)
     assert abs(res.value - L3_FLOOR_VALUES[p]) <= 1e-10 * L3_FLOOR_VALUES[p]
