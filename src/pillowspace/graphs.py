@@ -37,6 +37,7 @@ from .words import (
     CapacityError,  # the package exports it from this module
     LevelWords,
     _grid_table,
+    _integer,
     _prefix_states,
     _square_arrays,
     all_words,
@@ -428,8 +429,8 @@ def _vertex_indices(g, vertices):
 def bfs_rows(g, starts, cutoff=None):
     """Hop distances from each start, as a (len(starts), n) int64 array.
 
-    Entries are -1 for vertices that are unreachable or, when a cutoff is
-    given, farther than cutoff.  All sources advance one level per step, on
+    Entries are -1 for vertices that are unreachable or farther than cutoff,
+    an integer >= 0 if given.  All sources advance one level per step, on
     one of two paths that return the same array, chosen by the call's size.
     From _WORD_SOURCES starts on (one full machine word of sources), on a
     graph of at most _WORD_VERTICES vertices, the bit-parallel path
@@ -445,6 +446,8 @@ def bfs_rows(g, starts, cutoff=None):
     """
     n = g.n_vertices
     starts = _vertex_indices(g, starts)
+    if cutoff is not None and _integer(cutoff, "cutoff") < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if len(starts) >= _WORD_SOURCES and n <= _WORD_VERTICES:
         return _bfs_words(g, starts, cutoff)
     out = np.full((len(starts), n), -1, dtype=np.int64)
@@ -576,8 +579,6 @@ def distance(g, u, v):
 def ball(g, center, radius):
     """Closed-ball vertex set around a word or index."""
     c = g.index(center) if isinstance(center, str) else center
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     return set(np.flatnonzero(bfs_row(g, c, cutoff=radius) >= 0).tolist())
 
 

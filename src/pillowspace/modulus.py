@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import arc_csr, boundary_face, build_graph
-from .words import MAX_TOL, check_level
+from .words import MAX_TOL, _integer, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
@@ -45,13 +45,15 @@ class Network:
     ends: np.ndarray
 
     def __post_init__(self):
-        n = self.n_vertices
-        self.ends = np.asarray(self.ends, dtype=np.int64).reshape(len(self.ends), 2)
-        u, v = self.ends.T
+        n, ends = self.n_vertices, np.asarray(self.ends)
+        if ends.size and not np.issubdtype(ends.dtype, np.integer):  # a cast would truncate
+            raise ValueError(f"edge endpoints must be integers, got dtype {ends.dtype}")
+        u, v = ends.reshape(len(ends), 2).T
         bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
         if bad.size:
             raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
-        self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(u, v, n)
+        self.ends = ends.astype(np.int64).reshape(len(ends), 2)
+        self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(*self.ends.T, n)
 
     @property
     def n_edges(self):
@@ -136,7 +138,7 @@ class ModulusProblem:
         if not 0 < self.tolerance <= MAX_TOL:
             raise ValueError(f"tolerance must lie in (0, {MAX_TOL}]")
         for s in self.source | self.target:
-            if not 0 <= s < self.network.n_vertices:
+            if not 0 <= _integer(s, "endpoint vertex") < self.network.n_vertices:
                 raise ValueError(f"endpoint vertex {s} out of range")
 
 
@@ -165,8 +167,8 @@ class ModulusResult:
 
 
 def _shortest_path(net, weights, source, target):
-    """Exact shortest source-target crossing: (length, vertex path), or
-    (inf, None) when the sides are disconnected.
+    """Exact shortest crossing between the sides (sorted vertex arrays):
+    (length, vertex path), or (inf, None) when the sides are disconnected.
 
     Dijkstra relaxes every arc, so parallel edges count at their lightest
     weight and zero-weight edges connect.  Ties go to the path scipy's heap
@@ -179,15 +181,14 @@ def _shortest_path(net, weights, source, target):
         # Dijkstra's finalization invariant fails on negative weights.
         raise ValueError("edge weights must be nonnegative")
     dist, pred, _ = dijkstra(
-        _arc_matrix(net, weights), indices=sorted(source), min_only=True,
-        return_predecessors=True,
+        _arc_matrix(net, weights), indices=source, min_only=True, return_predecessors=True,
     )
-    t = min(target, key=lambda x: (dist[x], x))
+    t = int(target[np.argmin(dist[target])])
     length = float(dist[t])
     if math.isinf(length):
         return math.inf, None
     path = [t]
-    while t not in source:
+    while pred[t] >= 0:  # a source vertex has no predecessor
         t = int(pred[t])
         path.append(t)
     return length, tuple(reversed(path))
@@ -195,17 +196,15 @@ def _shortest_path(net, weights, source, target):
 
 def solve_modulus(problem):
     """Certified p-modulus of the source-target crossing family."""
-    net = problem.network
-    boundary, connected = _boundary(net, problem.source, problem.target)
-    if not connected:  # empty family, modulus 0
+    net, bracket = problem.network, _Bracket(problem)
+    if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         return ModulusResult(0.0, 0.0, zero, [], 0, True, zero.copy())
-    bracket = _Bracket(problem, boundary)
     if problem.p == 1.0:
-        flow, cut = _max_flow(net, problem.source, problem.target)
+        flow, cut = _max_flow(net, bracket.source, bracket.target)
         res, iterations, stop = bracket(cut, flow), 1, "exact"
     else:
-        res, iterations, stop = _p_harmonic_potential(problem, boundary, bracket)
+        res, iterations, stop = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
     if stop == "stalled" and converged:
         stop = "converged"
@@ -216,20 +215,35 @@ def solve_modulus(problem):
 class _Bracket:
     """Both certificates from a density rho and a source-to-target flow, as a
     ModulusResult.  Upper: rho rescaled by its exact shortest crossing.
-    Lower: the flow, routed to the boundary along a BFS forest rooted there
-    (built for the first flow that needs it), normalised by the net flux out
-    of the source side."""
+    Lower: the flow, routed to the boundary along a BFS forest rooted there,
+    normalised by the net flux out of the source side.  One BFS from both
+    sides sets up the solve: the vertices it reaches at depth > 0 are free,
+    phi is 1 on the target side and 0 elsewhere (a component touching neither
+    side stays fixed: free, it would make L singular), and the sides connect
+    when an edge joins a vertex reached from one side to one from the other."""
 
-    def __init__(self, problem, boundary):
-        self.problem, self.fixed = problem, sorted(boundary)
+    def __init__(self, problem):
+        from scipy.sparse.csgraph import dijkstra
+
+        self.problem, net, (eu, ew) = problem, problem.network, problem.network.ends.T
+        self.source, self.target = (np.array(sorted(side), dtype=np.int64)
+                                    for side in (problem.source, problem.target))
+        self.depth, self.parent, start = dijkstra(
+            _arc_matrix(net, np.ones(net.n_edges)), unweighted=True, min_only=True,
+            indices=np.union1d(self.source, self.target), return_predecessors=True)
+        self.free = np.flatnonzero(np.isfinite(self.depth) & (self.depth > 0))
+        self.phi = np.zeros(net.n_vertices)
+        self.phi[self.target] = 1.0
+        from_target = np.isin(start, self.target)
+        self.connected = bool(np.any(from_target[eu] != from_target[ew]))
 
     def __call__(self, rho, flow):
-        pr, net, p = self.problem, self.problem.network, self.problem.p
-        length, vpath = _shortest_path(net, rho, pr.source, pr.target)
+        net, p = self.problem.network, self.problem.p
+        length, vpath = _shortest_path(net, rho, self.source, self.target)
         density = rho / length
         upper = float(np.power(density, p).sum())
         flow = self.route(flow)
-        flux = math.fsum(self._div(flow)[sorted(pr.source)])
+        flux = math.fsum(self._div(flow)[self.source])
         lower = 0.0
         if flux > 0.0:
             flow /= flux
@@ -242,8 +256,8 @@ class _Bracket:
         return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
 
     def route(self, flow):
-        div = self._div(flow)
-        div[self.fixed] = 0.0
+        div = np.zeros_like(self.phi)
+        div[self.free] = self._div(flow)[self.free]
         if not div.any():
             return flow
         levels, v, e, sign = self.forest
@@ -253,13 +267,8 @@ class _Bracket:
 
     @cached_property
     def forest(self):
-        from scipy.sparse.csgraph import dijkstra
-
-        net = self.problem.network
-        depth, parent, _ = dijkstra(_arc_matrix(net, np.ones(net.n_edges)), unweighted=True,
-                                    indices=self.fixed, min_only=True, return_predecessors=True)
-        reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
-        reached = reached[np.argsort(-depth[reached], kind="stable")]  # deepest first
+        net, depth, parent = self.problem.network, self.depth, self.parent
+        reached = self.free[np.argsort(-depth[self.free], kind="stable")]  # deepest first
         levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
         # Each vertex's tree edge is its first arc to its parent.
         tails = np.repeat(np.arange(net.n_vertices), np.diff(net._arc_indptr))
@@ -269,36 +278,20 @@ class _Bracket:
         return [(lv, parent[lv]) for lv in levels], v, e, np.where(net.ends[e, 0] == v, -1.0, 1.0)
 
 
-def _boundary(net, source, target):
-    """Dirichlet data (0 on the source side, 1 on the target side) and
-    whether the sides connect.  Components touching neither side carry no
-    crossing; they are pinned at 0 too, as free they make L singular."""
-    from scipy.sparse.csgraph import connected_components
-
-    adj = _arc_matrix(net, np.ones(net.n_edges))
-    _, labels = connected_components(adj, directed=False)
-    src_labels, tgt_labels = labels[sorted(source)], labels[sorted(target)]
-    floating = ~np.isin(labels, np.concatenate([src_labels, tgt_labels]))
-    boundary = dict.fromkeys(np.nonzero(floating)[0].tolist(), 0.0)
-    boundary.update(dict.fromkeys(source, 0.0))
-    boundary.update(dict.fromkeys(target, 1.0))
-    return boundary, bool(np.isin(src_labels, tgt_labels).any())
-
-
 def _max_flow(net, source, target):
-    """Integer maximum flow, unit capacity each way per edge: the flow per edge
-    (signed along the rows of ends, parallel edges sharing evenly) and a
-    minimum cut as a 0/1 density, the edges leaving the set of vertices the
-    super source reaches in the residual graph."""
+    """Integer maximum flow between the sides (sorted vertex arrays), unit
+    capacity each way per edge: the flow per edge (signed along the rows of
+    ends, parallel edges sharing evenly) and a minimum cut as a 0/1 density,
+    the edges leaving the set of vertices the super source reaches in the
+    residual graph."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
     n = net.n_vertices
     s, t = n, n + 1
     eu, ew = net.ends.T
-    src, tgt = sorted(source), sorted(target)
-    rows = np.concatenate([eu, ew, np.full(len(src), s), tgt])
-    cols = np.concatenate([ew, eu, src, np.full(len(tgt), t)])
+    rows = np.concatenate([eu, ew, np.full(len(source), s), target])
+    cols = np.concatenate([ew, eu, source, np.full(len(target), t)])
     caps = np.ones(len(rows), dtype=np.int32)
     caps[2 * net.n_edges:] = net.n_edges + 1
     cap = coo_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)).tocsr()  # sums parallels
@@ -320,10 +313,8 @@ class _Laplacian:
     safe; the first factorisation picks a fill-reducing order, the pattern is
     relabelled by it, and later factorisations keep it as is."""
 
-    def __init__(self, net, fixed_value):
-        self.net, self.phi = net, np.zeros(net.n_vertices)
-        self.phi[list(fixed_value)] = list(fixed_value.values())
-        self.free = np.setdiff1d(np.arange(net.n_vertices), list(fixed_value))
+    def __init__(self, net, phi, free):
+        self.net, self.phi, self.free = net, phi, free
         self.order, self.relabel = "MMD_AT_PLUS_A", np.arange(len(self.free))
 
     def _pattern(self):
@@ -369,9 +360,9 @@ class _Laplacian:
         return phi
 
 
-def _p_harmonic_potential(problem, boundary, bracket):
-    """Potential minimizing sum |phi_u - phi_v|^p with phi fixed on boundary
-    (vertex -> value); returns (the last pass's bracket, passes, stop reason).
+def _p_harmonic_potential(problem, bracket):
+    """Potential minimizing sum |phi_u - phi_v|^p with phi fixed off
+    bracket.free; returns (the last pass's bracket, passes, stop reason).
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
     problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed with
@@ -382,7 +373,7 @@ def _p_harmonic_potential(problem, boundary, bracket):
     correctness.
     """
     net, p = problem.network, problem.p
-    lap = _Laplacian(net, boundary)
+    lap = _Laplacian(net, bracket.phi, bracket.free)
     phi = lap.phi.copy()
     eu, ew = net.ends.T
 
@@ -493,9 +484,10 @@ def effective_conductance(net, source, target):
     source, target = set(source), set(target)
     if source & target:
         raise ValueError("source and target must be disjoint")
-    boundary = {x: 0.0 for x in source}
-    boundary.update({x: 1.0 for x in target})
-    potential = _Laplacian(net, boundary).solve()
+    phi = np.zeros(net.n_vertices)
+    phi[list(target)] = 1.0
+    free = np.setdiff1d(np.arange(net.n_vertices), list(source | target))
+    potential = _Laplacian(net, phi, free).solve()
     drop = potential[net.ends[:, 0]] - potential[net.ends[:, 1]]
     return float((drop**2).sum())
 

@@ -571,6 +571,17 @@ def test_bfs_row_cutoff(g3):
             assert np.array_equal(G.bfs_row(g3, s, cutoff=r), np.where(full > r, -1, full))
 
 
+@pytest.mark.parametrize("cutoff", [2.5, 1.5, 2.0, float("nan"), True, -1])
+def test_bfs_cutoff_must_be_a_nonnegative_integer(g2, cutoff):
+    # a fractional cutoff was rounded up (the ball of radius 2.5 was the
+    # radius-3 ball of 40 tiles), nan gave the start alone, -1 was taken as 0
+    with pytest.raises(ValueError, match="^cutoff must be"):
+        G.bfs_rows(g2, [0], cutoff)
+    with pytest.raises(ValueError, match="^cutoff must be"):
+        ps.ball(g2, 0, cutoff)
+    assert len(ps.ball(g2, 0, np.int64(2))) == 18
+
+
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_bfs_rows_batch_matches_shortest_path(policy):
     g = ps.build_graph(3, policy)

@@ -49,6 +49,11 @@ def solve(net, src, tgt, p, **kw):
     return M.solve_modulus(M.ModulusProblem(net, frozenset(src), frozenset(tgt), p, **kw))
 
 
+def shortest_path(net, weights, src, tgt):
+    """_shortest_path over the sides as the sorted vertex arrays it takes."""
+    return M._shortest_path(net, weights, np.array(sorted(src)), np.array(sorted(tgt)))
+
+
 # ---------------------------------------------------------------------------
 # analytic families
 
@@ -133,7 +138,7 @@ def test_upper_certificate_is_admissible(crossing):
     # the rescaled density really has every crossing path at length >= 1
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, 1.5)
-    length, _ = M._shortest_path(net, res.density, src, tgt)
+    length, _ = shortest_path(net, res.density, src, tgt)
     assert length >= 1.0 - 2e-6
     for vpath in res.active_paths:
         assert vpath[0] in src and vpath[-1] in tgt
@@ -305,6 +310,26 @@ def test_problem_validation():
         M.ModulusProblem(net, frozenset(src), frozenset(tgt), 2.0, tolerance=0.5)
 
 
+@pytest.mark.parametrize("endpoint", [0.5, 0.0, True])
+def test_problem_rejects_endpoints_that_are_not_integers(endpoint):
+    # such an endpoint passed validation and the solver raised an IndexError
+    net, src, tgt = M.path_network(2)
+    with pytest.raises(ValueError, match="^endpoint vertex must be an integer"):
+        M.ModulusProblem(net, frozenset({endpoint}), frozenset(tgt), 2.0)
+    assert solve(net, {np.int64(0)}, tgt, 2.0).value == 0.5
+
+
+@pytest.mark.parametrize("ends", [[(0.5, 1.7)], [(True, False)], [(0, 2**63)],
+                                  np.array([[0, 1]], dtype=float)])
+def test_network_rejects_endpoints_that_are_not_integers(ends):
+    # they were truncated ((0.5, 1.7) became the edge (0, 1), True vertex 1)
+    # or overflowed
+    with pytest.raises(ValueError):
+        M.Network(3, ends)
+    assert M.Network(0, []).n_edges == 0
+    assert M.Network(3, np.array([[0, 2]], dtype=np.uint8)).ends.dtype == np.int64
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         M.Network(2, [(0, 0)])
@@ -335,7 +360,7 @@ def test_network_arcs_are_the_graph_csr():
 def test_negative_weights_rejected_by_search():
     net, src, tgt = M.path_network(2)
     with pytest.raises(ValueError):
-        M._shortest_path(net, np.array([0.5, -1e-9]), src, tgt)
+        shortest_path(net, np.array([0.5, -1e-9]), src, tgt)
 
 
 def bellman_ford(net, weights, source):
@@ -370,7 +395,7 @@ def weighted_crossing(crossing, case):
 @pytest.mark.parametrize("case", ["L2 with zero weights", "doubled grid"])
 def test_shortest_path_matches_bellman_ford(crossing, case):
     net, weights, src, tgt = weighted_crossing(crossing, case)
-    length, path = M._shortest_path(net, weights, src, tgt)
+    length, path = shortest_path(net, weights, src, tgt)
     dist = bellman_ford(net, weights, src)
     want = min(dist[t] for t in tgt)
     assert abs(length - want) <= 1e-12 * want
@@ -410,7 +435,7 @@ def test_lower_bound_flow_is_a_unit_flow(crossing, p):
 def test_density_is_admissible_with_upper_energy(crossing, p):
     net, src, tgt = crossing[2]
     res = solve(net, src, tgt, p)
-    length, _ = M._shortest_path(net, res.density, src, tgt)
+    length, _ = shortest_path(net, res.density, src, tgt)
     assert length >= 1.0 - 1e-12
     energy = float(np.power(res.density, p).sum())
     assert abs(energy - res.value_upper) <= 1e-12 * res.value_upper
@@ -433,9 +458,8 @@ def test_potential_line_search_reaches_the_optimum(crossing):
     # states at L1, p = 3, and stopped at energy 1.0541 instead of 1; the
     # upper bound is the energy of the potential's rescaled density
     net, src, tgt = crossing[1]
-    boundary, _ = M._boundary(net, src, tgt)
     problem = M.ModulusProblem(net, src, tgt, 3.0, tolerance=1e-12)
-    res, passes, stop = M._p_harmonic_potential(problem, boundary, M._Bracket(problem, boundary))
+    res, passes, stop = M._p_harmonic_potential(problem, M._Bracket(problem))
     assert stop == "converged" and passes < 16
     assert abs(res.value_upper - 1.0) <= 1e-9
 
@@ -500,23 +524,28 @@ def test_tight_tolerance_keeps_the_floor_values(crossing, p):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, p):
+    # one BFS from both sides gives the boundary data, whether the sides
+    # connect and the routing forest; no component labelling runs beside it
     import scipy.sparse.csgraph as csgraph
 
-    forests, dijkstra = [], csgraph.dijkstra
+    bfs, labellings = [], []
+    dijkstra, connected_components = csgraph.dijkstra, csgraph.connected_components
 
     def spy(*args, **kwargs):
         if kwargs.get("unweighted"):
-            forests.append(kwargs)
+            bfs.append(kwargs)
         return dijkstra(*args, **kwargs)
 
+    def labelling_spy(*args, **kwargs):
+        labellings.append(kwargs)
+        return connected_components(*args, **kwargs)
+
     monkeypatch.setattr(csgraph, "dijkstra", spy)
+    monkeypatch.setattr(csgraph, "connected_components", labelling_spy)
     net, src, tgt = crossing[3]
     res = solve(net, src, tgt, p)
-    assert res.converged
-    if p == 1.0:  # a maximum flow is conserved and needs no routing
-        assert forests == []
-    else:
-        assert len(forests) == 1 and (p == 2.0 or res.iterations > 1)
+    assert res.converged and (p <= 2.0 or res.iterations > 1)
+    assert len(bfs) == 1 and labellings == []
 
 
 def reference_dirichlet(net, fixed_value, weights):
@@ -557,8 +586,11 @@ def small_multigraph():
 def test_laplacian_matches_a_general_sparse_solve(crossing, case):
     net, src, tgt = small_multigraph() if case == "multigraph" else crossing[case]
     rng = np.random.default_rng(11)
-    fixed = {v: rng.uniform() for v in M._boundary(net, src, tgt)[0]}
-    lap = M._Laplacian(net, fixed)
+    free = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0)).free
+    fixed = {v: rng.uniform() for v in np.setdiff1d(np.arange(net.n_vertices), free).tolist()}
+    phi = np.zeros(net.n_vertices)
+    phi[list(fixed)] = list(fixed.values())
+    lap = M._Laplacian(net, phi, free)
     # the first solve orders the pattern, the later ones reuse it relabelled
     for weights in (rng.uniform(0.1, 2.0, net.n_edges), rng.uniform(1e-3, 1.0, net.n_edges),
                     np.ones(net.n_edges)):
@@ -576,12 +608,12 @@ def divergence(net, flow):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
     net, src, tgt = crossing[n]
-    fixed, _ = M._boundary(net, src, tgt)
+    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0))
     rng = np.random.default_rng(n)
-    phi = M._Laplacian(net, fixed).solve(rng.uniform(0.1, 2.0, net.n_edges))
+    phi = M._Laplacian(net, bracket.phi, bracket.free).solve(rng.uniform(0.1, 2.0, net.n_edges))
     flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
-    routed = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0), fixed).route(flow)
-    interior = np.setdiff1d(np.arange(net.n_vertices), list(fixed))
+    routed = bracket.route(flow)
+    interior = np.setdiff1d(np.arange(net.n_vertices), list(src | tgt))
     assert np.abs(divergence(net, flow)[interior]).max() > 1e-3
     assert np.abs(divergence(net, routed)[interior]).max() <= 1e-12 * np.abs(routed).max()
 
@@ -611,16 +643,15 @@ def reference_route(net, boundary, flow):
 @pytest.mark.parametrize("n", [2, 3])
 def test_routing_along_one_forest_matches_the_reference(crossing, n):
     net, src, tgt = crossing[n]
-    fixed, _ = M._boundary(net, src, tgt)
-    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 3.0), fixed)
+    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 3.0))
     rng = np.random.default_rng(100 + n)
     for _ in range(3):  # the later flows reuse the first one's forest
         flow = rng.normal(size=net.n_edges)
-        assert np.array_equal(bracket.route(flow), reference_route(net, fixed, flow))
+        assert np.array_equal(bracket.route(flow), reference_route(net, src | tgt, flow))
 
 
 def test_routing_leaves_a_maximum_flow_unchanged(crossing):
     net, src, tgt = crossing[3]
-    fixed, _ = M._boundary(net, src, tgt)
-    flow, _ = M._max_flow(net, src, tgt)
-    assert M._Bracket(M.ModulusProblem(net, src, tgt, 1.0), fixed).route(flow) is flow
+    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 1.0))
+    flow, _ = M._max_flow(net, bracket.source, bracket.target)
+    assert bracket.route(flow) is flow
