@@ -40,7 +40,6 @@ from .words import (
     _integer,
     _prefix_states,
     _square_arrays,
-    all_words,
     check_level,
     flip,
     grid_word_of_square,
@@ -57,7 +56,7 @@ _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
-_WRITE_RECORDS = 1 << 16  # JSON edge records joined per file write
+_WRITE_RECORDS = 1 << 16  # JSON vertex words or edge records per encoder chunk
 _WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts,
 _WORD_VERTICES = 10**4  # on graphs of at most this many vertices
 _FRONTIER_SOURCES = 16  # starts the frontier path advances together
@@ -678,33 +677,132 @@ def is_automorphism(g, perm):
 # persistence
 
 
-def write_graph_json(g, path):
-    """Write g as pillow-graph-v1 JSON, streaming the edge records.
+def _digit_table(level):
+    """The ASCII digits of 0 .. 10^level - 1, zero-padded to level places, as a
+    (10^level, level) uint8 table.  Column k is the digit of 10^(level-1-k):
+    each of 0..9 in turn, repeated 10^(level-1-k) times, 10^k times over."""
+    table = np.empty((10**level, level), np.uint8)
+    for k in range(level):
+        table.reshape(10**k, 10, -1, level)[..., k] = np.arange(10, dtype=np.uint8)[:, None] + ord("0")
+    return table
 
-    The header is json.dumps of the payload with an empty edge list.  The
-    records follow _WRITE_RECORDS at a time, each one looked up in string
-    tables ("[i" and ",j" per vertex, ',"H"]' per type) by the edge arrays,
-    so neither the whole text nor its bytes is held at once.
+
+def _json_frame(level, policy):
+    """The bytes before the vertex list, between it and the edge list, and after."""
+    text = json.dumps({"schema": GRAPH_SCHEMA, "level": level, "policy": policy,
+                       "vertices": [], "edges": []}, separators=(",", ":"))
+    head, between, tail = text.rsplit("[]", 2)
+    return (head + "[").encode(), ("]" + between + "[").encode(), ("]" + tail + "\n").encode()
+
+
+def _json_chunks(level, policy, m, records):
+    """The bytes of json.dumps(payload, separators=(",", ":")) + "\n" for a
+    graph with m edges, _WRITE_RECORDS vertex words or edge records per chunk
+    (bytes, or a uint8 array).  records(s) gives the (u, v, t) arrays of the
+    edges in slice s; the slices are asked for in order.
+
+    Each record fills a fixed-width uint8 slot (one byte per edge type name)
+    from one table of the vertex indices' digits; a boolean mask drops the
+    leading zeros of an edge's ends in one compaction.
     """
-    header = json.dumps({
-        "schema": GRAPH_SCHEMA,
-        "level": g.level,
-        "policy": g.policy,
-        "vertices": all_words(g.level),
-        "edges": [],
-    }, separators=(",", ":"))
-    head, tail = header.rsplit("[]", 1)  # the edge list is the last field
-    first = np.array([f"[{i}" for i in range(g.n_vertices)], dtype=object)
-    second = np.array([f",{j}" for j in range(g.n_vertices)], dtype=object)
-    last = np.array([f",{json.dumps(name)}]" for name in EDGE_TYPES], dtype=object)
+    w, n = level, 10**level
+    digits = _digit_table(level)
+    shown = np.logical_or.accumulate(digits != ord("0"), axis=1)
+    shown[:, -1] = True  # 0 keeps its one digit
+    letters = np.frombuffer("".join(EDGE_TYPES).encode(), np.uint8)
+    word = np.frombuffer(b'"' + b"0" * w + b'",', np.uint8)
+    record = np.frombuffer(b"[" + b"0" * w + b"," + b"0" * w + b',"H"],', np.uint8)
+    head, between, tail = _json_frame(level, policy)
+    yield head
+    for k in range(0, n, _WRITE_RECORDS):
+        slots = np.tile(word, (min(n - k, _WRITE_RECORDS), 1))
+        slots[:, 1:w + 1] = digits[k:k + _WRITE_RECORDS]
+        yield slots.reshape(-1)[:-1 if k + _WRITE_RECORDS >= n else None]
+    yield between
+    for k in range(0, m, _WRITE_RECORDS):
+        i, j, t = records(slice(k, min(k + _WRITE_RECORDS, m)))
+        slots = np.tile(record, (len(i), 1))
+        slots[:, 1:w + 1], slots[:, w + 2:2 * w + 2] = digits[i], digits[j]
+        slots[:, 2 * w + 4] = letters[t]
+        keep = np.ones(slots.shape, bool)
+        keep[:, 1:w + 1], keep[:, w + 2:2 * w + 2] = shown[i], shown[j]
+        yield slots[keep][:-1 if k + _WRITE_RECORDS >= m else None]  # no "," after the last
+    yield tail
+
+
+def write_graph_json(g, path):
+    """Write g as pillow-graph-v1 JSON, one encoder chunk (_json_chunks) at a
+    time, so neither the whole text nor a Python object per edge is held."""
     u, v, t = g.edge_arrays()
-    with open(path, "w") as fh:
-        fh.write(head + "[")
-        for k in range(0, g.n_edges, _WRITE_RECORDS):
-            s = slice(k, k + _WRITE_RECORDS)
-            records = first[u[s]] + second[v[s]] + last[t[s]]
-            fh.write(("," if k else "") + ",".join(records.tolist()))
-        fh.write("]" + tail + "\n")
+    with open(path, "wb") as fh:
+        fh.writelines(_json_chunks(g.level, g.policy, g.n_edges, lambda s: (u[s], v[s], t[s])))
+
+
+def _compact_records(data, at, level, u, v, t):
+    """A records(s) for _json_chunks: it parses the compact records
+    '[i,j,"T"],' of slice s from data, byte at on, into u[s], v[s], t[s].
+
+    Total on any bytes and checks nothing: a record starts at each '[', an
+    index is the digits before the next ',' within level + 1 bytes, clamped
+    to a vertex, an unknown type byte reads as code 0 and records not found
+    stay 0.  Only the byte comparison with the encoder's output
+    (_compact_json) makes the result a reading.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    window = np.lib.stride_tricks.sliding_window_view(buf, level + 1)
+    codes = np.zeros(256, np.int64)
+    codes[np.frombuffer("".join(EDGE_TYPES).encode(), np.uint8)] = range(len(EDGE_TYPES))
+
+    def number(cursor, out):
+        """Read the index at each position of cursor into out; cursor moves past it."""
+        run = window[np.minimum(cursor, len(window) - 1, out=cursor)]
+        size = np.argmax(run == ord(","), axis=1)
+        out[:] = 0
+        for k in range(level):
+            more = k < size
+            np.multiply(out, 10, out=out, where=more)
+            np.add(out, run[:, k], out=out, where=more)
+            np.subtract(out, ord("0"), out=out, where=more)
+        np.clip(out, 0, 10**level - 1, out=out)
+        cursor += size + 1
+
+    def records(s):
+        nonlocal at
+        count = s.stop - s.start
+        # count records span at most this many bytes; one more holds the next '['
+        found = np.flatnonzero(buf[at:at + count * (2 * level + 8) + 1] == ord("["))
+        found += at
+        cursor, at = found[:count] + 1, (found[count] if len(found) > count else len(buf))
+        got = slice(s.start, s.start + len(cursor))
+        number(cursor, u[got])
+        number(cursor, v[got])
+        t[got] = codes[buf.take(cursor + 1, mode="clip")]  # after the quote
+        return u[s], v[s], t[s]
+
+    return records
+
+
+def _compact_json(data):
+    """(level, policy, u, v, t) if data is byte for byte what the encoder
+    makes of them, else None.  The edge records are parsed with numpy one
+    chunk ahead of the encoder, which compares its chunks as it goes."""
+    for level, policy in itertools.product(range(1, MAX_LEVEL + 1), ("on", "off")):
+        head, between, tail = _json_frame(level, policy)
+        if data.startswith(head):
+            break
+    else:
+        return None
+    start, stop = data.find(between, len(head)) + len(between), len(data) - len(tail)
+    m = data.count(b"[", start, stop)
+    if 10 * m - 1 > stop - start:  # a record takes at least 10 bytes with its ','
+        return None
+    u, v, t = (np.zeros(m, np.int64) for _ in range(3))
+    at = 0
+    for chunk in _json_chunks(level, policy, m, _compact_records(data, start, level, u, v, t)):
+        if not data.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return (level, policy, u, v, t) if at == len(data) else None
 
 
 def _load_json(fh):
@@ -751,6 +849,22 @@ def _edge_columns(records):
 
 
 def read_graph_json(path):
+    """Read pillow-graph-v1 JSON.  A file that write_graph_json could have
+    written takes the numpy path (_compact_json); any other goes through
+    json.load (_read_json_load), which alone decides what it reads as and
+    words every error."""
+    with open(path, "rb") as fh:
+        read = _compact_json(fh.read())  # the bytes go before the graph is built
+    if read is not None:
+        try:
+            return ReplacementGraph(*read)
+        except ValueError:
+            pass  # a compact file of a malformed edge list
+    return _read_json_load(path)
+
+
+def _read_json_load(path):
+    """pillow-graph-v1 JSON through json.load: any file, every error."""
     with open(path) as fh:
         payload = _load_json(fh)
     if not isinstance(payload, dict) or payload.get("schema") != GRAPH_SCHEMA:

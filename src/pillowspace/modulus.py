@@ -48,6 +48,10 @@ class Network:
         n, ends = self.n_vertices, np.asarray(self.ends)
         if ends.size and not np.issubdtype(ends.dtype, np.integer):  # a cast would truncate
             raise ValueError(f"edge endpoints must be integers, got dtype {ends.dtype}")
+        # a bool among ints makes an int array; an array input has no bool to hide
+        if not isinstance(self.ends, np.ndarray) and any(
+                isinstance(x, (bool, np.bool_)) for x in np.asarray(self.ends, object).flat):
+            raise ValueError("edge endpoints must be integers, got a bool")
         u, v = ends.reshape(len(ends), 2).T
         bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
         if bad.size:
@@ -480,13 +484,19 @@ def mincut_oracle(net, source, target):
 
 
 def effective_conductance(net, source, target):
-    """Energy of the unit-potential harmonic flow; equals the 2-modulus."""
+    """Energy of the unit-potential harmonic flow; equals the 2-modulus.  A
+    component that touches neither side carries no flow: it is held at 0."""
+    from scipy.sparse.csgraph import connected_components
+
     source, target = set(source), set(target)
     if source & target:
         raise ValueError("source and target must be disjoint")
+    sides = list(source | target)
     phi = np.zeros(net.n_vertices)
     phi[list(target)] = 1.0
-    free = np.setdiff1d(np.arange(net.n_vertices), list(source | target))
+    _, component = connected_components(_arc_matrix(net, np.ones(net.n_edges)), directed=False)
+    reached = np.isin(component, component[sides])
+    free = np.setdiff1d(np.flatnonzero(reached), sides)
     potential = _Laplacian(net, phi, free).solve()
     drop = potential[net.ends[:, 0]] - potential[net.ends[:, 1]]
     return float((drop**2).sum())

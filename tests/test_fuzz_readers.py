@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pillowspace as ps
+from pillowspace import graphs as G
 
 FORMATS = {
     "graph json": (ps.write_graph_json, ps.read_graph),
@@ -36,16 +37,18 @@ def originals(tmp_path_factory):
 
 
 @st.composite
-def damage(draw, data):
-    """A truncation, an extension or a few overwritten bytes of data."""
+def damage(draw, data, hot=None):
+    """A truncation, an extension or a few overwritten bytes of data.
+
+    Half the writes land in hot, a range of positions (default the first 64
+    bytes: the headers, where the sizes and levels live)."""
     kind = draw(st.sampled_from(["truncate", "extend", "mutate"]))
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
     if kind == "extend":
         return data + draw(st.binary(min_size=1, max_size=64))
     out = bytearray(data)
-    # bias half the writes into the headers, where the sizes and levels live
-    hot = st.integers(0, min(len(data), 64) - 1)
+    hot = st.integers(0, min(len(data), 64) - 1) if hot is None else st.sampled_from(hot)
     for i, b in draw(st.lists(st.tuples(hot | st.integers(0, len(data) - 1),
                                         st.integers(0, 255)), min_size=1, max_size=8)):
         out[i] = b
@@ -63,6 +66,50 @@ def test_damaged_file_reads_or_raises_value_error(originals, tmp_path_factory, f
         FORMATS[fmt][1](path)
     except ValueError:
         pass
+
+
+def _reading(read, path):
+    """What read makes of path: the graph as plain values, or the error."""
+    try:
+        g = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return g.level, g.policy, *(a.tolist() for a in g.edge_arrays())
+
+
+@st.composite
+def edge_rewrite(draw, data):
+    """One to three bytes of data's edge block overwritten with digits or type
+    letters, which most often leaves the file compact."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(data.index(b'"edges":['), len(data) - 1))] = draw(
+            st.sampled_from(b"0123456789HVS"))
+    return bytes(out)
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_damaged_json_reads_as_json_load_reads_it(originals, tmp_path_factory, data):
+    # the numpy path must read exactly what the json.load path reads, and
+    # leave every error to it
+    original = originals["graph json", data.draw(st.sampled_from([1, 2]))]
+    edges = range(original.index(b'"edges":['), len(original))
+    path = tmp_path_factory.getbasetemp() / "damaged-cross.json"
+    path.write_bytes(data.draw(damage(original, hot=edges) | edge_rewrite(original)))
+    assert _reading(ps.read_graph_json, path) == _reading(G._read_json_load, path)
+
+
+def test_rewritten_compact_json_reads_on_the_numpy_path(originals, tmp_path, monkeypatch):
+    # a compact file the writer did not make: the first edge of G_1 retyped
+    original = originals["graph json", 1]
+    path = tmp_path / "retyped.json"
+    path.write_bytes(original.replace(b'[0,2,"V"]', b'[0,2,"S"]'))
+    assert path.read_bytes() != original
+    want = _reading(G._read_json_load, path)
+    monkeypatch.setattr(G, "_load_json", None)  # the numpy path calls no json.load
+    assert _reading(ps.read_graph_json, path) == want
+    assert want[4][0] == 2  # read as a seam
 
 
 @pytest.mark.parametrize("fmt", ["graph json", "graph binary"])

@@ -9,6 +9,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -520,6 +521,55 @@ def test_json_writer_matches_whole_payload_dumps(tmp_path, monkeypatch, policy, 
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
+def _spy_load_json(monkeypatch):
+    calls = []
+    real = G._load_json
+    monkeypatch.setattr(G, "_load_json", lambda fh: calls.append(fh) or real(fh))
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_compact_json_reads_without_json_load(tmp_path, monkeypatch, policy):
+    calls = _spy_load_json(monkeypatch)
+    for n in (1, 2, 3, 4):
+        g = _graph(n, policy)
+        ps.write_graph_json(g, tmp_path / "g.json")
+        h = ps.read_graph_json(tmp_path / "g.json")
+        assert (h.level, h.policy) == (n, policy)
+        assert all(map(np.array_equal, h.edge_arrays(), g.edge_arrays()))
+        want = G._read_json_load(tmp_path / "g.json")  # the json.load reading agrees
+        assert all(map(np.array_equal, h.edge_arrays(), want.edge_arrays()))
+    assert len(calls) == 4  # the four direct json.load readings only
+
+
+@pytest.mark.parametrize("dump", [json.dumps, functools.partial(json.dumps, indent=1)])
+def test_spaced_json_reads_through_json_load(tmp_path, monkeypatch, g2, dump):
+    calls = _spy_load_json(monkeypatch)
+    path = tmp_path / "g2.json"
+    ps.write_graph_json(g2, path)
+    path.write_text(dump(json.loads(path.read_text())))
+    h = ps.read_graph_json(path)
+    assert len(calls) == 1
+    assert (h.level, h.policy) == (2, "on")
+    assert all(map(np.array_equal, h.edge_arrays(), g2.edge_arrays()))
+
+
+def test_compact_json_read_holds_no_object_per_edge(tmp_path):
+    # at level 4 (24,896 edges, 463 kB) the read peaks at about 5.1 times the
+    # file size: the bytes, the edge arrays and construction; json.load's
+    # records took about 10.8 times
+    path = tmp_path / "g4.json"
+    ps.write_graph_json(_graph(4, "on"), path)
+    ps.read_graph_json(path)  # the square tables and the imports are cached
+    tracemalloc.start()
+    try:
+        ps.read_graph_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * path.stat().st_size
+
+
 # ---------------------------------------------------------------------------
 # array paths against scalar references
 
@@ -729,7 +779,7 @@ def test_build_and_read_make_no_word_list(tmp_path, monkeypatch):
     def refuse(level):
         raise AssertionError(f"all_words({level}) called")
 
-    monkeypatch.setattr(G, "all_words", refuse)
+    monkeypatch.setattr(ps.words, "all_words", refuse)
     for g in (ps.build_graph(3), ps.read_graph_json(tmp_path / "g3.json"),
               ps.read_graph_binary(tmp_path / "g3.bin")):
         assert (g.level, g.n_vertices) == (3, 1000)
@@ -885,8 +935,10 @@ def test_read_graph_json_rejects_wrong_vertex_list(tmp_path, g1, vertices):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_graph_json_leaves_the_collector_as_it_was(tmp_path, monkeypatch, g1, enabled):
+    # spaced, so that json.load reads it: a compact file takes the numpy path
     path = tmp_path / "g1.json"
     ps.write_graph_json(g1, path)
+    path.write_text(json.dumps(json.loads(path.read_text())))
     bad = tmp_path / "bad.json"
     bad.write_text(path.read_text()[:-5])
     during = []

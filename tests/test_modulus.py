@@ -320,10 +320,12 @@ def test_problem_rejects_endpoints_that_are_not_integers(endpoint):
 
 
 @pytest.mark.parametrize("ends", [[(0.5, 1.7)], [(True, False)], [(0, 2**63)],
-                                  np.array([[0, 1]], dtype=float)])
+                                  np.array([[0, 1]], dtype=float),
+                                  [(True, 2)], [(0, 1), (2, np.True_)]])
 def test_network_rejects_endpoints_that_are_not_integers(ends):
     # they were truncated ((0.5, 1.7) became the edge (0, 1), True vertex 1)
-    # or overflowed
+    # or overflowed; a bool among ints makes an int64 array, so (True, 2)
+    # became the edge (1, 2)
     with pytest.raises(ValueError):
         M.Network(3, ends)
     assert M.Network(0, []).n_edges == 0
@@ -580,6 +582,15 @@ def small_multigraph():
     edges = [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3), (1, 3), (3, 4), (4, 1), (5, 6),
              (6, 7), (7, 5)]
     return M.Network(8, edges), frozenset({0}), frozenset({4})
+
+
+def test_conductance_holds_components_off_both_sides_at_zero():
+    # such a component left the Laplacian singular and the conductance nan
+    assert M.effective_conductance(M.Network(5, [(0, 1), (1, 2), (3, 4)]), {0}, {2}) == 0.5
+    net, src, tgt = small_multigraph()
+    cond = M.effective_conductance(net, src, tgt)
+    assert abs(cond - 0.9) <= 1e-12
+    assert abs(solve(net, src, tgt, 2.0).value - cond) <= 1e-9
 
 
 @pytest.mark.parametrize("case", [2, 3, "multigraph"])
