@@ -33,6 +33,7 @@ from .words import MAX_TOL, _integer, check_level
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 MAX_PASSES = 300  # IRLS passes of the potential solve before "iteration cap"
+MAX_BACKOFFS = 20  # times per solve a stalled or non-finite IRLS pass may raise eps
 SCAN_MAX_LEVEL = 4  # conformal_scan solves every exponent at every level exactly
 
 
@@ -154,7 +155,10 @@ class ModulusResult:
     value_lower; active_paths holds a shortest crossing under density; stop is
     "exact" (p = 1, p = 2) or why IRLS ended: "converged" once a pass's bracket
     met the tolerance (or 5 * tolerance as it stalled at the smoothing floor),
-    "stalled" with the gap open, "iteration cap" or "non-finite solve"."""
+    "stalled" with the gap open at the smoothing floor, "iteration cap" or,
+    once MAX_BACKOFFS back-offs are spent, "non-finite solve"; backoffs
+    counts the IRLS passes that raised the smoothing because they could not
+    lower the energy or their solve was not finite (0 on the exact paths)."""
 
     value_lower: float
     value_upper: float
@@ -164,6 +168,7 @@ class ModulusResult:
     converged: bool = False
     flow: np.ndarray | None = field(repr=False, default=None)
     stop: str = "exact"
+    backoffs: int = 0
 
     @property
     def value(self):
@@ -366,25 +371,36 @@ class _Laplacian:
 
 def _p_harmonic_potential(problem, bracket):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed off
-    bracket.free; returns (the last pass's bracket, passes, stop reason).
+    bracket.free; returns (the last pass's bracket, passes, stop reason), the
+    bracket carrying the number of back-offs.
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
-    problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed with
-    the smoothing driven to zero, and moves to the best of a few scalings of
-    that step.  It stops "converged" at the first pass whose bracket meets
-    problem.tolerance.  Any potential respecting the boundary keeps both
-    certificates valid, so partial convergence costs tightness, never
-    correctness.
+    problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed, and
+    moves to the best of a few scalings of that step.  The smoothing is a
+    continuation that follows each pass: it falls by 20 after a pass that
+    took the full step and moved phi by less than 1e-2, by 4 otherwise, down
+    to EPS_FLOOR.  A pass that stalls below eps = 1e-3 (every scaling raised
+    the energy although the step was not negligible), or whose solve is not
+    finite, backs off instead: eps grows by 16 and the next pass starts from
+    the same phi, at most MAX_BACKOFFS times per solve.  It stops "converged"
+    at the first pass whose bracket meets problem.tolerance, "stalled" at the
+    floor after a pass that barely moved phi or lowered the energy and took
+    no back-off, and "non-finite solve" once the back-offs are spent.  Any
+    potential respecting the boundary keeps both certificates valid, so
+    partial convergence costs tightness, never correctness.
     """
     net, p = problem.network, problem.p
     lap = _Laplacian(net, bracket.phi, bracket.free)
     phi = lap.phi.copy()
     eu, ew = net.ends.T
+    backoffs = 0
 
     def certify(ph, eps):
         d = ph[ew] - ph[eu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
-        return bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d)
+        res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d)
+        res.backoffs = backoffs
+        return res
 
     if not len(lap.free) or not net.n_edges:
         return certify(phi, EPS_FLOOR), 0, "exact"
@@ -399,6 +415,9 @@ def _p_harmonic_potential(problem, bracket):
         w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
         phi_new = lap.solve(w)
         if not np.all(np.isfinite(phi_new)):
+            if backoffs < MAX_BACKOFFS:
+                backoffs, eps = backoffs + 1, eps * 16.0
+                continue
             return certify(phi, eps), iters, "non-finite solve"
         np.clip(phi_new, 0.0, 1.0, out=phi_new)
         if p == 2.0:
@@ -419,11 +438,17 @@ def _p_harmonic_potential(problem, bracket):
         res = certify(phi, eps)
         if res.value_upper <= (1.0 + problem.tolerance) * res.value_lower:
             return res, iters, "converged"
-        moved = float(np.abs(step).max()) * scale
+        size = float(np.abs(step).max())
+        # Small eps left phi outside the basin: every scaling raises the energy.
+        if scale == 0.0 and size > 1e-13 and eps < 1e-3 and backoffs < MAX_BACKOFFS:
+            backoffs, eps = backoffs + 1, eps * 16.0
+            continue
+        moved = size * scale
         stalled = moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
         if eps <= EPS_FLOOR and stalled:
             return res, iters, "stalled"
-        eps = max(eps * 0.25, EPS_FLOOR)
+        eps = max(eps / (20.0 if scale == 1.0 and moved < 1e-2 else 4.0), EPS_FLOOR)
+    res.backoffs = backoffs  # the passes after the last bracket may have backed off
     return res, iters, "iteration cap"
 
 
@@ -528,9 +553,10 @@ def conformal_scan(levels, p_grid):
     """Left-to-right crossing modulus of the policy "on" graphs across levels
     and exponents, each solve at ModulusProblem's default tolerance.
 
-    Asserts per-level monotonicity in p and reports the cross-level value
-    ratio per exponent; the critical-p column is the grid point whose ratio
-    sits nearest 1 (exploratory, not certified).
+    Reports in monotone_ok whether each level's values fall with p (within
+    20 * tolerance) and gives the cross-level value ratio per exponent; the
+    critical-p column is the grid point whose ratio sits nearest 1
+    (exploratory, not certified).
     """
     levels = sorted({check_level(n, SCAN_MAX_LEVEL, name="scan level", over=ValueError)
                      for n in levels})

@@ -568,4 +568,10 @@ def test_report_contract(name, workdir, capsys):
 def test_modulus_report_gives_stop_reasons(workdir, capsys):
     rep = in_process_report(REPORT_CASES["modulus"], capsys)
     assert rep["stop"] == ["exact", "exact"]
+    assert rep["backoffs"] == [0, 0]
     assert len(rep["rows"]) == 2
+    argv = ["modulus", "--graph", "g1.json", "--sides", "left-right", "--p-grid", "1,2,3"]
+    rep = in_process_report(argv, capsys)
+    assert rep["stop"] == ["exact", "exact", "converged"]
+    assert rep["backoffs"] == [0, 0, 0]
+    assert len(rep["rows"]) == 3

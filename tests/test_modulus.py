@@ -492,12 +492,70 @@ def test_stop_reason_says_why_the_solve_ended(crossing, monkeypatch):
     assert not capped.converged
 
 
-def test_stall_with_the_gap_open_is_not_converged():
-    # L4 p = 64 stalls at the smoothing floor about 1e108 apart
+@pytest.fixture(scope="module")
+def crossing4():
+    """(network, left face, right face) at level 4."""
     g = ps.build_graph(4)
-    net = M.Network.from_graph(g)
-    res = solve(net, ps.boundary_face(g, "left"), ps.boundary_face(g, "right"), 64.0)
+    return M.Network.from_graph(g), ps.boundary_face(g, "left"), ps.boundary_face(g, "right")
+
+
+def test_stall_with_the_gap_open_is_not_converged(crossing4, monkeypatch):
+    # without back-offs, L4 p = 64 stalls at the smoothing floor about 1e108
+    # apart: every scaling of the step raises the energy
+    monkeypatch.setattr(M, "MAX_BACKOFFS", 0)
+    res = solve(*crossing4, 64.0)
     assert res.stop == "stalled" and not res.converged
+    assert res.backoffs == 0
+
+
+def test_large_exponent_backs_off_and_certifies_at_level_4(crossing4):
+    res = solve(*crossing4, 64.0)
+    assert res.stop == "converged" and res.converged
+    assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
+    assert 1 <= res.backoffs <= M.MAX_BACKOFFS
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.0959, 2.5, 3.0])
+def test_easy_solves_never_back_off(crossing, p):
+    # the modulus workload's L3 exponents: the exact paths and IRLS passes
+    # that all land
+    assert solve(*crossing[3], p).backoffs == 0
+
+
+# passes and values at the fixed smoothing schedule (eps / 4 per pass, no
+# back-off), tolerance 1e-6
+FIXED_SCHEDULE = {
+    (2, 1.1): (69, 9.96890254909),
+    (2, 1.5): (12, 4.42734622866),
+    (2, 2.0959): (5, 1.27219197508),
+    (2, 2.5): (6, 0.547459355691),
+    (2, 3.0): (6, 0.193563419767),
+    (2, 8.0): (5, 5.96492105442e-06),
+    (2, 12.0): (6, 1.45886139877e-09),
+    (2, 32.0): (12, 1.26789366211e-27),
+    (2, 64.0): (21, 1.60120099304e-56),
+    (3, 1.1): (72, 26.8204102175),
+    (3, 1.5): (14, 7.78736974498),
+    (3, 2.0959): (6, 1.11191829172),
+    (3, 2.5): (7, 0.2972473035),
+    (3, 3.0): (7, 0.0583460435558),
+    (3, 8.0): (6, 4.98475356788e-09),
+    (3, 12.0): (8, 1.09402999323e-14),
+    (3, 32.0): (12, 5.50821531835e-43),
+    (3, 64.0): (22, 2.89914121172e-88),
+    (4, 1.5): (16, 14.1727209498),
+    (4, 2.0959): (7, 1.0411775156),
+    (4, 3.0): (7, 0.0198058225051),
+    (4, 8.0): (9, 6.16366147634e-12),
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(FIXED_SCHEDULE))
+def test_adaptive_smoothing_needs_no_more_passes(crossing, crossing4, n, p):
+    passes, value = FIXED_SCHEDULE[(n, p)]
+    res = solve(*(crossing4 if n == 4 else crossing[n]), p)
+    assert res.converged and res.iterations <= passes
+    assert abs(res.value - value) <= 2e-6 * value
 
 
 # values the solver gave before IRLS stopped on its own bracket, when every
