@@ -25,6 +25,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index, itemgetter
 
 import numpy as np
@@ -212,9 +213,10 @@ class ReplacementGraph:
     Vertex i is the tile of word i, i in n digits; `words` formats one only
     when it is read.  Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1,
     S=2), in strictly increasing order of its key (u*n + v)*3 + t
-    (edge_keys).  Construction validates the arrays and derives, once, a CSR
-    adjacency (neighbours of i are indices[indptr[i]:indptr[i + 1]],
-    ascending) and the projected squares (square_x, square_y) of all tiles.
+    (edge_keys).  Construction validates the arrays and derives the projected
+    squares (square_x, square_y) of all tiles.  The one adjacency, the
+    neighbour table `neighbours`, is derived on the first traversal and kept;
+    reading, writing and comparing a graph never derive it.
     """
 
     level: int
@@ -222,8 +224,6 @@ class ReplacementGraph:
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
     square_x: np.ndarray = field(init=False, repr=False)
     square_y: np.ndarray = field(init=False, repr=False)
 
@@ -233,8 +233,6 @@ class ReplacementGraph:
         u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)
         self.u, self.v, self.t = u, v, t
-        self.indptr, heads, _edge = arc_csr(u, v, n)
-        self.indices = heads.astype(np.int32)
         self.square_x, self.square_y = _square_arrays(self.level)
 
     def index(self, word):
@@ -269,6 +267,10 @@ class ReplacementGraph:
     def edge_arrays(self):
         """Edges as three aligned numpy arrays (u, v, type code H=0,V=1,S=2)."""
         return self.u, self.v, self.t
+
+    @cached_property
+    def neighbours(self):  # derived on the first traversal, then kept
+        return _neighbour_table(self.u, self.v, self.n_vertices)
 
 
 def edge_keys(u, v, t, n):
@@ -307,6 +309,21 @@ def arc_csr(u, v, n):
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     # entry j of [v, u] belongs to edge j mod len(u)
     return indptr, np.concatenate([u, v])[order], order % max(len(u), 1)
+
+
+def _neighbour_table(u, v, n):
+    """The (max degree, n) int32 neighbour table of a sorted simple edge
+    list on n vertices: column x holds x's lower ends, then its upper ends,
+    each ascending (arc_csr's order), padded with x.  The upper ends of x are
+    one run of the edges, so only the lower ends take a stable argsort (of v,
+    not of both arcs as in arc_csr)."""
+    low, up = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+    nb = np.tile(np.arange(n, dtype=np.int32), (max((low + up).max(initial=0), 1), 1))
+    nb[np.arange(len(u)) - (np.cumsum(up) - up - low)[u], u] = v
+    order = np.argsort(v, kind="stable")
+    tails = v[order]
+    nb[np.arange(len(v)) - (np.cumsum(low) - low)[tails], tails] = u[order]
+    return nb
 
 
 def build_graph(n, central_edge_policy="on"):
@@ -435,13 +452,14 @@ def bfs_rows(g, starts, cutoff=None):
     graph of at most _WORD_VERTICES vertices, the bit-parallel path
     (_bfs_words) sweeps every vertex per level and advances 64 sources per
     word operation.  Otherwise the frontier path follows the sources' own
-    frontiers over the CSR, _FRONTIER_SOURCES starts at a time.  On a larger
-    graph the sweep costs more than the frontiers (100 L5 rows took 2.0-2.4 s
-    on it against 1.5-2.0 s, and 0.18-0.21 s against 0.05-0.07 s within 27
-    hops), and the fixed chunks keep the key arrays small, so a call with
-    many starts costs what separate calls would (200 L5 rows: 4.6 s in one
-    frontier call, 3.0 s in chunks).  A caller with many starts sizes its
-    calls by the shared budget BFS_ENTRIES through bfs_blocks.
+    frontiers, _FRONTIER_SOURCES starts at a time.  Both read the graph's
+    neighbour table.  On a larger graph the sweep costs more than the
+    frontiers (100 L5 rows took 2.3-2.7 s on it against 1.5-1.7 s, and
+    0.22-0.25 s against 0.05-0.07 s within 27 hops, on one CPU), and the
+    fixed chunks keep the key arrays small, so a call with many starts costs
+    what separate calls would (200 L5 rows: 4.7-5.9 s in one frontier call,
+    3.1-3.6 s in chunks).  A caller with many starts sizes its calls by the
+    shared budget BFS_ENTRIES through bfs_blocks.
     """
     n = g.n_vertices
     starts = _vertex_indices(g, starts)
@@ -467,20 +485,16 @@ def bfs_blocks(g, starts, cutoff=None):
 def _bfs_frontier(g, starts, cutoff, flat):
     """The frontier path of bfs_rows: each (source, vertex) pair of a
     frontier is the flat key source * n + vertex into flat, the rows of the
-    starts laid end to end and filled with -1, and is advanced over the CSR."""
-    n = g.n_vertices
+    starts laid end to end and filled with -1, and is advanced by one gather
+    from the neighbour table (a pair's self padding is its own, seen, key)."""
+    n, nb = g.n_vertices, g.neighbours
     keys = np.arange(len(starts), dtype=np.int64) * n + starts
     flat[keys] = 0
     d = 0
     while keys.size and (cutoff is None or d < cutoff):
         d += 1
         vert = keys % n
-        lo, deg = g.indptr[vert], g.indptr[vert + 1] - g.indptr[vert]
-        ends = np.cumsum(deg)
-        # position of each neighbour in indices: lo of its frontier pair plus
-        # its rank within that pair's slice
-        pos = np.arange(ends[-1]) + np.repeat(lo - ends + deg, deg)
-        cand = np.repeat(keys - vert, deg) + g.indices[pos]
+        cand = (nb[:, vert] + (keys - vert)).ravel()
         cand = cand[flat[cand] < 0]
         # Dedupe in linear time: each candidate writes its own negative mark
         # (below -1), and of a repeated pair exactly one reads its mark back.
@@ -496,29 +510,25 @@ def _bfs_words(g, starts, cutoff):
     8(4), 2014).
 
     A level ORs the frontier rows of each vertex's neighbours, read through
-    a neighbour table padded with the zero row n, and keeps the bits not yet
-    seen.  Distances are never unpacked per level: bit b of d + 1 is kept in
-    bit plane b, so a start holds 1 and a vertex never seen holds 0, and the
-    planes are unpacked once at the end.
+    the graph's neighbour table (whose self padding adds bits already seen),
+    and keeps the bits not yet seen.  Distances are never unpacked per level:
+    bit b of d + 1 is kept in bit plane b, so a start holds 1 and a vertex
+    never seen holds 0, and the planes are unpacked once at the end.
     """
-    n, k = g.n_vertices, len(starts)
-    deg = np.diff(g.indptr)
-    nb = np.full((deg.max(initial=1), n), n, dtype=np.intp)  # [rank, vertex]
-    nb[np.arange(len(g.indices)) - np.repeat(g.indptr[:-1], deg),
-       np.repeat(np.arange(n), deg)] = g.indices
-    front = np.zeros((n + 1, -(-k // 64)), dtype="<u8")
+    n, k, nb = g.n_vertices, len(starts), g.neighbours
+    new = np.zeros((n, -(-k // 64)), dtype="<u8")  # the frontier
     bit = np.arange(k, dtype="<u8")
-    np.bitwise_or.at(front, (starts, bit // 64), np.uint64(1) << bit % 64)
-    new, nxt, tmp = front[:n], np.empty_like(front[:n]), np.empty_like(front[:n])
+    np.bitwise_or.at(new, (starts, bit // 64), np.uint64(1) << bit % 64)
+    nxt, tmp = np.empty_like(new), np.empty_like(new)
     unseen = ~new
     planes = [new.copy()]
     d = 0
     while cutoff is None or d < cutoff:
         d += 1
         # take with out and mode="clip" writes in place; mode="raise" buffers
-        np.take(front, nb[0], axis=0, out=nxt, mode="clip")
+        np.take(new, nb[0], axis=0, out=nxt, mode="clip")
         for col in nb[1:]:
-            nxt |= np.take(front, col, axis=0, out=tmp, mode="clip")
+            nxt |= np.take(new, col, axis=0, out=tmp, mode="clip")
         np.bitwise_and(nxt, unseen, out=new)
         if not new.any():
             break
@@ -639,17 +649,16 @@ def prefix_subgraph(g, prefix, reference=None):
 
 
 def flip_permutation(g, bits):
-    """Vertex permutation induced by a sheet flip, as an index array."""
+    """Vertex permutation induced by a sheet flip, as a fresh index array:
+    at each level k whose bit is "1" (as in words.flip), the (10^k, 10, -1)
+    view swaps its 0 and 5 slices, the words with letter k '0' and '5'."""
     if len(bits) < g.level:
         raise ValueError("bit string shorter than the level")
-    idx = np.arange(g.n_vertices, dtype=np.int64)
-    out = idx.copy()
+    out = np.arange(g.n_vertices, dtype=np.int64)
     for k in range(g.level):
-        if bits[k] != "1":
-            continue
-        p = 10 ** (g.level - k - 1)
-        digit = (out // p) % 10
-        out = np.where(digit == 5, out - 5 * p, np.where(digit == 0, out + 5 * p, out))
+        if bits[k] == "1":
+            block = out.reshape(10**k, 10, -1)
+            block[:, [0, 5]] = block[:, [5, 0]]
     return out
 
 

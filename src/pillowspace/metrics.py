@@ -444,6 +444,11 @@ class PIDiagnostic:
     rows: list[tuple]  # (label, center word, radius, lhs, rhs, ratio)
 
 
+def _gradient(g, u):
+    """Largest |u(y) - u(x)| over the neighbours y of each x (self padding adds 0)."""
+    return np.abs(u[g.neighbours] - u).max(axis=0)
+
+
 def pi_diagnostic(g, m, p, trials, seed):
     """Worst observed ratio of mean oscillation to the gradient term.
 
@@ -477,9 +482,7 @@ def pi_diagnostic(g, m, p, trials, seed):
         ("cell-y", g.square_y.astype(np.float64)),
         ("ambient-x", (g.square_x + 0.5) / side),
     ]
-    # each vertex's level-1 prefix block, and each CSR arc's tail
-    block = np.arange(n) // 10 ** (g.level - 1)
-    tail = np.repeat(np.arange(n), np.diff(g.indptr))
+    block = np.arange(n) // 10 ** (g.level - 1)  # each vertex's level-1 prefix block
     # every trial's function, center and radius first, then one BFS over
     # the centers; a low-frequency function is kept as its ten block values,
     # not as a row of n per trial
@@ -507,8 +510,8 @@ def pi_diagnostic(g, m, p, trials, seed):
         ub = float((ball * wb).sum() / wb.sum())
         # u constant on B has no oscillation, whatever the rounding of ub
         lhs = float((np.abs(ball - ub) * wb).sum() / wb.sum()) if np.ptp(ball) else 0.0
-        # connected, so no run is empty; CB contains B, so its mass is positive
-        grad = np.maximum.reduceat(np.abs(u[g.indices] - u[tail]), g.indptr[:-1])
+        grad = _gradient(g, u)
+        # CB contains B, so its mass is positive
         wcb = weight[in_cb]
         gterm = float((grad[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
         diam = 2 * int(dist[in_b].max())

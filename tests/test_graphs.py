@@ -10,7 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 
 import numpy as np
 import pytest
@@ -133,7 +133,8 @@ def test_oracle_refuses_large_levels():
 def test_g1_statistics(g1):
     assert g1.n_vertices == 10
     assert len(g1.edges) == PINNED_EDGES[(1, "on")]
-    degree = np.diff(g1.indptr)
+    # a column's entries other than the vertex itself are its neighbours
+    degree = (g1.neighbours != np.arange(g1.n_vertices)).sum(axis=0)
     assert Counter(degree.tolist()) == {2: 4, 4: 4, 5: 2}
     # the two center vertices have degree 5
     for word in ("5", "0"):
@@ -272,6 +273,29 @@ def test_flips_are_automorphisms(g3):
         assert ps.is_automorphism(g3, perm)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flip_permutation_is_words_flip(n):
+    g = _graph(n, "on")
+    for bits in map("".join, itertools.product("01", repeat=n)):
+        want = [int(ps.flip(w, bits)) for w in g.words]
+        assert ps.flip_permutation(g, bits).tolist() == want
+
+
+@pytest.mark.parametrize("bits", ["1011", "0101111", "x1y", "1x0", "2?1", "a1b9"])
+def test_flip_permutation_reads_only_ones_within_the_level(g3, bits):
+    # bits past the level and characters other than "1" flip nothing
+    want = [int(ps.flip(w, bits)) for w in g3.words]
+    assert ps.flip_permutation(g3, bits).tolist() == want
+
+
+def test_flip_permutation_returns_a_fresh_array(g2):
+    for bits in ("00", "10", "11"):
+        first = ps.flip_permutation(g2, bits)
+        want = first.copy()
+        first[:] = 0
+        assert np.array_equal(ps.flip_permutation(g2, bits), want)
+
+
 def test_non_automorphism_detected(g1):
     perm = np.arange(10)
     perm[1], perm[5] = 5, 1  # swapping a corner with the center breaks edges
@@ -408,6 +432,62 @@ def test_graph_stores_only_edge_arrays(tmp_path):
         first, second = g.edges, g.edges
         assert first == want and second == want
         assert first is not second
+
+
+# ---------------------------------------------------------------------------
+# the neighbour table
+
+
+def _spy_neighbour_table(monkeypatch):
+    calls = []
+    real = G._neighbour_table
+    monkeypatch.setattr(G, "_neighbour_table", lambda u, v, n: calls.append(n) or real(u, v, n))
+    return calls
+
+
+def test_reading_writing_and_comparing_derive_no_table(tmp_path, monkeypatch, g1, g2):
+    ps.write_graph_json(g2, tmp_path / "g2.json")
+    spaced = json.dumps(json.loads((tmp_path / "g2.json").read_text()), indent=1)
+    (tmp_path / "spaced.json").write_text(spaced)
+    ps.write_graph_binary(g2, tmp_path / "g2.bin")
+    calls = _spy_neighbour_table(monkeypatch)
+    for name in ("g2.json", "spaced.json", "g2.bin"):
+        g = ps.read_graph(tmp_path / name)
+        ps.write_graph_json(g, tmp_path / "again.json")
+        ps.write_graph_binary(g, tmp_path / "again.bin")
+        assert g.edges == g2.edges
+        assert ps.prefix_subgraph(g, "3", g1).level == 1
+        assert ps.is_automorphism(g, ps.flip_permutation(g, "11"))
+        assert "neighbours" not in vars(g)
+    assert calls == []
+
+
+def test_build_derives_the_table_once_and_traversals_reuse_it(monkeypatch):
+    calls = _spy_neighbour_table(monkeypatch)
+    g = ps.build_graph(3)
+    assert calls == [1000]  # the connectivity certificate
+    table = g.neighbours
+    G.bfs_rows(g, [0, 555])  # the frontier path
+    G.bfs_rows(g, list(range(100)))  # the bit-parallel path
+    ps.ball_dimension_estimate(g, 3, 0)
+    ps.pi_diagnostic(g, ps.TileMeasure.uniform(3), 2.0, 5, 1)
+    assert calls == [1000] and g.neighbours is table
+
+
+def test_table_derivation_peaks_below_the_arc_csr():
+    # the table takes one stable argsort over the edges, arc_csr one over
+    # both arcs of every edge
+    g = _graph(4, "on")
+    u, v, _t = g.edge_arrays()
+    peaks = []
+    for derive in (G._neighbour_table, G.arc_csr):
+        tracemalloc.start()
+        try:
+            derive(u, v, g.n_vertices)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def test_graph_json_round_trip(tmp_path, g2):
@@ -733,6 +813,58 @@ def test_bfs_rows_on_a_disconnected_graph(g2):
     assert np.array_equal(G.bfs_rows(bad, starts, cutoff=5), _as_bfs_rows(_scipy_hops(bad), 5))
     with pytest.raises(ValueError, match="disconnected"):
         ps.graph_metric(bad)
+
+
+def _deque_bfs(g, start, cutoff=None):
+    """Hop distances from start by a queue over g.edges (-1: unreached)."""
+    adjacent = defaultdict(list)
+    for i, j, _t in g.edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    dist = [-1] * g.n_vertices
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        if cutoff is not None and dist[x] == cutoff:
+            continue
+        for y in adjacent[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def _irregular_graph(kind, g2):
+    u, v, t = g2.edge_arrays()
+    keep = {"isolated": ~np.isin(u, [0, 5, 50]) & ~np.isin(v, [5, 50, 99]),
+            "halves": (v < 50) | (u >= 50),
+            "no edges": np.zeros(len(u), bool)}[kind]
+    return ps.ReplacementGraph(2, g2.policy, u[keep], v[keep], t[keep])
+
+
+@pytest.mark.parametrize("kind", ["isolated", "halves", "no edges"])
+def test_bfs_paths_on_irregular_graphs_match_a_queue(monkeypatch, g2, kind):
+    g = _irregular_graph(kind, g2)
+    # the table: each vertex's CSR slice, then itself as padding
+    indptr, heads, _edge = G.arc_csr(*g.edge_arrays()[:2], g.n_vertices)
+    for x, column in enumerate(g.neighbours.T.tolist()):
+        deg = indptr[x + 1] - indptr[x]
+        assert column[:deg] == heads[indptr[x] : indptr[x + 1]].tolist()
+        assert set(column[deg:]) <= {x}
+    words = []
+    real = G._bfs_words
+    monkeypatch.setattr(G, "_bfs_words", lambda *args: words.append(1) or real(*args))
+    rng = random.Random(len(kind))
+    frontier = [0, 5, 50, 99, 7, 7] + rng.sample(range(100), 30)
+    word = list(range(100)) + frontier
+    for starts, path in ((frontier, []), (word, [1])):
+        for cutoff in (None, 0, 1, 3):
+            words.clear()
+            rows = G.bfs_rows(g, starts, cutoff)
+            assert words == path
+            assert rows.tolist() == [_deque_bfs(g, s, cutoff) for s in starts]
+            assert (rows[np.arange(len(starts)), starts] == 0).all()
 
 
 @pytest.mark.parametrize("start", [-1, -3, 100, 1.0])

@@ -761,6 +761,22 @@ def _pi_diagnostic_reference(g, m, p, trials, seed):
     return PIDiagnostic(p, trials, worst, worst_case, rows)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_gradient_equals_a_reduceat_over_the_arc_csr(graphs, level):
+    # the table's self entries add 0, so the gradient is bit for bit the
+    # maximum over each vertex's CSR slice of arcs
+    g = graphs[level]
+    n = g.n_vertices
+    indptr, heads, _edge = graphs_module.arc_csr(*g.edge_arrays()[:2], n)
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    rng = np.random.default_rng(level)
+    for u in (g.square_x.astype(np.float64), (g.square_y + 0.5) / 3**level,
+              rng.uniform(size=10)[np.arange(n) // 10 ** (level - 1)], rng.standard_normal(n)):
+        want = np.maximum.reduceat(np.abs(u[heads] - u[tails]), indptr[:-1])
+        got = metrics_module._gradient(g, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("budget, calls", [(10**7, [40]), (10**3, [10, 10, 10, 10])])
 def test_pi_diagnostic_runs_its_bfs_in_calls_of_the_budget(graphs, monkeypatch, budget, calls):
     want = repr(pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=40, seed=11))

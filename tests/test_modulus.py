@@ -346,12 +346,18 @@ def test_network_validation():
 def test_network_arcs_are_the_graph_csr():
     g = ps.build_graph(2)
     net = M.Network.from_graph(g)
-    assert np.array_equal(net._arc_indptr, g.indptr)
-    assert np.array_equal(net._arc_heads, g.indices)
+    # the table's (tail, head) pairs, self padding dropped, in per-tail order
+    nb = g.neighbours
+    tails = np.broadcast_to(np.arange(g.n_vertices), nb.shape)
+    keep = (nb != tails).T
+    heads = nb.T[keep]
+    tails = tails.T[keep]
+    arc_tails = np.repeat(np.arange(g.n_vertices), np.diff(net._arc_indptr))
+    assert np.array_equal(arc_tails, tails)
+    assert np.array_equal(net._arc_heads, heads)
     # each arc's edge joins its tail to its head
-    tails = np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
     ends = net.ends[net._arc_edge]
-    assert np.array_equal(np.sort(ends, axis=1), np.sort(np.stack([tails, g.indices], 1), axis=1))
+    assert np.array_equal(np.sort(ends, axis=1), np.sort(np.stack([tails, heads], 1), axis=1))
     # multigraph arcs keep parallel edges apart
     multi = M.Network(3, [(1, 0), (0, 1), (2, 1)])
     assert multi._arc_indptr.tolist() == [0, 2, 5, 6]
