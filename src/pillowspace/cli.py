@@ -58,8 +58,6 @@ def _sha256(path):
 
 
 def _json_default(obj):
-    from fractions import Fraction
-
     import numpy as np
 
     if isinstance(obj, np.bool_):
@@ -68,10 +66,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 

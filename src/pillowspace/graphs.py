@@ -53,6 +53,10 @@ SEAM = "S"
 EDGE_TYPES = (HORIZONTAL, VERTICAL, SEAM)
 _TYPE_CODE = {t: c for c, t in enumerate(EDGE_TYPES)}  # anything else: len(EDGE_TYPES)
 _LETTER_SET = frozenset(ALPHABET)
+# bytes.translate table that reads a JSON edge block as numbers: digits stay,
+# the type letters become their codes and every other byte a space
+_EDGE_NUMBERS = bytes(c if ord("0") <= c <= ord("9") else ord(str(_TYPE_CODE.get(chr(c), " ")))
+                      for c in range(256))
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 
 GRAPH_SCHEMA = "pillow-graph-v1"
@@ -704,17 +708,16 @@ def _json_frame(level, policy):
     return (head + "[").encode(), ("]" + between + "[").encode(), ("]" + tail + "\n").encode()
 
 
-def _json_chunks(level, policy, m, records):
+def _json_chunks(level, policy, u, v, t):
     """The bytes of json.dumps(payload, separators=(",", ":")) + "\n" for a
-    graph with m edges, _WRITE_RECORDS vertex words or edge records per chunk
-    (bytes, or a uint8 array).  records(s) gives the (u, v, t) arrays of the
-    edges in slice s; the slices are asked for in order.
+    graph with edge arrays u, v, t, _WRITE_RECORDS vertex words or edge
+    records per chunk (bytes, or a uint8 array).
 
     Each record fills a fixed-width uint8 slot (one byte per edge type name)
     from one table of the vertex indices' digits; a boolean mask drops the
     leading zeros of an edge's ends in one compaction.
     """
-    w, n = level, 10**level
+    w, n, m = level, 10**level, len(u)
     digits = _digit_table(level)
     shown = np.logical_or.accumulate(digits != ord("0"), axis=1)
     shown[:, -1] = True  # 0 keeps its one digit
@@ -729,10 +732,10 @@ def _json_chunks(level, policy, m, records):
         yield slots.reshape(-1)[:-1 if k + _WRITE_RECORDS >= n else None]
     yield between
     for k in range(0, m, _WRITE_RECORDS):
-        i, j, t = records(slice(k, min(k + _WRITE_RECORDS, m)))
+        i, j = u[k:k + _WRITE_RECORDS], v[k:k + _WRITE_RECORDS]
         slots = np.tile(record, (len(i), 1))
         slots[:, 1:w + 1], slots[:, w + 2:2 * w + 2] = digits[i], digits[j]
-        slots[:, 2 * w + 4] = letters[t]
+        slots[:, 2 * w + 4] = letters[t[k:k + _WRITE_RECORDS]]
         keep = np.ones(slots.shape, bool)
         keep[:, 1:w + 1], keep[:, w + 2:2 * w + 2] = shown[i], shown[j]
         yield slots[keep][:-1 if k + _WRITE_RECORDS >= m else None]  # no "," after the last
@@ -742,59 +745,24 @@ def _json_chunks(level, policy, m, records):
 def write_graph_json(g, path):
     """Write g as pillow-graph-v1 JSON, one encoder chunk (_json_chunks) at a
     time, so neither the whole text nor a Python object per edge is held."""
-    u, v, t = g.edge_arrays()
     with open(path, "wb") as fh:
-        fh.writelines(_json_chunks(g.level, g.policy, g.n_edges, lambda s: (u[s], v[s], t[s])))
-
-
-def _compact_records(data, at, level, u, v, t):
-    """A records(s) for _json_chunks: it parses the compact records
-    '[i,j,"T"],' of slice s from data, byte at on, into u[s], v[s], t[s].
-
-    Total on any bytes and checks nothing: a record starts at each '[', an
-    index is the digits before the next ',' within level + 1 bytes, clamped
-    to a vertex, an unknown type byte reads as code 0 and records not found
-    stay 0.  Only the byte comparison with the encoder's output
-    (_compact_json) makes the result a reading.
-    """
-    buf = np.frombuffer(data, np.uint8)
-    window = np.lib.stride_tricks.sliding_window_view(buf, level + 1)
-    codes = np.zeros(256, np.int64)
-    codes[np.frombuffer("".join(EDGE_TYPES).encode(), np.uint8)] = range(len(EDGE_TYPES))
-
-    def number(cursor, out):
-        """Read the index at each position of cursor into out; cursor moves past it."""
-        run = window[np.minimum(cursor, len(window) - 1, out=cursor)]
-        size = np.argmax(run == ord(","), axis=1)
-        out[:] = 0
-        for k in range(level):
-            more = k < size
-            np.multiply(out, 10, out=out, where=more)
-            np.add(out, run[:, k], out=out, where=more)
-            np.subtract(out, ord("0"), out=out, where=more)
-        np.clip(out, 0, 10**level - 1, out=out)
-        cursor += size + 1
-
-    def records(s):
-        nonlocal at
-        count = s.stop - s.start
-        # count records span at most this many bytes; one more holds the next '['
-        found = np.flatnonzero(buf[at:at + count * (2 * level + 8) + 1] == ord("["))
-        found += at
-        cursor, at = found[:count] + 1, (found[count] if len(found) > count else len(buf))
-        got = slice(s.start, s.start + len(cursor))
-        number(cursor, u[got])
-        number(cursor, v[got])
-        t[got] = codes[buf.take(cursor + 1, mode="clip")]  # after the quote
-        return u[s], v[s], t[s]
-
-    return records
+        fh.writelines(_json_chunks(g.level, g.policy, *g.edge_arrays()))
 
 
 def _compact_json(data):
     """(level, policy, u, v, t) if data is byte for byte what the encoder
-    makes of them, else None.  The edge records are parsed with numpy one
-    chunk ahead of the encoder, which compares its chunks as it goes."""
+    makes of them, else None.
+
+    The edge block is read as numbers in one pass: _EDGE_NUMBERS keeps the
+    digits, makes the type letters their codes and every other byte a space,
+    and np.fromstring parses the result.  Neither the count nor the values
+    are trusted: a block of spaces parses as [0], a digit run past int64
+    saturates, and a bracket or comma out of place still parses.  So the
+    count need only split into records, the values are clamped to what the
+    encoder takes, and only the byte comparison with its output makes them
+    a reading.  No count= is passed: asked for more numbers than the text
+    holds, np.fromstring has filled the rest with uninitialised memory.
+    """
     for level, policy in itertools.product(range(1, MAX_LEVEL + 1), ("on", "off")):
         head, between, tail = _json_frame(level, policy)
         if data.startswith(head):
@@ -802,16 +770,17 @@ def _compact_json(data):
     else:
         return None
     start, stop = data.find(between, len(head)) + len(between), len(data) - len(tail)
-    m = data.count(b"[", start, stop)
-    if 10 * m - 1 > stop - start:  # a record takes at least 10 bytes with its ','
+    edges = np.fromstring(data[start:stop].translate(_EDGE_NUMBERS), np.int64, sep=" ")
+    if len(edges) % 3:
         return None
-    u, v, t = (np.zeros(m, np.int64) for _ in range(3))
+    edges = edges.reshape(-1, 3)
+    np.clip(edges, 0, (10**level - 1, 10**level - 1, len(EDGE_TYPES) - 1), out=edges)
     at = 0
-    for chunk in _json_chunks(level, policy, m, _compact_records(data, start, level, u, v, t)):
+    for chunk in _json_chunks(level, policy, *edges.T):
         if not data.startswith(chunk, at):
             return None
         at += len(chunk)
-    return (level, policy, u, v, t) if at == len(data) else None
+    return (level, policy, *edges.T) if at == len(data) else None
 
 
 def _load_json(fh):

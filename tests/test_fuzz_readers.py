@@ -112,6 +112,29 @@ def test_rewritten_compact_json_reads_on_the_numpy_path(originals, tmp_path, mon
     assert want[4][0] == 2  # read as a seam
 
 
+FIRST_EDGE = b'[0,2,"V"]'  # of G_1
+EDGE_BLOCK_CASES = {
+    "25-digit index": lambda d: d.replace(FIRST_EDGE, b"[" + b"1" * 25 + b',2,"V"]'),
+    "25-digit zero-padded index": lambda d: d.replace(FIRST_EDGE, b"[" + b"0" * 24 + b'2,2,"V"]'),
+    "fourth number": lambda d: d.replace(FIRST_EDGE, b'[0,2,"V",1]'),
+    "number missing": lambda d: d.replace(FIRST_EDGE, b'[0,"V"]'),
+    "empty edge list": lambda d: d[:d.index(b'"edges":[') + len(b'"edges":[')] + b"]}\n",
+    "lower-case type": lambda d: d.replace(FIRST_EDGE, b'[0,2,"v"]'),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_BLOCK_CASES))
+def test_edge_block_edge_cases_read_as_json_load_reads_them(originals, tmp_path, case):
+    # where the numpy parse is loose: an index past int64 saturates, a number
+    # too many or too few shifts the records, an empty block parses as no
+    # numbers and an unknown letter as a space
+    original = originals["graph json", 1]
+    path = tmp_path / "case.json"
+    path.write_bytes(EDGE_BLOCK_CASES[case](original))
+    assert path.read_bytes() != original
+    assert _reading(ps.read_graph_json, path) == _reading(G._read_json_load, path)
+
+
 @pytest.mark.parametrize("fmt", ["graph json", "graph binary"])
 def test_cli_reports_damaged_graph_in_one_line(originals, tmp_path, fmt):
     path = tmp_path / "damaged"

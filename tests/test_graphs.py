@@ -608,8 +608,13 @@ def _spy_load_json(monkeypatch):
     return calls
 
 
+# with 7 and 113 records per chunk the comparison crosses chunk boundaries,
+# and at L2 "on" (226 edges) the last chunk is full
+@pytest.mark.parametrize("chunk", [None, 7, 113])
 @pytest.mark.parametrize("policy", ["on", "off"])
-def test_compact_json_reads_without_json_load(tmp_path, monkeypatch, policy):
+def test_compact_json_reads_without_json_load(tmp_path, monkeypatch, policy, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(G, "_WRITE_RECORDS", chunk)
     calls = _spy_load_json(monkeypatch)
     for n in (1, 2, 3, 4):
         g = _graph(n, policy)
@@ -887,7 +892,8 @@ def test_bfs_rejects_bad_starts(g2, start):
 @pytest.fixture
 def no_large_word_lists(monkeypatch):
     # a reader that sizes anything by an unchecked level fails fast here: the
-    # word view, the square arrays and the CSR are what a graph sizes by it
+    # word view, the square arrays and the neighbour table are what a graph
+    # sizes by it
     def guard(name, too_big):
         real = getattr(G, name)
 
@@ -900,7 +906,7 @@ def no_large_word_lists(monkeypatch):
 
     for name in ("LevelWords", "_square_arrays"):
         guard(name, lambda level: type(level) is not int or level > G.MAX_LEVEL)
-    guard("arc_csr", lambda u, v, n: n > 10**G.MAX_LEVEL)
+    guard("_neighbour_table", lambda u, v, n: n > 10**G.MAX_LEVEL)
 
 
 def test_build_and_read_make_no_word_list(tmp_path, monkeypatch):

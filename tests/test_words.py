@@ -245,10 +245,11 @@ def test_entry_points_check_their_level_before_building(entry, case, tmp_path, m
     def refuse(*args, **kwargs):
         raise AssertionError(f"{entry} built something at the unchecked level {level!r}")
 
-    # what each entry point sizes by its level: squares, cross edges, the CSR,
-    # the word view, a measure's masses and the suites' and the scan's graphs
+    # what each entry point sizes by its level: squares, cross edges, the
+    # neighbour table, the word view, a measure's masses and the suites' and
+    # the scan's graphs
     for module, name in ((W, "_square_arrays"), (G, "_square_arrays"), (G, "_cross_edges"),
-                         (G, "arc_csr"), (G, "LevelWords"), (measures, "Fraction"),
+                         (G, "_neighbour_table"), (G, "LevelWords"), (measures, "Fraction"),
                          (verify, "build_graph"), (modulus, "build_graph")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(error) as exc:
