@@ -18,15 +18,13 @@ reference_edges, decides every pair with it and is the slow cross-check.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
-import operator
 import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index, itemgetter
+from operator import eq, index, itemgetter
 
 import numpy as np
 
@@ -783,84 +781,49 @@ def _compact_json(data):
     return (level, policy, *edges.T) if at == len(data) else None
 
 
-def _load_json(fh):
-    """json.load with the cyclic collector paused, then as the caller had it.
-
-    Decoding makes no reference cycles, yet at L5 the collections that the
-    growing payload triggers take about half of the decode time.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.load(fh)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _edge_columns(records):
-    """The JSON edge records as int64 arrays (u, v, t), checked in bulk.
-
-    Each record must be a list [i, j, type] whose indices are JSON integers
-    (type int: no bool, float or string).  An unknown type reads as code
-    len(EDGE_TYPES), which construction rejects.  Each column is one pass
-    over the records into an array, with no list per column: the heap holes
-    such lists leave raised the level5 benchmark's peak RSS.
-    """
-    msg = "edge list is not a list of [i, j, type] records"
-    if not (type(records) is list and set(map(type, records)) <= {list}
-            and set(map(len, records)) <= {3}):
-        raise ValueError(msg)
-
-    def column(k):
-        return map(itemgetter(k), records)
-
-    if not set(map(type, column(0))) | set(map(type, column(1))) <= {int}:
-        raise ValueError(msg)
-    m = len(records)
-    try:
-        u, v = np.fromiter(column(0), np.int64, m), np.fromiter(column(1), np.int64, m)
-    except OverflowError:
-        raise ValueError("malformed edge: vertex index out of range") from None
-    code = map(_TYPE_CODE.get, map(str, column(2)), itertools.repeat(len(EDGE_TYPES)))
-    return u, v, np.fromiter(code, np.int64, m)
-
-
 def read_graph_json(path):
     """Read pillow-graph-v1 JSON.  A file that write_graph_json could have
     written takes the numpy path (_compact_json); any other goes through
-    json.load (_read_json_load), which alone decides what it reads as and
-    words every error."""
+    json.load (_read_json_load), which words every error of its reading."""
     with open(path, "rb") as fh:
         read = _compact_json(fh.read())  # the bytes go before the graph is built
     if read is not None:
-        try:
-            return ReplacementGraph(*read)
-        except ValueError:
-            pass  # a compact file of a malformed edge list
+        return ReplacementGraph(*read)
     return _read_json_load(path)
 
 
 def _read_json_load(path):
-    """pillow-graph-v1 JSON through json.load: any file, every error."""
+    """pillow-graph-v1 JSON through json.load: any file, every error.
+
+    Checked in turn: the schema, level and policy; the edge records, lists
+    [i, j, type] with JSON integer indices (no bool), where an unknown type
+    reads as code len(EDGE_TYPES), which construction rejects; the vertex
+    list.  The checks and columns are map passes in C: no object per record.
+    """
     with open(path) as fh:
-        payload = _load_json(fh)
+        payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"not a {GRAPH_SCHEMA} file: {path}")
     level = check_level(payload.get("level"), MAX_LEVEL, name="graph level", over=ValueError)
     policy = payload.get("policy")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
-    # Both lists are popped and dropped before the graph is built, so its
-    # arrays reuse their memory rather than pin it (built first, the level5
-    # benchmark's peak RSS was about 1 MB higher).  The vertices are compared
-    # with the words in one pass, with no second list.
-    u, v, t = _edge_columns(payload.pop("edges", None))
-    vertices, words = payload.pop("vertices", None), LevelWords(level)
+    records, msg = payload.get("edges"), "edge list is not a list of [i, j, type] records"
+    if not (type(records) is list and set(map(type, records)) <= {list}
+            and set(map(len, records)) <= {3}):
+        raise ValueError(msg)
+    u, v, t = (list(map(itemgetter(k), records)) for k in range(3))
+    if not set(map(type, u)) | set(map(type, v)) <= {int}:
+        raise ValueError(msg)
+    try:
+        u, v = np.array(u, np.int64), np.array(v, np.int64)
+    except OverflowError:
+        raise ValueError("malformed edge: vertex index out of range") from None
+    t = np.fromiter(map(_TYPE_CODE.get, map(str, t), itertools.repeat(len(EDGE_TYPES))), np.int64)
+    vertices, words = payload.get("vertices"), LevelWords(level)
     if not (type(vertices) is list and len(vertices) == len(words)
-            and all(map(operator.eq, vertices, words))):
+            and all(map(eq, vertices, words))):
         raise ValueError("vertex list is not the lexicographic word list")
-    del vertices
     return ReplacementGraph(level=level, policy=policy, u=u, v=v, t=t)
 
 

@@ -19,7 +19,7 @@ from operator import index
 
 import numpy as np
 
-from .words import GRID_LETTERS, _square_arrays, check_level, parse_word, section
+from .words import GRID_LETTERS, _integer, _square_arrays, check_level, parse_word, section
 
 
 @dataclass
@@ -237,7 +237,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
         radii_exponents = list(range(2, n)) if n >= 4 else list(range(1, n))
     if len(radii_exponents) < 2:
         raise ValueError("need at least two radii")
-    if samples < 1:
+    if _integer(samples, "samples") < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     side = 3**n

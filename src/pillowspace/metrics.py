@@ -356,7 +356,8 @@ class CoverReport:
 
     @property
     def ok(self):
-        return self.uniform_radius and self.target_covered and self.shrunk_disjoint
+        return (self.uniform_radius and self.target_covered and self.shrunk_disjoint
+                and self.preimage_covered)
 
 
 def cover_preimage(g, center, radius, c=5):

@@ -107,7 +107,7 @@ def test_rewritten_compact_json_reads_on_the_numpy_path(originals, tmp_path, mon
     path.write_bytes(original.replace(b'[0,2,"V"]', b'[0,2,"S"]'))
     assert path.read_bytes() != original
     want = _reading(G._read_json_load, path)
-    monkeypatch.setattr(G, "_load_json", None)  # the numpy path calls no json.load
+    monkeypatch.setattr(G.json, "load", None)  # the numpy path calls no json.load
     assert _reading(ps.read_graph_json, path) == want
     assert want[4][0] == 2  # read as a seam
 

@@ -1,7 +1,6 @@
 """Tests for adjacency, the chain oracle, graph construction, and IO."""
 
 import functools
-import gc
 import hashlib
 import itertools
 import json
@@ -603,8 +602,8 @@ def test_json_writer_matches_whole_payload_dumps(tmp_path, monkeypatch, policy, 
 
 def _spy_load_json(monkeypatch):
     calls = []
-    real = G._load_json
-    monkeypatch.setattr(G, "_load_json", lambda fh: calls.append(fh) or real(fh))
+    real = G.json.load
+    monkeypatch.setattr(G.json, "load", lambda fh: calls.append(fh) or real(fh))
     return calls
 
 
@@ -1069,35 +1068,6 @@ def test_read_graph_json_rejects_wrong_vertex_list(tmp_path, g1, vertices):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="vertex list"):
         ps.read_graph_json(path)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_read_graph_json_leaves_the_collector_as_it_was(tmp_path, monkeypatch, g1, enabled):
-    # spaced, so that json.load reads it: a compact file takes the numpy path
-    path = tmp_path / "g1.json"
-    ps.write_graph_json(g1, path)
-    path.write_text(json.dumps(json.loads(path.read_text())))
-    bad = tmp_path / "bad.json"
-    bad.write_text(path.read_text()[:-5])
-    during = []
-    real_load = json.load
-
-    def load(fh):
-        during.append(gc.isenabled())
-        return real_load(fh)
-
-    monkeypatch.setattr(G.json, "load", load)
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        assert ps.read_graph_json(path).edges == g1.edges
-        assert gc.isenabled() is enabled
-        with pytest.raises(ValueError):
-            ps.read_graph_json(bad)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False, False]  # paused for the decode only
 
 
 @pytest.mark.parametrize("flag", [2, 7, 2**31])

@@ -195,7 +195,7 @@ def test_ball_dimension_estimate_reproducible(g2):
     assert isinstance(a, DimensionFit)
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "3"])
 def test_ball_dimension_estimate_needs_a_sample(g2, samples):
     with pytest.raises(ValueError, match="sample"):
         ball_dimension_estimate(g2, samples=samples, seed=7, radii_exponents=[0, 1])

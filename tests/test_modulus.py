@@ -528,6 +528,69 @@ def test_easy_solves_never_back_off(crossing, p):
     assert solve(*crossing[3], p).backoffs == 0
 
 
+def grid_problem():
+    """Mod_3 across the 3 x 4 grid: three disjoint crossings of 3 edges, 1/3."""
+    net, src, tgt = M.grid_network(3, 4)
+    problem = M.ModulusProblem(net, frozenset(src), frozenset(tgt), 3.0)
+    return problem, M._Bracket(problem)
+
+
+def test_singular_laplacian_solves_to_nan():
+    # zero weights leave the matrix exactly singular, which splu refuses
+    problem, bracket = grid_problem()
+    net = problem.network
+    phi = M._Laplacian(net, bracket.phi, bracket.free).solve(np.zeros(net.n_edges))
+    assert np.isnan(phi[bracket.free]).all()
+    fixed = np.setdiff1d(np.arange(net.n_vertices), bracket.free)
+    assert np.array_equal(phi[fixed], bracket.phi[fixed])
+
+
+@pytest.fixture
+def second_solve_not_finite(monkeypatch):
+    """_Laplacian.solve with its second call nan on the free vertices."""
+    solve, calls = M._Laplacian.solve, []
+
+    def spoiled(self, weights=None):
+        calls.append(weights)
+        phi = solve(self, weights)
+        if len(calls) == 2:
+            phi[self.free] = np.nan
+        return phi
+
+    monkeypatch.setattr(M._Laplacian, "solve", spoiled)
+
+
+def test_non_finite_solve_backs_off_and_certifies(second_solve_not_finite):
+    problem, _ = grid_problem()
+    res = M.solve_modulus(problem)
+    assert res.stop == "converged" and res.converged
+    assert res.backoffs == 1 and res.iterations == 4
+    assert abs(res.value - 1 / 3) <= 1e-6
+
+
+def test_non_finite_solve_without_back_offs_keeps_a_valid_bracket(second_solve_not_finite,
+                                                                   monkeypatch):
+    monkeypatch.setattr(M, "MAX_BACKOFFS", 0)
+    problem, _ = grid_problem()
+    res = M.solve_modulus(problem)
+    assert res.stop == "non-finite solve" and not res.converged
+    assert res.backoffs == 0 and res.iterations == 2
+    # the last finite potential still certifies both sides: [0.33333, 0.35590]
+    # around Mod_3 = 1/3, up to rounding of the lower side
+    assert 0.0 < res.value_lower <= (1 + 1e-12) / 3 <= res.value_upper
+
+
+def test_stall_within_five_tolerances_reads_as_converged(crossing):
+    # L1 p = 1.1 stalls at the smoothing floor 3.9e-11 apart: within
+    # 5 * tolerance at 1e-11, not at 1e-12
+    net, src, tgt = crossing[1]
+    res = solve(net, src, tgt, 1.1, tolerance=1e-11)
+    assert res.stop == "converged" and res.converged
+    assert res.value_upper > (1 + 1e-11) * res.value_lower  # no pass met the tolerance itself
+    tight = solve(net, src, tgt, 1.1, tolerance=1e-12)
+    assert tight.stop == "stalled" and not tight.converged
+
+
 # passes and values at the fixed smoothing schedule (eps / 4 per pass, no
 # back-off), tolerance 1e-6
 FIXED_SCHEDULE = {

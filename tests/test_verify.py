@@ -191,3 +191,12 @@ def test_sheets_suite_runs_one_bfs_call_per_level(monkeypatch):
     assert rep.ok
     assert [level for level, _k in calls] == [1, 2, 3, 4]
     assert [k for _level, k in calls] == [25 * r["sheets"] for r in rep.results]
+
+
+def test_modulus_oracles_suite_matches_the_cut_and_conductance_values():
+    rep = verify.run_suite("modulus-oracles")  # L1-L3
+    assert rep.ok and rep.levels == [1, 2, 3]
+    for row, cut, cond in zip(rep.results, [4, 12, 32], [2.0, 1.5548135039, 1.5215533652]):
+        assert row["mincut"] == cut and abs(row["p1_value"] - cut) <= 1e-9 * cut
+        assert abs(row["conductance"] - cond) <= 1e-9 * cond
+        assert abs(row["p2_value"] - cond) <= 1e-9 * cond
