@@ -266,12 +266,13 @@ def _cmd_modulus(args):
         raise RuntimeError(f"cannot read graph file {args.graph}: {exc}")
     hashes = {"graph": _sha256(args.graph)}
     net, src, tgt = crossing(g, sides)
-    rows, stops, backoffs, all_converged = [], [], [], True
+    rows, stops, backoffs, solved, all_converged = [], [], [], [], True
     for p in p_grid:
         res = solve_modulus(ModulusProblem(net, src, tgt, p, tol))
         all_converged &= bool(res.converged)
         stops.append(res.stop)
         backoffs.append(res.backoffs)
+        solved.append(res.solved_vertices)
         lo, up = float(res.value_lower), float(res.value_upper)
         rows.append((g.level, p, lo, up, float(res.value), up - lo, int(res.iterations),
                      bool(res.converged)))
@@ -286,6 +287,7 @@ def _cmd_modulus(args):
         "rows": [list(r) for r in rows],
         "stop": stops,
         "backoffs": backoffs,
+        "solved_vertices": solved,
         "input_sha256": hashes,
     }, _csv(config, hashes, None, header, rows)
 

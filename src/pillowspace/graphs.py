@@ -650,18 +650,31 @@ def prefix_subgraph(g, prefix, reference=None):
     return PrefixBlock(prefix=prefix, level=m, start=start, reference=reference)
 
 
+def letter_permutation(level, maps):
+    """Fresh index array taking each level-n word to the word whose letter k is
+    maps[k][letter k] (or stays): level k permutes slices of the (10^k, 10, -1) view."""
+    out = np.arange(10**level, dtype=np.int64)
+    for k, letters in enumerate(maps[:level]):
+        moved = [d for d, c in enumerate(letters) if c != ALPHABET[d]]  # only these slices copy
+        block = out.reshape(10**k, 10, -1)
+        block[:, moved] = block[:, [int(letters[d]) for d in moved]]
+    return out
+
+
 def flip_permutation(g, bits):
-    """Vertex permutation induced by a sheet flip, as a fresh index array:
-    at each level k whose bit is "1" (as in words.flip), the (10^k, 10, -1)
-    view swaps its 0 and 5 slices, the words with letter k '0' and '5'."""
+    """Vertex permutation induced by a sheet flip: at each level k whose bit
+    is "1" (as in words.flip), letters '0' and '5' swap."""
     if len(bits) < g.level:
         raise ValueError("bit string shorter than the level")
-    out = np.arange(g.n_vertices, dtype=np.int64)
-    for k in range(g.level):
-        if bits[k] == "1":
-            block = out.reshape(10**k, 10, -1)
-            block[:, [0, 5]] = block[:, [5, 0]]
-    return out
+    return letter_permutation(g.level, ["5123406789" if b == "1" else ALPHABET for b in bits])
+
+
+def symmetry_permutations(level):
+    """Yield automorphisms of G_level, either policy: the mirrors (col, row) -> (col, 4 - row)
+    and (4 - col, row), each swapping two faces, then the one-level flips, fixing every face."""
+    mirrors = [["0789456123"] * level, ["0321654987"] * level]
+    flips = [[ALPHABET] * k + ["5123406789"] for k in range(level)]
+    return (letter_permutation(level, maps) for maps in mirrors + flips)
 
 
 def is_automorphism(g, perm):

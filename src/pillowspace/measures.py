@@ -235,11 +235,12 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     n = graph.level
     if radii_exponents is None:
         radii_exponents = list(range(2, n)) if n >= 4 else list(range(1, n))
-    if len(radii_exponents) < 2:
-        raise ValueError("need at least two radii")
+    radii_exponents = [_integer(m, "radius exponent") for m in radii_exponents]
+    if not 2 <= len(set(radii_exponents)) == len(radii_exponents) or min(radii_exponents) < 0:
+        raise ValueError(f"need at least two radii, distinct and >= 0, got {radii_exponents}")
     if _integer(samples, "samples") < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     side = 3**n
     hull = np.minimum(
         np.minimum(graph.square_x, side - 1 - graph.square_x),

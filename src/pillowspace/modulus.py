@@ -12,8 +12,10 @@ For p > 1 both come from one p-harmonic potential phi (0 on the source side,
 1 on the target side): rho = |dphi|, and the flow |dphi|^(p-2) dphi with its
 small interior divergence routed to the boundary along a BFS forest, no solve.
 At p = 1 a maximum flow gives the lower bound and its minimum cut the 0/1 density.
-Each bound is checked on its own, not taken from a solver; when the
-potential is exact they may cross by a few ulps, and are not clamped.
+The potential or flow is solved on a symmetry quotient (_Bracket says why
+that is exact).  Each bound is checked on its own on the full network, not
+taken from a solver or the quotient; when the potential is exact they may
+cross by a few ulps, and are not clamped.
 
 Oracles for cross-checking: augmenting-path max-flow (p=1 is the min cut)
 and the Laplacian Dirichlet problem (p=2 is the effective conductance).
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .graphs import arc_csr, boundary_face, build_graph
+from .graphs import arc_csr, boundary_face, build_graph, symmetry_permutations
 from .words import MAX_TOL, _integer, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
@@ -67,6 +69,13 @@ class Network:
     @classmethod
     def from_graph(cls, g):
         return cls(g.n_vertices, np.stack(g.edge_arrays()[:2], axis=1))
+
+    @cached_property
+    def symmetries(self):  # the automorphisms among symmetry_permutations, found on first solve
+        n, (u, v), level = self.n_vertices, self.ends.T, len(str(self.n_vertices - 1))
+        own = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        return [s for s in (symmetry_permutations(level) if n == 10**level else ()) if
+                np.array_equal(np.sort(np.minimum(s[u], s[v]) * n + np.maximum(s[u], s[v])), own)]
 
 
 def crossing(g, sides=("left", "right")):
@@ -158,7 +167,8 @@ class ModulusResult:
     "stalled" with the gap open at the smoothing floor, "iteration cap" or,
     once MAX_BACKOFFS back-offs are spent, "non-finite solve"; backoffs
     counts the IRLS passes that raised the smoothing because they could not
-    lower the energy or their solve was not finite (0 on the exact paths)."""
+    lower the energy or their solve was not finite (0 on the exact paths);
+    solved_vertices counts the vertices of the quotient it solved on."""
 
     value_lower: float
     value_upper: float
@@ -169,6 +179,7 @@ class ModulusResult:
     flow: np.ndarray | None = field(repr=False, default=None)
     stop: str = "exact"
     backoffs: int = 0
+    solved_vertices: int = 0
 
     @property
     def value(self):
@@ -208,9 +219,11 @@ def solve_modulus(problem):
     net, bracket = problem.network, _Bracket(problem)
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
-        return ModulusResult(0.0, 0.0, zero, [], 0, True, zero.copy())
-    if problem.p == 1.0:
-        flow, cut = _max_flow(net, bracket.source, bracket.target)
+        res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
+    elif problem.p == 1.0:  # lifted: a quotient edge's flow and cut on each of its edges
+        sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
+        flow, cut = (np.bincount(bracket.kept, x, net.n_edges)
+                     for x in _max_flow(bracket.quotient, *sides))
         res, iterations, stop = bracket(cut, flow), 1, "exact"
     else:
         res, iterations, stop = _p_harmonic_potential(problem, bracket)
@@ -218,18 +231,27 @@ def solve_modulus(problem):
     if stop == "stalled" and converged:
         stop = "converged"
     res.iterations, res.converged, res.stop = iterations, converged, stop
+    res.solved_vertices = bracket.quotient.n_vertices
     return res
 
 
 class _Bracket:
-    """Both certificates from a density rho and a source-to-target flow, as a
-    ModulusResult.  Upper: rho rescaled by its exact shortest crossing.
-    Lower: the flow, routed to the boundary along a BFS forest rooted there,
-    normalised by the net flux out of the source side.  One BFS from both
-    sides sets up the solve: the vertices it reaches at depth > 0 are free,
-    phi is 1 on the target side and 0 elsewhere (a component touching neither
-    side stays fixed: free, it would make L singular), and the sides connect
-    when an edge joins a vertex reached from one side to one from the other."""
+    """Both certificates from a density rho and a source-to-target flow on the
+    network, as a ModulusResult.  Upper: rho rescaled by its exact shortest
+    crossing.  Lower: the flow, routed to the boundary along a BFS forest
+    rooted there, normalised by the net flux out of the source side.  One BFS
+    from both sides sets up the solve: the vertices it reaches at depth > 0
+    are free, phi is 1 on the target side and 0 elsewhere (a component
+    touching neither side stays fixed: free, it would make L singular), and
+    the sides connect when an edge joins a vertex reached from one side to
+    one from the other.  The solve runs on the quotient by the
+    Network.symmetries that map each side onto itself (the one-level flips;
+    for opposite faces, the mirror fixing both): v is in orbit[v], least
+    vertex reps[orbit[v]], and edge kept[i] is quotient edge i.  That is
+    exact: for p > 1 the strictly convex energy has an orbit-constant
+    minimiser; at p = 1 a quotient maximum flow spread evenly over the edges
+    between two orbits is invariant, as is its residual cut.  __call__
+    checks the lifted potential, or cut and flow, on the network itself."""
 
     def __init__(self, problem):
         from scipy.sparse.csgraph import dijkstra
@@ -245,6 +267,15 @@ class _Bracket:
         self.phi[self.target] = 1.0
         from_target = np.isin(start, self.target)
         self.connected = bool(np.any(from_target[eu] != from_target[ew]))
+        maps = [s for s in net.symmetries if all(
+            np.array_equal(np.sort(s[side]), side) for side in (self.source, self.target))]
+        labels, last = np.arange(net.n_vertices), None
+        while not np.array_equal(labels, last):  # each orbit's least vertex, by iterated minimum
+            last, labels = labels, reduce(lambda x, s: np.minimum(x, x[s]), maps, labels)
+        self.reps, self.orbit = np.unique(labels, return_inverse=True)
+        ends = self.orbit[net.ends]
+        self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
+        self.quotient = Network(len(self.reps), ends[self.kept])
 
     def __call__(self, rho, flow):
         net, p = self.problem.network, self.problem.p
@@ -371,8 +402,8 @@ class _Laplacian:
 
 def _p_harmonic_potential(problem, bracket):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed off
-    bracket.free; returns (the last pass's bracket, passes, stop reason), the
-    bracket carrying the number of back-offs.
+    bracket.free, on bracket.quotient; returns (the last pass's bracket,
+    passes, stop reason), the bracket carrying the number of back-offs.
 
     Iteratively reweighted least squares: each pass solves the Dirichlet
     problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed, and
@@ -389,14 +420,15 @@ def _p_harmonic_potential(problem, bracket):
     potential respecting the boundary keeps both certificates valid, so
     partial convergence costs tightness, never correctness.
     """
-    net, p = problem.network, problem.p
-    lap = _Laplacian(net, bracket.phi, bracket.free)
+    net, p = bracket.quotient, problem.p
+    lap = _Laplacian(net, bracket.phi[bracket.reps], np.unique(bracket.orbit[bracket.free]))
     phi = lap.phi.copy()
     eu, ew = net.ends.T
+    lu, lw = bracket.orbit[problem.network.ends].T  # the network's edges, lifted
     backoffs = 0
 
     def certify(ph, eps):
-        d = ph[ew] - ph[eu]
+        d = ph[lw] - ph[lu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
         res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d)
         res.backoffs = backoffs

@@ -26,6 +26,7 @@ from .graphs import (
     is_automorphism,
     prefix_subgraph,
     reference_edges,
+    symmetry_permutations,
 )
 from .words import BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, all_words, check_level
 
@@ -131,11 +132,12 @@ def _suite_automorphisms(n, g, ctx):
     else:
         rng = random.Random(ctx["seed"] + 7 * n)
         draws = ["".join(rng.choice("01") for _ in range(n)) for _ in range(SAMPLED_DRAWS)]
-    failures = [
-        bits for bits in draws if not is_automorphism(g, flip_permutation(g, bits))
-    ]
+    perms = itertools.chain(((bits, flip_permutation(g, bits)) for bits in draws),
+                            zip(("top-bottom", "left-right"), symmetry_permutations(n)))
+    failures = [name for name, perm in perms if not is_automorphism(g, perm)]
     return {
         "flips_checked": len(draws),
+        "mirrors_checked": 2,
         "exhaustive": n <= 3,
         "failures": failures[:5],
         "ok": not failures,

@@ -575,3 +575,11 @@ def test_modulus_report_gives_stop_reasons(workdir, capsys):
     assert rep["stop"] == ["exact", "exact", "converged"]
     assert rep["backoffs"] == [0, 0, 0]
     assert len(rep["rows"]) == 3
+
+
+def test_modulus_report_gives_the_solved_vertex_counts(workdir, capsys):
+    # G_1 has 10 vertices; its flip and its top-bottom mirror fix the left
+    # and right faces and leave 6 orbits, for every exponent
+    rep = in_process_report(REPORT_CASES["modulus"], capsys)
+    assert rep["solved_vertices"] == [6, 6]
+    assert len(rep["rows"]) == 2

@@ -1144,3 +1144,42 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m
 def test_graph_paths_do_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _mirror_permutation(g, mirror):
+    """Letter-wise mirror through the word view: (col, row) becomes
+    (col, 4 - row) for "top-bottom", (4 - col, row) otherwise; '0' stays."""
+    def image(let):
+        col, row = let.grid_col, let.grid_row
+        return letter_at(col, 4 - row) if mirror == "top-bottom" else letter_at(4 - col, row)
+
+    swap = {c: image(let) for c, let in LETTERS.items() if c != "0"}
+    swap["0"] = "0"
+    return np.array([int("".join(map(swap.get, w))) for w in g.words])
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetry_permutations_are_the_flips_and_mirrors(n, policy):
+    g = _graph(n, policy)
+    perms = list(ps.graphs.symmetry_permutations(n))
+    assert len(perms) == n + 2
+    for k, perm in enumerate(perms[2:]):  # one flip per level
+        assert np.array_equal(perm, ps.flip_permutation(g, "0" * k + "1" + "0" * (n - k - 1)))
+    faces = {side: ps.boundary_face(g, side) for side in ("left", "right", "bottom", "top")}
+    for perm, mirror, swapped in zip(perms, ("top-bottom", "left-right"),
+                                     (("bottom", "top"), ("left", "right"))):
+        assert perm.tolist() == _mirror_permutation(g, mirror).tolist()
+        assert ps.is_automorphism(g, perm)  # typed: a mirror keeps H and V
+        image = {side: set(perm[sorted(face)].tolist()) for side, face in faces.items()}
+        assert image[swapped[0]] == faces[swapped[1]] and image[swapped[1]] == faces[swapped[0]]
+        assert all(image[side] == faces[side] for side in faces if side not in swapped)
+
+
+def test_letter_permutation_maps_each_letter_and_leaves_the_rest(g2):
+    maps = ["9876543210", "1234567890"]  # neither map is an involution
+    assert G.letter_permutation(2, maps).tolist() == [
+        int(maps[0][int(w[0])] + maps[1][int(w[1])]) for w in g2.words]
+    assert G.letter_permutation(2, maps[:1]).tolist() == [
+        int(maps[0][int(w[0])] + w[1]) for w in g2.words]
+    assert G.letter_permutation(2, []).tolist() == list(range(100))

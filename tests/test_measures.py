@@ -201,6 +201,24 @@ def test_ball_dimension_estimate_needs_a_sample(g2, samples):
         ball_dimension_estimate(g2, samples=samples, seed=7, radii_exponents=[0, 1])
 
 
+@pytest.mark.parametrize("radii", [[-1, 1], [0.5, 1], [1, 1], [0, 1, 1], [True, 2],
+                                   [1, "2"]])
+def test_ball_dimension_estimate_needs_distinct_non_negative_integer_radii(g2, radii):
+    # [-1, 1] read 1.618 from radius-1/3 balls, [0.5, 1] read 3.21 from
+    # radius sqrt(3) and [1, 1] gave nan with a RuntimeWarning
+    with pytest.raises(ValueError, match="radi"):
+        ball_dimension_estimate(g2, samples=3, seed=7, radii_exponents=radii)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "7", None])
+def test_ball_dimension_estimate_needs_an_integer_seed(g2, seed):
+    # 2.5 raised numpy's TypeError and True drew from the stream of seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        ball_dimension_estimate(g2, samples=3, seed=seed, radii_exponents=[0, 1])
+    assert ball_dimension_estimate(g2, samples=3, seed=np.int64(7), radii_exponents=[0, 1]) \
+        == ball_dimension_estimate(g2, samples=3, seed=7, radii_exponents=[0, 1])
+
+
 # ---------------------------------------------------------------------------
 # slow path: the integer kernels against Fraction-by-Fraction reference loops
 

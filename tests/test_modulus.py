@@ -793,3 +793,88 @@ def test_routing_leaves_a_maximum_flow_unchanged(crossing):
     bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 1.0))
     flow, _ = M._max_flow(net, bracket.source, bracket.target)
     assert bracket.route(flow) is flow
+
+
+# ---------------------------------------------------------------------------
+# the symmetry quotient: solved there, certified on the full network
+
+QUOTIENT_GRID = [1.0, 1.1, 1.5, 2.0, 2.0959, 2.5, 3.0, 8.0, 12.0, 32.0, 64.0]
+
+
+def without_symmetries(monkeypatch):
+    """Every network solves on itself, as with identity orbit labels."""
+    monkeypatch.setattr(M.Network, "symmetries", property(lambda self: []))
+
+
+@pytest.mark.parametrize("n,policy,sides", [
+    (1, "on", ("left", "right")), (1, "on", ("bottom", "top")),
+    (2, "on", ("left", "right")), (2, "on", ("bottom", "top")),
+    (3, "on", ("left", "right")), (3, "on", ("bottom", "top")),
+    (3, "off", ("left", "right")), (3, "off", ("bottom", "top")),
+    (4, "on", ("left", "right")), (4, "on", ("bottom", "top")),
+])
+def test_quotient_solve_matches_the_full_solve(monkeypatch, n, policy, sides):
+    net, src, tgt = M.crossing(ps.build_graph(n, policy), sides)
+    grid = [1.0, 2.0, 2.0959, 8.0] if n == 4 else QUOTIENT_GRID
+    tol = 1e-6
+    quotient = [solve(net, src, tgt, p, tolerance=tol) for p in grid]
+    without_symmetries(monkeypatch)
+    for p, q in zip(grid, quotient):
+        full = solve(net, src, tgt, p, tolerance=tol)
+        assert q.converged and full.converged, p
+        assert abs(q.iterations - full.iterations) <= 1, p
+        assert abs(q.value - full.value) <= 2 * tol * full.value, p
+        assert len(q.density) == len(q.flow) == net.n_edges
+        assert q.solved_vertices < full.solved_vertices == net.n_vertices
+
+
+def test_quotient_sizes_and_one_symmetry_check_per_network(monkeypatch):
+    checks, symmetry_permutations = [], M.symmetry_permutations
+    monkeypatch.setattr(M, "symmetry_permutations",
+                        lambda level: checks.append(level) or symmetry_permutations(level))
+    g = ps.build_graph(3)
+    net = M.Network.from_graph(g)
+    assert checks == []  # building the network checks nothing
+    left, right = ps.boundary_face(g, "left"), ps.boundary_face(g, "right")
+    # the three flips and the top-bottom mirror fix both faces; five vertices
+    # of the right face are fixed by the flips alone (no face word has a
+    # center letter), so 9^3 orbits are left
+    for target, orbits in ((right, 378), (set(sorted(right)[:5]), 9**3)):
+        assert solve(net, left, target, 2.0).solved_vertices == orbits
+    bottom, top = ps.boundary_face(g, "bottom"), ps.boundary_face(g, "top")
+    assert solve(net, bottom, top, 2.0).solved_vertices == 378  # the left-right mirror
+    assert checks == [3] and len(net.symmetries) == 5
+
+
+@pytest.mark.parametrize("case", ["grid", "path", "parallel", "ten-vertex grid"])
+def test_networks_without_symmetry_solve_on_themselves(case):
+    net, src, tgt = {"grid": M.grid_network(3, 4), "path": M.path_network(9),
+                     "parallel": M.parallel_network(3, 4),
+                     "ten-vertex grid": M.grid_network(2, 5)}[case]
+    for p in (1.0, 1.5, 2.0):
+        assert solve(net, src, tgt, p).solved_vertices == net.n_vertices
+    assert net.symmetries == []
+
+
+@pytest.mark.parametrize("p", [2.0, 2.0959])
+def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p):
+    net, src, tgt = crossing[3]
+    good = solve(net, src, tgt, p)
+
+    def next_to(side):  # the smallest interior vertex with an edge to the side
+        other_end = np.isin(net.ends, list(side))[:, ::-1]
+        return min(set(net.ends[other_end].tolist()) - src - tgt)
+
+    # no symmetry relates a vertex next to the source with one next to the
+    # target: every symmetry kept fixes both sides
+    a, b = next_to(src), next_to(tgt)
+    swap = np.arange(net.n_vertices)
+    swap[[a, b]] = b, a
+    symmetries = net.symmetries + [swap]
+    monkeypatch.setattr(M.Network, "symmetries", property(lambda self: symmetries))
+    bad = solve(net, src, tgt, p)
+    assert bad.solved_vertices == good.solved_vertices - 1  # their orbits merged
+    pin = PINNED[(3, p)]
+    assert bad.value_lower <= pin * (1 + 1e-9) and bad.value_upper >= pin * (1 - 1e-9)
+    assert bad.value_lower <= good.value_upper and bad.value_upper >= good.value_lower
+    assert bad.value_upper - bad.value_lower > good.value_upper - good.value_lower

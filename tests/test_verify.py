@@ -200,3 +200,19 @@ def test_modulus_oracles_suite_matches_the_cut_and_conductance_values():
         assert row["mincut"] == cut and abs(row["p1_value"] - cut) <= 1e-9 * cut
         assert abs(row["conductance"] - cond) <= 1e-9 * cond
         assert abs(row["p2_value"] - cond) <= 1e-9 * cond
+
+
+def test_automorphisms_suite_checks_both_mirrors(monkeypatch):
+    rep = verify.run_suite("automorphisms", [1, 2, 3])
+    assert rep.ok and [r["mirrors_checked"] for r in rep.results] == [2, 2, 2]
+    symmetry_permutations = verify.symmetry_permutations
+
+    def spoiled(n):  # the top-bottom mirror replaced by a swap of a corner and the center
+        perms = list(symmetry_permutations(n))
+        perms[0] = np.arange(10**n)
+        perms[0][[1, 5]] = 5, 1
+        return perms
+
+    monkeypatch.setattr(verify, "symmetry_permutations", spoiled)
+    rep = verify.run_suite("automorphisms", [1])
+    assert not rep.ok and rep.results[0]["failures"] == ["top-bottom"]
