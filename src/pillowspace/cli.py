@@ -34,7 +34,7 @@ EXIT_FAIL = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 64
 
-SIDES = ("left", "right", "top", "bottom")
+OPPOSITE = {"left": "right", "right": "left", "bottom": "top", "top": "bottom"}
 DEFAULT_P_GRID = "1,1.5,2,2.0959,2.5,3"
 
 
@@ -149,11 +149,10 @@ def _parse_p_grid(text):
 
 
 def _parse_sides(text):
+    # adjacent faces share their corner tile, so only opposite ones are a crossing
     parts = text.split("-")
-    if len(parts) != 2 or not all(s in SIDES for s in parts) or parts[0] == parts[1]:
-        raise UsageError(
-            f"sides must be two distinct names from {'/'.join(SIDES)}, like left-right"
-        )
+    if len(parts) != 2 or OPPOSITE.get(parts[0]) != parts[1]:
+        raise UsageError(f"sides must be two opposite faces, like left-right, not {text!r}")
     return parts[0], parts[1]
 
 

@@ -24,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq, index, itemgetter
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -434,10 +434,7 @@ def _tile_edges(w, policy):
 def _vertex_indices(g, vertices):
     """Vertex indices as an int64 array; ValueError unless each is in range."""
     n = g.n_vertices
-    try:
-        out = [index(s) for s in vertices]  # index, not int: 1.0 is no vertex
-    except TypeError:
-        raise ValueError("vertex indices must be integers") from None
+    out = [_integer(s, "vertex index") for s in vertices]
     bad = [s for s in out if not 0 <= s < n]
     if bad:
         raise ValueError(f"vertex index {bad[0]} outside 0..{n - 1}")

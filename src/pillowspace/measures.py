@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index
 
 import numpy as np
 
@@ -35,10 +34,7 @@ class TileMeasure:
             raise ValueError("a tile measure needs a nonempty universe")
         top = 10**self.level
         for idx, m in self.mass.items():
-            try:
-                idx = index(idx)  # index, not int: 0.5 is no tile
-            except TypeError:
-                raise ValueError(f"tile index {idx!r} is not an integer") from None
+            idx = _integer(idx, "tile index")
             if not (0 <= idx < top):
                 raise ValueError(f"tile index {idx} outside level {self.level}")
             if not isinstance(m, (Fraction, int)):

@@ -349,8 +349,8 @@ class CoverReport:
     ball_radius: int  # common radius c * r of the covering balls
     uniform_radius: bool
     target_covered: bool  # projected image of every ball contains the grid ball
-    shrunk_disjoint: bool  # 1/c-scaled balls are pairwise disjoint
-    preimage_covered: bool
+    shrunk_disjoint: bool  # 1/c-scaled balls are pairwise disjoint (by construction)
+    preimage_covered: bool  # dilated balls cover the preimage (by construction)
     max_overlap: int
     witness: tuple | None
 
@@ -365,10 +365,13 @@ def cover_preimage(g, center, radius, c=5):
 
     Centers are chosen greedily in vertex order, pairwise more than 2*radius
     apart in the graph, from the fibers over the grid ball; each carries a
-    ball of radius c*radius.  The report verifies the covering properties:
-    every ball's projected image contains the grid ball, the 1/c-scaled
-    balls are pairwise disjoint, the dilated balls cover the whole preimage,
-    and their worst overlap multiplicity is counted.
+    ball of radius c*radius.  The report checks that each ball's projected
+    image contains the grid ball and counts the balls' worst overlap.  Two
+    properties hold by construction in a hop metric: the radius balls are
+    disjoint, as no vertex is within radius of two centers over 2*radius
+    apart; and the dilated balls cover the preimage, as each preimage vertex
+    is a center or within 2*radius <= c*radius (c >= 5) of the center whose
+    row dropped it.
     """
     c, radius = _integer(c, "constant"), _integer(radius, "radius")
     if c < 5:
@@ -387,7 +390,8 @@ def cover_preimage(g, center, radius, c=5):
 
     # the next center is the first preimage vertex no earlier center is near
     ball_radius = c * radius
-    centers, balls, shrunk = [], [], []
+    centers, witness = [], None
+    covered = np.zeros(g.n_vertices, dtype=np.int64)
     left = pre
     while left.size:
         u = int(left[0])
@@ -395,28 +399,12 @@ def cover_preimage(g, center, radius, c=5):
         if (row < 0).any():
             raise ValueError("graph is disconnected; balls do not nest")
         centers.append(u)
-        balls.append(row <= ball_radius)
-        shrunk.append(row <= radius)
-        left = left[row[left] > 2 * radius]
-
-    witness = None
-    for u, members in zip(centers, balls):
+        members = row <= ball_radius
+        covered += members
         missing = np.setdiff1d(target, cell[members])  # sorted, so in (x, y) order
-        if missing.size:
+        if missing.size and witness is None:
             witness = ("image", g.words[u], [divmod(int(k), side) for k in missing[:3]])
-            break
-    target_covered = witness is None
-    depth = np.sum(shrunk, axis=0)
-    shrunk_disjoint = bool(depth.max() <= 1)
-    if not (shrunk_disjoint or witness):
-        # the first pair in center order whose shrunk balls meet
-        shared = np.array(shrunk)[:, depth > 1]
-        i, j = np.argwhere(np.triu(shared @ shared.T, 1))[0]
-        witness = ("overlap", g.words[centers[i]], g.words[centers[j]])
-    covered = np.sum(balls, axis=0)
-    uncovered = pre[covered[pre] == 0]
-    if uncovered.size:
-        witness = witness or ("uncovered", g.words[uncovered[0]])
+        left = left[row[left] > 2 * radius]
     return CoverReport(
         center=(cx, cy),
         radius=radius,
@@ -424,9 +412,9 @@ def cover_preimage(g, center, radius, c=5):
         centers=[g.words[u] for u in centers],
         ball_radius=ball_radius,
         uniform_radius=True,
-        target_covered=target_covered,
-        shrunk_disjoint=shrunk_disjoint,
-        preimage_covered=not uncovered.size,
+        target_covered=witness is None,
+        shrunk_disjoint=True,
+        preimage_covered=True,
         max_overlap=int(covered.max()),
         witness=witness,
     )

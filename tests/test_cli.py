@@ -149,6 +149,16 @@ def test_modulus_missing_sides(g1_file):
     assert run("modulus", "--graph", g1_file, "--sides", "left-up").returncode == 64
 
 
+@pytest.mark.parametrize("sides", ["left-top", "top-left", "left-bottom", "bottom-left",
+                                   "right-top", "top-right", "right-bottom", "bottom-right"])
+def test_modulus_refuses_adjacent_faces_before_reading(tmp_path, capsys, sides):
+    # two adjacent faces share their corner tile; this used to reach
+    # ModulusProblem ("source and target must be disjoint") and exit 1
+    argv = ["modulus", "--graph", str(tmp_path / "nope.json"), "--sides", sides]
+    assert cli.main(argv) == 64  # a read of the missing file would exit 1
+    assert "opposite faces" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--p-grid", "2,1e9"), ("--p-grid", "nan"), ("--p-grid", "inf"), ("--p-grid", "0.5"),
     ("--tol", "0"), ("--tol", "0.5"), ("--tol", "nan"),

@@ -871,9 +871,9 @@ def test_bfs_paths_on_irregular_graphs_match_a_queue(monkeypatch, g2, kind):
             assert (rows[np.arange(len(starts)), starts] == 0).all()
 
 
-@pytest.mark.parametrize("start", [-1, -3, 100, 1.0])
+@pytest.mark.parametrize("start", [-1, -3, 100, 1.0, True, False])
 def test_bfs_rejects_bad_starts(g2, start):
-    # a negative start used to wrap around as a list index
+    # a negative start used to wrap around as a list index, and True read as 1
     with pytest.raises(ValueError):
         ps.ball(g2, start, 2)
     with pytest.raises(ValueError):
@@ -996,6 +996,47 @@ def test_read_graph_json_rejects_repeated_edges(tmp_path, g1):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="sorted or repeats"):
         ps.read_graph_json(path)
+
+
+def _bad_magic(tmp_path, g1, g2):
+    path = tmp_path / "g.bin"
+    ps.write_graph_binary(g1, path)
+    path.write_bytes(b"PLG0" + path.read_bytes()[4:])
+    return G.read_graph_binary(path)
+
+
+def _bad_vertex_count(tmp_path, g1, g2):
+    # the header's vertex count sits where record -1's j would
+    return G.read_graph_binary(_patched_binary(tmp_path, g1, -1, 1, 100))
+
+
+def _unknown_policy(tmp_path, g1, g2):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"schema": G.GRAPH_SCHEMA, "level": 1, "policy": "maybe"}))
+    return G._read_json_load(path)
+
+
+def _disconnected(tmp_path, g1, g2):
+    u, v, t = g1.edge_arrays()
+    keep = (u != 9) & (v != 9)
+    return G.distance(G.ReplacementGraph(1, "on", u[keep], v[keep], t[keep]), 0, 9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_bad_magic, ValueError, "^bad magic b'PLG0'"),
+    (_bad_vertex_count, ValueError, "^vertex count does not match the level$"),
+    (_unknown_policy, ValueError, "^unknown policy 'maybe'$"),
+    (lambda tmp_path, g1, g2: G.prefix_subgraph(g2, "3", reference=g2),
+     ValueError, "^reference graph has wrong level or policy$"),
+    (lambda tmp_path, g1, g2: G.chain_oracle_adjacency("12", "3"),
+     ValueError, "^words must have equal length$"),
+    (lambda tmp_path, g1, g2: G.chain_oracle_adjacency("12", "12"),
+     ValueError, "^oracle compares distinct words$"),
+    (_disconnected, RuntimeError, "^vertices 0 and 9 are disconnected$"),
+])
+def test_graph_errors_name_their_cause(tmp_path, g1, g2, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path, g1, g2)
 
 
 @pytest.mark.parametrize("value", [2**70, 0.9, "1"])

@@ -79,6 +79,7 @@ def test_uniform_total_and_validation():
 
 @pytest.mark.parametrize("mass", [
     {0.5: Fraction(1), 2: Fraction(1)},  # pushforward_x raised TypeError on it
+    {True: Fraction(1), 2: Fraction(1)},  # was read as tile 1
     {"3": Fraction(1)},
     {3: 1.5},  # had a float total
     {3: Fraction(1), 4: 0.25},

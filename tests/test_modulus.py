@@ -26,7 +26,7 @@ PINNED = {
     (2, 2.5): 0.5474593561,
     (2, 3.0): 0.1935634201,
     (3, 1.0): 32.0,
-    (3, 2.0): 1.5215533734,
+    (3, 2.0): 1.5215533652,
     (3, 2.0959): 1.1119183114,
 }
 
@@ -117,7 +117,7 @@ def test_replacement_graph_oracles(crossing):
     assert M.mincut_oracle(net, src, tgt) == 4
     net3, src3, tgt3 = crossing[3]
     assert M.mincut_oracle(net3, src3, tgt3) == 32
-    assert abs(M.effective_conductance(net3, src3, tgt3) - 1.5215533734) < 1e-8
+    assert abs(M.effective_conductance(net3, src3, tgt3) - 1.5215533652) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_solver_never_consults_the_oracles(crossing, monkeypatch):
     monkeypatch.setattr(M, "mincut_oracle", forbidden)
     monkeypatch.setattr(M, "effective_conductance", forbidden)
     net, src, tgt = crossing[3]
-    for p, want in ((1.0, 32.0), (2.0, 1.5215533734)):
+    for p, want in ((1.0, 32.0), (2.0, 1.5215533652)):
         res = solve(net, src, tgt, p)
         assert res.converged
         assert res.value_lower <= want * (1 + 1e-8)
@@ -292,6 +292,18 @@ def test_scan_rejects_bad_exponents_before_solving(monkeypatch, p_grid):
 
 # ---------------------------------------------------------------------------
 # input validation and guards
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda net, src, tgt: M.mincut_oracle(net, src, src | tgt),
+     "^source and target must be disjoint$"),
+    (lambda net, src, tgt: M.effective_conductance(net, src | tgt, tgt),
+     "^source and target must be disjoint$"),
+    (lambda net, src, tgt: M.conformal_scan([], [2.0]), "^no level to scan$"),
+])
+def test_oracle_and_scan_errors_name_their_cause(crossing, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*crossing[1])
 
 
 def test_problem_validation():

@@ -48,6 +48,15 @@ def test_levels_and_policy_are_checked_before_any_level_runs(monkeypatch):
             verify.run_suite(suite, [1], policy="sideways")
 
 
+@pytest.mark.parametrize("suite, levels, message", [
+    ("nope", None, "^unknown suite 'nope'; choose from counts, "),
+    ("counts", [], "^no level to run$"),
+])
+def test_run_suite_errors_name_their_cause(suite, levels, message):
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite(suite, levels)
+
+
 def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
     # random.choice reads only len and [i], so a LevelWords view draws the
     # pairs that the list does

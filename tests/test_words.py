@@ -65,6 +65,18 @@ def test_parse_word_errors_name_position():
         W.parse_word("(2,2,2);(1,1,2)")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: W.letter_at(4, 1), r"^grid position out of range: \(4, 1\)$"),
+    (lambda: W.parse_word("(1,1)"), r"^malformed triple at position 0: '\(1,1\)'$"),
+    (lambda: W.parse_word("(1,1,1);2"), "^malformed triple at position 1: '2'$"),
+    (lambda: W.parse_word("(1,1,1);(1,a,1)"),
+     r"^non-integer entry in triple at position 1: '\(1,a,1\)'$"),
+])
+def test_word_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_flip_composition_is_xor():
     w = "1502"
     assert W.flip(W.flip(w, "1100"), "0110") == W.flip(w, "1010")  # 1100 xor 0110
