@@ -512,7 +512,8 @@ def _bfs_words(g, starts, cutoff):
     the graph's neighbour table (whose self padding adds bits already seen),
     and keeps the bits not yet seen.  Distances are never unpacked per level:
     bit b of d + 1 is kept in bit plane b, so a start holds 1 and a vertex
-    never seen holds 0, and the planes are unpacked once at the end.
+    never seen holds 0, and the planes are unpacked once at the end, by
+    np.unpackbits.
     """
     n, k, nb = g.n_vertices, len(starts), g.neighbours
     new = np.zeros((n, -(-k // 64)), dtype="<u8")  # the frontier
@@ -538,34 +539,12 @@ def _bfs_words(g, starts, cutoff):
         for b, plane in enumerate(planes):
             if value >> b & 1:
                 plane |= new
-    return _plane_values(planes, k)
-
-
-# delta swaps that transpose the 8x8 bit matrix of each uint64, byte b being
-# row b (Hacker's Delight, section 7-3)
-_TRANSPOSE_8X8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-
-
-def _plane_values(planes, k):
-    """The (k, n) int64 array of v - 1, where bit b of v at [s, vertex] is
-    bit s of planes[b][vertex]: eight planes at a time, one byte of each
-    stacked into a uint64 whose 8x8 bit transpose puts a source's eight bits
-    into one byte."""
-    n, words = planes[0].shape
-    acc = np.zeros((k, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
-    for lo in range(0, len(planes), 8):
-        x = np.zeros((words, 8, n, 8), dtype=np.uint8)  # [word, byte, vertex, plane]
-        for b, plane in enumerate(planes[lo : lo + 8]):
-            rows = np.ascontiguousarray(plane.T).view(np.uint8).reshape(words, n, 8)
-            x[..., b] = rows.transpose(0, 2, 1)
-        x = x.view("<u8")[..., 0]
-        for shift, mask in _TRANSPOSE_8X8:
-            t = (x ^ (x >> shift)) & mask
-            x ^= t ^ (t << shift)
-        # byte i of x[j, m, vertex] now holds the planes' bits of source 64j + 8m + i
-        values = x.view(np.uint8).reshape(8 * words, n, 8).transpose(0, 2, 1)
-        acc |= np.left_shift(values.reshape(64 * words, n)[:k], lo, dtype=acc.dtype)
-    return np.subtract(acc, 1, dtype=np.int64)
+    # bit s of a '<u8' word is bit s % 8 of its byte s // 8
+    acc = np.zeros((n, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=k, bitorder="little")
+        acc |= np.left_shift(bits, b, dtype=acc.dtype)
+    return np.subtract(acc.T, 1, dtype=np.int64, order="C")
 
 
 def bfs_row(g, start, cutoff=None):

@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .graphs import arc_csr, boundary_face, build_graph, symmetry_permutations
-from .words import MAX_TOL, _integer, check_level
+from .words import MAX_TOL, _integer, _is_bool, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
@@ -147,7 +147,7 @@ class ModulusProblem:
             raise ValueError("source and target must be nonempty")
         if self.source & self.target:
             raise ValueError("source and target must be disjoint")
-        if not 1.0 <= self.p <= MAX_P:
+        if _is_bool(self.p) or not 1.0 <= self.p <= MAX_P:
             raise ValueError(f"exponent must lie in [1, {MAX_P}], got {self.p}")
         if not 0 < self.tolerance <= MAX_TOL:
             raise ValueError(f"tolerance must lie in (0, {MAX_TOL}]")
@@ -594,7 +594,7 @@ def conformal_scan(levels, p_grid):
                      for n in levels})
     if not levels:
         raise ValueError("no level to scan")
-    if not all(1.0 <= p <= MAX_P for p in p_grid):  # also rejects nan
+    if any(_is_bool(p) or not 1.0 <= p <= MAX_P for p in p_grid):  # also rejects nan
         raise ValueError(f"exponents must lie in [1, {MAX_P}]")
 
     rows, values, monotone_ok = [], {}, True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graphs import (
     reference_edges,
     symmetry_permutations,
 )
-from .words import BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, all_words, check_level
+from .words import BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _integer, all_words, check_level
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -197,13 +197,7 @@ def _suite_singular_measure(n, g, ctx):
 def _suite_quotient(n, g, ctx):
     from .metrics import lipschitz_quotient_check
 
-    rep = lipschitz_quotient_check(g)
-    return {
-        "vertices_checked": rep.vertices_checked,
-        "max_radius": rep.max_radius,
-        "witness": rep.witness,
-        "ok": rep.ok,
-    }
+    return asdict(lipschitz_quotient_check(g))
 
 
 def _suite_covering(n, g, ctx):
@@ -279,6 +273,7 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
         raise ValueError("no level to run")
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
+    seed = _integer(seed, "seed")
     # no timing in results: written reports must be byte-stable across reruns
     ctx = {"seed": seed, "tolerance": tolerance}
     results = []

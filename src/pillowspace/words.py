@@ -35,6 +35,11 @@ class CapacityError(RuntimeError):
     """Raised when a build would exceed the supported size."""
 
 
+def _is_bool(value):
+    """Whether value is a Python or numpy bool, which is no number."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _integer(value, name):
     """value as an int, else ValueError (index, not int: 2.5 is no count, and a
     bool is no number)."""

@@ -11,6 +11,8 @@ import pytest
 from pillowspace import cli, graphs, verify
 from pillowspace.graphs import MAX_LEVEL
 from pillowspace.measures import TileMeasure
+from pillowspace.metrics import (blowup_metric, internal_block_metric, read_metric_matrix,
+                                 write_metric_matrix)
 
 CLI = [sys.executable, "-m", "pillowspace.cli"]
 
@@ -174,10 +176,12 @@ def test_modulus_rejects_bad_exponent_or_tolerance(g1_file, tmp_path, flag, valu
     assert not out.exists()
 
 
-def test_modulus_missing_graph_file(tmp_path):
-    proc = run("modulus", "--graph", tmp_path / "nope.json", "--sides", "left-right")
-    assert proc.returncode == 1
-    assert "nope.json" in proc.stderr  # failure names the path
+def test_modulus_missing_graph_file(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert cli.main(["modulus", "--graph", str(path), "--sides", "left-right"]) == 1
+    err = capsys.readouterr().err  # one line that names the path
+    assert err.startswith(f"pillowspace: error: cannot read graph file {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_modulus_csv_reproducible(g1_file, tmp_path):
@@ -334,6 +338,21 @@ def test_blowup_internal_reproduces_level_two(tmp_path):
     )
     assert proc.returncode == 0
     assert blown.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["internal", "ambient"])
+def test_blowup_pair_normalization(mode, workdir, capsys):
+    # block "5" of level 2 scaled so that its tiles 1 and 9 lie at distance 1
+    source = ["--level-from", "2"] if mode == "internal" else ["--in", "m2.bin"]
+    in_process_report(["metric", "blowup", "--mode", mode, *source, "--prefix", "5",
+                       "--normalization", "pair:1:9", "--out", "b.bin"], capsys)
+    if mode == "internal":
+        want = internal_block_metric(graphs.build_graph(2), "5", ("pair", "1", "9"))
+    else:
+        want = blowup_metric(read_metric_matrix("m2.bin"), "5", ("pair", "1", "9"))
+    write_metric_matrix(want, "want.bin")
+    assert (workdir / "b.bin").read_bytes() == (workdir / "want.bin").read_bytes()
+    assert read_metric_matrix("b.bin").entries[1, 9] == 1.0
 
 
 def test_blowup_bad_prefix(tmp_path):

@@ -754,6 +754,7 @@ def test_bfs_rows_matches_references_across_word_boundaries(n, k):
     dense = _scipy_hops(g, starts)
     for cutoff in (None, 0, 1, 5):
         rows = G.bfs_rows(g, starts, cutoff)
+        assert rows.shape == (k, g.n_vertices)
         assert rows.dtype == np.int64 and rows.flags.c_contiguous
         assert np.array_equal(rows, _as_bfs_rows(dense, cutoff))
         frontier = [G.bfs_rows(g, starts[i : i + 63], cutoff) for i in range(0, k, 63)]
@@ -791,7 +792,7 @@ def test_bfs_blocks_split_by_the_budget(g3, monkeypatch, budget):
 
 def test_bfs_rows_past_eight_bit_planes():
     # a path through the 1000 vertices of level 3: hop distances up to 999
-    # take ten bit planes, two groups of eight in the final unpacking
+    # take ten bit planes, whose values outgrow a byte
     i = np.arange(999)
     path = ps.ReplacementGraph(3, "on", i, i + 1, np.zeros_like(i))
     starts = list(range(0, 1000, 15)) + [999]

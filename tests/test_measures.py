@@ -168,6 +168,14 @@ def test_doubling_flags_explicit_zero(g2):
     assert report.ratio == math.inf
 
 
+def test_doubling_flags_a_zero_tile_under_a_massive_parent():
+    # tiles 1 and 9 are opposite corners, so no edge pairs them: the zero
+    # mass shows only against the parent block's total
+    report = tile_doubling_check(TileMeasure(1, {1: 0, 9: 1}), ps.build_graph(1))
+    assert report.non_doubling and report.witness == ("parent", 1)
+    assert report.pairs_checked == 1
+
+
 def test_doubling_ratio_of_int_masses_is_exact(g2):
     # int masses used to divide as floats: max_ratio came back as 100.0
     mass = {i: 100 if i // 10 == 1 else 1 for i in range(100)}

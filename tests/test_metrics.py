@@ -116,8 +116,14 @@ def test_tiled_checks_find_a_bad_pair_in_any_tile(metrics, i, j):
 def test_rejects_triangle_violation():
     e = np.ones((10, 10)) - np.eye(10)
     e[0, 1] = e[1, 0] = 5.0  # 5 > 1 + 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^triangle inequality violated$"):
         MetricMatrix(1, e)
+    # past level 2 triples are sampled; here every triple through 0 fails, 3 > 1 + 1
+    e = np.full((1000, 1000), 3.0)
+    e[0, :] = e[:, 0] = 1.0
+    np.fill_diagonal(e, 0.0)
+    with pytest.raises(ValueError, match=r"^triangle inequality violated \(sampled\)$"):
+        MetricMatrix(3, e)
 
 
 def test_rejects_wrong_universe(metrics):
@@ -263,6 +269,10 @@ def test_disconnected_graph_has_no_metric(graphs):
     # vertex 5 of G_2 is "05", so the block over "0" is the damaged G_1
     with pytest.raises(ValueError, match="disconnected"):
         internal_block_metric(g2, "0", reference=g1)
+    with pytest.raises(ValueError, match="disconnected"):
+        lipschitz_quotient_check(g2)
+    with pytest.raises(ValueError, match="disconnected"):
+        pi_diagnostic(g2, TileMeasure.uniform(2), 2.0, 5, 0)
 
 
 def test_internal_block_above_dense_limit(graphs, monkeypatch):
@@ -667,8 +677,8 @@ def test_pi_diagnostic_sheet_measure(graphs):
 
 def test_pi_diagnostic_validation(graphs):
     m = TileMeasure.uniform(2)
-    for p in (0.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for p in (0.5, math.nan, math.inf, True, np.True_):
+        with pytest.raises(ValueError, match="^exponent must lie in"):
             pi_diagnostic(graphs[2], m, p=p, trials=5, seed=0)
     with pytest.raises(ValueError):
         pi_diagnostic(graphs[2], m, p=2.0, trials=0, seed=0)
@@ -684,6 +694,20 @@ def test_counts_must_be_integers(graphs, metrics):
         qs_distortion(metrics[2], metrics[2], samples=2.5, seed=0)
     with pytest.raises(ValueError, match="must be an integer"):
         symmetrize(metrics[1], mode="sampled", samples=2.5, seed=1)
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, True, "7"])
+def test_sampling_seeds_must_be_integers(graphs, metrics, seed):
+    # None seeded from OS entropy, so two equal calls differed, and sampled
+    # symmetrize took 2.5 and "7" as seeds
+    m = TileMeasure.uniform(2)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        qs_distortion(metrics[2], metrics[2], samples=5, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        pi_diagnostic(graphs[2], m, p=2.0, trials=5, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        symmetrize(metrics[1], mode="sampled", samples=4, seed=seed)
+    assert pi_diagnostic(graphs[2], m, 2.0, 5, np.int64(3)) == pi_diagnostic(graphs[2], m, 2.0, 5, 3)
 
 
 def _pi_diagnostic_reference(g, m, p, trials, seed):

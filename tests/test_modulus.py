@@ -281,7 +281,7 @@ def test_scan_input_validation():
         M.conformal_scan([1], [0.5])
 
 
-@pytest.mark.parametrize("p_grid", [[2.0, math.nan], [2.0, 1e9]])
+@pytest.mark.parametrize("p_grid", [[2.0, math.nan], [2.0, 1e9], [2.0, True], [2.0, np.True_]])
 def test_scan_rejects_bad_exponents_before_solving(monkeypatch, p_grid):
     solves, solve = [], M.solve_modulus
     monkeypatch.setattr(M, "solve_modulus", lambda pr: solves.append(pr) or solve(pr))
@@ -312,6 +312,9 @@ def test_problem_validation():
         M.ModulusProblem(net, frozenset(src), frozenset(tgt), 0.5)
     with pytest.raises(ValueError):
         M.ModulusProblem(net, frozenset(src), frozenset(tgt), 100.0)
+    for p in (True, np.True_):  # a bool is no exponent; True solved at p = 1
+        with pytest.raises(ValueError, match="^exponent must lie in"):
+            M.ModulusProblem(net, frozenset(src), frozenset(tgt), p)
     with pytest.raises(ValueError):
         M.ModulusProblem(net, frozenset({0}), frozenset({0}), 2.0)
     with pytest.raises(ValueError):

@@ -24,6 +24,12 @@ def test_self_similar_builds_no_graph_per_block(monkeypatch):
     assert calls == []
 
 
+def test_self_similar_level_one_has_no_prefixes():
+    row = verify.run_suite("self-similar", [1]).results[0]
+    assert row["note"] == "no proper prefixes" and row["blocks_checked"] == 0
+    assert row["ok"] is row["reference_edges_equal"] is True
+
+
 def test_graph_free_suites_build_no_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("graph built for a suite that never reads it")
@@ -55,6 +61,13 @@ def test_levels_and_policy_are_checked_before_any_level_runs(monkeypatch):
 def test_run_suite_errors_name_their_cause(suite, levels, message):
     with pytest.raises(ValueError, match=message):
         verify.run_suite(suite, levels)
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, True, "7"])
+def test_run_suite_needs_an_integer_seed(seed):
+    # None and "7" raised a TypeError from seed + n, 2.5 and True ran
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        verify.run_suite("covering", [1], seed=seed)
 
 
 def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
