@@ -2,14 +2,15 @@
 plot-ready tables.
 
 Exit codes: 0 pass, 1 invariant or I/O failure, 2 numerical non-convergence,
-64 usage error (a capacity limit counts as one).  Each handler returns its exit
-code, its report fields and a writer for its one output file; main alone
-writes that file to --out and hashes it.  Every command prints a JSON report to
-stdout embedding the tool version, the resolved config, content hashes of
-inputs and outputs, the seed, wall-clock seconds and a profile block that
-splits them into handler and write seconds.  Output files are byte-identical
-across reruns with the same flags: they embed config and hashes but never
-timing.
+64 usage error: a bad argument, whether the CLI or the library catches it, or a
+capacity limit.  An input file that is missing or does not parse exits 1 with
+"cannot read ... file <path>".  Each handler returns its exit code, its report
+fields and a writer for its one output file; main alone writes that file to
+--out and hashes it.  Every command prints a JSON report to stdout embedding
+the tool version, the resolved config, content hashes of inputs and outputs,
+the seed, wall-clock seconds and a profile block that splits them into handler
+and write seconds.  Output files are byte-identical across reruns with the
+same flags: they embed config and hashes but never timing.
 
 Imports are lazy: this module loads only the standard library, and each
 handler imports the modules it runs.  --version and --help load no numpy.
@@ -198,18 +199,25 @@ def _graph(args, level, cap=None):
     return build_graph(_level(level, cap), args.policy)
 
 
+def _read(reader, path, what):
+    """reader(path); a file that is missing or does not parse is a failure
+    (exit 1), not a usage error."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise RuntimeError(f"cannot read {what} file {path}: {exc}")
+
+
 def _metric_from_args(args, level_attr="level"):
     """Metric from --in file when given, else the graph metric at the level."""
     from .metrics import DENSE_LEVEL_LIMIT, graph_metric, read_metric_matrix
 
-    hashes = {}
     if getattr(args, "infile", None):
-        hashes["in"] = _sha256(args.infile)
-        return read_metric_matrix(args.infile), hashes
+        return _read(read_metric_matrix, args.infile, "metric"), {"in": _sha256(args.infile)}
     level = getattr(args, level_attr, None)
     if level is None:
         raise UsageError("pass either --in FILE or a --level to compute from")
-    return graph_metric(_graph(args, level, DENSE_LEVEL_LIMIT)), hashes
+    return graph_metric(_graph(args, level, DENSE_LEVEL_LIMIT)), {}
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +267,7 @@ def _cmd_modulus(args):
     sides = _parse_sides(args.sides)
     p_grid = _parse_p_grid(args.p_grid)
     tol = _tol(args.tol)
-    try:
-        g = read_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        raise RuntimeError(f"cannot read graph file {args.graph}: {exc}")
+    g = _read(read_graph, args.graph, "graph")
     hashes = {"graph": _sha256(args.graph)}
     net, src, tgt = crossing(g, sides)
     rows, stops, backoffs, solved, all_converged = [], [], [], [], True
@@ -334,10 +339,7 @@ def _cmd_measure_dimension(args):
             raise UsageError("ball mode needs --level and --samples")
         seed = _require_seed(args)
         g = _graph(args, args.level)
-        try:
-            fit = ball_dimension_estimate(g, args.samples, seed)
-        except ValueError as exc:  # levels 1 and 2 give fewer than two radii
-            raise UsageError(str(exc))
+        fit = ball_dimension_estimate(g, args.samples, seed)
         config = {"mode": "ball", "level": args.level, "samples": args.samples,
                   "policy": args.policy}
     rows = [(v, x, c) for v, x, c in fit.rows]
@@ -382,19 +384,13 @@ def _cmd_metric_blowup(args):
     if args.mode == "internal":
         if args.level_from is None:
             raise UsageError("internal mode needs --level-from")
-        try:
-            k = len(parse_word(args.prefix))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        k = len(parse_word(args.prefix))
         # the block's dense metric is capped, so the ambient level is too
         blow, base = internal_block_metric, _graph(args, args.level_from, DENSE_LEVEL_LIMIT + k)
     else:
         blow = blowup_metric
         base, hashes = _metric_from_args(args, level_attr="level_from")
-    try:
-        b = blow(base, args.prefix, normalization=norm)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    b = blow(base, args.prefix, normalization=norm)
     return EXIT_OK, {
         "summary": f"blowup over prefix {args.prefix!r} to level {b.level} ({args.mode})",
         "input_sha256": hashes,
@@ -405,8 +401,8 @@ def _cmd_metric_distortion(args):
     from .metrics import qs_distortion, read_metric_matrix
 
     seed = _require_seed(args)
-    d1 = read_metric_matrix(args.in1)
-    d2 = read_metric_matrix(args.in2)
+    d1 = _read(read_metric_matrix, args.in1, "metric")
+    d2 = _read(read_metric_matrix, args.in2, "metric")
     hashes = {"in1": _sha256(args.in1), "in2": _sha256(args.in2)}
     prof = qs_distortion(d1, d2, args.samples, seed)
     config = {"in1": args.in1, "in2": args.in2, "samples": args.samples}
@@ -460,12 +456,7 @@ def _cmd_metric_cover_check(args):
         ]
     else:
         cases = [((cx, cy), args.radius)]
-    reports = []
-    for center, radius in cases:
-        try:
-            reports.append(cover_preimage(g, center, radius, c=args.c))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    reports = [cover_preimage(g, center, radius, c=args.c) for center, radius in cases]
     ok = all(r.ok for r in reports)
     worst = max((r.max_overlap for r in reports), default=0)
     body = {
@@ -490,10 +481,7 @@ def _cmd_metric_pi_diagnostic(args):
     seed = _require_seed(args)
     g = _graph(args, args.level)
     measure = TileMeasure.uniform(args.level)
-    try:
-        rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
-    except ValueError as exc:  # the exponent; the parser checks the trial count
-        raise UsageError(str(exc))
+    rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
     config = {"level": args.level, "p": args.p, "trials": args.trials, "policy": args.policy}
     header = ["function", "center", "radius", "lhs", "rhs", "ratio"]
     return EXIT_OK, {
@@ -634,10 +622,10 @@ def main(argv=None):
         if args.out:
             write(args.out)
             outputs[args.out] = _sha256(args.out)
-    except (UsageError, CapacityError) as exc:
+    except (UsageError, CapacityError, ValueError) as exc:  # ValueError: a bad argument
         print(f"pillowspace: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"pillowspace: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     t2 = time.perf_counter()

@@ -48,7 +48,10 @@ class Network:
     ends: np.ndarray
 
     def __post_init__(self):
-        n, ends = self.n_vertices, np.asarray(self.ends)
+        n = self.n_vertices = _integer(self.n_vertices, "vertex count")
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        ends = np.asarray(self.ends)
         if ends.size and not np.issubdtype(ends.dtype, np.integer):  # a cast would truncate
             raise ValueError(f"edge endpoints must be integers, got dtype {ends.dtype}")
         # a bool among ints makes an int array; an array input has no bool to hide

@@ -612,3 +612,45 @@ def test_modulus_report_gives_the_solved_vertex_counts(workdir, capsys):
     rep = in_process_report(REPORT_CASES["modulus"], capsys)
     assert rep["solved_vertices"] == [6, 6]
     assert len(rep["rows"]) == 2
+
+
+# every input file is read through one helper: missing or damaged, it exits 1
+# and names the file; a bad argument exits 64 whether the CLI or the library
+# catches it
+READ_CASES = {
+    "symmetrize-in": (["metric", "symmetrize", "--in", "{}", "--out", "s.bin"], "metric"),
+    "blowup-in": (["metric", "blowup", "--mode", "ambient", "--in", "{}", "--prefix", "5",
+                   "--out", "b.bin"], "metric"),
+    "distortion-in1": (["metric", "distortion", "--in1", "{}", "--in2", "m2.bin",
+                        "--samples", "10", "--seed", "1"], "metric"),
+    "distortion-in2": (["metric", "distortion", "--in1", "m2.bin", "--in2", "{}",
+                        "--samples", "10", "--seed", "1"], "metric"),
+    "modulus-graph": (["modulus", "--graph", "{}", "--sides", "left-right"], "graph"),
+}
+EXIT_TABLE = {
+    "box-one-level": (["measure", "dimension", "--mode", "box", "--levels", "3"], 64, None),
+    "distortion-two-levels": (["metric", "distortion", "--in1", "m1.bin", "--in2", "m2.bin",
+                               "--samples", "10", "--seed", "1"], 64, None),
+    "distortion-degenerate": (["metric", "distortion", "--in1", "m1.bin", "--in2", "m1.bin",
+                               "--samples", "1", "--seed", "0"], 64, None),
+}
+for _name, (_argv, _kind) in READ_CASES.items():
+    for _damage in ("missing", "truncated"):
+        _path = f"{_damage}.{'json' if _kind == 'graph' else 'bin'}"
+        EXIT_TABLE[f"{_name}-{_damage}"] = (
+            [a.format(_path) for a in _argv], 1, f"cannot read {_kind} file {_path}: ")
+
+
+@pytest.mark.parametrize("name", list(EXIT_TABLE))
+def test_exit_code_table(name, workdir, capsys):
+    argv, code, message = EXIT_TABLE[name]
+    assert cli.main(["metric", "symmetrize", "--level", "1", "--out", "m1.bin"]) == 0
+    for damaged, whole in (("truncated.bin", "m2.bin"), ("truncated.json", "g1.json")):
+        (workdir / damaged).write_bytes((workdir / whole).read_bytes()[:-5])
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert not out and len(lines) == 1 and lines[0].startswith("pillowspace: error: ")
+    if message:
+        assert lines[0].startswith("pillowspace: error: " + message)

@@ -228,6 +228,27 @@ def test_ball_dimension_estimate_needs_an_integer_seed(g2, seed):
         == ball_dimension_estimate(g2, samples=3, seed=7, radii_exponents=[0, 1])
 
 
+def test_ball_dimension_estimate_falls_back_to_every_vertex():
+    # no vertex of G_1 lies 3 cells inside its 3 x 3 hull, so all ten are centers
+    g1 = ps.build_graph(1)
+    fit = ball_dimension_estimate(g1, samples=10, seed=1, radii_exponents=[0, 1])
+    dist = ps.graphs.bfs_rows(g1, range(10))
+    assert sorted(fit.rows) == sorted(("balls", r, int((row <= r).sum()))
+                                      for row in dist for r in (1, 3))
+
+
+def test_ball_dimension_estimate_sizes_its_bfs_calls_by_the_budget(monkeypatch):
+    # one bfs_rows call for every center asked 15 GB for 20,000 L5 centers
+    g3 = ps.build_graph(3)
+    want = ball_dimension_estimate(g3, samples=40, seed=1)
+    calls, bfs_rows = [], ps.graphs.bfs_rows
+    monkeypatch.setattr(ps.graphs, "BFS_ENTRIES", 6 * g3.n_vertices)
+    monkeypatch.setattr(ps.graphs, "bfs_rows", lambda g, starts, cutoff=None:
+                        calls.append(len(starts)) or bfs_rows(g, starts, cutoff))
+    assert ball_dimension_estimate(g3, samples=40, seed=1) == want
+    assert sum(calls) == 40 and max(calls) * g3.n_vertices <= ps.graphs.BFS_ENTRIES
+
+
 # ---------------------------------------------------------------------------
 # slow path: the integer kernels against Fraction-by-Fraction reference loops
 

@@ -428,6 +428,12 @@ def test_profile_validation(metrics):
         qs_distortion(metrics[1], metrics[1], samples=0, seed=0)
 
 
+def test_profile_refuses_a_draw_of_degenerate_triples_only(metrics):
+    # seed 0 draws one level-1 triple, and it repeats its first vertex
+    with pytest.raises(ValueError, match="^all samples degenerate; increase samples$"):
+        qs_distortion(metrics[1], metrics[1], samples=1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # projection ball images
 
@@ -673,6 +679,12 @@ def test_pi_diagnostic_sheet_measure(graphs):
     # mass on one sheet only; balls missing the sheet are skipped, not crashed
     rep = pi_diagnostic(graphs[2], TileMeasure.one_sheet(2, "00"), p=2.0, trials=20, seed=4)
     assert rep.worst_ratio >= 0
+
+
+def test_pi_diagnostic_skips_a_ball_of_zero_mass(graphs):
+    # all mass on tile 3: four of the five seeded radius-1 balls miss it
+    rep = pi_diagnostic(graphs[1], TileMeasure(1, {3: 1}), p=2.0, trials=5, seed=1)
+    assert rep.trials == 5 and [row[1] for row in rep.rows] == ["3"]
 
 
 def test_pi_diagnostic_validation(graphs):

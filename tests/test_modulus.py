@@ -1,6 +1,7 @@
 """Tests for the p-modulus solver, its certificates, and the level scan."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,6 +346,38 @@ def test_network_rejects_endpoints_that_are_not_integers(ends):
         M.Network(3, ends)
     assert M.Network(0, []).n_edges == 0
     assert M.Network(3, np.array([[0, 2]], dtype=np.uint8)).ends.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1])
+def test_network_vertex_count_is_a_count(n):
+    # numpy raised a TypeError, or "'minlength' must not be negative"
+    with pytest.raises(ValueError, match="^vertex count must be"):
+        M.Network(n, [])
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (M.path_network, (0,), "^need at least one edge$"),
+    (M.parallel_network, (0, 1), "^need m >= 1 paths of k >= 1 edges$"),
+    (M.parallel_network, (1, 0), "^need m >= 1 paths of k >= 1 edges$"),
+    (M.grid_network, (0, 2), "^grid needs at least 1 row and 2 columns$"),
+    (M.grid_network, (1, 1), "^grid needs at least 1 row and 2 columns$"),
+])
+def test_model_networks_refuse_empty_shapes(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
+def test_shortest_path_between_disconnected_sides_is_infinite():
+    net = M.Network(4, [(0, 1), (2, 3)])
+    assert shortest_path(net, np.ones(2), {0}, {3}) == (math.inf, None)
+
+
+def test_scan_flags_values_that_rise_with_p(monkeypatch):
+    monkeypatch.setattr(M, "solve_modulus", lambda pr: SimpleNamespace(
+        value=pr.p, value_lower=pr.p, value_upper=pr.p, iterations=0, converged=True))
+    table = M.conformal_scan([1], [1.0, 2.0])
+    assert not table.monotone_ok
+    assert [row.value_upper for row in table.rows] == [1.0, 2.0]
 
 
 def test_network_validation():

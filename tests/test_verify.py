@@ -1,5 +1,7 @@
 """Tests for the invariant suites' own bookkeeping."""
 
+import dataclasses
+import math
 import types
 
 import numpy as np
@@ -68,6 +70,40 @@ def test_run_suite_needs_an_integer_seed(seed):
     # None and "7" raised a TypeError from seed + n, 2.5 and True ran
     with pytest.raises(ValueError, match="^seed must be an integer"):
         verify.run_suite("covering", [1], seed=seed)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1, 0, True, 0.5])
+def test_run_suite_checks_its_tolerance_before_any_level_runs(monkeypatch, tolerance):
+    # each ran and was reported; 0.5 failed only inside modulus-oracles
+    monkeypatch.setattr(verify, "build_graph", lambda *args: pytest.fail("a level ran"))
+    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 0.01\]"):
+        verify.run_suite("modulus-oracles", [1], tolerance=tolerance)
+
+
+def test_self_similar_reports_a_block_that_fails_its_certificate(monkeypatch):
+    certify = verify.prefix_subgraph
+
+    def fail_on_3(g, prefix, reference):
+        if prefix == "3":
+            raise RuntimeError("block 3 is no copy")
+        return certify(g, prefix, reference)
+
+    monkeypatch.setattr(verify, "prefix_subgraph", fail_on_3)
+    rep = verify.run_suite("self-similar", [2])
+    assert not rep.ok and rep.results[0]["bad_blocks"] == ["3"]
+
+
+def test_covering_reports_a_ball_that_is_not_covered(monkeypatch):
+    cover = metrics.cover_preimage
+
+    def uncovered(g, center, radius, c):
+        rep = cover(g, center, radius, c=c)
+        return dataclasses.replace(rep, target_covered=False, witness=(center, "uncovered"))
+
+    monkeypatch.setattr(metrics, "cover_preimage", uncovered)
+    row = verify.run_suite("covering", [1]).results[0]
+    assert not row["ok"] and row["balls_checked"] == 9
+    assert [f[2][1] for f in row["failures"]] == ["uncovered"] * 5  # the first five
 
 
 def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
