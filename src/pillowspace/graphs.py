@@ -35,6 +35,7 @@ from .words import (
     MAX_LEVEL,
     CapacityError,  # the package exports it from this module
     LevelWords,
+    _bits,
     _grid_table,
     _integer,
     _prefix_states,
@@ -640,9 +641,8 @@ def letter_permutation(level, maps):
 def flip_permutation(g, bits):
     """Vertex permutation induced by a sheet flip: at each level k whose bit
     is "1" (as in words.flip), letters '0' and '5' swap."""
-    if len(bits) < g.level:
-        raise ValueError("bit string shorter than the level")
-    return letter_permutation(g.level, ["5123406789" if b == "1" else ALPHABET for b in bits])
+    return letter_permutation(g.level, ["5123406789" if b == "1" else ALPHABET
+                                        for b in _bits(bits, g.level)])
 
 
 def symmetry_permutations(level):

@@ -69,7 +69,7 @@ class TileMeasure:
         m = Fraction(1, 9**level)
         mass = {}
         for letters in _grid_words(level):
-            mass[int(section(letters, bits))] = m
+            mass[int(section(letters, bits) or "0")] = m  # level 0: the empty word, tile 0
         return cls(level, mass)
 
     @classmethod

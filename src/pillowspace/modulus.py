@@ -24,6 +24,7 @@ and the Laplacian Dirichlet problem (p=2 is the effective conductance).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -42,7 +43,8 @@ SCAN_MAX_LEVEL = 4  # conformal_scan solves every exponent at every level exactl
 @dataclass(eq=False)
 class Network:
     """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
-    numbers, and parallel edges are allowed."""
+    numbers, and parallel edges are allowed.  Treat it as immutable: it keeps
+    its arc CSR, symmetries and the _Bracket of its last solved crossing."""
 
     n_vertices: int
     ends: np.ndarray
@@ -64,6 +66,7 @@ class Network:
             raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
         self.ends = ends.astype(np.int64).reshape(len(ends), 2)
         self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(*self.ends.T, n)
+        self._crossing = None, None  # (id, source, target), _Bracket of the last solve
 
     @property
     def n_edges(self):
@@ -218,8 +221,12 @@ def _shortest_path(net, weights, source, target):
 
 
 def solve_modulus(problem):
-    """Certified p-modulus of the source-target crossing family."""
-    net, bracket = problem.network, _Bracket(problem)
+    """Certified p-modulus of the source-target crossing family.  Its set-up
+    (a _Bracket) is kept on the network for later solves on the same sides."""
+    net, key = problem.network, (id(problem.network), problem.source, problem.target)
+    if net._crossing[0] != key:  # by id: a shallow copy shares the slot, not the network
+        net._crossing = key, _Bracket(net, problem.source, problem.target)
+    bracket = net._crossing[1]
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
@@ -227,7 +234,7 @@ def solve_modulus(problem):
         sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
         flow, cut = (np.bincount(bracket.kept, x, net.n_edges)
                      for x in _max_flow(bracket.quotient, *sides))
-        res, iterations, stop = bracket(cut, flow), 1, "exact"
+        res, iterations, stop = bracket(cut, flow, 1.0), 1, "exact"
     else:
         res, iterations, stop = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
@@ -254,14 +261,19 @@ class _Bracket:
     exact: for p > 1 the strictly convex energy has an orbit-constant
     minimiser; at p = 1 a quotient maximum flow spread evenly over the edges
     between two orbits is invariant, as is its residual cut.  __call__
-    checks the lifted potential, or cut and flow, on the network itself."""
+    checks the lifted potential, or cut and flow, on the network itself.
+    It rests on the network and sides alone, not on p, so solve_modulus keeps
+    it, with its forest and laplacian (pattern, fill-reducing order), in the
+    network's one slot: other sides replace it, and it is freed with the
+    network (self.net is a weak proxy).  Reuse changes results only through
+    rounding, as a later solve factorises in the kept order."""
 
-    def __init__(self, problem):
+    def __init__(self, net, source, target):
         from scipy.sparse.csgraph import dijkstra
 
-        self.problem, net, (eu, ew) = problem, problem.network, problem.network.ends.T
+        self.net, (eu, ew) = weakref.proxy(net), net.ends.T
         self.source, self.target = (np.array(sorted(side), dtype=np.int64)
-                                    for side in (problem.source, problem.target))
+                                    for side in (source, target))
         self.depth, self.parent, start = dijkstra(
             _arc_matrix(net, np.ones(net.n_edges)), unweighted=True, min_only=True,
             indices=np.union1d(self.source, self.target), return_predecessors=True)
@@ -280,9 +292,8 @@ class _Bracket:
         self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
         self.quotient = Network(len(self.reps), ends[self.kept])
 
-    def __call__(self, rho, flow):
-        net, p = self.problem.network, self.problem.p
-        length, vpath = _shortest_path(net, rho, self.source, self.target)
+    def __call__(self, rho, flow, p):
+        length, vpath = _shortest_path(self.net, rho, self.source, self.target)
         density = rho / length
         upper = float(np.power(density, p).sum())
         flow = self.route(flow)
@@ -295,7 +306,7 @@ class _Bracket:
         return ModulusResult(lower, upper, density, [vpath], flow=flow)
 
     def _div(self, flow):
-        (eu, ew), n = self.problem.network.ends.T, self.problem.network.n_vertices
+        (eu, ew), n = self.net.ends.T, self.net.n_vertices
         return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
 
     def route(self, flow):
@@ -304,13 +315,13 @@ class _Bracket:
         if not div.any():
             return flow
         levels, v, e, sign = self.forest
-        for level, up in levels:  # deepest first, each vertex to its parent
-            div += np.bincount(up, div[level], len(div))
+        for level, up, inv in levels:  # deepest first, each vertex to its parent
+            div[up] += np.bincount(inv, div[level], len(up))
         return flow + np.bincount(e, sign * div[v], len(flow))
 
     @cached_property
     def forest(self):
-        net, depth, parent = self.problem.network, self.depth, self.parent
+        net, depth, parent = self.net, self.depth, self.parent
         reached = self.free[np.argsort(-depth[self.free], kind="stable")]  # deepest first
         levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
         # Each vertex's tree edge is its first arc to its parent.
@@ -318,7 +329,12 @@ class _Bracket:
         arcs = np.flatnonzero(parent[tails] == net._arc_heads)
         v, first = np.unique(tails[arcs], return_index=True)
         e = net._arc_edge[arcs[first]]
-        return [(lv, parent[lv]) for lv in levels], v, e, np.where(net.ends[e, 0] == v, -1.0, 1.0)
+        return ([(lv, *np.unique(parent[lv], return_inverse=True)) for lv in levels], v, e,
+                np.where(net.ends[e, 0] == v, -1.0, 1.0))
+
+    @cached_property
+    def laplacian(self):
+        return _Laplacian(self.quotient, self.phi[self.reps], np.unique(self.orbit[self.free]))
 
 
 def _max_flow(net, source, target):
@@ -423,8 +439,7 @@ def _p_harmonic_potential(problem, bracket):
     potential respecting the boundary keeps both certificates valid, so
     partial convergence costs tightness, never correctness.
     """
-    net, p = bracket.quotient, problem.p
-    lap = _Laplacian(net, bracket.phi[bracket.reps], np.unique(bracket.orbit[bracket.free]))
+    net, p, lap = bracket.quotient, problem.p, bracket.laplacian
     phi = lap.phi.copy()
     eu, ew = net.ends.T
     lu, lw = bracket.orbit[problem.network.ends].T  # the network's edges, lifted
@@ -433,7 +448,7 @@ def _p_harmonic_potential(problem, bracket):
     def certify(ph, eps):
         d = ph[lw] - ph[lu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
-        res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d)
+        res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
         res.backoffs = backoffs
         return res
 

@@ -181,14 +181,21 @@ def all_words(level):
 def flip(word, bits):
     """Swap '5' and '0' at every level whose bit is 1.
 
-    The bit string must cover the word: len(bits) >= len(word).  Levels whose
+    The bit string holds only '0' and '1' and must cover the word:
+    len(bits) >= len(word); anything else raises ValueError.  Levels whose
     letter is not a center letter are untouched regardless of the bit.
     """
-    if len(bits) < len(word):
-        raise ValueError(
-            f"bit string of length {len(bits)} cannot act on a word of length {len(word)}"
-        )
-    return "".join(_OTHER_SHEET.get(c, c) if b == "1" else c for c, b in zip(word, bits))
+    return "".join(_OTHER_SHEET.get(c, c) if b == "1" else c
+                   for c, b in zip(word, _bits(bits, len(word))))
+
+
+def _bits(bits, levels):
+    """A flip's bit string, checked: only '0' and '1', at least one per level."""
+    if set(bits) - set("01"):
+        raise ValueError(f"bit string must hold only '0' and '1', got {bits!r}")
+    if len(bits) < levels:
+        raise ValueError(f"bit string of length {len(bits)} cannot act on {levels} levels")
+    return bits
 
 
 def section(grid_word, bits):

@@ -282,9 +282,16 @@ def test_flip_permutation_is_words_flip(n):
 
 @pytest.mark.parametrize("bits", ["1011", "0101111", "x1y", "1x0", "2?1", "a1b9"])
 def test_flip_permutation_reads_only_ones_within_the_level(g3, bits):
-    # bits past the level and characters other than "1" flip nothing
-    want = [int(ps.flip(w, bits)) for w in g3.words]
-    assert ps.flip_permutation(g3, bits).tolist() == want
+    # bits past the level flip nothing.  A character other than "0" and "1"
+    # is refused by both: it was read as 0, so "1x" silently named sheet 10
+    if set(bits) <= set("01"):
+        want = [int(ps.flip(w, bits)) for w in g3.words]
+        assert ps.flip_permutation(g3, bits).tolist() == want
+        return
+    for call in (lambda: ps.flip_permutation(g3, bits), lambda: ps.flip("505", bits),
+                 lambda: ps.section("555", bits), lambda: ps.TileMeasure.one_sheet(3, bits)):
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            call()
 
 
 def test_flip_permutation_returns_a_fresh_array(g2):

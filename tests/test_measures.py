@@ -124,9 +124,11 @@ def test_uniform_ratios_are_exactly_two_fifths():
 
 
 def test_one_sheet_ratios_are_exactly_one_third():
-    for n in (1, 2, 3):
+    # level 0 is the one-tile measure, as uniform(0) is; its grid word is ""
+    assert TileMeasure.one_sheet(0) == TileMeasure.uniform(0) == TileMeasure(0, {0: Fraction(1)})
+    for n in (0, 1, 2, 3):
         rows, skipped = middle_third_ratios(pushforward_x(TileMeasure.one_sheet(n)))
-        assert not skipped
+        assert not skipped and len(rows) == sum(3**m for m in range(n))
         assert all(r.ratio == Fraction(1, 3) for r in rows)
 
 

@@ -1,6 +1,8 @@
 """Tests for the p-modulus solver, its certificates, and the level scan."""
 
+import copy
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -515,7 +517,7 @@ def test_potential_line_search_reaches_the_optimum(crossing):
     # upper bound is the energy of the potential's rescaled density
     net, src, tgt = crossing[1]
     problem = M.ModulusProblem(net, src, tgt, 3.0, tolerance=1e-12)
-    res, passes, stop = M._p_harmonic_potential(problem, M._Bracket(problem))
+    res, passes, stop = M._p_harmonic_potential(problem, M._Bracket(net, src, tgt))
     assert stop == "converged" and passes < 16
     assert abs(res.value_upper - 1.0) <= 1e-9
 
@@ -580,7 +582,7 @@ def grid_problem():
     """Mod_3 across the 3 x 4 grid: three disjoint crossings of 3 edges, 1/3."""
     net, src, tgt = M.grid_network(3, 4)
     problem = M.ModulusProblem(net, frozenset(src), frozenset(tgt), 3.0)
-    return problem, M._Bracket(problem)
+    return problem, M._Bracket(net, src, tgt)
 
 
 def test_singular_laplacian_solves_to_nan():
@@ -702,7 +704,9 @@ def test_tight_tolerance_keeps_the_floor_values(crossing, p):
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, p):
     # one BFS from both sides gives the boundary data, whether the sides
-    # connect and the routing forest; no component labelling runs beside it
+    # connect and the routing forest; no component labelling runs beside it.
+    # The set-up is kept on the network, so that is one BFS per crossing:
+    # a second solve on the same sides runs none
     import scipy.sparse.csgraph as csgraph
 
     bfs, labellings = [], []
@@ -720,9 +724,11 @@ def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, 
     monkeypatch.setattr(csgraph, "dijkstra", spy)
     monkeypatch.setattr(csgraph, "connected_components", labelling_spy)
     net, src, tgt = crossing[3]
-    res = solve(net, src, tgt, p)
-    assert res.converged and (p <= 2.0 or res.iterations > 1)
-    assert len(bfs) == 1 and labellings == []
+    net = M.Network(net.n_vertices, net.ends)  # no set-up kept from other tests
+    for _ in range(2):
+        res = solve(net, src, tgt, p)
+        assert res.converged and (p <= 2.0 or res.iterations > 1)
+        assert len(bfs) == 1 and labellings == []
 
 
 def reference_dirichlet(net, fixed_value, weights):
@@ -772,7 +778,7 @@ def test_conductance_holds_components_off_both_sides_at_zero():
 def test_laplacian_matches_a_general_sparse_solve(crossing, case):
     net, src, tgt = small_multigraph() if case == "multigraph" else crossing[case]
     rng = np.random.default_rng(11)
-    free = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0)).free
+    free = M._Bracket(net, src, tgt).free
     fixed = {v: rng.uniform() for v in np.setdiff1d(np.arange(net.n_vertices), free).tolist()}
     phi = np.zeros(net.n_vertices)
     phi[list(fixed)] = list(fixed.values())
@@ -794,7 +800,7 @@ def divergence(net, flow):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
     net, src, tgt = crossing[n]
-    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 2.0))
+    bracket = M._Bracket(net, src, tgt)
     rng = np.random.default_rng(n)
     phi = M._Laplacian(net, bracket.phi, bracket.free).solve(rng.uniform(0.1, 2.0, net.n_edges))
     flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
@@ -829,7 +835,7 @@ def reference_route(net, boundary, flow):
 @pytest.mark.parametrize("n", [2, 3])
 def test_routing_along_one_forest_matches_the_reference(crossing, n):
     net, src, tgt = crossing[n]
-    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 3.0))
+    bracket = M._Bracket(net, src, tgt)
     rng = np.random.default_rng(100 + n)
     for _ in range(3):  # the later flows reuse the first one's forest
         flow = rng.normal(size=net.n_edges)
@@ -838,7 +844,7 @@ def test_routing_along_one_forest_matches_the_reference(crossing, n):
 
 def test_routing_leaves_a_maximum_flow_unchanged(crossing):
     net, src, tgt = crossing[3]
-    bracket = M._Bracket(M.ModulusProblem(net, src, tgt, 1.0))
+    bracket = M._Bracket(net, src, tgt)
     flow, _ = M._max_flow(net, bracket.source, bracket.target)
     assert bracket.route(flow) is flow
 
@@ -862,11 +868,13 @@ def without_symmetries(monkeypatch):
     (4, "on", ("left", "right")), (4, "on", ("bottom", "top")),
 ])
 def test_quotient_solve_matches_the_full_solve(monkeypatch, n, policy, sides):
-    net, src, tgt = M.crossing(ps.build_graph(n, policy), sides)
+    g = ps.build_graph(n, policy)
+    net, src, tgt = M.crossing(g, sides)
     grid = [1.0, 2.0, 2.0959, 8.0] if n == 4 else QUOTIENT_GRID
     tol = 1e-6
     quotient = [solve(net, src, tgt, p, tolerance=tol) for p in grid]
     without_symmetries(monkeypatch)
+    net, src, tgt = M.crossing(g, sides)  # the first network keeps its quotient set-up
     for p, q in zip(grid, quotient):
         full = solve(net, src, tgt, p, tolerance=tol)
         assert q.converged and full.converged, p
@@ -920,9 +928,78 @@ def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p
     swap[[a, b]] = b, a
     symmetries = net.symmetries + [swap]
     monkeypatch.setattr(M.Network, "symmetries", property(lambda self: symmetries))
-    bad = solve(net, src, tgt, p)
+    # a network of its own: the fixture's keeps its good set-up, and no later
+    # test meets the corrupted one
+    bad = solve(M.Network(net.n_vertices, net.ends), src, tgt, p)
     assert bad.solved_vertices == good.solved_vertices - 1  # their orbits merged
     pin = PINNED[(3, p)]
     assert bad.value_lower <= pin * (1 + 1e-9) and bad.value_upper >= pin * (1 - 1e-9)
     assert bad.value_lower <= good.value_upper and bad.value_upper >= good.value_lower
     assert bad.value_upper - bad.value_lower > good.value_upper - good.value_lower
+
+
+# ---------------------------------------------------------------------------
+# the set-up kept on the network across exponents
+
+
+def count_set_ups(monkeypatch):
+    """Counts of the _Bracket and _Laplacian objects constructed from now on."""
+    made = {M._Bracket: 0, M._Laplacian: 0}
+    for cls in made:
+        def counted(self, *args, _init=cls.__init__):
+            made[type(self)] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_a_second_solve_on_the_same_sides_sets_nothing_up(crossing, monkeypatch):
+    net, src, tgt = crossing[3]
+    net = M.Network(net.n_vertices, net.ends)
+    made = count_set_ups(monkeypatch)
+    first = solve(net, src, tgt, 1.5)
+    assert list(made.values()) == [1, 1]
+    for p, tol in ((3.0, 1e-6), (1.0, 1e-6), (2.0, 1e-8), (1.5, 1e-6)):
+        res = solve(net, set(src), set(tgt), p, tolerance=tol)
+        assert res.converged
+    assert list(made.values()) == [1, 1]
+    assert res.iterations == first.iterations and abs(res.value / first.value - 1) <= 1e-12
+
+
+def test_other_sides_replace_the_kept_set_up(monkeypatch):
+    g = ps.build_graph(2)
+    net = M.Network.from_graph(g)
+    made = count_set_ups(monkeypatch)
+    left, right, bottom, top = (frozenset(ps.boundary_face(g, side))
+                                for side in ("left", "right", "bottom", "top"))
+    for sides in ((left, right), (left, right), (bottom, top), (left, right), (right, left)):
+        solve(net, *sides, 2.5)
+        assert net._crossing[0] == (id(net), *sides)
+    assert list(made.values()) == [4, 4]
+    # the set-up refers to its network weakly: dropping the network frees both
+    kept, gone = weakref.ref(net._crossing[1]), weakref.ref(net)
+    del net
+    assert gone() is None and kept() is None
+
+
+def test_a_shallow_copy_of_a_network_sets_itself_up(crossing):
+    # the copy shares the slot, whose set-up holds the original network weakly
+    net, src, tgt = crossing[2]
+    net = M.Network(net.n_vertices, net.ends)
+    want = solve(net, src, tgt, 2.5)
+    twin = copy.copy(net)
+    del net
+    assert solve(twin, src, tgt, 2.5).value == want.value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_network_across_exponents_matches_a_fresh_network_each(crossing, n):
+    net, src, tgt = crossing[n]
+    kept = M.Network(net.n_vertices, net.ends)
+    for p in QUOTIENT_GRID:
+        fresh = solve(M.Network(net.n_vertices, net.ends), src, tgt, p)
+        again = solve(kept, src, tgt, p)
+        for name in ("iterations", "stop", "backoffs", "solved_vertices"):
+            assert getattr(again, name) == getattr(fresh, name), (p, name)
+        assert abs(again.value_lower - fresh.value_lower) <= 1e-12 * fresh.value_lower, p
+        assert abs(again.value_upper - fresh.value_upper) <= 1e-12 * fresh.value_upper, p
