@@ -38,13 +38,14 @@ EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 MAX_PASSES = 300  # IRLS passes of the potential solve before "iteration cap"
 MAX_BACKOFFS = 20  # times per solve a stalled or non-finite IRLS pass may raise eps
 SCAN_MAX_LEVEL = 4  # conformal_scan solves every exponent at every level exactly
+WARM_SPAN = 1.0  # IRLS starts from a crossing's last converged potential within this of its p
 
 
 @dataclass(eq=False)
 class Network:
     """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
     numbers, and parallel edges are allowed.  Treat it as immutable: it keeps
-    its arc CSR, symmetries and the _Bracket of its last solved crossing."""
+    its arc CSR and matrix, symmetries and its last solved crossing's _Bracket."""
 
     n_vertices: int
     ends: np.ndarray
@@ -77,6 +78,13 @@ class Network:
         return cls(g.n_vertices, np.stack(g.edge_arrays()[:2], axis=1))
 
     @cached_property
+    def _arcs(self):  # the one arc matrix, refilled by _arc_matrix
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix((np.zeros(len(self._arc_heads)), self._arc_heads, self._arc_indptr),
+                          shape=(self.n_vertices,) * 2)
+
+    @cached_property
     def symmetries(self):  # the automorphisms among symmetry_permutations, found on first solve
         n, (u, v), level = self.n_vertices, self.ends.T, len(str(self.n_vertices - 1))
         own = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
@@ -92,13 +100,11 @@ def crossing(g, sides=("left", "right")):
 
 
 def _arc_matrix(net, weights):
-    """CSR of both arcs of every edge, each carrying its edge's weight.  Parallel
+    """The network's CSR of both arcs of every edge, refilled in place so that
+    each arc carries its edge's weight (valid until the next call).  Parallel
     arcs stay apart and zeros stay explicit; coo -> csr would sum parallels."""
-    from scipy.sparse import csr_matrix
-
-    n = net.n_vertices
-    data = np.asarray(weights, dtype=float)[net._arc_edge]
-    return csr_matrix((data, net._arc_heads, net._arc_indptr), shape=(n, n))
+    np.take(np.asarray(weights, dtype=float), net._arc_edge, out=net._arcs.data)
+    return net._arcs
 
 
 def path_network(k):
@@ -222,7 +228,9 @@ def _shortest_path(net, weights, source, target):
 
 def solve_modulus(problem):
     """Certified p-modulus of the source-target crossing family.  Its set-up
-    (a _Bracket) is kept on the network for later solves on the same sides."""
+    (a _Bracket) is kept on the network for later solves on the same sides,
+    and the last converged p > 1 potential starts IRLS within WARM_SPAN of
+    its p: values move within the tolerance; a fresh Network solves cold."""
     net, key = problem.network, (id(problem.network), problem.source, problem.target)
     if net._crossing[0] != key:  # by id: a shallow copy shares the slot, not the network
         net._crossing = key, _Bracket(net, problem.source, problem.target)
@@ -238,6 +246,8 @@ def solve_modulus(problem):
     else:
         res, iterations, stop = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
+    if converged and problem.p > 1.0:
+        bracket.warm = bracket.tried
     if stop == "stalled" and converged:
         stop = "converged"
     res.iterations, res.converged, res.stop = iterations, converged, stop
@@ -265,8 +275,10 @@ class _Bracket:
     It rests on the network and sides alone, not on p, so solve_modulus keeps
     it, with its forest and laplacian (pattern, fill-reducing order), in the
     network's one slot: other sides replace it, and it is freed with the
-    network (self.net is a weak proxy).  Reuse changes results only through
-    rounding, as a later solve factorises in the kept order."""
+    network (self.net is a weak proxy).  It also keeps warm, the p and quotient
+    potential of the last p > 1 solve that converged (tried: of the last pass
+    certified).  A solve started from warm moves within the tolerance; other
+    reuse changes results only through rounding (the kept order)."""
 
     def __init__(self, net, source, target):
         from scipy.sparse.csgraph import dijkstra
@@ -291,6 +303,7 @@ class _Bracket:
         ends = self.orbit[net.ends]
         self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
         self.quotient = Network(len(self.reps), ends[self.kept])
+        self.warm = self.tried = None  # (p, quotient phi): last converged, last certified
 
     def __call__(self, rho, flow, p):
         length, vpath = _shortest_path(self.net, rho, self.source, self.target)
@@ -367,17 +380,20 @@ class _Laplacian:
     """Weighted Laplacian over the free vertices, the fixed ones entering as
     Dirichlet data; .solve(weights) returns the potential harmonic at every
     free vertex, or a non-finite one when the matrix is exactly singular.
-    Each solve refills one CSC pattern.  Once every component touches a fixed
-    vertex the matrix is symmetric positive definite, so diagonal pivots are
-    safe; the first factorisation picks a fill-reducing order, the pattern is
-    relabelled by it, and later factorisations keep it as is."""
+    Each solve refills the data of one kept CSC matrix.  Once every component
+    touches a fixed vertex the matrix is symmetric positive definite, so
+    diagonal pivots are safe; the first factorisation picks a fill-reducing
+    order, the pattern is relabelled by it (a new matrix), and later
+    factorisations keep it as is."""
 
     def __init__(self, net, phi, free):
         self.net, self.phi, self.free = net, phi, free
         self.order, self.relabel = "MMD_AT_PLUS_A", np.arange(len(self.free))
 
     def _pattern(self):
-        """Entries with free vertex free[i] at row and column relabel[i]."""
+        """The matrix with free vertex free[i] at row and column relabel[i]."""
+        from scipy.sparse import csc_matrix
+
         (k, m), ev = (len(self.free), self.net.n_edges), self.net.ends
         self.label, self.relabel = self.relabel, None
         col = np.full(self.net.n_vertices, -1, dtype=np.int64)
@@ -387,15 +403,14 @@ class _Laplacian:
         keep = np.flatnonzero((rows >= 0) & (cols >= 0))
         self.edge, self.sign = keep % m, np.where(keep < 2 * m, 1.0, -1.0)
         keys, self.slot = np.unique(cols[keep] * k + rows[keep], return_inverse=True)
-        self.indices = keys % k
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
+        self.matrix = csc_matrix((np.zeros(len(keys)), keys % k, indptr), shape=(k, k))
         # An edge with one end fixed adds w * phi(fixed end) to the free row.
         row, far = rows[:2 * m], np.concatenate([ev[:, 1], ev[:, 0]])
         b = np.flatnonzero((row >= 0) & (col[far] < 0))
         self.rhs = (row[b], b % m, self.phi[far[b]])
 
     def solve(self, weights=None):
-        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 
         phi, k, m = self.phi.copy(), len(self.free), self.net.n_edges
@@ -404,8 +419,8 @@ class _Laplacian:
         if self.relabel is not None:
             self._pattern()
         w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-        data = np.bincount(self.slot, w[self.edge] * self.sign, len(self.indices))
-        lap = csc_matrix((data, self.indices, self.indptr), shape=(k, k))
+        lap = self.matrix
+        lap.data[:] = np.bincount(self.slot, w[self.edge] * self.sign, len(lap.data))
         try:
             lu = splu(lap, permc_spec=self.order, diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
@@ -424,6 +439,8 @@ def _p_harmonic_potential(problem, bracket):
     bracket.free, on bracket.quotient; returns (the last pass's bracket,
     passes, stop reason), the bracket carrying the number of back-offs.
 
+    It starts from bracket.warm's potential at eps = EPS_FLOOR within
+    WARM_SPAN of its p, else cold from the boundary data at eps = 1.
     Iteratively reweighted least squares: each pass solves the Dirichlet
     problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed, and
     moves to the best of a few scalings of that step.  The smoothing is a
@@ -440,7 +457,8 @@ def _p_harmonic_potential(problem, bracket):
     partial convergence costs tightness, never correctness.
     """
     net, p, lap = bracket.quotient, problem.p, bracket.laplacian
-    phi = lap.phi.copy()
+    warm_p, warm_phi = bracket.warm or (math.inf, None)
+    phi, eps = (warm_phi, EPS_FLOOR) if abs(p - warm_p) <= WARM_SPAN else (lap.phi, 1.0)
     eu, ew = net.ends.T
     lu, lw = bracket.orbit[problem.network.ends].T  # the network's edges, lifted
     backoffs = 0
@@ -449,7 +467,7 @@ def _p_harmonic_potential(problem, bracket):
         d = ph[lw] - ph[lu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
         res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
-        res.backoffs = backoffs
+        res.backoffs, bracket.tried = backoffs, (p, ph)
         return res
 
     if not len(lap.free) or not net.n_edges:
@@ -458,8 +476,6 @@ def _p_harmonic_potential(problem, bracket):
     # every halving overshoots; the Newton scale 1/(p-1) does not.
     ladder = (1.0, 0.5, 0.25, 0.125) + ((1 / (p - 1), 0.5 / (p - 1)) if p > 2.0 else ()) + (0.0,)
 
-    # Electrical start (p = 2 solves exactly in the first pass).
-    eps = 1.0
     for iters in range(1, MAX_PASSES + 1):
         dphi = phi[eu] - phi[ew]
         w = None if p == 2.0 else np.power(dphi * dphi + eps * eps, 0.5 * (p - 2.0))
@@ -601,7 +617,9 @@ class ScanTable:
 
 def conformal_scan(levels, p_grid):
     """Left-to-right crossing modulus of the policy "on" graphs across levels
-    and exponents, each solve at ModulusProblem's default tolerance.
+    and exponents, each solve at ModulusProblem's default tolerance.  A
+    level's exponents share one network, so each solve starts from the last
+    converged potential within WARM_SPAN of it (see solve_modulus).
 
     Reports in monotone_ok whether each level's values fall with p (within
     20 * tolerance) and gives the cross-level value ratio per exponent; the

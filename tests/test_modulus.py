@@ -52,6 +52,12 @@ def solve(net, src, tgt, p, **kw):
     return M.solve_modulus(M.ModulusProblem(net, frozenset(src), frozenset(tgt), p, **kw))
 
 
+def fresh(net):
+    """A network of its own, equal to net: no set-up or potential kept from
+    earlier solves, so its first solve at each exponent starts cold."""
+    return M.Network(net.n_vertices, net.ends)
+
+
 def shortest_path(net, weights, src, tgt):
     """_shortest_path over the sides as the sorted vertex arrays it takes."""
     return M._shortest_path(net, weights, np.array(sorted(src)), np.array(sorted(tgt)))
@@ -502,13 +508,13 @@ def test_density_is_admissible_with_upper_energy(crossing, p):
 @pytest.mark.parametrize("p", [1.0, 2.5])
 def test_active_paths_are_crossings(crossing, p):
     net, src, tgt = crossing[2]
-    res = solve(net, src, tgt, p)
+    res = solve(fresh(net), src, tgt, p)
     assert res.active_paths
     edges = {frozenset(e) for e in net.ends.tolist()}
     for vpath in res.active_paths:
         assert vpath[0] in src and vpath[-1] in tgt
         assert all(frozenset(hop) in edges for hop in zip(vpath, vpath[1:]))
-    assert solve(net, src, tgt, p).active_paths == res.active_paths
+    assert solve(fresh(net), src, tgt, p).active_paths == res.active_paths  # a rerun
 
 
 def test_potential_line_search_reaches_the_optimum(crossing):
@@ -532,18 +538,20 @@ def test_large_exponents_certify(crossing, n, p):
     # the ladder {1, 1/2, 1/4, 1/8} alone froze phi for p > 9: the IRLS step
     # is p - 1 Newton steps, and each of those scalings raised the energy
     net, src, tgt = crossing[n]
-    res = solve(net, src, tgt, p)
+    res = solve(fresh(net), src, tgt, p)
     assert res.converged and res.stop == "converged"
     assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
 
 
 def test_stop_reason_says_why_the_solve_ended(crossing, monkeypatch):
     net, src, tgt = crossing[2]
+    net = fresh(net)
     assert solve(net, src, tgt, 1.0).stop == "exact"
     assert solve(net, src, tgt, 2.0).stop == "exact"
     assert solve(net, src, tgt, 3.0).stop == "converged"
     monkeypatch.setattr(M, "MAX_PASSES", 1)
-    capped = solve(net, src, tgt, 3.0)
+    # on a network of its own: warm from the p = 3 solve above, one pass converges
+    capped = solve(fresh(net), src, tgt, 3.0)
     assert capped.stop == "iteration cap" and capped.iterations == 1
     assert not capped.converged
 
@@ -559,13 +567,15 @@ def test_stall_with_the_gap_open_is_not_converged(crossing4, monkeypatch):
     # without back-offs, L4 p = 64 stalls at the smoothing floor about 1e108
     # apart: every scaling of the step raises the energy
     monkeypatch.setattr(M, "MAX_BACKOFFS", 0)
-    res = solve(*crossing4, 64.0)
+    net, src, tgt = crossing4
+    res = solve(fresh(net), src, tgt, 64.0)
     assert res.stop == "stalled" and not res.converged
     assert res.backoffs == 0
 
 
 def test_large_exponent_backs_off_and_certifies_at_level_4(crossing4):
-    res = solve(*crossing4, 64.0)
+    net, src, tgt = crossing4
+    res = solve(fresh(net), src, tgt, 64.0)
     assert res.stop == "converged" and res.converged
     assert 0.0 < res.value_lower and res.value_upper / res.value_lower - 1 <= 5e-6
     assert 1 <= res.backoffs <= M.MAX_BACKOFFS
@@ -574,8 +584,9 @@ def test_large_exponent_backs_off_and_certifies_at_level_4(crossing4):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.0959, 2.5, 3.0])
 def test_easy_solves_never_back_off(crossing, p):
     # the modulus workload's L3 exponents: the exact paths and IRLS passes
-    # that all land
-    assert solve(*crossing[3], p).backoffs == 0
+    # that all land, cold
+    net, src, tgt = crossing[3]
+    assert solve(fresh(net), src, tgt, p).backoffs == 0
 
 
 def grid_problem():
@@ -634,10 +645,10 @@ def test_stall_within_five_tolerances_reads_as_converged(crossing):
     # L1 p = 1.1 stalls at the smoothing floor 3.9e-11 apart: within
     # 5 * tolerance at 1e-11, not at 1e-12
     net, src, tgt = crossing[1]
-    res = solve(net, src, tgt, 1.1, tolerance=1e-11)
+    res = solve(fresh(net), src, tgt, 1.1, tolerance=1e-11)
     assert res.stop == "converged" and res.converged
     assert res.value_upper > (1 + 1e-11) * res.value_lower  # no pass met the tolerance itself
-    tight = solve(net, src, tgt, 1.1, tolerance=1e-12)
+    tight = solve(fresh(net), src, tgt, 1.1, tolerance=1e-12)
     assert tight.stop == "stalled" and not tight.converged
 
 
@@ -672,7 +683,8 @@ FIXED_SCHEDULE = {
 @pytest.mark.parametrize("n,p", sorted(FIXED_SCHEDULE))
 def test_adaptive_smoothing_needs_no_more_passes(crossing, crossing4, n, p):
     passes, value = FIXED_SCHEDULE[(n, p)]
-    res = solve(*(crossing4 if n == 4 else crossing[n]), p)
+    net, src, tgt = crossing4 if n == 4 else crossing[n]
+    res = solve(fresh(net), src, tgt, p)
     assert res.converged and res.iterations <= passes
     assert abs(res.value - value) <= 2e-6 * value
 
@@ -688,7 +700,7 @@ L3_FLOOR_VALUES = {1.5: 7.787370970310753, 2.0959: 1.1119183036795712,
 def test_irls_stops_once_its_bracket_meets_the_tolerance(crossing, p):
     net, src, tgt = crossing[3]
     tol = 1e-6
-    res = solve(net, src, tgt, p, tolerance=tol)
+    res = solve(fresh(net), src, tgt, p, tolerance=tol)
     assert res.stop == "converged" and res.converged
     assert res.value_upper <= (1 + tol) * res.value_lower
     assert res.iterations < (20 if p == 1.5 else 16)
@@ -697,7 +709,7 @@ def test_irls_stops_once_its_bracket_meets_the_tolerance(crossing, p):
 @pytest.mark.parametrize("p", sorted(L3_FLOOR_VALUES))
 def test_tight_tolerance_keeps_the_floor_values(crossing, p):
     net, src, tgt = crossing[3]
-    res = solve(net, src, tgt, p, tolerance=1e-12)
+    res = solve(fresh(net), src, tgt, p, tolerance=1e-12)
     assert abs(res.value - L3_FLOOR_VALUES[p]) <= 1e-10 * L3_FLOOR_VALUES[p]
 
 
@@ -706,7 +718,7 @@ def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, 
     # one BFS from both sides gives the boundary data, whether the sides
     # connect and the routing forest; no component labelling runs beside it.
     # The set-up is kept on the network, so that is one BFS per crossing:
-    # a second solve on the same sides runs none
+    # a second solve on the same sides runs none (and starts warm)
     import scipy.sparse.csgraph as csgraph
 
     bfs, labellings = [], []
@@ -724,10 +736,10 @@ def test_boundary_forest_is_built_at_most_once_per_solve(crossing, monkeypatch, 
     monkeypatch.setattr(csgraph, "dijkstra", spy)
     monkeypatch.setattr(csgraph, "connected_components", labelling_spy)
     net, src, tgt = crossing[3]
-    net = M.Network(net.n_vertices, net.ends)  # no set-up kept from other tests
-    for _ in range(2):
+    net = fresh(net)  # no set-up kept from other tests
+    for k in range(2):
         res = solve(net, src, tgt, p)
-        assert res.converged and (p <= 2.0 or res.iterations > 1)
+        assert res.converged and (p <= 2.0 or k or res.iterations > 1)
         assert len(bfs) == 1 and labellings == []
 
 
@@ -915,7 +927,7 @@ def test_networks_without_symmetry_solve_on_themselves(case):
 @pytest.mark.parametrize("p", [2.0, 2.0959])
 def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p):
     net, src, tgt = crossing[3]
-    good = solve(net, src, tgt, p)
+    good = solve(fresh(net), src, tgt, p)
 
     def next_to(side):  # the smallest interior vertex with an edge to the side
         other_end = np.isin(net.ends, list(side))[:, ::-1]
@@ -930,7 +942,7 @@ def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p
     monkeypatch.setattr(M.Network, "symmetries", property(lambda self: symmetries))
     # a network of its own: the fixture's keeps its good set-up, and no later
     # test meets the corrupted one
-    bad = solve(M.Network(net.n_vertices, net.ends), src, tgt, p)
+    bad = solve(fresh(net), src, tgt, p)
     assert bad.solved_vertices == good.solved_vertices - 1  # their orbits merged
     pin = PINNED[(3, p)]
     assert bad.value_lower <= pin * (1 + 1e-9) and bad.value_upper >= pin * (1 - 1e-9)
@@ -955,7 +967,7 @@ def count_set_ups(monkeypatch):
 
 def test_a_second_solve_on_the_same_sides_sets_nothing_up(crossing, monkeypatch):
     net, src, tgt = crossing[3]
-    net = M.Network(net.n_vertices, net.ends)
+    net = fresh(net)
     made = count_set_ups(monkeypatch)
     first = solve(net, src, tgt, 1.5)
     assert list(made.values()) == [1, 1]
@@ -963,7 +975,8 @@ def test_a_second_solve_on_the_same_sides_sets_nothing_up(crossing, monkeypatch)
         res = solve(net, set(src), set(tgt), p, tolerance=tol)
         assert res.converged
     assert list(made.values()) == [1, 1]
-    assert res.iterations == first.iterations and abs(res.value / first.value - 1) <= 1e-12
+    # the last solve starts from the p = 2 potential, the first cold
+    assert res.iterations <= first.iterations and abs(res.value / first.value - 1) <= 2e-6
 
 
 def test_other_sides_replace_the_kept_set_up(monkeypatch):
@@ -985,21 +998,90 @@ def test_other_sides_replace_the_kept_set_up(monkeypatch):
 def test_a_shallow_copy_of_a_network_sets_itself_up(crossing):
     # the copy shares the slot, whose set-up holds the original network weakly
     net, src, tgt = crossing[2]
-    net = M.Network(net.n_vertices, net.ends)
+    net = fresh(net)
     want = solve(net, src, tgt, 2.5)
     twin = copy.copy(net)
     del net
     assert solve(twin, src, tgt, 2.5).value == want.value
 
 
+@pytest.fixture(scope="module")
+def cold(crossing):
+    """(level, p) -> the solve on a fresh network, over QUOTIENT_GRID at L1-L3."""
+    return {(n, p): solve(fresh(crossing[n][0]), *crossing[n][1:], p)
+            for n in (1, 2, 3) for p in QUOTIENT_GRID}
+
+
+def assert_warm_matches_cold(warm, cold, p):
+    """A warm solve certifies, in no more passes than the cold one, and agrees
+    with it within twice the tolerance."""
+    assert warm.converged and warm.solved_vertices == cold.solved_vertices, p
+    assert warm.iterations <= cold.iterations, p
+    for name in ("value_lower", "value_upper"):
+        assert abs(getattr(warm, name) - getattr(cold, name)) <= 2e-6 * getattr(cold, name), p
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_one_network_across_exponents_matches_a_fresh_network_each(crossing, n):
+def test_one_network_across_exponents_matches_a_fresh_network_each(crossing, cold, n):
     net, src, tgt = crossing[n]
-    kept = M.Network(net.n_vertices, net.ends)
+    kept = fresh(net)
     for p in QUOTIENT_GRID:
-        fresh = solve(M.Network(net.n_vertices, net.ends), src, tgt, p)
         again = solve(kept, src, tgt, p)
-        for name in ("iterations", "stop", "backoffs", "solved_vertices"):
-            assert getattr(again, name) == getattr(fresh, name), (p, name)
-        assert abs(again.value_lower - fresh.value_lower) <= 1e-12 * fresh.value_lower, p
-        assert abs(again.value_upper - fresh.value_upper) <= 1e-12 * fresh.value_upper, p
+        assert again.stop == cold[(n, p)].stop, p
+        assert_warm_matches_cold(again, cold[(n, p)], p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_warm_starts_save_passes_in_either_order(crossing, cold, n, order):
+    net, src, tgt = crossing[n]
+    kept, grid = fresh(net), sorted(QUOTIENT_GRID, reverse=order == "descending")
+    warm = {p: solve(kept, src, tgt, p) for p in grid}
+    for p in grid:
+        assert_warm_matches_cold(warm[p], cold[(n, p)], p)
+    assert sum(r.iterations for r in warm.values()) < sum(cold[(n, p)].iterations for p in grid)
+
+
+@pytest.mark.parametrize("step", [0.0959, 1.5])
+def test_only_a_step_within_the_warm_span_starts_warm(crossing, step):
+    net, src, tgt = crossing[3]
+    kept = fresh(net)
+    solve(kept, src, tgt, 2.0)  # exact, and kept
+    p = 2.0 + step * M.WARM_SPAN
+    warm, cold = solve(kept, src, tgt, p), solve(fresh(net), src, tgt, p)
+    if step <= 1.0:  # 5 passes cold, as in the modulus workload
+        assert warm.converged and warm.iterations <= 2 < cold.iterations
+        assert abs(warm.value - cold.value) <= 2e-6 * cold.value
+    else:
+        assert warm.iterations == cold.iterations and warm.backoffs == cold.backoffs
+        assert abs(warm.value_lower - cold.value_lower) <= 1e-12 * cold.value_lower
+        assert abs(warm.value_upper - cold.value_upper) <= 1e-12 * cold.value_upper
+
+
+def test_a_solve_that_does_not_converge_keeps_no_potential(crossing, monkeypatch):
+    net, src, tgt = crossing[2]
+    kept, cold = fresh(net), solve(fresh(net), src, tgt, 3.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "MAX_PASSES", 1)
+        assert not solve(kept, src, tgt, 3.0).converged
+    assert solve(kept, src, tgt, 1.0).converged  # p = 1 keeps no potential
+    assert kept._crossing[1].warm is None  # nothing converged yet: the next solve is cold
+    again = solve(kept, src, tgt, 3.0)
+    # the same passes; the kept factorisation order changes only rounding
+    assert again.iterations == cold.iterations and abs(again.value / cold.value - 1) <= 1e-12
+    # after p = 2 converged, a capped solve at p = 3 leaves its potential kept
+    kept = fresh(net)
+    solve(kept, src, tgt, 2.0)
+    exact = kept._crossing[1].warm
+    assert exact[0] == 2.0
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "MAX_PASSES", 1)
+        assert not solve(kept, src, tgt, 3.0).converged
+    assert kept._crossing[1].warm is exact
+    from_exact = fresh(net)
+    solve(from_exact, src, tgt, 2.0)
+    want = solve(from_exact, src, tgt, 3.0)
+    got = solve(kept, src, tgt, 3.0)
+    assert got.iterations == want.iterations < cold.iterations
+    assert abs(got.value / want.value - 1) <= 1e-12
+    assert kept._crossing[1].warm[0] == 3.0
