@@ -58,23 +58,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _cell(value):
-    import numpy as np
-
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return str(bool(value))
     if isinstance(value, float):  # covers numpy floats; shortest round-trip repr
         return repr(float(value))
     return str(value)
@@ -103,7 +87,7 @@ def _csv(config, hashes, seed, header, rows):
 def _json(body):
     def write(path):
         with open(path, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True, default=_json_default)
+            json.dump(body, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     return write
@@ -644,7 +628,7 @@ def main(argv=None):
     report.update(fields)
     if fields.get("summary"):
         print(fields["summary"], file=sys.stderr)
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

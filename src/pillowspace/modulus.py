@@ -24,7 +24,6 @@ and the Laplacian Dirichlet problem (p=2 is the effective conductance).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -45,7 +44,8 @@ WARM_SPAN = 1.0  # IRLS starts from a crossing's last converged potential within
 class Network:
     """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
     numbers, and parallel edges are allowed.  Treat it as immutable: it keeps
-    its arc CSR and matrix, symmetries and its last solved crossing's _Bracket."""
+    its arc CSR and matrix, symmetries and the _Bracket of its last solved
+    crossing, which a copy shares (shallow) or carries (pickle, deepcopy)."""
 
     n_vertices: int
     ends: np.ndarray
@@ -67,7 +67,7 @@ class Network:
             raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
         self.ends = ends.astype(np.int64).reshape(len(ends), 2)
         self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(*self.ends.T, n)
-        self._crossing = None, None  # (id, source, target), _Bracket of the last solve
+        self._crossing = None  # the _Bracket of the last solved crossing
 
     @property
     def n_edges(self):
@@ -228,13 +228,12 @@ def _shortest_path(net, weights, source, target):
 
 def solve_modulus(problem):
     """Certified p-modulus of the source-target crossing family.  Its set-up
-    (a _Bracket) is kept on the network for later solves on the same sides,
-    and the last converged p > 1 potential starts IRLS within WARM_SPAN of
-    its p: values move within the tolerance; a fresh Network solves cold."""
-    net, key = problem.network, (id(problem.network), problem.source, problem.target)
-    if net._crossing[0] != key:  # by id: a shallow copy shares the slot, not the network
-        net._crossing = key, _Bracket(net, problem.source, problem.target)
-    bracket = net._crossing[1]
+    (a _Bracket) is kept on the network, keyed by the sides, and the last
+    converged p > 1 potential starts IRLS within WARM_SPAN of its p: values
+    move within the tolerance; a fresh Network solves cold."""
+    net, bracket = problem.network, problem.network._crossing
+    if bracket is None or bracket.sides != (problem.source, problem.target):
+        bracket = net._crossing = _Bracket(net, problem.source, problem.target)
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
@@ -242,7 +241,7 @@ def solve_modulus(problem):
         sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
         flow, cut = (np.bincount(bracket.kept, x, net.n_edges)
                      for x in _max_flow(bracket.quotient, *sides))
-        res, iterations, stop = bracket(cut, flow, 1.0), 1, "exact"
+        res, iterations, stop = bracket(net, cut, flow, 1.0), 1, "exact"
     else:
         res, iterations, stop = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
@@ -271,11 +270,11 @@ class _Bracket:
     exact: for p > 1 the strictly convex energy has an orbit-constant
     minimiser; at p = 1 a quotient maximum flow spread evenly over the edges
     between two orbits is invariant, as is its residual cut.  __call__
-    checks the lifted potential, or cut and flow, on the network itself.
-    It rests on the network and sides alone, not on p, so solve_modulus keeps
-    it, with its forest and laplacian (pattern, fill-reducing order), in the
-    network's one slot: other sides replace it, and it is freed with the
-    network (self.net is a weak proxy).  It also keeps warm, the p and quotient
+    checks the lifted potential, or cut and flow, on the network passed in.
+    It rests on the network and sides alone, not on p, and refers to no
+    network: solve_modulus keeps it, with its forest (built on first use) and
+    laplacian (pattern, fill-reducing order), in the network's one slot, keyed
+    by sides; a shallow copy shares it.  It also keeps warm, the p and quotient
     potential of the last p > 1 solve that converged (tried: of the last pass
     certified).  A solve started from warm moves within the tolerance; other
     reuse changes results only through rounding (the kept order)."""
@@ -283,7 +282,7 @@ class _Bracket:
     def __init__(self, net, source, target):
         from scipy.sparse.csgraph import dijkstra
 
-        self.net, (eu, ew) = weakref.proxy(net), net.ends.T
+        self.sides, (eu, ew) = (source, target), net.ends.T
         self.source, self.target = (np.array(sorted(side), dtype=np.int64)
                                     for side in (source, target))
         self.depth, self.parent, start = dijkstra(
@@ -303,14 +302,17 @@ class _Bracket:
         ends = self.orbit[net.ends]
         self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
         self.quotient = Network(len(self.reps), ends[self.kept])
+        self.laplacian = _Laplacian(self.quotient, self.phi[self.reps],
+                                    np.unique(self.orbit[self.free]))
+        self.forest = None
         self.warm = self.tried = None  # (p, quotient phi): last converged, last certified
 
-    def __call__(self, rho, flow, p):
-        length, vpath = _shortest_path(self.net, rho, self.source, self.target)
+    def __call__(self, net, rho, flow, p):
+        length, vpath = _shortest_path(net, rho, self.source, self.target)
         density = rho / length
         upper = float(np.power(density, p).sum())
-        flow = self.route(flow)
-        flux = math.fsum(self._div(flow)[self.source])
+        flow = self.route(net, flow)
+        flux = math.fsum(_div(net, flow)[self.source])
         lower = 0.0
         if flux > 0.0:
             flow /= flux
@@ -318,36 +320,31 @@ class _Bracket:
                      else float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p))
         return ModulusResult(lower, upper, density, [vpath], flow=flow)
 
-    def _div(self, flow):
-        (eu, ew), n = self.net.ends.T, self.net.n_vertices
-        return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
-
-    def route(self, flow):
+    def route(self, net, flow):
         div = np.zeros_like(self.phi)
-        div[self.free] = self._div(flow)[self.free]
+        div[self.free] = _div(net, flow)[self.free]
         if not div.any():
             return flow
+        if self.forest is None:
+            depth, parent = self.depth, self.parent
+            reached = self.free[np.argsort(-depth[self.free], kind="stable")]  # deepest first
+            levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
+            # Each vertex's tree edge is its first arc to its parent.
+            tails = np.repeat(np.arange(net.n_vertices), np.diff(net._arc_indptr))
+            arcs = np.flatnonzero(parent[tails] == net._arc_heads)
+            v, first = np.unique(tails[arcs], return_index=True)
+            e = net._arc_edge[arcs[first]]
+            self.forest = ([(lv, *np.unique(parent[lv], return_inverse=True)) for lv in levels],
+                           v, e, np.where(net.ends[e, 0] == v, -1.0, 1.0))
         levels, v, e, sign = self.forest
         for level, up, inv in levels:  # deepest first, each vertex to its parent
             div[up] += np.bincount(inv, div[level], len(up))
         return flow + np.bincount(e, sign * div[v], len(flow))
 
-    @cached_property
-    def forest(self):
-        net, depth, parent = self.net, self.depth, self.parent
-        reached = self.free[np.argsort(-depth[self.free], kind="stable")]  # deepest first
-        levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
-        # Each vertex's tree edge is its first arc to its parent.
-        tails = np.repeat(np.arange(net.n_vertices), np.diff(net._arc_indptr))
-        arcs = np.flatnonzero(parent[tails] == net._arc_heads)
-        v, first = np.unique(tails[arcs], return_index=True)
-        e = net._arc_edge[arcs[first]]
-        return ([(lv, *np.unique(parent[lv], return_inverse=True)) for lv in levels], v, e,
-                np.where(net.ends[e, 0] == v, -1.0, 1.0))
 
-    @cached_property
-    def laplacian(self):
-        return _Laplacian(self.quotient, self.phi[self.reps], np.unique(self.orbit[self.free]))
+def _div(net, flow):  # net outflow at each vertex of a flow signed along the rows of ends
+    (eu, ew), n = net.ends.T, net.n_vertices
+    return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
 
 
 def _max_flow(net, source, target):
@@ -466,7 +463,8 @@ def _p_harmonic_potential(problem, bracket):
     def certify(ph, eps):
         d = ph[lw] - ph[lu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
-        res = bracket(np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
+        res = bracket(problem.network, np.abs(d),
+                      np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
         res.backoffs, bracket.tried = backoffs, (p, ph)
         return res
 

@@ -184,6 +184,31 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "counts", "3..1"], "level range '3..1' is empty"),
+    # before the graph is read: the file does not exist
+    (["modulus", "--graph", "MISSING", "--sides", "left-right", "--p-grid", "1,x"],
+     "cannot parse p grid '1,x'"),
+    (["metric", "blowup", "--level-from", "2", "--prefix", "1", "--normalization", "bogus",
+      "--out", "OUT"], "normalization must be none, diameter, or pair:a:b, not 'bogus'"),
+    (["metric", "symmetrize", "--out", "OUT"],
+     "pass either --in FILE or a --level to compute from"),
+    (["measure", "dimension", "--mode", "box"], "box mode needs --levels"),
+    (["measure", "dimension", "--mode", "ball", "--level", "2", "--seed", "1"],
+     "ball mode needs --level and --samples"),
+    (["metric", "symmetrize", "--level", "1", "--mode", "sampled", "--seed", "1", "--out", "OUT"],
+     "sampled mode needs --samples"),
+    (["metric", "blowup", "--prefix", "1", "--out", "OUT"], "internal mode needs --level-from"),
+], ids=["empty-range", "p-grid", "normalization", "symmetrize-input", "box-levels",
+        "ball-samples", "sampled-samples", "level-from"])
+def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message):
+    paths = {"MISSING": tmp_path / "nope.json", "OUT": tmp_path / "out"}
+    assert cli.main([str(paths.get(a, a)) for a in argv]) == 64
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"pillowspace: error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_modulus_csv_reproducible(g1_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -564,6 +564,15 @@ def test_build_runs_no_adjacency_test(monkeypatch):
         assert ps.build_graph(n, policy).edges == edges
 
 
+def test_build_certifies_that_the_graph_is_connected(monkeypatch):
+    # without its cross edges G_2 is ten disjoint copies of G_1
+    real, none = G._cross_edges, (np.zeros(0, dtype=np.int64),) * 3
+    monkeypatch.setattr(G, "_cross_edges", lambda m, policy: real(m, policy) if m < 2 else none)
+    assert ps.build_graph(1).n_edges == PINNED_EDGES[(1, "on")]
+    with pytest.raises(RuntimeError, match="^level-2 graph is not connected$"):
+        ps.build_graph(2)
+
+
 # L6 edge totals, too large to build in a test: G_6 is ten copies of G_5
 # plus the level-6 cross edges
 L6_EDGES = {"on": 2_510_616, "off": 2_410_616}

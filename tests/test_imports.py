@@ -69,6 +69,12 @@ def test_import_pillowspace_loads_no_submodule_and_no_numpy():
     assert _run("import pillowspace\nassert pillowspace.__version__") == (set(), False)
 
 
+def test_dir_lists_the_exports_and_submodules_and_loads_neither():
+    names = sorted(set(NAMES) | SUBMODULES)
+    code = f"import pillowspace\nassert set({names!r}) <= set(dir(pillowspace))\n"
+    assert _run(code) == (set(), False)
+
+
 def test_submodule_attribute_loads_that_module():
     assert _run("import pillowspace\npillowspace.graphs.bfs_row") == ({"words", "graphs"}, True)
 

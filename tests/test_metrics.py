@@ -687,6 +687,13 @@ def test_pi_diagnostic_skips_a_ball_of_zero_mass(graphs):
     assert rep.trials == 5 and [row[1] for row in rep.rows] == ["3"]
 
 
+def test_pi_diagnostic_reads_an_oscillation_over_no_gradient_as_infinite(graphs, monkeypatch):
+    monkeypatch.setattr(metrics_module, "_gradient", lambda g, u: np.zeros(g.n_vertices))
+    rep = pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=10, seed=1)
+    assert rep.worst_ratio == math.inf
+    assert all(ratio == math.inf for *_, lhs, _rhs, ratio in rep.rows if lhs > 0)
+
+
 def test_pi_diagnostic_validation(graphs):
     m = TileMeasure.uniform(2)
     for p in (0.5, math.nan, math.inf, True, np.True_):

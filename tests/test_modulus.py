@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 import weakref
 from types import SimpleNamespace
 
@@ -816,7 +817,7 @@ def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
     rng = np.random.default_rng(n)
     phi = M._Laplacian(net, bracket.phi, bracket.free).solve(rng.uniform(0.1, 2.0, net.n_edges))
     flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
-    routed = bracket.route(flow)
+    routed = bracket.route(net, flow)
     interior = np.setdiff1d(np.arange(net.n_vertices), list(src | tgt))
     assert np.abs(divergence(net, flow)[interior]).max() > 1e-3
     assert np.abs(divergence(net, routed)[interior]).max() <= 1e-12 * np.abs(routed).max()
@@ -851,14 +852,14 @@ def test_routing_along_one_forest_matches_the_reference(crossing, n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):  # the later flows reuse the first one's forest
         flow = rng.normal(size=net.n_edges)
-        assert np.array_equal(bracket.route(flow), reference_route(net, src | tgt, flow))
+        assert np.array_equal(bracket.route(net, flow), reference_route(net, src | tgt, flow))
 
 
 def test_routing_leaves_a_maximum_flow_unchanged(crossing):
     net, src, tgt = crossing[3]
     bracket = M._Bracket(net, src, tgt)
     flow, _ = M._max_flow(net, bracket.source, bracket.target)
-    assert bracket.route(flow) is flow
+    assert bracket.route(net, flow) is flow
 
 
 # ---------------------------------------------------------------------------
@@ -987,22 +988,64 @@ def test_other_sides_replace_the_kept_set_up(monkeypatch):
                                 for side in ("left", "right", "bottom", "top"))
     for sides in ((left, right), (left, right), (bottom, top), (left, right), (right, left)):
         solve(net, *sides, 2.5)
-        assert net._crossing[0] == (id(net), *sides)
+        assert net._crossing.sides == sides
     assert list(made.values()) == [4, 4]
-    # the set-up refers to its network weakly: dropping the network frees both
-    kept, gone = weakref.ref(net._crossing[1]), weakref.ref(net)
+    # the set-up refers to no network: dropping the network frees both
+    kept, gone = weakref.ref(net._crossing), weakref.ref(net)
     del net
     assert gone() is None and kept() is None
 
 
-def test_a_shallow_copy_of_a_network_sets_itself_up(crossing):
-    # the copy shares the slot, whose set-up holds the original network weakly
+def assert_identical(got, want):
+    """Every field of two results equal, bit for bit."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert (np.array_equal(other, value) if isinstance(value, np.ndarray)
+                else other == value), name
+
+
+def second_solve(net, src, tgt, p):
+    """The solve at p on a fresh network after one at p: the copies' reference."""
+    again = fresh(net)
+    solve(again, src, tgt, p)
+    return solve(again, src, tgt, p)
+
+
+def test_a_shallow_copy_of_a_network_shares_its_set_up(crossing):
+    # the set-up refers to no network, so the copy uses it and its warm potential
     net, src, tgt = crossing[2]
     net = fresh(net)
-    want = solve(net, src, tgt, 2.5)
+    cold = solve(net, src, tgt, 2.5)
     twin = copy.copy(net)
+    assert twin._crossing is net._crossing
     del net
-    assert solve(twin, src, tgt, 2.5).value == want.value
+    got, want = solve(twin, src, tgt, 2.5), second_solve(twin, src, tgt, 2.5)
+    assert_identical(got, want)
+    assert got.iterations < cold.iterations
+
+
+def test_a_copy_of_a_copy_solves_after_the_original_is_dropped(crossing):
+    # a slot keyed by id(network) matched a copy made at a freed network's address
+    net, src, tgt = crossing[2]
+    want = second_solve(net, src, tgt, 2.5)
+    for _ in range(20):
+        first = fresh(net)
+        solve(first, src, tgt, 2.5)
+        twin = copy.copy(first)
+        del first
+        assert_identical(solve(copy.copy(twin), src, tgt, 2.5), want)
+
+
+@pytest.mark.parametrize("dup", [lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_pickle_and_deepcopy_carry_the_set_up(crossing, dup):
+    net, src, tgt = crossing[2]
+    net = fresh(net)
+    solve(net, src, tgt, 2.5)
+    twin = dup(net)
+    assert twin._crossing is not net._crossing
+    assert twin._crossing.sides == (frozenset(src), frozenset(tgt))
+    assert_identical(solve(twin, src, tgt, 2.5), second_solve(net, src, tgt, 2.5))
 
 
 @pytest.fixture(scope="module")
@@ -1065,23 +1108,23 @@ def test_a_solve_that_does_not_converge_keeps_no_potential(crossing, monkeypatch
         patch.setattr(M, "MAX_PASSES", 1)
         assert not solve(kept, src, tgt, 3.0).converged
     assert solve(kept, src, tgt, 1.0).converged  # p = 1 keeps no potential
-    assert kept._crossing[1].warm is None  # nothing converged yet: the next solve is cold
+    assert kept._crossing.warm is None  # nothing converged yet: the next solve is cold
     again = solve(kept, src, tgt, 3.0)
     # the same passes; the kept factorisation order changes only rounding
     assert again.iterations == cold.iterations and abs(again.value / cold.value - 1) <= 1e-12
     # after p = 2 converged, a capped solve at p = 3 leaves its potential kept
     kept = fresh(net)
     solve(kept, src, tgt, 2.0)
-    exact = kept._crossing[1].warm
+    exact = kept._crossing.warm
     assert exact[0] == 2.0
     with monkeypatch.context() as patch:
         patch.setattr(M, "MAX_PASSES", 1)
         assert not solve(kept, src, tgt, 3.0).converged
-    assert kept._crossing[1].warm is exact
+    assert kept._crossing.warm is exact
     from_exact = fresh(net)
     solve(from_exact, src, tgt, 2.0)
     want = solve(from_exact, src, tgt, 3.0)
     got = solve(kept, src, tgt, 3.0)
     assert got.iterations == want.iterations < cold.iterations
     assert abs(got.value / want.value - 1) <= 1e-12
-    assert kept._crossing[1].warm[0] == 3.0
+    assert kept._crossing.warm[0] == 3.0
