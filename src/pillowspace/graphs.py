@@ -170,11 +170,6 @@ def _chains_meet(w, v, px, py, denom):
     return True
 
 
-def _check_oracle_level(n):
-    if n > ORACLE_MAX_LEVEL:
-        raise ValueError(f"chain oracle supports length <= {ORACLE_MAX_LEVEL}, got {n}")
-
-
 def chain_oracle_adjacency(w, v, exhaustive=False):
     """Slow independent adjacency decision, levels <= 3 only.
 
@@ -186,8 +181,7 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
         raise ValueError("words must have equal length")
     if w == v:
         raise ValueError("oracle compares distinct words")
-    n = len(w)
-    _check_oracle_level(n)
+    n = check_level(len(w), ORACLE_MAX_LEVEL, name="chain oracle word length", over=ValueError)
     top = 3**n
     denom = 2 * top
     shared = _shared_faces(_prefix_states(w)[n], _prefix_states(v)[n])
@@ -395,8 +389,8 @@ def reference_edges(n, central_edge_policy="on"):
     """Sorted edge list from the per-tile enumeration over all 10^n tiles.
 
     The slow per-vertex path that build_graph is checked against: it decides
-    every candidate pair with adjacency, which the builder never runs; no
-    level cap, so keep n small.
+    every candidate pair with adjacency, which the builder never runs.
+    LevelWords caps n at MAX_LEVEL; every tile costs Python calls, so keep n small.
     """
     return sorted(
         e for w in LevelWords(n) for e in _tile_edges(w, central_edge_policy)

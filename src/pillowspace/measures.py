@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import GRID_LETTERS, _integer, _square_arrays, check_level, parse_word, section
+from .words import _bits, _grid_table, _integer, _square_arrays, check_level, parse_word
 
 
 @dataclass
@@ -64,13 +64,12 @@ class TileMeasure:
         this measure's universe.
         """
         level = check_level(level, low=0, name="measure level")
-        if bits is None:
-            bits = "0" * level
-        m = Fraction(1, 9**level)
-        mass = {}
-        for letters in _grid_words(level):
-            mass[int(section(letters, bits) or "0")] = m  # level 0: the empty word, tile 0
-        return cls(level, mass)
+        bits = _bits("0" * level if bits is None else bits, level)
+        tiles = np.sort(_grid_table(level).ravel())  # the center-free words, in order
+        for b, place in zip(bits, 10 ** np.arange(level - 1, -1, -1)):
+            if b == "1":  # the flip: a '5' at this letter becomes '0'
+                tiles -= 5 * place * (tiles // place % 10 == 5)
+        return cls(level, dict.fromkeys(tiles.tolist(), Fraction(1, 9**level)))
 
     @classmethod
     def dirac(cls, word):
@@ -83,13 +82,6 @@ def _scaled(masses):
     masses = list(masses)
     d = math.lcm(*{m.denominator for m in masses})
     return [m.numerator * (d // m.denominator) for m in masses], d
-
-
-def _grid_words(level):
-    import itertools
-
-    for p in itertools.product(GRID_LETTERS, repeat=level):
-        yield "".join(p)
 
 
 @dataclass
@@ -211,7 +203,7 @@ class DimensionFit:
 
 def box_dimension_estimate(levels):
     """Tile-count slope: log(#tiles) against log(1/side) across levels."""
-    levels = sorted(set(levels))
+    levels = sorted({_integer(n, "level") for n in levels})  # no cap: it sizes nothing
     if len(levels) < 2:
         raise ValueError("need at least two levels for a slope")
     xs = np.array([n * math.log(3) for n in levels])

@@ -109,14 +109,14 @@ def _arc_matrix(net, weights):
 
 def path_network(k):
     """A single path with k edges: modulus k^(1-p) between its ends."""
-    if k < 1:
+    if _integer(k, "path length") < 1:
         raise ValueError("need at least one edge")
     return Network(k + 1, [(i, i + 1) for i in range(k)]), {0}, {k}
 
 
 def parallel_network(m, k):
     """m disjoint paths of k edges each sharing only the two ends."""
-    if m < 1 or k < 1:
+    if _integer(m, "path count") < 1 or _integer(k, "path length") < 1:
         raise ValueError("need m >= 1 paths of k >= 1 edges")
     edges = []
     n = 2
@@ -129,7 +129,7 @@ def parallel_network(m, k):
 
 def grid_network(rows, cols):
     """rows x cols grid; endpoints are the left and right columns."""
-    if rows < 1 or cols < 2:
+    if _integer(rows, "row count") < 1 or _integer(cols, "column count") < 2:
         raise ValueError("grid needs at least 1 row and 2 columns")
     edges = []
     for r in range(rows):
@@ -153,19 +153,24 @@ class ModulusProblem:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        self.source = frozenset(self.source)
-        self.target = frozenset(self.target)
-        if not self.source or not self.target:
-            raise ValueError("source and target must be nonempty")
-        if self.source & self.target:
-            raise ValueError("source and target must be disjoint")
+        self.source, self.target = _sides(self.network, self.source, self.target)
         if _is_bool(self.p) or not 1.0 <= self.p <= MAX_P:
             raise ValueError(f"exponent must lie in [1, {MAX_P}], got {self.p}")
         if not 0 < self.tolerance <= MAX_TOL:
             raise ValueError(f"tolerance must lie in (0, {MAX_TOL}]")
-        for s in self.source | self.target:
-            if not 0 <= _integer(s, "endpoint vertex") < self.network.n_vertices:
-                raise ValueError(f"endpoint vertex {s} out of range")
+
+
+def _sides(net, source, target):
+    """The sides as frozensets: nonempty, disjoint, integer vertices of net."""
+    source, target = frozenset(source), frozenset(target)
+    if not source or not target:
+        raise ValueError("source and target must be nonempty")
+    if source & target:
+        raise ValueError("source and target must be disjoint")
+    for s in source | target:
+        if not 0 <= _integer(s, "endpoint vertex") < net.n_vertices:
+            raise ValueError(f"endpoint vertex {s} out of range")
+    return source, target
 
 
 @dataclass
@@ -234,6 +239,7 @@ def solve_modulus(problem):
     net, bracket = problem.network, problem.network._crossing
     if bracket is None or bracket.sides != (problem.source, problem.target):
         bracket = net._crossing = _Bracket(net, problem.source, problem.target)
+    phi = None  # the p > 1 quotient potential res brackets
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
@@ -243,10 +249,10 @@ def solve_modulus(problem):
                      for x in _max_flow(bracket.quotient, *sides))
         res, iterations, stop = bracket(net, cut, flow, 1.0), 1, "exact"
     else:
-        res, iterations, stop = _p_harmonic_potential(problem, bracket)
+        res, iterations, stop, phi = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
-    if converged and problem.p > 1.0:
-        bracket.warm = bracket.tried
+    if converged and phi is not None:
+        bracket.warm = problem.p, phi
     if stop == "stalled" and converged:
         stop = "converged"
     res.iterations, res.converged, res.stop = iterations, converged, stop
@@ -275,8 +281,8 @@ class _Bracket:
     network: solve_modulus keeps it, with its forest (built on first use) and
     laplacian (pattern, fill-reducing order), in the network's one slot, keyed
     by sides; a shallow copy shares it.  It also keeps warm, the p and quotient
-    potential of the last p > 1 solve that converged (tried: of the last pass
-    certified).  A solve started from warm moves within the tolerance; other
+    potential of the last p > 1 solve that converged, which solve_modulus
+    alone writes.  A solve started from warm moves within the tolerance; other
     reuse changes results only through rounding (the kept order)."""
 
     def __init__(self, net, source, target):
@@ -305,7 +311,7 @@ class _Bracket:
         self.laplacian = _Laplacian(self.quotient, self.phi[self.reps],
                                     np.unique(self.orbit[self.free]))
         self.forest = None
-        self.warm = self.tried = None  # (p, quotient phi): last converged, last certified
+        self.warm = None  # (p, quotient phi) of the last converged p > 1 solve
 
     def __call__(self, net, rho, flow, p):
         length, vpath = _shortest_path(net, rho, self.source, self.target)
@@ -433,8 +439,8 @@ class _Laplacian:
 
 def _p_harmonic_potential(problem, bracket):
     """Potential minimizing sum |phi_u - phi_v|^p with phi fixed off
-    bracket.free, on bracket.quotient; returns (the last pass's bracket,
-    passes, stop reason), the bracket carrying the number of back-offs.
+    bracket.free, on bracket.quotient; returns the last pass's bracket (with
+    its back-offs), the passes, the stop reason and the potential it bracketed.
 
     It starts from bracket.warm's potential at eps = EPS_FLOOR within
     WARM_SPAN of its p, else cold from the boundary data at eps = 1.
@@ -465,11 +471,11 @@ def _p_harmonic_potential(problem, bracket):
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
         res = bracket(problem.network, np.abs(d),
                       np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
-        res.backoffs, bracket.tried = backoffs, (p, ph)
+        res.backoffs = backoffs
         return res
 
     if not len(lap.free) or not net.n_edges:
-        return certify(phi, EPS_FLOOR), 0, "exact"
+        return certify(phi, EPS_FLOOR), 0, "exact", phi
     # As eps -> 0 the IRLS step is p - 1 times the Newton step, so for p > 9
     # every halving overshoots; the Newton scale 1/(p-1) does not.
     ladder = (1.0, 0.5, 0.25, 0.125) + ((1 / (p - 1), 0.5 / (p - 1)) if p > 2.0 else ()) + (0.0,)
@@ -482,10 +488,10 @@ def _p_harmonic_potential(problem, bracket):
             if backoffs < MAX_BACKOFFS:
                 backoffs, eps = backoffs + 1, eps * 16.0
                 continue
-            return certify(phi, eps), iters, "non-finite solve"
+            return certify(phi, eps), iters, "non-finite solve", phi
         np.clip(phi_new, 0.0, 1.0, out=phi_new)
         if p == 2.0:
-            return certify(phi_new, eps), iters, "exact"
+            return certify(phi_new, eps), iters, "exact", phi_new
 
         def smoothed(ph):
             d2 = np.square(ph[eu] - ph[ew])
@@ -501,7 +507,7 @@ def _p_harmonic_potential(problem, bracket):
         phi = phi + scale * step
         res = certify(phi, eps)
         if res.value_upper <= (1.0 + problem.tolerance) * res.value_lower:
-            return res, iters, "converged"
+            return res, iters, "converged", phi
         size = float(np.abs(step).max())
         # Small eps left phi outside the basin: every scaling raises the energy.
         if scale == 0.0 and size > 1e-13 and eps < 1e-3 and backoffs < MAX_BACKOFFS:
@@ -510,10 +516,10 @@ def _p_harmonic_potential(problem, bracket):
         moved = size * scale
         stalled = moved <= 1e-13 or e_prev - e_new <= 1e-11 * max(e_prev, 1e-300)
         if eps <= EPS_FLOOR and stalled:
-            return res, iters, "stalled"
+            return res, iters, "stalled", phi
         eps = max(eps / (20.0 if scale == 1.0 and moved < 1e-2 else 4.0), EPS_FLOOR)
     res.backoffs = backoffs  # the passes after the last bracket may have backed off
-    return res, iters, "iteration cap"
+    return res, iters, "iteration cap", phi  # phi: unchanged since its bracket
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +528,7 @@ def _p_harmonic_potential(problem, bracket):
 
 def mincut_oracle(net, source, target):
     """Minimum number of edges separating the sides (BFS augmenting paths)."""
-    source, target = set(source), set(target)
-    if source & target:
-        raise ValueError("source and target must be disjoint")
+    source, target = _sides(net, source, target)
     # Unit-capacity arcs both ways per undirected edge, plus a super pair.
     s, t = net.n_vertices, net.n_vertices + 1
     cap, adj = {}, [[] for _ in range(t + 1)]
@@ -577,9 +581,7 @@ def effective_conductance(net, source, target):
     component that touches neither side carries no flow: it is held at 0."""
     from scipy.sparse.csgraph import connected_components
 
-    source, target = set(source), set(target)
-    if source & target:
-        raise ValueError("source and target must be disjoint")
+    source, target = _sides(net, source, target)
     sides = list(source | target)
     phi = np.zeros(net.n_vertices)
     phi[list(target)] = 1.0

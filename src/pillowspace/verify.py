@@ -17,7 +17,6 @@ import numpy as np
 
 from .graphs import (
     ORACLE_MAX_LEVEL,
-    _check_oracle_level,
     adjacency,
     bfs_blocks,
     build_graph,
@@ -65,10 +64,9 @@ def _suite_counts(n, g, ctx):
 
 
 def _suite_adjacency_oracle(n, g, ctx):
-    # A level past the oracle fails before its words are listed.  The list
-    # (1,000 words at most) serves the 200,000 draws at C speed; a LevelWords
-    # view answers each through Python calls and doubled the suite's time.
-    _check_oracle_level(n)
+    # run_suite refuses a level past the oracle before any words are listed.
+    # The list (1,000 words at most) serves the 200,000 draws at C speed; a
+    # LevelWords view answers each through Python calls and doubled the time.
     words = all_words(n)
     if n <= 2:
         pairs = itertools.combinations(words, 2)
@@ -262,13 +260,13 @@ SUITES = {
 
 
 def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
-    """Run one named suite over the given levels and report per-level results."""
+    """Run one named suite over the given levels and report per-level results.
+    Every level is checked against the suite's top in SUITES before any runs."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     runner, default_levels, reads_graph, top = SUITES[suite]
-    # build_graph's guards, for every suite and before any level runs; a suite
-    # that reads the graph also refuses a level past its top before building it
-    levels = sorted({check_level(n, top if reads_graph else MAX_LEVEL, name=f"{suite} level")
+    # build_graph's guards for every suite; reads_graph only decides whether a graph is built
+    levels = sorted({check_level(n, top, name=f"{suite} level")
                      for n in (default_levels if levels is None else levels)})
     if not levels:
         raise ValueError("no level to run")

@@ -100,7 +100,7 @@ _LETTER_AT = {(_grid_col(c), _grid_row(c)): c for c in GRID_LETTERS}
 def letter_at(col, row):
     """Base-sheet letter code for a grid position with col, row in 1..3."""
     try:
-        return _LETTER_AT[(col, row)]
+        return _LETTER_AT[(_integer(col, "grid column"), _integer(row, "grid row"))]
     except KeyError:
         raise ValueError(f"grid position out of range: ({col}, {row})") from None
 
@@ -154,7 +154,7 @@ class LevelWords(Sequence):
     is i written with `level` digits, formatted only when it is read."""
 
     def __init__(self, level):
-        self.level = level
+        self.level = check_level(level, low=0, name="word level")
 
     def __len__(self):
         return 10**self.level
@@ -313,6 +313,6 @@ def grid_word_of_square(level, x, y):
     sheet lifts reachable via section().
     """
     table = _grid_table(level)
-    if not (0 <= x < len(table) and 0 <= y < len(table)):
+    if not all(0 <= _integer(c, "square index") < len(table) for c in (x, y)):
         raise ValueError(f"square indices out of range at level {level}: ({x}, {y})")
     return str(table[x, y]).zfill(level) if level else ""

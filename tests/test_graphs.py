@@ -125,7 +125,8 @@ def test_oracle_agrees_on_every_touching_pair_level_3(g3):
 
 
 def test_oracle_refuses_large_levels():
-    with pytest.raises(ValueError, match="<= 3"):
+    with pytest.raises(ValueError,
+                       match="chain oracle word length 4 exceeds the supported maximum 3"):
         ps.chain_oracle_adjacency("1111", "1112")
 
 

@@ -1,5 +1,6 @@
 """Tests for exact tile measures: pushforward, ratios, doubling, dimension."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,8 +20,8 @@ from pillowspace.measures import (
     pushforward_x,
     tile_doubling_check,
 )
-from pillowspace.words import (MAX_LEVEL, CapacityError, _prefix_states, _square_arrays,
-                               all_words, word_square)
+from pillowspace.words import (GRID_LETTERS, MAX_LEVEL, CapacityError, _prefix_states,
+                               _square_arrays, all_words, section, word_square)
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +53,12 @@ def test_measure_level_must_be_a_natural_number(level):
 ])
 def test_measure_level_is_capped_before_anything_is_sized(make, monkeypatch):
     # TileMeasure(12, ...) was accepted; uniform makes its mass, and one_sheet
-    # its grid words, before a dict of 10^level or 9^level entries
+    # its grid table, before a dict of 10^level or 9^level entries
     def refuse(*args):
         raise AssertionError("a measure was sized before its level was checked")
 
     monkeypatch.setattr(ps.measures, "Fraction", refuse)
-    monkeypatch.setattr(ps.measures, "_grid_words", refuse)
+    monkeypatch.setattr(ps.measures, "_grid_table", refuse)
     for level in (MAX_LEVEL + 1, 12):
         with pytest.raises(CapacityError, match=str(level)):
             make(level)
@@ -132,6 +133,18 @@ def test_one_sheet_ratios_are_exactly_one_third():
         assert all(r.ratio == Fraction(1, 3) for r in rows)
 
 
+@pytest.mark.parametrize("level, bits", [(n, None) for n in range(6)] + [
+    (n, "".join(b)) for n in range(1, 5) for b in itertools.product("01", repeat=n)
+] + [(1, "10"), (2, "0111"), (3, "1101")])
+def test_one_sheet_matches_its_word_form(level, bits):
+    # the tiles are the center-free words in order, each lifted by section
+    got = TileMeasure.one_sheet(level, bits)
+    m = Fraction(1, 9**level)
+    want = {int(section("".join(w), bits or "0" * level) or "0"): m
+            for w in itertools.product(GRID_LETTERS, repeat=level)}
+    assert list(got.mass.items()) == list(want.items())
+
+
 def test_one_sheet_other_sheets():
     m = TileMeasure.one_sheet(2, bits="11")
     assert m.total() == 1
@@ -197,6 +210,24 @@ def test_box_dimension_tile_slope_exact():
     assert fit.residual < 1e-12
     with pytest.raises(ValueError):
         box_dimension_estimate([2])
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([1.5, True], "^level must be an integer, got 1.5$"),  # read as a slope of 2.0959
+    ([1, True], "^level must be an integer, got True$"),
+    ([2, "3"], "^level must be an integer, got '3'$"),
+    ([2, np.int64(2)], "^need at least two levels for a slope$"),
+])
+def test_box_dimension_levels_are_integers(levels, message):
+    with pytest.raises(ValueError, match=message):
+        box_dimension_estimate(levels)
+
+
+def test_box_dimension_levels_have_no_cap():
+    # the tile counts are formulas: no level sizes anything
+    fit = box_dimension_estimate([np.int64(1), 40])
+    assert abs(fit.estimate - math.log(10) / math.log(3)) < 1e-12
+    assert fit.rows[-1] == ("tiles", 40, 10**40)
 
 
 def test_ball_dimension_estimate_reproducible(g2):

@@ -316,6 +316,23 @@ def test_oracle_and_scan_errors_name_their_cause(crossing, call, message):
         call(*crossing[1])
 
 
+@pytest.mark.parametrize("oracle", [M.mincut_oracle, M.effective_conductance])
+@pytest.mark.parametrize("source, message", [
+    ({-1}, "^endpoint vertex -1 out of range$"),
+    ({7}, "^endpoint vertex 7 out of range$"),
+    ({2.0}, "^endpoint vertex must be an integer, got 2.0$"),
+    (set(), "^source and target must be nonempty$"),
+])
+def test_oracles_check_their_sides_as_the_problem_does(oracle, source, message):
+    # effective_conductance read vertex -1 as the last vertex and returned 0.0,
+    # and mincut_oracle counted no cut for an empty side
+    net = M.path_network(3)[0]
+    with pytest.raises(ValueError, match=message):
+        M.ModulusProblem(net, source, {0}, 2.0)
+    with pytest.raises(ValueError, match=message):
+        oracle(net, source, {0})
+
+
 def test_problem_validation():
     net, src, tgt = M.path_network(2)
     with pytest.raises(ValueError):
@@ -372,6 +389,20 @@ def test_network_vertex_count_is_a_count(n):
     (M.grid_network, (1, 1), "^grid needs at least 1 row and 2 columns$"),
 ])
 def test_model_networks_refuse_empty_shapes(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    # path_network(True) built a one-edge path; a float size raised TypeError
+    (M.path_network, (True,), "^path length must be an integer, got True$"),
+    (M.path_network, (2.0,), "^path length must be an integer, got 2.0$"),
+    (M.parallel_network, (True, 2), "^path count must be an integer, got True$"),
+    (M.parallel_network, (2, 1.5), "^path length must be an integer, got 1.5$"),
+    (M.grid_network, (2.0, 3), "^row count must be an integer, got 2.0$"),
+    (M.grid_network, (2, True), "^column count must be an integer, got True$"),
+])
+def test_model_networks_take_integer_sizes(make, args, message):
     with pytest.raises(ValueError, match=message):
         make(*args)
 
@@ -524,7 +555,7 @@ def test_potential_line_search_reaches_the_optimum(crossing):
     # upper bound is the energy of the potential's rescaled density
     net, src, tgt = crossing[1]
     problem = M.ModulusProblem(net, src, tgt, 3.0, tolerance=1e-12)
-    res, passes, stop = M._p_harmonic_potential(problem, M._Bracket(net, src, tgt))
+    res, passes, stop, _phi = M._p_harmonic_potential(problem, M._Bracket(net, src, tgt))
     assert stop == "converged" and passes < 16
     assert abs(res.value_upper - 1.0) <= 1e-9
 
@@ -1099,6 +1130,23 @@ def test_only_a_step_within_the_warm_span_starts_warm(crossing, step):
         assert warm.iterations == cold.iterations and warm.backoffs == cold.backoffs
         assert abs(warm.value_lower - cold.value_lower) <= 1e-12 * cold.value_lower
         assert abs(warm.value_upper - cold.value_upper) <= 1e-12 * cold.value_upper
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_the_kept_potential_is_the_one_its_result_brackets(crossing, p):
+    # the upper bound is the energy of the potential's rescaled density
+    net, src, tgt = crossing[2]
+    kept = fresh(net)
+    res = solve(kept, src, tgt, p)
+    bracket = kept._crossing
+    assert bracket.warm[0] == p and res.converged
+    lu, lw = bracket.orbit[net.ends].T
+    rho = np.abs(bracket.warm[1][lw] - bracket.warm[1][lu])
+    length, _ = M._shortest_path(net, rho, bracket.source, bracket.target)
+    assert float(np.power(rho / length, p).sum()) == res.value_upper
+    # running the passes themselves keeps nothing
+    M._p_harmonic_potential(M.ModulusProblem(net, src, tgt, p + 0.5), bracket)
+    assert bracket.warm[0] == p
 
 
 def test_a_solve_that_does_not_converge_keeps_no_potential(crossing, monkeypatch):

@@ -125,8 +125,25 @@ def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(m
         raise AssertionError(f"all_words({level}) called past the oracle's cap")
 
     monkeypatch.setattr(verify, "all_words", refuse)
-    with pytest.raises(ValueError, match="chain oracle supports length <= 3, got 6"):
+    with pytest.raises(graphs.CapacityError,
+                       match="adjacency-oracle level 6 exceeds the supported maximum 3"):
         verify.run_suite("adjacency-oracle", [6])
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_every_suite_refuses_a_level_past_its_top_before_running(suite, monkeypatch):
+    # a suite that builds no graph was capped at MAX_LEVEL, not its top, so
+    # run_suite("adjacency-oracle", [4]) left level 4 to the oracle's own check
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{suite} ran before its levels were checked")
+
+    _, defaults, reads_graph, top = verify.SUITES[suite]
+    monkeypatch.setitem(verify.SUITES, suite, (refuse, defaults, reads_graph, top))
+    for module, name in ((verify, "all_words"), (verify, "build_graph"), (graphs, "build_graph")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(graphs.CapacityError,
+                       match=f"^{suite} level {top + 1} exceeds the supported maximum {top}$"):
+        verify.run_suite(suite, [1, top + 1])
 
 
 def test_quotient_refuses_a_level_past_the_ball_image_check_before_building(monkeypatch):

@@ -184,6 +184,37 @@ def test_grid_word_of_square_inverts_word_square():
     assert (sq.level, sq.x, sq.y) == (W.MAX_LEVEL, top, 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    # grid_word_of_square(1, True, 0) returned the string '[[1 4 7]]' and
+    # (1, 1.0, 0) raised IndexError; letter_at read True and 1.0 as 1;
+    # all_words(True) listed 10 words and all_words(12) began on 10^12
+    (lambda: W.grid_word_of_square(1, True, 0), ValueError,
+     "^square index must be an integer, got True$"),
+    (lambda: W.grid_word_of_square(1, 1.0, 0), ValueError,
+     "^square index must be an integer, got 1.0$"),
+    (lambda: W.grid_word_of_square(1, 0, 3), ValueError,
+     r"^square indices out of range at level 1: \(0, 3\)$"),
+    (lambda: W.letter_at(True, 1), ValueError, "^grid column must be an integer, got True$"),
+    (lambda: W.letter_at(1.0, 1), ValueError, "^grid column must be an integer, got 1.0$"),
+    (lambda: W.letter_at(1, 2.0), ValueError, "^grid row must be an integer, got 2.0$"),
+    (lambda: W.letter_at(4, 1), ValueError, r"^grid position out of range: \(4, 1\)$"),
+    (lambda: W.LevelWords(True), ValueError, "^word level must be an integer, got True$"),
+    (lambda: W.all_words(True), ValueError, "^word level must be an integer, got True$"),
+    (lambda: W.all_words(-1), ValueError, "^word level must be >= 0, got -1$"),
+    (lambda: W.LevelWords(12), W.CapacityError,
+     "^word level 12 exceeds the supported maximum 6$"),
+    (lambda: W.all_words(12), W.CapacityError,
+     "^word level 12 exceeds the supported maximum 6$"),
+])
+def test_word_entry_points_check_their_integers(call, error, message, monkeypatch):
+    def refuse(self):
+        raise AssertionError("words listed before their level was checked")
+
+    monkeypatch.setattr(W.LevelWords, "__iter__", refuse)
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_grid_table_is_capped_and_read_only(monkeypatch):
     table = W._grid_table(2)
     with pytest.raises(ValueError):
