@@ -12,10 +12,12 @@ For p > 1 both come from one p-harmonic potential phi (0 on the source side,
 1 on the target side): rho = |dphi|, and the flow |dphi|^(p-2) dphi with its
 small interior divergence routed to the boundary along a BFS forest, no solve.
 At p = 1 a maximum flow gives the lower bound and its minimum cut the 0/1 density.
-The potential or flow is solved on a symmetry quotient (_Bracket says why
-that is exact).  Each bound is checked on its own on the full network, not
-taken from a solver or the quotient; when the potential is exact they may
-cross by a few ulps, and are not clamped.
+The potential or flow is solved on a symmetry quotient, one edge per pair of
+adjacent orbits weighted by the network edges it stands for; on the pillow
+graphs an orbit is a square of the 3^n grid (_Bracket says why that is
+exact).  Each bound is checked on its own on the full network, not taken
+from a solver or the quotient; when the potential is exact they may cross by
+a few ulps, and are not clamped.
 
 Oracles for cross-checking: augmenting-path max-flow (p=1 is the min cut)
 and the Laplacian Dirichlet problem (p=2 is the effective conductance).
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import arc_csr, boundary_face, build_graph, symmetry_permutations
-from .words import MAX_TOL, _integer, _is_bool, check_level
+from .words import MAX_TOL, _integer, _is_bool, _square_arrays, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
@@ -243,10 +245,11 @@ def solve_modulus(problem):
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
-    elif problem.p == 1.0:  # lifted: a quotient edge's flow and cut on each of its edges
+    elif problem.p == 1.0:  # lifted: a quotient edge's flow per unit capacity and cut on its edges
         sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
-        flow, cut = (np.bincount(bracket.kept, x, net.n_edges)
-                     for x in _max_flow(bracket.quotient, *sides))
+        kept, edge, sign = bracket.lift
+        flow, cut = _max_flow(bracket.quotient, *sides, bracket.mult)
+        flow, cut = (np.bincount(kept, x, net.n_edges) for x in (sign * flow[edge], cut[edge]))
         res, iterations, stop = bracket(net, cut, flow, 1.0), 1, "exact"
     else:
         res, iterations, stop, phi = _p_harmonic_potential(problem, bracket)
@@ -270,20 +273,22 @@ class _Bracket:
     touching neither side stays fixed: free, it would make L singular), and
     the sides connect when an edge joins a vertex reached from one side to
     one from the other.  The solve runs on the quotient by the
-    Network.symmetries that map each side onto itself (the one-level flips;
-    for opposite faces, the mirror fixing both): v is in orbit[v], least
-    vertex reps[orbit[v]], and edge kept[i] is quotient edge i.  That is
-    exact: for p > 1 the strictly convex energy has an orbit-constant
-    minimiser; at p = 1 a quotient maximum flow spread evenly over the edges
-    between two orbits is invariant, as is its residual cut.  __call__
-    checks the lifted potential, or cut and flow, on the network passed in.
-    It rests on the network and sides alone, not on p, and refers to no
-    network: solve_modulus keeps it, with its forest (built on first use) and
-    laplacian (pattern, fill-reducing order), in the network's one slot, keyed
-    by sides; a shallow copy shares it.  It also keeps warm, the p and quotient
-    potential of the last p > 1 solve that converged, which solve_modulus
-    alone writes.  A solve started from warm moves within the tolerance; other
-    reuse changes results only through rounding (the kept order)."""
+    Network.symmetries that map each side onto itself: with all n one-level
+    flips, orbit[v] is v's square in grid order, folded by a mirror kept
+    (else v).  Each adjacent orbit pair is one quotient edge whose mult is
+    the count of network edges between them; lift takes each such edge to
+    its quotient edge, signed by orientation.  That is exact: for p > 1 the
+    strictly convex energy has an orbit-constant minimiser, its energy the
+    mult-weighted quotient's; at p = 1 a maximum flow under capacities mult,
+    put on each edge per unit capacity, is invariant, as is its residual
+    cut.  __call__ checks the lifted potential, or cut and flow, on the
+    network passed in.  It rests on the network and sides alone, not on p,
+    and refers to no network: solve_modulus keeps it, with its forest (built
+    on first use) and laplacian (pattern, fill-reducing order), in the
+    network's one slot, keyed by sides; a shallow copy shares it.  Its warm
+    is the p and quotient potential of the last p > 1 solve that converged,
+    written by solve_modulus alone; a solve started from it moves within the
+    tolerance, other reuse only the rounding (the kept order)."""
 
     def __init__(self, net, source, target):
         from scipy.sparse.csgraph import dijkstra
@@ -301,17 +306,22 @@ class _Bracket:
         self.connected = bool(np.any(from_target[eu] != from_target[ew]))
         maps = [s for s in net.symmetries if all(
             np.array_equal(np.sort(s[side]), side) for side in (self.source, self.target))]
-        labels, last = np.arange(net.n_vertices), None
-        while not np.array_equal(labels, last):  # each orbit's least vertex, by iterated minimum
-            last, labels = labels, reduce(lambda x, s: np.minimum(x, x[s]), maps, labels)
-        self.reps, self.orbit = np.unique(labels, return_inverse=True)
-        ends = self.orbit[net.ends]
-        self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
-        self.quotient = Network(len(self.reps), ends[self.kept])
-        self.laplacian = _Laplacian(self.quotient, self.phi[self.reps],
-                                    np.unique(self.orbit[self.free]))
-        self.forest = None
-        self.warm = None  # (p, quotient phi) of the last converged p > 1 solve
+        key, level = np.arange(net.n_vertices), len(str(net.n_vertices - 1))  # 10^level words
+        top, squares = 3**level - 1, _square_arrays(level) if maps else ()
+        if sum(all(np.array_equal(c[s], c) for c in squares) for s in maps) == level:  # n flips
+            x, y = (np.minimum(c, top - c) if any(np.array_equal(c[s], top - c) for s in maps)
+                    else c for c in squares)
+            key = x * (top + 1) + y
+        _, reps, self.orbit = np.unique(key, return_index=True, return_inverse=True)
+        k, (a, b) = len(reps), self.orbit[net.ends].T
+        kept = np.flatnonzero(a != b)  # edges inside an orbit are dropped
+        pairs, edge, self.mult = np.unique(np.minimum(a, b)[kept] * k + np.maximum(a, b)[kept],
+                                           return_inverse=True, return_counts=True)
+        self.lift = kept, edge, np.where(a[kept] < b[kept], 1.0, -1.0)  # kept[i] on edge[i], signed
+        self.quotient = Network(k, np.stack([pairs // k, pairs % k], axis=1))
+        self.laplacian = _Laplacian(self.quotient, self.phi[reps],
+                                    np.unique(self.orbit[self.free]), self.mult)
+        self.forest = self.warm = None  # warm: (p, quotient phi) of the last converged p > 1 solve
 
     def __call__(self, net, rho, flow, p):
         length, vpath = _shortest_path(net, rho, self.source, self.target)
@@ -353,12 +363,12 @@ def _div(net, flow):  # net outflow at each vertex of a flow signed along the ro
     return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
 
 
-def _max_flow(net, source, target):
-    """Integer maximum flow between the sides (sorted vertex arrays), unit
-    capacity each way per edge: the flow per edge (signed along the rows of
-    ends, parallel edges sharing evenly) and a minimum cut as a 0/1 density,
-    the edges leaving the set of vertices the super source reaches in the
-    residual graph."""
+def _max_flow(net, source, target, mult=1):
+    """Integer maximum flow between the sides (sorted vertex arrays), capacity
+    mult each way per edge (an integer or one per edge): the flow per unit
+    capacity (signed along the rows of ends, parallel edges sharing evenly)
+    and a minimum cut as a 0/1 density, the edges leaving the set of vertices
+    the super source reaches in the residual graph."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -367,8 +377,8 @@ def _max_flow(net, source, target):
     eu, ew = net.ends.T
     rows = np.concatenate([eu, ew, np.full(len(source), s), target])
     cols = np.concatenate([ew, eu, source, np.full(len(target), t)])
-    caps = np.ones(len(rows), dtype=np.int32)
-    caps[2 * net.n_edges:] = net.n_edges + 1
+    caps = np.tile(np.broadcast_to(np.int32(mult), net.n_edges), 2)
+    caps = np.concatenate([caps, np.full(len(source) + len(target), caps.sum() + 1, np.int32)])
     cap = coo_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)).tocsr()  # sums parallels
     flow = maximum_flow(cap, s, t).flow  # antisymmetric
     residual = (cap - flow).tocsr()  # nonnegative: the flow respects capacities
@@ -381,16 +391,16 @@ def _max_flow(net, source, target):
 
 class _Laplacian:
     """Weighted Laplacian over the free vertices, the fixed ones entering as
-    Dirichlet data; .solve(weights) returns the potential harmonic at every
-    free vertex, or a non-finite one when the matrix is exactly singular.
-    Each solve refills the data of one kept CSC matrix.  Once every component
-    touches a fixed vertex the matrix is symmetric positive definite, so
-    diagonal pivots are safe; the first factorisation picks a fill-reducing
-    order, the pattern is relabelled by it (a new matrix), and later
-    factorisations keep it as is."""
+    Dirichlet data; .solve(weights) returns the potential harmonic under
+    weights times the edge multiplicities mult at every free vertex, or a
+    non-finite one when the matrix is exactly singular.  Each solve refills
+    one kept CSC matrix.  Once every component touches a fixed vertex the
+    matrix is symmetric positive definite, so diagonal pivots are safe; the
+    first factorisation picks a fill-reducing order, the pattern is
+    relabelled by it (a new matrix), and later factorisations keep it."""
 
-    def __init__(self, net, phi, free):
-        self.net, self.phi, self.free = net, phi, free
+    def __init__(self, net, phi, free, mult=1.0):
+        self.net, self.phi, self.free, self.mult = net, phi, free, mult
         self.order, self.relabel = "MMD_AT_PLUS_A", np.arange(len(self.free))
 
     def _pattern(self):
@@ -421,7 +431,7 @@ class _Laplacian:
             return phi
         if self.relabel is not None:
             self._pattern()
-        w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+        w = np.broadcast_to(self.mult, m) * (1.0 if weights is None else np.asarray(weights))
         lap = self.matrix
         lap.data[:] = np.bincount(self.slot, w[self.edge] * self.sign, len(lap.data))
         try:
@@ -438,7 +448,7 @@ class _Laplacian:
 
 
 def _p_harmonic_potential(problem, bracket):
-    """Potential minimizing sum |phi_u - phi_v|^p with phi fixed off
+    """Potential minimizing sum mult |phi_u - phi_v|^p with phi fixed off
     bracket.free, on bracket.quotient; returns the last pass's bracket (with
     its back-offs), the passes, the stop reason and the potential it bracketed.
 
@@ -495,7 +505,7 @@ def _p_harmonic_potential(problem, bracket):
 
         def smoothed(ph):
             d2 = np.square(ph[eu] - ph[ew])
-            return float(np.power(d2 + eps * eps, 0.5 * p).sum())
+            return float((bracket.mult * np.power(d2 + eps * eps, 0.5 * p)).sum())
 
         # The solve points downhill for the smoothed energy, so some scaling
         # lowers it.  Taking the first that does not raise it let phi swing

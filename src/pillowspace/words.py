@@ -190,9 +190,9 @@ def flip(word, bits):
 
 
 def _bits(bits, levels):
-    """A flip's bit string, checked: only '0' and '1', at least one per level."""
-    if set(bits) - set("01"):
-        raise ValueError(f"bit string must hold only '0' and '1', got {bits!r}")
+    """A flip's bit string, checked: a str of only '0' and '1', at least one per level."""
+    if not isinstance(bits, str) or set(bits) - set("01"):
+        raise ValueError(f"bit string must be a str holding only '0' and '1', got {bits!r}")
     if len(bits) < levels:
         raise ValueError(f"bit string of length {len(bits)} cannot act on {levels} levels")
     return bits

@@ -946,6 +946,77 @@ def test_quotient_sizes_and_one_symmetry_check_per_network(monkeypatch):
     assert checks == [3] and len(net.symmetries) == 5
 
 
+def center_count(level, x, y):
+    """c(a) of a square: the places k where base-3 digit k of x and of y is 1."""
+    return sum((x // 3**k % 3 == 1) & (y // 3**k % 3 == 1) for k in range(level))
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjacent_squares_share_two_to_the_larger_center_count_edges(n, policy):
+    # the flip orbits are the squares, and the edges between two of them
+    # depend on the squares alone: the grid the quotient solves on
+    g, side = ps.build_graph(n, policy), 3**n
+    u, v, _ = g.edge_arrays()
+    a, b = (g.square_x[w] * side + g.square_y[w] for w in (u, v))
+    apart = a != b
+    pairs, count = np.unique(np.minimum(a, b)[apart] * side**2 + np.maximum(a, b)[apart],
+                             return_counts=True)
+    (ax, ay), (bx, by) = (divmod(s, side) for s in divmod(pairs, side**2))
+    assert np.all(np.abs(ax - bx) + np.abs(ay - by) == 1)  # only adjacent squares meet
+    assert len(pairs) == 2 * side * (side - 1)  # and every adjacent pair does
+    assert np.array_equal(count, 2 ** np.maximum(center_count(n, ax, ay), center_count(n, bx, by)))
+
+
+def iterated_minimum_orbits(net, source, target):
+    """Reference orbit labels: each vertex's least orbit mate under the
+    symmetries that map both sides onto themselves, by iterated minimum."""
+    maps = [s for s in net.symmetries if all(set(s[list(side)].tolist()) == side
+                                             for side in (source, target))]
+    labels, last = np.arange(net.n_vertices), None
+    while not np.array_equal(labels, last):
+        last = labels
+        for s in maps:
+            labels = np.minimum(labels, labels[s])
+    return labels
+
+
+@pytest.mark.parametrize("n,policy,sides", [
+    (n, policy, sides) for n in (1, 2, 3, 4) for policy in ("on", "off")
+    for sides in (("left", "right"), ("bottom", "top"))] + [(3, "on", "five")])
+def test_the_quotient_is_the_orbit_grid_with_one_edge_per_adjacent_pair(n, policy, sides):
+    g = ps.build_graph(n, policy)
+    net, src, tgt = M.crossing(g, ("left", "right") if sides == "five" else sides)
+    if sides == "five":  # a target the flips fix but the mirror does not
+        tgt = frozenset(sorted(tgt)[:5])
+    bracket = M._Bracket(net, src, tgt)
+    # the orbits are the iterated minimum's, numbered in grid order of the
+    # squares, folded by the mirror that fixes both sides
+    least = iterated_minimum_orbits(net, src, tgt)
+    together = np.unique(np.stack([least, bracket.orbit]), axis=1).shape[1]
+    assert together == len(np.unique(least)) == bracket.orbit.max() + 1
+    top, x, y = 3**n - 1, g.square_x, g.square_y
+    if sides == ("left", "right"):
+        y = np.minimum(y, top - y)
+    elif sides == ("bottom", "top"):
+        x = np.minimum(x, top - x)
+    assert np.array_equal(bracket.orbit, np.unique(x * 3**n + y, return_inverse=True)[1])
+    # no orbit pair twice, and the multiplicities count the edges between orbits
+    q, (a, b) = bracket.quotient, bracket.orbit[net.ends].T
+    lo, hi = q.ends.T
+    assert np.all(lo < hi) and len(np.unique(lo * q.n_vertices + hi)) == q.n_edges
+    assert bracket.mult.sum() == np.count_nonzero(a != b)
+    apart = np.flatnonzero(a != b)
+    pairs, count = np.unique(np.minimum(a, b)[apart] * q.n_vertices + np.maximum(a, b)[apart],
+                             return_counts=True)
+    assert np.array_equal(pairs, lo * q.n_vertices + hi) and np.array_equal(count, bracket.mult)
+    # each edge between two orbits lifts from its quotient edge, signed by its orientation
+    kept, edge, sign = bracket.lift
+    assert np.array_equal(kept, apart)
+    assert np.array_equal(np.where(sign[:, None] > 0, q.ends[edge], q.ends[edge, ::-1]),
+                          np.stack([a, b], axis=1)[kept])
+
+
 @pytest.mark.parametrize("case", ["grid", "path", "parallel", "ten-vertex grid"])
 def test_networks_without_symmetry_solve_on_themselves(case):
     net, src, tgt = {"grid": M.grid_network(3, 4), "path": M.path_network(9),
@@ -968,10 +1039,18 @@ def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p
     # no symmetry relates a vertex next to the source with one next to the
     # target: every symmetry kept fixes both sides
     a, b = next_to(src), next_to(tgt)
-    swap = np.arange(net.n_vertices)
-    swap[[a, b]] = b, a
-    symmetries = net.symmetries + [swap]
-    monkeypatch.setattr(M.Network, "symmetries", property(lambda self: symmetries))
+    squares, top = M._square_arrays, 3**3 - 1
+    (xa, ya), (xb, yb) = (np.array(squares(3))[:, v] for v in (a, b))
+    assert xa != xb and 2 * yb != top  # b's square and its mirror image are two squares
+
+    def corrupted(level):  # b's orbit key reads as a's: b's square and its mirror move onto a's
+        x, y = squares(level)
+        for from_y, to_y in ((yb, ya), (top - yb, top - ya)):
+            at = (x == xb) & (y == from_y)
+            x[at], y[at] = xa, to_y
+        return x, y
+
+    monkeypatch.setattr(M, "_square_arrays", corrupted)
     # a network of its own: the fixture's keeps its good set-up, and no later
     # test meets the corrupted one
     bad = solve(fresh(net), src, tgt, p)

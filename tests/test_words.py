@@ -90,6 +90,21 @@ def test_flip_requires_covering_bits():
         W.flip("505", "11")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: W.flip("55", 11),
+    lambda: W.section("55", 11),
+    lambda: G.flip_permutation(G.build_graph(1), 1),
+    lambda: TileMeasure.one_sheet(2, 11),
+    lambda: TileMeasure.one_sheet(2, ["1", "1"]),
+    lambda: TileMeasure.one_sheet(2, b"11"),
+], ids=["flip", "section", "flip_permutation", "one_sheet-int", "one_sheet-list",
+        "one_sheet-bytes"])
+def test_a_bit_string_that_is_not_a_str_is_refused(call):
+    # an int raised TypeError from iterating it, and a list of '0'/'1' passed
+    with pytest.raises(ValueError, match="bit string must be a str"):
+        call()
+
+
 def test_section_and_project():
     assert W.section("155", "011") == "100"
     assert W.section("155", "010") == "105"
