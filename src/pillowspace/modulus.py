@@ -12,12 +12,12 @@ For p > 1 both come from one p-harmonic potential phi (0 on the source side,
 1 on the target side): rho = |dphi|, and the flow |dphi|^(p-2) dphi with its
 small interior divergence routed to the boundary along a BFS forest, no solve.
 At p = 1 a maximum flow gives the lower bound and its minimum cut the 0/1 density.
-The potential or flow is solved on a symmetry quotient, one edge per pair of
-adjacent orbits weighted by the network edges it stands for; on the pillow
-graphs an orbit is a square of the 3^n grid (_Bracket says why that is
-exact).  Each bound is checked on its own on the full network, not taken
-from a solver or the quotient; when the potential is exact they may cross by
-a few ulps, and are not clamped.
+An edge of multiplicity k counts as k parallel copies.  The potential or
+flow is solved on a quotient by an equitable partition, on the pillow graphs
+the squares of the 3^n grid (_Bracket says why that is exact).  Each bound
+is checked on its own on the full network, not taken from a solver or the
+quotient; when the potential is exact they may cross by a few ulps, and are
+not clamped.
 
 Oracles for cross-checking: augmenting-path max-flow (p=1 is the min cut)
 and the Laplacian Dirichlet problem (p=2 is the effective conductance).
@@ -26,12 +26,13 @@ and the Laplacian Dirichlet problem (p=2 is the effective conductance).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import arc_csr, boundary_face, build_graph, symmetry_permutations
+from .graphs import arc_csr, boundary_face, build_graph
 from .words import MAX_TOL, _integer, _is_bool, _square_arrays, check_level
 
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
@@ -45,29 +46,35 @@ WARM_SPAN = 1.0  # IRLS starts from a crossing's last converged potential within
 @dataclass(eq=False)
 class Network:
     """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
-    numbers, and parallel edges are allowed.  Treat it as immutable: it keeps
-    its arc CSR and matrix, symmetries and the _Bracket of its last solved
-    crossing, which a copy shares (shallow) or carries (pickle, deepcopy)."""
+    numbers, parallel edges are allowed, and mult holds the number of
+    parallel copies each edge stands for (default a broadcast 1, no array).
+    Treat it as immutable: it keeps its arc CSR and matrix and the _Bracket
+    of its last solved crossing, which a copy shares (shallow) or carries
+    (pickle, deepcopy)."""
 
     n_vertices: int
     ends: np.ndarray
+    mult: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.n_vertices = _integer(self.n_vertices, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        ends = np.asarray(self.ends)
-        if ends.size and not np.issubdtype(ends.dtype, np.integer):  # a cast would truncate
-            raise ValueError(f"edge endpoints must be integers, got dtype {ends.dtype}")
-        # a bool among ints makes an int array; an array input has no bool to hide
-        if not isinstance(self.ends, np.ndarray) and any(
-                isinstance(x, (bool, np.bool_)) for x in np.asarray(self.ends, object).flat):
-            raise ValueError("edge endpoints must be integers, got a bool")
+        ends = _integers(self.ends, "edge endpoints")
         u, v = ends.reshape(len(ends), 2).T
         bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
         if bad.size:
             raise ValueError(f"bad edge ({u[bad[0]]}, {v[bad[0]]})")
-        self.ends = ends.astype(np.int64).reshape(len(ends), 2)
+        self.ends, m = ends.astype(np.int64).reshape(len(ends), 2), len(ends)
+        mult = (np.broadcast_to(np.int64(1), m) if self.mult is None
+                else _integers(self.mult, "edge multiplicities"))
+        if mult.shape != (m,):
+            raise ValueError(f"need one multiplicity per edge ({m}), got shape {mult.shape}")
+        if m and mult.min() <= 0:
+            raise ValueError(f"edge multiplicities must be positive, got {mult.min()}")
+        if 2.0 * mult.sum(dtype=float) + 1.0 > np.iinfo(np.int32).max:  # _max_flow's capacities
+            raise ValueError("edge multiplicities must total below 2^30")
+        self.mult = mult.astype(np.int64, copy=self.mult is not None)  # a given array is copied
         self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(*self.ends.T, n)
         self._crossing = None  # the _Bracket of the last solved crossing
 
@@ -86,12 +93,17 @@ class Network:
         return csr_matrix((np.zeros(len(self._arc_heads)), self._arc_heads, self._arc_indptr),
                           shape=(self.n_vertices,) * 2)
 
-    @cached_property
-    def symmetries(self):  # the automorphisms among symmetry_permutations, found on first solve
-        n, (u, v), level = self.n_vertices, self.ends.T, len(str(self.n_vertices - 1))
-        own = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-        return [s for s in (symmetry_permutations(level) if n == 10**level else ()) if
-                np.array_equal(np.sort(np.minimum(s[u], s[v]) * n + np.maximum(s[u], s[v])), own)]
+
+def _integers(x, what):
+    """x as an array of integers, not floats (a cast would truncate) or bools
+    (a bool among ints makes an int array; an array input has none to hide)."""
+    a = np.asarray(x)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    if not isinstance(x, np.ndarray) and any(
+            isinstance(y, (bool, np.bool_)) for y in np.asarray(x, object).flat):
+        raise ValueError(f"{what} must be integers, got a bool")
+    return a
 
 
 def crossing(g, sides=("left", "right")):
@@ -120,30 +132,18 @@ def parallel_network(m, k):
     """m disjoint paths of k edges each sharing only the two ends."""
     if _integer(m, "path count") < 1 or _integer(k, "path length") < 1:
         raise ValueError("need m >= 1 paths of k >= 1 edges")
-    edges = []
-    n = 2
-    for _ in range(m):
-        chain = [0] + list(range(n, n + k - 1)) + [1]
-        n += k - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Network(n, edges), {0}, {1}
+    chains = [[0, *range(2 + i * (k - 1), 2 + (i + 1) * (k - 1)), 1] for i in range(m)]
+    return Network(2 + m * (k - 1), [e for c in chains for e in zip(c, c[1:])]), {0}, {1}
 
 
 def grid_network(rows, cols):
     """rows x cols grid; endpoints are the left and right columns."""
     if _integer(rows, "row count") < 1 or _integer(cols, "column count") < 2:
         raise ValueError("grid needs at least 1 row and 2 columns")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    left = {r * cols for r in range(rows)}
-    right = {r * cols + cols - 1 for r in range(rows)}
-    return Network(rows * cols, edges), left, right
+    n = rows * cols
+    edges = sorted([(v, v + 1) for v in range(n) if (v + 1) % cols]
+                   + [(v, v + cols) for v in range(n - cols)])
+    return Network(n, edges), set(range(0, n, cols)), set(range(cols - 1, n, cols))
 
 
 @dataclass
@@ -178,15 +178,14 @@ def _sides(net, source, target):
 @dataclass
 class ModulusResult:
     """Two-sided certificate: density is admissible (every crossing has
-    length >= 1) with sum(density^p) = value_upper; flow is a unit source-to-
-    target flow, signed along the rows of ends, whose q-energy gives
-    value_lower; active_paths holds a shortest crossing under density; stop is
-    "exact" (p = 1, p = 2) or why IRLS ended: "converged" once a pass's bracket
-    met the tolerance (or 5 * tolerance as it stalled at the smoothing floor),
-    "stalled" with the gap open at the smoothing floor, "iteration cap" or,
-    once MAX_BACKOFFS back-offs are spent, "non-finite solve"; backoffs
-    counts the IRLS passes that raised the smoothing because they could not
-    lower the energy or their solve was not finite (0 on the exact paths);
+    length >= 1) with sum(mult density^p) = value_upper; flow, a unit flow
+    signed along the rows of ends and shared by an edge's mult copies, gives
+    value_lower; active_paths holds a shortest crossing under density; stop
+    is "exact" (p = 1, p = 2) or why IRLS ended: "converged" once a bracket
+    met the tolerance (or 5 * tolerance as it stalled at the smoothing
+    floor), "stalled" with the gap open there, "iteration cap" or, once
+    MAX_BACKOFFS are spent, "non-finite solve"; backoffs counts the passes
+    that raised the smoothing, unable to lower the energy or not finite;
     solved_vertices counts the vertices of the quotient it solved on."""
 
     value_lower: float
@@ -248,17 +247,17 @@ def solve_modulus(problem):
     elif problem.p == 1.0:  # lifted: a quotient edge's flow per unit capacity and cut on its edges
         sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
         kept, edge, sign = bracket.lift
-        flow, cut = _max_flow(bracket.quotient, *sides, bracket.mult)
-        flow, cut = (np.bincount(kept, x, net.n_edges) for x in (sign * flow[edge], cut[edge]))
+        flow, cut = _max_flow(bracket.quotient, *sides)
+        flow, cut = (np.bincount(kept, x, net.n_edges)
+                     for x in (sign * flow[edge] * net.mult[kept], cut[edge]))
         res, iterations, stop = bracket(net, cut, flow, 1.0), 1, "exact"
     else:
         res, iterations, stop, phi = _p_harmonic_potential(problem, bracket)
     converged = bool(res.value_upper <= (1.0 + 5.0 * problem.tolerance) * res.value_lower)
     if converged and phi is not None:
         bracket.warm = problem.p, phi
-    if stop == "stalled" and converged:
-        stop = "converged"
-    res.iterations, res.converged, res.stop = iterations, converged, stop
+    res.stop = "converged" if stop == "stalled" and converged else stop
+    res.iterations, res.converged = iterations, converged
     res.solved_vertices = bracket.quotient.n_vertices
     return res
 
@@ -272,23 +271,26 @@ class _Bracket:
     are free, phi is 1 on the target side and 0 elsewhere (a component
     touching neither side stays fixed: free, it would make L singular), and
     the sides connect when an edge joins a vertex reached from one side to
-    one from the other.  The solve runs on the quotient by the
-    Network.symmetries that map each side onto itself: with all n one-level
-    flips, orbit[v] is v's square in grid order, folded by a mirror kept
-    (else v).  Each adjacent orbit pair is one quotient edge whose mult is
-    the count of network edges between them; lift takes each such edge to
-    its quotient edge, signed by orientation.  That is exact: for p > 1 the
-    strictly convex energy has an orbit-constant minimiser, its energy the
-    mult-weighted quotient's; at p = 1 a maximum flow under capacities mult,
-    put on each edge per unit capacity, is invariant, as is its residual
-    cut.  __call__ checks the lifted potential, or cut and flow, on the
-    network passed in.  It rests on the network and sides alone, not on p,
-    and refers to no network: solve_modulus keeps it, with its forest (built
-    on first use) and laplacian (pattern, fill-reducing order), in the
-    network's one slot, keyed by sides; a shallow copy shares it.  Its warm
-    is the p and quotient potential of the last p > 1 solve that converged,
-    written by solve_modulus alone; a solve started from it moves within the
-    tolerance, other reuse only the rounding (the kept order)."""
+    one from the other.  The solve runs on a quotient: orbit numbers the
+    vertices by the first of _orbit_keys whose orbits both sides are unions
+    of and that _equitable passes, an equitable partition (Godsil and Royle,
+    Algebraic Graph Theory, 2001, section 9.3).  Each adjacent orbit pair is
+    one quotient edge of the summed mult of the edges between them; lift
+    takes each such edge to its quotient edge, signed.  That is exact.  For
+    p > 1 the quotient's critical point, lifted, is the network's: a vertex
+    of an orbit of s carries 1/s of each quotient edge at its orbit, so its
+    gradient is 1/s of its orbit's, and the strictly convex energy has no
+    other.  At p = 1 a maximum flow under capacities mult, spread over each
+    quotient edge's edges per unit capacity, is conserved and as large as
+    its lifted cut.  The bracket never rests on that: __call__ checks the
+    lifted potential, or cut and flow, on the network passed in.  It rests
+    on the network and sides alone, not on p, and refers to no network:
+    solve_modulus keeps it, with its forest (built on first use) and
+    laplacian (pattern, fill-reducing order), in the network's one slot,
+    keyed by sides; a shallow copy shares it.  Its warm is the p and
+    quotient potential of the last p > 1 solve that converged, written by
+    solve_modulus alone; a solve started from it moves within the tolerance,
+    other reuse only the rounding (the kept order)."""
 
     def __init__(self, net, source, target):
         from scipy.sparse.csgraph import dijkstra
@@ -304,36 +306,36 @@ class _Bracket:
         self.phi[self.target] = 1.0
         from_target = np.isin(start, self.target)
         self.connected = bool(np.any(from_target[eu] != from_target[ew]))
-        maps = [s for s in net.symmetries if all(
-            np.array_equal(np.sort(s[side]), side) for side in (self.source, self.target))]
-        key, level = np.arange(net.n_vertices), len(str(net.n_vertices - 1))  # 10^level words
-        top, squares = 3**level - 1, _square_arrays(level) if maps else ()
-        if sum(all(np.array_equal(c[s], c) for c in squares) for s in maps) == level:  # n flips
-            x, y = (np.minimum(c, top - c) if any(np.array_equal(c[s], top - c) for s in maps)
-                    else c for c in squares)
-            key = x * (top + 1) + y
-        _, reps, self.orbit = np.unique(key, return_index=True, return_inverse=True)
-        k, (a, b) = len(reps), self.orbit[net.ends].T
-        kept = np.flatnonzero(a != b)  # edges inside an orbit are dropped
-        pairs, edge, self.mult = np.unique(np.minimum(a, b)[kept] * k + np.maximum(a, b)[kept],
-                                           return_inverse=True, return_counts=True)
+        for key in _orbit_keys(net.n_vertices):  # the last, each vertex alone, always passes
+            if any(np.count_nonzero(np.isin(key, key[side])) > len(side)
+                   for side in (self.source, self.target)):
+                continue  # a side is not a union of orbits
+            _, self.orbit, size = np.unique(key, return_inverse=True, return_counts=True)
+            k, (a, b) = len(size), self.orbit[net.ends].T
+            kept = np.flatnonzero(a != b)  # edges inside an orbit are dropped
+            pairs, edge = np.unique(np.minimum(a, b)[kept] * k + np.maximum(a, b)[kept],
+                                    return_inverse=True)
+            mult = np.bincount(edge, net.mult[kept], len(pairs)).astype(np.int64)
+            if k == net.n_vertices or _equitable(net, self.orbit, size, kept, edge, mult):
+                break
         self.lift = kept, edge, np.where(a[kept] < b[kept], 1.0, -1.0)  # kept[i] on edge[i], signed
-        self.quotient = Network(k, np.stack([pairs // k, pairs % k], axis=1))
-        self.laplacian = _Laplacian(self.quotient, self.phi[reps],
-                                    np.unique(self.orbit[self.free]), self.mult)
+        self.quotient = Network(k, np.stack([pairs // k, pairs % k], axis=1), mult)
+        self.laplacian = _Laplacian(self.quotient, np.bincount(self.orbit, self.phi) / size,
+                                    np.unique(self.orbit[self.free]))
         self.forest = self.warm = None  # warm: (p, quotient phi) of the last converged p > 1 solve
 
     def __call__(self, net, rho, flow, p):
         length, vpath = _shortest_path(net, rho, self.source, self.target)
         density = rho / length
-        upper = float(np.power(density, p).sum())
+        upper = float((net.mult * np.power(density, p)).sum())
         flow = self.route(net, flow)
         flux = math.fsum(_div(net, flow)[self.source])
         lower = 0.0
         if flux > 0.0:
             flow /= flux
-            lower = (1.0 / float(np.abs(flow).max()) if p == 1.0
-                     else float(np.power(np.abs(flow), p / (p - 1.0)).sum()) ** (1.0 - p))
+            each = np.abs(flow) / net.mult  # the flow on each parallel copy
+            lower = (1.0 / float(each.max()) if p == 1.0
+                     else float((net.mult * np.power(each, p / (p - 1.0))).sum()) ** (1.0 - p))
         return ModulusResult(lower, upper, density, [vpath], flow=flow)
 
     def route(self, net, flow):
@@ -358,17 +360,39 @@ class _Bracket:
         return flow + np.bincount(e, sign * div[v], len(flow))
 
 
+def _orbit_keys(n):
+    """Orbit keys to try, coarsest first: on 10^level vertices (words) the
+    word's square (words._square_arrays) folded in y, folded in x and plain;
+    then each vertex on its own."""
+    level = len(str(n - 1))
+    if n == 10**level:
+        (x, y), top = _square_arrays(level), 3**level - 1
+        yield from (x * (top + 1) + np.minimum(y, top - y),
+                    np.minimum(x, top - x) * (top + 1) + y, x * (top + 1) + y)
+    yield np.arange(n)
+
+
+def _equitable(net, orbit, size, kept, edge, mult):
+    """Does each vertex of an orbit of s carry mult / s of each quotient edge
+    at its orbit (kept: the edges between orbits, edge: their quotient
+    edges)?  A vertex without one leaves a mate more, so the runs of (vertex,
+    quotient edge) met suffice.  Edges inside an orbit are not counted."""
+    ends, e = net.ends[kept].T.ravel(), np.tile(edge, 2)
+    _, run = np.unique(ends * len(mult) + e, return_inverse=True)
+    count = np.bincount(run, np.tile(net.mult[kept], 2))
+    return bool(np.all(count[run] * size[orbit[ends]] == mult[e]))
+
+
 def _div(net, flow):  # net outflow at each vertex of a flow signed along the rows of ends
     (eu, ew), n = net.ends.T, net.n_vertices
     return np.bincount(eu, flow, n) - np.bincount(ew, flow, n)
 
 
-def _max_flow(net, source, target, mult=1):
+def _max_flow(net, source, target):
     """Integer maximum flow between the sides (sorted vertex arrays), capacity
-    mult each way per edge (an integer or one per edge): the flow per unit
-    capacity (signed along the rows of ends, parallel edges sharing evenly)
-    and a minimum cut as a 0/1 density, the edges leaving the set of vertices
-    the super source reaches in the residual graph."""
+    mult each way per edge: the flow per unit capacity (signed along the rows
+    of ends, parallel edges sharing evenly) and a minimum cut as a 0/1
+    density, the edges leaving what the super source reaches in the residual."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -377,7 +401,7 @@ def _max_flow(net, source, target, mult=1):
     eu, ew = net.ends.T
     rows = np.concatenate([eu, ew, np.full(len(source), s), target])
     cols = np.concatenate([ew, eu, source, np.full(len(target), t)])
-    caps = np.tile(np.broadcast_to(np.int32(mult), net.n_edges), 2)
+    caps = np.tile(net.mult.astype(np.int32), 2)
     caps = np.concatenate([caps, np.full(len(source) + len(target), caps.sum() + 1, np.int32)])
     cap = coo_matrix((caps, (rows, cols)), shape=(n + 2, n + 2)).tocsr()  # sums parallels
     flow = maximum_flow(cap, s, t).flow  # antisymmetric
@@ -392,15 +416,15 @@ def _max_flow(net, source, target, mult=1):
 class _Laplacian:
     """Weighted Laplacian over the free vertices, the fixed ones entering as
     Dirichlet data; .solve(weights) returns the potential harmonic under
-    weights times the edge multiplicities mult at every free vertex, or a
+    weights times the edge multiplicities net.mult at every free vertex, or a
     non-finite one when the matrix is exactly singular.  Each solve refills
     one kept CSC matrix.  Once every component touches a fixed vertex the
     matrix is symmetric positive definite, so diagonal pivots are safe; the
     first factorisation picks a fill-reducing order, the pattern is
     relabelled by it (a new matrix), and later factorisations keep it."""
 
-    def __init__(self, net, phi, free, mult=1.0):
-        self.net, self.phi, self.free, self.mult = net, phi, free, mult
+    def __init__(self, net, phi, free):
+        self.net, self.phi, self.free = net, phi, free
         self.order, self.relabel = "MMD_AT_PLUS_A", np.arange(len(self.free))
 
     def _pattern(self):
@@ -431,7 +455,7 @@ class _Laplacian:
             return phi
         if self.relabel is not None:
             self._pattern()
-        w = np.broadcast_to(self.mult, m) * (1.0 if weights is None else np.asarray(weights))
+        w = self.net.mult * (1.0 if weights is None else np.asarray(weights))
         lap = self.matrix
         lap.data[:] = np.bincount(self.slot, w[self.edge] * self.sign, len(lap.data))
         try:
@@ -451,24 +475,14 @@ def _p_harmonic_potential(problem, bracket):
     """Potential minimizing sum mult |phi_u - phi_v|^p with phi fixed off
     bracket.free, on bracket.quotient; returns the last pass's bracket (with
     its back-offs), the passes, the stop reason and the potential it bracketed.
-
     It starts from bracket.warm's potential at eps = EPS_FLOOR within
     WARM_SPAN of its p, else cold from the boundary data at eps = 1.
-    Iteratively reweighted least squares: each pass solves the Dirichlet
-    problem for the Laplacian weighted by |dphi|^(p-2), epsilon-smoothed, and
-    moves to the best of a few scalings of that step.  The smoothing is a
-    continuation that follows each pass: it falls by 20 after a pass that
-    took the full step and moved phi by less than 1e-2, by 4 otherwise, down
-    to EPS_FLOOR.  A pass that stalls below eps = 1e-3 (every scaling raised
-    the energy although the step was not negligible), or whose solve is not
-    finite, backs off instead: eps grows by 16 and the next pass starts from
-    the same phi, at most MAX_BACKOFFS times per solve.  It stops "converged"
-    at the first pass whose bracket meets problem.tolerance, "stalled" at the
-    floor after a pass that barely moved phi or lowered the energy and took
-    no back-off, and "non-finite solve" once the back-offs are spent.  Any
-    potential respecting the boundary keeps both certificates valid, so
-    partial convergence costs tightness, never correctness.
-    """
+    Iteratively reweighted least squares: each pass solves the Laplacian
+    weighted by the eps-smoothed |dphi|^(p-2) and moves to the best of a few
+    scalings of that step; eps follows the passes down to EPS_FLOOR, and a
+    stalled or non-finite pass backs off (the README gives the schedule).
+    Any potential keeping the boundary gives valid certificates: partial
+    convergence costs tightness, never correctness."""
     net, p, lap = bracket.quotient, problem.p, bracket.laplacian
     warm_p, warm_phi = bracket.warm or (math.inf, None)
     phi, eps = (warm_phi, EPS_FLOOR) if abs(p - warm_p) <= WARM_SPAN else (lap.phi, 1.0)
@@ -480,7 +494,7 @@ def _p_harmonic_potential(problem, bracket):
         d = ph[lw] - ph[lu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
         res = bracket(problem.network, np.abs(d),
-                      np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
+                      np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d * problem.network.mult, p)
         res.backoffs = backoffs
         return res
 
@@ -505,7 +519,7 @@ def _p_harmonic_potential(problem, bracket):
 
         def smoothed(ph):
             d2 = np.square(ph[eu] - ph[ew])
-            return float((bracket.mult * np.power(d2 + eps * eps, 0.5 * p)).sum())
+            return float((net.mult * np.power(d2 + eps * eps, 0.5 * p)).sum())
 
         # The solve points downhill for the smoothed energy, so some scaling
         # lowers it.  Taking the first that does not raise it let phi swing
@@ -537,58 +551,43 @@ def _p_harmonic_potential(problem, bracket):
 
 
 def mincut_oracle(net, source, target):
-    """Minimum number of edges separating the sides (BFS augmenting paths)."""
+    """Minimum number of edges separating the sides, each counted by its
+    multiplicity (BFS augmenting paths)."""
     source, target = _sides(net, source, target)
-    # Unit-capacity arcs both ways per undirected edge, plus a super pair.
-    s, t = net.n_vertices, net.n_vertices + 1
-    cap, adj = {}, [[] for _ in range(t + 1)]
-
-    def add(u, v, c):
-        if (u, v) not in cap:
-            cap[(u, v)] = 0
-            cap[(v, u)] = cap.get((v, u), 0)
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] += c
-
-    for u, v in net.ends.tolist():
-        add(u, v, 1)
-        add(v, u, 1)
-    big = net.n_edges + 1
-    for x in source:
-        add(s, x, big)
-    for x in target:
-        add(x, t, big)
-
+    # Arcs of capacity mult both ways per undirected edge, plus a super pair;
+    # cap[u][v] is the residual capacity of u -> v, cap[u] in the order met.
+    s, t, big = net.n_vertices, net.n_vertices + 1, int(net.mult.sum()) + 1
+    cap = defaultdict(lambda: defaultdict(int))
+    for (u, v), c in zip(net.ends.tolist(), net.mult.tolist()):
+        cap[u][v] += c
+        cap[v][u] += c
+    for u, v in [(s, x) for x in source] + [(x, t) for x in target]:
+        cap[u][v], cap[v][u] = big, 0
     flow = 0
     while True:
-        pred = {s: None}
-        queue = [s]
+        pred, queue = {s: None}, [s]
         for u in queue:
-            for v in adj[u]:
-                if v not in pred and cap[(u, v)] > 0:
+            for v, c in cap[u].items():
+                if c > 0 and v not in pred:
                     pred[v] = u
                     queue.append(v)
         if t not in pred:
             return flow
-        bottleneck = math.inf
-        v = t
-        while pred[v] is not None:
-            u = pred[v]
-            bottleneck = min(bottleneck, cap[(u, v)])
-            v = u
-        v = t
-        while pred[v] is not None:
-            u = pred[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-            v = u
+        path = [t]
+        while pred[path[-1]] is not None:
+            path.append(pred[path[-1]])
+        arcs = list(zip(path[1:], path))  # the path's arcs (u, v), from t back to s
+        bottleneck = min(cap[u][v] for u, v in arcs)
+        for u, v in arcs:
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
         flow += bottleneck
 
 
 def effective_conductance(net, source, target):
-    """Energy of the unit-potential harmonic flow; equals the 2-modulus.  A
-    component that touches neither side carries no flow: it is held at 0."""
+    """Energy of the unit-potential harmonic flow, each edge weighted by its
+    multiplicity; equals the 2-modulus.  A component that touches neither
+    side carries no flow: it is held at 0."""
     from scipy.sparse.csgraph import connected_components
 
     source, target = _sides(net, source, target)
@@ -600,7 +599,7 @@ def effective_conductance(net, source, target):
     free = np.setdiff1d(np.flatnonzero(reached), sides)
     potential = _Laplacian(net, phi, free).solve()
     drop = potential[net.ends[:, 0]] - potential[net.ends[:, 1]]
-    return float((drop**2).sum())
+    return float((net.mult * drop**2).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import pillowspace as ps
 from pillowspace import modulus as M
+from pillowspace.graphs import symmetry_permutations
 
 P_GRID = [1.0, 1.5, 2.0, 2.0959, 2.5, 3.0]
 
@@ -56,7 +57,7 @@ def solve(net, src, tgt, p, **kw):
 def fresh(net):
     """A network of its own, equal to net: no set-up or potential kept from
     earlier solves, so its first solve at each exponent starts cold."""
-    return M.Network(net.n_vertices, net.ends)
+    return M.Network(net.n_vertices, net.ends, net.mult)
 
 
 def shortest_path(net, weights, src, tgt):
@@ -173,6 +174,48 @@ def test_duplicated_edges_double_the_value(p):
     base = solve(net, src, tgt, p)
     twice = solve(doubled, src, tgt, p)
     assert abs(twice.value - 2 * base.value) <= 2e-5 * base.value
+
+
+@pytest.mark.parametrize("case", ["parallel", "L2"])
+def test_an_edge_of_multiplicity_k_is_k_parallel_copies(crossing, case):
+    net, src, tgt = M.parallel_network(3, 4) if case == "parallel" else crossing[2]
+    mult = np.random.default_rng(7).integers(1, 4, net.n_edges)
+    weighted = M.Network(net.n_vertices, net.ends, mult)
+    copies = M.Network(net.n_vertices, np.repeat(net.ends, mult, axis=0))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        got, want = solve(weighted, src, tgt, p), solve(copies, src, tgt, p)
+        assert got.converged and want.converged and got.solved_vertices == want.solved_vertices
+        # one quotient, so one potential; the copies route a divergence along one copy
+        assert abs(got.value - want.value) <= 2e-6 * want.value, p
+        assert got.value_lower <= want.value_upper and want.value_lower <= got.value_upper, p
+    assert M.mincut_oracle(weighted, src, tgt) == M.mincut_oracle(copies, src, tgt)
+    cond = M.effective_conductance(copies, src, tgt)
+    assert abs(M.effective_conductance(weighted, src, tgt) - cond) <= 1e-12 * cond
+
+
+@pytest.mark.parametrize("mult, message", [
+    ([1, 1, 1], r"^need one multiplicity per edge \(2\), got shape \(3,\)$"),
+    ([[1, 1]], r"^need one multiplicity per edge \(2\), got shape \(1, 2\)$"),
+    ([1.0, 2.0], "^edge multiplicities must be integers, got dtype float64$"),
+    ([2, True], "^edge multiplicities must be integers, got a bool$"),
+    (np.array([True, True]), "^edge multiplicities must be integers, got dtype bool$"),
+    ([1, 0], "^edge multiplicities must be positive, got 0$"),
+    ([-3, 1], "^edge multiplicities must be positive, got -3$"),
+    ([2**29, 2**29], r"^edge multiplicities must total below 2\^30$"),
+    ([2**62, 2**62], r"^edge multiplicities must total below 2\^30$"),
+])
+def test_network_rejects_bad_multiplicities(mult, message):
+    # a bool among ints made an int array; a total of 2^30 overflowed the
+    # int32 capacities of the maximum flow
+    with pytest.raises(ValueError, match=message):
+        M.Network(3, [(0, 1), (1, 2)], mult)
+
+
+def test_the_largest_multiplicity_total_fits_the_maximum_flow():
+    # 2 * total + 1 is the super source's capacity, an int32 in scipy's maximum_flow
+    net = M.Network(2, [(0, 1)], [2**30 - 1])
+    assert solve(net, {0}, {1}, 1.0).value == 2**30 - 1 == M.mincut_oracle(net, {0}, {1})
+    assert M.Network(2, [(0, 1)]).mult.strides == (0,)  # the default allocates no array
 
 
 def test_flip_relabeling_preserves_value(crossing):
@@ -900,8 +943,8 @@ QUOTIENT_GRID = [1.0, 1.1, 1.5, 2.0, 2.0959, 2.5, 3.0, 8.0, 12.0, 32.0, 64.0]
 
 
 def without_symmetries(monkeypatch):
-    """Every network solves on itself, as with identity orbit labels."""
-    monkeypatch.setattr(M.Network, "symmetries", property(lambda self: []))
+    """Every network solves on itself: every orbit key but the vertex key is refused."""
+    monkeypatch.setattr(M, "_equitable", lambda *_args: False)
 
 
 @pytest.mark.parametrize("n,policy,sides", [
@@ -928,22 +971,22 @@ def test_quotient_solve_matches_the_full_solve(monkeypatch, n, policy, sides):
         assert q.solved_vertices < full.solved_vertices == net.n_vertices
 
 
-def test_quotient_sizes_and_one_symmetry_check_per_network(monkeypatch):
-    checks, symmetry_permutations = [], M.symmetry_permutations
-    monkeypatch.setattr(M, "symmetry_permutations",
-                        lambda level: checks.append(level) or symmetry_permutations(level))
+def test_quotient_sizes_and_one_key_check_per_set_up(monkeypatch):
+    checks, equitable = [], M._equitable
+    monkeypatch.setattr(M, "_equitable", lambda *args: checks.append(1) or equitable(*args))
     g = ps.build_graph(3)
     net = M.Network.from_graph(g)
     assert checks == []  # building the network checks nothing
     left, right = ps.boundary_face(g, "left"), ps.boundary_face(g, "right")
-    # the three flips and the top-bottom mirror fix both faces; five vertices
-    # of the right face are fixed by the flips alone (no face word has a
-    # center letter), so 9^3 orbits are left
+    # both faces are unions of squares folded in y; five vertices of the
+    # right face are not, nor of squares folded in x, but they are of the
+    # plain squares (no face word has a center letter), so 9^3 orbits are left
     for target, orbits in ((right, 378), (set(sorted(right)[:5]), 9**3)):
         assert solve(net, left, target, 2.0).solved_vertices == orbits
     bottom, top = ps.boundary_face(g, "bottom"), ps.boundary_face(g, "top")
-    assert solve(net, bottom, top, 2.0).solved_vertices == 378  # the left-right mirror
-    assert checks == [3] and len(net.symmetries) == 5
+    assert solve(net, bottom, top, 2.0).solved_vertices == 378  # folded in x
+    # each set-up checks the first key whose orbits its sides are unions of
+    assert len(checks) == 3
 
 
 def center_count(level, x, y):
@@ -970,9 +1013,11 @@ def test_adjacent_squares_share_two_to_the_larger_center_count_edges(n, policy):
 
 def iterated_minimum_orbits(net, source, target):
     """Reference orbit labels: each vertex's least orbit mate under the
-    symmetries that map both sides onto themselves, by iterated minimum."""
-    maps = [s for s in net.symmetries if all(set(s[list(side)].tolist()) == side
-                                             for side in (source, target))]
+    graph's flips and mirrors that map both sides onto themselves, by
+    iterated minimum."""
+    level = len(str(net.n_vertices - 1))
+    maps = [s for s in symmetry_permutations(level) if all(set(s[list(side)].tolist()) == side
+                                                          for side in (source, target))]
     labels, last = np.arange(net.n_vertices), None
     while not np.array_equal(labels, last):
         last = labels
@@ -1005,11 +1050,11 @@ def test_the_quotient_is_the_orbit_grid_with_one_edge_per_adjacent_pair(n, polic
     q, (a, b) = bracket.quotient, bracket.orbit[net.ends].T
     lo, hi = q.ends.T
     assert np.all(lo < hi) and len(np.unique(lo * q.n_vertices + hi)) == q.n_edges
-    assert bracket.mult.sum() == np.count_nonzero(a != b)
+    assert q.mult.sum() == np.count_nonzero(a != b)
     apart = np.flatnonzero(a != b)
     pairs, count = np.unique(np.minimum(a, b)[apart] * q.n_vertices + np.maximum(a, b)[apart],
                              return_counts=True)
-    assert np.array_equal(pairs, lo * q.n_vertices + hi) and np.array_equal(count, bracket.mult)
+    assert np.array_equal(pairs, lo * q.n_vertices + hi) and np.array_equal(count, q.mult)
     # each edge between two orbits lifts from its quotient edge, signed by its orientation
     kept, edge, sign = bracket.lift
     assert np.array_equal(kept, apart)
@@ -1024,41 +1069,103 @@ def test_networks_without_symmetry_solve_on_themselves(case):
                      "ten-vertex grid": M.grid_network(2, 5)}[case]
     for p in (1.0, 1.5, 2.0):
         assert solve(net, src, tgt, p).solved_vertices == net.n_vertices
-    assert net.symmetries == []
 
 
-@pytest.mark.parametrize("p", [2.0, 2.0959])
-def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p):
-    net, src, tgt = crossing[3]
-    good = solve(fresh(net), src, tgt, p)
-
-    def next_to(side):  # the smallest interior vertex with an edge to the side
+def corrupted_squares(net, src, tgt):
+    """_square_arrays with b's square and its mirror moved onto a's, a and b
+    the smallest interior vertices with an edge to the source and target."""
+    def next_to(side):
         other_end = np.isin(net.ends, list(side))[:, ::-1]
         return min(set(net.ends[other_end].tolist()) - src - tgt)
 
     # no symmetry relates a vertex next to the source with one next to the
-    # target: every symmetry kept fixes both sides
+    # target: every flip and mirror kept fixes both sides
     a, b = next_to(src), next_to(tgt)
     squares, top = M._square_arrays, 3**3 - 1
     (xa, ya), (xb, yb) = (np.array(squares(3))[:, v] for v in (a, b))
     assert xa != xb and 2 * yb != top  # b's square and its mirror image are two squares
 
-    def corrupted(level):  # b's orbit key reads as a's: b's square and its mirror move onto a's
+    def corrupted(level):
         x, y = squares(level)
         for from_y, to_y in ((yb, ya), (top - yb, top - ya)):
             at = (x == xb) & (y == from_y)
             x[at], y[at] = xa, to_y
         return x, y
 
-    monkeypatch.setattr(M, "_square_arrays", corrupted)
-    # a network of its own: the fixture's keeps its good set-up, and no later
-    # test meets the corrupted one
+    return corrupted
+
+
+@pytest.mark.parametrize("p", [2.0, 2.0959])
+def test_a_corrupted_orbit_key_is_refused(crossing, monkeypatch, p):
+    net, src, tgt = crossing[3]
+    good = solve(fresh(net), src, tgt, p)
+    monkeypatch.setattr(M, "_square_arrays", corrupted_squares(net, src, tgt))
+    # a network of its own: the fixture's keeps its good set-up
+    bad = solve(fresh(net), src, tgt, p)
+    assert bad.solved_vertices == net.n_vertices  # no square key is equitable
+    assert abs(bad.value - good.value) <= 2e-6 * good.value
+
+
+@pytest.mark.parametrize("p", [2.0, 2.0959])
+def test_a_corrupted_orbit_map_only_loosens_the_bracket(crossing, monkeypatch, p):
+    net, src, tgt = crossing[3]
+    good = solve(fresh(net), src, tgt, p)
+    monkeypatch.setattr(M, "_square_arrays", corrupted_squares(net, src, tgt))
+    monkeypatch.setattr(M, "_equitable", lambda *_args: True)  # past the check
     bad = solve(fresh(net), src, tgt, p)
     assert bad.solved_vertices == good.solved_vertices - 1  # their orbits merged
     pin = PINNED[(3, p)]
     assert bad.value_lower <= pin * (1 + 1e-9) and bad.value_upper >= pin * (1 - 1e-9)
     assert bad.value_lower <= good.value_upper and bad.value_upper >= good.value_lower
     assert bad.value_upper - bad.value_lower > good.value_upper - good.value_lower
+
+
+def test_a_key_with_one_vertex_moved_is_refused(crossing, monkeypatch):
+    net, src, tgt = crossing[3]
+    key = next(M._orbit_keys(net.n_vertices))  # the y-folded squares, equitable here
+    free = M._Bracket(net, src, tgt).free
+    rng = np.random.default_rng(41)
+    for v, w in rng.choice(free, (20, 2)):
+        if key[v] == key[w]:
+            continue
+        moved = key.copy()
+        moved[v] = key[w]  # v joins w's orbit
+        monkeypatch.setattr(M, "_orbit_keys", lambda n, moved=moved: iter([moved, np.arange(n)]))
+        assert solve(fresh(net), src, tgt, 2.0).solved_vertices == net.n_vertices, (v, w)
+
+
+def without_edge(net, src, tgt, inside):
+    """The network less its first edge inside an orbit of the quotient set up
+    on it (inside) or between two orbits (not inside)."""
+    a, b = M._Bracket(net, src, tgt).orbit[net.ends].T
+    drop = np.flatnonzero((a == b) == inside)[0]
+    return M.Network(net.n_vertices, np.delete(net.ends, drop, axis=0))
+
+
+def test_an_edge_inside_an_orbit_does_not_stop_the_quotient(crossing, monkeypatch):
+    # the flips are no automorphisms of the network left, but its squares
+    # folded in y are still equitable: an edge inside an orbit carries nothing
+    net, src, tgt = crossing[3]
+    net = without_edge(net, src, tgt, inside=True)
+    res = {p: solve(net, src, tgt, p) for p in (1.0, 2.0, 3.0)}
+    assert all(r.solved_vertices == 378 and r.converged for r in res.values())
+    assert res[1.0].value_lower == res[1.0].value_upper == M.mincut_oracle(net, src, tgt)
+    cond = M.effective_conductance(net, src, tgt)
+    assert abs(res[2.0].value_upper - cond) <= 1e-9 * cond
+    assert abs(res[2.0].value_lower - cond) <= 1e-9 * cond
+    without_symmetries(monkeypatch)
+    full = solve(fresh(net), src, tgt, 3.0)
+    assert full.solved_vertices == net.n_vertices
+    assert abs(res[3.0].value - full.value) <= 2e-6 * full.value
+
+
+def test_an_edge_between_orbits_refuses_every_square_key(crossing, monkeypatch):
+    net, src, tgt = crossing[3]
+    net = without_edge(net, src, tgt, inside=False)
+    checks, equitable = [], M._equitable
+    monkeypatch.setattr(M, "_equitable", lambda *a: checks.append(equitable(*a)) or checks[-1])
+    assert solve(net, src, tgt, 2.0).solved_vertices == net.n_vertices
+    assert checks and not any(checks)
 
 
 # ---------------------------------------------------------------------------
