@@ -112,25 +112,14 @@ def _parse_levels(text, cap=None):
     return list(levels)
 
 
-def _tol(tol):
-    """A modulus certificate tolerance in (0, MAX_TOL]."""
-    from .words import MAX_TOL
-
-    if not 0 < tol <= MAX_TOL:  # also rejects nan
-        raise UsageError(f"--tol must lie in (0, {MAX_TOL}], got {tol}")
-    return tol
-
-
 def _parse_p_grid(text):
-    from .modulus import MAX_P
+    from .words import _exponent
 
     try:
         grid = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse p grid {text!r}")
-    if not grid or not all(1 <= p <= MAX_P for p in grid):  # also rejects nan
-        raise UsageError(f"p grid must list exponents in [1, {MAX_P}]")
-    return grid
+    return [_exponent(p) for p in grid]
 
 
 def _parse_sides(text):
@@ -233,7 +222,7 @@ def _cmd_verify(args):
         )
     levels = _parse_levels(args.levels, SUITES[args.suite][3]) if args.levels else None
     rep = run_suite(
-        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=_tol(args.tol)
+        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
     )
     body = asdict(rep)
     word = "pass" if rep.ok else "FAIL"
@@ -247,10 +236,11 @@ def _cmd_verify(args):
 def _cmd_modulus(args):
     from .graphs import read_graph
     from .modulus import ModulusProblem, crossing, solve_modulus
+    from .words import _tolerance
 
     sides = _parse_sides(args.sides)
     p_grid = _parse_p_grid(args.p_grid)
-    tol = _tol(args.tol)
+    tol = _tolerance(args.tol)
     g = _read(read_graph, args.graph, "graph")
     hashes = {"graph": _sha256(args.graph)}
     net, src, tgt = crossing(g, sides)
@@ -461,11 +451,13 @@ def _cmd_metric_cover_check(args):
 def _cmd_metric_pi_diagnostic(args):
     from .measures import TileMeasure
     from .metrics import pi_diagnostic
+    from .words import _exponent
 
     seed = _require_seed(args)
+    p = _exponent(args.p, float("inf"))  # before the graph is built or read
     g = _graph(args, args.level)
     measure = TileMeasure.uniform(args.level)
-    rep = pi_diagnostic(g, measure, args.p, args.trials, seed)
+    rep = pi_diagnostic(g, measure, p, args.trials, seed)
     config = {"level": args.level, "p": args.p, "trials": args.trials, "policy": args.policy}
     header = ["function", "center", "radius", "lhs", "rhs", "ratio"]
     return EXIT_OK, {

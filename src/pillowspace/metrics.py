@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import bfs_blocks, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import BALL_IMAGE_LIMIT, _integer, _is_bool, check_level, parse_word
+from .words import BALL_IMAGE_LIMIT, _exponent, _integer, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
@@ -452,8 +452,7 @@ def pi_diagnostic(g, m, p, trials, seed):
     Poincare constant at this level; a function constant on B has mean
     oscillation exactly 0 there, so its ratio is 0 (also for 0/0).
     """
-    if _is_bool(p) or not 1 <= p < math.inf:
-        raise ValueError(f"exponent must lie in [1, inf), got {p}")
+    p = _exponent(p, math.inf)
     if m.level != g.level:
         raise ValueError("measure level must match the graph")
     if _integer(trials, "trials") < 1:

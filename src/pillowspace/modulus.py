@@ -14,8 +14,9 @@ small interior divergence routed to the boundary along a BFS forest, no solve.
 At p = 1 a maximum flow gives the lower bound and its minimum cut the 0/1 density.
 An edge of multiplicity k counts as k parallel copies.  The potential or
 flow is solved on a quotient by an equitable partition, on the pillow graphs
-the squares of the 3^n grid (_Bracket says why that is exact).  Each bound
-is checked on its own on the full network, not taken from a solver or the
+the squares of the 3^n grid (_Bracket says why that is exact), and only the
+certificates read the full network: _Bracket lifts the quotient's density
+and flow onto it and checks each bound there, not taken from a solver or the
 quotient; when the potential is exact they may cross by a few ulps, and are
 not clamped.
 
@@ -33,9 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import arc_csr, boundary_face, build_graph
-from .words import MAX_TOL, _integer, _is_bool, _square_arrays, check_level
+from .words import _exponent, _integer, _square_arrays, _tolerance, check_level
 
-MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 EPS_FLOOR = 1e-9  # final smoothing of the IRLS weights |dphi|^(p-2)
 MAX_PASSES = 300  # IRLS passes of the potential solve before "iteration cap"
 MAX_BACKOFFS = 20  # times per solve a stalled or non-finite IRLS pass may raise eps
@@ -48,9 +48,9 @@ class Network:
     """Undirected multigraph as an (m, 2) endpoint array: edge ids are row
     numbers, parallel edges are allowed, and mult holds the number of
     parallel copies each edge stands for (default a broadcast 1, no array).
-    Treat it as immutable: it keeps its arc CSR and matrix and the _Bracket
-    of its last solved crossing, which a copy shares (shallow) or carries
-    (pickle, deepcopy)."""
+    Treat it as immutable: it keeps the _Bracket of its last solved crossing
+    and, once searched, its arcs (_arc_matrix), which a copy shares (shallow)
+    or carries (pickle, deepcopy)."""
 
     n_vertices: int
     ends: np.ndarray
@@ -75,7 +75,6 @@ class Network:
         if 2.0 * mult.sum(dtype=float) + 1.0 > np.iinfo(np.int32).max:  # _max_flow's capacities
             raise ValueError("edge multiplicities must total below 2^30")
         self.mult = mult.astype(np.int64, copy=self.mult is not None)  # a given array is copied
-        self._arc_indptr, self._arc_heads, self._arc_edge = arc_csr(*self.ends.T, n)
         self._crossing = None  # the _Bracket of the last solved crossing
 
     @property
@@ -87,11 +86,11 @@ class Network:
         return cls(g.n_vertices, np.stack(g.edge_arrays()[:2], axis=1))
 
     @cached_property
-    def _arcs(self):  # the one arc matrix, refilled by _arc_matrix
+    def _arcs(self):  # (arc matrix, edge of each arc), built on the first search
         from scipy.sparse import csr_matrix
 
-        return csr_matrix((np.zeros(len(self._arc_heads)), self._arc_heads, self._arc_indptr),
-                          shape=(self.n_vertices,) * 2)
+        (indptr, heads, edge), n = arc_csr(*self.ends.T, self.n_vertices), self.n_vertices
+        return csr_matrix((np.zeros(len(heads)), heads, indptr), shape=(n, n)), edge
 
 
 def _integers(x, what):
@@ -114,11 +113,13 @@ def crossing(g, sides=("left", "right")):
 
 
 def _arc_matrix(net, weights):
-    """The network's CSR of both arcs of every edge, refilled in place so that
-    each arc carries its edge's weight (valid until the next call).  Parallel
-    arcs stay apart and zeros stay explicit; coo -> csr would sum parallels."""
-    np.take(np.asarray(weights, dtype=float), net._arc_edge, out=net._arcs.data)
-    return net._arcs
+    """The network's one matrix of both arcs of every edge (graphs.arc_csr,
+    built on the first call and kept), refilled in place so that each arc
+    carries its edge's weight (valid until the next call).  Parallel arcs
+    stay apart and zeros stay explicit; coo -> csr would sum parallels."""
+    arcs, edge = net._arcs
+    np.take(np.asarray(weights, dtype=float), edge, out=arcs.data)
+    return arcs
 
 
 def path_network(k):
@@ -156,10 +157,7 @@ class ModulusProblem:
 
     def __post_init__(self):
         self.source, self.target = _sides(self.network, self.source, self.target)
-        if _is_bool(self.p) or not 1.0 <= self.p <= MAX_P:
-            raise ValueError(f"exponent must lie in [1, {MAX_P}], got {self.p}")
-        if not 0 < self.tolerance <= MAX_TOL:
-            raise ValueError(f"tolerance must lie in (0, {MAX_TOL}]")
+        self.p, self.tolerance = _exponent(self.p), _tolerance(self.tolerance)
 
 
 def _sides(net, source, target):
@@ -244,12 +242,8 @@ def solve_modulus(problem):
     if not bracket.connected:  # empty family, modulus 0
         zero = np.zeros(net.n_edges)
         res, iterations, stop = ModulusResult(0.0, 0.0, zero, [], flow=zero.copy()), 0, "exact"
-    elif problem.p == 1.0:  # lifted: a quotient edge's flow per unit capacity and cut on its edges
-        sides = (np.unique(bracket.orbit[side]) for side in (bracket.source, bracket.target))
-        kept, edge, sign = bracket.lift
-        flow, cut = _max_flow(bracket.quotient, *sides)
-        flow, cut = (np.bincount(kept, x, net.n_edges)
-                     for x in (sign * flow[edge] * net.mult[kept], cut[edge]))
+    elif problem.p == 1.0:
+        flow, cut = _max_flow(bracket.quotient, *bracket.quotient_sides)
         res, iterations, stop = bracket(net, cut, flow, 1.0), 1, "exact"
     else:
         res, iterations, stop, phi = _p_harmonic_potential(problem, bracket)
@@ -263,28 +257,30 @@ def solve_modulus(problem):
 
 
 class _Bracket:
-    """Both certificates from a density rho and a source-to-target flow on the
-    network, as a ModulusResult.  Upper: rho rescaled by its exact shortest
-    crossing.  Lower: the flow, routed to the boundary along a BFS forest
-    rooted there, normalised by the net flux out of the source side.  One BFS
-    from both sides sets up the solve: the vertices it reaches at depth > 0
-    are free, phi is 1 on the target side and 0 elsewhere (a component
-    touching neither side stays fixed: free, it would make L singular), and
-    the sides connect when an edge joins a vertex reached from one side to
-    one from the other.  The solve runs on a quotient: orbit numbers the
-    vertices by the first of _orbit_keys whose orbits both sides are unions
-    of and that _equitable passes, an equitable partition (Godsil and Royle,
-    Algebraic Graph Theory, 2001, section 9.3).  Each adjacent orbit pair is
-    one quotient edge of the summed mult of the edges between them; lift
-    takes each such edge to its quotient edge, signed.  That is exact.  For
-    p > 1 the quotient's critical point, lifted, is the network's: a vertex
-    of an orbit of s carries 1/s of each quotient edge at its orbit, so its
-    gradient is 1/s of its orbit's, and the strictly convex energy has no
-    other.  At p = 1 a maximum flow under capacities mult, spread over each
-    quotient edge's edges per unit capacity, is conserved and as large as
-    its lifted cut.  The bracket never rests on that: __call__ checks the
-    lifted potential, or cut and flow, on the network passed in.  It rests
-    on the network and sides alone, not on p, and refers to no network:
+    """Both certificates on the network, as a ModulusResult, from a density
+    rho and a flow per unit of multiplicity on the quotient's edges.
+    __call__ lifts them: a network edge between two orbits takes its quotient
+    edge's rho and, signed by its orientation, that edge's flow times its own
+    mult; an edge inside an orbit takes 0.  Upper: the lifted rho rescaled by
+    its exact shortest crossing.  Lower: the lifted flow, routed to the
+    boundary along a BFS forest rooted there, normalised by the net flux out
+    of the source side.  One BFS from both sides sets up the solve: the
+    vertices it reaches at depth > 0 are free (a component touching neither
+    side stays fixed: free, it would make L singular), and the sides connect
+    when an edge joins a vertex reached from one side to one from the other.
+    The quotient: orbit numbers the vertices by the first of _orbit_keys
+    whose orbits both sides are unions of and that _equitable passes, an
+    equitable partition (Godsil and Royle, Algebraic Graph Theory, 2001,
+    section 9.3).  Each adjacent orbit pair is one quotient edge of the summed
+    mult of the edges between them; quotient_sides are the sides' orbits, and
+    the boundary data is 1 on the target's.  That is exact.  For p > 1 the
+    quotient's critical point, lifted, is the network's: a vertex of an orbit
+    of s carries 1/s of each quotient edge at its orbit, so its gradient is
+    1/s of its orbit's, and the strictly convex energy has no other.  At
+    p = 1 a maximum flow under capacities mult, lifted, is conserved and as
+    large as its lifted cut.  The bracket never rests on that: __call__
+    checks what it lifts on the network passed in.  It rests on the network
+    and sides alone, not on p, and refers to no network:
     solve_modulus keeps it, with its forest (built on first use) and
     laplacian (pattern, fill-reducing order), in the network's one slot,
     keyed by sides; a shallow copy shares it.  Its warm is the p and
@@ -302,8 +298,6 @@ class _Bracket:
             _arc_matrix(net, np.ones(net.n_edges)), unweighted=True, min_only=True,
             indices=np.union1d(self.source, self.target), return_predecessors=True)
         self.free = np.flatnonzero(np.isfinite(self.depth) & (self.depth > 0))
-        self.phi = np.zeros(net.n_vertices)
-        self.phi[self.target] = 1.0
         from_target = np.isin(start, self.target)
         self.connected = bool(np.any(from_target[eu] != from_target[ew]))
         for key in _orbit_keys(net.n_vertices):  # the last, each vertex alone, always passes
@@ -320,11 +314,15 @@ class _Bracket:
                 break
         self.lift = kept, edge, np.where(a[kept] < b[kept], 1.0, -1.0)  # kept[i] on edge[i], signed
         self.quotient = Network(k, np.stack([pairs // k, pairs % k], axis=1), mult)
-        self.laplacian = _Laplacian(self.quotient, np.bincount(self.orbit, self.phi) / size,
-                                    np.unique(self.orbit[self.free]))
+        self.quotient_sides = tuple(np.unique(self.orbit[s]) for s in (self.source, self.target))
+        phi = np.isin(np.arange(k), self.quotient_sides[1]).astype(float)  # 1 on the target
+        self.laplacian = _Laplacian(self.quotient, phi, np.unique(self.orbit[self.free]))
         self.forest = self.warm = None  # warm: (p, quotient phi) of the last converged p > 1 solve
 
     def __call__(self, net, rho, flow, p):
+        kept, edge, sign = self.lift
+        rho, flow = (np.bincount(kept, x, net.n_edges)
+                     for x in (rho[edge], sign * flow[edge] * net.mult[kept]))
         length, vpath = _shortest_path(net, rho, self.source, self.target)
         density = rho / length
         upper = float((net.mult * np.power(density, p)).sum())
@@ -339,7 +337,7 @@ class _Bracket:
         return ModulusResult(lower, upper, density, [vpath], flow=flow)
 
     def route(self, net, flow):
-        div = np.zeros_like(self.phi)
+        div = np.zeros(net.n_vertices)
         div[self.free] = _div(net, flow)[self.free]
         if not div.any():
             return flow
@@ -348,10 +346,11 @@ class _Bracket:
             reached = self.free[np.argsort(-depth[self.free], kind="stable")]  # deepest first
             levels = np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1)
             # Each vertex's tree edge is its first arc to its parent.
-            tails = np.repeat(np.arange(net.n_vertices), np.diff(net._arc_indptr))
-            arcs = np.flatnonzero(parent[tails] == net._arc_heads)
-            v, first = np.unique(tails[arcs], return_index=True)
-            e = net._arc_edge[arcs[first]]
+            arcs, arc_edge = net._arcs
+            tails = np.repeat(np.arange(net.n_vertices), np.diff(arcs.indptr))
+            hits = np.flatnonzero(parent[tails] == arcs.indices)
+            v, first = np.unique(tails[hits], return_index=True)
+            e = arc_edge[hits[first]]
             self.forest = ([(lv, *np.unique(parent[lv], return_inverse=True)) for lv in levels],
                            v, e, np.where(net.ends[e, 0] == v, -1.0, 1.0))
         levels, v, e, sign = self.forest
@@ -487,14 +486,12 @@ def _p_harmonic_potential(problem, bracket):
     warm_p, warm_phi = bracket.warm or (math.inf, None)
     phi, eps = (warm_phi, EPS_FLOOR) if abs(p - warm_p) <= WARM_SPAN else (lap.phi, 1.0)
     eu, ew = net.ends.T
-    lu, lw = bracket.orbit[problem.network.ends].T  # the network's edges, lifted
     backoffs = 0
 
     def certify(ph, eps):
-        d = ph[lw] - ph[lu]
+        d = ph[ew] - ph[eu]
         # |dphi|^(p-2) dphi smoothed as in the pass, the flow IRLS conserves
-        res = bracket(problem.network, np.abs(d),
-                      np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d * problem.network.mult, p)
+        res = bracket(problem.network, np.abs(d), np.power(d * d + eps * eps, 0.5 * (p - 2.0)) * d, p)
         res.backoffs = backoffs
         return res
 
@@ -639,8 +636,7 @@ def conformal_scan(levels, p_grid):
                      for n in levels})
     if not levels:
         raise ValueError("no level to scan")
-    if any(_is_bool(p) or not 1.0 <= p <= MAX_P for p in p_grid):  # also rejects nan
-        raise ValueError(f"exponents must lie in [1, {MAX_P}]")
+    p_grid = [_exponent(p) for p in p_grid]
 
     rows, values, monotone_ok = [], {}, True
     for n in levels:

@@ -27,8 +27,8 @@ from .graphs import (
     reference_edges,
     symmetry_permutations,
 )
-from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, MAX_TOL, _grid_table, _integer, _is_bool,
-                    all_words, check_level)
+from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _integer, _tolerance, all_words,
+                    check_level)
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
@@ -273,8 +273,7 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     if policy not in ("on", "off"):
         raise ValueError(f"unknown policy {policy!r}")
     seed = _integer(seed, "seed")
-    if _is_bool(tolerance) or not 0 < tolerance <= MAX_TOL:  # also rejects nan
-        raise ValueError(f"tolerance must lie in (0, {MAX_TOL}], got {tolerance!r}")
+    tolerance = _tolerance(tolerance)
     # no timing in results: written reports must be byte-stable across reruns
     ctx = {"seed": seed, "tolerance": tolerance}
     results = []

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
 
 import numpy as np
@@ -24,6 +26,7 @@ CENTER_LETTERS = "50"
 MAX_LEVEL = 6  # largest level anything sized by 10^level or 3^level is built at
 BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
 MAX_TOL = 1e-2  # the coarsest relative certificate gap a modulus solve may target
+MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 _OTHER_SHEET = {"5": "0", "0": "5"}  # the two center letters, each to the other
 
 
@@ -35,11 +38,6 @@ class CapacityError(RuntimeError):
     """Raised when a build would exceed the supported size."""
 
 
-def _is_bool(value):
-    """Whether value is a Python or numpy bool, which is no number."""
-    return isinstance(value, (bool, np.bool_))
-
-
 def _integer(value, name):
     """value as an int, else ValueError (index, not int: 2.5 is no count, and a
     bool is no number)."""
@@ -49,6 +47,21 @@ def _integer(value, name):
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _exponent(p, top=MAX_P):
+    """p as a float in [1, top] (an infinite top left out), else ValueError: a
+    bool, string or complex is no exponent, and nan lies in no range."""
+    if isinstance(p, Real) and not isinstance(p, bool) and 1 <= p <= top and p < math.inf:
+        return float(p)
+    raise ValueError(f"exponent must lie in [1, {top}{']' if top < math.inf else ')'}, got {p!r}")
+
+
+def _tolerance(tol):
+    """A relative certificate gap as a float in (0, MAX_TOL], else ValueError."""
+    if isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol <= MAX_TOL:
+        return float(tol)
+    raise ValueError(f"tolerance must lie in (0, {MAX_TOL}], got {tol!r}")
 
 
 def check_level(level, top=MAX_LEVEL, low=1, name="level", over=CapacityError):

@@ -189,6 +189,13 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     # before the graph is read: the file does not exist
     (["modulus", "--graph", "MISSING", "--sides", "left-right", "--p-grid", "1,x"],
      "cannot parse p grid '1,x'"),
+    (["modulus", "--graph", "MISSING", "--sides", "left-right", "--p-grid", "1,0.5"],
+     "exponent must lie in [1, 64.0], got 0.5"),
+    (["modulus", "--graph", "MISSING", "--sides", "left-right", "--tol", "0.5"],
+     "tolerance must lie in (0, 0.01], got 0.5"),
+    # before the graph is built: level 7 is refused there
+    (["metric", "pi-diagnostic", "--level", "7", "--p", "nan", "--trials", "1", "--seed", "1"],
+     "exponent must lie in [1, inf), got nan"),
     (["metric", "blowup", "--level-from", "2", "--prefix", "1", "--normalization", "bogus",
       "--out", "OUT"], "normalization must be none, diameter, or pair:a:b, not 'bogus'"),
     (["metric", "symmetrize", "--out", "OUT"],
@@ -199,8 +206,8 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     (["metric", "symmetrize", "--level", "1", "--mode", "sampled", "--seed", "1", "--out", "OUT"],
      "sampled mode needs --samples"),
     (["metric", "blowup", "--prefix", "1", "--out", "OUT"], "internal mode needs --level-from"),
-], ids=["empty-range", "p-grid", "normalization", "symmetrize-input", "box-levels",
-        "ball-samples", "sampled-samples", "level-from"])
+], ids=["empty-range", "p-grid", "p-grid-range", "tol-range", "pi-exponent", "normalization",
+        "symmetrize-input", "box-levels", "ball-samples", "sampled-samples", "level-from"])
 def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message):
     paths = {"MISSING": tmp_path / "nope.json", "OUT": tmp_path / "out"}
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 64

@@ -11,7 +11,7 @@ import pytest
 
 import pillowspace as ps
 from pillowspace import modulus as M
-from pillowspace.graphs import symmetry_permutations
+from pillowspace.graphs import arc_csr, symmetry_permutations
 
 P_GRID = [1.0, 1.5, 2.0, 2.0959, 2.5, 3.0]
 
@@ -474,26 +474,34 @@ def test_network_validation():
     assert net.n_edges == 2
 
 
+def searched_arcs(net, src, tgt):
+    """The network's kept arcs (matrix, edge of each arc) after a first search."""
+    shortest_path(net, np.ones(net.n_edges), src, tgt)
+    return net._arcs
+
+
 def test_network_arcs_are_the_graph_csr():
     g = ps.build_graph(2)
-    net = M.Network.from_graph(g)
+    net, src, tgt = M.crossing(g)
+    arcs, arc_edge = searched_arcs(net, src, tgt)
     # the table's (tail, head) pairs, self padding dropped, in per-tail order
     nb = g.neighbours
     tails = np.broadcast_to(np.arange(g.n_vertices), nb.shape)
     keep = (nb != tails).T
     heads = nb.T[keep]
     tails = tails.T[keep]
-    arc_tails = np.repeat(np.arange(g.n_vertices), np.diff(net._arc_indptr))
+    arc_tails = np.repeat(np.arange(g.n_vertices), np.diff(arcs.indptr))
     assert np.array_equal(arc_tails, tails)
-    assert np.array_equal(net._arc_heads, heads)
+    assert np.array_equal(arcs.indices, heads)
     # each arc's edge joins its tail to its head
-    ends = net.ends[net._arc_edge]
+    ends = net.ends[arc_edge]
     assert np.array_equal(np.sort(ends, axis=1), np.sort(np.stack([tails, heads], 1), axis=1))
-    # multigraph arcs keep parallel edges apart
+    # multigraph arcs keep parallel edges apart, in the order the search left them
     multi = M.Network(3, [(1, 0), (0, 1), (2, 1)])
-    assert multi._arc_indptr.tolist() == [0, 2, 5, 6]
-    assert multi._arc_heads.tolist() == [1, 1, 0, 2, 0, 1]
-    assert multi._arc_edge.tolist() == [0, 1, 1, 2, 0, 2]
+    arcs, arc_edge = searched_arcs(multi, {0}, {2})
+    assert arcs.indptr.tolist() == [0, 2, 5, 6]
+    assert arcs.indices.tolist() == [1, 1, 0, 2, 0, 1]
+    assert arc_edge.tolist() == [0, 1, 1, 2, 0, 2]
 
 
 def test_negative_weights_rejected_by_search():
@@ -671,14 +679,21 @@ def grid_problem():
     return problem, M._Bracket(net, src, tgt)
 
 
+def boundary_phi(net, tgt):
+    """The Dirichlet data of a crossing: 1 on the target side, 0 elsewhere."""
+    phi = np.zeros(net.n_vertices)
+    phi[sorted(tgt)] = 1.0
+    return phi
+
+
 def test_singular_laplacian_solves_to_nan():
     # zero weights leave the matrix exactly singular, which splu refuses
     problem, bracket = grid_problem()
-    net = problem.network
-    phi = M._Laplacian(net, bracket.phi, bracket.free).solve(np.zeros(net.n_edges))
+    net, boundary = problem.network, boundary_phi(problem.network, problem.target)
+    phi = M._Laplacian(net, boundary, bracket.free).solve(np.zeros(net.n_edges))
     assert np.isnan(phi[bracket.free]).all()
     fixed = np.setdiff1d(np.arange(net.n_vertices), bracket.free)
-    assert np.array_equal(phi[fixed], bracket.phi[fixed])
+    assert np.array_equal(phi[fixed], boundary[fixed])
 
 
 @pytest.fixture
@@ -762,6 +777,16 @@ def test_adaptive_smoothing_needs_no_more_passes(crossing, crossing4, n, p):
     res = solve(fresh(net), src, tgt, p)
     assert res.converged and res.iterations <= passes
     assert abs(res.value - value) <= 2e-6 * value
+
+
+@pytest.mark.slow
+def test_cold_level_6_critical_crossing():
+    # about 15 s and a 0.9 GB process peak on one core
+    net, src, tgt = M.crossing(ps.build_graph(6))
+    res = solve(net, src, tgt, 2.0959)
+    assert res.converged and res.iterations == 7 and res.solved_vertices == 266_085
+    for got, want in ((res.value_lower, 0.9628822231), (res.value_upper, 0.9628822452)):
+        assert abs(got - want) <= 1e-9 * want
 
 
 # values the solver gave before IRLS stopped on its own bracket, when every
@@ -889,7 +914,8 @@ def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
     net, src, tgt = crossing[n]
     bracket = M._Bracket(net, src, tgt)
     rng = np.random.default_rng(n)
-    phi = M._Laplacian(net, bracket.phi, bracket.free).solve(rng.uniform(0.1, 2.0, net.n_edges))
+    lap = M._Laplacian(net, boundary_phi(net, tgt), bracket.free)
+    phi = lap.solve(rng.uniform(0.1, 2.0, net.n_edges))
     flow = phi[net.ends[:, 1]] - phi[net.ends[:, 0]]  # conserved only under those weights
     routed = bracket.route(net, flow)
     interior = np.setdiff1d(np.arange(net.n_vertices), list(src | tgt))
@@ -898,7 +924,8 @@ def test_routing_conserves_the_flow_off_the_boundary(crossing, n):
 
 
 def reference_route(net, boundary, flow):
-    """Routing as one function that builds its BFS forest on every call."""
+    """Routing as one function that builds its arcs and BFS forest on every call."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     n, (eu, ew) = net.n_vertices, net.ends.T
@@ -906,16 +933,18 @@ def reference_route(net, boundary, flow):
     div[list(boundary)] = 0.0
     if not div.any():
         return flow
-    depth, parent, _ = dijkstra(M._arc_matrix(net, np.ones(net.n_edges)), indices=sorted(boundary),
-                                unweighted=True, min_only=True, return_predecessors=True)
+    indptr, heads, arc_edge = arc_csr(eu, ew, n)
+    arcs = csr_matrix((np.ones(len(heads)), heads, indptr), shape=(n, n))
+    depth, parent, _ = dijkstra(arcs, indices=sorted(boundary), unweighted=True, min_only=True,
+                                return_predecessors=True)
     reached = np.flatnonzero(np.isfinite(depth) & (depth > 0))
     reached = reached[np.argsort(-depth[reached], kind="stable")]
     for level in np.split(reached, np.flatnonzero(np.diff(depth[reached])) + 1):
         div += np.bincount(parent[level], div[level], n)
-    tails = np.repeat(np.arange(n), np.diff(net._arc_indptr))
-    arcs = np.flatnonzero(parent[tails] == net._arc_heads)
-    v, first = np.unique(tails[arcs], return_index=True)
-    e = net._arc_edge[arcs[first]]
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    hits = np.flatnonzero(parent[tails] == heads)
+    v, first = np.unique(tails[hits], return_index=True)
+    e = arc_edge[hits[first]]
     return flow + np.bincount(e, np.where(eu[e] == v, -div[v], div[v]), len(flow))
 
 
@@ -1069,6 +1098,64 @@ def test_networks_without_symmetry_solve_on_themselves(case):
                      "ten-vertex grid": M.grid_network(2, 5)}[case]
     for p in (1.0, 1.5, 2.0):
         assert solve(net, src, tgt, p).solved_vertices == net.n_vertices
+
+
+def lifted_reference(net, orbit, quotient, rho, flow):
+    """Quotient rho and flow (per unit of multiplicity) put on the network's
+    edges one edge at a time: an edge between two orbits takes its quotient
+    edge's rho and, signed by its orientation, that edge's flow times its own
+    multiplicity; an edge inside an orbit takes 0."""
+    index = {(int(a), int(b)): j for j, (a, b) in enumerate(quotient.ends)}
+    lifted_rho, lifted_flow = np.zeros(net.n_edges), np.zeros(net.n_edges)
+    for i, (a, b) in enumerate(orbit[net.ends]):
+        if a != b:
+            j = index[min(a, b), max(a, b)]
+            lifted_rho[i] = rho[j]
+            lifted_flow[i] = (1.0 if a < b else -1.0) * flow[j] * net.mult[i]
+    return lifted_rho, lifted_flow
+
+
+@pytest.mark.parametrize("case", [
+    (policy, sides) for policy in ("on", "off") for sides in (("left", "right"), ("bottom", "top"))]
+    + ["parallel edges"])
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_the_bracket_lifts_quotient_edges_as_the_per_edge_reference(monkeypatch, case, p):
+    if case == "parallel edges":  # 4 vertices: only the vertex key, parallels merged
+        net = M.Network(4, [(0, 1), (1, 0), (1, 2), (3, 2), (1, 3)], mult=[1, 2, 1, 3, 1])
+        src, tgt = {0}, {3}
+    else:
+        net, src, tgt = M.crossing(ps.build_graph(2, case[0]), case[1])
+    bracket = M._Bracket(net, src, tgt)
+    q = bracket.quotient
+    assert q.n_vertices < net.n_vertices or case == "parallel edges"
+    rng = np.random.default_rng(7)
+    rho, flow = rng.uniform(0.1, 2.0, q.n_edges), rng.normal(size=q.n_edges)
+    seen = {}
+
+    def spy(name, call):  # records the network array call is handed
+        def wrapped(net, x, *rest):
+            seen[name] = x
+            return call(net, x, *rest)
+        return wrapped
+
+    monkeypatch.setattr(M, "_shortest_path", spy("rho", M._shortest_path))
+    monkeypatch.setattr(bracket, "route", spy("flow", bracket.route))
+    res = bracket(net, rho, flow, p)
+    want_rho, want_flow = lifted_reference(net, bracket.orbit, q, rho, flow)
+    assert np.array_equal(seen["rho"], want_rho) and np.array_equal(seen["flow"], want_flow)
+    assert res.value_lower >= 0.0 and 0.0 < res.value_upper < math.inf  # a random flow may net 0
+
+
+def test_a_network_holds_arcs_only_once_searched(crossing):
+    plain = {"n_vertices", "ends", "mult", "_crossing"}
+    net = M.Network.from_graph(ps.build_graph(2))
+    assert set(vars(net)) == plain
+    net, src, tgt = crossing[3]
+    kept = fresh(net)
+    for p in (1.0, 2.0, 3.0):
+        solve(kept, src, tgt, p)
+    assert set(vars(kept._crossing.quotient)) == plain  # solved on, never searched
+    assert set(vars(kept)) == plain | {"_arcs"}
 
 
 def corrupted_squares(net, src, tgt):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -12,7 +13,7 @@ from pillowspace import measures, modulus, verify
 from pillowspace import words as W
 from pillowspace.graphs import _fold_scaled
 from pillowspace.measures import TileMeasure
-from pillowspace.metrics import DENSE_LEVEL_LIMIT, MetricMatrix
+from pillowspace.metrics import DENSE_LEVEL_LIMIT, MetricMatrix, pi_diagnostic
 
 
 def test_alphabet_and_letter_table():
@@ -313,6 +314,32 @@ def test_entry_points_check_their_level_before_building(entry, case, tmp_path, m
     with pytest.raises(error) as exc:
         call(level, tmp_path)
     assert "\n" not in str(exc.value)
+
+
+NUMBER_ENTRY_POINTS = {
+    "ModulusProblem p": (lambda x: modulus.ModulusProblem(*modulus.path_network(2), x), "exponent"),
+    "ModulusProblem tolerance": (lambda x: modulus.ModulusProblem(
+        *modulus.path_network(2), 2.0, tolerance=x), "tolerance"),
+    "conformal_scan": (lambda x: modulus.conformal_scan([1], [2.0, x]), "exponent"),
+    "run_suite": (lambda x: verify.run_suite("counts", [1], tolerance=x), "tolerance"),
+    "pi_diagnostic": (lambda x: pi_diagnostic(G.build_graph(1), TileMeasure.uniform(1), x, 1, 0),
+                      "exponent"),
+}
+
+
+BAD_NUMBERS = {"str": "2", "complex": 2 + 0j, "bool": True, "nan": math.nan, "below": 0.5,
+               "above": 1e9}
+
+
+@pytest.mark.parametrize("entry,case", [
+    (entry, case) for entry in NUMBER_ENTRY_POINTS for case in BAD_NUMBERS
+    if (entry, case) != ("pi_diagnostic", "above")])  # its exponents run up to inf
+def test_entry_points_refuse_a_non_number_or_out_of_range_exponent_or_tolerance(entry, case):
+    # a string or a complex raised TypeError from the range comparison
+    call, rule = NUMBER_ENTRY_POINTS[entry]
+    value = BAD_NUMBERS[case]
+    with pytest.raises(ValueError, match=f"^{rule} must lie in "):
+        call(value)
 
 
 def test_entry_points_take_a_numpy_int_level_as_an_int():
