@@ -93,9 +93,10 @@ def _json(body):
     return write
 
 
-def _parse_levels(text, cap=None):
-    """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL, and
-    at most a command's own cap."""
+def _parse_levels(text):
+    """'1..5' or '3' or '1,3,5' to a sorted list of ints in 1..MAX_LEVEL."""
+    from .words import check_level
+
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
@@ -107,8 +108,8 @@ def _parse_levels(text, cap=None):
     if not levels:
         raise UsageError(f"level range {text!r} is empty")
     # on the ends, before a range becomes a list: 1..10**8 is gigabytes of ints
-    _level(levels[0], cap)
-    _level(levels[-1], cap)
+    check_level(levels[0])
+    check_level(levels[-1])
     return list(levels)
 
 
@@ -154,22 +155,12 @@ def _require_seed(args):
     return args.seed
 
 
-def _level(level, cap=None):
-    """A level in 1..MAX_LEVEL, and at most a command's own cap, checked
-    before anything is sized by it: a graph, or a measure's 10^level dict."""
-    from .words import MAX_LEVEL
-
-    top = MAX_LEVEL if cap is None else min(cap, MAX_LEVEL)
-    if not 1 <= level <= top:
-        raise UsageError(f"level {level} is outside 1..{top}")
-    return level
-
-
 def _graph(args, level, cap=None):
-    """The graph at a checked level under --policy."""
+    """The graph at a level under --policy, checked first against a cap or MAX_LEVEL."""
     from .graphs import build_graph
+    from .words import MAX_LEVEL, check_level
 
-    return build_graph(_level(level, cap), args.policy)
+    return build_graph(check_level(level, MAX_LEVEL if cap is None else cap), args.policy)
 
 
 def _read(reader, path, what):
@@ -214,13 +205,9 @@ def _cmd_build(args):
 def _cmd_verify(args):
     from dataclasses import asdict
 
-    from .verify import SUITES, run_suite
+    from .verify import run_suite
 
-    if args.suite not in SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
-        )
-    levels = _parse_levels(args.levels, SUITES[args.suite][3]) if args.levels else None
+    levels = _parse_levels(args.levels) if args.levels else None
     rep = run_suite(
         args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
     )
@@ -274,8 +261,9 @@ def _cmd_measure_pushforward(args):
     from fractions import Fraction
 
     from .measures import TileMeasure, pushforward_x
+    from .words import check_level
 
-    w = pushforward_x(TileMeasure.uniform(_level(args.level)))
+    w = pushforward_x(TileMeasure.uniform(check_level(args.level)))
     denom = 3**args.level
     rows = [
         (i, Fraction(i, denom), Fraction(i + 1, denom), weight)
@@ -288,8 +276,9 @@ def _cmd_measure_pushforward(args):
 
 def _cmd_measure_ratios(args):
     from .measures import TileMeasure, middle_third_ratios, pushforward_x
+    from .words import check_level
 
-    uniform = TileMeasure.uniform(_level(args.level))
+    uniform = TileMeasure.uniform(check_level(args.level))
     rows, skipped = middle_third_ratios(pushforward_x(uniform))
     table = [(r.level, r.index, r.weight, r.ratio) for r in rows]
     distinct = sorted({str(r.ratio) for r in rows})
@@ -410,10 +399,16 @@ def _cmd_metric_cover_check(args):
     from dataclasses import asdict
 
     from .metrics import cover_preimage
+    from .words import check_level
 
-    # the arguments first: a usage error must not pay for the build
+    # the level and the cases first: a usage error must not pay for the build
+    side = 3 ** check_level(args.level)
     if args.samples is not None:
         rng = random.Random(_require_seed(args))
+        cases = [
+            ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
+            for _ in range(args.samples)
+        ]
     elif args.center is None or args.radius is None:
         raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
     else:
@@ -421,15 +416,8 @@ def _cmd_metric_cover_check(args):
             cx, cy = (int(t) for t in args.center.split(","))
         except ValueError:
             raise UsageError(f"cannot parse center {args.center!r}; expected X,Y")
-    g = _graph(args, args.level)
-    side = 3**args.level
-    if args.samples is not None:
-        cases = [
-            ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
-            for _ in range(args.samples)
-        ]
-    else:
         cases = [((cx, cy), args.radius)]
+    g = _graph(args, args.level)
     reports = [cover_preimage(g, center, radius, c=args.c) for center, radius in cases]
     ok = all(r.ok for r in reports)
     worst = max((r.max_overlap for r in reports), default=0)

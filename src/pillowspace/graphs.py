@@ -66,6 +66,8 @@ _WORD_VERTICES = 10**4  # on graphs of at most this many vertices
 _FRONTIER_SOURCES = 16  # starts the frontier path advances together
 BFS_ENTRIES = 10**7  # distance entries per bfs_blocks call: 80 MB of int64 rows
 ORACLE_MAX_LEVEL = 3
+_POLICIES = ("off", "on")  # central-edge policies; a policy's index is its binary flag
+_FLIP_LETTERS = "5123406789"  # a flipped level's letter d becomes _FLIP_LETTERS[d]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,13 @@ def _neighbour_table(u, v, n):
     return nb
 
 
+def _policy(policy):
+    """A central-edge policy, checked: one of _POLICIES, else ValueError."""
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    return policy
+
+
 def build_graph(n, central_edge_policy="on"):
     """Construct the level-n replacement graph.
 
@@ -330,8 +339,7 @@ def build_graph(n, central_edge_policy="on"):
     edges whose only differing level is the last letter.
     """
     n = check_level(n)
-    if central_edge_policy not in ("on", "off"):
-        raise ValueError(f"unknown policy {central_edge_policy!r}")
+    _policy(central_edge_policy)
 
     u = v = t = np.zeros(0, dtype=np.int64)  # G_0: one tile, no edges
     for m in range(1, n + 1):
@@ -392,9 +400,8 @@ def reference_edges(n, central_edge_policy="on"):
     every candidate pair with adjacency, which the builder never runs.
     LevelWords caps n at MAX_LEVEL; every tile costs Python calls, so keep n small.
     """
-    return sorted(
-        e for w in LevelWords(n) for e in _tile_edges(w, central_edge_policy)
-    )
+    policy = _policy(central_edge_policy)
+    return sorted(e for w in LevelWords(n) for e in _tile_edges(w, policy))
 
 
 def _tile_edges(w, policy):
@@ -633,9 +640,9 @@ def letter_permutation(level, maps):
 
 
 def flip_permutation(g, bits):
-    """Vertex permutation induced by a sheet flip: at each level k whose bit
-    is "1" (as in words.flip), letters '0' and '5' swap."""
-    return letter_permutation(g.level, ["5123406789" if b == "1" else ALPHABET
+    """Permutation of the words of g.level (g a graph, metric or LevelWords) under a
+    sheet flip: at each level whose bit is "1" (as in words.flip), '0' and '5' swap."""
+    return letter_permutation(g.level, [_FLIP_LETTERS if b == "1" else ALPHABET
                                         for b in _bits(bits, g.level)])
 
 
@@ -643,7 +650,7 @@ def symmetry_permutations(level):
     """Yield automorphisms of G_level, either policy: the mirrors (col, row) -> (col, 4 - row)
     and (4 - col, row), each swapping two faces, then the one-level flips, fixing every face."""
     mirrors = [["0789456123"] * level, ["0321654987"] * level]
-    flips = [[ALPHABET] * k + ["5123406789"] for k in range(level)]
+    flips = [[ALPHABET] * k + [_FLIP_LETTERS] for k in range(level)]
     return (letter_permutation(level, maps) for maps in mirrors + flips)
 
 
@@ -744,7 +751,7 @@ def _compact_json(data):
     a reading.  No count= is passed: asked for more numbers than the text
     holds, np.fromstring has filled the rest with uninitialised memory.
     """
-    for level, policy in itertools.product(range(1, MAX_LEVEL + 1), ("on", "off")):
+    for level, policy in itertools.product(range(1, MAX_LEVEL + 1), _POLICIES):
         head, between, tail = _json_frame(level, policy)
         if data.startswith(head):
             break
@@ -788,9 +795,7 @@ def _read_json_load(path):
     if not isinstance(payload, dict) or payload.get("schema") != GRAPH_SCHEMA:
         raise ValueError(f"not a {GRAPH_SCHEMA} file: {path}")
     level = check_level(payload.get("level"), MAX_LEVEL, name="graph level", over=ValueError)
-    policy = payload.get("policy")
-    if policy not in ("on", "off"):
-        raise ValueError(f"unknown policy {policy!r}")
+    policy = _policy(payload.get("policy"))
     records, msg = payload.get("edges"), "edge list is not a list of [i, j, type] records"
     if not (type(records) is list and set(map(type, records)) <= {list}
             and set(map(len, records)) <= {3}):
@@ -811,7 +816,7 @@ def _read_json_load(path):
 
 
 def write_graph_binary(g, path):
-    header = (g.level, 1 if g.policy == "on" else 0, g.n_vertices, g.n_edges)
+    header = (g.level, _POLICIES.index(g.policy), g.n_vertices, g.n_edges)
     with open(path, "wb") as fh:
         fh.write(GRAPH_MAGIC)
         fh.write(struct.pack("<IIII", *header))
@@ -828,9 +833,9 @@ def read_graph_binary(path):
             raise ValueError("truncated header")
         level, policy_flag, n_vertices, n_edges = struct.unpack("<IIII", header)
         check_level(level, MAX_LEVEL, name="graph level", over=ValueError)
-        if policy_flag not in (0, 1):
+        if policy_flag >= len(_POLICIES):
             raise ValueError(f"policy flag {policy_flag} is neither 0 (off) nor 1 (on)")
-        policy = ("off", "on")[policy_flag]
+        policy = _POLICIES[policy_flag]
         if n_vertices != 10**level:
             raise ValueError("vertex count does not match the level")
         # checked against the file size, so a bad count allocates nothing

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import _bits, _grid_table, _integer, _square_arrays, check_level, parse_word
+from .words import LevelWords, _grid_table, _integer, _square_arrays, check_level, parse_word
 
 
 @dataclass
@@ -63,12 +63,11 @@ class TileMeasure:
         sheet of the center-free words).  Tiles off the sheet are not part of
         this measure's universe.
         """
+        from .graphs import flip_permutation  # here: pushforward and ratios load no graphs
+
         level = check_level(level, low=0, name="measure level")
-        bits = _bits("0" * level if bits is None else bits, level)
-        tiles = np.sort(_grid_table(level).ravel())  # the center-free words, in order
-        for b, place in zip(bits, 10 ** np.arange(level - 1, -1, -1)):
-            if b == "1":  # the flip: a '5' at this letter becomes '0'
-                tiles -= 5 * place * (tiles // place % 10 == 5)
+        flip = flip_permutation(LevelWords(level), "0" * level if bits is None else bits)
+        tiles = flip[np.sort(_grid_table(level).ravel())]  # in the center-free words' order
         return cls(level, dict.fromkeys(tiles.tolist(), Fraction(1, 9**level)))
 
     @classmethod

@@ -468,6 +468,7 @@ def pi_diagnostic(g, m, p, trials, seed):
         ("cell-y", g.square_y.astype(np.float64)),
         ("ambient-x", (g.square_x + 0.5) / side),
     ]
+    fixed_grads = [_gradient(g, u) for _, u in fixed]  # once, not on every trial
     block = np.arange(n) // 10 ** (g.level - 1)  # each vertex's level-1 prefix block
     # every trial's function, center and radius first, then one BFS over
     # the centers; a low-frequency function is kept as its ten block values,
@@ -496,7 +497,7 @@ def pi_diagnostic(g, m, p, trials, seed):
         ub = float((ball * wb).sum() / wb.sum())
         # u constant on B has no oscillation, whatever the rounding of ub
         lhs = float((np.abs(ball - ub) * wb).sum() / wb.sum()) if np.ptp(ball) else 0.0
-        grad = _gradient(g, u)
+        grad = fixed_grads[which] if values is None else _gradient(g, u)
         # CB contains B, so its mass is positive
         wcb = weight[in_cb]
         gterm = float((grad[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
@@ -519,17 +520,17 @@ def pi_diagnostic(g, m, p, trials, seed):
 
 
 def write_metric_matrix(d, path):
-    """Binary dump: magic, level, vertex count, upper triangle in 16.16."""
+    """Binary dump: magic, level, vertex count, upper triangle in 16.16, row by row."""
     e = d.entries
-    scaled = np.round(e * _FIXED_ONE)
-    if (scaled < 0).any() or (scaled >= 2**32).any():
+    # rounding is monotone, so the rounded extremes bound every entry
+    lo, hi = np.round(np.array([e.min(), e.max()]) * _FIXED_ONE)
+    if not 0 <= lo <= hi < 2**32:
         raise ValueError("distances out of range for the 16.16 format")
-    iu = np.triu_indices(d.n_vertices, k=1)
-    payload = scaled[iu].astype("<u4")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", d.level, d.n_vertices))
-        fh.write(payload.tobytes())
+        for i, row in enumerate(e):
+            fh.write(np.round(row[i + 1 :] * _FIXED_ONE).astype("<u4").tobytes())
 
 
 def read_metric_matrix(path):
@@ -546,10 +547,10 @@ def read_metric_matrix(path):
             raise ValueError("vertex count does not match the level")
         if os.fstat(fh.fileno()).st_size != 12 + 4 * (n * (n - 1) // 2):
             raise ValueError("truncated or oversized payload")
-        payload = np.frombuffer(fh.read(), dtype="<u4")
-    entries = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    entries[iu] = payload / _FIXED_ONE
-    entries += entries.T
+        entries = np.zeros((n, n))
+        for i in range(n - 1):
+            row = np.frombuffer(fh.read(4 * (n - 1 - i)), dtype="<u4") / _FIXED_ONE
+            entries[i, i + 1 :] = row
+            entries[i + 1 :, i] = row
     # quantization can nick the triangle inequality by a few fixed-point ulps
     return MetricMatrix(level, entries, slack=4.0 / _FIXED_ONE)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .graphs import (
     ORACLE_MAX_LEVEL,
+    _policy,
     adjacency,
     bfs_blocks,
     build_graph,
@@ -270,8 +271,7 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
                      for n in (default_levels if levels is None else levels)})
     if not levels:
         raise ValueError("no level to run")
-    if policy not in ("on", "off"):
-        raise ValueError(f"unknown policy {policy!r}")
+    _policy(policy)
     seed = _integer(seed, "seed")
     tolerance = _tolerance(tolerance)
     # no timing in results: written reports must be byte-stable across reruns

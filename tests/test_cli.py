@@ -286,11 +286,30 @@ def test_verify_adjacency_oracle_range_is_capped_by_the_chain_oracle(levels, mon
     def refuse(*args, **kwargs):
         raise AssertionError("a suite ran before its level range was checked")
 
-    monkeypatch.setattr(verify, "run_suite", refuse)
+    _runner, *rest = verify.SUITES["adjacency-oracle"]
+    monkeypatch.setitem(verify.SUITES, "adjacency-oracle", (refuse, *rest))
     assert cli.main(["verify", "adjacency-oracle", levels, "--seed", "7"]) == 64
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
-    assert f"1..{graphs.ORACLE_MAX_LEVEL}" in lines[0]
+    assert f"maximum {graphs.ORACLE_MAX_LEVEL}" in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "-n", "7", "--out", "unused.json"], "level 7 exceeds the supported maximum 6"),
+    (["measure", "ratios", "--level", "0"], "level must be >= 1, got 0"),
+    (["verify", "adjacency-oracle", "4"],
+     "adjacency-oracle level 4 exceeds the supported maximum 3"),
+    (["metric", "symmetrize", "--level", "5", "--out", "unused.bin"],
+     "level 5 exceeds the supported maximum 4"),
+], ids=["build", "measure", "verify", "metric"])
+def test_cli_level_errors_use_the_library_level_rule(argv, message, monkeypatch, capsys):
+    # words.check_level words every level error; the CLI has no level rule of its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before its level was checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == f"pillowspace: error: {message}\n"
 
 
 def test_measure_dimension_ball_needs_seed():
