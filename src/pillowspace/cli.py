@@ -10,7 +10,11 @@ fields and a writer for its one output file; main alone writes that file to
 the tool version, the resolved config, content hashes of inputs and outputs,
 the seed, wall-clock seconds and a profile block that splits them into handler
 and write seconds.  Output files are byte-identical across reruns with the
-same flags: they embed config and hashes but never timing.
+same flags: they embed config and hashes but never timing.  The checks (verify,
+metric quotient-check and cover-check) return one shape: exit 0 or 1, the
+summary "<head>: pass|FAIL<tail>", and one body as report field and JSON file.
+An option that several subcommands share (--out, --seed, --policy and the
+required int --level) is declared once, as an argparse parent parser.
 
 Imports are lazy: this module loads only the standard library, and each
 handler imports the modules it runs.  --version and --help load no numpy.
@@ -202,22 +206,21 @@ def _cmd_build(args):
     }, lambda path: writer(g, path)
 
 
+def _checked(ok, head, body, tail=""):
+    """A check's return: exit 0 or 1, "<head>: pass|FAIL<tail>", the body as
+    the report field and as the JSON output file."""
+    summary = f"{head}: {'pass' if ok else 'FAIL'}{tail}"
+    return EXIT_OK if ok else EXIT_FAIL, {"summary": summary, "report": body}, _json(body)
+
+
 def _cmd_verify(args):
     from dataclasses import asdict
 
     from .verify import run_suite
 
     levels = _parse_levels(args.levels) if args.levels else None
-    rep = run_suite(
-        args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol
-    )
-    body = asdict(rep)
-    word = "pass" if rep.ok else "FAIL"
-    code = EXIT_OK if rep.ok else EXIT_FAIL
-    return code, {
-        "summary": f"suite {args.suite} levels {rep.levels}: {word}",
-        "report": body,
-    }, _json(body)
+    rep = run_suite(args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol)
+    return _checked(rep.ok, f"suite {args.suite} levels {rep.levels}", asdict(rep))
 
 
 def _cmd_modulus(args):
@@ -386,29 +389,20 @@ def _cmd_metric_quotient_check(args):
     from .words import BALL_IMAGE_LIMIT
 
     rep = lipschitz_quotient_check(_graph(args, args.level, BALL_IMAGE_LIMIT))
-    body = asdict(rep)
-    code = EXIT_OK if rep.ok else EXIT_FAIL
-    return code, {
-        "summary": f"ball images at level {args.level}: {'pass' if rep.ok else 'FAIL'}",
-        "report": body,
-    }, _json(body)
+    return _checked(rep.ok, f"ball images at level {args.level}", asdict(rep))
 
 
 def _cmd_metric_cover_check(args):
     import random
     from dataclasses import asdict
 
-    from .metrics import cover_preimage
+    from .metrics import _random_balls, cover_preimage
     from .words import check_level
 
     # the level and the cases first: a usage error must not pay for the build
     side = 3 ** check_level(args.level)
     if args.samples is not None:
-        rng = random.Random(_require_seed(args))
-        cases = [
-            ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
-            for _ in range(args.samples)
-        ]
+        cases = _random_balls(random.Random(_require_seed(args)), side, args.samples)
     elif args.center is None or args.radius is None:
         raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
     else:
@@ -428,12 +422,8 @@ def _cmd_metric_cover_check(args):
         "worst_overlap": worst,
         "ok": ok,
     }
-    code = EXIT_OK if ok else EXIT_FAIL
-    return code, {
-        "summary": f"{len(reports)} ball(s) at level {args.level}: "
-        + ("pass" if ok else "FAIL") + f", worst overlap {worst}",
-        "report": body,
-    }, _json(body)
+    return _checked(ok, f"{len(reports)} ball(s) at level {args.level}", body,
+                    f", worst overlap {worst}")
 
 
 def _cmd_metric_pi_diagnostic(args):
@@ -456,118 +446,98 @@ def _cmd_metric_pi_diagnostic(args):
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# parser wiring: an option that several subcommands share is declared once, in
+# a parent parser that they list in parents=
 
 
-def _add_policy(p):
-    p.add_argument("--policy", choices=("on", "off"), default="on")
+def _shared(*flags, **kwargs):
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def _command(subs, name, handler, text, *parents):
+    p = subs.add_parser(name, help=text, parents=parents)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser():
+    out, out_required = _shared("--out"), _shared("--out", required=True)
+    seed = _shared("--seed", type=int)
+    policy = _shared("--policy", choices=("on", "off"), default="on")
+    level = _shared("--level", type=int, required=True)
+
     parser = _Parser(prog="pillowspace", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pillowspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="build a replacement graph and write it out")
+    b = _command(sub, "build", _cmd_build, "build a replacement graph and write it out",
+                 policy, out_required)
     b.add_argument("-n", "--level", type=int, required=True)
-    _add_policy(b)
-    b.add_argument("--out", required=True)
     b.add_argument("--format", choices=("json", "binary"))
-    b.set_defaults(handler=_cmd_build)
 
-    v = sub.add_parser("verify", help="run a named invariant suite")
+    v = _command(sub, "verify", _cmd_verify, "run a named invariant suite", policy, out)
     v.add_argument("suite")
     v.add_argument("levels", nargs="?", help="like 1..3 or 2 or 1,3")
-    _add_policy(v)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-6)
-    v.add_argument("--out")
-    v.set_defaults(handler=_cmd_verify)
 
-    m = sub.add_parser("modulus", help="crossing modulus scan of a graph file")
+    m = _command(sub, "modulus", _cmd_modulus, "crossing modulus scan of a graph file", out)
     m.add_argument("--graph", required=True)
     m.add_argument("--sides", required=True, help="like left-right or top-bottom")
     m.add_argument("--p-grid", default=DEFAULT_P_GRID)
     m.add_argument("--tol", type=float, default=1e-6)
-    m.add_argument("--out")
-    m.set_defaults(handler=_cmd_modulus)
 
     me = sub.add_parser("measure", help="measure-side tables")
     mesub = me.add_subparsers(dest="subcommand", required=True)
-    mp = mesub.add_parser("pushforward", help="x-axis interval weights")
-    mp.add_argument("--level", type=int, required=True)
-    mp.add_argument("--out")
-    mp.set_defaults(handler=_cmd_measure_pushforward)
-    mr = mesub.add_parser("ratios", help="middle-third ratio table")
-    mr.add_argument("--level", type=int, required=True)
-    mr.add_argument("--out")
-    mr.set_defaults(handler=_cmd_measure_ratios)
-    md = mesub.add_parser("dimension", help="box or ball dimension fit")
+    _command(mesub, "pushforward", _cmd_measure_pushforward, "x-axis interval weights",
+             level, out)
+    _command(mesub, "ratios", _cmd_measure_ratios, "middle-third ratio table", level, out)
+    md = _command(mesub, "dimension", _cmd_measure_dimension, "box or ball dimension fit",
+                  seed, policy, out)
     md.add_argument("--mode", choices=("box", "ball"), required=True)
     md.add_argument("--levels", help="box mode: like 1..5")
     md.add_argument("--level", type=int, help="ball mode: graph level")
     md.add_argument("--samples", type=_count)
-    md.add_argument("--seed", type=int)
-    _add_policy(md)
-    md.add_argument("--out")
-    md.set_defaults(handler=_cmd_measure_dimension)
 
     mt = sub.add_parser("metric", help="metric-side experiments")
     mtsub = mt.add_subparsers(dest="subcommand", required=True)
-
-    ms = mtsub.add_parser("symmetrize", help="average a metric over the flip group")
+    ms = _command(mtsub, "symmetrize", _cmd_metric_symmetrize,
+                  "average a metric over the flip group", seed, policy, out_required)
     ms.add_argument("--in", dest="infile")
     ms.add_argument("--level", type=int, help="compute the graph metric at this level")
-    _add_policy(ms)
     ms.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     ms.add_argument("--samples", type=_count)
-    ms.add_argument("--seed", type=int)
-    ms.add_argument("--out", required=True)
-    ms.set_defaults(handler=_cmd_metric_symmetrize)
 
-    mb = mtsub.add_parser("blowup", help="rescaled restriction to a prefix block")
+    mb = _command(mtsub, "blowup", _cmd_metric_blowup, "rescaled restriction to a prefix block",
+                  policy, out_required)
     mb.add_argument("--in", dest="infile", help="ambient mode: metric file")
     mb.add_argument("--level-from", type=int, help="level of the ambient graph")
-    _add_policy(mb)
     mb.add_argument("--prefix", required=True)
     mb.add_argument("--mode", choices=("internal", "ambient"), default="internal")
     mb.add_argument("--normalization", default="none")
-    mb.add_argument("--out", required=True)
-    mb.set_defaults(handler=_cmd_metric_blowup)
 
-    mdst = mtsub.add_parser("distortion", help="quasisymmetry distortion profile")
+    mdst = _command(mtsub, "distortion", _cmd_metric_distortion,
+                    "quasisymmetry distortion profile", seed, out)
     mdst.add_argument("--in1", required=True)
     mdst.add_argument("--in2", required=True)
     mdst.add_argument("--samples", type=_count, required=True)
-    mdst.add_argument("--seed", type=int)
-    mdst.add_argument("--out")
-    mdst.set_defaults(handler=_cmd_metric_distortion)
 
-    mq = mtsub.add_parser("quotient-check", help="projected balls versus grid balls")
-    mq.add_argument("--level", type=int, required=True)
-    _add_policy(mq)
-    mq.add_argument("--out")
-    mq.set_defaults(handler=_cmd_metric_quotient_check)
+    _command(mtsub, "quotient-check", _cmd_metric_quotient_check,
+             "projected balls versus grid balls", level, policy, out)
 
-    mc = mtsub.add_parser("cover-check", help="covering of a grid ball preimage")
-    mc.add_argument("--level", type=int, required=True)
-    _add_policy(mc)
+    mc = _command(mtsub, "cover-check", _cmd_metric_cover_check,
+                  "covering of a grid ball preimage", level, seed, policy, out)
     mc.add_argument("--center", help="grid cell X,Y")
     mc.add_argument("--radius", type=int)
     mc.add_argument("--c", type=int, default=5)
     mc.add_argument("--samples", type=_count, help="check this many seeded random balls")
-    mc.add_argument("--seed", type=int)
-    mc.add_argument("--out")
-    mc.set_defaults(handler=_cmd_metric_cover_check)
 
-    mpi = mtsub.add_parser("pi-diagnostic", help="empirical Poincare-ratio scan")
-    mpi.add_argument("--level", type=int, required=True)
-    _add_policy(mpi)
+    mpi = _command(mtsub, "pi-diagnostic", _cmd_metric_pi_diagnostic,
+                   "empirical Poincare-ratio scan", level, seed, policy, out)
     mpi.add_argument("--p", type=float, default=2.0)
     mpi.add_argument("--trials", type=_count, required=True)
-    mpi.add_argument("--seed", type=int)
-    mpi.add_argument("--out")
-    mpi.set_defaults(handler=_cmd_metric_pi_diagnostic)
 
     return parser
 

@@ -212,10 +212,10 @@ class ReplacementGraph:
     Vertex i is the tile of word i, i in n digits; `words` formats one only
     when it is read.  Edge k joins u[k] < v[k] with type code t[k] (H=0, V=1,
     S=2), in strictly increasing order of its key (u*n + v)*3 + t
-    (edge_keys).  Construction validates the arrays and derives the projected
-    squares (square_x, square_y) of all tiles.  The one adjacency, the
-    neighbour table `neighbours`, is derived on the first traversal and kept;
-    reading, writing and comparing a graph never derive it.
+    (edge_keys).  Construction checks the level, the policy and the arrays,
+    and derives the projected squares (square_x, square_y) of all tiles.  The
+    one adjacency, the neighbour table `neighbours`, is derived on the first
+    traversal and kept; reading, writing and comparing a graph never derive it.
     """
 
     level: int
@@ -228,6 +228,7 @@ class ReplacementGraph:
 
     def __post_init__(self):
         self.level = check_level(self.level, MAX_LEVEL, name="graph level", over=ValueError)
+        _policy(self.policy)
         n = self.n_vertices
         u, v, t = (np.ascontiguousarray(a, np.int64) for a in (self.u, self.v, self.t))
         _check_edges(u, v, t, n)

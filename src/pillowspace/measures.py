@@ -73,7 +73,7 @@ class TileMeasure:
     @classmethod
     def dirac(cls, word):
         word = parse_word(word)
-        return cls(len(word), {int(word): Fraction(1)})
+        return cls(len(word), {int(word or "0"): Fraction(1)})  # "": the level-0 tile
 
 
 def _scaled(masses):

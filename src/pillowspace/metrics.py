@@ -358,6 +358,12 @@ class CoverReport:
                 and self.preimage_covered)
 
 
+def _random_balls(rng, side, count):
+    """count grid balls drawn from rng: a cell of the side x side grid, a radius in 0..3."""
+    return [((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
+            for _ in range(count)]
+
+
 def cover_preimage(g, center, radius, c=5):
     """Cover the preimage of a grid ball by graph balls of uniform radius.
 

@@ -201,15 +201,11 @@ def _suite_quotient(n, g, ctx):
 
 
 def _suite_covering(n, g, ctx):
-    from .metrics import cover_preimage
+    from .metrics import _random_balls, cover_preimage
 
-    rng = random.Random(ctx["seed"] + 100 + n)
     side = 3**n
     cases = [((side // 2, side // 2), 2 if n > 1 else 1)]
-    cases += [
-        ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3))
-        for _ in range(8)
-    ]
+    cases += _random_balls(random.Random(ctx["seed"] + 100 + n), side, 8)
     worst_overlap, failures = 0, []
     for center, radius in cases:
         rep = cover_preimage(g, center, radius, c=5)

@@ -705,3 +705,117 @@ def test_exit_code_table(name, workdir, capsys):
     assert not out and len(lines) == 1 and lines[0].startswith("pillowspace: error: ")
     if message:
         assert lines[0].startswith("pillowspace: error: " + message)
+
+
+# ---------------------------------------------------------------------------
+# the option contract: every subcommand's parsed namespace, with each shared
+# option (--out, --seed, --policy, --level) at its default and given; the
+# parser loads only the standard library, so it runs in this process
+
+METRIC = {"command": "metric"}
+OPTION_CONTRACT = [
+    ("build -n 2 --out g.json",
+     {"command": "build", "level": 2, "policy": "on", "out": "g.json", "format": None}),
+    ("build --level 2 --policy off --out g.bin --format binary",
+     {"command": "build", "level": 2, "policy": "off", "out": "g.bin", "format": "binary"}),
+    ("verify counts",
+     {"command": "verify", "suite": "counts", "levels": None, "policy": "on", "seed": 0,
+      "tol": 1e-6, "out": None}),
+    ("verify covering 1..3 --seed 7 --policy off --tol 0.001 --out c.json",
+     {"command": "verify", "suite": "covering", "levels": "1..3", "policy": "off", "seed": 7,
+      "tol": 0.001, "out": "c.json"}),
+    ("modulus --graph g.bin --sides left-right",
+     {"command": "modulus", "graph": "g.bin", "sides": "left-right",
+      "p_grid": "1,1.5,2,2.0959,2.5,3", "tol": 1e-6, "out": None}),
+    ("modulus --graph g.bin --sides top-bottom --p-grid 1,2 --tol 0.01 --out m.csv",
+     {"command": "modulus", "graph": "g.bin", "sides": "top-bottom", "p_grid": "1,2",
+      "tol": 0.01, "out": "m.csv"}),
+    ("measure pushforward --level 2",
+     {"command": "measure", "subcommand": "pushforward", "level": 2, "out": None}),
+    ("measure ratios --level 3 --out r.csv",
+     {"command": "measure", "subcommand": "ratios", "level": 3, "out": "r.csv"}),
+    ("measure dimension --mode box --levels 1..3",
+     {"command": "measure", "subcommand": "dimension", "mode": "box", "levels": "1..3",
+      "level": None, "samples": None, "seed": None, "policy": "on", "out": None}),
+    ("measure dimension --mode ball --level 3 --samples 5 --seed 1 --policy off --out d.csv",
+     {"command": "measure", "subcommand": "dimension", "mode": "ball", "levels": None,
+      "level": 3, "samples": 5, "seed": 1, "policy": "off", "out": "d.csv"}),
+    ("metric symmetrize --level 2 --out s.bin",
+     {**METRIC, "subcommand": "symmetrize", "infile": None, "level": 2, "policy": "on",
+      "mode": "exact", "samples": None, "seed": None, "out": "s.bin"}),
+    ("metric symmetrize --in m.bin --mode sampled --samples 3 --seed 4 --policy off --out s.bin",
+     {**METRIC, "subcommand": "symmetrize", "infile": "m.bin", "level": None, "policy": "off",
+      "mode": "sampled", "samples": 3, "seed": 4, "out": "s.bin"}),
+    ("metric blowup --level-from 2 --prefix 5 --out b.bin",
+     {**METRIC, "subcommand": "blowup", "infile": None, "level_from": 2, "policy": "on",
+      "prefix": "5", "mode": "internal", "normalization": "none", "out": "b.bin"}),
+    ("metric blowup --mode ambient --in m.bin --prefix 5 --normalization diameter"
+     " --policy off --out b.bin",
+     {**METRIC, "subcommand": "blowup", "infile": "m.bin", "level_from": None, "policy": "off",
+      "prefix": "5", "mode": "ambient", "normalization": "diameter", "out": "b.bin"}),
+    ("metric distortion --in1 a.bin --in2 b.bin --samples 10",
+     {**METRIC, "subcommand": "distortion", "in1": "a.bin", "in2": "b.bin", "samples": 10,
+      "seed": None, "out": None}),
+    ("metric distortion --in1 a.bin --in2 b.bin --samples 10 --seed 2 --out d.csv",
+     {**METRIC, "subcommand": "distortion", "in1": "a.bin", "in2": "b.bin", "samples": 10,
+      "seed": 2, "out": "d.csv"}),
+    ("metric quotient-check --level 2",
+     {**METRIC, "subcommand": "quotient-check", "level": 2, "policy": "on", "out": None}),
+    ("metric quotient-check --level 2 --policy off --out q.json",
+     {**METRIC, "subcommand": "quotient-check", "level": 2, "policy": "off", "out": "q.json"}),
+    ("metric cover-check --level 2 --center 4,4 --radius 1",
+     {**METRIC, "subcommand": "cover-check", "level": 2, "policy": "on", "center": "4,4",
+      "radius": 1, "c": 5, "samples": None, "seed": None, "out": None}),
+    ("metric cover-check --level 3 --samples 9 --seed 11 --c 3 --policy off --out c.json",
+     {**METRIC, "subcommand": "cover-check", "level": 3, "policy": "off", "center": None,
+      "radius": None, "c": 3, "samples": 9, "seed": 11, "out": "c.json"}),
+    ("metric pi-diagnostic --level 2 --trials 5",
+     {**METRIC, "subcommand": "pi-diagnostic", "level": 2, "policy": "on", "p": 2.0, "trials": 5,
+      "seed": None, "out": None}),
+    ("metric pi-diagnostic --level 2 --trials 5 --seed 3 --p 1.5 --policy off --out pi.csv",
+     {**METRIC, "subcommand": "pi-diagnostic", "level": 2, "policy": "off", "p": 1.5, "trials": 5,
+      "seed": 3, "out": "pi.csv"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", OPTION_CONTRACT, ids=[a for a, _ in OPTION_CONTRACT])
+def test_option_contract(argv, want):
+    got = vars(cli.build_parser().parse_args(argv.split()))
+    got.pop("handler")
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+# a bad value of a shared option, or a missing required --out or --level
+OPTION_REFUSALS = [
+    "verify counts --seed x",
+    "measure dimension --mode box --seed x",
+    "metric symmetrize --level 2 --seed x --out s.bin",
+    "metric distortion --in1 a --in2 b --samples 1 --seed x",
+    "metric cover-check --level 2 --seed x",
+    "metric pi-diagnostic --level 2 --trials 1 --seed x",
+    "build -n 2 --policy maybe --out g.json",
+    "verify counts --policy maybe",
+    "measure dimension --mode box --policy maybe",
+    "metric symmetrize --level 2 --policy maybe --out s.bin",
+    "metric blowup --prefix 5 --policy maybe --out b.bin",
+    "metric quotient-check --level 2 --policy maybe",
+    "metric cover-check --level 2 --policy maybe",
+    "metric pi-diagnostic --level 2 --trials 1 --policy maybe",
+    "build -n 2",
+    "metric symmetrize --level 2",
+    "metric blowup --prefix 5",
+    "measure pushforward",
+    "measure ratios --level x",
+    "metric quotient-check",
+    "metric cover-check --samples 1 --seed 0",
+    "metric pi-diagnostic --trials 1",
+]
+
+
+@pytest.mark.parametrize("argv", OPTION_REFUSALS)
+def test_option_refusals_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv.split())
+    assert exc.value.code == 64
+    assert "error:" in capsys.readouterr().err

@@ -1044,6 +1044,8 @@ def _disconnected(tmp_path, g1, g2):
     (_bad_magic, ValueError, "^bad magic b'PLG0'"),
     (_bad_vertex_count, ValueError, "^vertex count does not match the level$"),
     (_unknown_policy, ValueError, "^unknown policy 'maybe'$"),
+    (lambda tmp_path, g1, g2: G.ReplacementGraph(1, "maybe", *g1.edge_arrays()),
+     ValueError, "^unknown policy 'maybe'$"),
     (lambda tmp_path, g1, g2: G.reference_edges(2, "x"), ValueError, "^unknown policy 'x'$"),
     (lambda tmp_path, g1, g2: G.prefix_subgraph(g2, "3", reference=g2),
      ValueError, "^reference graph has wrong level or policy$"),

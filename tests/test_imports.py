@@ -83,6 +83,17 @@ def test_version_loads_no_numpy_and_no_submodule():
     assert _run_cli(["--version"]) == ({"cli"}, False)
 
 
+HELP_PATHS = ["", "build", "verify", "modulus", "measure", "measure pushforward",
+              "measure ratios", "measure dimension", "metric", "metric symmetrize",
+              "metric blowup", "metric distortion", "metric quotient-check",
+              "metric cover-check", "metric pi-diagnostic"]
+
+
+@pytest.mark.parametrize("path", HELP_PATHS, ids=[p or "top" for p in HELP_PATHS])
+def test_help_loads_no_numpy_and_no_submodule(path):
+    assert _run_cli(path.split() + ["--help"]) == ({"cli"}, False)
+
+
 def test_build_loads_only_words_and_graphs(tmp_path):
     submodules, numpy = _run_cli(["build", "-n", "1", "--out", tmp_path / "g1.json"])
     assert submodules == {"cli", "words", "graphs"} and numpy

@@ -36,6 +36,12 @@ def test_measure_words_must_parse(word):
         TileMeasure.dirac(word)
 
 
+def test_dirac_of_the_empty_word_is_the_level_zero_mass():
+    m = TileMeasure.dirac("")
+    assert (m.level, m.mass) == (0, {0: Fraction(1)})
+    assert m.mass == TileMeasure.uniform(0).mass == TileMeasure.one_sheet(0).mass
+
+
 @pytest.mark.parametrize("level", [-1, 1.0, "2", None, True])
 def test_measure_level_must_be_a_natural_number(level):
     with pytest.raises(ValueError):
