@@ -154,9 +154,11 @@ def _count(text):
 
 
 def _require_seed(args):
+    from .words import _seed
+
     if args.seed is None:
         raise UsageError("this subcommand samples; pass an explicit --seed")
-    return args.seed
+    return _seed(args.seed)
 
 
 def _graph(args, level, cap=None):

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words import LevelWords, _grid_table, _integer, _square_arrays, check_level, parse_word
+from .words import (LevelWords, _grid_table, _integer, _seed, _square_arrays, check_level,
+                    parse_word)
 
 
 @dataclass
@@ -227,7 +228,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
         raise ValueError(f"need at least two radii, distinct and >= 0, got {radii_exponents}")
     if _integer(samples, "samples") < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    rng = np.random.default_rng(_seed(seed))
     side = 3**n
     hull = np.minimum(
         np.minimum(graph.square_x, side - 1 - graph.square_x),

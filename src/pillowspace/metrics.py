@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import bfs_blocks, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import BALL_IMAGE_LIMIT, _exponent, _integer, check_level, parse_word
+from .words import BALL_IMAGE_LIMIT, _exponent, _integer, _seed, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
@@ -127,7 +127,7 @@ def symmetrize(d, mode="exact", samples=None, seed=None):
     elif mode == "sampled":
         if samples is None or _integer(samples, "samples") < 1:
             raise ValueError("sampled mode needs samples >= 1")
-        rng = random.Random(_integer(seed, "seed"))
+        rng = random.Random(_seed(seed))
         draws = ["".join(rng.choice("01") for _ in range(level)) for _ in range(samples)]
         acc = np.zeros_like(d.entries)
         for bits in draws:
@@ -264,7 +264,7 @@ def qs_distortion(d1, d2, samples, seed):
         raise ValueError("profiles need a common vertex universe")
     if _integer(samples, "samples") < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(_seed(seed))
     n = d1.n_vertices
     x, y, z = np.array([rng.randrange(n) for _ in range(3 * samples)]).reshape(-1, 3).T
     keep = (x != z) & (x != y)
@@ -463,7 +463,7 @@ def pi_diagnostic(g, m, p, trials, seed):
         raise ValueError("measure level must match the graph")
     if _integer(trials, "trials") < 1:
         raise ValueError("need at least one trial")
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(_seed(seed))
     n = g.n_vertices
     weight = np.zeros(n)
     weight[list(m.mass)] = [float(frac) for frac in m.mass.values()]

@@ -28,7 +28,7 @@ from .graphs import (
     reference_edges,
     symmetry_permutations,
 )
-from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _integer, _tolerance, all_words,
+from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _seed, _tolerance, all_words,
                     check_level)
 
 ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
@@ -65,21 +65,22 @@ def _suite_counts(n, g, ctx):
 
 
 def _suite_adjacency_oracle(n, g, ctx):
-    # run_suite refuses a level past the oracle before any words are listed.
-    # The list (1,000 words at most) serves the 200,000 draws at C speed; a
-    # LevelWords view answers each through Python calls and doubled the time.
+    # run_suite refuses a level past the oracle before any words are listed
     words = all_words(n)
     if n <= 2:
         pairs = itertools.combinations(words, 2)
         checked = len(words) * (len(words) - 1) // 2
     else:
-        rng = random.Random(ctx["seed"] + n)
-        drawn = []
-        while len(drawn) < ORACLE_SAMPLE_PAIRS:
-            w, v = rng.choice(words), rng.choice(words)
-            if w != v:
-                drawn.append((w, v))
-        pairs, checked = drawn, ORACLE_SAMPLE_PAIRS
+        # word indices in one seeded draw, looked up in an object array of
+        # the (at most 1,000) words; a pair with equal ends is dropped and the
+        # draw topped up
+        rng = np.random.default_rng(ctx["seed"] + n)
+        ends = np.empty((2, 0), dtype=np.int64)
+        while ends.shape[1] < ORACLE_SAMPLE_PAIRS:
+            more = rng.integers(len(words), size=(2, ORACLE_SAMPLE_PAIRS - ends.shape[1]))
+            ends = np.concatenate([ends, more[:, more[0] != more[1]]], axis=1)
+        pairs = zip(*np.array(words, dtype=object)[ends])
+        checked = ORACLE_SAMPLE_PAIRS
     disagreements = sum(
         1 for w, v in pairs if adjacency(w, v) != chain_oracle_adjacency(w, v)
     )
@@ -132,9 +133,13 @@ def _suite_automorphisms(n, g, ctx):
     else:
         rng = random.Random(ctx["seed"] + 7 * n)
         draws = ["".join(rng.choice("01") for _ in range(n)) for _ in range(SAMPLED_DRAWS)]
-    perms = itertools.chain(((bits, flip_permutation(g, bits)) for bits in draws),
-                            zip(("top-bottom", "left-right"), symmetry_permutations(n)))
-    failures = [name for name, perm in perms if not is_automorphism(g, perm)]
+    # a flip drawn twice is checked once; failures still list every draw
+    verdicts = {bits: is_automorphism(g, flip_permutation(g, bits))
+                for bits in dict.fromkeys(draws)}
+    failures = [bits for bits in draws if not verdicts[bits]]
+    failures += [name for name, perm in zip(("top-bottom", "left-right"),
+                                            symmetry_permutations(n))
+                 if not is_automorphism(g, perm)]
     return {
         "flips_checked": len(draws),
         "mirrors_checked": 2,
@@ -268,7 +273,7 @@ def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     if not levels:
         raise ValueError("no level to run")
     _policy(policy)
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     tolerance = _tolerance(tolerance)
     # no timing in results: written reports must be byte-stable across reruns
     ctx = {"seed": seed, "tolerance": tolerance}

@@ -49,6 +49,15 @@ def _integer(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(seed):
+    """A sampler's seed as an int >= 0, else ValueError: numpy's generators
+    refuse a negative seed with a message that names no argument."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _exponent(p, top=MAX_P):
     """p as a float in [1, top] (an infinite top left out), else ValueError: a
     bool, string or complex is no exponent, and nan lies in no range."""

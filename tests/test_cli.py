@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -213,6 +214,53 @@ def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 64
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"pillowspace: error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def _samplers():
+    from pillowspace.measures import ball_dimension_estimate
+    from pillowspace.metrics import graph_metric, pi_diagnostic, qs_distortion, symmetrize
+
+    g = graphs.build_graph(1)
+    d = graph_metric(g)
+    return {
+        "run_suite": lambda seed: verify.run_suite("covering", [1], seed=seed),
+        "ball_dimension_estimate": lambda seed: ball_dimension_estimate(g, 3, seed, [0, 1]),
+        "symmetrize": lambda seed: symmetrize(d, mode="sampled", samples=3, seed=seed),
+        "qs_distortion": lambda seed: qs_distortion(d, d, 5, seed),
+        "pi_diagnostic": lambda seed: pi_diagnostic(g, TileMeasure.uniform(1), 2.0, 2, seed),
+    }
+
+
+@pytest.mark.parametrize("sampler", ["run_suite", "ball_dimension_estimate", "symmetrize",
+                                     "qs_distortion", "pi_diagnostic"])
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+])
+def test_every_sampler_reads_its_seed_by_one_rule(sampler, seed, message):
+    # -1 reached numpy's default_rng in ball_dimension_estimate, whose
+    # message names no argument; the random.Random samplers took it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _samplers()[sampler](seed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "covering", "1"],
+    ["measure", "dimension", "--mode", "ball", "--level", "3", "--samples", "3"],
+    ["metric", "symmetrize", "--level", "1", "--mode", "sampled", "--samples", "3"],
+    ["metric", "distortion", "--in1", "MISSING", "--in2", "MISSING", "--samples", "10"],
+    ["metric", "cover-check", "--level", "2", "--samples", "2"],
+    ["metric", "pi-diagnostic", "--level", "2", "--trials", "2"],
+], ids=["verify", "dimension", "symmetrize", "distortion", "cover-check", "pi-diagnostic"])
+def test_sampling_subcommands_refuse_a_negative_seed(tmp_path, capsys, argv):
+    # the seed is read before any input: the metric files do not exist
+    paths = {"MISSING": tmp_path / "nope.bin"}
+    argv = [str(paths.get(a, a)) for a in argv] + ["--seed", "-1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 64
+    assert capsys.readouterr() == ("", "pillowspace: error: seed must be >= 0, got -1\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -1,7 +1,10 @@
 """Tests for the invariant suites' own bookkeeping."""
 
+import collections
 import dataclasses
+import itertools
 import math
+import random
 import types
 
 import numpy as np
@@ -107,7 +110,7 @@ def test_covering_reports_a_ball_that_is_not_covered(monkeypatch):
 
 
 def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
-    # random.choice reads only len and [i], so a LevelWords view draws the
+    # the draw reads only len and [i], so a LevelWords view looks up the
     # pairs that the list does
     drawn = {}
     monkeypatch.setattr(verify, "chain_oracle_adjacency", lambda w, v: None)
@@ -192,9 +195,6 @@ def test_counts_suite_fails_on_a_graph_missing_an_edge(monkeypatch):
 def _sheets_per_sheet_reference(n, g, seed):
     # the suite as it ran one BFS call per sheet: each sheet's starts and
     # targets drawn, then that sheet's rows looked up pair by pair
-    import itertools
-    import random
-
     rng = random.Random(seed + 10 * n)
     side = 3**n
     if 2**n <= 8:
@@ -291,3 +291,119 @@ def test_automorphisms_suite_checks_both_mirrors(monkeypatch):
     monkeypatch.setattr(verify, "symmetry_permutations", spoiled)
     rep = verify.run_suite("automorphisms", [1])
     assert not rep.ok and rep.results[0]["failures"] == ["top-bottom"]
+
+
+def _automorphism_draws(n, seed):
+    if n <= 3:
+        return ["".join(b) for b in itertools.product("01", repeat=n)]
+    rng = random.Random(seed + 7 * n)
+    return ["".join(rng.choice("01") for _ in range(n)) for _ in range(verify.SAMPLED_DRAWS)]
+
+
+def _automorphisms_per_draw_reference(n, g, seed):
+    # the suite as it checked every draw: one is_automorphism call per drawn
+    # flip, repeats included, then one per mirror
+    draws = _automorphism_draws(n, seed)
+    perms = itertools.chain(((bits, verify.flip_permutation(g, bits)) for bits in draws),
+                            zip(("top-bottom", "left-right"), verify.symmetry_permutations(n)))
+    failures = [name for name, perm in perms if not verify.is_automorphism(g, perm)]
+    return {
+        "flips_checked": len(draws),
+        "mirrors_checked": 2,
+        "exhaustive": n <= 3,
+        "failures": failures[:5],
+        "ok": not failures,
+        "level": n,
+    }
+
+
+@pytest.fixture(scope="module")
+def built_graphs():
+    return {n: graphs.build_graph(n) for n in range(1, 6)}
+
+
+@pytest.fixture
+def cached_builds(monkeypatch, built_graphs):
+    monkeypatch.setattr(verify, "build_graph", lambda n, policy: built_graphs[n])
+    return built_graphs
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_automorphisms_report_equals_the_per_draw_reference(cached_builds, seed):
+    rep = verify.run_suite("automorphisms", [1, 2, 3, 4, 5], seed=seed)
+    assert rep.ok
+    for row in rep.results:
+        n = row["level"]
+        assert row == _automorphisms_per_draw_reference(n, cached_builds[n], seed)
+
+
+@pytest.mark.slow
+def test_automorphisms_report_equals_the_per_draw_reference_level_6(monkeypatch):
+    # the seed-0 draws hold 54 distinct flips of 100
+    g = graphs.build_graph(6)
+    monkeypatch.setattr(verify, "build_graph", lambda n, policy: g)
+    rep = verify.run_suite("automorphisms", [6], seed=0)
+    assert rep.ok and rep.results == [_automorphisms_per_draw_reference(6, g, 0)]
+
+
+@pytest.mark.parametrize("planted", [1, 2])
+def test_automorphisms_list_a_failing_flip_once_per_draw(cached_builds, monkeypatch, planted):
+    # the most frequent seed-7 draws at L4 turned into non-automorphisms by
+    # swapping two images: each failing draw is listed, in draw order
+    draws = _automorphism_draws(4, 7)
+    bad = [bits for bits, _ in collections.Counter(draws).most_common(planted)]
+    assert all(draws.count(bits) > 1 for bits in bad)
+    flip = graphs.flip_permutation
+
+    def transposed(g, bits):
+        perm = flip(g, bits)
+        if bits in bad:
+            perm = perm.copy()
+            perm[[0, 1]] = perm[[1, 0]]
+        return perm
+
+    monkeypatch.setattr(verify, "flip_permutation", transposed)
+    row = verify.run_suite("automorphisms", [4], seed=7).results[0]
+    assert not row["ok"]
+    assert row["failures"] == [bits for bits in draws if bits in bad][:5]
+    assert row == _automorphisms_per_draw_reference(4, cached_builds[4], 7)
+
+
+def test_automorphisms_check_each_distinct_flip_once(cached_builds, monkeypatch):
+    calls = []
+    is_automorphism = graphs.is_automorphism
+
+    def spy(g, perm):
+        calls.append(g.level)
+        return is_automorphism(g, perm)
+
+    monkeypatch.setattr(verify, "is_automorphism", spy)
+    assert verify.run_suite("automorphisms", [4, 5], seed=7).ok
+    assert calls.count(4) == 16 + 2  # 102 with every draw checked
+    assert calls.count(5) == len(set(_automorphism_draws(5, 7))) + 2
+
+
+def _oracle_pairs(monkeypatch, seed):
+    pairs = []
+    monkeypatch.setattr(verify, "chain_oracle_adjacency", lambda w, v: None)
+    monkeypatch.setattr(verify, "adjacency", lambda w, v: pairs.append((w, v)))
+    assert verify._suite_adjacency_oracle(3, None, {"seed": seed})["ok"]
+    return pairs
+
+
+def test_adjacency_oracle_draws_its_pairs_by_the_seed(monkeypatch):
+    pairs = _oracle_pairs(monkeypatch, 7)
+    assert len(pairs) == verify.ORACLE_SAMPLE_PAIRS
+    assert all(w != v for w, v in pairs)
+    assert _oracle_pairs(monkeypatch, 7) == pairs
+    assert _oracle_pairs(monkeypatch, 8) != pairs
+
+
+def test_adjacency_oracle_finds_a_planted_fault_at_level_3(monkeypatch):
+    # adjacency blind to seams: the exhaustive levels would see it, the
+    # sampled level must too
+    adjacency = graphs.adjacency
+    monkeypatch.setattr(verify, "adjacency",
+                        lambda w, v: None if adjacency(w, v) == "S" else adjacency(w, v))
+    row = verify.run_suite("adjacency-oracle", [3]).results[0]
+    assert not row["ok"] and row["disagreements"] > 0
