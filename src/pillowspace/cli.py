@@ -14,7 +14,8 @@ same flags: they embed config and hashes but never timing.  The checks (verify,
 metric quotient-check and cover-check) return one shape: exit 0 or 1, the
 summary "<head>: pass|FAIL<tail>", and one body as report field and JSON file.
 An option that several subcommands share (--out, --seed, --policy and the
-required int --level) is declared once, as an argparse parent parser.
+required int --level) is declared once, as an argparse parent parser; main
+checks a given --seed by words._seed before any handler runs, used or not.
 
 Imports are lazy: this module loads only the standard library, and each
 handler imports the modules it runs.  --version and --help load no numpy.
@@ -154,11 +155,9 @@ def _count(text):
 
 
 def _require_seed(args):
-    from .words import _seed
-
     if args.seed is None:
         raise UsageError("this subcommand samples; pass an explicit --seed")
-    return _seed(args.seed)
+    return args.seed  # main checked it
 
 
 def _graph(args, level, cap=None):
@@ -547,12 +546,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .words import CapacityError  # after parse_args: --version loads no numpy
+    from .words import CapacityError, _seed  # after parse_args: --version loads no numpy
 
     config = {k: v for k, v in vars(args).items() if k != "handler" and v is not None}
     outputs = {}
     t0 = time.perf_counter()
     try:
+        if getattr(args, "seed", None) is not None:  # every given seed, used or not
+            args.seed = _seed(args.seed)
         code, fields, write = args.handler(args)
         t1 = time.perf_counter()
         if args.out:

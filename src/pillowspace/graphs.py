@@ -65,7 +65,7 @@ _WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of
 _WORD_VERTICES = 10**4  # on graphs of at most this many vertices
 _FRONTIER_SOURCES = 16  # starts the frontier path advances together
 BFS_ENTRIES = 10**7  # distance entries per bfs_blocks call: 80 MB of int64 rows
-ORACLE_MAX_LEVEL = 3
+ORACLE_MAX_LEVEL = 5  # verify checks every candidate pair; 516,352 at level 5
 _POLICIES = ("off", "on")  # central-edge policies; a policy's index is its binary flag
 _FLIP_LETTERS = "5123406789"  # a flipped level's letter d becomes _FLIP_LETTERS[d]
 
@@ -173,7 +173,7 @@ def _chains_meet(w, v, px, py, denom):
 
 
 def chain_oracle_adjacency(w, v, exhaustive=False):
-    """Slow independent adjacency decision, levels <= 3 only.
+    """Slow independent adjacency decision, levels <= ORACLE_MAX_LEVEL only.
 
     With exhaustive=True every level-n grid edge is probed; otherwise probing
     is restricted to the edges touching both projected squares, which is

@@ -1,13 +1,16 @@
 """Named invariant suites, one per structural claim the package rests on.
 
 Each suite checks one family of invariants across a range of levels and
-returns plain dicts ready for JSON reporting.  Suites are deterministic for
-a fixed seed; sampling sizes follow the acceptance protocol.  A runner imports
-the measures, metrics or modulus module it checks, so a suite loads no other.
+returns plain dicts ready for JSON reporting.  Three suites sample, each by
+the seed: sheets, self-similar above level 3 and covering; the others check
+every case, automorphisms every flip through its generators.  Reports are
+deterministic for a fixed seed.  A runner imports the measures, metrics or
+modulus module it checks, so a suite loads no other.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import asdict, dataclass
@@ -15,25 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (
-    ORACLE_MAX_LEVEL,
-    _policy,
-    adjacency,
-    bfs_blocks,
-    build_graph,
-    chain_oracle_adjacency,
-    flip_permutation,
-    is_automorphism,
-    prefix_subgraph,
-    reference_edges,
-    symmetry_permutations,
-)
-from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _seed, _tolerance, all_words,
-                    check_level)
+from .graphs import (ORACLE_MAX_LEVEL, SEAM, _TYPE_CODE, _policy, adjacency, bfs_blocks,
+                     build_graph, chain_oracle_adjacency, edge_keys, flip_permutation,
+                     is_automorphism, prefix_subgraph, reference_edges, symmetry_permutations)
+from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _seed, _square_arrays,
+                    _tolerance, all_words, check_level)
 
-ORACLE_SAMPLE_PAIRS = 100_000  # random word pairs per level above the exhaustive cap
 SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
-SAMPLED_DRAWS = 100  # flips or prefixes at levels past the exhaustive range
+SAMPLED_DRAWS = 100  # prefixes self-similar draws past level 3
 COVER_OVERLAP_CAP = 4  # observed 2 on the default protocol; fail loudly past this
 
 
@@ -64,31 +56,36 @@ def _suite_counts(n, g, ctx):
     }
 
 
+def _candidate_pairs(n):
+    """Every pair of level-n words whose squares coincide or share a side,
+    grouped by square: the only pairs that _shared_faces gives a face, so
+    the only ones adjacency or the chain oracle can call adjacent."""
+    over = collections.defaultdict(list)
+    for w, x, y in zip(all_words(n), *map(np.ndarray.tolist, _square_arrays(n))):
+        over[x, y].append(w)
+    for (x, y), here in over.items():
+        yield from itertools.combinations(here, 2)
+        for there in (over.get((x + 1, y), ()), over.get((x, y + 1), ())):
+            yield from itertools.product(here, there)
+
+
 def _suite_adjacency_oracle(n, g, ctx):
-    # run_suite refuses a level past the oracle before any words are listed
-    words = all_words(n)
-    if n <= 2:
-        pairs = itertools.combinations(words, 2)
-        checked = len(words) * (len(words) - 1) // 2
-    else:
-        # word indices in one seeded draw, looked up in an object array of
-        # the (at most 1,000) words; a pair with equal ends is dropped and the
-        # draw topped up
-        rng = np.random.default_rng(ctx["seed"] + n)
-        ends = np.empty((2, 0), dtype=np.int64)
-        while ends.shape[1] < ORACLE_SAMPLE_PAIRS:
-            more = rng.integers(len(words), size=(2, ORACLE_SAMPLE_PAIRS - ends.shape[1]))
-            ends = np.concatenate([ends, more[:, more[0] != more[1]]], axis=1)
-        pairs = zip(*np.array(words, dtype=object)[ends])
-        checked = ORACLE_SAMPLE_PAIRS
-    disagreements = sum(
-        1 for w, v in pairs if adjacency(w, v) != chain_oracle_adjacency(w, v)
-    )
+    # both deciders answer every candidate pair; the typed yes-set, less the
+    # last-letter seams that policy "off" drops, must be the built graph
+    pairs = disagreements = 0
+    keys = []
+    for w, v in _candidate_pairs(n):
+        pairs += 1
+        t = adjacency(w, v)
+        disagreements += t != chain_oracle_adjacency(w, v)
+        if t is not None and not (t == SEAM and g.policy == "off" and w[:-1] == v[:-1]):
+            keys.append(edge_keys(*sorted((int(w), int(v))), _TYPE_CODE[t], g.n_vertices))
+    edges_equal = np.array_equal(np.sort(keys), edge_keys(*g.edge_arrays(), g.n_vertices))
     return {
-        "pairs_checked": checked,
-        "exhaustive": n <= 2,
+        "pairs_checked": pairs,
         "disagreements": disagreements,
-        "ok": disagreements == 0,
+        "edges_equal": edges_equal,
+        "ok": disagreements == 0 and edges_equal,
     }
 
 
@@ -128,23 +125,16 @@ def _suite_sheets(n, g, ctx):
 
 
 def _suite_automorphisms(n, g, ctx):
-    if n <= 3:
-        draws = ["".join(b) for b in itertools.product("01", repeat=n)]
-    else:
-        rng = random.Random(ctx["seed"] + 7 * n)
-        draws = ["".join(rng.choice("01") for _ in range(n)) for _ in range(SAMPLED_DRAWS)]
-    # a flip drawn twice is checked once; failures still list every draw
-    verdicts = {bits: is_automorphism(g, flip_permutation(g, bits))
-                for bits in dict.fromkeys(draws)}
-    failures = [bits for bits in draws if not verdicts[bits]]
-    failures += [name for name, perm in zip(("top-bottom", "left-right"),
-                                            symmetry_permutations(n))
-                 if not is_automorphism(g, perm)]
+    # the n one-level flips generate the 2^n flips, and a product of
+    # automorphisms is one: with the two mirrors, n + 2 checks cover them all
+    names = ["top-bottom", "left-right"] + ["0" * k + "1" + "0" * (n - 1 - k) for k in range(n)]
+    failures = [name for name, perm in zip(names, symmetry_permutations(n))
+                if not is_automorphism(g, perm)]
     return {
-        "flips_checked": len(draws),
+        "flips_checked": 2**n,
+        "generators_checked": n,
         "mirrors_checked": 2,
-        "exhaustive": n <= 3,
-        "failures": failures[:5],
+        "failures": failures,
         "ok": not failures,
     }
 
@@ -250,7 +240,7 @@ def _suite_modulus_oracles(n, g, ctx):
 # level); the default levels are the cheap exhaustive regimes of each suite
 SUITES = {
     "counts": (_suite_counts, range(1, 6), True, MAX_LEVEL),
-    "adjacency-oracle": (_suite_adjacency_oracle, range(1, 4), False, ORACLE_MAX_LEVEL),
+    "adjacency-oracle": (_suite_adjacency_oracle, range(1, 5), True, ORACLE_MAX_LEVEL),
     "sheets": (_suite_sheets, range(1, 5), True, MAX_LEVEL),
     "automorphisms": (_suite_automorphisms, range(1, 4), True, MAX_LEVEL),
     "self-similar": (_suite_self_similar, range(2, 4), True, MAX_LEVEL),
@@ -263,7 +253,8 @@ SUITES = {
 
 def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     """Run one named suite over the given levels and report per-level results.
-    Every level is checked against the suite's top in SUITES before any runs."""
+    Every level is checked against the suite's top in SUITES before any runs.
+    The seed serves only the sampling suites: sheets, self-similar, covering."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     runner, default_levels, reads_graph, top = SUITES[suite]

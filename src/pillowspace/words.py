@@ -267,7 +267,7 @@ def _advance(index, sign, col):
     return 3 * index + 2, sign
 
 
-@functools.lru_cache(maxsize=1 << 12)  # holds every L3 word the oracle suite draws
+@functools.lru_cache(maxsize=1 << 12)  # every L3 word; the oracle suite goes square by square
 def _prefix_states(word):
     """States after each prefix, index k = state of word[:k]; k = 0 is root.
 

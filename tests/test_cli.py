@@ -264,6 +264,17 @@ def test_sampling_subcommands_refuse_a_negative_seed(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["metric", "symmetrize", "--level", "1", "--seed", "-1"],
+    ["measure", "dimension", "--mode", "box", "--levels", "1..3", "--seed", "-1"],
+], ids=["symmetrize-exact", "dimension-box"])
+def test_a_seed_that_no_sampler_reads_is_still_checked(tmp_path, capsys, argv):
+    # exact and box mode sample nothing; both ran and echoed the negative seed
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr() == ("", "pillowspace: error: seed must be >= 0, got -1\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_modulus_csv_reproducible(g1_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -327,7 +338,7 @@ def test_level_range_is_capped_before_it_is_built(argv, capsys):
     assert str(MAX_LEVEL + 1) in lines[0]
 
 
-@pytest.mark.parametrize("levels", ["4..5", "4", "2,4"])
+@pytest.mark.parametrize("levels", ["5..6", "6", "2,6"])
 def test_verify_adjacency_oracle_range_is_capped_by_the_chain_oracle(levels, monkeypatch,
                                                                     capsys):
     # a level past the chain oracle is a usage error, found before any level runs
@@ -345,8 +356,8 @@ def test_verify_adjacency_oracle_range_is_capped_by_the_chain_oracle(levels, mon
 @pytest.mark.parametrize("argv, message", [
     (["build", "-n", "7", "--out", "unused.json"], "level 7 exceeds the supported maximum 6"),
     (["measure", "ratios", "--level", "0"], "level must be >= 1, got 0"),
-    (["verify", "adjacency-oracle", "4"],
-     "adjacency-oracle level 4 exceeds the supported maximum 3"),
+    (["verify", "adjacency-oracle", "6"],
+     "adjacency-oracle level 6 exceeds the supported maximum 5"),
     (["metric", "symmetrize", "--level", "5", "--out", "unused.bin"],
      "level 5 exceeds the supported maximum 4"),
 ], ids=["build", "measure", "verify", "metric"])

@@ -126,8 +126,8 @@ def test_oracle_agrees_on_every_touching_pair_level_3(g3):
 
 def test_oracle_refuses_large_levels():
     with pytest.raises(ValueError,
-                       match="chain oracle word length 4 exceeds the supported maximum 3"):
-        ps.chain_oracle_adjacency("1111", "1112")
+                       match="chain oracle word length 6 exceeds the supported maximum 5"):
+        ps.chain_oracle_adjacency("111111", "111112")
 
 
 def test_g1_statistics(g1):

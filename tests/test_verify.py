@@ -1,6 +1,5 @@
 """Tests for the invariant suites' own bookkeeping."""
 
-import collections
 import dataclasses
 import itertools
 import math
@@ -41,7 +40,6 @@ def test_graph_free_suites_build_no_graph(monkeypatch):
 
     monkeypatch.setattr(verify, "build_graph", refuse)
     assert verify.run_suite("singular-measure", [1, 2, 3]).ok
-    assert verify.run_suite("adjacency-oracle", [1, 2]).ok
 
 
 def test_levels_and_policy_are_checked_before_any_level_runs(monkeypatch):
@@ -109,27 +107,13 @@ def test_covering_reports_a_ball_that_is_not_covered(monkeypatch):
     assert [f[2][1] for f in row["failures"]] == ["uncovered"] * 5  # the first five
 
 
-def test_adjacency_oracle_draws_the_same_pairs_from_the_word_view(monkeypatch):
-    # the draw reads only len and [i], so a LevelWords view looks up the
-    # pairs that the list does
-    drawn = {}
-    monkeypatch.setattr(verify, "chain_oracle_adjacency", lambda w, v: None)
-    for name, words in (("list", all_words), ("view", LevelWords)):
-        pairs = drawn[name] = []
-        monkeypatch.setattr(verify, "all_words", words)
-        monkeypatch.setattr(verify, "adjacency", lambda w, v, pairs=pairs: pairs.append((w, v)))
-        assert verify._suite_adjacency_oracle(3, None, {"seed": 7})["ok"]
-    assert len(drawn["list"]) == verify.ORACLE_SAMPLE_PAIRS
-    assert drawn["view"] == drawn["list"]
-
-
 def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(monkeypatch):
     def refuse(level):
         raise AssertionError(f"all_words({level}) called past the oracle's cap")
 
     monkeypatch.setattr(verify, "all_words", refuse)
     with pytest.raises(graphs.CapacityError,
-                       match="adjacency-oracle level 6 exceeds the supported maximum 3"):
+                       match="adjacency-oracle level 6 exceeds the supported maximum 5"):
         verify.run_suite("adjacency-oracle", [6])
 
 
@@ -137,6 +121,7 @@ def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(m
 def test_every_suite_refuses_a_level_past_its_top_before_running(suite, monkeypatch):
     # a suite that builds no graph was capped at MAX_LEVEL, not its top, so
     # run_suite("adjacency-oracle", [4]) left level 4 to the oracle's own check
+    # when the oracle's top was 3
     def refuse(*args, **kwargs):
         raise AssertionError(f"{suite} ran before its levels were checked")
 
@@ -293,30 +278,6 @@ def test_automorphisms_suite_checks_both_mirrors(monkeypatch):
     assert not rep.ok and rep.results[0]["failures"] == ["top-bottom"]
 
 
-def _automorphism_draws(n, seed):
-    if n <= 3:
-        return ["".join(b) for b in itertools.product("01", repeat=n)]
-    rng = random.Random(seed + 7 * n)
-    return ["".join(rng.choice("01") for _ in range(n)) for _ in range(verify.SAMPLED_DRAWS)]
-
-
-def _automorphisms_per_draw_reference(n, g, seed):
-    # the suite as it checked every draw: one is_automorphism call per drawn
-    # flip, repeats included, then one per mirror
-    draws = _automorphism_draws(n, seed)
-    perms = itertools.chain(((bits, verify.flip_permutation(g, bits)) for bits in draws),
-                            zip(("top-bottom", "left-right"), verify.symmetry_permutations(n)))
-    failures = [name for name, perm in perms if not verify.is_automorphism(g, perm)]
-    return {
-        "flips_checked": len(draws),
-        "mirrors_checked": 2,
-        "exhaustive": n <= 3,
-        "failures": failures[:5],
-        "ok": not failures,
-        "level": n,
-    }
-
-
 @pytest.fixture(scope="module")
 def built_graphs():
     return {n: graphs.build_graph(n) for n in range(1, 6)}
@@ -328,82 +289,115 @@ def cached_builds(monkeypatch, built_graphs):
     return built_graphs
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_automorphisms_report_equals_the_per_draw_reference(cached_builds, seed):
-    rep = verify.run_suite("automorphisms", [1, 2, 3, 4, 5], seed=seed)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_two_bit_flip_is_the_product_of_its_one_bit_flips(n):
+    # the group argument of the automorphisms suite: the one-level flips
+    # generate every flip, so checking them checks all 2^n
+    gens = list(graphs.symmetry_permutations(n))[2:]  # after the two mirrors
+    for i, j in itertools.combinations(range(n), 2):
+        bits = "".join("1" if k in (i, j) else "0" for k in range(n))
+        flip = graphs.flip_permutation(LevelWords(n), bits)
+        assert np.array_equal(flip, gens[i][gens[j]])
+        assert np.array_equal(flip, gens[j][gens[i]])
+
+
+def test_automorphisms_generators_agree_with_every_flip_checked(cached_builds):
+    # the per-flip slow path: all 2^n flips are automorphisms where the
+    # generator suite says so
+    rep = verify.run_suite("automorphisms", [1, 2, 3, 4])
     assert rep.ok
     for row in rep.results:
-        n = row["level"]
-        assert row == _automorphisms_per_draw_reference(n, cached_builds[n], seed)
+        n, g = row["level"], cached_builds[row["level"]]
+        flips = ["".join(b) for b in itertools.product("01", repeat=n)]
+        assert all(verify.is_automorphism(g, graphs.flip_permutation(g, b)) for b in flips)
+        assert row == {"flips_checked": 2**n, "generators_checked": n, "mirrors_checked": 2,
+                       "failures": [], "ok": True, "level": n}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_automorphisms_hold_under_both_policies(policy):
+    rep = verify.run_suite("automorphisms", range(1, 6), policy=policy)
+    assert rep.ok
+    assert [r["flips_checked"] for r in rep.results] == [2, 4, 8, 16, 32]
+    assert [r["generators_checked"] for r in rep.results] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.slow
-def test_automorphisms_report_equals_the_per_draw_reference_level_6(monkeypatch):
-    # the seed-0 draws hold 54 distinct flips of 100
-    g = graphs.build_graph(6)
-    monkeypatch.setattr(verify, "build_graph", lambda n, policy: g)
-    rep = verify.run_suite("automorphisms", [6], seed=0)
-    assert rep.ok and rep.results == [_automorphisms_per_draw_reference(6, g, 0)]
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_automorphisms_hold_at_level_6_by_generators(policy):
+    row = verify.run_suite("automorphisms", [6], policy=policy).results[0]
+    assert row["ok"] and row["flips_checked"] == 64 and row["generators_checked"] == 6
 
 
-@pytest.mark.parametrize("planted", [1, 2])
-def test_automorphisms_list_a_failing_flip_once_per_draw(cached_builds, monkeypatch, planted):
-    # the most frequent seed-7 draws at L4 turned into non-automorphisms by
-    # swapping two images: each failing draw is listed, in draw order
-    draws = _automorphism_draws(4, 7)
-    bad = [bits for bits, _ in collections.Counter(draws).most_common(planted)]
-    assert all(draws.count(bits) > 1 for bits in bad)
-    flip = graphs.flip_permutation
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_automorphisms_find_a_flip_table_wrong_at_one_level(cached_builds, monkeypatch, level):
+    # the flip at one level swaps '0' with '4', not '5': a '0' tile's seam
+    # edge is sent to a grid square; caught from that level on, and named
+    letter_permutation = graphs.letter_permutation
+    wrong = "4123056789"
 
-    def transposed(g, bits):
-        perm = flip(g, bits)
-        if bits in bad:
-            perm = perm.copy()
-            perm[[0, 1]] = perm[[1, 0]]
-        return perm
+    def spoiled(n, maps):
+        maps = [wrong if k == level - 1 and m == graphs._FLIP_LETTERS else m
+                for k, m in enumerate(maps)]
+        return letter_permutation(n, maps)
 
-    monkeypatch.setattr(verify, "flip_permutation", transposed)
-    row = verify.run_suite("automorphisms", [4], seed=7).results[0]
-    assert not row["ok"]
-    assert row["failures"] == [bits for bits in draws if bits in bad][:5]
-    assert row == _automorphisms_per_draw_reference(4, cached_builds[4], 7)
-
-
-def test_automorphisms_check_each_distinct_flip_once(cached_builds, monkeypatch):
-    calls = []
-    is_automorphism = graphs.is_automorphism
-
-    def spy(g, perm):
-        calls.append(g.level)
-        return is_automorphism(g, perm)
-
-    monkeypatch.setattr(verify, "is_automorphism", spy)
-    assert verify.run_suite("automorphisms", [4, 5], seed=7).ok
-    assert calls.count(4) == 16 + 2  # 102 with every draw checked
-    assert calls.count(5) == len(set(_automorphism_draws(5, 7))) + 2
-
-
-def _oracle_pairs(monkeypatch, seed):
-    pairs = []
-    monkeypatch.setattr(verify, "chain_oracle_adjacency", lambda w, v: None)
-    monkeypatch.setattr(verify, "adjacency", lambda w, v: pairs.append((w, v)))
-    assert verify._suite_adjacency_oracle(3, None, {"seed": seed})["ok"]
-    return pairs
-
-
-def test_adjacency_oracle_draws_its_pairs_by_the_seed(monkeypatch):
-    pairs = _oracle_pairs(monkeypatch, 7)
-    assert len(pairs) == verify.ORACLE_SAMPLE_PAIRS
-    assert all(w != v for w, v in pairs)
-    assert _oracle_pairs(monkeypatch, 7) == pairs
-    assert _oracle_pairs(monkeypatch, 8) != pairs
+    monkeypatch.setattr(graphs, "letter_permutation", spoiled)
+    rep = verify.run_suite("automorphisms", [1, 2, 3, 4])
+    assert not rep.ok
+    for row in rep.results:
+        n = row["level"]
+        bad = ["0" * (level - 1) + "1" + "0" * (n - level)] if n >= level else []
+        assert row["failures"] == bad and row["ok"] is (n < level)
 
 
 def test_adjacency_oracle_finds_a_planted_fault_at_level_3(monkeypatch):
-    # adjacency blind to seams: the exhaustive levels would see it, the
-    # sampled level must too
+    # adjacency blind to seams: every level has a seam, and each must see it
     adjacency = graphs.adjacency
     monkeypatch.setattr(verify, "adjacency",
                         lambda w, v: None if adjacency(w, v) == "S" else adjacency(w, v))
-    row = verify.run_suite("adjacency-oracle", [3]).results[0]
-    assert not row["ok"] and row["disagreements"] > 0
+    rep = verify.run_suite("adjacency-oracle", [1, 2, 3])
+    assert not rep.ok
+    assert all(r["disagreements"] > 0 and not r["edges_equal"] for r in rep.results)
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_adjacency_oracle_checks_every_candidate_pair(policy):
+    rep = verify.run_suite("adjacency-oracle", policy=policy)  # L1-L4
+    assert rep.ok and rep.levels == [1, 2, 3, 4]
+    assert [r["pairs_checked"] for r in rep.results] == [17, 262, 3_388, 42_088]
+    assert all(r["edges_equal"] and r["disagreements"] == 0 for r in rep.results)
+
+
+def test_adjacency_oracle_candidates_are_the_pairs_with_a_shared_face():
+    # the brute force over every pair at L2: a pair is a candidate exactly
+    # when _shared_faces gives its squares a face
+    states = {w: graphs._prefix_states(w)[-1] for w in all_words(2)}
+    want = {frozenset(p) for p in itertools.combinations(states, 2)
+            if graphs._shared_faces(states[p[0]], states[p[1]])}
+    got = [frozenset(p) for p in verify._candidate_pairs(2)]
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_adjacency_oracle_finds_an_edge_of_the_wrong_type(monkeypatch, policy):
+    # one edge of the built graph changes type: both deciders still agree,
+    # and the yes-set no longer equals the graph, from level 1 on
+    build_graph = graphs.build_graph
+
+    def retyped(n, policy):
+        u, v, t = (a.copy() for a in build_graph(n, policy).edge_arrays())
+        t[len(t) // 2] = (t[len(t) // 2] + 1) % 3
+        return graphs.ReplacementGraph(level=n, policy=policy, u=u, v=v, t=t)
+
+    monkeypatch.setattr(verify, "build_graph", retyped)
+    rep = verify.run_suite("adjacency-oracle", [1, 2, 3], policy=policy)
+    assert not rep.ok
+    assert all(r["disagreements"] == 0 and not r["edges_equal"] for r in rep.results)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_adjacency_oracle_checks_every_candidate_pair_at_level_5(policy):
+    row = verify.run_suite("adjacency-oracle", [5], policy=policy).results[0]
+    assert row["ok"] and row["edges_equal"] and row["disagreements"] == 0
+    assert row["pairs_checked"] == 516_352
