@@ -387,10 +387,10 @@ def _cmd_metric_quotient_check(args):
     from dataclasses import asdict
 
     from .metrics import lipschitz_quotient_check
-    from .words import BALL_IMAGE_LIMIT
 
-    rep = lipschitz_quotient_check(_graph(args, args.level, BALL_IMAGE_LIMIT))
-    return _checked(rep.ok, f"ball images at level {args.level}", asdict(rep))
+    rep = lipschitz_quotient_check(_graph(args, args.level))
+    return _checked(rep.ok, f"sheet and ball-image certificate at level {args.level}",
+                    asdict(rep), "" if rep.ok else f", not certified: {rep.broken}")
 
 
 def _cmd_metric_cover_check(args):

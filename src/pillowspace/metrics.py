@@ -2,14 +2,15 @@
 
 A MetricMatrix is a dense symmetric distance table over the vertices of one
 level.  On top of it: averaging over the sheet-flip group, blowups into
-prefix blocks, empirical quasisymmetry-distortion profiles, the ball-image
-check for the collapsing projection, the covering construction over a grid
-ball, and a Poincare-ratio diagnostic.  A compact binary format round-trips
-matrices through files.
+prefix blocks, empirical quasisymmetry-distortion profiles, a certificate
+of the sheet isometry and of the ball images of the collapsing projection,
+the covering construction over a grid ball, and a Poincare-ratio
+diagnostic.  A compact binary format round-trips matrices through files.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import bfs_blocks, bfs_row, bfs_rows, flip_permutation, prefix_subgraph
-from .words import BALL_IMAGE_LIMIT, _exponent, _integer, _seed, check_level, parse_word
+from .graphs import bfs_blocks, bfs_row, flip_permutation, prefix_subgraph
+from .words import _exponent, _grid_table, _integer, _seed, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
 PI_DILATION = 2  # pi_diagnostic's gradient ball CB has this times the radius of B
@@ -279,59 +280,73 @@ def qs_distortion(d1, d2, samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# ball images under the collapsing projection
+# sheet isometry and ball images under the collapsing projection
+
+# the facts the certificate rests on, in the order it checks them
+_FACTS = ("(a) every edge joins equal or side-sharing squares",
+          "(b) every sheet carries every grid edge",
+          "every tile lies on some sheet")
 
 
 @dataclass
 class QuotientReport:
     level: int
-    vertices_checked: int
-    max_radius: int
+    sheets: int  # 2^level: every sheet is checked
+    pairs_checked: int  # ordered same-sheet pairs certified at grid L1 distance
+    vertices_checked: int  # centers whose ball images are certified at every radius
     ok: bool
-    witness: tuple | None  # (word, cell, ball_image_radius, grid_radius)
+    broken: str | None  # the first fact that fails: nothing resting on it is certified
+    witness: tuple | None  # (a) the edge's words; (b) the sheet, the grid edge's cells; a tile
 
 
 def lipschitz_quotient_check(g):
-    """Projected graph balls versus grid balls, all centers and radii.
+    """Certify the sheet isometry and the projected ball images from two facts.
 
-    For each vertex x the check compares, per grid cell c, the least graph
-    distance from x to the fiber over c against the grid distance from x's
-    cell to c.  Their equality for every cell is equivalent to the two-sided
-    ball identity (image of ball(x, r) = grid ball of radius r) at every
-    radius simultaneously.
+    Let pi send a tile to its square.  Each fact is one linear pass:
+    (a) every edge joins two tiles whose squares are equal or share a side,
+        so pi is 1-Lipschitz: d_G(x, y) >= |pi(x) - pi(y)|_1;
+    (b) every sheet, the lift flip_permutation(g, bits)[_grid_table(n)] of the
+        3^n x 3^n grid, carries every grid edge, so on it d_G <= L1.
+    With (a), a sheet that carries every grid edge is isometric to the grid,
+    so its (9^n)^2 ordered pairs are certified.  A tile x on such a sheet has
+    over every cell c a tile of its sheet at most |pi(x) - c|_1 away, and by
+    (a) none nearer: pi maps ball(x, r) onto the grid ball of radius r at every
+    r.  With every tile on some sheet, that holds at every center.  A broken
+    fact is no counterexample: the report names the first break and certifies
+    nothing that rests on it.
     """
-    check_level(g.level, BALL_IMAGE_LIMIT, name="exhaustive ball-image check level")
-    side = 3**g.level
+    n, N = g.level, g.n_vertices
+    u, v, _ = g.edge_arrays()
     sx, sy = g.square_x, g.square_y
-    cell = sx * side + sy
-    gx, gy = np.divmod(np.arange(side * side, dtype=np.int64), side)
-    # every grid cell carries at least one tile, so the runs of the vertices
-    # sorted by cell start at the cumulative fiber sizes, one run per cell
-    by_cell = np.argsort(cell, kind="stable")
-    runs = np.concatenate([[0], np.cumsum(np.bincount(cell))[:-1]])
-    max_radius = 0
-    # One first-letter block of centers per BFS call, not bfs_blocks' calls:
-    # the comparison holds about four tables the size of its rows, so one
-    # call for all of level 3 peaks at 30 MB of arrays, ten calls at 4 MB.
-    block = g.n_vertices // 10
-    for lo in range(0, g.n_vertices, block):
-        dist = bfs_rows(g, range(lo, lo + block))
-        if (dist < 0).any():
-            raise ValueError("graph is disconnected; ball images are unbounded")
-        nearest = np.minimum.reduceat(dist[:, by_cell], runs, axis=1)
-        centers = slice(lo, lo + block)
-        grid = np.abs(gx - sx[centers, None]) + np.abs(gy - sy[centers, None])
-        bad_rows = np.flatnonzero((nearest != grid).any(axis=1))
-        if bad_rows.size:
-            r = int(bad_rows[0])
-            i = lo + r
-            max_radius = max(max_radius, int(dist[: r + 1].max()))
-            bad = int(np.flatnonzero(nearest[r] != grid[r])[0])
-            witness = (g.words[i], (int(gx[bad]), int(gy[bad])), int(nearest[r, bad]),
-                       int(grid[r, bad]))
-            return QuotientReport(g.level, i + 1, max_radius, False, witness)
-        max_radius = max(max_radius, int(dist.max()))
-    return QuotientReport(g.level, g.n_vertices, max_radius, True, None)
+    far = np.flatnonzero(np.abs(sx[u] - sx[v]) + np.abs(sy[u] - sy[v]) > 1)
+    if far.size:
+        k = far[0]
+        return QuotientReport(n, 2**n, 0, 0, False, _FACTS[0], (g.words[u[k]], g.words[v[k]]))
+    # untyped keys, strictly increasing as the edge arrays are (_check_edges);
+    # N * N closes them above every pair, so each search lands on a key
+    keys = np.append(u * N + v, N * N)
+    grid = _grid_table(n)
+    on_sheet = np.zeros(N, dtype=bool)
+    carrying, broken, witness = 0, None, None
+    for bits in map("".join, itertools.product("01", repeat=n)):
+        lift = flip_permutation(g, bits)[grid]
+        missing = None
+        for step, a, b in (((1, 0), lift[:-1], lift[1:]), ((0, 1), lift[:, :-1], lift[:, 1:])):
+            want = (np.minimum(a, b) * N + np.maximum(a, b)).ravel()
+            gone = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
+            if gone.size:
+                x, y = (int(c) for c in np.unravel_index(gone[0], a.shape))
+                missing = (bits, (x, y), (x + step[0], y + step[1]))
+                break
+        if missing is None:
+            carrying += 1
+            on_sheet[lift] = True
+        elif witness is None:
+            broken, witness = _FACTS[1], missing
+    if witness is None and not on_sheet.all():
+        broken, witness = _FACTS[2], (g.words[int(np.argmin(on_sheet))],)
+    return QuotientReport(n, 2**n, carrying * 81**n, int(np.count_nonzero(on_sheet)),
+                          witness is None, broken, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Named invariant suites, one per structural claim the package rests on.
 
 Each suite checks one family of invariants across a range of levels and
-returns plain dicts ready for JSON reporting.  Three suites sample, each by
-the seed: sheets, self-similar above level 3 and covering; the others check
-every case, automorphisms every flip through its generators.  Reports are
-deterministic for a fixed seed.  A runner imports the measures, metrics or
+returns plain dicts ready for JSON reporting.  Two suites sample, each by
+the seed: self-similar above level 3 and covering; the others check every
+case, automorphisms every flip through its generators, sheets and quotient
+every pair, center and radius through one linear-time certificate.  Reports
+are deterministic for a fixed seed.  A runner imports the measures, metrics or
 modulus module it checks, so a suite loads no other.
 """
 
@@ -18,13 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (ORACLE_MAX_LEVEL, SEAM, _TYPE_CODE, _policy, adjacency, bfs_blocks,
-                     build_graph, chain_oracle_adjacency, edge_keys, flip_permutation,
-                     is_automorphism, prefix_subgraph, reference_edges, symmetry_permutations)
-from .words import (BALL_IMAGE_LIMIT, MAX_LEVEL, _grid_table, _seed, _square_arrays,
-                    _tolerance, all_words, check_level)
+from .graphs import (ORACLE_MAX_LEVEL, SEAM, _TYPE_CODE, _policy, adjacency, build_graph,
+                     chain_oracle_adjacency, edge_keys, is_automorphism, prefix_subgraph,
+                     reference_edges, symmetry_permutations)
+from .words import MAX_LEVEL, _seed, _square_arrays, _tolerance, all_words, check_level
 
-SHEET_PAIRS = 1000  # sampled same-sheet pairs per sheet
 SAMPLED_DRAWS = 100  # prefixes self-similar draws past level 3
 COVER_OVERLAP_CAP = 4  # observed 2 on the default protocol; fail loudly past this
 
@@ -86,41 +85,6 @@ def _suite_adjacency_oracle(n, g, ctx):
         "disagreements": disagreements,
         "edges_equal": edges_equal,
         "ok": disagreements == 0 and edges_equal,
-    }
-
-
-def _suite_sheets(n, g, ctx):
-    rng = random.Random(ctx["seed"] + 10 * n)
-    side = 3**n
-    if 2**n <= 8:
-        sheets = ["".join(b) for b in itertools.product("01", repeat=n)]
-    else:
-        sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
-    # index of the center-free word over each square; a sheet's lift of it
-    # is that index under the flip
-    grid = _grid_table(n)
-    starts = max(1, SHEET_PAIRS // 40)
-    # draw every sheet's starts, each followed by its targets, then run one
-    # BFS over all the level's starts
-    sources, targets = [], []
-    for bits in sheets:
-        lift = flip_permutation(g, bits)[grid]
-        for _ in range(starts):
-            ax, ay = rng.randrange(side), rng.randrange(side)
-            sources.append(lift[ax, ay])
-            for _ in range(SHEET_PAIRS // starts):
-                bx, by = rng.randrange(side), rng.randrange(side)
-                targets.append((len(sources) - 1, lift[bx, by], abs(ax - bx) + abs(ay - by)))
-    k, b, want = np.array(targets).T
-    mismatches = 0
-    for lo, dist in bfs_blocks(g, sources):
-        sel = (k >= lo) & (k < lo + len(dist))
-        mismatches += int(np.count_nonzero(dist[k[sel] - lo, b[sel]] != want[sel]))
-    return {
-        "sheets": len(sheets),
-        "pairs_checked": len(targets),
-        "mismatches": mismatches,
-        "ok": mismatches == 0,
     }
 
 
@@ -189,7 +153,9 @@ def _suite_singular_measure(n, g, ctx):
     }
 
 
-def _suite_quotient(n, g, ctx):
+def _suite_certificate(n, g, ctx):
+    # sheets and quotient: both identities, for every pair, center and radius,
+    # follow from the two facts that lipschitz_quotient_check certifies
     from .metrics import lipschitz_quotient_check
 
     return asdict(lipschitz_quotient_check(g))
@@ -241,11 +207,11 @@ def _suite_modulus_oracles(n, g, ctx):
 SUITES = {
     "counts": (_suite_counts, range(1, 6), True, MAX_LEVEL),
     "adjacency-oracle": (_suite_adjacency_oracle, range(1, 5), True, ORACLE_MAX_LEVEL),
-    "sheets": (_suite_sheets, range(1, 5), True, MAX_LEVEL),
+    "sheets": (_suite_certificate, range(1, 5), True, MAX_LEVEL),
     "automorphisms": (_suite_automorphisms, range(1, 4), True, MAX_LEVEL),
     "self-similar": (_suite_self_similar, range(2, 4), True, MAX_LEVEL),
     "singular-measure": (_suite_singular_measure, range(1, 6), False, MAX_LEVEL),
-    "quotient": (_suite_quotient, range(1, 4), True, BALL_IMAGE_LIMIT),
+    "quotient": (_suite_certificate, range(1, 4), True, MAX_LEVEL),
     "covering": (_suite_covering, range(1, 4), True, MAX_LEVEL),
     "modulus-oracles": (_suite_modulus_oracles, range(1, 4), True, MAX_LEVEL),
 }
@@ -254,7 +220,7 @@ SUITES = {
 def run_suite(suite, levels=None, policy="on", seed=0, tolerance=1e-6):
     """Run one named suite over the given levels and report per-level results.
     Every level is checked against the suite's top in SUITES before any runs.
-    The seed serves only the sampling suites: sheets, self-similar, covering."""
+    The seed serves only the sampling suites: self-similar and covering."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     runner, default_levels, reads_graph, top = SUITES[suite]

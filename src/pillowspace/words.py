@@ -24,7 +24,6 @@ ALPHABET = "0123456789"
 GRID_LETTERS = "123456789"
 CENTER_LETTERS = "50"
 MAX_LEVEL = 6  # largest level anything sized by 10^level or 3^level is built at
-BALL_IMAGE_LIMIT = 3  # lipschitz_quotient_check is exhaustive over centers and cells
 MAX_TOL = 1e-2  # the coarsest relative certificate gap a modulus solve may target
 MAX_P = 64.0  # rho**p overflows float headroom far beyond any sane exponent
 _OTHER_SHEET = {"5": "0", "0": "5"}  # the two center letters, each to the other

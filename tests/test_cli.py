@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pillowspace import cli, graphs, verify
@@ -79,8 +80,8 @@ def test_build_level_zero_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["build", "-n", "7", "--out", "g7.json"],
-    ["metric", "quotient-check", "--level", "4", "--out", "q4.json"],
-], ids=["build-level-7", "quotient-check-level-4"])
+    ["metric", "quotient-check", "--level", str(MAX_LEVEL + 1), "--out", "q.json"],
+], ids=["build-level-7", "quotient-check-past-max-level"])
 def test_capacity_limit_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 64
@@ -514,7 +515,25 @@ def test_quotient_check_cli(tmp_path):
     proc = run("metric", "quotient-check", "--level", 1, "--out", out)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["ok"]
-    assert run("metric", "quotient-check", "--level", 4).returncode == 64
+    assert run("metric", "quotient-check", "--level", MAX_LEVEL + 1).returncode == 64
+
+
+def test_quotient_check_cli_names_a_broken_fact(monkeypatch, capsys):
+    # an H edge of G_4 deleted: exit 1, and the summary says what is not certified
+    def one_grid_edge_short(n, policy):
+        u, v, t = build_graph(n, policy).edge_arrays()
+        keep = np.arange(len(u)) != np.flatnonzero(t == 0)[0]
+        return graphs.ReplacementGraph(n, policy, u[keep], v[keep], t[keep])
+
+    build_graph = graphs.build_graph
+    assert cli.main(["metric", "quotient-check", "--level", "4"]) == 0
+    monkeypatch.setattr(graphs, "build_graph", one_grid_edge_short)
+    capsys.readouterr()
+    assert cli.main(["metric", "quotient-check", "--level", "4"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["summary"] == ("sheet and ball-image certificate at level 4: FAIL, "
+                              "not certified: (b) every sheet carries every grid edge")
+    assert rep["report"]["witness"][0] == "1111"  # the one sheet of its end "0000"
 
 
 def test_cover_check_cli(tmp_path):
@@ -573,7 +592,7 @@ GRAPH_COMMANDS = {
     ("ball-dimension", MAX_LEVEL + 1),
     ("cover-check", MAX_LEVEL + 1),
     ("pi-diagnostic", MAX_LEVEL + 1),
-    ("quotient-check", 4),  # the exhaustive ball-image check stops at level 3
+    ("quotient-check", MAX_LEVEL + 1),
     ("symmetrize", 5),  # dense metrics stop at level 4
     ("blowup", 6),  # its level-5 block is past the dense limit
 ])

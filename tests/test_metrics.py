@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import struct
@@ -13,7 +14,6 @@ import pytest
 from pillowspace import (
     CapacityError,
     MetricMatrix,
-    QuotientReport,
     ReplacementGraph,
     TileMeasure,
     all_words,
@@ -28,11 +28,12 @@ from pillowspace import (
     qs_distortion,
     read_metric_matrix,
     symmetrize,
+    word_square,
     write_metric_matrix,
 )
 from pillowspace import graphs as graphs_module
 from pillowspace import metrics as metrics_module
-from pillowspace.graphs import bfs_row
+from pillowspace.graphs import bfs_row, bfs_rows
 from pillowspace.metrics import PI_DILATION, CoverReport, PIDiagnostic
 
 
@@ -272,8 +273,8 @@ def test_disconnected_graph_has_no_metric(graphs):
     # vertex 5 of G_2 is "05", so the block over "0" is the damaged G_1
     with pytest.raises(ValueError, match="disconnected"):
         internal_block_metric(g2, "0", reference=g1)
-    with pytest.raises(ValueError, match="disconnected"):
-        lipschitz_quotient_check(g2)
+    # no certificate either: the sheets through "05" lack its grid edges
+    assert lipschitz_quotient_check(g2).broken.startswith("(b)")
     with pytest.raises(ValueError, match="disconnected"):
         pi_diagnostic(g2, TileMeasure.uniform(2), 2.0, 5, 0)
 
@@ -438,57 +439,175 @@ def test_profile_refuses_a_draw_of_degenerate_triples_only(metrics):
 
 
 # ---------------------------------------------------------------------------
-# projection ball images
+# sheet isometry and projection ball images
 
 
 def test_quotient_check_passes(graphs):
     for n in (1, 2, 3):
         rep = lipschitz_quotient_check(graphs[n])
-        assert rep.ok, rep.witness
+        assert rep.ok and rep.broken is None and rep.witness is None
+        assert rep.sheets == 2**n and rep.pairs_checked == 2**n * 81**n
         assert rep.vertices_checked == graphs[n].n_vertices
-        assert rep.witness is None
-    assert lipschitz_quotient_check(graphs[2]).max_radius == 16
+
+
+def _sheets_by_words(n):
+    # sheet bits -> its tiles, from the words alone: a tile lies on a sheet
+    # when each of its center letters is the one that sheet's bit picks
+    return {bits: [i for i, w in enumerate(all_words(n))
+                   if all(c not in "05" or c == "50"[int(b)] for c, b in zip(w, bits))]
+            for bits in map("".join, itertools.product("01", repeat=n))}
+
+
+def _cells(n):
+    return np.array([(s.x, s.y) for s in map(word_square, all_words(n))])
 
 
 def _quotient_check_per_row(g):
-    # one BFS row and one np.minimum.at per vertex, stopping at the first bad row
+    # one BFS row and one np.minimum.at per vertex: the first center whose
+    # nearest tile over some cell is not at the cells' L1 distance, or None
     side = 3**g.level
     sx, sy = g.square_x, g.square_y
     cell = sx * side + sy
     gx, gy = np.divmod(np.arange(side * side), side)
-    max_radius = 0
+    far = np.iinfo(np.int64).max  # an unreached tile is no nearer than any
     for i in range(g.n_vertices):
         dist = bfs_row(g, i)
-        max_radius = max(max_radius, int(dist.max()))
-        nearest = np.full(side * side, np.iinfo(np.int64).max)
-        np.minimum.at(nearest, cell, dist)
+        nearest = np.full(side * side, far)
+        np.minimum.at(nearest, cell, np.where(dist < 0, far, dist))
         grid = np.abs(gx - sx[i]) + np.abs(gy - sy[i])
         if not np.array_equal(nearest, grid):
-            b = int(np.flatnonzero(nearest != grid)[0])
-            witness = (g.words[i], (int(gx[b]), int(gy[b])), int(nearest[b]), int(grid[b]))
-            return QuotientReport(g.level, i + 1, max_radius, False, witness)
-    return QuotientReport(g.level, g.n_vertices, max_radius, True, None)
+            return g.words[i]
+    return None
 
 
-@pytest.mark.parametrize("edge", [(57, 67), (61, 62), (98, 99)])
-def test_quotient_check_on_a_damaged_graph_matches_per_row_loop(graphs, edge):
-    g2 = graphs[2]
-    u, v, t = g2.edge_arrays()
+def _sheet_pairs_by_bfs(g):
+    # every ordered pair on every sheet: BFS distance against the L1 distance
+    # of the word squares; the sheets whose pairs all agree
+    cells = _cells(g.level)
+    agree = []
+    for bits, tiles in _sheets_by_words(g.level).items():
+        dist = bfs_rows(g, tiles)[:, tiles]
+        l1 = np.abs(cells[tiles, None] - cells[None, tiles]).sum(axis=2)
+        if np.array_equal(dist, l1):
+            agree.append(bits)
+    return agree
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_agrees_with_the_bfs_references(n, policy):
+    g = build_graph(n, policy)
+    rep = lipschitz_quotient_check(g)
+    sheets = _sheet_pairs_by_bfs(g)
+    assert rep.ok and _quotient_check_per_row(g) is None
+    assert len(sheets) == rep.sheets and rep.pairs_checked == len(sheets) * 81**n
+    assert np.array_equal(_cells(n), np.stack([g.square_x, g.square_y], axis=1))
+
+
+def _edited(g, drop=(), repoint=None):
+    # g less the edges at the indices in drop; repoint=(k, w) moves edge k's
+    # far end to tile w
+    u, v, t = (a.copy() for a in g.edge_arrays())
+    if repoint is not None:
+        k, w = repoint
+        u[k], v[k] = sorted((int(u[k]), w))
+    keep = np.setdiff1d(np.arange(len(u)), drop)
+    order = keep[np.lexsort((v[keep], u[keep]))]
+    return ReplacementGraph(g.level, g.policy, u[order], v[order], t[order])
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_every_deleted_grid_edge_breaks_fact_b_on_a_sheet_holding_it(policy):
+    # the H and V edges are the union of the sheets' lifted grid edges, so
+    # each deletion leaves some sheet short, and the report names that sheet
+    # and the squares of the deleted edge's ends
+    g = build_graph(2, policy)
+    u, v, t = g.edge_arrays()
+    sheets, cells = _sheets_by_words(2), _cells(2)
+    for k in np.flatnonzero(t != 2):
+        rep = lipschitz_quotient_check(_edited(g, drop=[k]))
+        assert not rep.ok and rep.broken.startswith("(b)"), k
+        bits, a, b = rep.witness
+        assert {u[k], v[k]} <= set(sheets[bits])
+        assert {a, b} == {tuple(cells[u[k]]), tuple(cells[v[k]])}
+        assert rep.pairs_checked <= 3 * 81**2  # that sheet's pairs are not counted
+
+
+@pytest.mark.parametrize("edge", [(491, 492), (475, 478)])
+def test_a_deleted_grid_edge_at_level_3_leaves_the_other_sheets_certified(graphs, edge):
+    g = graphs[3]
+    u, v, t = g.edge_arrays()
     (k,) = np.flatnonzero((u == edge[0]) & (v == edge[1]))
-    assert t[k] == 0  # an H edge
-    bad = ReplacementGraph(level=2, policy=g2.policy, u=np.delete(u, k),
-                           v=np.delete(v, k), t=np.delete(t, k))
-    rep = lipschitz_quotient_check(bad)
-    assert not rep.ok
-    assert rep == _quotient_check_per_row(bad)
+    on = [bits for bits, tiles in _sheets_by_words(3).items() if set(edge) <= set(tiles)]
+    rep = lipschitz_quotient_check(_edited(g, drop=[k]))
+    assert t[k] in (0, 1) and not rep.ok and rep.broken.startswith("(b)")
+    assert rep.witness[0] == on[0]
+    # the sheets that keep every grid edge are certified, and their tiles as centers
+    assert rep.pairs_checked == (8 - len(on)) * 81**3
+    keep = set().union(*(tiles for bits, tiles in _sheets_by_words(3).items() if bits not in on))
+    assert rep.vertices_checked == len(keep)
+    assert _quotient_check_per_row(_edited(g, drop=[k])) is not None
 
 
-def test_quotient_check_capacity():
-    class Big:
-        level = 4
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_edge_repointed_two_squares_away_breaks_fact_a(graphs, n):
+    g = graphs[n]
+    u, v, _ = g.edge_arrays()
+    for k in (0, len(u) // 2):
+        far = np.abs(g.square_x - g.square_x[u[k]]) + np.abs(g.square_y - g.square_y[u[k]]) == 2
+        w = int(np.flatnonzero(far)[0])
+        rep = lipschitz_quotient_check(_edited(g, repoint=(k, w)))
+        assert not rep.ok and rep.broken.startswith("(a)")
+        assert rep.witness == tuple(g.words[i] for i in sorted((int(u[k]), w)))
+        assert rep.pairs_checked == rep.vertices_checked == 0
 
-    with pytest.raises(CapacityError):
-        lipschitz_quotient_check(Big())
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_deleted_seam_edge_stays_certified(graphs, n):
+    # neither identity uses seams; the BFS references agree
+    g = graphs[n]
+    _, _, t = g.edge_arrays()
+    for k in np.flatnonzero(t == 2)[:: 7 if n == 2 else 97]:
+        bad = _edited(g, drop=[k])
+        assert lipschitz_quotient_check(bad).ok
+        if n == 2:
+            assert _quotient_check_per_row(bad) is None and len(_sheet_pairs_by_bfs(bad)) == 4
+
+
+def test_a_tile_on_no_sheet_breaks_coverage(graphs, monkeypatch):
+    # with every flip spoiled to the identity, each sheet is the center-free
+    # one: it carries every grid edge, but no tile with a '0' lies on it
+    monkeypatch.setattr(metrics_module, "flip_permutation", lambda g, bits: np.arange(g.n_vertices))
+    rep = lipschitz_quotient_check(graphs[2])
+    assert not rep.ok and rep.broken == "every tile lies on some sheet"
+    assert rep.witness == ("00",) and rep.vertices_checked == 81
+
+
+def test_no_report_of_a_broken_fact_says_an_identity_fails(graphs):
+    rep = lipschitz_quotient_check(_edited(graphs[2], drop=[0]))
+    text = json.dumps(asdict(rep)).lower()
+    assert "fail" not in text and "counterexample" not in text
+
+
+_CERTIFY_L6 = """
+import resource, sys, time
+from pillowspace import build_graph, lipschitz_quotient_check
+g = build_graph(6, sys.argv[1])
+t0 = time.perf_counter()
+rep = lipschitz_quotient_check(g)
+seconds = time.perf_counter() - t0
+print(rep.ok, rep.vertices_checked, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_certificate_holds_at_level_6(policy):
+    # about 5 s; the process peak, the build's included, about 300 MB
+    out = subprocess.run([sys.executable, "-c", _CERTIFY_L6, policy], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[:2] == ["True", str(10**6)]
+    assert float(out[2]) < 8 and int(out[3]) < 400 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import random
 import types
 
 import numpy as np
@@ -134,15 +133,16 @@ def test_every_suite_refuses_a_level_past_its_top_before_running(suite, monkeypa
         verify.run_suite(suite, [1, top + 1])
 
 
-def test_quotient_refuses_a_level_past_the_ball_image_check_before_building(monkeypatch):
+def test_quotient_refuses_a_level_past_max_level_before_building(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("graph built past the quotient suite's top level")
 
     for module in (graphs, verify):
         monkeypatch.setattr(module, "build_graph", refuse)
-    with pytest.raises(graphs.CapacityError, match="quotient level 4 exceeds .* 3"):
-        verify.run_suite("quotient", [4])
-    assert cli.main(["verify", "quotient", "4..6"]) == 64
+    top = verify.MAX_LEVEL
+    with pytest.raises(graphs.CapacityError, match=f"quotient level {top + 1} exceeds .* {top}"):
+        verify.run_suite("quotient", [top + 1])
+    assert cli.main(["verify", "quotient", f"{top + 1}..{top + 2}"]) == 64
 
 
 # E_1 and E_m = 10 E_{m-1} + 20 3^(m-1) - 4, worked out by hand
@@ -177,80 +177,39 @@ def test_counts_suite_fails_on_a_graph_missing_an_edge(monkeypatch):
     assert all(not r["ok"] and r["edges"] == r["expected_edges"] - 1 for r in rep.results)
 
 
-def _sheets_per_sheet_reference(n, g, seed):
-    # the suite as it ran one BFS call per sheet: each sheet's starts and
-    # targets drawn, then that sheet's rows looked up pair by pair
-    rng = random.Random(seed + 10 * n)
-    side = 3**n
-    if 2**n <= 8:
-        sheets = ["".join(b) for b in itertools.product("01", repeat=n)]
-    else:
-        sheets = sorted({"".join(rng.choice("01") for _ in range(n)) for _ in range(8)})
-    grid = verify._grid_table(n)
-    mismatches, pairs = 0, 0
-    starts = max(1, verify.SHEET_PAIRS // 40)
-    for bits in sheets:
-        lift = graphs.flip_permutation(g, bits)[grid]
-        sources, targets = [], []
-        for _ in range(starts):
-            ax, ay = rng.randrange(side), rng.randrange(side)
-            sources.append(lift[ax, ay])
-            for _ in range(verify.SHEET_PAIRS // starts):
-                bx, by = rng.randrange(side), rng.randrange(side)
-                targets.append((len(sources) - 1, lift[bx, by], abs(ax - bx) + abs(ay - by)))
-        dist = graphs.bfs_rows(g, sources)
-        pairs += len(targets)
-        mismatches += sum(1 for k, b, want in targets if dist[k, b] != want)
-    return {
-        "sheets": len(sheets),
-        "pairs_checked": pairs,
-        "mismatches": mismatches,
-        "ok": mismatches == 0,
-        "level": n,
-    }
+@pytest.mark.parametrize("suite, levels", [("sheets", [1, 2, 3, 4]), ("quotient", [1, 2, 3])])
+def test_sheets_and_quotient_report_the_certificate_and_run_no_bfs(monkeypatch, suite, levels):
+    # both identities follow from the two facts; no suite row needs a BFS
+    # (graphs built beforehand: build_graph checks connectivity by one)
+    built = {n: graphs.build_graph(n) for n in levels}
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("BFS run by a certified suite")
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_sheets_report_equals_the_per_sheet_reference(seed):
-    rep = verify.run_suite("sheets", [1, 2, 3, 4], seed=seed)
+    monkeypatch.setattr(verify, "build_graph", lambda n, policy: built[n])
+    monkeypatch.setattr(graphs, "bfs_rows", refuse)
+    rep = verify.run_suite(suite, levels, seed=7)
+    assert rep.ok
     for row in rep.results:
         n = row["level"]
-        assert row == _sheets_per_sheet_reference(n, graphs.build_graph(n), seed)
+        assert row == dataclasses.asdict(metrics.lipschitz_quotient_check(built[n]))
+        assert row["sheets"] == 2**n and row["pairs_checked"] == 2**n * 81**n
+        assert row["vertices_checked"] == 10**n and row["broken"] is None
 
 
-@pytest.mark.parametrize("budget", [10**7, 7 * 10**3])
-def test_sheets_suite_reads_each_pair_from_its_own_start(monkeypatch, budget):
-    # rows from odd starts are off by one; in calls of 7 rows at level 3 as
-    # in one call, the batched suite must count the reference's mismatches
-    bfs_rows = graphs.bfs_rows
+def test_sheets_suite_names_the_broken_fact(monkeypatch):
+    build_graph = verify.build_graph
 
-    def skewed(g, starts, cutoff=None):
-        rows = bfs_rows(g, starts, cutoff)
-        return rows + (np.asarray(starts) % 2)[:, None]
+    def one_grid_edge_short(n, policy):
+        g = build_graph(n, policy)
+        u, v, t = g.edge_arrays()
+        keep = np.arange(len(u)) != np.flatnonzero(t == 0)[0]
+        return graphs.ReplacementGraph(n, policy, u[keep], v[keep], t[keep])
 
-    monkeypatch.setattr(graphs, "bfs_rows", skewed)
-    monkeypatch.setattr(graphs, "BFS_ENTRIES", budget)
-    row = verify.run_suite("sheets", [3]).results[0]
-    assert not row["ok"] and 0 < row["mismatches"] < row["pairs_checked"]
-    assert row == _sheets_per_sheet_reference(3, graphs.build_graph(3), 0)
-
-
-def test_sheets_suite_runs_one_bfs_call_per_level(monkeypatch):
-    # graphs built beforehand, so the spy sees the suite's calls alone
-    built = {n: graphs.build_graph(n) for n in (1, 2, 3, 4)}
-    monkeypatch.setattr(verify, "build_graph", lambda n, policy: built[n])
-    calls = []
-    bfs_rows = graphs.bfs_rows
-
-    def spy(g, starts, cutoff=None):
-        calls.append((g.level, len(starts)))
-        return bfs_rows(g, starts, cutoff)
-
-    monkeypatch.setattr(graphs, "bfs_rows", spy)
-    rep = verify.run_suite("sheets", [1, 2, 3, 4], seed=0)
-    assert rep.ok
-    assert [level for level, _k in calls] == [1, 2, 3, 4]
-    assert [k for _level, k in calls] == [25 * r["sheets"] for r in rep.results]
+    monkeypatch.setattr(verify, "build_graph", one_grid_edge_short)
+    row = verify.run_suite("sheets", [2]).results[0]
+    assert not row["ok"] and row["broken"] == "(b) every sheet carries every grid edge"
+    assert row["witness"][0] in {"00", "01", "10", "11"}
 
 
 def test_modulus_oracles_suite_matches_the_cut_and_conductance_values():
