@@ -342,18 +342,21 @@ def _cmd_metric_symmetrize(args):
 
 
 def _cmd_metric_blowup(args):
+    from .graphs import _prefix_block
     from .metrics import (DENSE_LEVEL_LIMIT, blowup_metric, internal_block_metric,
                           write_metric_matrix)
-    from .words import parse_word
+    from .words import check_level, parse_word
 
     norm = _parse_normalization(args.normalization)
     hashes = {}
     if args.mode == "internal":
         if args.level_from is None:
             raise UsageError("internal mode needs --level-from")
-        k = len(parse_word(args.prefix))
         # the block's dense metric is capped, so the ambient level is too
-        blow, base = internal_block_metric, _graph(args, args.level_from, DENSE_LEVEL_LIMIT + k)
+        cap = DENSE_LEVEL_LIMIT + len(parse_word(args.prefix))
+        # the level and the prefix first: a usage error must not pay for the build
+        _prefix_block(check_level(args.level_from, cap), args.prefix)
+        blow, base = internal_block_metric, _graph(args, args.level_from, cap)
     else:
         blow = blowup_metric
         base, hashes = _metric_from_args(args, level_attr="level_from")
@@ -397,7 +400,7 @@ def _cmd_metric_cover_check(args):
     import random
     from dataclasses import asdict
 
-    from .metrics import _random_balls, cover_preimage
+    from .metrics import _cover_args, _random_balls, cover_preimage
     from .words import check_level
 
     # the level and the cases first: a usage error must not pay for the build
@@ -412,6 +415,8 @@ def _cmd_metric_cover_check(args):
         except ValueError:
             raise UsageError(f"cannot parse center {args.center!r}; expected X,Y")
         cases = [((cx, cy), args.radius)]
+    for center, radius in cases:
+        _cover_args(side, center, radius, args.c)
     g = _graph(args, args.level)
     reports = [cover_preimage(g, center, radius, c=args.c) for center, radius in cases]
     ok = all(r.ok for r in reports)

@@ -12,12 +12,14 @@ The builder follows the self-similarity of the complex: G_n is ten copies of
 G_{n-1}, one per first letter, shifted by a * 10^(n-1).  Edges between two
 first-level cells are read off one table of the squares: pairs facing each
 other across a cell-side cut, plus the 5/0 seams around the centre cell.
-The builder runs no adjacency test; the per-tile enumeration over all tiles,
-reference_edges, decides every pair with it and is the slow cross-check.
+The builder runs no adjacency test.  The slow cross-check, reference_edges,
+decides with it every candidate pair: each pair of words whose squares
+coincide or share a side (_candidate_pairs).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -30,7 +32,6 @@ import numpy as np
 
 from .words import (
     ALPHABET,
-    CENTER_LETTERS,
     LETTERS,
     MAX_LEVEL,
     CapacityError,  # the package exports it from this module
@@ -40,9 +41,8 @@ from .words import (
     _integer,
     _prefix_states,
     _square_arrays,
+    all_words,
     check_level,
-    flip,
-    grid_word_of_square,
     parse_word,
 )
 
@@ -56,7 +56,6 @@ _LETTER_SET = frozenset(ALPHABET)
 # the type letters become their codes and every other byte a space
 _EDGE_NUMBERS = bytes(c if ord("0") <= c <= ord("9") else ord(str(_TYPE_CODE.get(chr(c), " ")))
                       for c in range(256))
-_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # to the four neighbouring squares
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
@@ -81,7 +80,7 @@ def _shared_faces(s, t):
     x, y = s[0], s[1]
     dx, dy = t[0] - x, t[1] - y
     if dx == dy == 0:
-        return [(2 * x + 1 + ex, 2 * y + 1 + ey) for ex, ey in _STEPS]
+        return [(2 * x + 1 + ex, 2 * y + 1 + ey) for ex, ey in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     if abs(dx) + abs(dy) == 1:
         return [(2 * x + 1 + dx, 2 * y + 1 + dy)]
     return []
@@ -395,39 +394,36 @@ def _cross_edges(m, policy):
 
 
 def reference_edges(n, central_edge_policy="on"):
-    """Sorted edge list from the per-tile enumeration over all 10^n tiles.
-
-    The slow per-vertex path that build_graph is checked against: it decides
-    every candidate pair with adjacency, which the builder never runs.
-    LevelWords caps n at MAX_LEVEL; every tile costs Python calls, so keep n small.
-    """
+    """Sorted edge list, the slow path build_graph is checked against:
+    adjacency, which the builder never runs, decides every pair of
+    _candidate_pairs, and _policy_keeps applies the policy.  Every pair
+    costs Python calls, so keep n small."""
     policy = _policy(central_edge_policy)
-    return sorted(e for w in LevelWords(n) for e in _tile_edges(w, policy))
+    edges = []
+    for w, v in _candidate_pairs(n):
+        t = adjacency(w, v)
+        if _policy_keeps(policy, w, v, t):
+            edges.append((*sorted((int(w), int(v))), t))
+    return sorted(edges)
 
 
-def _tile_edges(w, policy):
-    """Edges (i, j, type) from tile w to its partners j > i."""
-    n, i = len(w), int(w)
-    # Seam partners share the footprint and differ at exactly one center
-    # level (boundaries of nested center squares are disjoint, so multi-level
-    # sheet flips never meet).
-    partners = [w[:k] + flip(c, "1") + w[k + 1 :] for k, c in enumerate(w)
-                if c in CENTER_LETTERS and not (policy == "off" and k == n - 1)]
-    # Grid partners live over one of the four neighboring squares, on any
-    # sheet at each of its center levels.
-    x, y = _prefix_states(w)[-1][:2]
-    for dx, dy in _STEPS:
-        if 0 <= x + dx < 3**n and 0 <= y + dy < 3**n:
-            base = grid_word_of_square(n, x + dx, y + dy)
-            partners += map("".join, itertools.product(*(
-                CENTER_LETTERS if c == "5" else c for c in base)))
-    out = []
-    for v in partners:
-        if int(v) > i:
-            t = adjacency(w, v)
-            if t is not None:
-                out.append((i, int(v), t))
-    return out
+def _candidate_pairs(n):
+    """Every pair of level-n words whose squares coincide or share a side,
+    grouped by square: the only pairs that _shared_faces gives a face, so
+    the only ones adjacency or the chain oracle can call adjacent."""
+    over = collections.defaultdict(list)
+    for w, x, y in zip(all_words(n), *map(np.ndarray.tolist, _square_arrays(n))):
+        over[x, y].append(w)
+    for (x, y), here in over.items():
+        yield from itertools.combinations(here, 2)
+        for there in (over.get((x + 1, y), ()), over.get((x, y + 1), ())):
+            yield from itertools.product(here, there)
+
+
+def _policy_keeps(policy, w, v, t):
+    """Is the pair (w, v), of adjacency type t (None: no edge), an edge under
+    the policy?  "off" drops the seams whose words differ only in the last letter."""
+    return t is not None and not (policy == "off" and t == SEAM and w[:-1] == v[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +597,15 @@ class PrefixBlock:
         return self.reference.edges
 
 
+def _prefix_block(level, prefix):
+    """The parsed prefix and its block's level in G_level; ValueError unless it
+    has 1..level - 1 letters."""
+    prefix = parse_word(prefix)
+    if not 1 <= len(prefix) < level:
+        raise ValueError(f"prefix length must be in 1..{level - 1}")
+    return prefix, level - len(prefix)
+
+
 def prefix_subgraph(g, prefix, reference=None):
     """Extract the block over a prefix and certify it matches level n-k.
 
@@ -608,11 +613,7 @@ def prefix_subgraph(g, prefix, reference=None):
     reference graph's under the suffix bijection.  The reference is built on
     demand when not supplied (it must share g's policy).
     """
-    prefix = parse_word(prefix)
-    k = len(prefix)
-    if not 1 <= k < g.level:
-        raise ValueError(f"prefix length must be in 1..{g.level - 1}")
-    m = g.level - k
+    prefix, m = _prefix_block(g.level, prefix)
     size = 10**m
     start = int(prefix) * size
     u, v, t = g.edge_arrays()

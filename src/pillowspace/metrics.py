@@ -379,6 +379,19 @@ def _random_balls(rng, side, count):
             for _ in range(count)]
 
 
+def _cover_args(side, center, radius, c):
+    """cover_preimage's center, radius and c, checked on a side x side grid."""
+    c, radius = _integer(c, "constant"), _integer(radius, "radius")
+    if c < 5:
+        raise ValueError("constant must be at least 5 to cover while staying disjoint")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    cx, cy = (_integer(a, "grid cell coordinates") for a in center)
+    if not (0 <= cx < side and 0 <= cy < side):
+        raise ValueError(f"grid cell {center} outside the {side} x {side} grid")
+    return (cx, cy), radius, c
+
+
 def cover_preimage(g, center, radius, c=5):
     """Cover the preimage of a grid ball by graph balls of uniform radius.
 
@@ -392,15 +405,8 @@ def cover_preimage(g, center, radius, c=5):
     is a center or within 2*radius <= c*radius (c >= 5) of the center whose
     row dropped it.
     """
-    c, radius = _integer(c, "constant"), _integer(radius, "radius")
-    if c < 5:
-        raise ValueError("constant must be at least 5 to cover while staying disjoint")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     side = 3**g.level
-    cx, cy = (_integer(a, "grid cell coordinates") for a in center)
-    if not (0 <= cx < side and 0 <= cy < side):
-        raise ValueError(f"grid cell {center} outside the {side} x {side} grid")
+    (cx, cy), radius, c = _cover_args(side, center, radius, c)
     sx, sy = g.square_x, g.square_y
     cell = sx * side + sy
     pre = np.flatnonzero(np.abs(sx - cx) + np.abs(sy - cy) <= radius)

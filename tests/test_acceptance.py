@@ -93,8 +93,8 @@ def test_criterion_05_self_similarity():
     exhaustive = {r["level"]: r for r in rep.results}
     assert exhaustive[2]["blocks_checked"] == 10
     assert exhaustive[3]["blocks_checked"] == 110
-    assert exhaustive[4]["blocks_checked"] == 100  # sampled
-    assert exhaustive[5]["blocks_checked"] == 100
+    assert exhaustive[4]["blocks_checked"] == 1_110
+    assert exhaustive[5]["blocks_checked"] == 11_110
     g4 = build_graph(4)
     for prefix in ("9", "50", "123"):
         m = 4 - len(prefix)

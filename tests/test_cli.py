@@ -474,6 +474,17 @@ def test_blowup_bad_prefix(tmp_path):
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize("prefix", ["123456", "1234567"])
+def test_blowup_checks_the_prefix_length_before_it_builds(prefix, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before the prefix length was checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    argv = ["metric", "blowup", "--level-from", "6", "--prefix", prefix, "--out", "unused.bin"]
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == "pillowspace: error: prefix length must be in 1..5\n"
+
+
 def test_distortion_identity_profile(tmp_path):
     m = tmp_path / "m.bin"
     out_a, out_b = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -559,7 +570,11 @@ def test_cover_check_cli(tmp_path):
     ["--center", "4,4"],
     ["--radius", "1"],
     ["--center", "4", "--radius", "1"],
-], ids=["no-seed", "no-radius", "no-center", "center-not-x-y"])
+    ["--center", "4,4", "--radius", "1", "--c", "3"],
+    ["--center", "4,4", "--radius", "-1"],
+    ["--center", "999,1", "--radius", "1"],
+], ids=["no-seed", "no-radius", "no-center", "center-not-x-y", "c-below-5", "negative-radius",
+        "center-off-the-grid"])
 def test_cover_check_checks_arguments_before_it_builds(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("graph built before the arguments were checked")

@@ -560,7 +560,6 @@ def test_build_runs_no_adjacency_test(monkeypatch):
         raise AssertionError("the builder ran the per-tile adjacency path")
 
     monkeypatch.setattr(G, "adjacency", refuse)
-    monkeypatch.setattr(G, "_tile_edges", refuse)
     for (n, policy), edges in want.items():
         assert ps.build_graph(n, policy).edges == edges
 

@@ -13,18 +13,21 @@ from pillowspace.words import LevelWords, all_words
 
 
 def test_self_similar_builds_no_graph_per_block(monkeypatch):
-    # the suite's own references serve every block certificate
+    # past the graph itself, one reference per depth serves all its blocks
     calls = []
     build_graph = graphs.build_graph
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_graph(*args, **kwargs)
+    def counted(n, policy):
+        calls.append(n)
+        return build_graph(n, policy)
 
-    for module in (graphs, metrics):
-        monkeypatch.setattr(module, "build_graph", counted, raising=False)
-    assert verify.run_suite("self-similar", [2, 3]).ok
-    assert calls == []
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph built outside the suite's references")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)  # prefix_subgraph's own build
+    monkeypatch.setattr(verify, "build_graph", counted)
+    assert verify.run_suite("self-similar", [2, 3, 4]).ok
+    assert calls == [2, 1, 3, 2, 1, 4, 3, 2, 1]
 
 
 def test_self_similar_level_one_has_no_prefixes():
@@ -80,17 +83,40 @@ def test_run_suite_checks_its_tolerance_before_any_level_runs(monkeypatch, toler
         verify.run_suite("modulus-oracles", [1], tolerance=tolerance)
 
 
-def test_self_similar_reports_a_block_that_fails_its_certificate(monkeypatch):
-    certify = verify.prefix_subgraph
+def _dropped(u, v, t, block):
+    # the first edge with both ends in the block over prefix 3, 37 or 371 goes
+    k = np.flatnonzero((u // 10 == block) & (v // 10 == block))[0]
+    return np.delete(u, k), np.delete(v, k), np.delete(t, k)
 
-    def fail_on_3(g, prefix, reference):
-        if prefix == "3":
-            raise RuntimeError("block 3 is no copy")
-        return certify(g, prefix, reference)
 
-    monkeypatch.setattr(verify, "prefix_subgraph", fail_on_3)
-    rep = verify.run_suite("self-similar", [2])
-    assert not rep.ok and rep.results[0]["bad_blocks"] == ["3"]
+def _retyped(u, v, t, block):
+    k = np.flatnonzero((u // 10 == block) & (v // 10 == block))[0]
+    t = t.copy()
+    t[k] = (t[k] + 1) % 3
+    return u, v, t
+
+
+def _extra(u, v, t, block):
+    # tiles 8000 and 8999 share block 8 but not a side
+    order = np.argsort(np.append(u * 10**4 + v, 8000 * 10**4 + 8999))
+    return np.append(u, 8000)[order], np.append(v, 8999)[order], np.append(t, 0)[order]
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n, damage, block, bad", [
+    (2, _dropped, 3, ["3"]),
+    (3, _dropped, 37, ["3", "37"]),
+    (4, _dropped, 371, ["3", "37", "371"]),
+    (3, _retyped, 50, ["5", "50"]),
+    (4, _extra, None, ["8"]),
+], ids=["dropped-L2", "dropped-L3", "dropped-L4", "retyped-L3", "extra-L4"])
+def test_self_similar_reports_a_block_that_fails_its_certificate(policy, n, damage, block, bad):
+    # each fault is planted in real edge arrays: a block with the wrong edge
+    # count is named at every depth that holds it, and so is one whose keys differ
+    g = graphs.build_graph(n, policy)
+    broken = graphs.ReplacementGraph(n, policy, *damage(*g.edge_arrays(), block))
+    row = verify._suite_self_similar(n, broken, {})
+    assert not row["ok"] and row["bad_blocks"] == bad
 
 
 def test_covering_reports_a_ball_that_is_not_covered(monkeypatch):
@@ -110,7 +136,7 @@ def test_adjacency_oracle_refuses_a_level_past_the_oracle_before_listing_words(m
     def refuse(level):
         raise AssertionError(f"all_words({level}) called past the oracle's cap")
 
-    monkeypatch.setattr(verify, "all_words", refuse)
+    monkeypatch.setattr(graphs, "all_words", refuse)
     with pytest.raises(graphs.CapacityError,
                        match="adjacency-oracle level 6 exceeds the supported maximum 5"):
         verify.run_suite("adjacency-oracle", [6])
@@ -126,7 +152,7 @@ def test_every_suite_refuses_a_level_past_its_top_before_running(suite, monkeypa
 
     _, defaults, reads_graph, top = verify.SUITES[suite]
     monkeypatch.setitem(verify.SUITES, suite, (refuse, defaults, reads_graph, top))
-    for module, name in ((verify, "all_words"), (verify, "build_graph"), (graphs, "build_graph")):
+    for module, name in ((graphs, "all_words"), (verify, "build_graph"), (graphs, "build_graph")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(graphs.CapacityError,
                        match=f"^{suite} level {top + 1} exceeds the supported maximum {top}$"):
@@ -333,7 +359,7 @@ def test_adjacency_oracle_candidates_are_the_pairs_with_a_shared_face():
     states = {w: graphs._prefix_states(w)[-1] for w in all_words(2)}
     want = {frozenset(p) for p in itertools.combinations(states, 2)
             if graphs._shared_faces(states[p[0]], states[p[1]])}
-    got = [frozenset(p) for p in verify._candidate_pairs(2)]
+    got = [frozenset(p) for p in graphs._candidate_pairs(2)]
     assert len(got) == len(set(got)) and set(got) == want
 
 
@@ -360,3 +386,16 @@ def test_adjacency_oracle_checks_every_candidate_pair_at_level_5(policy):
     row = verify.run_suite("adjacency-oracle", [5], policy=policy).results[0]
     assert row["ok"] and row["edges_equal"] and row["disagreements"] == 0
     assert row["pairs_checked"] == 516_352
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_self_similar_checks_every_block_at_level_6(policy):
+    # (10^6 - 10) / 9 blocks: every prefix of one to five letters
+    row = verify.run_suite("self-similar", [6], policy=policy).results[0]
+    assert row["ok"] and row["blocks_checked"] == 111_110 and row["bad_blocks"] == []
+
+
+def test_self_similar_reports_do_not_depend_on_the_seed():
+    a, b = (dataclasses.asdict(verify.run_suite("self-similar", [4, 5], seed=seed))
+            for seed in (0, 9))
+    assert (a.pop("seed"), b.pop("seed")) == (0, 9) and a == b
