@@ -160,6 +160,13 @@ def _require_seed(args):
     return args.seed  # main checked it
 
 
+def _refuse(args, mode, *names):
+    """A usage error for a given option that only another mode reads."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(f"{mode} takes no --{name}")
+
+
 def _graph(args, level, cap=None):
     """The graph at a level under --policy, checked first against a cap or MAX_LEVEL."""
     from .graphs import build_graph
@@ -296,12 +303,14 @@ def _cmd_measure_dimension(args):
     from .measures import ball_dimension_estimate, box_dimension_estimate
 
     if args.mode == "box":
+        _refuse(args, "box mode", "level", "samples")
         if not args.levels:
             raise UsageError("box mode needs --levels")
         fit = box_dimension_estimate(_parse_levels(args.levels))
         config = {"mode": "box", "levels": args.levels}
         seed = None
     else:
+        _refuse(args, "ball mode", "levels")
         if args.level is None or args.samples is None:
             raise UsageError("ball mode needs --level and --samples")
         seed = _require_seed(args)
@@ -324,17 +333,11 @@ def _cmd_metric_symmetrize(args):
 
     from .metrics import symmetrize, write_metric_matrix
 
-    if args.mode == "sampled":
-        if args.samples is None:
-            raise UsageError("sampled mode needs --samples")
-        seed = _require_seed(args)
-    else:
-        seed = None
     d, hashes = _metric_from_args(args)
-    s = symmetrize(d, mode=args.mode, samples=args.samples, seed=seed)
+    s = symmetrize(d)
     fixed = bool(np.array_equal(s.entries, d.entries))
     return EXIT_OK, {
-        "summary": f"symmetrized level-{d.level} metric ({args.mode}); "
+        "summary": f"symmetrized level-{d.level} metric; "
         + ("input was already invariant" if fixed else "input changed"),
         "fixed_point": fixed,
         "input_sha256": hashes,
@@ -406,6 +409,7 @@ def _cmd_metric_cover_check(args):
     # the level and the cases first: a usage error must not pay for the build
     side = 3 ** check_level(args.level)
     if args.samples is not None:
+        _refuse(args, "--samples", "center", "radius")
         cases = _random_balls(random.Random(_require_seed(args)), side, args.samples)
     elif args.center is None or args.radius is None:
         raise UsageError("pass --center X,Y and --radius R, or --samples with --seed")
@@ -510,11 +514,9 @@ def build_parser():
     mt = sub.add_parser("metric", help="metric-side experiments")
     mtsub = mt.add_subparsers(dest="subcommand", required=True)
     ms = _command(mtsub, "symmetrize", _cmd_metric_symmetrize,
-                  "average a metric over the flip group", seed, policy, out_required)
+                  "average a metric over the flip group", policy, out_required)
     ms.add_argument("--in", dest="infile")
     ms.add_argument("--level", type=int, help="compute the graph metric at this level")
-    ms.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    ms.add_argument("--samples", type=_count)
 
     mb = _command(mtsub, "blowup", _cmd_metric_blowup, "rescaled restriction to a prefix block",
                   policy, out_required)

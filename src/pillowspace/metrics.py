@@ -55,15 +55,19 @@ class MetricMatrix:
         if np.diagonal(e).any():
             raise ValueError("diagonal must be zero")
         # Each tile on or above the diagonal against its mirror tile: they
-        # cover every pair, and no temporary outgrows a tile.  Once the table
+        # cover every pair, and no temporary outgrows a tile.  A finite tile
+        # equal to its mirror makes the mirror finite too.  Once the table
         # is symmetric, the diagonal's n zeros must be the tiles' only
         # entries <= 0.
         nonpositive, b = 0, _CHECK_TILE
         for i in range(0, n, b):
             for j in range(i, n, b):
-                tile = e[i : i + b, j : j + b]
-                if not np.array_equal(tile, e[j : j + b, i : i + b].T):
-                    raise ValueError("table must be symmetric")
+                tile, mirror = e[i : i + b, j : j + b], e[j : j + b, i : i + b].T
+                if not np.isfinite(tile).all():
+                    raise ValueError("distances must be finite")
+                if not np.array_equal(tile, mirror):
+                    raise ValueError("table must be symmetric" if np.isfinite(mirror).all()
+                                     else "distances must be finite")
                 nonpositive += np.count_nonzero(tile <= 0)
         if nonpositive != n:
             raise ValueError("off-diagonal distances must be positive")
@@ -104,39 +108,23 @@ def graph_metric(g):
 # the flip group acting on metrics
 
 
-def symmetrize(d, mode="exact", samples=None, seed=None):
+def symmetrize(d):
     """Average the metric over the sheet-flip group.
 
     The result is flip-invariant on the nose and still a metric, averages
-    of metrics being metrics.  Exact mode averages over the whole group of
-    2^level flips as over each of its level generators in turn: the
-    one-level flips commute, so the group average is the product of the
-    averages over {identity, flip}, and each is one gather in place.  Each
-    partial average of a hop metric is a dyadic rational of small integers,
-    so the table equals the 2^level-term sum bit for bit; for other tables
-    the two differ by rounding at most.  Sampled mode averages `samples`
-    seeded uniform group elements instead and is reproducible for a fixed
-    seed.
+    of metrics being metrics.  The group of 2^level flips is averaged over
+    each of its level generators in turn: the one-level flips commute, so
+    the group average is the product of the averages over {identity, flip},
+    and each is one gather in place.  Each partial average of a hop metric
+    is a dyadic rational of small integers, so for hop metrics the table
+    equals the 2^level-term sum over all flips bit for bit.
     """
     level = d.level
-    if mode == "exact":
-        acc = d.entries.copy()
-        for k in range(level):
-            perm = flip_permutation(d, "0" * k + "1" + "0" * (level - k - 1))
-            acc += acc[np.ix_(perm, perm)]
-            acc /= 2
-    elif mode == "sampled":
-        if samples is None or _integer(samples, "samples") < 1:
-            raise ValueError("sampled mode needs samples >= 1")
-        rng = random.Random(_seed(seed))
-        draws = ["".join(rng.choice("01") for _ in range(level)) for _ in range(samples)]
-        acc = np.zeros_like(d.entries)
-        for bits in draws:
-            perm = flip_permutation(d, bits)
-            acc += d.entries[np.ix_(perm, perm)]
-        acc /= len(draws)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    acc = d.entries.copy()
+    for k in range(level):
+        perm = flip_permutation(d, "0" * k + "1" + "0" * (level - k - 1))
+        acc += acc[np.ix_(perm, perm)]
+        acc /= 2
     return MetricMatrix(level, acc, slack=max(d.slack, 1e-9))
 
 

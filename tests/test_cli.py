@@ -205,11 +205,9 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     (["measure", "dimension", "--mode", "box"], "box mode needs --levels"),
     (["measure", "dimension", "--mode", "ball", "--level", "2", "--seed", "1"],
      "ball mode needs --level and --samples"),
-    (["metric", "symmetrize", "--level", "1", "--mode", "sampled", "--seed", "1", "--out", "OUT"],
-     "sampled mode needs --samples"),
     (["metric", "blowup", "--prefix", "1", "--out", "OUT"], "internal mode needs --level-from"),
 ], ids=["empty-range", "p-grid", "p-grid-range", "tol-range", "pi-exponent", "normalization",
-        "symmetrize-input", "box-levels", "ball-samples", "sampled-samples", "level-from"])
+        "symmetrize-input", "box-levels", "ball-samples", "level-from"])
 def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message):
     paths = {"MISSING": tmp_path / "nope.json", "OUT": tmp_path / "out"}
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 64
@@ -220,21 +218,20 @@ def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message
 
 def _samplers():
     from pillowspace.measures import ball_dimension_estimate
-    from pillowspace.metrics import graph_metric, pi_diagnostic, qs_distortion, symmetrize
+    from pillowspace.metrics import graph_metric, pi_diagnostic, qs_distortion
 
     g = graphs.build_graph(1)
     d = graph_metric(g)
     return {
         "run_suite": lambda seed: verify.run_suite("covering", [1], seed=seed),
         "ball_dimension_estimate": lambda seed: ball_dimension_estimate(g, 3, seed, [0, 1]),
-        "symmetrize": lambda seed: symmetrize(d, mode="sampled", samples=3, seed=seed),
         "qs_distortion": lambda seed: qs_distortion(d, d, 5, seed),
         "pi_diagnostic": lambda seed: pi_diagnostic(g, TileMeasure.uniform(1), 2.0, 2, seed),
     }
 
 
-@pytest.mark.parametrize("sampler", ["run_suite", "ball_dimension_estimate", "symmetrize",
-                                     "qs_distortion", "pi_diagnostic"])
+@pytest.mark.parametrize("sampler", ["run_suite", "ball_dimension_estimate", "qs_distortion",
+                                     "pi_diagnostic"])
 @pytest.mark.parametrize("seed, message", [
     (-1, "seed must be >= 0, got -1"),
     (True, "seed must be an integer, got True"),
@@ -251,11 +248,10 @@ def test_every_sampler_reads_its_seed_by_one_rule(sampler, seed, message):
 @pytest.mark.parametrize("argv", [
     ["verify", "covering", "1"],
     ["measure", "dimension", "--mode", "ball", "--level", "3", "--samples", "3"],
-    ["metric", "symmetrize", "--level", "1", "--mode", "sampled", "--samples", "3"],
     ["metric", "distortion", "--in1", "MISSING", "--in2", "MISSING", "--samples", "10"],
     ["metric", "cover-check", "--level", "2", "--samples", "2"],
     ["metric", "pi-diagnostic", "--level", "2", "--trials", "2"],
-], ids=["verify", "dimension", "symmetrize", "distortion", "cover-check", "pi-diagnostic"])
+], ids=["verify", "dimension", "distortion", "cover-check", "pi-diagnostic"])
 def test_sampling_subcommands_refuse_a_negative_seed(tmp_path, capsys, argv):
     # the seed is read before any input: the metric files do not exist
     paths = {"MISSING": tmp_path / "nope.bin"}
@@ -266,11 +262,10 @@ def test_sampling_subcommands_refuse_a_negative_seed(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["metric", "symmetrize", "--level", "1", "--seed", "-1"],
     ["measure", "dimension", "--mode", "box", "--levels", "1..3", "--seed", "-1"],
-], ids=["symmetrize-exact", "dimension-box"])
+], ids=["dimension-box"])
 def test_a_seed_that_no_sampler_reads_is_still_checked(tmp_path, capsys, argv):
-    # exact and box mode sample nothing; both ran and echoed the negative seed
+    # box mode samples nothing; it ran and echoed the negative seed
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 64
     assert capsys.readouterr() == ("", "pillowspace: error: seed must be >= 0, got -1\n")
     assert not any(tmp_path.iterdir())
@@ -383,8 +378,6 @@ def test_measure_dimension_ball_rejects_samples_below_one(samples, capsys):
     # as does every subcommand that counts: the parser refuses before a handler runs
     for argv in (
         ["measure", "dimension", "--mode", "ball", "--level", "2", "--samples"],
-        ["metric", "symmetrize", "--level", "2", "--mode", "sampled", "--out", "s.bin",
-         "--samples"],
         ["metric", "distortion", "--in1", "a.bin", "--in2", "b.bin", "--samples"],
         ["metric", "cover-check", "--level", "2", "--samples"],
         ["metric", "pi-diagnostic", "--level", "2", "--trials"],
@@ -423,20 +416,21 @@ def test_measure_dimension_ball_runs(tmp_path):
 
 def test_symmetrize_fixed_point_bytes(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    proc = run("metric", "symmetrize", "--level", 2, "--mode", "exact", "--out", a)
+    proc = run("metric", "symmetrize", "--level", 2, "--out", a)
     assert proc.returncode == 0 and report_of(proc)["fixed_point"]
-    assert run(
-        "metric", "symmetrize", "--in", a, "--mode", "exact", "--out", b
-    ).returncode == 0
+    assert run("metric", "symmetrize", "--in", a, "--out", b).returncode == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_symmetrize_sampled_needs_seed(tmp_path):
-    proc = run(
-        "metric", "symmetrize", "--level", 1, "--mode", "sampled",
-        "--samples", 4, "--out", tmp_path / "s.bin",
-    )
-    assert proc.returncode == 64
+@pytest.mark.parametrize("extra", [["--mode", "sampled"], ["--samples", "3"], ["--seed", "1"]],
+                         ids=["mode", "samples", "seed"])
+def test_symmetrize_has_one_exact_path(tmp_path, capsys, extra):
+    # the flip average takes no mode, sample count or seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["metric", "symmetrize", "--level", "1", *extra,
+                  "--out", str(tmp_path / "s.bin")])
+    assert exc.value.code == 64 and extra[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_blowup_internal_reproduces_level_two(tmp_path):
@@ -583,6 +577,33 @@ def test_cover_check_checks_arguments_before_it_builds(argv, monkeypatch, capsys
     assert cli.main(["metric", "cover-check", "--level", "5", *argv]) == 64
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metric", "cover-check", "--level", "2", "--center", "4,4", "--radius", "1",
+      "--samples", "2", "--seed", "1"], "--samples takes no --center"),
+    (["metric", "cover-check", "--level", "2", "--radius", "1", "--samples", "2", "--seed", "1"],
+     "--samples takes no --radius"),
+    (["measure", "dimension", "--mode", "ball", "--level", "3", "--samples", "5", "--seed", "1",
+      "--levels", "1..9"], "ball mode takes no --levels"),
+    (["measure", "dimension", "--mode", "box", "--levels", "1..3", "--level", "3"],
+     "box mode takes no --level"),
+    (["measure", "dimension", "--mode", "box", "--levels", "1..3", "--samples", "5"],
+     "box mode takes no --samples"),
+], ids=["samples-center", "samples-radius", "ball-levels", "box-level", "box-samples"])
+def test_a_mode_refuses_the_options_of_the_other(argv, message, tmp_path, monkeypatch, capsys):
+    # an option the mode never reads would let a run check something other
+    # than what was asked, and still pass
+    from pillowspace import measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the options were checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
+    monkeypatch.setattr(measures, "box_dimension_estimate", refuse)
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr() == ("", f"pillowspace: error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 # every command that builds a graph, with {level} where its level goes
@@ -835,10 +856,10 @@ OPTION_CONTRACT = [
       "level": 3, "samples": 5, "seed": 1, "policy": "off", "out": "d.csv"}),
     ("metric symmetrize --level 2 --out s.bin",
      {**METRIC, "subcommand": "symmetrize", "infile": None, "level": 2, "policy": "on",
-      "mode": "exact", "samples": None, "seed": None, "out": "s.bin"}),
-    ("metric symmetrize --in m.bin --mode sampled --samples 3 --seed 4 --policy off --out s.bin",
+      "out": "s.bin"}),
+    ("metric symmetrize --in m.bin --policy off --out s.bin",
      {**METRIC, "subcommand": "symmetrize", "infile": "m.bin", "level": None, "policy": "off",
-      "mode": "sampled", "samples": 3, "seed": 4, "out": "s.bin"}),
+      "out": "s.bin"}),
     ("metric blowup --level-from 2 --prefix 5 --out b.bin",
      {**METRIC, "subcommand": "blowup", "infile": None, "level_from": 2, "policy": "on",
       "prefix": "5", "mode": "internal", "normalization": "none", "out": "b.bin"}),
