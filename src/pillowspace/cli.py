@@ -226,7 +226,7 @@ def _cmd_verify(args):
 
     from .verify import run_suite
 
-    levels = _parse_levels(args.levels) if args.levels else None
+    levels = _parse_levels(args.levels) if args.levels is not None else None
     rep = run_suite(args.suite, levels, policy=args.policy, seed=args.seed, tolerance=args.tol)
     return _checked(rep.ok, f"suite {args.suite} levels {rep.levels}", asdict(rep))
 

@@ -24,9 +24,10 @@ import itertools
 import json
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 
 import numpy as np
 
@@ -59,7 +60,7 @@ _EDGE_NUMBERS = bytes(c if ord("0") <= c <= ord("9") else ord(str(_TYPE_CODE.get
 
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
-_WRITE_RECORDS = 1 << 16  # JSON vertex words or edge records per encoder chunk
+_WRITE_RECORDS = 1 << 16  # records per chunk: JSON words or edges, EdgeList tuples
 _WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts,
 _WORD_VERTICES = 10**4  # on graphs of at most this many vertices
 _FRONTIER_SOURCES = 16  # starts the frontier path advances together
@@ -204,6 +205,43 @@ def chain_oracle_adjacency(w, v, exhaustive=False):
 # graph construction
 
 
+class EdgeList(Sequence):
+    """A graph's sorted (i, j, type) edges as a read-only view of its edge
+    arrays: nothing is copied, and an edge's tuple is made only when it is
+    read.  It compares equal to a view or a list with the same tuples."""
+
+    __hash__ = None  # compared by value, like the list it stands for
+
+    def __init__(self, u, v, t, n):
+        self._arrays, self._n = (u, v, t), n
+
+    def __len__(self):
+        return len(self._arrays[0])
+
+    def __getitem__(self, k):
+        k = index(k)  # an int or a numpy int; no slices
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"edge index {k} out of range for {len(self)} edges")
+        u, v, t = self._arrays
+        return int(u[k]), int(v[k]), EDGE_TYPES[t[k]]
+
+    def __iter__(self):
+        # in chunks; ends index one int object per vertex, so no int per edge
+        ints = np.arange(self._n).astype(object)
+        for s in range(0, len(self), _WRITE_RECORDS):
+            u, v, t = (a[s:s + _WRITE_RECORDS] for a in self._arrays)
+            names = map(EDGE_TYPES.__getitem__, t.tolist())
+            yield from zip(ints[u].tolist(), ints[v].tolist(), names)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeList):  # memoryviews compare without a temporary
+            return len(self) == len(other) and all(
+                memoryview(a) == memoryview(b) for a, b in zip(self._arrays, other._arrays))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+
 @dataclass(eq=False)  # array fields: the generated __eq__ would not work
 class ReplacementGraph:
     """Level-n tile graph on the vertices 0..10^n - 1, stored as edge arrays.
@@ -253,15 +291,8 @@ class ReplacementGraph:
 
     @property
     def edges(self):
-        """Sorted (i, j, type) tuples, derived on each access.
-
-        Not cached: a kept copy would hold the Python objects per edge that
-        the arrays save.  Ends index one int object per vertex, so the list
-        makes a tuple per edge but no int.
-        """
-        ints = np.arange(self.n_vertices).astype(object)
-        names = map(EDGE_TYPES.__getitem__, self.t.tolist())
-        return list(zip(ints[self.u].tolist(), ints[self.v].tolist(), names))
+        """The sorted (i, j, type) tuples as an EdgeList view of the arrays."""
+        return EdgeList(self.u, self.v, self.t, self.n_vertices)
 
     def edge_arrays(self):
         """Edges as three aligned numpy arrays (u, v, type code H=0,V=1,S=2)."""

@@ -38,7 +38,7 @@ class TileMeasure:
             idx = _integer(idx, "tile index")
             if not (0 <= idx < top):
                 raise ValueError(f"tile index {idx} outside level {self.level}")
-            if not isinstance(m, (Fraction, int)):
+            if isinstance(m, bool) or not isinstance(m, (Fraction, int)):  # a bool is no mass
                 raise ValueError(f"mass at tile {idx} is not a Fraction or int: {m!r}")
             if m.numerator < 0:  # the sign, without a Fraction comparison
                 raise ValueError(f"negative mass at tile {idx}")

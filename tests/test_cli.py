@@ -188,6 +188,8 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["verify", "counts", "3..1"], "level range '3..1' is empty"),
+    # an empty range is no range, not the suite's default levels
+    (["verify", "counts", ""], "cannot parse level range ''"),
     # before the graph is read: the file does not exist
     (["modulus", "--graph", "MISSING", "--sides", "left-right", "--p-grid", "1,x"],
      "cannot parse p grid '1,x'"),
@@ -206,8 +208,8 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     (["measure", "dimension", "--mode", "ball", "--level", "2", "--seed", "1"],
      "ball mode needs --level and --samples"),
     (["metric", "blowup", "--prefix", "1", "--out", "OUT"], "internal mode needs --level-from"),
-], ids=["empty-range", "p-grid", "p-grid-range", "tol-range", "pi-exponent", "normalization",
-        "symmetrize-input", "box-levels", "ball-samples", "level-from"])
+], ids=["empty-range", "blank-range", "p-grid", "p-grid-range", "tol-range", "pi-exponent",
+        "normalization", "symmetrize-input", "box-levels", "ball-samples", "level-from"])
 def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message):
     paths = {"MISSING": tmp_path / "nope.json", "OUT": tmp_path / "out"}
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 64

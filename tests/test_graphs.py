@@ -426,7 +426,7 @@ def test_prefix_subgraph_rejects_a_damaged_block(g2, g1, damage):
 
 def test_graph_stores_only_edge_arrays(tmp_path):
     # built and read back from both formats: no Python sequence is stored,
-    # and every access derives a fresh tuple list
+    # and every access makes a fresh view of the arrays
     built = ps.build_graph(3)
     graphs = [built]
     for write, name in ((ps.write_graph_json, "g3.json"), (ps.write_graph_binary, "g3.bin")):
@@ -439,6 +439,87 @@ def test_graph_stores_only_edge_arrays(tmp_path):
         first, second = g.edges, g.edges
         assert first == want and second == want
         assert first is not second
+        assert isinstance(first, G.EdgeList)
+
+
+# ---------------------------------------------------------------------------
+# the edge view
+
+# SHA-256 of repr(list(g.edges)) as the list-building property gave it before
+# g.edges became a view
+EDGE_LIST_SHA256 = {
+    (1, "on"): "c5356c63815bbfb5466ad7b1aa26e81d9dc4ae108b488b34fff9c333ff1fd4f5",
+    (1, "off"): "a9c90c77b32878ad23ea1cae14874745d9757f0f6b993f04d7be8ed60a756ab6",
+    (2, "on"): "2f44949dd1c1f25375e63e3b013dbfde48f3343ece5e1704f6aeda2d93b0f9c5",
+    (2, "off"): "7971bf0cc9d0b258151f50eea06fa6d39eeeef892a782a9ccde678e631a39b0d",
+    (3, "on"): "d82977f14b43c21b7a5b4fbf88421299de293de7bbb8f3667e5790bbec07770b",
+    (3, "off"): "6c556d41de9c3677b267b624820992c84767cfe79bbce27695abed54929dea49",
+    (4, "on"): "4ad4607a5704556e9954563a5fc4ed0916ec32b46d0cc60ff66f3008ad52d5a0",
+    (4, "off"): "49eca41d3bd4bdbb03e7727334bf44fac90443969f7286f5def5b4def0cbe366",
+    (5, "on"): "5d9d86dc65928814977a851b55fea13b124fd36fa8e0c4a5783c69fa6dcec1c8",
+    (5, "off"): "0054863e10e403f255fcee8f568384d6c1bdb913b385614b9b6b401b22ef0209",
+}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_edge_view_iterates_the_pinned_tuples(n, policy):
+    g = ps.build_graph(n, policy)
+    edges = list(g.edges)
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == EDGE_LIST_SHA256[n, policy]
+    assert len(g.edges) == g.n_edges == len(edges)
+    # ends share one int object per vertex, as the list-building property's did
+    assert len({id(i) for i, _j, _t in edges}) == len(np.unique(g.u))
+
+
+def test_edge_view_equality_matches_list_semantics(g2):
+    u, v, t = g2.edge_arrays()
+    k = len(u) // 2
+    retyped, moved = t.copy(), v.copy()
+    retyped[k] = (t[k] + 1) % len(G.EDGE_TYPES)
+    moved[k] += 1
+    variants = [(u, v, t), (u, v, retyped), (u, moved, t), [np.delete(a, k) for a in (u, v, t)]]
+    views = [G.EdgeList(*a, g2.n_vertices) for a in variants]
+    lists = [list(view) for view in views]
+    assert [lists[0] == b for b in lists] == [True, False, False, False]
+    for a, la in zip(views, lists):
+        for b, lb in zip(views, lists):
+            want = la == lb
+            assert (a == b) is (a == lb) is (la == b) is want
+            assert (a != b) is (a != lb) is (la != b) is (not want)
+    # with anything but a view or a list, as list == tuple: unequal, and no hash
+    assert g2.edges.__eq__(tuple(lists[0])) is NotImplemented
+    assert g2.edges != tuple(lists[0])
+    with pytest.raises(TypeError):
+        hash(g2.edges)
+
+
+def test_edge_view_indexes_like_the_list(g2):
+    edges, want = g2.edges, list(g2.edges)
+    for k in (0, 7, len(want) - 1, -1, -len(want), np.int64(7), np.int32(-3)):
+        assert edges[k] == want[k]
+        assert tuple(map(type, edges[k])) == (int, int, str)
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            edges[k]
+    with pytest.raises(TypeError):
+        edges[1:3]
+
+
+@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_edge_views_compare_without_a_copy(tmp_path, n):
+    # the list-building property took 1.3 s and 342 MB to compare at level 6
+    g = ps.build_graph(n)
+    ps.write_graph_binary(g, tmp_path / "g.bin")
+    h = ps.read_graph(tmp_path / "g.bin")
+    tracemalloc.start()
+    try:
+        same = h.edges == g.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same is True
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +678,7 @@ def _dumps_write_graph_json(g, path):
     """The JSON writer before its records were streamed: one json.dumps of the
     whole payload with the edge tuples, kept as the byte reference."""
     payload = {"schema": G.GRAPH_SCHEMA, "level": g.level, "policy": g.policy,
-               "vertices": all_words(g.level), "edges": g.edges}
+               "vertices": all_words(g.level), "edges": list(g.edges)}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 

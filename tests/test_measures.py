@@ -96,6 +96,12 @@ def test_measure_keys_are_indices_and_masses_exact(mass):
         TileMeasure(1, mass)
 
 
+def test_measure_refuses_a_bool_mass():
+    # True is an int, so it was read as mass 1: this measure had total 3/2
+    with pytest.raises(ValueError, match="^mass at tile 0 is not a Fraction or int: True$"):
+        TileMeasure(1, {0: True, 1: Fraction(1, 2)})
+
+
 def test_measure_accepts_int_masses_and_index_keys():
     m = TileMeasure(1, {np.int64(3): 1, 4: Fraction(1, 2)})
     assert m.total() == Fraction(3, 2)
