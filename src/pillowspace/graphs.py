@@ -15,6 +15,10 @@ other across a cell-side cut, plus the 5/0 seams around the centre cell.
 The builder runs no adjacency test.  The slow cross-check, reference_edges,
 decides with it every candidate pair: each pair of words whose squares
 coincide or share a side (_candidate_pairs).
+
+Hop distances: bfs_rows is the one traversal, a frontier BFS on any graph;
+hop_row is the closed form on G_n (grid L1 distance plus a seam term), and
+refuses a graph not certified equal to build_graph's (is_reference).
 """
 
 from __future__ import annotations
@@ -61,10 +65,7 @@ _EDGE_NUMBERS = bytes(c if ord("0") <= c <= ord("9") else ord(str(_TYPE_CODE.get
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
 _WRITE_RECORDS = 1 << 16  # records per chunk: JSON words or edges, EdgeList tuples
-_WORD_SOURCES = 64  # bfs_rows takes the bit-parallel path from one full word of starts,
-_WORD_VERTICES = 10**4  # on graphs of at most this many vertices
-_FRONTIER_SOURCES = 16  # starts the frontier path advances together
-BFS_ENTRIES = 10**7  # distance entries per bfs_blocks call: 80 MB of int64 rows
+_FRONTIER_SOURCES = 16  # starts bfs_rows advances together
 ORACLE_MAX_LEVEL = 5  # verify checks every candidate pair; 516,352 at level 5
 _POLICIES = ("off", "on")  # central-edge policies; a policy's index is its binary flag
 _FLIP_LETTERS = "5123406789"  # a flipped level's letter d becomes _FLIP_LETTERS[d]
@@ -302,6 +303,12 @@ class ReplacementGraph:
     def neighbours(self):  # derived on the first traversal, then kept
         return _neighbour_table(self.u, self.v, self.n_vertices)
 
+    @cached_property
+    def is_reference(self):
+        """Is this G_n, edge for edge build_graph(level, policy)?  Checked on
+        first use, then kept; build_graph's own graphs are set True."""
+        return self.edges == build_graph(self.level, self.policy).edges
+
 
 def edge_keys(u, v, t, n):
     """One int64 key per typed edge on n vertices: (u*n + v)*3 + t.
@@ -390,6 +397,7 @@ def build_graph(n, central_edge_policy="on"):
     g = ReplacementGraph(level=n, policy=central_edge_policy, u=u, v=v, t=t)
     if not (bfs_row(g, 0) >= 0).all():
         raise RuntimeError(f"level-{n} graph is not connected")
+    g.is_reference = True  # the reference itself: hop_row never rebuilds it
     return g
 
 
@@ -475,27 +483,15 @@ def bfs_rows(g, starts, cutoff=None):
     """Hop distances from each start, as a (len(starts), n) int64 array.
 
     Entries are -1 for vertices that are unreachable or farther than cutoff,
-    an integer >= 0 if given.  All sources advance one level per step, on
-    one of two paths that return the same array, chosen by the call's size.
-    From _WORD_SOURCES starts on (one full machine word of sources), on a
-    graph of at most _WORD_VERTICES vertices, the bit-parallel path
-    (_bfs_words) sweeps every vertex per level and advances 64 sources per
-    word operation.  Otherwise the frontier path follows the sources' own
-    frontiers, _FRONTIER_SOURCES starts at a time.  Both read the graph's
-    neighbour table.  On a larger graph the sweep costs more than the
-    frontiers (100 L5 rows took 2.3-2.7 s on it against 1.5-1.7 s, and
-    0.22-0.25 s against 0.05-0.07 s within 27 hops, on one CPU), and the
-    fixed chunks keep the key arrays small, so a call with many starts costs
-    what separate calls would (200 L5 rows: 4.7-5.9 s in one frontier call,
-    3.1-3.6 s in chunks).  A caller with many starts sizes its calls by the
-    shared budget BFS_ENTRIES through bfs_blocks.
+    an integer >= 0 if given.  Any graph: the reference for hop_row, and
+    build_graph's connectivity check.  Sources advance one level per step,
+    _FRONTIER_SOURCES at a time (fixed chunks keep the key arrays small, so
+    many starts cost what separate calls would), through the neighbour table.
     """
     n = g.n_vertices
     starts = _vertex_indices(g, starts)
     if cutoff is not None and _integer(cutoff, "cutoff") < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    if len(starts) >= _WORD_SOURCES and n <= _WORD_VERTICES:
-        return _bfs_words(g, starts, cutoff)
     out = np.full((len(starts), n), -1, dtype=np.int64)
     for lo in range(0, len(starts), _FRONTIER_SOURCES):
         hi = lo + _FRONTIER_SOURCES
@@ -503,19 +499,11 @@ def bfs_rows(g, starts, cutoff=None):
     return out
 
 
-def bfs_blocks(g, starts, cutoff=None):
-    """bfs_rows over many starts in calls of at most BFS_ENTRIES distance
-    entries: yields (index of a call's first start, its rows) in order."""
-    step = max(1, BFS_ENTRIES // g.n_vertices)
-    for lo in range(0, len(starts), step):
-        yield lo, bfs_rows(g, starts[lo : lo + step], cutoff)
-
-
 def _bfs_frontier(g, starts, cutoff, flat):
-    """The frontier path of bfs_rows: each (source, vertex) pair of a
-    frontier is the flat key source * n + vertex into flat, the rows of the
-    starts laid end to end and filled with -1, and is advanced by one gather
-    from the neighbour table (a pair's self padding is its own, seen, key)."""
+    """One chunk of bfs_rows: each (source, vertex) pair of a frontier is the
+    flat key source * n + vertex into flat, the rows of the starts laid end
+    to end and filled with -1, and is advanced by one gather from the
+    neighbour table (a pair's self padding is its own, seen, key)."""
     n, nb = g.n_vertices, g.neighbours
     keys = np.arange(len(starts), dtype=np.int64) * n + starts
     flat[keys] = 0
@@ -533,53 +521,64 @@ def _bfs_frontier(g, starts, cutoff, flat):
         flat[keys] = d
 
 
-def _bfs_words(g, starts, cutoff):
-    """bfs_rows with the sources as bits: source s is bit s % 64 of word
-    s // 64 of a vertex's row (the multi-source BFS of Then et al., PVLDB
-    8(4), 2014).
-
-    A level ORs the frontier rows of each vertex's neighbours, read through
-    the graph's neighbour table (whose self padding adds bits already seen),
-    and keeps the bits not yet seen.  Distances are never unpacked per level:
-    bit b of d + 1 is kept in bit plane b, so a start holds 1 and a vertex
-    never seen holds 0, and the planes are unpacked once at the end, by
-    np.unpackbits.
-    """
-    n, k, nb = g.n_vertices, len(starts), g.neighbours
-    new = np.zeros((n, -(-k // 64)), dtype="<u8")  # the frontier
-    bit = np.arange(k, dtype="<u8")
-    np.bitwise_or.at(new, (starts, bit // 64), np.uint64(1) << bit % 64)
-    nxt, tmp = np.empty_like(new), np.empty_like(new)
-    unseen = ~new
-    planes = [new.copy()]
-    d = 0
-    while cutoff is None or d < cutoff:
-        d += 1
-        # take with out and mode="clip" writes in place; mode="raise" buffers
-        np.take(new, nb[0], axis=0, out=nxt, mode="clip")
-        for col in nb[1:]:
-            nxt |= np.take(new, col, axis=0, out=tmp, mode="clip")
-        np.bitwise_and(nxt, unseen, out=new)
-        if not new.any():
-            break
-        unseen ^= new
-        value = d + 1
-        if value == 1 << len(planes):
-            planes.append(np.zeros_like(new))
-        for b, plane in enumerate(planes):
-            if value >> b & 1:
-                plane |= new
-    # bit s of a '<u8' word is bit s % 8 of its byte s // 8
-    acc = np.zeros((n, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
-    for b, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=k, bitorder="little")
-        acc |= np.left_shift(bits, b, dtype=acc.dtype)
-    return np.subtract(acc.T, 1, dtype=np.int64, order="C")
-
-
 def bfs_row(g, start, cutoff=None):
     """Hop distances from one vertex: the one-row case of bfs_rows."""
     return bfs_rows(g, [start], cutoff)[0]
+
+
+def hop_row(g, start):
+    """bfs_row(g, start) for g = G_n, from the closed form, with no traversal.
+
+    Let pi send a tile to its square on the 3^n grid, L1 = |pi(x) - pi(y)|_1
+    and k the common prefix length of words x != y.  If letters k + 1 are
+    '0' and '5' (twins), both squares lie in the level-(k + 1) centre square
+    Q, and d(x, y) = L1 + 1 + 2 * gap, where gap is the fewest steps from the
+    two squares to Q's boundary ring; under policy "off" with k + 1 = n,
+    d = 2.  Otherwise d = L1.  Proof, from facts (a) and (b) of
+    metrics.lipschitz_quotient_check, which hold on G_n.  A cell on the ring
+    of a level-j cell has no centre letter below level j, so two sheets that
+    agree at levels 1..j carry one tile over it.
+    (i) d >= L1: by (a) an edge moves pi by at most one step.
+    (ii) Not twins: x and y lie in distinct level-(k + 1) cells, so sheets
+        through x and through y can agree at levels 1..k + 1.  An L1
+        geodesic leaves x's level-(k + 1) cell at a ring cell c; by (b) x's
+        sheet runs from x to the shared tile over c, and y's sheet on to y,
+        in L1 steps in all.
+    (iii) Twins: an edge leaving x's half (its first k + 1 letters) starts
+        over Q's ring, and is a seam to the twin over the same cell (no step
+        of pi) or a grid edge out of Q.  A walk through a cell r takes
+        L1 + 2 * (the distance from r to the pair's bounding box) steps or
+        more: L1 + 2 * gap + 1 through a seam, L1 + 2 * gap + 2 out of Q.  At
+        a ring cell nearest the box, sheets through x and y that agree below
+        level k + 1 carry the two ends of a seam, and (b) gives the legs.
+    (iv) Policy "off" with k + 1 = n drops that seam over pi(x) = pi(y), so
+        d >= 2; a neighbour cell of Q in its level-(n - 1) cell carries one
+        tile, adjacent to both by (b).
+    ValueError unless g is G_n (is_reference): there is no second path.
+    """
+    if not g.is_reference:
+        raise ValueError(f"graph is not G_{g.level} under policy {g.policy!r}: "
+                         "its hop distances have no closed form")
+    x = int(_vertex_indices(g, [start])[0])  # Python ints: no numpy scalar per step
+    n, sx, sy = g.level, g.square_x, g.square_y
+    px, py = int(sx[x]), int(sy[x])
+    row = np.abs(sx - px) + np.abs(sy - py)
+    for k in range(n):
+        size, side = 10 ** (n - k - 1), 3 ** (n - k - 1)  # of a level-(k + 1) cell
+        letter = x // size % 10
+        if letter not in (0, 5):
+            continue
+        lo = (x // size + 5 - 2 * letter) * size  # the twin block: '0' <-> '5'
+        if g.policy == "off" and k == n - 1:
+            row[lo] = 2
+            continue
+        # Q's cells share c // side on each axis, so c % side places a cell in
+        # Q: the steps to Q's ring are min(c % side, side - 1 - c % side)
+        bx, by = sx[lo : lo + size] % side, sy[lo : lo + size] % side
+        gap = np.minimum(np.minimum(bx, side - 1 - bx), np.minimum(by, side - 1 - by))
+        gap = np.minimum(gap, min(px % side, side - 1 - px % side, py % side, side - 1 - py % side))
+        row[lo : lo + size] += 1 + 2 * gap
+    return row
 
 
 def distance(g, u, v):

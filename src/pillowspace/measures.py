@@ -218,7 +218,7 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     exist); a clipped ball undercounts and drags the slope down.  The default
     radius grid likewise drops 3^1, whose discreteness bias dominates.
     """
-    from .graphs import bfs_blocks
+    from .graphs import hop_row
 
     n = graph.level
     if radii_exponents is None:
@@ -238,16 +238,14 @@ def ball_dimension_estimate(graph, samples, seed, radii_exponents=None):
     if len(candidates) == 0:
         candidates = np.arange(graph.n_vertices)
     centers = rng.choice(candidates, size=min(samples, len(candidates)), replace=False)
-    max_r = 3 ** max(radii_exponents)
     log_counts = np.zeros(len(radii_exponents))
     rows = []
-    for _, block in bfs_blocks(graph, centers, cutoff=max_r):  # BFS_ENTRIES at a time
-        for dist in block:
-            values = dist[dist >= 0]
-            for col, m in enumerate(radii_exponents):
-                count = int((values <= 3**m).sum())
-                log_counts[col] += math.log(count)
-                rows.append(("balls", 3**m, count))
+    for c in centers:  # one row at a time: 20,000 L5 centers hold one row of 10^5
+        dist = hop_row(graph, c)
+        for col, m in enumerate(radii_exponents):
+            count = int((dist <= 3**m).sum())
+            log_counts[col] += math.log(count)
+            rows.append(("balls", 3**m, count))
     log_counts /= len(centers)
     xs = np.array([m * math.log(3) for m in radii_exponents])
     return DimensionFit(*_fit(xs, log_counts), rows)

@@ -5,7 +5,9 @@ level.  On top of it: averaging over the sheet-flip group, blowups into
 prefix blocks, empirical quasisymmetry-distortion profiles, a certificate
 of the sheet isometry and of the ball images of the collapsing projection,
 the covering construction over a grid ball, and a Poincare-ratio
-diagnostic.  A compact binary format round-trips matrices through files.
+diagnostic.  Every hop distance here is a graphs.hop_row row, from the
+closed form on G_n, one row at a time; a graph that is not G_n is refused.
+A compact binary format round-trips matrices through files.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import bfs_blocks, bfs_row, flip_permutation, prefix_subgraph
+from .graphs import flip_permutation, hop_row, prefix_subgraph
 from .words import _exponent, _grid_table, _integer, _seed, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
@@ -92,15 +94,13 @@ class MetricMatrix:
 
 
 def graph_metric(g):
-    """All-pairs hop distances of a replacement graph as a MetricMatrix
-    (levels up to 4), filled from bfs_blocks' rows."""
+    """All-pairs hop distances of G_n as a MetricMatrix (levels up to 4),
+    filled row by row from hop_row; ValueError unless g is G_n."""
     check_level(g.level, DENSE_LEVEL_LIMIT, name="dense metric level")
     n = g.n_vertices
     dist = np.empty((n, n))
-    for lo, rows in bfs_blocks(g, range(n)):
-        if (rows < 0).any():
-            raise ValueError("graph is disconnected; hop distance is not a metric")
-        dist[lo : lo + len(rows)] = rows
+    for i in range(n):
+        dist[i] = hop_row(g, i)
     return MetricMatrix(g.level, dist)
 
 
@@ -112,19 +112,30 @@ def symmetrize(d):
     """Average the metric over the sheet-flip group.
 
     The result is flip-invariant on the nose and still a metric, averages
-    of metrics being metrics.  The group of 2^level flips is averaged over
-    each of its level generators in turn: the one-level flips commute, so
-    the group average is the product of the averages over {identity, flip},
-    and each is one gather in place.  Each partial average of a hop metric
-    is a dyadic rational of small integers, so for hop metrics the table
-    equals the 2^level-term sum over all flips bit for bit.
+    of metrics being metrics.  The one-level flips commute, so the group
+    average is the product of their averages over {identity, flip}, each in
+    place: the flip at level k swaps the '0' and '5' slices of the
+    (10^k, 10, m, 10^k, 10, m) view of the table, so only blocks with a
+    centre letter at k in the row or the column move, and each swapped pair
+    is averaged into both.  IEEE addition commutes, so this is
+    (acc + acc[perm][:, perm]) / 2 bit for bit (an unmoved a gets
+    (a + a) / 2 = a).  Each partial average of a hop metric is a dyadic
+    rational of small integers, so for hop metrics the table equals the
+    2^level-term sum over all flips bit for bit.
     """
     level = d.level
     acc = d.entries.copy()
+    pairs = [((0, 0), (5, 5)), ((0, 5), (5, 0))]  # row and column letter both centre
+    for rest in (slice(1, 5), slice(6, 10)):  # one centre letter against the others
+        pairs += [((0, rest), (5, rest)), ((rest, 0), (rest, 5))]
     for k in range(level):
-        perm = flip_permutation(d, "0" * k + "1" + "0" * (level - k - 1))
-        acc += acc[np.ix_(perm, perm)]
-        acc /= 2
+        m = 10 ** (level - k - 1)
+        view = acc.reshape(10**k, 10, m, 10**k, 10, m)
+        for (r, c), (r2, c2) in pairs:
+            x, y = view[:, r, :, :, c], view[:, r2, :, :, c2]
+            x += y
+            x /= 2
+            y[...] = x
     return MetricMatrix(level, acc, slack=max(d.slack, 1e-9))
 
 
@@ -408,9 +419,7 @@ def cover_preimage(g, center, radius, c=5):
     left = pre
     while left.size:
         u = int(left[0])
-        row = bfs_row(g, u)
-        if (row < 0).any():
-            raise ValueError("graph is disconnected; balls do not nest")
+        row = hop_row(g, u)
         centers.append(u)
         members = row <= ball_radius
         covered += members
@@ -485,24 +494,16 @@ def pi_diagnostic(g, m, p, trials, seed):
     ]
     fixed_grads = [_gradient(g, u) for _, u in fixed]  # once, not on every trial
     block = np.arange(n) // 10 ** (g.level - 1)  # each vertex's level-1 prefix block
-    # every trial's function, center and radius first, then one BFS over
-    # the centers; a low-frequency function is kept as its ten block values,
-    # not as a row of n per trial
-    draws = []
+    rows = []
+    worst, worst_case = 0.0, None
     for _ in range(trials):
         which = rng.randrange(len(fixed) + 1)
         values = None
         if which == len(fixed):
             values = np.array([rng.uniform(0.0, 1.0) for _ in range(10)])
-        draws.append((which, values, rng.randrange(n), rng.randint(1, max(1, side // 2))))
-    centers = [c for _, _, c, _ in draws]
-    dists = (row for _, block_rows in bfs_blocks(g, centers) for row in block_rows)
-    rows = []
-    worst, worst_case = 0.0, None
-    for (which, values, center, radius), dist in zip(draws, dists):
+        center, radius = rng.randrange(n), rng.randint(1, max(1, side // 2))
         label, u = fixed[which] if values is None else ("low-frequency", values[block])
-        if (dist < 0).any():
-            raise ValueError("graph is disconnected; balls are ill-defined")
+        dist = hop_row(g, center)
         in_b = dist <= radius
         in_cb = dist <= PI_DILATION * radius
         wb = weight[in_b]

@@ -825,11 +825,10 @@ def test_bfs_rows_batch_matches_shortest_path(policy):
 
 
 def test_bfs_rows_batch_matches_single_rows():
-    # below one word of starts the frontier path runs _FRONTIER_SOURCES starts
-    # at a time; a call over three chunks, repeats included, is single rows
+    # bfs_rows runs _FRONTIER_SOURCES starts at a time; a call over three
+    # chunks, repeats included, is single rows
     g = ps.build_graph(4)
     k = 2 * G._FRONTIER_SOURCES + 1
-    assert k < G._WORD_SOURCES
     starts = random.Random(8).sample(range(g.n_vertices), k - 2) + [42, 42]
     rows = G.bfs_rows(g, starts, cutoff=30)
     for s, row in zip(starts, rows):
@@ -837,12 +836,12 @@ def test_bfs_rows_batch_matches_single_rows():
     assert np.array_equal(G.bfs_rows(g, starts), [G.bfs_row(g, s) for s in starts])
 
 
-@pytest.mark.parametrize("k", [63, 64, 65, 127, 128, 1000])
+@pytest.mark.parametrize("k", [15, 16, 17, 33, 100])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bfs_rows_matches_references_across_word_boundaries(n, k):
-    # from 64 starts on bfs_rows packs 64 sources per word; it must agree with
-    # scipy, with its frontier path and with single rows on both sides of a
-    # word boundary, for starts given by word, repeated or as numpy integers
+def test_bfs_rows_matches_references_across_chunk_boundaries(n, k):
+    # bfs_rows advances _FRONTIER_SOURCES starts per chunk; it must agree with
+    # scipy, with calls of other sizes and with single rows on both sides of
+    # a chunk boundary, for starts given by word, repeated or as numpy integers
     g = ps.build_graph(n)
     rng = random.Random(100 * n + k)
     words = [g.words[rng.randrange(g.n_vertices)] for _ in range(3)]
@@ -854,42 +853,15 @@ def test_bfs_rows_matches_references_across_word_boundaries(n, k):
         assert rows.shape == (k, g.n_vertices)
         assert rows.dtype == np.int64 and rows.flags.c_contiguous
         assert np.array_equal(rows, _as_bfs_rows(dense, cutoff))
-        frontier = [G.bfs_rows(g, starts[i : i + 63], cutoff) for i in range(0, k, 63)]
-        assert np.array_equal(rows, np.vstack(frontier))
-        for i in {0, 3, 62, 63, 64, k - 1} & set(range(k)):
+        split = [G.bfs_rows(g, starts[i : i + 7], cutoff) for i in range(0, k, 7)]
+        assert np.array_equal(rows, np.vstack(split))
+        for i in {0, 3, 15, 16, 17, k - 1} & set(range(k)):
             assert np.array_equal(rows[i], G.bfs_row(g, starts[i], cutoff))
 
 
-def test_bfs_rows_level5_stays_on_the_frontier_path(monkeypatch):
-    # past _WORD_VERTICES a full sweep per level loses to the frontiers, so
-    # 100 starts take the frontier path and agree with single rows
-    g5 = ps.build_graph(5)
-    assert g5.n_vertices > G._WORD_VERTICES
-
-    def refuse(*args):
-        raise AssertionError("bit-parallel path taken on a level-5 graph")
-
-    monkeypatch.setattr(G, "_bfs_words", refuse)
-    starts = random.Random(5).sample(range(g5.n_vertices), 100)
-    rows = G.bfs_rows(g5, starts, cutoff=27)
-    assert np.array_equal(rows, [G.bfs_row(g5, s, cutoff=27) for s in starts])
-
-
-@pytest.mark.parametrize("budget", [1, 10**3, 10**7])
-def test_bfs_blocks_split_by_the_budget(g3, monkeypatch, budget):
-    # calls of max(1, BFS_ENTRIES // n) starts, in order, rows as one call's
-    monkeypatch.setattr(G, "BFS_ENTRIES", budget)
-    starts = list(range(0, 1000, 7)) + [3, 3]
-    blocks = list(G.bfs_blocks(g3, starts, cutoff=9))
-    step = max(1, budget // g3.n_vertices)
-    assert [lo for lo, _rows in blocks] == list(range(0, len(starts), step))
-    assert np.array_equal(np.vstack([rows for _lo, rows in blocks]),
-                          G.bfs_rows(g3, starts, cutoff=9))
-
-
-def test_bfs_rows_past_eight_bit_planes():
-    # a path through the 1000 vertices of level 3: hop distances up to 999
-    # take ten bit planes, whose values outgrow a byte
+def test_bfs_rows_on_a_path_of_a_thousand_vertices():
+    # a path through the 1000 vertices of level 3: 999 frontier steps, and
+    # hop distances that outgrow a byte
     i = np.arange(999)
     path = ps.ReplacementGraph(3, "on", i, i + 1, np.zeros_like(i))
     starts = list(range(0, 1000, 15)) + [999]
@@ -904,7 +876,7 @@ def test_bfs_rows_without_starts(g2):
 
 
 def test_bfs_rows_on_a_disconnected_graph(g2):
-    # vertex 5 cut off: from 64 starts on, its row and column stay -1
+    # vertex 5 cut off: its row and column stay -1
     u, v, t = g2.edge_arrays()
     keep = (u != 5) & (v != 5)
     bad = ps.ReplacementGraph(2, g2.policy, u[keep], v[keep], t[keep])
@@ -913,7 +885,7 @@ def test_bfs_rows_on_a_disconnected_graph(g2):
     assert np.array_equal(rows, _as_bfs_rows(_scipy_hops(bad)))
     assert (rows[5] == -1).sum() == (rows[:, 5] == -1).sum() == bad.n_vertices - 1
     assert np.array_equal(G.bfs_rows(bad, starts, cutoff=5), _as_bfs_rows(_scipy_hops(bad), 5))
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ValueError, match="^graph is not G_2 "):
         ps.graph_metric(bad)
 
 
@@ -946,7 +918,7 @@ def _irregular_graph(kind, g2):
 
 
 @pytest.mark.parametrize("kind", ["isolated", "halves", "no edges"])
-def test_bfs_paths_on_irregular_graphs_match_a_queue(monkeypatch, g2, kind):
+def test_bfs_rows_on_irregular_graphs_match_a_queue(g2, kind):
     g = _irregular_graph(kind, g2)
     # the table: each vertex's CSR slice, then itself as padding
     indptr, heads, _edge = G.arc_csr(*g.edge_arrays()[:2], g.n_vertices)
@@ -954,19 +926,87 @@ def test_bfs_paths_on_irregular_graphs_match_a_queue(monkeypatch, g2, kind):
         deg = indptr[x + 1] - indptr[x]
         assert column[:deg] == heads[indptr[x] : indptr[x + 1]].tolist()
         assert set(column[deg:]) <= {x}
-    words = []
-    real = G._bfs_words
-    monkeypatch.setattr(G, "_bfs_words", lambda *args: words.append(1) or real(*args))
     rng = random.Random(len(kind))
-    frontier = [0, 5, 50, 99, 7, 7] + rng.sample(range(100), 30)
-    word = list(range(100)) + frontier
-    for starts, path in ((frontier, []), (word, [1])):
+    some = [0, 5, 50, 99, 7, 7] + rng.sample(range(100), 30)
+    for starts in (some, list(range(100)) + some):
         for cutoff in (None, 0, 1, 3):
-            words.clear()
             rows = G.bfs_rows(g, starts, cutoff)
-            assert words == path
             assert rows.tolist() == [_deque_bfs(g, s, cutoff) for s in starts]
             assert (rows[np.arange(len(starts)), starts] == 0).all()
+
+
+def _hop_rows(g, starts):
+    return np.array([G.hop_row(g, s) for s in starts]).reshape(len(starts), g.n_vertices)
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hop_row_equals_bfs_on_every_pair(n, policy):
+    g = ps.build_graph(n, policy)
+    every = range(g.n_vertices)
+    rows = _hop_rows(g, every)
+    assert rows.dtype == np.int64 and np.array_equal(rows, G.bfs_rows(g, every))
+
+
+def test_hop_row_excess_over_the_grid_distance(g2, g3):
+    # 10 and 25 differ in letter 2 without being twins: d = L1 = 3
+    assert G.hop_row(g2, 10)[25] == 3
+    # last-letter twins: one seam, or two steps under "off"
+    assert G.hop_row(g3, g3.index("555"))[g3.index("550")] == 1
+    assert G.hop_row(ps.build_graph(3, "off"), g3.index("555"))[g3.index("550")] == 2
+    # level-1 twins over the centre of the middle cell of G_2: one step to
+    # the ring, the seam, one step back
+    assert G.hop_row(g2, g2.index("55"))[g2.index("05")] == 3
+
+
+def _damaged(g, cut):
+    u, v, t = g.edge_arrays()
+    keep = np.ones(len(u), bool)
+    keep[cut] = False
+    return ps.ReplacementGraph(g.level, g.policy, u[keep], v[keep], t[keep])
+
+
+def test_hop_row_refuses_a_graph_that_is_not_g_n(g2):
+    off = ps.build_graph(2, "off").edge_arrays()
+    for bad in (_damaged(g2, [0]), _damaged(g2, [len(g2.u) - 1]),
+                ps.ReplacementGraph(2, "on", *off)):
+        with pytest.raises(ValueError, match="^graph is not G_2 under policy 'on'"):
+            G.hop_row(bad, 0)
+        assert bad.is_reference is False
+    # the same arrays under the policy they were built with are G_2
+    assert ps.ReplacementGraph(2, "off", *off).is_reference
+
+
+@pytest.mark.parametrize("suffix, write", [("json", ps.write_graph_json),
+                                           ("bin", ps.write_graph_binary)])
+def test_hop_row_certifies_a_read_graph_once(tmp_path, monkeypatch, g3, suffix, write):
+    path = tmp_path / f"g3.{suffix}"
+    write(g3, path)
+    back = ps.read_graph(path)
+    builds, build = [], G.build_graph
+    monkeypatch.setattr(G, "build_graph", lambda *args: builds.append(args) or build(*args))
+    starts = range(0, 1000, 37)
+    assert np.array_equal(_hop_rows(back, starts), _hop_rows(g3, starts))
+    assert ps.graph_metric(back).entries.tobytes() == ps.graph_metric(g3).entries.tobytes()
+    assert builds == [(3, "on")]  # back's certificate, once; g3 is build_graph's own
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_hop_row_equals_bfs_on_every_pair_at_level_4(policy):
+    g = ps.build_graph(4, policy)
+    for lo in range(0, g.n_vertices, 1000):
+        starts = range(lo, lo + 1000)
+        assert np.array_equal(_hop_rows(g, starts), G.bfs_rows(g, starts))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n, rows", [(5, 300), (6, 12)])
+def test_hop_row_equals_bfs_on_random_rows(n, rows, policy):
+    g = ps.build_graph(n, policy)
+    for s in random.Random(10 * n + len(policy)).sample(range(g.n_vertices), rows):
+        assert np.array_equal(G.hop_row(g, s), G.bfs_row(g, s))
 
 
 @pytest.mark.parametrize("start", [-1, -3, 100, 1.0, True, False])

@@ -282,18 +282,6 @@ def test_ball_dimension_estimate_falls_back_to_every_vertex():
                                       for row in dist for r in (1, 3))
 
 
-def test_ball_dimension_estimate_sizes_its_bfs_calls_by_the_budget(monkeypatch):
-    # one bfs_rows call for every center asked 15 GB for 20,000 L5 centers
-    g3 = ps.build_graph(3)
-    want = ball_dimension_estimate(g3, samples=40, seed=1)
-    calls, bfs_rows = [], ps.graphs.bfs_rows
-    monkeypatch.setattr(ps.graphs, "BFS_ENTRIES", 6 * g3.n_vertices)
-    monkeypatch.setattr(ps.graphs, "bfs_rows", lambda g, starts, cutoff=None:
-                        calls.append(len(starts)) or bfs_rows(g, starts, cutoff))
-    assert ball_dimension_estimate(g3, samples=40, seed=1) == want
-    assert sum(calls) == 40 and max(calls) * g3.n_vertices <= ps.graphs.BFS_ENTRIES
-
-
 # ---------------------------------------------------------------------------
 # slow path: the integer kernels against Fraction-by-Fraction reference loops
 

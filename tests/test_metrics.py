@@ -17,6 +17,7 @@ from pillowspace import (
     ReplacementGraph,
     TileMeasure,
     all_words,
+    ball_dimension_estimate,
     blowup_metric,
     build_graph,
     cover_preimage,
@@ -217,12 +218,29 @@ def _symmetrize_over_all_flips(d):
     return acc / 2**d.level
 
 
+def _symmetrize_by_gathers(d):
+    # each generator's average as one gather of the whole table
+    acc = d.entries.copy()
+    for k in range(d.level):
+        perm = flip_permutation(d, "0" * k + "1" + "0" * (d.level - k - 1))
+        acc = (acc + acc[np.ix_(perm, perm)]) / 2
+    return acc
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_exact_symmetrize_equals_the_sum_over_all_flips(metrics, level):
     # averaging over the level generators in turn is bit-identical to the sum
     for d in (metrics[level], _perturbed(metrics[level])):
         got = symmetrize(d).entries
+        assert got.tobytes() == _symmetrize_by_gathers(d).tobytes()
         assert got.tobytes() == _symmetrize_over_all_flips(d).tobytes()
+    # random floats round unlike the sum, but the in-place block averages
+    # still equal the whole-table gathers bit for bit
+    noise = np.triu(np.random.default_rng(level).uniform(0, 0.5, metrics[level].entries.shape), 1)
+    noisy = MetricMatrix(level, metrics[level].entries + noise + noise.T, slack=1.0)
+    got = symmetrize(noisy).entries
+    assert not np.array_equal(got, noisy.entries)
+    assert got.tobytes() == _symmetrize_by_gathers(noisy).tobytes()
 
 
 def test_flip_index_permutation_matches_graph(graphs, metrics):
@@ -254,15 +272,16 @@ def _without_vertex(g, x):
 
 
 def test_disconnected_graph_has_no_metric(graphs):
+    # a damaged graph is not G_n, so the closed form refuses it
     g1, g2 = _without_vertex(graphs[1], 5), _without_vertex(graphs[2], 5)
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ValueError, match="^graph is not G_1 under policy 'on'"):
         graph_metric(g1)
     # vertex 5 of G_2 is "05", so the block over "0" is the damaged G_1
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ValueError, match="^graph is not G_1 under policy 'on'"):
         internal_block_metric(g2, "0", reference=g1)
     # no certificate either: the sheets through "05" lack its grid edges
     assert lipschitz_quotient_check(g2).broken.startswith("(b)")
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ValueError, match="^graph is not G_2 under policy 'on'"):
         pi_diagnostic(g2, TileMeasure.uniform(2), 2.0, 5, 0)
 
 
@@ -698,13 +717,6 @@ def _cover_preimage_reference(g, center, radius, c=5):
     )
 
 
-def _cover_outcome(cover, *args, **kwargs):
-    try:
-        return asdict(cover(*args, **kwargs))
-    except ValueError as e:
-        return ("error", str(e))
-
-
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_cover_matches_set_and_dict_reference(graphs, level):
     g = graphs[level] if level in graphs else build_graph(level)
@@ -723,24 +735,18 @@ def test_cover_matches_set_and_dict_reference(graphs, level):
     assert got.ball_radius == 10**44 and got.ok
 
 
-def test_cover_on_damaged_graphs_matches_reference(graphs):
-    kinds = set()
-    for seed in range(60):
+def test_cover_refuses_damaged_graphs(graphs):
+    # any edge cut from G_2 or G_3 leaves a graph whose hop distances
+    # cover_preimage does not compute: it refuses it before any ball
+    for seed in range(20):
         rng = random.Random(seed)
         g = graphs[2 + seed % 2]
         u, v, t = g.edge_arrays()
         cut = rng.sample(range(len(u)), rng.choice([1, 10, 40, 80]))
         bad = ReplacementGraph(g.level, g.policy, np.delete(u, cut), np.delete(v, cut),
                                np.delete(t, cut))
-        side = 3**g.level
-        for _ in range(4):
-            args = ((rng.randrange(side), rng.randrange(side)), rng.randint(0, 3),
-                    rng.choice([5, 7]))
-            got = _cover_outcome(cover_preimage, bad, *args)
-            assert got == _cover_outcome(_cover_preimage_reference, bad, *args)
-            kinds.add(got[0] if isinstance(got, tuple) else (got["witness"] or ("ok",))[0])
-    # the grid reaches the disconnected error and a missed image cell
-    assert kinds == {"ok", "error", "image"}
+        with pytest.raises(ValueError, match=f"^graph is not G_{g.level} "):
+            cover_preimage(bad, (rng.randrange(3**g.level),) * 2, rng.randint(0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -900,20 +906,22 @@ def test_gradient_equals_a_reduceat_over_the_arc_csr(graphs, level):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("budget, calls", [(10**7, [40]), (10**3, [10, 10, 10, 10])])
-def test_pi_diagnostic_runs_its_bfs_in_calls_of_the_budget(graphs, monkeypatch, budget, calls):
-    want = repr(pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=40, seed=11))
-    seen = []
-    bfs_rows = graphs_module.bfs_rows
-
-    def spy(g, starts, cutoff=None):
-        seen.append(len(starts))
-        return bfs_rows(g, starts, cutoff)
-
-    monkeypatch.setattr(graphs_module, "bfs_rows", spy)
-    monkeypatch.setattr(graphs_module, "BFS_ENTRIES", budget)
-    got = pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=40, seed=11)
-    assert seen == calls and repr(got) == want
+def test_many_centers_hold_one_hop_row_at_a_time():
+    # one array of rows for 1,000 L5 centers or 200 trials would ask for
+    # 0.8 GB or 160 MB; each function holds a few rows of 10^5 at a time
+    # (the diagnostic's gradient reads a neighbour-table-sized gather)
+    g5 = build_graph(5)
+    measure = TileMeasure.uniform(5)
+    row = 8 * g5.n_vertices
+    for run in (lambda: ball_dimension_estimate(g5, 1000, 3),
+                lambda: pi_diagnostic(g5, measure, 2.0, 200, 3)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * row
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
