@@ -314,6 +314,8 @@ def _cmd_measure_dimension(args):
         if args.level is None or args.samples is None:
             raise UsageError("ball mode needs --level and --samples")
         seed = _require_seed(args)
+        if args.level < 3:  # the fit needs two radii, 3^1 and 3^2
+            raise UsageError(f"ball mode needs --level 3 or more, got {args.level}")
         g = _graph(args, args.level)
         fit = ball_dimension_estimate(g, args.samples, seed)
         config = {"mode": "ball", "level": args.level, "samples": args.samples,

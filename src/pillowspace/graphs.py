@@ -16,9 +16,9 @@ The builder runs no adjacency test.  The slow cross-check, reference_edges,
 decides with it every candidate pair: each pair of words whose squares
 coincide or share a side (_candidate_pairs).
 
-Hop distances: bfs_rows is the one traversal, a frontier BFS on any graph;
-hop_row is the closed form on G_n (grid L1 distance plus a seam term), and
-refuses a graph not certified equal to build_graph's (is_reference).
+Hop distances: bfs_row is the one traversal, a single-start frontier BFS on
+any graph; hop_row is the closed form on G_n (grid L1 distance plus a seam
+term), and refuses a graph not certified equal to build_graph's (is_reference).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ _EDGE_NUMBERS = bytes(c if ord("0") <= c <= ord("9") else ord(str(_TYPE_CODE.get
 GRAPH_SCHEMA = "pillow-graph-v1"
 GRAPH_MAGIC = b"PLG1"
 _WRITE_RECORDS = 1 << 16  # records per chunk: JSON words or edges, EdgeList tuples
-_FRONTIER_SOURCES = 16  # starts bfs_rows advances together
 ORACLE_MAX_LEVEL = 5  # verify checks every candidate pair; 516,352 at level 5
 _POLICIES = ("off", "on")  # central-edge policies; a policy's index is its binary flag
 _FLIP_LETTERS = "5123406789"  # a flipped level's letter d becomes _FLIP_LETTERS[d]
@@ -469,61 +468,42 @@ def _policy_keeps(policy, w, v, t):
 # metric primitives
 
 
-def _vertex_indices(g, vertices):
-    """Vertex indices as an int64 array; ValueError unless each is in range."""
-    n = g.n_vertices
-    out = [_integer(s, "vertex index") for s in vertices]
-    bad = [s for s in out if not 0 <= s < n]
-    if bad:
-        raise ValueError(f"vertex index {bad[0]} outside 0..{n - 1}")
-    return np.array(out, dtype=np.int64)
-
-
-def bfs_rows(g, starts, cutoff=None):
-    """Hop distances from each start, as a (len(starts), n) int64 array.
-
-    Entries are -1 for vertices that are unreachable or farther than cutoff,
-    an integer >= 0 if given.  Any graph: the reference for hop_row, and
-    build_graph's connectivity check.  Sources advance one level per step,
-    _FRONTIER_SOURCES at a time (fixed chunks keep the key arrays small, so
-    many starts cost what separate calls would), through the neighbour table.
-    """
-    n = g.n_vertices
-    starts = _vertex_indices(g, starts)
-    if cutoff is not None and _integer(cutoff, "cutoff") < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    out = np.full((len(starts), n), -1, dtype=np.int64)
-    for lo in range(0, len(starts), _FRONTIER_SOURCES):
-        hi = lo + _FRONTIER_SOURCES
-        _bfs_frontier(g, starts[lo:hi], cutoff, out[lo:hi].reshape(-1))
-    return out
-
-
-def _bfs_frontier(g, starts, cutoff, flat):
-    """One chunk of bfs_rows: each (source, vertex) pair of a frontier is the
-    flat key source * n + vertex into flat, the rows of the starts laid end
-    to end and filled with -1, and is advanced by one gather from the
-    neighbour table (a pair's self padding is its own, seen, key)."""
-    n, nb = g.n_vertices, g.neighbours
-    keys = np.arange(len(starts), dtype=np.int64) * n + starts
-    flat[keys] = 0
-    d = 0
-    while keys.size and (cutoff is None or d < cutoff):
-        d += 1
-        vert = keys % n
-        cand = (nb[:, vert] + (keys - vert)).ravel()
-        cand = cand[flat[cand] < 0]
-        # Dedupe in linear time: each candidate writes its own negative mark
-        # (below -1), and of a repeated pair exactly one reads its mark back.
-        marks = -2 - np.arange(cand.size)
-        flat[cand] = marks
-        keys = cand[flat[cand] == marks]
-        flat[keys] = d
+def _vertex(g, s):
+    """A vertex index as an int; ValueError unless it is in range."""
+    s = _integer(s, "vertex index")
+    if not 0 <= s < g.n_vertices:
+        raise ValueError(f"vertex index {s} outside 0..{g.n_vertices - 1}")
+    return s
 
 
 def bfs_row(g, start, cutoff=None):
-    """Hop distances from one vertex: the one-row case of bfs_rows."""
-    return bfs_rows(g, [start], cutoff)[0]
+    """Hop distances from one vertex, as an int64 array over g's vertices.
+
+    Entries are -1 for vertices that are unreachable or farther than cutoff,
+    an integer >= 0 if given.  Any graph: the reference for hop_row, and
+    build_graph's connectivity check.  The frontier, a vertex array, advances
+    one level per step by one gather from the neighbour table (a vertex's
+    self padding is itself, already seen).
+    """
+    start = _vertex(g, start)
+    if cutoff is not None and _integer(cutoff, "cutoff") < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    nb = g.neighbours
+    row = np.full(g.n_vertices, -1, dtype=np.int64)
+    row[start] = 0
+    frontier = np.array([start], dtype=np.intp)
+    d = 0
+    while frontier.size and (cutoff is None or d < cutoff):
+        d += 1
+        cand = nb[:, frontier].astype(np.intp).ravel()  # intp: no conversion per index
+        cand = cand[row[cand] < 0]
+        # Dedupe in linear time: each candidate writes its own negative mark
+        # (below -1), and of a repeated vertex exactly one reads its mark back.
+        marks = -2 - np.arange(cand.size)
+        row[cand] = marks
+        frontier = cand[row[cand] == marks]
+        row[frontier] = d
+    return row
 
 
 def hop_row(g, start):
@@ -559,7 +539,7 @@ def hop_row(g, start):
     if not g.is_reference:
         raise ValueError(f"graph is not G_{g.level} under policy {g.policy!r}: "
                          "its hop distances have no closed form")
-    x = int(_vertex_indices(g, [start])[0])  # Python ints: no numpy scalar per step
+    x = _vertex(g, start)  # a Python int: no numpy scalar per step
     n, sx, sy = g.level, g.square_x, g.square_y
     px, py = int(sx[x]), int(sy[x])
     row = np.abs(sx - px) + np.abs(sy - py)
@@ -584,8 +564,7 @@ def hop_row(g, start):
 def distance(g, u, v):
     """Hop distance between two vertices given as words or indices."""
     su = g.index(u) if isinstance(u, str) else u
-    sv = g.index(v) if isinstance(v, str) else v
-    (sv,) = _vertex_indices(g, [sv])
+    sv = _vertex(g, g.index(v) if isinstance(v, str) else v)
     d = int(bfs_row(g, su)[sv])
     if d < 0:
         raise RuntimeError(f"vertices {u!r} and {v!r} are disconnected")

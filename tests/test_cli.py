@@ -207,9 +207,12 @@ def test_modulus_missing_graph_file(tmp_path, capsys):
     (["measure", "dimension", "--mode", "box"], "box mode needs --levels"),
     (["measure", "dimension", "--mode", "ball", "--level", "2", "--seed", "1"],
      "ball mode needs --level and --samples"),
+    (["measure", "dimension", "--mode", "ball", "--level", "2", "--samples", "5", "--seed", "1"],
+     "ball mode needs --level 3 or more, got 2"),
     (["metric", "blowup", "--prefix", "1", "--out", "OUT"], "internal mode needs --level-from"),
 ], ids=["empty-range", "blank-range", "p-grid", "p-grid-range", "tol-range", "pi-exponent",
-        "normalization", "symmetrize-input", "box-levels", "ball-samples", "level-from"])
+        "normalization", "symmetrize-input", "box-levels", "ball-samples", "ball-level",
+        "level-from"])
 def test_usage_errors_exit_64_with_their_message(tmp_path, capsys, argv, message):
     paths = {"MISSING": tmp_path / "nope.json", "OUT": tmp_path / "out"}
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 64
@@ -392,13 +395,17 @@ def test_measure_dimension_ball_rejects_samples_below_one(samples, capsys):
 
 
 @pytest.mark.parametrize("level", [1, 2])
-def test_measure_dimension_ball_below_two_radii_is_usage_error(level, capsys):
+def test_measure_dimension_ball_below_two_radii_is_usage_error(level, capsys, monkeypatch):
+    # the fit needs two radii, so level 3; refused before the graph is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before its level was checked")
+
+    monkeypatch.setattr(graphs, "build_graph", refuse)
     argv = ["measure", "dimension", "--mode", "ball", "--level", str(level),
             "--samples", "5", "--seed", "1"]
     assert cli.main(argv) == 64
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("pillowspace: error:")
-    assert "two radii" in lines[0]
+    assert capsys.readouterr() == (
+        "", f"pillowspace: error: ball mode needs --level 3 or more, got {level}\n")
 
 
 def test_measure_dimension_ball_runs(tmp_path):

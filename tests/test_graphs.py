@@ -555,8 +555,7 @@ def test_build_derives_the_table_once_and_traversals_reuse_it(monkeypatch):
     g = ps.build_graph(3)
     assert calls == [1000]  # the connectivity certificate
     table = g.neighbours
-    G.bfs_rows(g, [0, 555])  # the frontier path
-    G.bfs_rows(g, list(range(100)))  # the bit-parallel path
+    G.bfs_row(g, 555)
     ps.ball_dimension_estimate(g, 3, 0)
     ps.pi_diagnostic(g, ps.TileMeasure.uniform(3), 2.0, 5, 1)
     assert calls == [1000] and g.neighbours is table
@@ -765,7 +764,7 @@ def test_square_arrays_match_word_square(n):
 
 def _scipy_hops(g, starts=None):
     """Hop distances from scipy, all pairs or from the starts (inf where
-    unreachable): a reference independent of bfs_rows."""
+    unreachable): a reference independent of bfs_row."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
@@ -774,8 +773,8 @@ def _scipy_hops(g, starts=None):
     return shortest_path(adj, unweighted=True, directed=False, indices=starts)
 
 
-def _as_bfs_rows(dense, cutoff=None):
-    """scipy's distances in bfs_rows' form: -1 where unreachable or past the cutoff."""
+def _as_bfs(dense, cutoff=None):
+    """scipy's distances in bfs_row's form: -1 where unreachable or past the cutoff."""
     far = np.isinf(dense) if cutoff is None else dense > cutoff
     return np.where(far, -1, dense).astype(np.int64)
 
@@ -800,6 +799,24 @@ def test_bfs_row_cutoff(g3):
         full = G.bfs_row(g3, s)
         for r in (0, 1, 5, 12):
             assert np.array_equal(G.bfs_row(g3, s, cutoff=r), np.where(full > r, -1, full))
+    # a start given as a numpy integer, or by its word
+    assert np.array_equal(G.bfs_row(g3, np.int32(555)), G.bfs_row(g3, g3.index("555")))
+
+
+def test_certificate_distance_and_ball_each_run_one_bfs(monkeypatch):
+    calls, bfs_row = [], G.bfs_row
+
+    def spy(g, start, cutoff=None):
+        calls.append((start, cutoff))
+        return bfs_row(g, start, cutoff)
+
+    monkeypatch.setattr(G, "bfs_row", spy)
+    g = ps.build_graph(2)
+    assert calls == [(0, None)]  # the connectivity certificate
+    assert ps.distance(g, "11", "99") == G.hop_row(g, 11)[99]
+    assert calls[1:] == [(11, None)]
+    assert ps.ball(g, "55", 3) == set(np.flatnonzero(G.hop_row(g, 55) <= 3).tolist())
+    assert calls[2:] == [(55, 3)]
 
 
 @pytest.mark.parametrize("cutoff", [2.5, 1.5, 2.0, float("nan"), True, -1])
@@ -807,84 +824,34 @@ def test_bfs_cutoff_must_be_a_nonnegative_integer(g2, cutoff):
     # a fractional cutoff was rounded up (the ball of radius 2.5 was the
     # radius-3 ball of 40 tiles), nan gave the start alone, -1 was taken as 0
     with pytest.raises(ValueError, match="^cutoff must be"):
-        G.bfs_rows(g2, [0], cutoff)
+        G.bfs_row(g2, 0, cutoff)
     with pytest.raises(ValueError, match="^cutoff must be"):
         ps.ball(g2, 0, cutoff)
     assert len(ps.ball(g2, 0, np.int64(2))) == 18
 
 
-@pytest.mark.parametrize("policy", ["on", "off"])
-def test_bfs_rows_batch_matches_shortest_path(policy):
-    g = ps.build_graph(3, policy)
-    dense = _scipy_hops(g)
-    starts = list(range(g.n_vertices)) + [0, 555, 555, 999, 0]
-    assert np.array_equal(G.bfs_rows(g, starts), dense[starts])
-    for r in (0, 1, 5, 12):
-        want = np.where(dense[starts] > r, -1, dense[starts])
-        assert np.array_equal(G.bfs_rows(g, starts, cutoff=r), want)
-
-
-def test_bfs_rows_batch_matches_single_rows():
-    # bfs_rows runs _FRONTIER_SOURCES starts at a time; a call over three
-    # chunks, repeats included, is single rows
-    g = ps.build_graph(4)
-    k = 2 * G._FRONTIER_SOURCES + 1
-    starts = random.Random(8).sample(range(g.n_vertices), k - 2) + [42, 42]
-    rows = G.bfs_rows(g, starts, cutoff=30)
-    for s, row in zip(starts, rows):
-        assert np.array_equal(row, G.bfs_row(g, s, cutoff=30))
-    assert np.array_equal(G.bfs_rows(g, starts), [G.bfs_row(g, s) for s in starts])
-
-
-@pytest.mark.parametrize("k", [15, 16, 17, 33, 100])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_bfs_rows_matches_references_across_chunk_boundaries(n, k):
-    # bfs_rows advances _FRONTIER_SOURCES starts per chunk; it must agree with
-    # scipy, with calls of other sizes and with single rows on both sides of
-    # a chunk boundary, for starts given by word, repeated or as numpy integers
-    g = ps.build_graph(n)
-    rng = random.Random(100 * n + k)
-    words = [g.words[rng.randrange(g.n_vertices)] for _ in range(3)]
-    starts = [g.index(w) for w in words] + [np.int32(7), 7]
-    starts += rng.choices(range(g.n_vertices), k=k - len(starts))
-    dense = _scipy_hops(g, starts)
-    for cutoff in (None, 0, 1, 5):
-        rows = G.bfs_rows(g, starts, cutoff)
-        assert rows.shape == (k, g.n_vertices)
-        assert rows.dtype == np.int64 and rows.flags.c_contiguous
-        assert np.array_equal(rows, _as_bfs_rows(dense, cutoff))
-        split = [G.bfs_rows(g, starts[i : i + 7], cutoff) for i in range(0, k, 7)]
-        assert np.array_equal(rows, np.vstack(split))
-        for i in {0, 3, 15, 16, 17, k - 1} & set(range(k)):
-            assert np.array_equal(rows[i], G.bfs_row(g, starts[i], cutoff))
-
-
-def test_bfs_rows_on_a_path_of_a_thousand_vertices():
+def test_bfs_row_on_a_path_of_a_thousand_vertices():
     # a path through the 1000 vertices of level 3: 999 frontier steps, and
     # hop distances that outgrow a byte
     i = np.arange(999)
     path = ps.ReplacementGraph(3, "on", i, i + 1, np.zeros_like(i))
-    starts = list(range(0, 1000, 15)) + [999]
-    want = np.abs(np.subtract.outer(starts, np.arange(1000)))
-    assert np.array_equal(G.bfs_rows(path, starts), want)
-    assert np.array_equal(G.bfs_rows(path, starts, cutoff=300), np.where(want > 300, -1, want))
+    for s in list(range(0, 1000, 37)) + [999]:
+        want = np.abs(s - np.arange(1000))
+        for cutoff in (None, 0, 1, 3, 5, 300):
+            far = np.zeros(1000, bool) if cutoff is None else want > cutoff
+            assert np.array_equal(G.bfs_row(path, s, cutoff), np.where(far, -1, want))
 
 
-def test_bfs_rows_without_starts(g2):
-    rows = G.bfs_rows(g2, [])
-    assert rows.shape == (0, g2.n_vertices) and rows.dtype == np.int64
-
-
-def test_bfs_rows_on_a_disconnected_graph(g2):
+def test_bfs_row_on_a_disconnected_graph(g2):
     # vertex 5 cut off: its row and column stay -1
     u, v, t = g2.edge_arrays()
     keep = (u != 5) & (v != 5)
     bad = ps.ReplacementGraph(2, g2.policy, u[keep], v[keep], t[keep])
-    starts = list(range(bad.n_vertices))
-    rows = G.bfs_rows(bad, starts)
-    assert np.array_equal(rows, _as_bfs_rows(_scipy_hops(bad)))
-    assert (rows[5] == -1).sum() == (rows[:, 5] == -1).sum() == bad.n_vertices - 1
-    assert np.array_equal(G.bfs_rows(bad, starts, cutoff=5), _as_bfs_rows(_scipy_hops(bad), 5))
+    dense = _scipy_hops(bad)
+    for cutoff in (None, 0, 1, 3, 5):
+        rows = np.array([G.bfs_row(bad, s, cutoff) for s in range(bad.n_vertices)])
+        assert np.array_equal(rows, _as_bfs(dense, cutoff))
+        assert (rows[5] == -1).sum() == (rows[:, 5] == -1).sum() == bad.n_vertices - 1
     with pytest.raises(ValueError, match="^graph is not G_2 "):
         ps.graph_metric(bad)
 
@@ -918,7 +885,7 @@ def _irregular_graph(kind, g2):
 
 
 @pytest.mark.parametrize("kind", ["isolated", "halves", "no edges"])
-def test_bfs_rows_on_irregular_graphs_match_a_queue(g2, kind):
+def test_bfs_row_on_irregular_graphs_matches_a_queue(g2, kind):
     g = _irregular_graph(kind, g2)
     # the table: each vertex's CSR slice, then itself as padding
     indptr, heads, _edge = G.arc_csr(*g.edge_arrays()[:2], g.n_vertices)
@@ -926,13 +893,10 @@ def test_bfs_rows_on_irregular_graphs_match_a_queue(g2, kind):
         deg = indptr[x + 1] - indptr[x]
         assert column[:deg] == heads[indptr[x] : indptr[x + 1]].tolist()
         assert set(column[deg:]) <= {x}
-    rng = random.Random(len(kind))
-    some = [0, 5, 50, 99, 7, 7] + rng.sample(range(100), 30)
-    for starts in (some, list(range(100)) + some):
-        for cutoff in (None, 0, 1, 3):
-            rows = G.bfs_rows(g, starts, cutoff)
-            assert rows.tolist() == [_deque_bfs(g, s, cutoff) for s in starts]
-            assert (rows[np.arange(len(starts)), starts] == 0).all()
+    for s in range(g.n_vertices):
+        for cutoff in (None, 0, 1, 3, 5):
+            row = G.bfs_row(g, s, cutoff)
+            assert row.tolist() == _deque_bfs(g, s, cutoff) and row[s] == 0
 
 
 def _hop_rows(g, starts):
@@ -945,7 +909,7 @@ def test_hop_row_equals_bfs_on_every_pair(n, policy):
     g = ps.build_graph(n, policy)
     every = range(g.n_vertices)
     rows = _hop_rows(g, every)
-    assert rows.dtype == np.int64 and np.array_equal(rows, G.bfs_rows(g, every))
+    assert rows.dtype == np.int64 and np.array_equal(rows, _scipy_hops(g))
 
 
 def test_hop_row_excess_over_the_grid_distance(g2, g3):
@@ -996,8 +960,8 @@ def test_hop_row_certifies_a_read_graph_once(tmp_path, monkeypatch, g3, suffix, 
 def test_hop_row_equals_bfs_on_every_pair_at_level_4(policy):
     g = ps.build_graph(4, policy)
     for lo in range(0, g.n_vertices, 1000):
-        starts = range(lo, lo + 1000)
-        assert np.array_equal(_hop_rows(g, starts), G.bfs_rows(g, starts))
+        starts = np.arange(lo, lo + 1000)
+        assert np.array_equal(_hop_rows(g, starts), _scipy_hops(g, starts))
 
 
 @pytest.mark.slow
@@ -1019,7 +983,7 @@ def test_bfs_rejects_bad_starts(g2, start):
     with pytest.raises(ValueError):
         ps.distance(g2, 5, start)
     with pytest.raises(ValueError):
-        G.bfs_rows(g2, [0, start])
+        G.bfs_row(g2, start)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,7 +1257,7 @@ _SCIPY_FREE = """
 import contextlib, io, os, sys, tempfile
 import pillowspace.cli
 import pillowspace as ps
-from pillowspace.graphs import bfs_row, bfs_rows
+from pillowspace.graphs import bfs_row
 from pillowspace.verify import run_suite
 g = ps.build_graph(2)
 with tempfile.TemporaryDirectory() as tmp:
@@ -1302,7 +1266,7 @@ with tempfile.TemporaryDirectory() as tmp:
         write(g, path)
         assert ps.read_graph(path).edges == g.edges
 bfs_row(g, 0)
-bfs_rows(g, [0, 5, 5], cutoff=3)
+bfs_row(g, 5, cutoff=3)
 ps.ball(g, "55", 3)
 ps.distance(g, "11", "99")
 assert ps.lipschitz_quotient_check(g).ok

@@ -277,7 +277,7 @@ def test_ball_dimension_estimate_falls_back_to_every_vertex():
     # no vertex of G_1 lies 3 cells inside its 3 x 3 hull, so all ten are centers
     g1 = ps.build_graph(1)
     fit = ball_dimension_estimate(g1, samples=10, seed=1, radii_exponents=[0, 1])
-    dist = ps.graphs.bfs_rows(g1, range(10))
+    dist = [ps.graphs.bfs_row(g1, s) for s in range(10)]
     assert sorted(fit.rows) == sorted(("balls", r, int((row <= r).sum()))
                                       for row in dist for r in (1, 3))
 

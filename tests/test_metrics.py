@@ -34,7 +34,7 @@ from pillowspace import (
 )
 from pillowspace import graphs as graphs_module
 from pillowspace import metrics as metrics_module
-from pillowspace.graphs import bfs_row, bfs_rows
+from pillowspace.graphs import bfs_row
 from pillowspace.metrics import PI_DILATION, CoverReport, PIDiagnostic
 
 
@@ -482,9 +482,10 @@ def _sheet_pairs_by_bfs(g):
     # every ordered pair on every sheet: BFS distance against the L1 distance
     # of the word squares; the sheets whose pairs all agree
     cells = _cells(g.level)
+    every = np.array([bfs_row(g, i) for i in range(g.n_vertices)])  # each tile is on a sheet
     agree = []
     for bits, tiles in _sheets_by_words(g.level).items():
-        dist = bfs_rows(g, tiles)[:, tiles]
+        dist = every[np.ix_(tiles, tiles)]
         l1 = np.abs(cells[tiles, None] - cells[None, tiles]).sum(axis=2)
         if np.array_equal(dist, l1):
             agree.append(bits)
@@ -588,14 +589,21 @@ def test_no_report_of_a_broken_fact_says_an_identity_fails(graphs):
     assert "fail" not in text and "counterexample" not in text
 
 
-_CERTIFY_L6 = """
-import resource, sys, time
+# a child process's own peak RSS in KiB: VmHWM starts afresh at exec, while
+# the ru_maxrss of a child started by subprocess starts at its parent's peak
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+"""
+_CERTIFY_L6 = _PEAK_KIB + """
+import sys, time
 from pillowspace import build_graph, lipschitz_quotient_check
 g = build_graph(6, sys.argv[1])
 t0 = time.perf_counter()
 rep = lipschitz_quotient_check(g)
 seconds = time.perf_counter() - t0
-print(rep.ok, rep.vertices_checked, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(rep.ok, rep.vertices_checked, seconds, peak_kib())
 """
 
 
@@ -1030,21 +1038,21 @@ def test_metric_files_hold_no_temporary_the_size_of_the_table(metrics, tmp_path)
 
 # each prints the rise of its process's peak RSS over its file step, in KiB,
 # and a digest of the table it wrote or read
-_WRITE_L4 = """
-import hashlib, resource, sys
+_WRITE_L4 = _PEAK_KIB + """
+import hashlib, sys
 from pillowspace import build_graph, graph_metric, write_metric_matrix
 d = graph_metric(build_graph(4))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 write_metric_matrix(d, sys.argv[1])
-rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+rise = peak_kib() - before
 print(rise, hashlib.sha256(d.entries).hexdigest())
 """
-_READ_L4 = """
-import hashlib, resource, sys
+_READ_L4 = _PEAK_KIB + """
+import hashlib, sys
 from pillowspace import read_metric_matrix
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 d = read_metric_matrix(sys.argv[1])
-rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+rise = peak_kib() - before
 print(rise, hashlib.sha256(d.entries).hexdigest())
 """
 

@@ -213,7 +213,7 @@ def test_sheets_and_quotient_report_the_certificate_and_run_no_bfs(monkeypatch, 
         raise AssertionError("BFS run by a certified suite")
 
     monkeypatch.setattr(verify, "build_graph", lambda n, policy: built[n])
-    monkeypatch.setattr(graphs, "bfs_rows", refuse)
+    monkeypatch.setattr(graphs, "bfs_row", refuse)
     rep = verify.run_suite(suite, levels, seed=7)
     assert rep.ok
     for row in rep.results:
