@@ -794,6 +794,34 @@ def test_bfs_row_matches_shortest_path(policy):
         assert np.array_equal(G.bfs_row(g, s), dense[s])
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 5])
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bfs_row_matches_shortest_path_within_a_cutoff(n, policy, cutoff):
+    # every start: -1 past the cutoff, scipy's distance within it
+    g = ps.build_graph(n, policy)
+    want = _as_bfs(_scipy_hops(g), cutoff)
+    for s in range(g.n_vertices):
+        row = G.bfs_row(g, s, cutoff)
+        assert row.dtype == np.int64 and np.array_equal(row, want[s])
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_bfs_row_matches_shortest_path_on_random_level_4_starts(policy):
+    g = ps.build_graph(4, policy)
+    starts = random.Random(len(policy)).sample(range(g.n_vertices), 60)
+    dense = _scipy_hops(g, starts)
+    for cutoff in (None, 0, 1, 5):
+        want = _as_bfs(dense, cutoff)
+        for i, s in enumerate(starts):
+            assert np.array_equal(G.bfs_row(g, s, cutoff), want[i])
+        # a start given by its word, or as a numpy integer
+        for i in (0, 59):
+            w = g.words[starts[i]]
+            assert np.array_equal(G.bfs_row(g, g.index(w), cutoff), want[i])
+            assert np.array_equal(G.bfs_row(g, np.int32(starts[i]), cutoff), want[i])
+
+
 def test_bfs_row_cutoff(g3):
     for s in (0, 555, 999):
         full = G.bfs_row(g3, s)
