@@ -27,6 +27,7 @@ import collections
 import itertools
 import json
 import os
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -390,7 +391,7 @@ def build_graph(n, central_edge_policy="on"):
         v = np.concatenate([(v + offs).ravel(), cv])
         t = np.concatenate([np.tile(t, 10), ct])
         keys = edge_keys(u, v, t, 10 * size)
-        order = np.argsort(keys)
+        order = np.argsort(keys, kind="stable")  # merges the sorted blocks and cross edges
         u, v, t = u[order], v[order], t[order]
 
     g = ReplacementGraph(level=n, policy=central_edge_policy, u=u, v=v, t=t)
@@ -681,22 +682,14 @@ def is_automorphism(g, perm):
         raise ValueError(f"permutation must hold each of 0..{n - 1} exactly once")
     u, v, t = g.edge_arrays()
     pu, pv = perm[u], perm[v]
-    mapped = np.sort(edge_keys(np.minimum(pu, pv), np.maximum(pu, pv), t, n))
-    return bool(np.array_equal(mapped, edge_keys(u, v, t, n)))
+    # edge_keys of the image edges; numpy reuses each temporary, so one buffer
+    keys = (np.minimum(pu, pv) * n + np.maximum(pu, pv, out=pv)) * len(EDGE_TYPES) + t
+    keys.sort()
+    return bool(np.array_equal(keys, edge_keys(u, v, t, n)))
 
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def _digit_table(level):
-    """The ASCII digits of 0 .. 10^level - 1, zero-padded to level places, as a
-    (10^level, level) uint8 table.  Column k is the digit of 10^(level-1-k):
-    each of 0..9 in turn, repeated 10^(level-1-k) times, 10^k times over."""
-    table = np.empty((10**level, level), np.uint8)
-    for k in range(level):
-        table.reshape(10**k, 10, -1, level)[..., k] = np.arange(10, dtype=np.uint8)[:, None] + ord("0")
-    return table
 
 
 def _json_frame(level, policy):
@@ -712,17 +705,20 @@ def _json_chunks(level, policy, u, v, t):
     graph with edge arrays u, v, t, _WRITE_RECORDS vertex words or edge
     records per chunk (bytes, or a uint8 array).
 
-    Each record fills a fixed-width uint8 slot (one byte per edge type name)
-    from one table of the vertex indices' digits; a boolean mask drops the
-    leading zeros of an edge's ends in one compaction.
+    A vertex word copies its digits from a table (column k: 0..9 in turn,
+    10^(level-1-k) times each).  An edge record [i,j,"T"], is four stores
+    into a slot of 2 * level + 8 bytes: i's word ("[", its digits, zero
+    bytes) at byte 0, j's (its "[" made ",") at level + 1, ,"T" and "],".  A
+    mask drops the zero bytes of ends shorter than level digits; the longest
+    tail of records with no such end (the input need not be sorted) goes out
+    as its slots.
     """
     w, n, m = level, 10**level, len(u)
-    digits = _digit_table(level)
-    shown = np.logical_or.accumulate(digits != ord("0"), axis=1)
-    shown[:, -1] = True  # 0 keeps its one digit
-    letters = np.frombuffer("".join(EDGE_TYPES).encode(), np.uint8)
+    ascii_digits, size = np.arange(ord("0"), ord("9") + 1, dtype="<u8"), 2 * w + 8
+    digits = np.empty((n, w), np.uint8)
+    for k in range(w):
+        digits.reshape(10**k, 10, -1, w)[..., k] = ascii_digits[:, None]
     word = np.frombuffer(b'"' + b"0" * w + b'",', np.uint8)
-    record = np.frombuffer(b"[" + b"0" * w + b"," + b"0" * w + b',"H"],', np.uint8)
     head, between, tail = _json_frame(level, policy)
     yield head
     for k in range(0, n, _WRITE_RECORDS):
@@ -730,14 +726,26 @@ def _json_chunks(level, policy, u, v, t):
         slots[:, 1:w + 1] = digits[k:k + _WRITE_RECORDS]
         yield slots.reshape(-1)[:-1 if k + _WRITE_RECORDS >= n else None]
     yield between
+    words = np.empty(n, "<u8")  # per index: little-endian "[", its digits, zero bytes
+    words[:10] = ord("[") + (ascii_digits << 8)
+    for d in range(1, w):  # a (d + 1)-digit index is a d-digit one and a digit in byte d + 1
+        np.add(words[10 ** (d - 1):10**d, None], ascii_digits << 8 * (d + 1),
+               out=words[10**d:10 ** (d + 1)].reshape(-1, 10))
+    names = np.frombuffer("".join(f',"{e}"' for e in EDGE_TYPES).encode(), "<u4")
+    short = (u < 10 ** (w - 1)) | (v < 10 ** (w - 1))
+    fixed = m - int(short[::-1].argmax()) if short.any() else 0  # first record of the tail
     for k in range(0, m, _WRITE_RECORDS):
-        i, j = u[k:k + _WRITE_RECORDS], v[k:k + _WRITE_RECORDS]
-        slots = np.tile(record, (len(i), 1))
-        slots[:, 1:w + 1], slots[:, w + 2:2 * w + 2] = digits[i], digits[j]
-        slots[:, 2 * w + 4] = letters[t[k:k + _WRITE_RECORDS]]
-        keep = np.ones(slots.shape, bool)
-        keep[:, 1:w + 1], keep[:, w + 2:2 * w + 2] = shown[i], shown[j]
-        yield slots[keep][:-1 if k + _WRITE_RECORDS >= m else None]  # no "," after the last
+        e = min(k + _WRITE_RECORDS, m)
+        slots = np.empty((e - k, size), np.uint8)
+        for at, dtype, value in ((0, "<u8", words[u[k:e]]),
+                                 (w + 1, "<u8", words[v[k:e]] ^ (ord("[") ^ ord(","))),
+                                 (2 * w + 2, "<u4", names[t[k:e]]),
+                                 (2 * w + 6, "<u2", int.from_bytes(b"],", "little"))):
+            np.ndarray(e - k, dtype, slots, at, (size,))[...] = value
+        flat = slots.reshape(-1)[:slots.size - (e == m)]  # no "," after the last record
+        cut = min(max(fixed - k, 0), e - k) * size
+        yield flat[:cut][flat[:cut] != 0]
+        yield flat[cut:]
     yield tail
 
 
@@ -752,11 +760,14 @@ def _compact_json(data):
     """(level, policy, u, v, t) if data is byte for byte what the encoder
     makes of them, else None.
 
-    The edge block is read as numbers in one pass: _EDGE_NUMBERS keeps the
-    digits, makes the type letters their codes and every other byte a space,
-    and np.fromstring parses the result.  Neither the count nor the values
-    are trusted: a block of spaces parses as [0], a digit run past int64
-    saturates, and a bracket or comma out of place still parses.  So the
+    _EDGE_NUMBERS keeps the digits of the edge block, makes the type letters
+    their codes and every other byte a space.  From the first record whose
+    lower end has level digits on, the encoder's records are 2 * level + 8
+    bytes long: when the length fits, that part is read as a byte view, by
+    Horner sums over digit columns, and np.fromstring reads the text before
+    it.  Neither the count nor the values are trusted: a block of spaces
+    parses as [0], a digit run past int64 saturates, a bracket or comma out
+    of place still parses, and the view takes any byte for a digit.  So the
     count need only split into records, the values are clamped to what the
     encoder takes, and only the byte comparison with its output makes them
     a reading.  No count= is passed: asked for more numbers than the text
@@ -768,18 +779,31 @@ def _compact_json(data):
             break
     else:
         return None
+    w, size = level, 2 * level + 8
     start, stop = data.find(between, len(head)) + len(between), len(data) - len(tail)
-    edges = np.fromstring(data[start:stop].translate(_EDGE_NUMBERS), np.int64, sep=" ")
-    if len(edges) % 3:
+    hit = re.compile(rb"\[[1-9][0-9]{%d}," % (w - 1)).search(data, start, stop)
+    cut = hit.start() if hit and (stop + 1 - hit.start()) % size == 0 else stop
+    numbers = np.fromstring(data[start:cut].translate(_EDGE_NUMBERS), np.int64, sep=" ")
+    if len(numbers) % 3:
         return None
-    edges = edges.reshape(-1, 3)
-    np.clip(edges, 0, (10**level - 1, 10**level - 1, len(EDGE_TYPES) - 1), out=edges)
+    k = len(numbers) // 3
+    edges = np.empty((3, k + (stop + 1 - cut) // size), np.int64)  # rows u, v, t
+    edges[:, :k] = numbers.reshape(-1, 3).T
+    fixed = np.frombuffer(data, np.uint8, (edges.shape[1] - k) * size, cut).reshape(-1, size)
+    for row, at in ((edges[0, k:], 1), (edges[1, k:], w + 2)):
+        row[:] = fixed[:, at]
+        for c in range(at + 1, at + w):
+            row *= 10
+            row += fixed[:, c]
+        row -= ord("0") * (10**w - 1) // 9  # each digit's "0", times its place
+    edges[2, k:] = np.frombuffer(_EDGE_NUMBERS, np.uint8)[fixed[:, 2 * w + 4]] - ord("0")
+    np.clip(edges, 0, [[10**level - 1], [10**level - 1], [len(EDGE_TYPES) - 1]], out=edges)
     at = 0
-    for chunk in _json_chunks(level, policy, *edges.T):
+    for chunk in _json_chunks(level, policy, *edges):
         if not data.startswith(chunk, at):
             return None
         at += len(chunk)
-    return (level, policy, *edges.T) if at == len(data) else None
+    return (level, policy, *edges) if at == len(data) else None
 
 
 def read_graph_json(path):

@@ -12,6 +12,7 @@ A compact binary format round-trips matrices through files.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -456,8 +457,47 @@ class PIDiagnostic:
 
 
 def _gradient(g, u):
-    """Largest |u(y) - u(x)| over the neighbours y of each x (self padding adds 0)."""
-    return np.abs(u[g.neighbours] - u).max(axis=0)
+    """Largest |u(y) - u(x)| over the neighbours y of each x (self padding adds
+    0), one row of the neighbour table at a time."""
+    grad = np.zeros_like(u)
+    for row in g.neighbours:
+        np.maximum(grad, np.abs(u[row] - u), out=grad)
+    return grad
+
+
+def _block_gradient(ends, here, across, values, n):
+    """_gradient(g, values[block]) for values on the ten level-1 blocks of g's
+    n vertices: nonzero only at the ends of the edges between two blocks,
+    given with the block here and the block across each."""
+    grad = np.zeros(n)
+    np.maximum.at(grad, ends, np.abs(values[across] - values[here]))
+    return grad
+
+
+def _pi_terms(g, weight, u, grad, center, radius, p):
+    """(lhs, rhs, ratio) of one pi_diagnostic trial, None when B has no mass.
+    u gives the function's values at a mask, grad() its gradient.  Each array
+    goes once it is used, so a trial holds a few rows of g's size."""
+    dist = hop_row(g, center)
+    in_b, in_cb = dist <= radius, dist <= PI_DILATION * radius
+    wb = weight[in_b]
+    if wb.sum() == 0:
+        return None
+    diam = 2 * int(dist[in_b].max())
+    del dist
+    ball = u(in_b)
+    ub = float((ball * wb).sum() / wb.sum())
+    lhs = 0.0  # u constant on B has no oscillation, whatever the rounding of ub
+    if np.ptp(ball):
+        ball -= ub
+        lhs = float((np.abs(ball, out=ball) * wb).sum() / wb.sum())
+    del ball, wb
+    # CB contains B, so its mass is positive
+    wcb = weight[in_cb]
+    rhs = diam * float((grad()[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
+    if lhs == 0.0:
+        return lhs, rhs, 0.0
+    return lhs, rhs, math.inf if rhs == 0.0 else lhs / rhs
 
 
 def pi_diagnostic(g, m, p, trials, seed):
@@ -484,16 +524,24 @@ def pi_diagnostic(g, m, p, trials, seed):
     rng = random.Random(_seed(seed))
     n = g.n_vertices
     weight = np.zeros(n)
-    weight[list(m.mass)] = [float(frac) for frac in m.mass.values()]
+    weight[np.fromiter(m.mass, np.int64, len(m.mass))] = np.fromiter(
+        map(float, m.mass.values()), np.float64, len(m.mass))  # no Python list per tile
     side = 3**g.level
 
-    fixed = [
-        ("cell-x", g.square_x.astype(np.float64)),
-        ("cell-y", g.square_y.astype(np.float64)),
-        ("ambient-x", (g.square_x + 0.5) / side),
+    fixed = [  # each function's values at the vertices a mask selects
+        ("cell-x", lambda s: g.square_x[s].astype(np.float64)),
+        ("cell-y", lambda s: g.square_y[s].astype(np.float64)),
+        ("ambient-x", lambda s: (g.square_x[s] + 0.5) / side),
     ]
-    fixed_grads = [_gradient(g, u) for _, u in fixed]  # once, not on every trial
-    block = np.arange(n) // 10 ** (g.level - 1)  # each vertex's level-1 prefix block
+    fixed_grads = [_gradient(g, u(slice(None))) for _, u in fixed]  # once, not on every trial
+    block = np.repeat(np.arange(10, dtype=np.int8), n // 10)  # each vertex's level-1 prefix block
+    # a function constant on the blocks changes only across the edges between
+    # two blocks: their ends, with the blocks on both sides, found once
+    eu, ev, _t = g.edge_arrays()
+    cross = np.flatnonzero(block[eu] != block[ev])
+    ends = np.concatenate([eu[cross], ev[cross]])
+    here, across = block[ends], block[np.concatenate([ev[cross], eu[cross]])]
+
     rows = []
     worst, worst_case = 0.0, None
     for _ in range(trials):
@@ -502,30 +550,16 @@ def pi_diagnostic(g, m, p, trials, seed):
         if which == len(fixed):
             values = np.array([rng.uniform(0.0, 1.0) for _ in range(10)])
         center, radius = rng.randrange(n), rng.randint(1, max(1, side // 2))
-        label, u = fixed[which] if values is None else ("low-frequency", values[block])
-        dist = hop_row(g, center)
-        in_b = dist <= radius
-        in_cb = dist <= PI_DILATION * radius
-        wb = weight[in_b]
-        if wb.sum() == 0:
-            continue
-        ball = u[in_b]
-        ub = float((ball * wb).sum() / wb.sum())
-        # u constant on B has no oscillation, whatever the rounding of ub
-        lhs = float((np.abs(ball - ub) * wb).sum() / wb.sum()) if np.ptp(ball) else 0.0
-        grad = fixed_grads[which] if values is None else _gradient(g, u)
-        # CB contains B, so its mass is positive
-        wcb = weight[in_cb]
-        gterm = float((grad[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
-        diam = 2 * int(dist[in_b].max())
-        rhs = diam * gterm
-        if lhs == 0.0:
-            ratio = 0.0
-        elif rhs == 0.0:
-            ratio = math.inf
+        if values is None:
+            (label, u), grad = fixed[which], lambda: fixed_grads[which]
         else:
-            ratio = lhs / rhs
-        rows.append((label, g.words[center], radius, lhs, rhs, ratio))
+            label, u = "low-frequency", lambda s: values[block[s]]
+            grad = functools.partial(_block_gradient, ends, here, across, values, n)
+        terms = _pi_terms(g, weight, u, grad, center, radius, p)
+        if terms is None:
+            continue
+        ratio = terms[-1]
+        rows.append((label, g.words[center], radius, *terms))
         if ratio > worst:
             worst, worst_case = ratio, (label, g.words[center], radius)
     return PIDiagnostic(p, trials, worst, worst_case, rows)

@@ -5,6 +5,8 @@ metric .bin) are truncated, extended and byte-mutated; reading the result
 must either succeed or raise ValueError, which the CLI reports in one line.
 """
 
+import itertools
+import re
 import subprocess
 import sys
 
@@ -110,6 +112,20 @@ def test_rewritten_compact_json_reads_on_the_numpy_path(originals, tmp_path, mon
     monkeypatch.setattr(G.json, "load", None)  # the numpy path calls no json.load
     assert _reading(ps.read_graph_json, path) == want
     assert want[4][0] == 2  # read as a seam
+
+
+def test_damaged_fixed_width_record_reads_as_json_load_reads_it(originals, tmp_path):
+    # every byte of the first L2 record whose ends both have two digits (the
+    # first the numpy path reads as a byte view), overwritten in turn with a
+    # digit, a type letter and a space
+    original = originals["graph json", 2]
+    at = re.compile(rb"\[[1-9][0-9],").search(original, original.index(b'"edges":[')).start()
+    path = tmp_path / "damaged-record.json"
+    for k, byte in itertools.product(range(2 * 2 + 8), b"7S "):
+        damaged = bytearray(original)
+        damaged[at + k] = byte
+        path.write_bytes(damaged)
+        assert _reading(ps.read_graph_json, path) == _reading(G._read_json_load, path)
 
 
 FIRST_EDGE = b'[0,2,"V"]'  # of G_1

@@ -683,8 +683,10 @@ def _dumps_write_graph_json(g, path):
 
 
 # 7 splits every level unevenly; 113 and 108 divide the 226 and 216 L2 edges,
-# so there the last chunk is full
-@pytest.mark.parametrize("chunk", [None, 7, 108, 113])
+# so there the last chunk is full.  With 1 a chunk ends at the record before
+# the first one whose ends both have n digits (edge 37 at L2 and 294 at L3
+# under "on", 36 and 284 under "off"): no larger size ends one at all four.
+@pytest.mark.parametrize("chunk", [None, 1, 7, 108, 113])
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_json_writer_matches_whole_payload_dumps(tmp_path, monkeypatch, policy, chunk):
     if chunk is not None:
@@ -703,9 +705,10 @@ def _spy_load_json(monkeypatch):
     return calls
 
 
-# with 7 and 113 records per chunk the comparison crosses chunk boundaries,
-# and at L2 "on" (226 edges) the last chunk is full
-@pytest.mark.parametrize("chunk", [None, 7, 113])
+# with 1, 7 and 113 records per chunk the comparison crosses chunk
+# boundaries (with 1 also at the first record of n-digit ends, as above), and
+# at L2 "on" (226 edges) the last chunk is full
+@pytest.mark.parametrize("chunk", [None, 1, 7, 113])
 @pytest.mark.parametrize("policy", ["on", "off"])
 def test_compact_json_reads_without_json_load(tmp_path, monkeypatch, policy, chunk):
     if chunk is not None:
@@ -734,8 +737,25 @@ def test_spaced_json_reads_through_json_load(tmp_path, monkeypatch, g2, dump):
     assert all(map(np.array_equal, h.edge_arrays(), g2.edge_arrays()))
 
 
+def test_fromstring_reads_only_the_records_before_the_fixed_width_run(tmp_path, monkeypatch):
+    # at L4 the records from the first with two 4-digit ends on (10.6% of the
+    # edges in) are a byte view; np.fromstring parses only the text before
+    path = tmp_path / "g4.json"
+    g = _graph(4, "on")
+    ps.write_graph_json(g, path)
+    data = path.read_bytes()
+    block = len(data) - data.index(b'"edges":[') - len(b'"edges":[') - len(b"]}\n")
+    seen, real = [], G.np.fromstring
+    monkeypatch.setattr(G.np, "fromstring",
+                        lambda text, *a, **k: seen.append(len(text)) or real(text, *a, **k))
+    monkeypatch.setattr(G.json, "load", None)  # the numpy path calls no json.load
+    h = ps.read_graph_json(path)
+    assert all(map(np.array_equal, h.edge_arrays(), g.edge_arrays()))
+    assert len(seen) == 1 and 0 < seen[0] <= 0.12 * block
+
+
 def test_compact_json_read_holds_no_object_per_edge(tmp_path):
-    # at level 4 (24,896 edges, 463 kB) the read peaks at about 5.1 times the
+    # at level 4 (24,896 edges, 463 kB) the read peaks at about 4.9 times the
     # file size: the bytes, the edge arrays and construction; json.load's
     # records took about 10.8 times
     path = tmp_path / "g4.json"

@@ -805,6 +805,8 @@ def test_pi_diagnostic_skips_a_ball_of_zero_mass(graphs):
 
 def test_pi_diagnostic_reads_an_oscillation_over_no_gradient_as_infinite(graphs, monkeypatch):
     monkeypatch.setattr(metrics_module, "_gradient", lambda g, u: np.zeros(g.n_vertices))
+    # the low-frequency functions' gradient, from the edges between blocks
+    monkeypatch.setattr(metrics_module, "_block_gradient", lambda *args: np.zeros(args[-1]))
     rep = pi_diagnostic(graphs[2], TileMeasure.uniform(2), p=2.0, trials=10, seed=1)
     assert rep.worst_ratio == math.inf
     assert all(ratio == math.inf for *_, lhs, _rhs, ratio in rep.rows if lhs > 0)
@@ -917,7 +919,7 @@ def test_gradient_equals_a_reduceat_over_the_arc_csr(graphs, level):
 def test_many_centers_hold_one_hop_row_at_a_time():
     # one array of rows for 1,000 L5 centers or 200 trials would ask for
     # 0.8 GB or 160 MB; each function holds a few rows of 10^5 at a time
-    # (the diagnostic's gradient reads a neighbour-table-sized gather)
+    # (the diagnostic about 8, its gradients read one table row at a time)
     g5 = build_graph(5)
     measure = TileMeasure.uniform(5)
     row = 8 * g5.n_vertices
