@@ -42,7 +42,7 @@ class TileMeasure:
                 raise ValueError(f"mass at tile {idx} is not a Fraction or int: {m!r}")
             if m.numerator < 0:  # the sign, without a Fraction comparison
                 raise ValueError(f"negative mass at tile {idx}")
-        if self.total() <= 0:
+        if not any(self.mass.values()):  # every mass is >= 0, so only all zeros sum to 0
             raise ValueError("total mass must be positive")
 
     def total(self):

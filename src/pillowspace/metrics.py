@@ -12,7 +12,6 @@ A compact binary format round-trips matrices through files.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -456,28 +455,23 @@ class PIDiagnostic:
     rows: list[tuple]  # (label, center word, radius, lhs, rhs, ratio)
 
 
-def _gradient(g, u):
-    """Largest |u(y) - u(x)| over the neighbours y of each x (self padding adds
-    0), one row of the neighbour table at a time."""
-    grad = np.zeros_like(u)
-    for row in g.neighbours:
-        np.maximum(grad, np.abs(u[row] - u), out=grad)
-    return grad
-
-
-def _block_gradient(ends, here, across, values, n):
-    """_gradient(g, values[block]) for values on the ten level-1 blocks of g's
-    n vertices: nonzero only at the ends of the edges between two blocks,
-    given with the block here and the block across each."""
+def _gradient(a, b, key, table, n):
+    """Largest |f(y) - f(x)| at each of n vertices over the edges (a, b), for
+    f = table[key] (0 off them); n/4 edges at a time, so no step takes a row."""
     grad = np.zeros(n)
-    np.maximum.at(grad, ends, np.abs(values[across] - values[here]))
+    step = max(1, n // 4)
+    for i in range(0, len(a), step):
+        x, y = a[i : i + step], b[i : i + step]
+        diff = np.abs(table[key[y]] - table[key[x]])
+        np.maximum.at(grad, x, diff)
+        np.maximum.at(grad, y, diff)
     return grad
 
 
-def _pi_terms(g, weight, u, grad, center, radius, p):
-    """(lhs, rhs, ratio) of one pi_diagnostic trial, None when B has no mass.
-    u gives the function's values at a mask, grad() its gradient.  Each array
-    goes once it is used, so a trial holds a few rows of g's size."""
+def _pi_terms(g, weight, key, table, grad, center, radius, p):
+    """(lhs, rhs, ratio) of one pi_diagnostic trial for f = table[key], None
+    when B has no mass; grad is f's gradient or the edges (a, b) to take it
+    over.  Each array goes once used, so a trial holds a few rows of g's size."""
     dist = hop_row(g, center)
     in_b, in_cb = dist <= radius, dist <= PI_DILATION * radius
     wb = weight[in_b]
@@ -485,16 +479,18 @@ def _pi_terms(g, weight, u, grad, center, radius, p):
         return None
     diam = 2 * int(dist[in_b].max())
     del dist
-    ball = u(in_b)
+    ball = table[key[in_b]]
     ub = float((ball * wb).sum() / wb.sum())
-    lhs = 0.0  # u constant on B has no oscillation, whatever the rounding of ub
+    lhs = 0.0  # f constant on B has no oscillation, whatever the rounding of ub
     if np.ptp(ball):
         ball -= ub
         lhs = float((np.abs(ball, out=ball) * wb).sum() / wb.sum())
     del ball, wb
     # CB contains B, so its mass is positive
     wcb = weight[in_cb]
-    rhs = diam * float((grad()[in_cb] ** p * wcb).sum() / wcb.sum()) ** (1.0 / p)
+    # a gradient still to take over its edges (a, b) goes once indexed
+    grad = (_gradient(*grad, key, table, len(weight)) if isinstance(grad, tuple) else grad)[in_cb]
+    rhs = diam * float((grad**p * wcb).sum() / wcb.sum()) ** (1.0 / p)
     if lhs == 0.0:
         return lhs, rhs, 0.0
     return lhs, rhs, math.inf if rhs == 0.0 else lhs / rhs
@@ -528,34 +524,27 @@ def pi_diagnostic(g, m, p, trials, seed):
         map(float, m.mass.values()), np.float64, len(m.mass))  # no Python list per tile
     side = 3**g.level
 
-    fixed = [  # each function's values at the vertices a mask selects
-        ("cell-x", lambda s: g.square_x[s].astype(np.float64)),
-        ("cell-y", lambda s: g.square_y[s].astype(np.float64)),
-        ("ambient-x", lambda s: (g.square_x[s] + 0.5) / side),
-    ]
-    fixed_grads = [_gradient(g, u(slice(None))) for _, u in fixed]  # once, not on every trial
-    block = np.repeat(np.arange(10, dtype=np.int8), n // 10)  # each vertex's level-1 prefix block
-    # a function constant on the blocks changes only across the edges between
-    # two blocks: their ends, with the blocks on both sides, found once
+    cells = np.arange(side, dtype=np.float64)
+    fixed = [("cell-x", g.square_x, cells), ("cell-y", g.square_y, cells),  # f = table[key]
+             ("ambient-x", g.square_x, (cells + 0.5) / side)]
     eu, ev, _t = g.edge_arrays()
+    fixed_grads = [_gradient(eu, ev, key, table, n) for _, key, table in fixed]  # once, not on every trial
+    block = np.repeat(np.arange(10, dtype=np.int8), n // 10)  # each vertex's level-1 prefix block
+    # a function constant on the blocks changes only across the edges between two blocks
     cross = np.flatnonzero(block[eu] != block[ev])
-    ends = np.concatenate([eu[cross], ev[cross]])
-    here, across = block[ends], block[np.concatenate([ev[cross], eu[cross]])]
+    cross = eu[cross], ev[cross]
 
     rows = []
     worst, worst_case = 0.0, None
     for _ in range(trials):
         which = rng.randrange(len(fixed) + 1)
-        values = None
-        if which == len(fixed):
-            values = np.array([rng.uniform(0.0, 1.0) for _ in range(10)])
-        center, radius = rng.randrange(n), rng.randint(1, max(1, side // 2))
-        if values is None:
-            (label, u), grad = fixed[which], lambda: fixed_grads[which]
+        if which < len(fixed):
+            (label, key, table), grad = fixed[which], fixed_grads[which]
         else:
-            label, u = "low-frequency", lambda s: values[block[s]]
-            grad = functools.partial(_block_gradient, ends, here, across, values, n)
-        terms = _pi_terms(g, weight, u, grad, center, radius, p)
+            label, key, grad = "low-frequency", block, cross
+            table = np.array([rng.uniform(0.0, 1.0) for _ in range(10)])
+        center, radius = rng.randrange(n), rng.randint(1, max(1, side // 2))
+        terms = _pi_terms(g, weight, key, table, grad, center, radius, p)
         if terms is None:
             continue
         ratio = terms[-1]

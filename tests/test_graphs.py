@@ -561,6 +561,16 @@ def test_build_derives_the_table_once_and_traversals_reuse_it(monkeypatch):
     assert calls == [1000] and g.neighbours is table
 
 
+def test_pi_diagnostic_derives_no_table_on_its_graph(tmp_path, g2):
+    # its is_reference check builds a separate G_n, which derives one, so
+    # the count is on g itself: the gradients read g's edge arrays
+    ps.write_graph_binary(g2, tmp_path / "g2.bin")
+    g = ps.read_graph(tmp_path / "g2.bin")
+    rep = ps.pi_diagnostic(g, ps.TileMeasure.uniform(2), 2.0, 20, 1)
+    assert {row[0] for row in rep.rows} == {"cell-x", "cell-y", "ambient-x", "low-frequency"}
+    assert g.is_reference and "neighbours" not in vars(g)
+
+
 def test_table_derivation_peaks_below_the_arc_csr():
     # the table takes one stable argsort over the edges, arc_csr one over
     # both arcs of every edge

@@ -80,6 +80,9 @@ def test_uniform_total_and_validation():
         TileMeasure(1, {0: Fraction(-1)})
     with pytest.raises(ValueError):
         TileMeasure(1, {0: Fraction(0)})
+    for zero in (0, Fraction(0)):  # every mass zero, int or Fraction
+        with pytest.raises(ValueError, match="^total mass must be positive$"):
+            TileMeasure(1, {0: zero, 5: Fraction(0), 9: 0})
     with pytest.raises(ValueError):
         TileMeasure(1, {10: Fraction(1)})
 
