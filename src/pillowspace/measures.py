@@ -1,13 +1,14 @@
 """Exact tile measures and their singularity diagnostics.
 
-Masses are Fractions (or ints) keyed by integer word index.  The dict's key
-set is the measure's universe: absent tiles are outside the measure entirely,
-while an explicit zero entry is a genuine zero-mass tile (the distinction
-matters for the doubling check).  The headline computation is the
-pushforward to the x-axis, whose middle-third weight ratio is exactly 4/10 for
-the uniform measure at every triadic interval: the mechanism behind measure
-singularity.  Sums and ratios run on integer numerators over one common
-denominator; every result is still an exact Fraction.
+Tile `tiles[k]` (int64, the universe in the order given) has mass
+`numerators[k] / denominator`.  Absent tiles are outside the measure, while a
+zero numerator is a genuine zero-mass tile (the doubling check tells them
+apart).  Numerators are int64 when max * sum < 2^62, so every sum and cross
+product fits, else Python ints in an object array; one numpy path runs on
+both, in whole-array passes, and every result is an exact Fraction.  The
+headline computation is the pushforward to the x-axis, whose middle-third
+weight ratio is exactly 4/10 for the uniform measure at every triadic
+interval: the mechanism behind measure singularity.
 """
 
 from __future__ import annotations
@@ -22,39 +23,68 @@ from .words import (LevelWords, _grid_table, _integer, _seed, _square_arrays, ch
                     parse_word)
 
 
-@dataclass
 class TileMeasure:
-    """Nonnegative rational masses on level-`level` tiles (sparse by universe)."""
+    """Nonnegative rational masses on level-`level` tiles (sparse by universe).
 
-    level: int
-    mass: dict[int, Fraction]
+    `TileMeasure(level, {tile: mass})` takes Fraction or int masses.  Two
+    measures are equal when their `mass` dicts are; a measure has no hash.
+    """
 
-    def __post_init__(self):
-        self.level = check_level(self.level, low=0, name="measure level")
-        if not self.mass:
+    __hash__ = None
+
+    def __init__(self, level, mass):
+        level = check_level(level, low=0, name="measure level")
+        if not mass:
             raise ValueError("a tile measure needs a nonempty universe")
-        top = 10**self.level
-        for idx, m in self.mass.items():
+        top = 10**level
+        for idx, m in mass.items():
             idx = _integer(idx, "tile index")
             if not (0 <= idx < top):
-                raise ValueError(f"tile index {idx} outside level {self.level}")
+                raise ValueError(f"tile index {idx} outside level {level}")
             if isinstance(m, bool) or not isinstance(m, (Fraction, int)):  # a bool is no mass
                 raise ValueError(f"mass at tile {idx} is not a Fraction or int: {m!r}")
             if m.numerator < 0:  # the sign, without a Fraction comparison
                 raise ValueError(f"negative mass at tile {idx}")
-        if not any(self.mass.values()):  # every mass is >= 0, so only all zeros sum to 0
+        if not any(mass.values()):  # every mass is >= 0, so only all zeros sum to 0
             raise ValueError("total mass must be positive")
+        d = math.lcm(*{m.denominator for m in mass.values()})
+        nums = [m.numerator * (d // m.denominator) for m in mass.values()]
+        big = max(nums) * sum(nums) >= 2**62  # else every sum and cross product fits int64
+        self.level, self.denominator = level, d
+        self.tiles = np.fromiter(map(int, mass), np.int64, len(mass))
+        self.numerators = np.array(nums, object if big else np.int64)
+
+    @classmethod
+    def _of(cls, level, tiles, denominator):
+        """Mass 1/denominator on each of the int64 tiles."""
+        measure = cls.__new__(cls)
+        vars(measure).update(level=level, tiles=tiles, numerators=np.ones(len(tiles), np.int64),
+                             denominator=denominator)
+        return measure
+
+    @property
+    def mass(self):
+        """{tile: Fraction}, in tile order; built on each read, so changing
+        it changes no measure."""
+        d = self.denominator
+        return {t: Fraction(a, d) for t, a in zip(self.tiles.tolist(), self.numerators.tolist())}
+
+    def __eq__(self, other):
+        if not isinstance(other, TileMeasure):
+            return NotImplemented
+        return self.level == other.level and self.mass == other.mass
+
+    def __repr__(self):
+        return f"TileMeasure(level={self.level}, tiles={len(self.tiles)}, total={self.total()})"
 
     def total(self):
-        nums, d = _scaled(self.mass.values())
-        return Fraction(sum(nums), d)
+        return Fraction(int(self.numerators.sum()), self.denominator)
 
     @classmethod
     def uniform(cls, level):
         """Equal mass 10^-level on every tile."""
         level = check_level(level, low=0, name="measure level")
-        m = Fraction(1, 10**level)
-        return cls(level, {i: m for i in range(10**level)})
+        return cls._of(level, np.arange(10**level, dtype=np.int64), 10**level)
 
     @classmethod
     def one_sheet(cls, level, bits=None):
@@ -69,19 +99,12 @@ class TileMeasure:
         level = check_level(level, low=0, name="measure level")
         flip = flip_permutation(LevelWords(level), "0" * level if bits is None else bits)
         tiles = flip[np.sort(_grid_table(level).ravel())]  # in the center-free words' order
-        return cls(level, dict.fromkeys(tiles.tolist(), Fraction(1, 9**level)))
+        return cls._of(level, tiles.astype(np.int64), 9**level)
 
     @classmethod
     def dirac(cls, word):
         word = parse_word(word)
-        return cls(len(word), {int(word or "0"): Fraction(1)})  # "": the level-0 tile
-
-
-def _scaled(masses):
-    """(numerators, d): the masses as ints over their least common denominator d."""
-    masses = list(masses)
-    d = math.lcm(*{m.denominator for m in masses})
-    return [m.numerator * (d // m.denominator) for m in masses], d
+        return cls._of(len(word), np.array([int(word or "0")], np.int64), 1)  # "": the level-0 tile
 
 
 @dataclass
@@ -98,12 +121,10 @@ class IntervalWeights:
 def pushforward_x(measure):
     """Project a tile measure to the x-axis subdivision."""
     n = measure.level
-    nums, d = _scaled(measure.mass.values())
-    acc = [0] * 3**n
-    xs = _square_arrays(n)[0].tolist()  # x of every tile's square, by index
-    for idx, a in zip(measure.mass, nums):
-        acc[xs[idx]] += a
-    return IntervalWeights(n, [Fraction(a, d) for a in acc])
+    acc = np.zeros(3**n, measure.numerators.dtype)
+    xs = _square_arrays(n)[0]  # x of every tile's square, by index
+    np.add.at(acc, xs[measure.tiles], measure.numerators)
+    return IntervalWeights(n, [Fraction(a, measure.denominator) for a in acc.tolist()])
 
 
 @dataclass(frozen=True)
@@ -153,45 +174,60 @@ class DoublingReport:
 def tile_doubling_check(measure, graph):
     """Worst mass ratio over nearby tile pairs at levels n and n-1.
 
-    Same-level pairs run over graph edges inside the universe; cross-level
-    pairs compare each tile to its one-letter-coarser parent (prefix sum over
-    the universe).  An explicit zero-mass tile adjacent to positive mass is
-    non-doubling (infinite ratio).  Masses are compared as integer numerators
-    over one denominator, and a ratio hi/lo beats the worst wp/wq so far when
-    hi * wq > wp * lo, so the loop divides nothing.
+    Same-level pairs run over graph edges inside the universe, in edge
+    order; cross-level pairs compare each tile, in tile order, to its
+    one-letter-coarser parent (prefix sum over the universe).  An explicit
+    zero-mass tile adjacent to positive mass is non-doubling (infinite
+    ratio), and the report names the first such pair.  Otherwise it names
+    the first pair that reaches the worst ratio.  Edges go one row's worth
+    at a time, so no step holds more than a few rows.
     """
     if graph.level != measure.level:
         raise ValueError("graph level must match the measure level")
-    nums, _d = _scaled(measure.mass.values())
-    mass = dict(zip(measure.mass, nums))
-    wp, wq = 0, 1  # the worst ratio so far, wp / wq
-    witness = None
-    checked = 0
-
-    for i, j in zip(graph.u.tolist(), graph.v.tolist()):
-        if i in mass and j in mass:
-            a, b = mass[i], mass[j]
-            checked += 1
-            if (a == 0) != (b == 0):
-                return DoublingReport(None, True, ("edge", i, j), checked)
-            if a and b:
-                hi, lo = (a, b) if a >= b else (b, a)
-                if hi * wq > wp * lo:
-                    wp, wq, witness = hi, lo, ("edge", i, j)
-
+    tiles, nums = measure.tiles, measure.numerators
+    at = np.full(10**measure.level, -1, nums.dtype)  # each tile's numerator, -1 off the universe
+    at[tiles] = nums
+    worst, checked = (0, 1, None), 0
+    for s in range(0, len(graph.u), len(at)):
+        u, v = graph.u[s : s + len(at)], graph.v[s : s + len(at)]
+        hi, lo = at[u], at[v]
+        hi, lo = np.maximum(hi, lo), np.minimum(hi, lo)
+        inside = lo >= 0
+        if (bad := np.flatnonzero((lo == 0) & (hi > 0))).size:
+            k = bad[0]
+            return DoublingReport(None, True, ("edge", int(u[k]), int(v[k])),
+                                  checked + int(inside[: k + 1].sum()))
+        checked += int(inside.sum())
+        hi[~inside] = 0  # a pair not compared reads 0/1, which beats nothing
+        np.maximum(lo, 1, out=lo)
+        worst = _worse(worst, hi, lo, lambda k: ("edge", int(u[k]), int(v[k])))
     if measure.level >= 1:
-        parent_sum = {}
-        for idx, a in mass.items():
-            parent_sum[idx // 10] = parent_sum.get(idx // 10, 0) + a
-        for idx, a in mass.items():
-            total = parent_sum[idx // 10]
-            checked += 1
-            if a == 0 and total > 0:
-                return DoublingReport(None, True, ("parent", idx), checked)
-            if a and total * wq > wp * a:
-                wp, wq, witness = total, a, ("parent", idx)
+        total = np.zeros(len(at) // 10, nums.dtype)
+        np.add.at(total, tiles // 10, nums)
+        total = total[tiles // 10]
+        if (bad := np.flatnonzero((nums == 0) & (total > 0))).size:
+            return DoublingReport(None, True, ("parent", int(tiles[bad[0]])), checked + int(bad[0]) + 1)
+        checked += len(tiles)
+        worst = _worse(worst, total, np.maximum(nums, 1), lambda k: ("parent", int(tiles[k])))
+    wp, wq, witness = worst
+    return DoublingReport(Fraction(int(wp), int(wq)), False, witness, checked)
 
-    return DoublingReport(Fraction(wp, wq), False, witness, checked)
+
+def _worse(worst, hi, lo, witness):
+    """worst = (wp, wq, witness), or the first k of the largest ratio hi[k] /
+    lo[k] (lo >= 1), with witness(k), if that is larger still.  Ratios compare
+    as exact cross products; a float quotient only picks the first candidate."""
+    k = int(_quotients(hi, lo).argmax())
+    while (above := hi * lo[k] > hi[k] * lo).any():
+        k = int(np.where(above, _quotients(hi, lo), -1.0).argmax())
+    k = int((hi * lo[k] == hi[k] * lo).argmax())  # the first to reach it
+    wp, wq, _ = worst
+    return (hi[k], lo[k], witness(k)) if hi[k] * wq > wp * lo[k] else worst
+
+
+def _quotients(hi, lo):
+    """hi / lo as floats, capped at 2^1000 where Python ints would overflow one."""
+    return hi / lo if hi.dtype != object else (np.minimum(hi, lo << 1000) / lo).astype(float)
 
 
 @dataclass

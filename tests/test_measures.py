@@ -1,8 +1,12 @@
 """Tests for exact tile measures: pushforward, ratios, doubling, dimension."""
 
+import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -329,21 +333,24 @@ def reference_doubling(measure, graph):
     return DoublingReport(worst, False, witness, checked)
 
 
-def random_mass(rng):
-    """An int, or a Fraction over one of 2, 3, 7 and 10^k."""
+def random_mass(rng, wide):
+    """An int, or a Fraction over one of 2, 5 and 10, or, if wide, over one
+    of 2, 3, 7 and 10^k."""
     if rng.random() < 0.3:
         return rng.randint(1, 40)
-    return Fraction(rng.randint(1, 40), rng.choice([2, 3, 7, 10, 100, 1000, 10**6]))
+    return Fraction(rng.randint(1, 40),
+                    rng.choice([2, 3, 7, 10, 100, 1000, 10**6] if wide else [2, 5, 10]))
 
 
-def random_measure(rng, level):
+def random_measure(rng, level, wide):
     """Mixed masses with explicit zeros and, half the time, a partial
     universe.  Every other measure is constant on each first-letter block,
     so that an edge between blocks, not a parent, holds the worst ratio,
-    and equal block masses tie."""
+    and equal block masses tie.  A wide measure also has masses 2^-40 and
+    3^-30, so that max * sum of its numerators passes 2^62."""
     keep = 1.0 if rng.random() < 0.5 else 0.6
     zeros = rng.choice([0.0, 0.0, 0.01])
-    blocks = [random_mass(rng) for _ in range(5)] if rng.random() < 0.5 else None
+    blocks = [random_mass(rng, wide) for _ in range(5)] if rng.random() < 0.5 else None
     mass = {}
     for i in range(10**level):
         if rng.random() >= keep:
@@ -353,17 +360,22 @@ def random_measure(rng, level):
         elif blocks:
             mass[i] = blocks[(i // 10 ** (level - 1)) % 5]
         else:
-            mass[i] = random_mass(rng)
+            mass[i] = random_mass(rng, wide)
     mass[rng.randrange(10**level)] = Fraction(1, 7)  # positive total
+    if wide:
+        mass[rng.randrange(10**level)] = Fraction(1, 2**40)
+        mass[rng.randrange(10**level)] = Fraction(1, 3**30)
     return TileMeasure(level, mass)
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(26))
 def test_integer_kernels_match_fraction_loops(seed, g2):
+    # every third measure is wide, so each numerator kind is taken on purpose
     rng = random.Random(seed)
-    level = 2 if seed % 2 else 3
-    graph = g2 if level == 2 else ps.build_graph(3)
-    m = random_measure(rng, level)
+    level = 4 if seed >= 24 else 2 if seed % 2 else 3
+    graph = g2 if level == 2 else ps.build_graph(level)
+    m = random_measure(rng, level, wide=seed % 3 == 0)
+    assert m.numerators.dtype == (object if seed % 3 == 0 else np.int64)
 
     total = m.total()
     assert type(total) is Fraction and total == reference_total(m)
@@ -376,6 +388,75 @@ def test_integer_kernels_match_fraction_loops(seed, g2):
     got, want = tile_doubling_check(m, graph), reference_doubling(m, graph)
     assert got == want
     assert got.non_doubling or type(got.max_ratio) is Fraction
+
+
+def test_measures_made_whole_take_int64_numerators():
+    for m in (TileMeasure.uniform(3), TileMeasure.one_sheet(3, "101"), TileMeasure.dirac("555"),
+              TileMeasure(1, {3: Fraction(1, 2**20), 4: 1}), TileMeasure(1, {3: Fraction(1, 2**70)})):
+        assert m.tiles.dtype == m.numerators.dtype == np.int64
+
+
+def test_doubling_ratio_past_the_float_range_is_exact():
+    # the quotients 10^400 / 1 at the edges and (9 * 10^400 + 1) / 1 at the
+    # parent overflow a float: capped, they only pick candidates, and the
+    # cross products rank them
+    tiny = Fraction(1, 10**400)
+    m = TileMeasure(1, {i: tiny if i == 5 else Fraction(1) for i in range(10)})
+    assert m.numerators.dtype == object
+    got = tile_doubling_check(m, ps.build_graph(1))
+    assert got == reference_doubling(m, ps.build_graph(1))
+    assert (got.max_ratio, got.witness) == (9 * 10**400 + 1, ("parent", 5))
+
+
+def test_measure_repr_is_short_and_equality_is_by_mass():
+    # the dataclass repr printed all 10^5 masses of uniform(5)
+    assert repr(TileMeasure.uniform(5)) == "TileMeasure(level=5, tiles=100000, total=1)"
+    # order does not matter, and masses compare by value
+    assert TileMeasure(1, {3: 1, 4: Fraction(1, 2)}) == TileMeasure(1, {4: Fraction(2, 4), 3: 1})
+    assert TileMeasure(1, {3: 1}) != TileMeasure(1, {3: 1, 4: 0})  # a zero tile is in the universe
+    assert TileMeasure(1, {3: 1}) != TileMeasure(2, {3: 1})
+    assert TileMeasure(1, {3: 1}) != {3: 1}
+    m = TileMeasure.uniform(1)
+    with pytest.raises(TypeError):
+        hash(m)
+    mass = m.mass
+    mass[0] = Fraction(5)  # a copy: the measure does not change
+    assert m.mass[0] == Fraction(1, 10) and m.total() == 1
+
+
+def test_doubling_and_pushforward_hold_a_few_rows_at_level_5():
+    # a dict of 10^5 Fractions and the graph's edges as Python lists peaked
+    # at 43 rows of 10^5 int64; the arrays go one row's worth at a time
+    g5 = ps.build_graph(5)
+    row = 8 * g5.n_vertices
+    tracemalloc.start()
+    try:
+        m = TileMeasure.uniform(5)
+        tile_doubling_check(m, g5)
+        pushforward_x(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * row
+
+
+@pytest.mark.slow
+def test_doubling_of_uniform_5_matches_the_fraction_loop():
+    m, g5 = TileMeasure.uniform(5), ps.build_graph(5)
+    got = tile_doubling_check(m, g5)
+    assert got == reference_doubling(m, g5)
+    assert got == DoublingReport(Fraction(10), False, ("parent", 0), 350_576)
+
+
+@pytest.mark.slow
+def test_measure_ratios_at_level_6_keeps_its_bytes(tmp_path):
+    # the sha256 of the file the Fraction-dict measure wrote
+    out = tmp_path / "ratios6.csv"
+    proc = subprocess.run([sys.executable, "-m", "pillowspace.cli", "measure", "ratios",
+                           "--level", "6", "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "efdb4ef64d0f4274abb50614447489c6a727ea9fc00102b02d25afb14f99db0a"
 
 
 def test_prefix_states_memo_is_bounded_and_immutable():
