@@ -99,7 +99,7 @@ class TileMeasure:
         level = check_level(level, low=0, name="measure level")
         flip = flip_permutation(LevelWords(level), "0" * level if bits is None else bits)
         tiles = flip[np.sort(_grid_table(level).ravel())]  # in the center-free words' order
-        return cls._of(level, tiles.astype(np.int64), 9**level)
+        return cls._of(level, tiles, 9**level)
 
     @classmethod
     def dirac(cls, word):
