@@ -30,8 +30,6 @@ class TileMeasure:
     measures are equal when their `mass` dicts are; a measure has no hash.
     """
 
-    __hash__ = None
-
     def __init__(self, level, mass):
         level = check_level(level, low=0, name="measure level")
         if not mass:

@@ -519,9 +519,9 @@ def pi_diagnostic(g, m, p, trials, seed):
         raise ValueError("need at least one trial")
     rng = random.Random(_seed(seed))
     n = g.n_vertices
-    weight, nums, d = np.zeros(n), m.numerators, m.denominator
-    # float(Fraction) bit for bit: numpy's float quotient is exact only below 2^53
-    weight[m.tiles] = nums / d if max(d, int(nums.max())) < 2**53 else [a / d for a in nums.tolist()]
+    weight, d = np.zeros(n), m.denominator
+    # float(Fraction) bit for bit: Python int division is correctly rounded at any size
+    weight[m.tiles] = np.fromiter((a / d for a in m.numerators.tolist()), np.float64, len(m.tiles))
     side = 3**g.level
 
     cells = np.arange(side, dtype=np.float64)

@@ -334,12 +334,12 @@ def reference_doubling(measure, graph):
 
 
 def random_mass(rng, wide):
-    """An int, or a Fraction over one of 2, 5 and 10, or, if wide, over one
-    of 2, 3, 7 and 10^k."""
+    """An int, or a Fraction over one of 2, 3, 5, 7 and 10, or, if wide, over
+    one of 2, 3, 7 and 10^k."""
     if rng.random() < 0.3:
         return rng.randint(1, 40)
     return Fraction(rng.randint(1, 40),
-                    rng.choice([2, 3, 7, 10, 100, 1000, 10**6] if wide else [2, 5, 10]))
+                    rng.choice([2, 3, 7, 10, 100, 1000, 10**6] if wide else [2, 3, 5, 7, 10]))
 
 
 def random_measure(rng, level, wide):
