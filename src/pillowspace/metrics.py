@@ -12,7 +12,6 @@ A compact binary format round-trips matrices through files.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -290,8 +289,8 @@ _FACTS = ("(a) every edge joins equal or side-sharing squares",
 @dataclass
 class QuotientReport:
     level: int
-    sheets: int  # 2^level: every sheet is checked
-    pairs_checked: int  # ordered same-sheet pairs certified at grid L1 distance
+    sheets: int  # 2^level: sheet 0, then by induction the images of the n one-level flips
+    pairs_checked: int  # ordered same-sheet pairs certified at grid L1 distance, all or none
     vertices_checked: int  # centers whose ball images are certified at every radius
     ok: bool
     broken: str | None  # the first fact that fails: nothing resting on it is certified
@@ -301,18 +300,21 @@ class QuotientReport:
 def lipschitz_quotient_check(g):
     """Certify the sheet isometry and the projected ball images from two facts.
 
-    Let pi send a tile to its square.  Each fact is one linear pass:
+    Let pi send a tile to its square.  Each fact takes a few linear passes:
     (a) every edge joins two tiles whose squares are equal or share a side,
         so pi is 1-Lipschitz: d_G(x, y) >= |pi(x) - pi(y)|_1;
     (b) every sheet, the lift flip_permutation(g, bits)[_grid_table(n)] of the
         3^n x 3^n grid, carries every grid edge, so on it d_G <= L1.
-    With (a), a sheet that carries every grid edge is isometric to the grid,
-    so its (9^n)^2 ordered pairs are certified.  A tile x on such a sheet has
-    over every cell c a tile of its sheet at most |pi(x) - c|_1 away, and by
-    (a) none nearer: pi maps ball(x, r) onto the grid ball of radius r at every
-    r.  With every tile on some sheet, that holds at every center.  A broken
-    fact is no counterexample: the report names the first break and certifies
-    nothing that rests on it.
+    Sheet 0 carries them, and each one-level flip maps to an edge every edge
+    with '5' at its level whose ends share a sheet: by (a) a grid edge on a
+    sheet, sent to its lift on the flipped one.  By induction over the n flips
+    (b) holds, and the flips close sheet 0's tiles to the tiles on some sheet.
+    With (a), a sheet carrying every grid edge is isometric to the grid: its
+    (9^n)^2 ordered pairs are certified, and a tile x on it has over every cell
+    c a tile of its sheet at most |pi(x) - c|_1 away and by (a) none nearer, so
+    pi maps ball(x, r) onto the grid ball of radius r.  With every tile on a
+    sheet, that holds at every center.  A broken fact is no counterexample: the
+    report names the first break and certifies nothing resting on it.
     """
     n, N = g.level, g.n_vertices
     u, v, _ = g.edge_arrays()
@@ -324,28 +326,31 @@ def lipschitz_quotient_check(g):
     # untyped keys, strictly increasing as the edge arrays are (_check_edges);
     # N * N closes them above every pair, so each search lands on a key
     keys = np.append(u * N + v, N * N)
+
+    def gap(a, b):  # the first pair (a[i], b[i]) that is no edge, or None
+        want = np.minimum(a, b) * N + np.maximum(a, b)
+        i = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
+        return (int(a[i[0]]), int(b[i[0]])) if i.size else None
     grid = _grid_table(n)
-    on_sheet = np.zeros(N, dtype=bool)
-    carrying, broken, witness = 0, None, None
-    for bits in map("".join, itertools.product("01", repeat=n)):
-        lift = flip_permutation(g, bits)[grid]
-        missing = None
-        for step, a, b in (((1, 0), lift[:-1], lift[1:]), ((0, 1), lift[:, :-1], lift[:, 1:])):
-            want = (np.minimum(a, b) * N + np.maximum(a, b)).ravel()
-            gone = np.flatnonzero(keys[np.searchsorted(keys, want)] != want)
-            if gone.size:
-                x, y = (int(c) for c in np.unravel_index(gone[0], a.shape))
-                missing = (bits, (x, y), (x + step[0], y + step[1]))
-                break
-        if missing is None:
-            carrying += 1
-            on_sheet[lift] = True
-        elif witness is None:
-            broken, witness = _FACTS[1], missing
-    if witness is None and not on_sheet.all():
-        broken, witness = _FACTS[2], (g.words[int(np.argmin(on_sheet))],)
-    return QuotientReport(n, 2**n, carrying * 81**n, int(np.count_nonzero(on_sheet)),
-                          witness is None, broken, witness)
+    missing = gap(np.append(grid[:-1], grid[:, :-1]), np.append(grid[1:], grid[:, 1:]))
+    # bit k of zero (five): the letter of weight 10^k is '0' ('5'); fives: the '5'
+    # bits of the edges whose ends share a sheet, as no '0' meets a '5' at a level
+    zero, five = np.zeros(N, np.int16), np.zeros(N, np.int16)
+    for k in range(n):
+        zero.reshape(-1, 10, 10**k)[:, 0] |= 1 << k
+        five.reshape(-1, 10, 10**k)[:, 5] |= 1 << k
+    fives = np.where((zero[u] & five[v]) | (five[u] & zero[v]), 0, five[u] | five[v])
+    on = zero == 0  # sheet 0's tiles
+    for k in range(n):  # the flip of the letter of weight 10^k
+        perm, lift = flip_permutation(g, f"{1 << k:0{n}b}"), (fives & (1 << k)) > 0
+        missing = missing or gap(perm[u[lift]], perm[v[lift]])
+        on |= on[perm]
+    if missing is not None:  # its lowest sheet has a 1 where either end has '0'
+        (a, b), cells = missing, sorted((int(sx[i]), int(sy[i])) for i in missing)
+        return QuotientReport(n, 2**n, 0, 0, False, _FACTS[1], (f"{zero[a] | zero[b]:0{n}b}", *cells))
+    ok = bool(on.all())
+    return QuotientReport(n, 2**n, 2**n * 81**n, int(np.count_nonzero(on)), ok,
+                          None if ok else _FACTS[2], None if ok else (g.words[int(np.argmin(on))],))
 
 
 # ---------------------------------------------------------------------------
