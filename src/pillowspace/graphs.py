@@ -31,7 +31,7 @@ import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import eq, index, itemgetter
 
 import numpy as np
@@ -356,10 +356,10 @@ def _neighbour_table(u, v, n):
     not of both arcs as in arc_csr)."""
     low, up = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
     nb = np.tile(np.arange(n, dtype=np.int32), (max((low + up).max(initial=0), 1), 1))
-    nb[np.arange(len(u)) - (np.cumsum(up) - up - low)[u], u] = v
-    order = np.argsort(v, kind="stable")
-    tails = v[order]
-    nb[np.arange(len(v)) - (np.cumsum(low) - low)[tails], tails] = u[order]
+    places = np.arange(len(u), dtype=np.int32)  # int32 temporaries: small beside the table
+    nb[places - (np.cumsum(up) - up - low).astype(np.int32)[u], u] = v
+    tails = np.repeat(np.arange(n, dtype=np.int32), low)  # v in ascending order
+    nb[places - (np.cumsum(low) - low).astype(np.int32)[tails], tails] = u[np.argsort(v, kind="stable")]
     return nb
 
 
@@ -375,6 +375,10 @@ def build_graph(n, central_edge_policy="on"):
 
     central_edge_policy "on" keeps every seam edge; "off" suppresses seam
     edges whose only differing level is the last letter.
+
+    Connectivity is proved by induction, with no traversal: G_0 is one tile and
+    G_m is ten copies of G_{m-1}, connected if its cross edges join the ten blocks;
+    if not, no edge joins two groups of blocks, and RuntimeError names the level m.
     """
     n = check_level(n)
     _policy(central_edge_policy)
@@ -387,6 +391,10 @@ def build_graph(n, central_edge_policy="on"):
         size = 10 ** (m - 1)
         offs = np.arange(0, 10 * size, size)[:, None]
         cu, cv, ct = _cross_edges(m, central_edge_policy)
+        join = np.eye(10, dtype=bool)
+        join[cu // size, cv // size] = join[cv // size, cu // size] = True
+        if not np.linalg.matrix_power(join, 9)[0].all():  # a path on ten nodes: <= 9 steps
+            raise RuntimeError(f"level-{m} graph is not connected")
         u = np.concatenate([(u + offs).ravel(), cu])
         v = np.concatenate([(v + offs).ravel(), cv])
         t = np.concatenate([np.tile(t, 10), ct])
@@ -395,8 +403,6 @@ def build_graph(n, central_edge_policy="on"):
         u, v, t = u[order], v[order], t[order]
 
     g = ReplacementGraph(level=n, policy=central_edge_policy, u=u, v=v, t=t)
-    if not (bfs_row(g, 0) >= 0).all():
-        raise RuntimeError(f"level-{n} graph is not connected")
     g.is_reference = True  # the reference itself: hop_row never rebuilds it
     return g
 
@@ -481,8 +487,8 @@ def bfs_row(g, start, cutoff=None):
     """Hop distances from one vertex, as an int64 array over g's vertices.
 
     Entries are -1 for vertices that are unreachable or farther than cutoff,
-    an integer >= 0 if given.  Any graph: the reference for hop_row, and
-    build_graph's connectivity check.  The frontier, a vertex array, advances
+    an integer >= 0 if given.  Any graph: the reference for hop_row, and the
+    traversal of distance and ball.  The frontier, a vertex array, advances
     one level per step by one gather from the neighbour table (a vertex's
     self padding is itself, already seen).
     """
@@ -537,29 +543,46 @@ def hop_row(g, start):
         tile, adjacent to both by (b).
     ValueError unless g is G_n (is_reference): there is no second path.
     """
+    x = _vertex(g, start)
+    row = np.empty((1, g.n_vertices), dtype=np.int64)
+    _hop_block(g, x, x + 1, row)
+    return row[0]
+
+
+def _hop_block(g, lo, hi, out):
+    """Write rows lo..hi - 1 of G_n's hop distances, hop_row's closed form,
+    into out, a (hi - lo, n_vertices) block: the L1 part, then per level and
+    centre cell holding starts, the twin term on their rows x its twin block."""
     if not g.is_reference:
         raise ValueError(f"graph is not G_{g.level} under policy {g.policy!r}: "
                          "its hop distances have no closed form")
-    x = _vertex(g, start)  # a Python int: no numpy scalar per step
     n, sx, sy = g.level, g.square_x, g.square_y
-    px, py = int(sx[x]), int(sy[x])
-    row = np.abs(sx - px) + np.abs(sy - py)
-    for k in range(n):
-        size, side = 10 ** (n - k - 1), 3 ** (n - k - 1)  # of a level-(k + 1) cell
-        letter = x // size % 10
-        if letter not in (0, 5):
-            continue
-        lo = (x // size + 5 - 2 * letter) * size  # the twin block: '0' <-> '5'
-        if g.policy == "off" and k == n - 1:
-            row[lo] = 2
-            continue
-        # Q's cells share c // side on each axis, so c % side places a cell in
-        # Q: the steps to Q's ring are min(c % side, side - 1 - c % side)
-        bx, by = sx[lo : lo + size] % side, sy[lo : lo + size] % side
-        gap = np.minimum(np.minimum(bx, side - 1 - bx), np.minimum(by, side - 1 - by))
-        gap = np.minimum(gap, min(px % side, side - 1 - px % side, py % side, side - 1 - py % side))
-        row[lo : lo + size] += 1 + 2 * gap
-    return row
+    np.abs(np.subtract(sx, sx[lo:hi, None], out=out), out=out)
+    out += np.abs(np.subtract(sy, sy[lo:hi, None], dtype=out.dtype))  # no mixed-type add
+    for k, steps in enumerate(_ring_steps(n)):
+        size = 10 ** (n - k - 1)  # of a level-(k + 1) cell
+        for cell in range(lo // size, (hi - 1) // size + 1):
+            if cell % 10 not in (0, 5):
+                continue
+            a, b = max(lo, cell * size), min(hi, (cell + 1) * size)  # its starts
+            twin = (cell + 5 - 2 * (cell % 10)) * size  # the twin block: '0' <-> '5'
+            rect = out[a - lo : b - lo, twin : twin + size]
+            if g.policy == "off" and k == n - 1:
+                rect[...] = 2
+                continue
+            rows, cols = ((steps[sx[i:j]], steps[sy[i:j]]) for i, j in ((a, b), (twin, twin + size)))
+            rect += 1 + 2 * np.minimum.outer(np.minimum(*rows), np.minimum(*cols))
+
+
+@lru_cache(maxsize=None)
+def _ring_steps(n):
+    """(n, 3^n) table: row k holds min(c % s, s - 1 - c % s), s = 3^(n - k - 1), per
+    grid coordinate c: its steps along an axis to the ring of its level-(k + 1) cell."""
+    side = 3 ** np.arange(n - 1, -1, -1)[:, None]
+    c = np.arange(3**n) % side
+    table = np.minimum(c, side - 1 - c)
+    table.flags.writeable = False  # memoised: every caller gets this one array
+    return table
 
 
 def distance(g, u, v):

@@ -5,8 +5,8 @@ level.  On top of it: averaging over the sheet-flip group, blowups into
 prefix blocks, empirical quasisymmetry-distortion profiles, a certificate
 of the sheet isometry and of the ball images of the collapsing projection,
 the covering construction over a grid ball, and a Poincare-ratio
-diagnostic.  Every hop distance here is a graphs.hop_row row, from the
-closed form on G_n, one row at a time; a graph that is not G_n is refused.
+diagnostic.  Every hop distance here is from graphs.hop_row's closed form on
+G_n, in rows or blocks of rows; a graph that is not G_n is refused.
 A compact binary format round-trips matrices through files.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import flip_permutation, hop_row, prefix_subgraph
+from .graphs import _hop_block, flip_permutation, hop_row, prefix_subgraph
 from .words import _exponent, _grid_table, _integer, _seed, check_level, parse_word
 
 DENSE_LEVEL_LIMIT = 4  # 10^4 x 10^4 float64 is ~0.8 GB; 10^5 x 10^5 would be 80 GB
@@ -81,9 +81,8 @@ class MetricMatrix:
                 if (e > e[:, k, None] + e[None, k, :] + self.slack).any():
                     raise ValueError("triangle inequality violated")
             return
-        rng = np.random.default_rng(_VALIDATE_SEED)
-        idx = rng.integers(0, n, size=(_VALIDATE_TRIPLES, 3))
-        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+        draws = random.Random(_VALIDATE_SEED).randbytes(12 * _VALIDATE_TRIPLES)  # not numpy.random
+        i, j, k = (np.frombuffer(draws, "<u4") % n).reshape(-1, 3).T  # uint32s: bias <= n / 2^32
         if (e[i, j] > e[i, k] + e[k, j] + self.slack).any():
             raise ValueError("triangle inequality violated (sampled)")
 
@@ -94,12 +93,13 @@ class MetricMatrix:
 
 def graph_metric(g):
     """All-pairs hop distances of G_n as a MetricMatrix (levels up to 4),
-    filled row by row from hop_row; ValueError unless g is G_n."""
+    written in blocks of rows by hop_row's closed form; ValueError unless g is G_n."""
     check_level(g.level, DENSE_LEVEL_LIMIT, name="dense metric level")
     n = g.n_vertices
     dist = np.empty((n, n))
-    for i in range(n):
-        dist[i] = hop_row(g, i)
+    step = max(1, 10**5 // n)  # rows per block of about 10^5 entries
+    for lo in range(0, n, step):
+        _hop_block(g, lo, min(lo + step, n), dist[lo : lo + step])
     return MetricMatrix(g.level, dist)
 
 

@@ -266,27 +266,34 @@ def _advance(index, sign, col):
     return 3 * index + 2, sign
 
 
+# (letter, x sign, y sign) -> (x offset, x sign, y offset, y sign): _advance from index 0
+_STEP = {(c, sx, sy): (*_advance(0, sx, LETTERS[c].grid_col), *_advance(0, sy, LETTERS[c].grid_row))
+         for c in ALPHABET for sx in (1, -1) for sy in (1, -1)}
+
+
+def _fold(word):
+    """Yield the state (x, y, x sign, y sign) of each prefix of word, the root's first."""
+    ix, iy, sx, sy = 0, 0, 1, 1
+    yield ix, iy, sx, sy
+    for c in word:
+        ox, sx, oy, sy = _STEP[c, sx, sy]
+        ix, iy = 3 * ix + ox, 3 * iy + oy
+        yield ix, iy, sx, sy
+
+
 @functools.lru_cache(maxsize=1 << 12)  # every L3 word; the oracle suite goes square by square
 def _prefix_states(word):
     """States after each prefix, index k = state of word[:k]; k = 0 is root.
 
     Memoised, so the result is a tuple that no caller can mutate.
     """
-    states = [(0, 0, 1, 1)]
-    ix = iy = 0
-    sx = sy = 1
-    for c in word:
-        let = LETTERS[c]
-        ix, sx = _advance(ix, sx, let.grid_col)
-        iy, sy = _advance(iy, sy, let.grid_row)
-        states.append((ix, iy, sx, sy))
-    return tuple(states)
+    return tuple(_fold(word))
 
 
 def word_square(word):
     """Exact projected footprint of a word's tile."""
-    # walked outside the memo: a whole level in order would only evict it
-    ix, iy, sx, sy = _prefix_states.__wrapped__(word)[-1]
+    # folded outside the memo: a whole level in order would only evict it
+    *_, (ix, iy, sx, sy) = _fold(word)
     return TriadicSquare(len(word), ix, iy, sx, sy)
 
 

@@ -550,12 +550,14 @@ def test_reading_writing_and_comparing_derive_no_table(tmp_path, monkeypatch, g1
     assert calls == []
 
 
-def test_build_derives_the_table_once_and_traversals_reuse_it(monkeypatch):
+def test_the_first_traversal_derives_the_table_once_and_the_rest_reuse_it(monkeypatch):
     calls = _spy_neighbour_table(monkeypatch)
     g = ps.build_graph(3)
-    assert calls == [1000]  # the connectivity certificate
-    table = g.neighbours
+    assert calls == [] and "neighbours" not in vars(g)  # building runs no traversal
     G.bfs_row(g, 555)
+    assert calls == [1000]
+    table = g.neighbours
+    G.bfs_row(g, 0)
     ps.ball_dimension_estimate(g, 3, 0)
     ps.pi_diagnostic(g, ps.TileMeasure.uniform(3), 2.0, 5, 1)
     assert calls == [1000] and g.neighbours is table
@@ -861,7 +863,7 @@ def test_bfs_row_cutoff(g3):
     assert np.array_equal(G.bfs_row(g3, np.int32(555)), G.bfs_row(g3, g3.index("555")))
 
 
-def test_certificate_distance_and_ball_each_run_one_bfs(monkeypatch):
+def _spy_bfs_row(monkeypatch):
     calls, bfs_row = [], G.bfs_row
 
     def spy(g, start, cutoff=None):
@@ -869,12 +871,59 @@ def test_certificate_distance_and_ball_each_run_one_bfs(monkeypatch):
         return bfs_row(g, start, cutoff)
 
     monkeypatch.setattr(G, "bfs_row", spy)
+    return calls
+
+
+def test_build_runs_no_bfs_and_distance_and_ball_run_one_each(monkeypatch):
+    calls = _spy_bfs_row(monkeypatch)
     g = ps.build_graph(2)
-    assert calls == [(0, None)]  # the connectivity certificate
+    assert calls == []
     assert ps.distance(g, "11", "99") == G.hop_row(g, 11)[99]
-    assert calls[1:] == [(11, None)]
+    assert calls == [(11, None)]
     assert ps.ball(g, "55", 3) == set(np.flatnonzero(G.hop_row(g, 55) <= 3).tolist())
-    assert calls[2:] == [(55, 3)]
+    assert calls[1:] == [(55, 3)]
+
+
+def test_build_runs_no_traversal_and_derives_no_table(monkeypatch):
+    bfs_calls, table_calls = _spy_bfs_row(monkeypatch), _spy_neighbour_table(monkeypatch)
+    for policy in ("on", "off"):
+        g = ps.build_graph(4, policy)
+        assert "neighbours" not in vars(g)
+    assert bfs_calls == table_calls == []
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bfs_from_vertex_0_reaches_every_vertex(n, policy):
+    # the traversal agrees with build_graph's proof of connectivity by induction
+    assert (G.bfs_row(ps.build_graph(n, policy), 0) >= 0).all()
+
+
+def test_build_refuses_a_level_whose_cross_edges_join_no_blocks(monkeypatch):
+    cross_edges = G._cross_edges
+
+    def without_level_3(m, policy):
+        return tuple(a[:0] if m == 3 else a for a in cross_edges(m, policy))
+
+    monkeypatch.setattr(G, "_cross_edges", without_level_3)
+    assert ps.build_graph(2).n_edges == 226  # levels 1 and 2 are intact
+    with pytest.raises(RuntimeError, match="^level-3 graph is not connected$"):
+        ps.build_graph(4)
+
+
+def test_build_refuses_a_level_whose_blocks_fall_into_two_groups(monkeypatch):
+    # only the cross edges between blocks 0..4 and blocks 5..9 dropped at
+    # level 2: each group is still joined, the two groups are not
+    cross_edges = G._cross_edges
+
+    def split(m, policy):
+        u, v, t = cross_edges(m, policy)
+        keep = (u // 10 ** (m - 1) < 5) == (v // 10 ** (m - 1) < 5) if m == 2 else u >= 0
+        return u[keep], v[keep], t[keep]
+
+    monkeypatch.setattr(G, "_cross_edges", split)
+    with pytest.raises(RuntimeError, match="^level-2 graph is not connected$"):
+        ps.build_graph(3)
 
 
 @pytest.mark.parametrize("cutoff", [2.5, 1.5, 2.0, float("nan"), True, -1])
@@ -1011,6 +1060,42 @@ def test_hop_row_certifies_a_read_graph_once(tmp_path, monkeypatch, g3, suffix, 
     assert np.array_equal(_hop_rows(back, starts), _hop_rows(g3, starts))
     assert ps.graph_metric(back).entries.tobytes() == ps.graph_metric(g3).entries.tobytes()
     assert builds == [(3, "on")]  # back's certificate, once; g3 is build_graph's own
+
+
+_BLOCKS = {1: [(0, 10), (3, 7), (5, 6), (9, 10)],
+           2: [(0, 100), (7, 63), (50, 51), (45, 61), (99, 100)],
+           3: [(37, 512), (0, 1000), (499, 501), (550, 560), (5, 6), (998, 1000)]}
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hop_block_equals_stacked_bfs_rows(n, policy):
+    # blocks that start and end mid-cell at every level, into an int64 and
+    # a float64 block
+    g = ps.build_graph(n, policy)
+    for lo, hi in _BLOCKS[n]:
+        want = np.array([G.bfs_row(g, s) for s in range(lo, hi)])
+        for dtype in (np.int64, np.float64):
+            out = np.full((hi - lo, g.n_vertices), -7, dtype)
+            G._hop_block(g, lo, hi, out)
+            assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("policy", ["on", "off"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_graph_metric_equals_stacked_hop_rows(n, policy):
+    g = ps.build_graph(n, policy)
+    assert np.array_equal(ps.graph_metric(g).entries, _hop_rows(g, range(g.n_vertices)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["on", "off"])
+def test_graph_metric_equals_stacked_hop_rows_at_level_4(policy):
+    # an 800 MB table, compared 1,000 rows at a time
+    g = ps.build_graph(4, policy)
+    d = ps.graph_metric(g).entries
+    for lo in range(0, g.n_vertices, 1000):
+        assert np.array_equal(d[lo : lo + 1000], _hop_rows(g, range(lo, lo + 1000)))
 
 
 @pytest.mark.slow

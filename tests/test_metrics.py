@@ -132,6 +132,15 @@ def test_rejects_triangle_violation():
         MetricMatrix(3, e)
 
 
+def test_graph_metric_leaves_numpy_random_unimported():
+    # the sampled triangle check draws its triples from the random module
+    code = ("import sys; from pillowspace import build_graph, graph_metric; "
+            "graph_metric(build_graph(3)); print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False"]
+
+
 @pytest.mark.parametrize("level, pairs, value", [
     (1, "all", np.inf),
     (3, [(3, 700), (700, 3)], np.inf),

@@ -206,7 +206,6 @@ def test_counts_suite_fails_on_a_graph_missing_an_edge(monkeypatch):
 @pytest.mark.parametrize("suite, levels", [("sheets", [1, 2, 3, 4]), ("quotient", [1, 2, 3])])
 def test_sheets_and_quotient_report_the_certificate_and_run_no_bfs(monkeypatch, suite, levels):
     # both identities follow from the two facts; no suite row needs a BFS
-    # (graphs built beforehand: build_graph checks connectivity by one)
     built = {n: graphs.build_graph(n) for n in levels}
 
     def refuse(*args, **kwargs):
